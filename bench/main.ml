@@ -12,6 +12,8 @@
    schema); --stats-json FILE dumps the counters and span totals
    machine-readably through Obs.Export. *)
 
+module P = Harness.Pipeline
+
 let fmt = Format.std_formatter
 
 let section title = Format.fprintf fmt "@.=== %s ===@." title
@@ -41,17 +43,20 @@ let fig2 () =
   section "Fig. 2 - running example";
   let k = Ops.Classics.fig2 ~n:64 () in
   Format.fprintf fmt "(a) initial fused operator:@.%a@." Ir.Kernel.pp k;
-  let isl_sched, _ = Scheduling.Scheduler.schedule k in
-  let tree = Vectorizer.Treegen.influence_for k in
-  let infl_sched, _ = Scheduling.Scheduler.schedule ~influence:tree k in
-  let show label sched vectorize =
-    let c = Codegen.Compile.lower ~vectorize sched k in
-    let r = Gpusim.Sim.run c in
-    Format.fprintf fmt "%s@.%a%s@.simulated: %a@.@." label Scheduling.Schedule.pp
-      sched (Codegen.Cuda.emit c) Gpusim.Sim.pp r
+  (* the vector pass runs at threshold 0 (not the version table's 2048):
+     at n = 64 it would otherwise leave the fused nest unvectorized *)
+  let compile version k =
+    let influence = P.tree version k in
+    let sched, _, _ = P.schedule ?influence k in
+    (sched, P.lower ~vec_min_parallel:0 version sched k)
   in
-  show "(b) isl-like baseline (split nests, D strided innermost):" isl_sched false;
-  show "(c) influenced (fused, innermost vectorizable j):" infl_sched true;
+  let show label version =
+    let sched, c = compile version k in
+    Format.fprintf fmt "%s@.%a%s@.simulated: %a@.@." label Scheduling.Schedule.pp
+      sched (Codegen.Cuda.emit c) Gpusim.Sim.pp (P.simulate c)
+  in
+  show "(b) isl-like baseline (split nests, D strided innermost):" P.Isl;
+  show "(c) influenced (fused, innermost vectorizable j):" P.Infl;
   Format.fprintf fmt
     "note: at this toy size the performance model favours (b) - the fused@.\
      form exposes only N = 64 threads while the split nests expose N*N;@.\
@@ -60,17 +65,8 @@ let fig2 () =
      the simulated time.  Table II measures realistic operators.@.";
   (* semantic validation at a size the interpreter enumerates quickly *)
   let small = Ops.Classics.fig2 ~n:8 () in
-  let s, _ =
-    Scheduling.Scheduler.schedule
-      ~influence:(Vectorizer.Treegen.influence_for small) small
-  in
-  let c = Codegen.Compile.lower ~vectorize:true s small in
-  let m1 = Interp.randomize small in
-  let m2 = Interp.copy m1 in
-  Interp.run_original small m1;
-  Interp.run_ast small c.Codegen.Compile.ast m2;
   Format.fprintf fmt "semantics check (n=8, infl vs original): %s@."
-    (if Interp.equal m1 m2 then "MATCH" else "MISMATCH")
+    (if P.interpret small (snd (compile P.Infl small)) = Ok () then "MATCH" else "MISMATCH")
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 3: the influence constraint tree for the running example        *)
@@ -164,23 +160,6 @@ let ablation_backtrack () =
   in
   List.iter (fun (name, mk) -> show name (mk ())) Ops.Classics.all_small;
   List.iter (fun (name, k) -> show name k) (rep_suite ())
-
-let ablation_tiling () =
-  section "Ablation - tile sizes (auto-tuner over permutable bands)";
-  Format.fprintf fmt "%-12s %10s %10s %10s %10s %10s@." "operator" "untiled"
-    "tile 8" "tile 16" "tile 32" "chosen";
-  List.iter
-    (fun (name, k) ->
-      let sched, _ = Scheduling.Scheduler.schedule k in
-      let sweep = Harness.Autotune.sweep ~vectorize:false sched k in
-      let best = Harness.Autotune.tune ~vectorize:false sched k in
-      Format.fprintf fmt "%-12s" name;
-      List.iter (fun (_, t) -> Format.fprintf fmt " %9.2fus" t) sweep;
-      Format.fprintf fmt " %10s@."
-        (match best.Harness.Autotune.tile with
-         | None -> "untiled"
-         | Some s -> string_of_int s))
-    (rep_suite ())
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: compile-time cost of constraint injection *)
@@ -297,7 +276,6 @@ let targets =
     ("ablation-weights", ablation_weights);
     ("ablation-scenarios", ablation_scenarios);
     ("ablation-backtrack", ablation_backtrack);
-    ("ablation-tiling", ablation_tiling);
     ("micro", micro)
   ]
 

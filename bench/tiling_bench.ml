@@ -31,17 +31,14 @@ type row = {
 
 let machine = Gpusim.Machine.v100
 
-let lower_and_time ?influence k =
-  let sched, _, _ = Harness.Eval.timed_schedule ?influence k in
-  let compiled = Codegen.Compile.lower ~vectorize:false sched k in
-  let report = Gpusim.Sim.run ~machine compiled in
-  (sched, compiled, report)
+let run version k =
+  match Harness.Pipeline.run ~machine version k with
+  | { sched; compiled; backend = Simulated report; _ } -> (sched, compiled, report)
+  | { backend = Emitted _; _ } -> assert false
 
 let bench_op (op, k) =
-  let _, _, base = lower_and_time k in
-  let tiled_sched, tiled_c, tiled_r =
-    lower_and_time ~influence:(Scheduling.Tiling.influence_for k) k
-  in
+  let _, _, base = run Harness.Pipeline.Isl k in
+  let tiled_sched, tiled_c, tiled_r = run Harness.Pipeline.Tiled k in
   let legal =
     match Scheduling.Legality.check tiled_sched k (Deps.Analysis.dependences k) with
     | Ok () -> true

@@ -158,7 +158,7 @@ let tuned_lookup ?(machine = Gpusim.Machine.v100) dir =
           (fun (r : Tune.Record.t) ->
             { Service.Batch.digest = Tune.Record.digest r;
               tuning =
-                { Harness.Eval.weights = r.Tune.Record.candidate.Tune.Candidate.weights;
+                { Harness.Pipeline.weights = r.Tune.Record.candidate.Tune.Candidate.weights;
                   order = r.Tune.Record.candidate.Tune.Candidate.order
                 }
             })
@@ -209,11 +209,9 @@ let with_op f name =
 (* shared pipeline helpers                                              *)
 (* ------------------------------------------------------------------ *)
 
-type version = Isl | Novec | Infl | Tiled | Cpu
+module P = Harness.Pipeline
 
-let version_conv =
-  Arg.enum
-    [ ("isl", Isl); ("novec", Novec); ("infl", Infl); ("tiled", Tiled); ("cpu", Cpu) ]
+let version_conv = Arg.enum (List.map (fun v -> (P.name v, v)) P.versions)
 
 let version_arg =
   let doc =
@@ -221,7 +219,7 @@ let version_arg =
      same influenced schedule as infl, lowered to cache-blocked C with SIMD \
      intrinsics instead of CUDA)."
   in
-  Arg.(value & opt version_conv Infl & info [ "version"; "v" ] ~doc)
+  Arg.(value & opt version_conv P.Infl & info [ "version"; "v" ] ~doc)
 
 let machine_conv =
   let parse s =
@@ -281,33 +279,12 @@ let strategy_arg =
         Scheduling.Scheduler.default_config.Scheduling.Scheduler.strategy
     & info [ "strategy" ] ~docv:"S" ~doc)
 
-let compile ?strategy ?(tile = false) ?tile_spec version k =
-  let version = if tile then Tiled else version in
-  let config =
-    match strategy with
-    | None -> Scheduling.Scheduler.default_config
-    | Some strategy -> { Scheduling.Scheduler.default_config with strategy }
-  in
-  let tile_sizes =
-    Option.map
-      (fun spec ->
-        let pairs = Scheduling.Tiling.parse_sizes spec in
-        fun dim -> List.assoc_opt dim pairs)
-      tile_spec
-  in
-  let lower ~vectorize sched = Codegen.Compile.lower ~vectorize ?tile_sizes sched k in
-  match version with
-  | Isl ->
-    let sched, stats = Scheduling.Scheduler.schedule ~config k in
-    (sched, stats, lower ~vectorize:false sched)
-  | Novec | Infl | Cpu ->
-    let tree = Vectorizer.Treegen.influence_for k in
-    let sched, stats = Scheduling.Scheduler.schedule ~config ~influence:tree k in
-    (sched, stats, lower ~vectorize:(version = Infl || version = Cpu) sched)
-  | Tiled ->
-    let tree = Scheduling.Tiling.influence_for k in
-    let sched, stats = Scheduling.Scheduler.schedule ~config ~influence:tree k in
-    (sched, stats, lower ~vectorize:false sched)
+let tile_sizes_of spec =
+  Option.map
+    (fun spec ->
+      let pairs = Scheduling.Tiling.parse_sizes spec in
+      fun dim -> List.assoc_opt dim pairs)
+    spec
 
 (* ------------------------------------------------------------------ *)
 (* commands                                                             *)
@@ -345,22 +322,18 @@ let schedule_cmd =
   let tree_flag =
     Arg.(value & flag & info [ "tree" ] ~doc:"Also print the influence constraint tree.")
   in
-  let run name version strategy tile tile_spec tree verbose o =
+  let run name version strategy tile _tile_spec tree verbose o =
     setup_logs verbose;
     with_obs o @@ fun () ->
     with_op
       (fun k ->
-        let version = if tile then Tiled else version in
-        (if tree then
-           match version with
-           | Isl -> ()
-           | Tiled ->
-             Format.printf "influence tree:@.%a@." Scheduling.Influence.pp
-               (Scheduling.Tiling.influence_for k)
-           | Novec | Infl | Cpu ->
-             Format.printf "influence tree:@.%a@." Scheduling.Influence.pp
-               (Vectorizer.Treegen.influence_for k));
-        let sched, stats, _ = compile ~strategy ?tile_spec version k in
+        let version = if tile then P.Tiled else version in
+        let influence = P.tree version k in
+        if tree then
+          Option.iter
+            (Format.printf "influence tree:@.%a@." Scheduling.Influence.pp)
+            influence;
+        let sched, stats, _ = P.schedule ?influence ~strategy k in
         Format.printf "%a@." Scheduling.Schedule.pp sched;
         Format.printf
           "stats: %d ILP solves, %d loop dims, %d scalar dims, %d sibling moves, %d backtracks, %d SCC separations, abandoned %b@."
@@ -381,17 +354,20 @@ let schedule_cmd =
       const run $ op_arg $ version_arg $ strategy_arg $ tile_flag $ tile_sizes_arg
       $ tree_flag $ verbose_arg $ obs_term)
 
+let run_version ?machine ~tile ~tile_spec version k =
+  P.run ?machine ?tile_sizes:(tile_sizes_of tile_spec)
+    (if tile then P.Tiled else version)
+    k
+
 let codegen_cmd =
   let run name version machine tile tile_spec o =
     with_obs o @@ fun () ->
     with_op
       (fun k ->
-        let _, _, c = compile ~tile ?tile_spec version k in
-        match version with
-        | Cpu ->
-          let m = cpu_profile_for machine None in
-          print_string (Codegen_cpu.Cemit.emit ~machine:m c)
-        | Isl | Novec | Infl | Tiled -> print_string (Codegen.Cuda.emit c))
+        let p = run_version ?machine ~tile ~tile_spec version k in
+        match p.P.backend with
+        | P.Emitted { source; _ } -> print_string source
+        | P.Simulated _ -> print_string (Codegen.Cuda.emit p.P.compiled))
       name
   in
   Cmd.v
@@ -409,9 +385,12 @@ let simulate_cmd =
     with_obs o @@ fun () ->
     with_op
       (fun k ->
-        let _, _, c = compile ~tile ?tile_spec version k in
-        Format.printf "%s@." (Format.asprintf "%a" Codegen.Mapping.pp c.Codegen.Compile.mapping);
-        Format.printf "%a@." Gpusim.Sim.pp (Gpusim.Sim.run c))
+        let p = run_version ~tile ~tile_spec version k in
+        Format.printf "%a@." Codegen.Mapping.pp p.P.compiled.Codegen.Compile.mapping;
+        Format.printf "%a@." Gpusim.Sim.pp
+          (match p.P.backend with
+           | P.Simulated report -> report
+           | P.Emitted _ -> P.simulate p.P.compiled))
       name
   in
   Cmd.v (Cmd.info "simulate" ~doc:"Run the GPU performance model")
@@ -566,16 +545,12 @@ let check_cmd =
     with_op
       (fun k ->
         List.iter
-          (fun (label, version) ->
-            let _, _, c = compile version k in
-            let m1 = Interp.randomize k in
-            let m2 = Interp.copy m1 in
-            Interp.run_original k m1;
-            Interp.run_ast k c.Codegen.Compile.ast m2;
-            Format.printf "%-6s %s@." label
-              (if Interp.equal m1 m2 then "MATCH"
-               else Printf.sprintf "MISMATCH (max diff %g)" (Interp.max_abs_diff m1 m2)))
-          [ ("isl", Isl); ("novec", Novec); ("infl", Infl); ("tiled", Tiled) ];
+          (fun version ->
+            Format.printf "%-6s %s@." (P.name version)
+              (match P.interpret k (P.run version k).P.compiled with
+               | Ok () -> "MATCH"
+               | Error diff -> Printf.sprintf "MISMATCH (max diff %g)" diff))
+          [ P.Isl; P.Novec; P.Infl; P.Tiled ];
         (* the cpu row is an *executed* differential when a host toolchain
            exists; otherwise it degrades to emit-only and says so *)
         let runner =
@@ -597,29 +572,6 @@ let check_cmd =
          "Interpret original vs compiled code and compare results bit-for-bit (the \
           cpu row executes the emitted C when a host toolchain is available)")
     Term.(const run $ op_arg $ obs_term)
-
-let tune_tiles_cmd =
-  let run name version o =
-    with_obs o @@ fun () ->
-    with_op
-      (fun k ->
-        let sched, _, _ = compile version k in
-        List.iter
-          (fun (tile, t) ->
-            Format.printf "tile %-8s %10.2f us@."
-              (match tile with None -> "none" | Some s -> string_of_int s)
-              t)
-          (Harness.Autotune.sweep ~vectorize:(version = Infl) sched k);
-        let best = Harness.Autotune.tune ~vectorize:(version = Infl) sched k in
-        Format.printf "chosen: %s (%.2f us)@."
-          (match best.Harness.Autotune.tile with
-           | None -> "untiled"
-           | Some s -> Printf.sprintf "tile %d" s)
-          best.Harness.Autotune.time_us)
-      name
-  in
-  Cmd.v (Cmd.info "tune-tiles" ~doc:"Auto-tune tile sizes on the GPU model")
-    Term.(const run $ op_arg $ version_arg $ obs_term)
 
 (* ------------------------------------------------------------------ *)
 (* influence-space autotuning                                           *)
@@ -1162,5 +1114,5 @@ let () =
     (Cmd.eval'
        (Cmd.group info
           [ list_cmd; show_cmd; schedule_cmd; codegen_cmd; simulate_cmd; cpu_run_cmd;
-            eval_cmd; check_cmd; tune_cmd; tune_tiles_cmd; network_cmd; serve_cmd;
+            eval_cmd; check_cmd; tune_cmd; network_cmd; serve_cmd;
             fuzz_cmd; report_cmd; diff_cmd; metrics_cmd; perf_diff_cmd ]))

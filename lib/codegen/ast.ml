@@ -53,6 +53,19 @@ let rec map_loops f = function
   | If (cs, b) -> If (cs, map_loops f b)
   | (Exec _ | VecExec _) as e -> e
 
+(* Tiling hoists its tile loops to [dim = row - 1000]; no other loop has a
+   dimension this low. *)
+let is_tile_loop l = l.dim <= -500
+
+(* step > 1 signals a vectorized loop, except on tile loops, which step by
+   the tile size *)
+let rec has_vector_loop = function
+  | Stmts l -> List.exists has_vector_loop l
+  | If (_, b) -> has_vector_loop b
+  | Exec _ -> false
+  | VecExec _ -> true
+  | For l -> (l.step > 1 && not (is_tile_loop l)) || has_vector_loop l.body
+
 let rec exec_count = function
   | Stmts l -> List.fold_left (fun acc t -> acc + exec_count t) 0 l
   | For l -> exec_count l.body

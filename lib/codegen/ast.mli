@@ -66,6 +66,14 @@ val stmts_of : t -> string list
 
 val map_loops : (loop -> loop) -> t -> t
 
+val is_tile_loop : loop -> bool
+(** Whether the loop is a tile loop introduced by {!Tiling} — the one place
+    that knows how tile loops are encoded. *)
+
+val has_vector_loop : t -> bool
+(** Whether the AST contains a vectorized loop: a [VecExec], or a loop
+    stepping by more than one that is not a tile loop. *)
+
 val exec_count : t -> int
 (** Number of [Exec]/[VecExec] sites. *)
 

@@ -131,5 +131,5 @@ let tile_all ~size sched kernel ast =
 let rec applied = function
   | Ast.Stmts l -> List.exists applied l
   | Ast.If (_, b) -> applied b
-  | Ast.For l -> l.Ast.dim <= -500 || applied l.Ast.body
+  | Ast.For l -> Ast.is_tile_loop l || applied l.Ast.body
   | Ast.Exec _ | Ast.VecExec _ -> false

@@ -462,7 +462,7 @@ let emit ?(machine = Gpusim.Machine.scalar_1core) (c : Codegen.Compile.compiled)
             axes (step = vector width) and tile loops (step = tile size,
             whose For body falls straight back to the plain walk) *)
          let note =
-           if l.Ast.dim <= -500 then
+           if Ast.is_tile_loop l then
              Printf.sprintf "  /* tile loop (size %d) */" l.Ast.step
            else Printf.sprintf "  /* vector strip (w=%d) */" l.Ast.step
          in
@@ -476,7 +476,7 @@ let emit ?(machine = Gpusim.Machine.scalar_1core) (c : Codegen.Compile.compiled)
            | _ -> false
          in
          let note =
-           if l.Ast.dim <= -500 then
+           if Ast.is_tile_loop l then
              Printf.sprintf "  /* tile loop (size %d) */" l.Ast.step
            else if parallel then "  /* parallel */"
            else ""

@@ -1,23 +1,4 @@
-type version = Isl | Novec | Infl | Tiled | Cpu
-
-(* Cpu runs last: its checks subsume nothing, so an AST-level defect is
-   always attributed to the GPU-side version that first exposes it. *)
-let versions = [ Isl; Novec; Infl; Tiled; Cpu ]
-
-let version_name = function
-  | Isl -> "isl"
-  | Novec -> "novec"
-  | Infl -> "infl"
-  | Tiled -> "tiled"
-  | Cpu -> "cpu"
-
-let version_of_name = function
-  | "isl" -> Some Isl
-  | "novec" -> Some Novec
-  | "infl" -> Some Infl
-  | "tiled" -> Some Tiled
-  | "cpu" -> Some Cpu
-  | _ -> None
+module P = Harness.Pipeline
 
 type stage = Convert | Schedule | Legality | Lower | Structure | Emit | Semantics
 
@@ -40,10 +21,10 @@ let stage_of_name = function
   | "semantics" -> Some Semantics
   | _ -> None
 
-type failure = { version : version; stage : stage; message : string }
+type failure = { version : P.version; stage : stage; message : string }
 
 let pp_failure ppf f =
-  Format.fprintf ppf "[%s/%s] %s" (version_name f.version) (stage_name f.stage) f.message
+  Format.fprintf ppf "[%s/%s] %s" (P.name f.version) (stage_name f.stage) f.message
 
 (* ------------------------------------------------------------------ *)
 (* structural well-formedness of the emitted AST                        *)
@@ -110,62 +91,37 @@ let has_substring hay needle =
   let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
   at 0
 
+let mismatch ~what version = function
+  | Ok () -> Ok ()
+  | Error diff ->
+    Error
+      { version; stage = Semantics;
+        message = Printf.sprintf "%s (max abs diff %g)" what diff
+      }
+
 (* The cpu version's semantics check: compile the emitted C on the host
    toolchain, execute it, and compare the output buffers bit-for-bit
    against the reference interpreter — the executed twin of the
    AST-interpretation check the GPU-side versions get. *)
 let check_cpu_executed runner ~machine k src =
-  match Codegen_cpu.Runner.build_source runner ~machine src with
-  | Error e ->
+  let runner_error e =
     Error
-      { version = Cpu; stage = Semantics;
-        message = Codegen_cpu.Runner.error_message e
-      }
+      { version = P.Cpu; stage = Semantics; message = Codegen_cpu.Runner.error_message e }
+  in
+  match Codegen_cpu.Runner.build_source runner ~machine src with
+  | Error e -> runner_error e
   | Ok built -> (
-    let m1 = Interp.randomize k in
-    let inputs =
-      Array.of_list
-        (List.map
-           (fun (t : Ir.Tensor.t) -> Array.copy (Hashtbl.find m1 t.Ir.Tensor.name))
-           k.Ir.Kernel.tensors)
-    in
-    match Codegen_cpu.Runner.execute ~reps:1 runner built ~inputs with
-    | Error e ->
-      Error
-        { version = Cpu; stage = Semantics;
-          message = Codegen_cpu.Runner.error_message e
-        }
-    | Ok (outputs, _) ->
-      Interp.run_original k m1;
-      let m2 = Hashtbl.create 8 in
-      List.iteri
-        (fun i (t : Ir.Tensor.t) -> Hashtbl.replace m2 t.Ir.Tensor.name outputs.(i))
-        k.Ir.Kernel.tensors;
-      if Interp.equal m1 m2 then Ok ()
-      else
-        Error
-          { version = Cpu; stage = Semantics;
-            message =
-              Printf.sprintf "executed C differs bit-for-bit (max abs diff %g)"
-                (Interp.max_abs_diff m1 m2)
-          })
+    match P.execute ~reps:1 runner built k with
+    | Error e -> runner_error e
+    | Ok (_, checked) ->
+      mismatch ~what:"executed C differs bit-for-bit" P.Cpu (Option.get checked))
 
-let check_version ?(perturb = fun _ s -> s)
-    ?(strategy = Scheduling.Scheduler.default_config.strategy) ?max_tile_size
-    ?tile_fault ?cpu_exec k deps version =
-  let config = { Scheduling.Scheduler.default_config with strategy } in
+let check_version ?(perturb = fun _ s -> s) ?strategy ?max_tile_size ?tile_fault
+    ?cpu_exec k deps version =
   let* sched =
     guard version Schedule (fun () ->
-        let s =
-          match version with
-          | Isl -> fst (Scheduling.Scheduler.schedule ~config k)
-          | Novec | Infl | Cpu ->
-            let tree = Vectorizer.Treegen.influence_for k in
-            fst (Scheduling.Scheduler.schedule ~config ~influence:tree k)
-          | Tiled ->
-            let tree = Scheduling.Tiling.influence_for ?max_tile_size k in
-            fst (Scheduling.Scheduler.schedule ~config ~influence:tree k)
-        in
+        let influence = P.tree ?max_tile_size version k in
+        let s, _, _ = P.schedule ?influence ?strategy k in
         Ok (perturb version s))
   in
   let* () =
@@ -177,20 +133,19 @@ let check_version ?(perturb = fun _ s -> s)
   let* c =
     guard version Lower (fun () ->
         (* [tile_fault] only reaches the version that tiles, so a broken
-           tiler shows up as a tiled-version failure, not an isl one. *)
-        let tile_fault = if version = Tiled then tile_fault else None in
-        Ok
-          (Codegen.Compile.lower
-             ~vectorize:(version = Infl || version = Cpu)
-             ?tile_fault sched k))
+           tiler shows up as a tiled-version failure, not an isl one.  The
+           fuzzer's kernels are tiny, so the vector pass runs on every
+           parallel loop (threshold 0) instead of the table's 2048. *)
+        let tile_fault = if version = P.Tiled then tile_fault else None in
+        Ok (P.lower ~vec_min_parallel:0 ?tile_fault version sched k))
   in
   let* () =
     match well_formed c with
     | Ok () -> Ok ()
     | Error m -> Error { version; stage = Structure; message = m }
   in
-  match version with
-  | Cpu ->
+  match (P.spec version).P.backend with
+  | P.Emit_c ->
     (* emit-only by default (toolchain-independent, shrink-probe cheap);
        with [cpu_exec] the emitted C is also compiled and executed *)
     let machine =
@@ -200,7 +155,7 @@ let check_version ?(perturb = fun _ s -> s)
     in
     let* src =
       guard version Emit (fun () ->
-          let src = Codegen_cpu.Cemit.emit ~machine c in
+          let src = P.emit_c ~machine c in
           if not (has_substring src Codegen_cpu.Cemit.entry_symbol) then
             Error
               { version; stage = Emit;
@@ -212,33 +167,23 @@ let check_version ?(perturb = fun _ s -> s)
      | None -> Ok ()
      | Some runner ->
        guard version Semantics (fun () -> check_cpu_executed runner ~machine k src))
-  | Isl | Novec | Infl | Tiled ->
+  | P.Simulate ->
     guard version Semantics (fun () ->
-        let m1 = Interp.randomize k in
-        let m2 = Interp.copy m1 in
-        Interp.run_original k m1;
-        Interp.run_ast k c.Codegen.Compile.ast m2;
-        if Interp.equal m1 m2 then Ok ()
-        else
-          Error
-            { version;
-              stage = Semantics;
-              message =
-                Printf.sprintf "bit-for-bit mismatch (max abs diff %g)"
-                  (Interp.max_abs_diff m1 m2)
-            })
+        mismatch ~what:"bit-for-bit mismatch" version (P.interpret k c))
 
+(* Cpu runs last: its checks subsume nothing, so an AST-level defect is
+   always attributed to the GPU-side version that first exposes it. *)
 let run ?perturb ?strategy ?max_tile_size ?tile_fault ?cpu_exec k =
-  let* deps = guard Isl Schedule (fun () -> Ok (Deps.Analysis.dependences k)) in
+  let* deps = guard P.Isl Schedule (fun () -> Ok (Deps.Analysis.dependences k)) in
   List.fold_left
     (fun acc v ->
       match acc with
       | Error _ -> acc
       | Ok () ->
         check_version ?perturb ?strategy ?max_tile_size ?tile_fault ?cpu_exec k deps v)
-    (Ok ()) versions
+    (Ok ()) P.versions
 
 let run_case ?perturb ?strategy ?max_tile_size ?tile_fault ?cpu_exec case =
   match Case.to_kernel case with
-  | Error m -> Error { version = Isl; stage = Convert; message = m }
+  | Error m -> Error { version = P.Isl; stage = Convert; message = m }
   | Ok k -> run ?perturb ?strategy ?max_tile_size ?tile_fault ?cpu_exec k

@@ -1,5 +1,7 @@
-(** The differential oracle: one kernel through the full pipeline, five
-    compiler versions, independent checks per version.
+(** The differential oracle: one kernel through the {!Harness.Pipeline}
+    stages, all five versions, independent checks per version.  Lowering
+    runs the vector pass at threshold 0 (not the version table's 2048) so
+    the fuzzer's tiny kernels still exercise it.
 
     For each of {b isl} (baseline schedule, no vectorization),
     {b novec} (influenced schedule, no explicit vector types),
@@ -18,18 +20,12 @@
     a compile+execute differential comparing the executed C's output
     buffers bit-for-bit against {!Interp.run_original}. *)
 
-type version = Isl | Novec | Infl | Tiled | Cpu
-
-val versions : version list
-val version_name : version -> string
-val version_of_name : string -> version option
-
 type stage = Convert | Schedule | Legality | Lower | Structure | Emit | Semantics
 
 val stage_name : stage -> string
 val stage_of_name : string -> stage option
 
-type failure = { version : version; stage : stage; message : string }
+type failure = { version : Harness.Pipeline.version; stage : stage; message : string }
 
 val pp_failure : Format.formatter -> failure -> unit
 
@@ -42,7 +38,7 @@ val well_formed : Codegen.Compile.compiled -> (unit, string) result
     thread-mapped. *)
 
 val run :
-  ?perturb:(version -> Scheduling.Schedule.t -> Scheduling.Schedule.t) ->
+  ?perturb:(Harness.Pipeline.version -> Scheduling.Schedule.t -> Scheduling.Schedule.t) ->
   ?strategy:Scheduling.Scheduler.strategy ->
   ?max_tile_size:int ->
   ?tile_fault:Codegen.Tiling.fault ->
@@ -60,7 +56,7 @@ val run :
     runner's native profile. *)
 
 val run_case :
-  ?perturb:(version -> Scheduling.Schedule.t -> Scheduling.Schedule.t) ->
+  ?perturb:(Harness.Pipeline.version -> Scheduling.Schedule.t -> Scheduling.Schedule.t) ->
   ?strategy:Scheduling.Scheduler.strategy ->
   ?max_tile_size:int ->
   ?tile_fault:Codegen.Tiling.fault ->

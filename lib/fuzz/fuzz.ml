@@ -39,7 +39,7 @@ let save_case ~file ~seed ~index ~failure:(f : Check.failure) case =
         ("index", J.Int index);
         ("failure",
          J.Assoc
-           [ ("compiler", J.String (Check.version_name f.Check.version));
+           [ ("compiler", J.String (Harness.Pipeline.name f.Check.version));
              ("stage", J.String (Check.stage_name f.Check.stage));
              ("message", J.String f.Check.message)
            ]);
@@ -76,7 +76,7 @@ let load_case file =
             in
             match (str "compiler", str "stage", str "message") with
             | Some v, Some s, Some m -> (
-              match (Check.version_of_name v, Check.stage_of_name s) with
+              match (Harness.Pipeline.of_name v, Check.stage_of_name s) with
               | Some version, Some stage ->
                 Ok { Check.version; stage; message = m }
               | _ -> Error "unknown compiler version or stage in failure record")
@@ -169,7 +169,7 @@ let run ?config ?out_dir ?perturb ?strategy ?max_tile_size ?tile_fault ?cpu_exec
           Obs.Trace.emitf "fuzz.failure" (fun () ->
               let stmts, rank = case_stats shrunk in
               [ ("seed", J.Int seed); ("index", J.Int index);
-                ("compiler", J.String (Check.version_name failure.Check.version));
+                ("compiler", J.String (Harness.Pipeline.name failure.Check.version));
                 ("stage", J.String (Check.stage_name failure.Check.stage));
                 ("message", J.String failure.Check.message);
                 ("shrink_steps", J.Int shrink_steps);

@@ -38,7 +38,7 @@ type report = {
 val run :
   ?config:Generate.config ->
   ?out_dir:string ->
-  ?perturb:(Check.version -> Scheduling.Schedule.t -> Scheduling.Schedule.t) ->
+  ?perturb:(Harness.Pipeline.version -> Scheduling.Schedule.t -> Scheduling.Schedule.t) ->
   ?strategy:Scheduling.Scheduler.strategy ->
   ?max_tile_size:int ->
   ?tile_fault:Codegen.Tiling.fault ->
@@ -77,7 +77,7 @@ val save_case :
 val load_case : string -> (Case.t * Check.failure, string) result
 
 val replay :
-  ?perturb:(Check.version -> Scheduling.Schedule.t -> Scheduling.Schedule.t) ->
+  ?perturb:(Harness.Pipeline.version -> Scheduling.Schedule.t -> Scheduling.Schedule.t) ->
   ?strategy:Scheduling.Scheduler.strategy ->
   ?max_tile_size:int ->
   ?tile_fault:Codegen.Tiling.fault ->

@@ -1,14 +1,4 @@
-type sched_obs = {
-  ilp_solves : int;
-  bb_nodes : int;
-  sibling_moves : int;
-  ancestor_backtracks : int;
-  scc_separations : int;
-  abandoned : bool;
-  fastpath_hits : int;
-  fastpath_fallbacks : int;
-  sched_s : float;
-}
+type sched_obs = Pipeline.sched_obs
 
 type op_obs = {
   isl_sched : sched_obs;
@@ -42,82 +32,33 @@ let rows_equal (a : Scheduling.Schedule.t) (b : Scheduling.Schedule.t) =
               ra.exprs rb.exprs)
        a.Scheduling.Schedule.rows b.Scheduling.Schedule.rows
 
-(* step > 1 signals a vectorized loop, except on tile loops (dim <= -500),
-   which step by the tile size *)
-let rec has_vector_loop = function
-  | Codegen.Ast.Stmts l -> List.exists has_vector_loop l
-  | Codegen.Ast.If (_, b) -> has_vector_loop b
-  | Codegen.Ast.Exec _ -> false
-  | Codegen.Ast.VecExec _ -> true
-  | Codegen.Ast.For l ->
-    (l.Codegen.Ast.step > 1 && l.Codegen.Ast.dim > -500)
-    || has_vector_loop l.Codegen.Ast.body
+let timed_schedule = Pipeline.schedule
 
-(* Runs the scheduler while measuring wall time and the branch-and-bound
-   node delta it caused, turning its per-run stats into a [sched_obs]. *)
-let timed_schedule ?influence ?strategy kernel =
-  let config =
-    match strategy with
-    | None -> Scheduling.Scheduler.default_config
-    | Some strategy -> { Scheduling.Scheduler.default_config with strategy }
-  in
-  let bb0 = Obs.Counters.find "ilp.bb_nodes" in
-  let (sched, stats), sched_s =
-    Obs.Span.timed (fun () -> Scheduling.Scheduler.schedule ~config ?influence kernel)
-  in
-  let obs =
-    { ilp_solves = stats.Scheduling.Scheduler.ilp_solves;
-      bb_nodes = Obs.Counters.find "ilp.bb_nodes" - bb0;
-      sibling_moves = stats.sibling_moves;
-      ancestor_backtracks = stats.ancestor_backtracks;
-      scc_separations = stats.scc_separations;
-      abandoned = stats.influence_abandoned;
-      fastpath_hits = stats.fastpath_hits;
-      fastpath_fallbacks = stats.fastpath_fallbacks;
-      sched_s
-    }
-  in
-  (sched, stats, obs)
+type tuning = Pipeline.tuning
 
-type tuning = {
-  weights : Vectorizer.Costmodel.weights;
-  order : int list option;
-}
-
-let influence_with ?tuning kernel =
-  match tuning with
-  | None -> Vectorizer.Treegen.influence_for kernel
-  | Some t ->
-    let tree = Vectorizer.Treegen.influence_for ~weights:t.weights kernel in
-    (match t.order with
-     | None -> tree
-     | Some order -> Scheduling.Influence.select order tree)
+let influence_with = Pipeline.influence_with
 
 let evaluate_op ?(machine = Gpusim.Machine.v100) ?tuning ?strategy ~name kernel =
   Obs.Span.with_ "harness.op" @@ fun () ->
   Obs.Trace.emitf "harness.op_start" (fun () -> [ ("op", Obs.Json.String name) ]);
-  let isl_sched, _, isl_obs = timed_schedule ?strategy kernel in
-  let tree, tree_s = Obs.Span.timed (fun () -> influence_with ?tuning kernel) in
-  let infl_sched, infl_stats, infl_obs = timed_schedule ~influence:tree ?strategy kernel in
-  (* The tiled version goes through the same influence path with the
-     tiling client's tree instead of the vectorizer's. *)
-  let tile_tree, tile_tree_s =
-    Obs.Span.timed (fun () -> Scheduling.Tiling.influence_for kernel)
-  in
-  let tiled_sched_r, tiled_stats, tiled_obs =
-    timed_schedule ~influence:tile_tree ?strategy kernel
-  in
-  let tree_s = tree_s +. tile_tree_s in
-  let lower_s = ref 0.0 and sim_s = ref 0.0 in
-  let lower f =
+  let tree_s = ref 0.0 and lower_s = ref 0.0 and sim_s = ref 0.0 in
+  let timed total f =
     let r, dt = Obs.Span.timed f in
-    lower_s := !lower_s +. dt;
+    total := !total +. dt;
     r
   in
+  (* Three schedules: novec and infl share the vectorizer-tree one, and
+     only the vectorizer's tree is tuned. *)
+  let schedule ?tuning version =
+    let influence = timed tree_s (fun () -> Pipeline.tree ?tuning version kernel) in
+    Pipeline.schedule ?influence ?strategy kernel
+  in
+  let isl_sched, _, isl_obs = schedule Pipeline.Isl in
+  let infl_sched, infl_stats, infl_obs = schedule ?tuning Pipeline.Infl in
+  let tiled_sched_r, tiled_stats, tiled_obs = schedule Pipeline.Tiled in
+  let lower version sched = timed lower_s (fun () -> Pipeline.lower version sched kernel) in
   let time c =
-    let r, dt = Obs.Span.timed (fun () -> Gpusim.Sim.time_us (Gpusim.Sim.run ~machine c)) in
-    sim_s := !sim_s +. dt;
-    r
+    timed sim_s (fun () -> Gpusim.Sim.time_us (Pipeline.simulate ~machine c))
   in
   let version label us =
     Obs.Trace.emitf "harness.version" (fun () ->
@@ -127,15 +68,10 @@ let evaluate_op ?(machine = Gpusim.Machine.v100) ?tuning ?strategy ~name kernel 
         ]);
     us
   in
-  let isl_c = lower (fun () -> Codegen.Compile.lower ~vectorize:false isl_sched kernel) in
-  let novec_c = lower (fun () -> Codegen.Compile.lower ~vectorize:false infl_sched kernel) in
-  let infl_c =
-    lower (fun () ->
-        Codegen.Compile.lower ~vectorize:true ~vec_min_parallel:2048 infl_sched kernel)
-  in
-  let tiled_c =
-    lower (fun () -> Codegen.Compile.lower ~vectorize:false tiled_sched_r kernel)
-  in
+  let isl_c = lower Pipeline.Isl isl_sched in
+  let novec_c = lower Pipeline.Novec infl_sched in
+  let infl_c = lower Pipeline.Infl infl_sched in
+  let tiled_c = lower Pipeline.Tiled tiled_sched_r in
   let tiled =
     (not tiled_stats.Scheduling.Scheduler.influence_abandoned)
     && Codegen.Tiling.applied tiled_c.Codegen.Compile.ast
@@ -145,9 +81,9 @@ let evaluate_op ?(machine = Gpusim.Machine.v100) ?tuning ?strategy ~name kernel 
       (List.fold_left
          (fun acc c -> acc +. time c)
          0.0
-         (lower (fun () -> Baselines.Tvm.compile kernel)))
+         (timed lower_s (fun () -> Baselines.Tvm.compile kernel)))
   in
-  let vec = has_vector_loop infl_c.Codegen.Compile.ast in
+  let vec = Codegen.Ast.has_vector_loop infl_c.Codegen.Compile.ast in
   let influenced =
     (not infl_stats.Scheduling.Scheduler.influence_abandoned)
     && ((not (rows_equal isl_sched infl_sched)) || vec)
@@ -166,7 +102,7 @@ let evaluate_op ?(machine = Gpusim.Machine.v100) ?tuning ?strategy ~name kernel 
         { isl_sched = isl_obs;
           infl_sched = infl_obs;
           tiled_sched = tiled_obs;
-          tree_s;
+          tree_s = !tree_s;
           lower_s = !lower_s;
           sim_s = !sim_s
         }
@@ -186,7 +122,7 @@ let evaluate_op ?(machine = Gpusim.Machine.v100) ?tuning ?strategy ~name kernel 
         ("ancestor_backtracks", Obs.Json.Int infl_obs.ancestor_backtracks);
         ("abandoned", Obs.Json.Bool infl_obs.abandoned);
         ("sched_ms", Obs.Json.Float ((isl_obs.sched_s +. infl_obs.sched_s) *. 1e3));
-        ("tree_ms", Obs.Json.Float (tree_s *. 1e3));
+        ("tree_ms", Obs.Json.Float (r.obs.tree_s *. 1e3));
         ("lower_ms", Obs.Json.Float (r.obs.lower_s *. 1e3));
         ("sim_ms", Obs.Json.Float (r.obs.sim_s *. 1e3))
       ]);
@@ -265,8 +201,8 @@ let result_of_json j =
       let* fastpath_hits = int "fastpath_hits" s in
       let* fastpath_fallbacks = int "fastpath_fallbacks" s in
       let* sched_s = num "sched_s" s in
-      Ok { ilp_solves; bb_nodes; sibling_moves; ancestor_backtracks; scc_separations;
-           abandoned; fastpath_hits; fastpath_fallbacks; sched_s }
+      Ok { Pipeline.ilp_solves; bb_nodes; sibling_moves; ancestor_backtracks;
+           scc_separations; abandoned; fastpath_hits; fastpath_fallbacks; sched_s }
   in
   let* op_name = str "op" j in
   let* isl_us = num "isl_us" j in
@@ -347,38 +283,25 @@ type cpu_run = {
   cpu_error : string option;  (* structured degradation reason *)
 }
 
-let memory_to_buffers (k : Ir.Kernel.t) mem =
-  Array.of_list
-    (List.map
-       (fun (t : Ir.Tensor.t) -> Array.copy (Hashtbl.find mem t.Ir.Tensor.name))
-       k.Ir.Kernel.tensors)
-
-let buffers_to_memory (k : Ir.Kernel.t) bufs =
-  let mem = Hashtbl.create 8 in
-  List.iteri
-    (fun i (t : Ir.Tensor.t) -> Hashtbl.replace mem t.Ir.Tensor.name bufs.(i))
-    k.Ir.Kernel.tensors;
-  mem
+let memory_to_buffers = Pipeline.memory_to_buffers
 
 let evaluate_cpu_op ?(machine = Gpusim.Machine.scalar_1core) ?runner ?strategy
     ?(reps = 3) ?(check = true) ?(seed = 42) ~name kernel =
   Obs.Span.with_ "harness.cpu_op" @@ fun () ->
   let kernel = Ir.Kernel.instantiate kernel in
-  let tree = Vectorizer.Treegen.influence_for kernel in
-  let sched, _, _ = timed_schedule ~influence:tree ?strategy kernel in
-  let compiled =
-    Codegen.Compile.lower ~vectorize:true ~vec_min_parallel:2048 sched kernel
-  in
-  let source, emit_s =
-    Obs.Span.timed (fun () -> Codegen_cpu.Cemit.emit ~machine compiled)
+  let p = Pipeline.run ?strategy ~machine Pipeline.Cpu kernel in
+  let machine, source =
+    match p.Pipeline.backend with
+    | Pipeline.Emitted { machine; source } -> (machine, source)
+    | Pipeline.Simulated _ -> assert false
   in
   let base =
     { cpu_op = name;
       cpu_machine = machine.Gpusim.Machine.name;
       cpu_isa = Gpusim.Machine.isa_name machine.Gpusim.Machine.isa;
       source_bytes = String.length source;
-      emit_s;
-      cpu_vec = has_vector_loop compiled.Codegen.Compile.ast;
+      emit_s = p.Pipeline.backend_s;
+      cpu_vec = Codegen.Ast.has_vector_loop p.Pipeline.compiled.Codegen.Compile.ast;
       compiled = false;
       compile_cache_hit = false;
       compile_s = 0.0;
@@ -406,20 +329,14 @@ let evaluate_cpu_op ?(machine = Gpusim.Machine.scalar_1core) ?runner ?strategy
             compile_s = built.Codegen_cpu.Runner.compile_s
           }
         in
-        let mem = Interp.randomize ~seed kernel in
-        let inputs = memory_to_buffers kernel mem in
-        match Codegen_cpu.Runner.execute ~reps runner built ~inputs with
+        match Pipeline.execute ~reps ~seed ~check runner built kernel with
         | Error e -> { base with cpu_error = Some (Codegen_cpu.Runner.error_message e) }
-        | Ok (outputs, best_s) ->
-          let checked =
-            if not check then None
-            else begin
-              let reference = Interp.copy mem in
-              Interp.run_original kernel reference;
-              Some (Interp.equal reference (buffers_to_memory kernel outputs))
-            end
-          in
-          { base with executed = true; exec_best_s = best_s; checked }))
+        | Ok (best_s, checked) ->
+          { base with
+            executed = true;
+            exec_best_s = best_s;
+            checked = Option.map Result.is_ok checked
+          }))
   in
   Obs.Trace.emitf "harness.cpu_op" (fun () ->
       [ ("op", Obs.Json.String name);

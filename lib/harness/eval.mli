@@ -1,5 +1,5 @@
-(** Four-version evaluation of fused operators (the measurement harness
-    behind Table II).
+(** Five-version evaluation of fused operators (the measurement harness
+    behind Table II), composed from the {!Pipeline} stages.
 
     For each operator, compiles and simulates:
     - {b isl}: the baseline scheduler, no influence;
@@ -17,19 +17,7 @@
     the tiling influence survived scheduling and the backend actually
     rewrote a band into tile/point loops. *)
 
-type sched_obs = {
-  ilp_solves : int;  (** per-dimension ILP solves of this scheduler run *)
-  bb_nodes : int;  (** branch-and-bound nodes those solves explored *)
-  sibling_moves : int;
-  ancestor_backtracks : int;
-  scc_separations : int;
-  abandoned : bool;
-  fastpath_hits : int;  (** dimensions committed by the sub-ILP fast path *)
-  fastpath_fallbacks : int;  (** fast-path attempts that fell back to ILP *)
-  sched_s : float;  (** wall-clock seconds spent scheduling *)
-}
-(** Scheduler-internal statistics of one {!Scheduling.Scheduler.schedule}
-    run, as observed through {!Obs}. *)
+type sched_obs = Pipeline.sched_obs
 
 type op_obs = {
   isl_sched : sched_obs;  (** the uninfluenced baseline run *)
@@ -55,18 +43,11 @@ type op_result = {
   obs : op_obs;
 }
 
-type tuning = {
-  weights : Vectorizer.Costmodel.weights;
-      (** cost-model weight vector for scenario construction *)
-  order : int list option;
-      (** influence-tree root-branch selection ({!Scheduling.Influence.select});
-          [None] keeps the natural branch order *)
-}
-(** A tuned compilation configuration, as found by the autotuner
-    ([lib/tune]) and persisted in tuning records.  Only the influenced
-    versions ({b novec}/{b infl}) are affected — the {b isl} baseline and
-    the {b tvm} comparator never see injected constraints, so a tuned
-    evaluation still measures against the paper's fixed baselines. *)
+type tuning = Pipeline.tuning
+(** Only the influenced versions ({b novec}/{b infl}) see a tuning — the
+    {b isl} baseline and the {b tvm} comparator never see injected
+    constraints, so a tuned evaluation still measures against the paper's
+    fixed baselines. *)
 
 val influence_with : ?tuning:tuning -> Ir.Kernel.t -> Scheduling.Influence.t
 (** The influence tree a (possibly tuned) evaluation injects: paper
@@ -83,9 +64,7 @@ val timed_schedule :
   ?strategy:Scheduling.Scheduler.strategy ->
   Ir.Kernel.t ->
   Scheduling.Schedule.t * Scheduling.Scheduler.stats * sched_obs
-(** One scheduler run under the default config (with [strategy]
-    substituted when given), timed and with its branch-and-bound node
-    delta attributed. *)
+(** {!Pipeline.schedule}. *)
 
 val evaluate_op :
   ?machine:Gpusim.Machine.t ->
@@ -130,12 +109,7 @@ type cpu_run = {
     hosts and toolchains. *)
 
 val memory_to_buffers : Ir.Kernel.t -> Interp.memory -> float array array
-(** Tensor contents flattened row-major, in [kernel.tensors] order — the
-    input layout {!Codegen_cpu.Runner.execute} expects. *)
-
-val buffers_to_memory : Ir.Kernel.t -> float array array -> Interp.memory
-(** Inverse of {!memory_to_buffers}: rebuild an interpreter memory from
-    the runner's output buffers for bit-exact comparison. *)
+(** {!Pipeline.memory_to_buffers}. *)
 
 val evaluate_cpu_op :
   ?machine:Gpusim.Machine.t ->

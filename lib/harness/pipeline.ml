@@ -1,0 +1,180 @@
+type version = Isl | Novec | Infl | Tiled | Cpu
+
+type client = No_influence | Vectorizer | Tiling
+type backend = Simulate | Emit_c
+
+type spec = {
+  name : string;
+  client : client;
+  vectorize : bool;
+  vec_min_parallel : int;
+  backend : backend;
+}
+
+(* The version table.  The vectorizing versions refuse vector rewrites
+   that would leave fewer than 2048 parallel iterations to map on threads. *)
+let spec = function
+  | Isl ->
+    { name = "isl"; client = No_influence; vectorize = false; vec_min_parallel = 0;
+      backend = Simulate }
+  | Novec ->
+    { name = "novec"; client = Vectorizer; vectorize = false; vec_min_parallel = 0;
+      backend = Simulate }
+  | Infl ->
+    { name = "infl"; client = Vectorizer; vectorize = true; vec_min_parallel = 2048;
+      backend = Simulate }
+  | Tiled ->
+    { name = "tiled"; client = Tiling; vectorize = false; vec_min_parallel = 0;
+      backend = Simulate }
+  | Cpu ->
+    { name = "cpu"; client = Vectorizer; vectorize = true; vec_min_parallel = 2048;
+      backend = Emit_c }
+
+let versions = [ Isl; Novec; Infl; Tiled; Cpu ]
+let name v = (spec v).name
+let of_name s = List.find_opt (fun v -> name v = s) versions
+
+(* ------------------------------------------------------------------ *)
+(* stages                                                               *)
+(* ------------------------------------------------------------------ *)
+
+type tuning = {
+  weights : Vectorizer.Costmodel.weights;
+  order : int list option;
+}
+
+let select tuning tree =
+  match tuning with
+  | Some { order = Some order; _ } -> Scheduling.Influence.select order tree
+  | _ -> tree
+
+let influence_with ?tuning kernel =
+  select tuning
+    (Vectorizer.Treegen.influence_for
+       ?weights:(Option.map (fun t -> t.weights) tuning)
+       kernel)
+
+let tree ?tuning ?max_tile_size version kernel =
+  match (spec version).client with
+  | No_influence -> None
+  | Vectorizer -> Some (influence_with ?tuning kernel)
+  | Tiling -> Some (select tuning (Scheduling.Tiling.influence_for ?max_tile_size kernel))
+
+type sched_obs = {
+  ilp_solves : int;
+  bb_nodes : int;
+  sibling_moves : int;
+  ancestor_backtracks : int;
+  scc_separations : int;
+  abandoned : bool;
+  fastpath_hits : int;
+  fastpath_fallbacks : int;
+  sched_s : float;
+}
+
+(* Runs the scheduler while measuring wall time and the branch-and-bound
+   node delta it caused, turning its per-run stats into a [sched_obs]. *)
+let schedule ?influence ?strategy kernel =
+  let config =
+    match strategy with
+    | None -> Scheduling.Scheduler.default_config
+    | Some strategy -> { Scheduling.Scheduler.default_config with strategy }
+  in
+  let bb0 = Obs.Counters.find "ilp.bb_nodes" in
+  let (sched, stats), sched_s =
+    Obs.Span.timed (fun () -> Scheduling.Scheduler.schedule ~config ?influence kernel)
+  in
+  let obs =
+    { ilp_solves = stats.Scheduling.Scheduler.ilp_solves;
+      bb_nodes = Obs.Counters.find "ilp.bb_nodes" - bb0;
+      sibling_moves = stats.sibling_moves;
+      ancestor_backtracks = stats.ancestor_backtracks;
+      scc_separations = stats.scc_separations;
+      abandoned = stats.influence_abandoned;
+      fastpath_hits = stats.fastpath_hits;
+      fastpath_fallbacks = stats.fastpath_fallbacks;
+      sched_s
+    }
+  in
+  (sched, stats, obs)
+
+let lower ?vec_min_parallel ?tile_sizes ?tile_fault version sched kernel =
+  let s = spec version in
+  let vec_min_parallel = Option.value vec_min_parallel ~default:s.vec_min_parallel in
+  Codegen.Compile.lower ~vectorize:s.vectorize ~vec_min_parallel ?tile_sizes ?tile_fault
+    sched kernel
+
+let simulate ?machine compiled = Gpusim.Sim.run ?machine compiled
+
+let emit_c ~machine compiled = Codegen_cpu.Cemit.emit ~machine compiled
+
+let memory_to_buffers (k : Ir.Kernel.t) mem =
+  Array.of_list
+    (List.map
+       (fun (t : Ir.Tensor.t) -> Array.copy (Hashtbl.find mem t.Ir.Tensor.name))
+       k.Ir.Kernel.tensors)
+
+let buffers_to_memory (k : Ir.Kernel.t) bufs =
+  let mem = Hashtbl.create 8 in
+  List.iteri
+    (fun i (t : Ir.Tensor.t) -> Hashtbl.replace mem t.Ir.Tensor.name bufs.(i))
+    k.Ir.Kernel.tensors;
+  mem
+
+let verdict reference actual =
+  if Interp.equal reference actual then Ok ()
+  else Error (Interp.max_abs_diff reference actual)
+
+let interpret kernel (compiled : Codegen.Compile.compiled) =
+  let reference = Interp.randomize kernel in
+  let actual = Interp.copy reference in
+  Interp.run_original kernel reference;
+  Interp.run_ast kernel compiled.Codegen.Compile.ast actual;
+  verdict reference actual
+
+let execute ?reps ?seed ?(check = true) runner built kernel =
+  let mem = Interp.randomize ?seed kernel in
+  let inputs = memory_to_buffers kernel mem in
+  match Codegen_cpu.Runner.execute ?reps runner built ~inputs with
+  | Error e -> Error e
+  | Ok (outputs, best_s) ->
+    (* the runner got copies, so [mem] still holds the inputs *)
+    let checked =
+      if not check then None
+      else begin
+        Interp.run_original kernel mem;
+        Some (verdict mem (buffers_to_memory kernel outputs))
+      end
+    in
+    Ok (best_s, checked)
+
+(* ------------------------------------------------------------------ *)
+(* the composed pipeline                                                *)
+(* ------------------------------------------------------------------ *)
+
+type backend_output =
+  | Simulated of Gpusim.Sim.report
+  | Emitted of { machine : Gpusim.Machine.t; source : string }
+
+type output = {
+  sched : Scheduling.Schedule.t;
+  stats : Scheduling.Scheduler.stats;
+  compiled : Codegen.Compile.compiled;
+  backend : backend_output;
+  backend_s : float;
+}
+
+let run ?strategy ?tile_sizes ?(machine = Gpusim.Machine.v100) version kernel =
+  let sched, stats, _ = schedule ?influence:(tree version kernel) ?strategy kernel in
+  let compiled = lower ?tile_sizes version sched kernel in
+  let backend, backend_s =
+    Obs.Span.timed (fun () ->
+        match (spec version).backend with
+        | Simulate -> Simulated (simulate ~machine compiled)
+        | Emit_c ->
+          let machine =
+            if Gpusim.Machine.is_cpu machine then machine else Gpusim.Machine.scalar_1core
+          in
+          Emitted { machine; source = emit_c ~machine compiled })
+  in
+  { sched; stats; compiled; backend; backend_s }

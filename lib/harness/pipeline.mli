@@ -1,0 +1,153 @@
+(** The one compilation pipeline and its version table.
+
+    Each stage is its own function — {!tree} → {!schedule} → {!lower} →
+    {!simulate} or {!emit_c} (then {!execute}) — and {!run} composes them
+    for one version.  Table II evaluation, the compile service, the tuning
+    oracle, the fuzzer and the CLI all call these stages, so one
+    (operator, version, machine) gives one schedule, one AST and one time
+    whichever way it is asked for. *)
+
+type version = Isl | Novec | Infl | Tiled | Cpu
+
+type client =
+  | No_influence  (** the uninfluenced baseline scheduler *)
+  | Vectorizer  (** {!Vectorizer.Treegen.influence_for} *)
+  | Tiling  (** {!Scheduling.Tiling.influence_for} *)
+
+type backend =
+  | Simulate  (** {!Gpusim.Sim} on a GPU profile *)
+  | Emit_c  (** {!Codegen_cpu.Cemit} on a CPU profile *)
+
+type spec = {
+  name : string;  (** the version's name in requests, records and reports *)
+  client : client;
+  vectorize : bool;  (** run the explicit vectorization pass *)
+  vec_min_parallel : int;
+      (** the pass's [min_parallel] threshold ({!Codegen.Vectorpass.apply}) *)
+  backend : backend;
+}
+
+val spec : version -> spec
+(** The version table: [isl] (no influence), [novec] (vectorizer tree),
+    [infl] (vectorizer tree, vector pass at threshold 2048) and [tiled]
+    (tiling tree) are simulated; [cpu] (as [infl]) emits C. *)
+
+val versions : version list
+(** Every version, in table order ([cpu] last). *)
+
+val name : version -> string
+val of_name : string -> version option
+
+(** {1 Stages} *)
+
+type tuning = {
+  weights : Vectorizer.Costmodel.weights;
+      (** cost-model weight vector for scenario construction *)
+  order : int list option;
+      (** influence-tree root-branch selection ({!Scheduling.Influence.select});
+          [None] keeps the natural branch order *)
+}
+(** A tuned compilation configuration, as found by the autotuner
+    ([lib/tune]) and persisted in tuning records. *)
+
+val influence_with : ?tuning:tuning -> Ir.Kernel.t -> Scheduling.Influence.t
+(** The vectorizer's influence tree: paper weights and natural branch
+    order when [tuning] is absent. *)
+
+val tree :
+  ?tuning:tuning -> ?max_tile_size:int -> version -> Ir.Kernel.t ->
+  Scheduling.Influence.t option
+(** Stage 1: the version's influence tree ([None] for {b isl}).  A
+    [tuning]'s weights shape the vectorizer's tree; its [order] selects
+    root branches of either client's tree.  [max_tile_size] caps the
+    tiling client's tile shapes. *)
+
+type sched_obs = {
+  ilp_solves : int;  (** per-dimension ILP solves of this scheduler run *)
+  bb_nodes : int;  (** branch-and-bound nodes those solves explored *)
+  sibling_moves : int;
+  ancestor_backtracks : int;
+  scc_separations : int;
+  abandoned : bool;
+  fastpath_hits : int;  (** dimensions committed by the sub-ILP fast path *)
+  fastpath_fallbacks : int;  (** fast-path attempts that fell back to ILP *)
+  sched_s : float;  (** wall-clock seconds spent scheduling *)
+}
+(** Scheduler-internal statistics of one {!schedule} run, as observed
+    through {!Obs}. *)
+
+val schedule :
+  ?influence:Scheduling.Influence.t ->
+  ?strategy:Scheduling.Scheduler.strategy ->
+  Ir.Kernel.t ->
+  Scheduling.Schedule.t * Scheduling.Scheduler.stats * sched_obs
+(** Stage 2: one scheduler run under the default config (with [strategy]
+    substituted when given), timed and with its branch-and-bound node
+    delta attributed. *)
+
+val lower :
+  ?vec_min_parallel:int ->
+  ?tile_sizes:(int -> int option) ->
+  ?tile_fault:Codegen.Tiling.fault ->
+  version ->
+  Scheduling.Schedule.t ->
+  Ir.Kernel.t ->
+  Codegen.Compile.compiled
+(** Stage 3: {!Codegen.Compile.lower} with the version's settings.
+    [vec_min_parallel] overrides the table's threshold (the fuzzer and the
+    Fig. 2 walkthrough pass 0 to exercise the vector pass on tiny
+    kernels); [tile_sizes] and [tile_fault] are passed through. *)
+
+val simulate : ?machine:Gpusim.Machine.t -> Codegen.Compile.compiled -> Gpusim.Sim.report
+(** Stage 4 (GPU versions): the performance model, V100 by default. *)
+
+val emit_c : machine:Gpusim.Machine.t -> Codegen.Compile.compiled -> string
+(** Stage 4 (cpu): the C source for a CPU profile. *)
+
+val memory_to_buffers : Ir.Kernel.t -> Interp.memory -> float array array
+(** Tensor contents flattened row-major, in [kernel.tensors] order — the
+    input layout {!Codegen_cpu.Runner.execute} expects. *)
+
+val interpret : Ir.Kernel.t -> Codegen.Compile.compiled -> (unit, float) result
+(** Semantics check of a lowering: {!Interp.run_ast} over the AST against
+    {!Interp.run_original}, both on the same randomized inputs.  [Error d]
+    carries the maximum absolute difference. *)
+
+val execute :
+  ?reps:int ->
+  ?seed:int ->
+  ?check:bool ->
+  Codegen_cpu.Runner.t ->
+  Codegen_cpu.Runner.built ->
+  Ir.Kernel.t ->
+  (float * (unit, float) result option, Codegen_cpu.Runner.error) result
+(** Stage 5 (cpu): run a built kernel [reps] times on randomized inputs
+    and return the best wall-clock seconds.  With [check] (the default)
+    the output buffers are also compared bit-for-bit against
+    {!Interp.run_original}, with the verdict of {!interpret}. *)
+
+(** {1 The composed pipeline} *)
+
+type backend_output =
+  | Simulated of Gpusim.Sim.report
+  | Emitted of { machine : Gpusim.Machine.t; source : string }
+
+type output = {
+  sched : Scheduling.Schedule.t;
+  stats : Scheduling.Scheduler.stats;
+  compiled : Codegen.Compile.compiled;
+  backend : backend_output;
+  backend_s : float;  (** seconds in {!simulate} or {!emit_c} *)
+}
+
+val run :
+  ?strategy:Scheduling.Scheduler.strategy ->
+  ?tile_sizes:(int -> int option) ->
+  ?machine:Gpusim.Machine.t ->
+  version ->
+  Ir.Kernel.t ->
+  output
+(** {!tree}, {!schedule}, {!lower} and the version's backend in one call.
+    [machine] (default V100) is simulated for the GPU versions.  For
+    {b cpu} the C is emitted for [machine] when it is a CPU profile, and
+    for the portable scalar profile otherwise. *)

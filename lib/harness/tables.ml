@@ -57,12 +57,13 @@ let stats_row fmt (r : Eval.op_result) =
   let o = r.Eval.obs in
   Format.fprintf fmt
     "%-28s | %9d %9d %8d | %4d %4d %4d %5s | %9.2f %9.2f %9.2f %9.2f@."
-    r.Eval.op_name o.Eval.isl_sched.Eval.ilp_solves o.Eval.infl_sched.Eval.ilp_solves
-    (o.Eval.isl_sched.Eval.bb_nodes + o.Eval.infl_sched.Eval.bb_nodes)
-    o.Eval.infl_sched.Eval.sibling_moves o.Eval.infl_sched.Eval.ancestor_backtracks
-    o.Eval.infl_sched.Eval.scc_separations
-    (if o.Eval.infl_sched.Eval.abandoned then "yes" else "no")
-    ((o.Eval.isl_sched.Eval.sched_s +. o.Eval.infl_sched.Eval.sched_s) *. 1e3)
+    r.Eval.op_name o.Eval.isl_sched.Pipeline.ilp_solves
+    o.Eval.infl_sched.Pipeline.ilp_solves
+    (o.Eval.isl_sched.Pipeline.bb_nodes + o.Eval.infl_sched.Pipeline.bb_nodes)
+    o.Eval.infl_sched.Pipeline.sibling_moves o.Eval.infl_sched.Pipeline.ancestor_backtracks
+    o.Eval.infl_sched.Pipeline.scc_separations
+    (if o.Eval.infl_sched.Pipeline.abandoned then "yes" else "no")
+    ((o.Eval.isl_sched.Pipeline.sched_s +. o.Eval.infl_sched.Pipeline.sched_s) *. 1e3)
     (o.Eval.tree_s *. 1e3) (o.Eval.lower_s *. 1e3) (o.Eval.sim_s *. 1e3)
 
 let stats_table fmt results =
@@ -73,16 +74,18 @@ let stats_table fmt results =
   Format.fprintf fmt
     "%-28s | %9d %9d %8d | %4d %4d %4d %5d | %9.2f %9.2f %9.2f %9.2f@."
     (Printf.sprintf "TOTAL (%d ops)" (List.length results))
-    (sumi (fun r -> r.Eval.obs.Eval.isl_sched.Eval.ilp_solves))
-    (sumi (fun r -> r.Eval.obs.Eval.infl_sched.Eval.ilp_solves))
+    (sumi (fun r -> r.Eval.obs.Eval.isl_sched.Pipeline.ilp_solves))
+    (sumi (fun r -> r.Eval.obs.Eval.infl_sched.Pipeline.ilp_solves))
     (sumi (fun r ->
-         r.Eval.obs.Eval.isl_sched.Eval.bb_nodes + r.Eval.obs.Eval.infl_sched.Eval.bb_nodes))
-    (sumi (fun r -> r.Eval.obs.Eval.infl_sched.Eval.sibling_moves))
-    (sumi (fun r -> r.Eval.obs.Eval.infl_sched.Eval.ancestor_backtracks))
-    (sumi (fun r -> r.Eval.obs.Eval.infl_sched.Eval.scc_separations))
-    (sumi (fun r -> if r.Eval.obs.Eval.infl_sched.Eval.abandoned then 1 else 0))
+         r.Eval.obs.Eval.isl_sched.Pipeline.bb_nodes
+         + r.Eval.obs.Eval.infl_sched.Pipeline.bb_nodes))
+    (sumi (fun r -> r.Eval.obs.Eval.infl_sched.Pipeline.sibling_moves))
+    (sumi (fun r -> r.Eval.obs.Eval.infl_sched.Pipeline.ancestor_backtracks))
+    (sumi (fun r -> r.Eval.obs.Eval.infl_sched.Pipeline.scc_separations))
+    (sumi (fun r -> if r.Eval.obs.Eval.infl_sched.Pipeline.abandoned then 1 else 0))
     (sum (fun r ->
-         (r.Eval.obs.Eval.isl_sched.Eval.sched_s +. r.Eval.obs.Eval.infl_sched.Eval.sched_s)
+         (r.Eval.obs.Eval.isl_sched.Pipeline.sched_s
+         +. r.Eval.obs.Eval.infl_sched.Pipeline.sched_s)
          *. 1e3))
     (sum (fun r -> r.Eval.obs.Eval.tree_s *. 1e3))
     (sum (fun r -> r.Eval.obs.Eval.lower_s *. 1e3))

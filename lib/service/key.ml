@@ -1,7 +1,9 @@
 (* Bump whenever the cached payload format or the digest preimage changes:
    a bump changes every digest, so stale entries simply miss (and age out
-   of the size cap) instead of being misread. *)
-let format_version = 2
+   of the size cap) instead of being misread.  3: serve lowers infl and cpu
+   with the version table's vec_min_parallel, so older serve replies are
+   stale. *)
+let format_version = 3
 
 type t = { digest : string; format : int; label : string }
 

@@ -54,79 +54,42 @@ let make_handler ?(kernel_of_json = None) ?cache
   { find_op; kernel_of_json; cache; default_machine; max_request_bytes; started;
     next_id = Atomic.make 0 }
 
-type version = Isl | Novec | Infl | Tiled | Cpu
-
-let version_name = function
-  | Isl -> "isl"
-  | Novec -> "novec"
-  | Infl -> "infl"
-  | Tiled -> "tiled"
-  | Cpu -> "cpu"
-
-let version_of_name = function
-  | "isl" -> Some Isl
-  | "novec" -> Some Novec
-  | "infl" -> Some Infl
-  | "tiled" -> Some Tiled
-  | "cpu" -> Some Cpu
-  | _ -> None
-
-let compile ~strategy version kernel =
-  let config = { Scheduling.Scheduler.default_config with strategy } in
-  match version with
-  | Isl ->
-    let sched, stats = Scheduling.Scheduler.schedule ~config kernel in
-    (sched, stats, Codegen.Compile.lower ~vectorize:false sched kernel)
-  | Novec | Infl | Cpu ->
-    let tree = Vectorizer.Treegen.influence_for kernel in
-    let sched, stats = Scheduling.Scheduler.schedule ~config ~influence:tree kernel in
-    ( sched,
-      stats,
-      Codegen.Compile.lower ~vectorize:(version = Infl || version = Cpu) sched kernel )
-  | Tiled ->
-    let tree = Scheduling.Tiling.influence_for kernel in
-    let sched, stats = Scheduling.Scheduler.schedule ~config ~influence:tree kernel in
-    (sched, stats, Codegen.Compile.lower ~vectorize:false sched kernel)
+module P = Harness.Pipeline
 
 let compile_report ~machine ~strategy ~version ~op kernel =
-  let sched, stats, compiled = compile ~strategy version kernel in
+  let p = P.run ~strategy ~machine version kernel in
+  let stats = p.P.stats in
   let legal =
-    match Scheduling.Legality.check sched kernel (Deps.Analysis.dependences kernel) with
+    match Scheduling.Legality.check p.P.sched kernel (Deps.Analysis.dependences kernel) with
     | Ok () -> true
     | Error _ -> false
   in
   let base =
     [ ("op", J.String op);
-      ("version", J.String (version_name version));
+      ("version", J.String (P.name version));
       ("machine", J.String machine.Gpusim.Machine.name);
-      ("rows", J.Int (List.length sched.Scheduling.Schedule.rows));
+      ("rows", J.Int (List.length p.P.sched.Scheduling.Schedule.rows));
       ("loop_dims", J.Int stats.Scheduling.Scheduler.loop_dims);
       ("scalar_dims", J.Int stats.Scheduling.Scheduler.scalar_dims);
       ("ilp_solves", J.Int stats.Scheduling.Scheduler.ilp_solves);
       ("fastpath_hits", J.Int stats.Scheduling.Scheduler.fastpath_hits);
       ("abandoned", J.Bool stats.Scheduling.Scheduler.influence_abandoned);
       ("legal", J.Bool legal);
-      ("tiled", J.Bool (Codegen.Tiling.applied compiled.Codegen.Compile.ast))
+      ("tiled", J.Bool (Codegen.Tiling.applied p.P.compiled.Codegen.Compile.ast))
     ]
   in
-  match version with
-  | Cpu ->
+  match p.P.backend with
+  | P.Emitted { machine = cpu_machine; source } ->
     (* serve stays emit-only (and so deterministic and toolchain-free):
        no host compile, no measured timing — a GPU machine in the request
        falls back to the portable scalar profile *)
-    let cpu_machine =
-      if Gpusim.Machine.is_cpu machine then machine else Gpusim.Machine.scalar_1core
-    in
-    let source = Codegen_cpu.Cemit.emit ~machine:cpu_machine compiled in
     base
     @ [ ("cpu_machine", J.String cpu_machine.Gpusim.Machine.name);
         ("isa", J.String (Gpusim.Machine.isa_name cpu_machine.Gpusim.Machine.isa));
         ("source_bytes", J.Int (String.length source));
         ("source", J.String source)
       ]
-  | Isl | Novec | Infl | Tiled ->
-    let report = Gpusim.Sim.run ~machine compiled in
-    base @ [ ("time_us", J.Float (Gpusim.Sim.time_us report)) ]
+  | P.Simulated report -> base @ [ ("time_us", J.Float (Gpusim.Sim.time_us report)) ]
 
 let error ~id msg =
   Obs.Counters.incr c_errors;
@@ -206,9 +169,9 @@ let metrics_reply ~id =
 let handle_compile h ~id req =
   let version =
     match J.member "version" req with
-    | None -> Ok Infl
+    | None -> Ok P.Infl
     | Some (J.String s) -> (
-      match version_of_name s with
+      match P.of_name s with
       | Some v -> Ok v
       | None -> Error (Printf.sprintf "unknown version %S (isl|novec|infl|tiled|cpu)" s))
     | Some _ -> Error "version must be a string"
@@ -260,7 +223,7 @@ let handle_compile h ~id req =
     let reply, spans =
       Obs.Span.scoped (fun () ->
           let key =
-            Key.make ~kernel ~machine ~version:(version_name version)
+            Key.make ~kernel ~machine ~version:(P.name version)
               ~flags:
                 [ ("entry", "serve"); ("op", op);
                   ("strategy", Scheduling.Scheduler.strategy_name strategy)

@@ -15,6 +15,10 @@ let c_failures =
   Obs.Counters.create "tune.eval_failures"
     ~doc:"oracle evaluations whose pipeline raised (candidate scored as unusable)"
 
+module P = Harness.Pipeline
+
+let version ~tile = if tile then P.Tiled else P.Infl
+
 let key ?(strategy = Scheduling.Scheduler.default_config.strategy) ?(tile = false)
     ?cpu_runner ~machine kernel candidate =
   (* measured (cpu-runner) evaluations live under their own version and
@@ -34,9 +38,8 @@ let key ?(strategy = Scheduling.Scheduler.default_config.strategy) ?(tile = fals
       @ toolchain)
     ~kernel ~machine
     ~version:
-      (match cpu_runner with
-       | Some _ -> "tune-cpu"
-       | None -> if tile then "tune-tiled" else "tune-infl")
+      ("tune-"
+      ^ match cpu_runner with Some _ -> P.name P.Cpu | None -> P.name (version ~tile))
     ()
 
 module J = Obs.Json
@@ -84,43 +87,28 @@ let find cache k =
       Some m
     | None -> None)
 
-(* step > 1 signals a vectorized loop, except on tile loops (dim <= -500),
-   which step by the tile size *)
-let rec has_vector_loop = function
-  | Codegen.Ast.Stmts l -> List.exists has_vector_loop l
-  | Codegen.Ast.If (_, b) -> has_vector_loop b
-  | Codegen.Ast.Exec _ -> false
-  | Codegen.Ast.VecExec _ -> true
-  | Codegen.Ast.For l ->
-    (l.Codegen.Ast.step > 1 && l.Codegen.Ast.dim > -500)
-    || has_vector_loop l.Codegen.Ast.body
+(* A host runner or toolchain failure says nothing about the candidate:
+   it is reported as a failed evaluation but never cached. *)
+exception Runner_failed of Codegen_cpu.Runner.error
 
-let compute ?(strategy = Scheduling.Scheduler.default_config.strategy) ?(tile = false)
-    ?cpu_runner ~machine kernel (c : Candidate.t) =
+type outcome = Measured of measurement | Failed | Transient
+
+let evaluate ?strategy ?(tile = false) ?cpu_runner ~machine kernel (c : Candidate.t) =
   Obs.Span.with_ "tune.eval" @@ fun () ->
   Obs.Counters.incr c_evals;
+  let version = version ~tile in
   match
     (* In tile mode the tree comes from the tiling client, so the
        candidate's vectorizer weights are inert; its [order] still
        selects among the tile-shape branches. *)
-    let tree =
-      if tile then Scheduling.Tiling.influence_for kernel
-      else Vectorizer.Treegen.influence_for ~weights:c.Candidate.weights kernel
-    in
-    let tree =
-      match c.Candidate.order with
-      | None -> tree
-      | Some order -> Scheduling.Influence.select order tree
-    in
-    let config = { Scheduling.Scheduler.default_config with strategy } in
-    let sched, stats = Scheduling.Scheduler.schedule ~config ~influence:tree kernel in
-    let compiled =
-      Codegen.Compile.lower ~vectorize:(not tile) ~vec_min_parallel:2048 sched kernel
-    in
+    let tuning = { P.weights = c.Candidate.weights; order = c.Candidate.order } in
+    let influence = P.tree ~tuning version kernel in
+    let sched, stats, _ = P.schedule ?influence ?strategy kernel in
+    let compiled = P.lower version sched kernel in
     let time_us, cycles =
       match cpu_runner with
       | None ->
-        let report = Gpusim.Sim.run ~machine compiled in
+        let report = P.simulate ~machine compiled in
         (Gpusim.Sim.time_us report, Gpusim.Sim.cycles ~machine report)
       | Some runner -> (
         (* measured mode: execute the emitted C on the host and score the
@@ -129,35 +117,35 @@ let compute ?(strategy = Scheduling.Scheduler.default_config.strategy) ?(tile = 
           if Gpusim.Machine.is_cpu machine then machine
           else Codegen_cpu.Runner.native_profile runner
         in
-        let src = Codegen_cpu.Cemit.emit ~machine:m compiled in
-        match Codegen_cpu.Runner.build_source runner ~machine:m src with
-        | Error e -> failwith (Codegen_cpu.Runner.error_message e)
-        | Ok built -> (
-          let inst = Ir.Kernel.instantiate kernel in
-          let mem = Interp.randomize inst in
-          let inputs =
-            Array.of_list
-              (List.map
-                 (fun (t : Ir.Tensor.t) ->
-                   Array.copy (Hashtbl.find mem t.Ir.Tensor.name))
-                 inst.Ir.Kernel.tensors)
-          in
-          match Codegen_cpu.Runner.execute runner built ~inputs with
-          | Error e -> failwith (Codegen_cpu.Runner.error_message e)
-          | Ok (_, best_s) ->
-            (best_s *. 1e6, best_s *. m.Gpusim.Machine.clock_hz)))
+        let ok = function Ok x -> x | Error e -> raise (Runner_failed e) in
+        let built =
+          ok (Codegen_cpu.Runner.build_source runner ~machine:m (P.emit_c ~machine:m compiled))
+        in
+        let best_s, _ =
+          ok (P.execute ~check:false runner built (Ir.Kernel.instantiate kernel))
+        in
+        (best_s *. 1e6, best_s *. m.Gpusim.Machine.clock_hz))
     in
     { time_us;
       cycles;
-      vec = has_vector_loop compiled.Codegen.Compile.ast;
+      vec = Codegen.Ast.has_vector_loop compiled.Codegen.Compile.ast;
       tiled = Codegen.Tiling.applied compiled.Codegen.Compile.ast;
       influenced = not stats.Scheduling.Scheduler.influence_abandoned
     }
   with
-  | m -> Some m
+  | m -> Measured m
+  | exception ((Out_of_memory | Stack_overflow | Sys.Break) as e) -> raise e
+  | exception Runner_failed _ ->
+    Obs.Counters.incr c_failures;
+    Transient
   | exception _ ->
     Obs.Counters.incr c_failures;
-    None
+    Failed
+
+let compute ?strategy ?tile ?cpu_runner ~machine kernel c =
+  match evaluate ?strategy ?tile ?cpu_runner ~machine kernel c with
+  | Measured m -> Some m
+  | Failed | Transient -> None
 
 let store cache k m = Service.Cache.store cache k (measurement_to_json m)
 
@@ -165,7 +153,13 @@ let measure ?cache ?strategy ?tile ?cpu_runner ~machine kernel candidate =
   let k = key ?strategy ?tile ?cpu_runner ~machine kernel candidate in
   match Option.bind cache (fun c -> find c k) with
   | Some m -> m
-  | None ->
-    let m = compute ?strategy ?tile ?cpu_runner ~machine kernel candidate in
-    Option.iter (fun c -> store c k m) cache;
-    m
+  | None -> (
+    let store m = Option.iter (fun c -> store c k m) cache in
+    match evaluate ?strategy ?tile ?cpu_runner ~machine kernel candidate with
+    | Measured m ->
+      store (Some m);
+      Some m
+    | Failed ->
+      store None;
+      None
+    | Transient -> None)

@@ -1,9 +1,9 @@
 (** The tuning oracle: scores one (operator, candidate) pair.
 
-    [compute] mirrors the harness's [infl] version exactly — influence
-    tree from the candidate's weights, root-branch selection, scheduler,
-    vectorizing lowering, {!Gpusim.Sim} — so a time the search observes
-    here is the time [eval --tuned] will reproduce later.  That mirror
+    [compute] runs the harness's [infl] version exactly — the same
+    {!Harness.Pipeline} stages, with the candidate as the tuning of the
+    influence tree — so a time the search observes here is the time
+    [eval --tuned] will reproduce later.  That shared path
     is what makes the search's "tuned never worse than baseline"
     guarantee transfer from tuning to evaluation.
 
@@ -53,9 +53,11 @@ val compute :
   Ir.Kernel.t ->
   Candidate.t ->
   measurement option
-(** Runs tree → schedule → lower → simulate; [None] if any stage
-    raises (counted as [tune.eval_failures]).  Pure compute, safe to run
-    on worker domains.  With [tile:true] the influence tree comes from
+(** Runs the {!Harness.Pipeline} stages tree → schedule → lower →
+    simulate; [None] if any stage raises (counted as
+    [tune.eval_failures]) — except [Out_of_memory], [Stack_overflow] and
+    [Sys.Break], which propagate.  Pure compute, safe to run on worker
+    domains.  With [tile:true] the influence tree comes from
     {!Scheduling.Tiling.influence_for} instead of the vectorizer (the
     candidate's weights are inert, its [order] selects among tile-shape
     branches) and lowering is unvectorized, mirroring the harness's
@@ -81,4 +83,7 @@ val measure :
   Candidate.t ->
   measurement option
 (** [find]-or-[compute]-then-[store] in one call, for sequential
-    callers (tests, single-op tuning). *)
+    callers (tests, single-op tuning).  A deterministic failure (say
+    {!Scheduling.Scheduler.Failure_no_schedule}) is stored as failed; a
+    failure of the host runner or toolchain in measured mode is not
+    stored, so the next call retries it. *)

@@ -145,7 +145,7 @@ let test_tile_annotation_roundtrip () =
     | Codegen.Ast.If (_, b) -> tile_steps b
     | Codegen.Ast.Exec _ | Codegen.Ast.VecExec _ -> []
     | Codegen.Ast.For l ->
-      (if l.Codegen.Ast.dim <= -500 then [ l.Codegen.Ast.step ] else [])
+      (if Codegen.Ast.is_tile_loop l then [ l.Codegen.Ast.step ] else [])
       @ tile_steps l.Codegen.Ast.body
   in
   let steps = tile_steps c.Codegen.Compile.ast in
@@ -290,15 +290,10 @@ let test_corruption_recovery () =
     let oc = open_out built.Runner.so_path in
     output_string oc "corrupt";
     close_out oc;
-    let mem = Interp.randomize k in
-    let inputs = Harness.Eval.memory_to_buffers k mem in
-    (match Runner.execute r built ~inputs with
-     | Error e -> Alcotest.failf "execute after corruption: %s" (Runner.error_message e)
-     | Ok (outputs, _best) ->
-       let reference = Interp.copy mem in
-       Interp.run_original k reference;
-       Alcotest.(check bool) "recovered output bit-identical" true
-         (Interp.equal reference (Harness.Eval.buffers_to_memory k outputs)))
+    match Harness.Pipeline.execute r built k with
+    | Error e -> Alcotest.failf "execute after corruption: %s" (Runner.error_message e)
+    | Ok (_, checked) ->
+      Alcotest.(check bool) "recovered output bit-identical" true (checked = Some (Ok ()))
 
 let test_no_compiler_degrades () =
   (* force AKG_CC=none: creation reports the structured error and the

@@ -116,17 +116,6 @@ let test_tiling_point_loops_mappable () =
   Alcotest.(check bool) "blocks from tile loops" true (Mapping.grid_blocks c.mapping > 1);
   Alcotest.(check bool) "semantics" true (semantics_match k c.ast)
 
-let test_autotune () =
-  let k = Ops.Classics.broadcast_bias_relu ~n:256 ~c:128 () in
-  let sched, _ = Scheduling.Scheduler.schedule k in
-  let sweep = Harness.Autotune.sweep ~vectorize:false sched k in
-  Alcotest.(check int) "four points" 4 (List.length sweep);
-  let best = Harness.Autotune.tune ~vectorize:false sched k in
-  List.iter
-    (fun (_, t) ->
-      Alcotest.(check bool) "best is min" true (best.Harness.Autotune.time_us <= t +. 1e-9))
-    sweep
-
 (* ------------------------------------------------------------------ *)
 (* Cost-function injection                                              *)
 (* ------------------------------------------------------------------ *)
@@ -360,8 +349,7 @@ let () =
         [ Alcotest.test_case "structure" `Quick test_tiling_structure;
           Alcotest.test_case "classics semantics" `Slow test_tiling_all_classics_semantics;
           Alcotest.test_case "permutability gate" `Quick test_tiling_respects_permutability;
-          Alcotest.test_case "point loops mappable" `Quick test_tiling_point_loops_mappable;
-          Alcotest.test_case "autotune" `Quick test_autotune
+          Alcotest.test_case "point loops mappable" `Quick test_tiling_point_loops_mappable
         ] );
       ( "cost-injection",
         [ Alcotest.test_case "objective injection" `Quick test_objective_injection ] );

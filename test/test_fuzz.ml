@@ -80,7 +80,7 @@ let test_replay_roundtrip () =
   (* seed 5 cases are verified clean by [test_clean_sweep] *)
   let case = Generate.generate ~seed:5 ~index:0 () in
   let failure =
-    { Check.version = Check.Infl; stage = Check.Semantics; message = "synthetic" }
+    { Check.version = Harness.Pipeline.Infl; stage = Check.Semantics; message = "synthetic" }
   in
   let file = Filename.temp_file "akg_fuzz_case" ".json" in
   Fun.protect
@@ -155,7 +155,7 @@ let test_broken_tiler_caught () =
       Alcotest.(check string)
         (Printf.sprintf "case %d fails in the tiled version" fr.index)
         "tiled"
-        (Check.version_name fr.failure.Check.version);
+        (Harness.Pipeline.name fr.failure.Check.version);
       Alcotest.(check bool)
         (Printf.sprintf "case %d shrunk to <= 3 statements" fr.index)
         true

@@ -322,16 +322,16 @@ let test_eval_obs_populated () =
   (* with the fast path on by default, scheduling work shows up as hits
      or as ILP solves — the sum is what must be non-zero *)
   let work (s : Harness.Eval.sched_obs) =
-    s.Harness.Eval.ilp_solves + s.Harness.Eval.fastpath_hits
+    s.Harness.Pipeline.ilp_solves + s.Harness.Pipeline.fastpath_hits
   in
   Alcotest.(check bool) "isl schedule work counted" true
     (work o.Harness.Eval.isl_sched > 0);
   Alcotest.(check bool) "infl schedule work counted" true
     (work o.Harness.Eval.infl_sched > 0);
   Alcotest.(check bool) "fastpath hit on cast_transpose" true
-    (o.Harness.Eval.isl_sched.Harness.Eval.fastpath_hits > 0);
+    (o.Harness.Eval.isl_sched.Harness.Pipeline.fastpath_hits > 0);
   Alcotest.(check bool) "sched time measured" true
-    (o.Harness.Eval.infl_sched.Harness.Eval.sched_s >= 0.)
+    (o.Harness.Eval.infl_sched.Harness.Pipeline.sched_s >= 0.)
 
 let test_trace_covers_pipeline () =
   reset ();

@@ -331,7 +331,7 @@ let test_tuned_missing_record_falls_back () =
   let baseline_tuning _ _ =
     Some
       { Service.Batch.digest = "test-digest";
-        tuning = { Harness.Eval.weights = baseline_weights; order = None }
+        tuning = { Harness.Pipeline.weights = baseline_weights; order = None }
       }
   in
   let with_baseline = Service.Batch.evaluate_suite ~tuned:baseline_tuning suite in
@@ -359,6 +359,42 @@ let test_oracle_tile_mode () =
     "tile and vectorizer measurements never collide" false
     (Service.Key.digest infl = Service.Key.digest tiled)
 
+(* Only deterministic failures are cached.  An empty iteration domain makes
+   the lowering raise on every run, so it is stored as failed (the branch a
+   Scheduler.Failure_no_schedule verdict takes too); a measured evaluation
+   whose host runner has vanished fails for a reason outside the candidate
+   and must leave no cache entry behind. *)
+let test_oracle_caches_only_deterministic_failures () =
+  let cache = Service.Cache.open_ (fresh_dir ()) in
+  let machine = Gpusim.Machine.v100 and c = Tune.Candidate.baseline in
+  let empty =
+    Ir.Kernel.make ~name:"empty_domain"
+      ~tensors:[ Ir.Build.tensor "A" [ 8 ] ]
+      ~stmts:
+        [ Ir.Stmt.make ~name:"S" ~iters:[ "i" ]
+            ~domain:(Ir.Build.rect_from [ ("i", 0, -1) ])
+            ~write:(Ir.Build.access "A" [ "i" ]) ~rhs:(Ir.Expr.Const 1.0)
+        ]
+      ()
+  in
+  Alcotest.(check bool) "deterministic failure" true
+    (Tune.Oracle.measure ~cache ~machine empty c = None);
+  Alcotest.(check bool) "cached as failed" true
+    (Tune.Oracle.find cache (Tune.Oracle.key ~machine empty c) = Some None);
+  match Codegen_cpu.Runner.create ~cache_dir:(fresh_dir ()) () with
+  | Error _ -> () (* no host C compiler: nothing to measure *)
+  | Ok runner ->
+    let dir = Codegen_cpu.Runner.cache_dir runner in
+    Array.iter
+      (fun f ->
+        if String.starts_with ~prefix:"host-" f then Sys.remove (Filename.concat dir f))
+      (Sys.readdir dir);
+    let k = Ops.Classics.transpose_add ~n:6 ~m:8 () in
+    Alcotest.(check bool) "runner failure" true
+      (Tune.Oracle.measure ~cache ~cpu_runner:runner ~machine k c = None);
+    Alcotest.(check bool) "runner failure not cached" true
+      (Tune.Oracle.find cache (Tune.Oracle.key ~cpu_runner:runner ~machine k c) = None)
+
 let test_tuned_changes_cache_key () =
   let kernel = classic "fig2" in
   let machine = Gpusim.Machine.v100 in
@@ -367,7 +403,7 @@ let test_tuned_changes_cache_key () =
     Service.Batch.eval_key
       ~tuned:
         { Service.Batch.digest = "abc";
-          tuning = { Harness.Eval.weights = baseline_weights; order = None }
+          tuning = { Harness.Pipeline.weights = baseline_weights; order = None }
         }
       ~machine ~name:"fig2" kernel
   in
@@ -403,6 +439,8 @@ let () =
         [ Alcotest.test_case "missing record falls back" `Quick
             test_tuned_missing_record_falls_back;
           Alcotest.test_case "oracle tile mode" `Quick test_oracle_tile_mode;
+          Alcotest.test_case "only deterministic failures cached" `Quick
+            test_oracle_caches_only_deterministic_failures;
           Alcotest.test_case "distinct cache keys" `Quick test_tuned_changes_cache_key
         ] )
     ]
