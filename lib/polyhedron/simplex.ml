@@ -10,6 +10,10 @@ let c_pivots = Obs.Counters.create "simplex.pivots" ~doc:"tableau pivot operatio
 let c_degenerate = Obs.Counters.create "simplex.degenerate_pivots" ~doc:"pivots that left the objective unchanged"
 let c_dual_pivots = Obs.Counters.create "simplex.dual_pivots" ~doc:"dual-simplex re-optimization pivots"
 let c_infeasible = Obs.Counters.create "simplex.infeasible" ~doc:"LPs proven infeasible"
+let c_artificials = Obs.Counters.create "simplex.artificials" ~doc:"artificial columns created by phase 1"
+let c_screened =
+  Obs.Counters.create "simplex.screened_infeasible"
+    ~doc:"ILP roots the slack-started phase 1 proved infeasible"
 
 (* The tableau keeps every number exact.  Layout:
    - columns [0 .. ncols-1] are decision columns (x+ / x- pairs per source
@@ -21,13 +25,24 @@ let c_infeasible = Obs.Counters.create "simplex.infeasible" ~doc:"LPs proven inf
      column [j] and the current objective value is [Q.neg obj.(ncols)]
      plus the installed objective's constant [obj_const]. *)
 
-(* Entering rule.  Dantzig (most negative reduced cost) needs far fewer
-   pivots than Bland on the LP-heavy layers (emptiness tests, projections,
-   bound queries) whose callers only consume the optimal value — which is
-   unique — so the choice of optimal vertex is free there.  The tableau
-   path underneath {!Ilp} stays on Bland: its assignments reach the
-   scheduler, and the historical Bland vertices are part of the tested
-   schedule outputs. *)
+(* Entering rule and starting basis.  The Dantzig path (most negative
+   reduced cost) serves the LP-heavy layers — emptiness tests, bound
+   queries, sign checks — whose callers only consume the optimal value or
+   a feasibility verdict, both unique, so the choice of optimal vertex is
+   free there.  Its phase 1 also starts from the slack basis: a [Ge] row
+   the origin satisfies (constant >= 0) starts on its own slack, and only
+   [Eq] rows and violated [Ge] rows get an artificial column.
+
+   The tableau path underneath {!Ilp} stays on Bland with an artificial on
+   every row: its vertex reaches the scheduler, and the historical Bland
+   vertices are part of the tested schedule outputs (a slack-started Bland
+   phase 1 moved a ResNet101 isl schedule, its Table II row going from
+   0.97 to 1.00 ms).  It is screened instead: {!Tableau.of_constraints}
+   first runs the cheap slack-started Dantzig phase 1 and stops there when
+   the system is infeasible.  Over exact rationals feasibility does not
+   depend on the starting basis or the pivot rule, so the screen only
+   decides sooner what the Bland phase 1 would decide; it never changes a
+   verdict, and feasible systems get the unchanged Bland build. *)
 type rule = Dantzig | Bland
 
 type tab = {
@@ -140,6 +155,13 @@ let reduce_objective t =
 
 exception Contradictory
 
+(* Phase 1 over [constraints]; [None] when they are infeasible.  Every
+   [Ge] row gets a slack column.  Under [Dantzig] a [Ge] row with constant
+   >= 0 is negated so its slack has coefficient +1 and starts basic; under
+   [Bland], and for [Eq] rows and [Ge] rows the origin violates, the row
+   starts on an artificial column.  Phase 1 minimizes the sum of the
+   artificials, which sit at the top of the column range and are compacted
+   away afterwards. *)
 let build constraints ~rule ~extra_exprs =
   (* Filter out constraints without variables first. *)
   let constraints =
@@ -159,16 +181,22 @@ let build constraints ~rule ~extra_exprs =
   List.iter (fun c -> List.iter note_var (Constr.vars c)) constraints;
   List.iter (fun e -> List.iter note_var (Linexpr.vars e)) extra_exprs;
   let nvars = Hashtbl.length var_cols in
+  let slack_started c =
+    rule = Dantzig && c.Constr.kind = Constr.Ge
+    && Q.sign (Linexpr.constant c.Constr.expr) >= 0
+  in
   let nslack = List.length (List.filter (fun c -> c.Constr.kind = Constr.Ge) constraints) in
+  let nart = List.length (List.filter (fun c -> not (slack_started c)) constraints) in
+  Obs.Counters.add c_artificials nart;
   let nrows = List.length constraints in
-  let ncols = (2 * nvars) + nslack + nrows in
+  let ncols = (2 * nvars) + nslack + nart in
   let rhs = ncols in
   let rows = Array.init nrows (fun _ -> Array.make (ncols + 1) Q.zero) in
   let basis = Array.make nrows 0 in
   let col_pos x = Hashtbl.find var_cols x in
   let slack_base = 2 * nvars in
   let art_base = slack_base + nslack in
-  let slack_idx = ref 0 in
+  let slack_idx = ref 0 and art_idx = ref 0 in
   List.iteri
     (fun r c ->
       let row = rows.(r) in
@@ -180,22 +208,31 @@ let build constraints ~rule ~extra_exprs =
         c.Constr.expr ();
       (* expr + c0 {>=,=} 0 becomes expr_vars {>=,=} -c0 *)
       row.(rhs) <- Q.neg (Linexpr.constant c.Constr.expr);
+      let slack = slack_base + !slack_idx in
       (if c.Constr.kind = Constr.Ge then begin
-         row.(slack_base + !slack_idx) <- Q.minus_one;
+         row.(slack) <- Q.minus_one;
          incr slack_idx
        end);
-      if Q.sign row.(rhs) < 0 then
+      if slack_started c then begin
+        (* -expr_vars + s = c0 >= 0: the slack is a feasible basic column. *)
         Array.iteri (fun j v -> row.(j) <- Q.neg v) row;
-      row.(art_base + r) <- Q.one;
-      basis.(r) <- art_base + r)
+        basis.(r) <- slack
+      end
+      else begin
+        if Q.sign row.(rhs) < 0 then
+          Array.iteri (fun j v -> row.(j) <- Q.neg v) row;
+        row.(art_base + !art_idx) <- Q.one;
+        basis.(r) <- art_base + !art_idx;
+        incr art_idx
+      end)
     constraints;
   let t =
     { rows; basis; obj = Array.make (ncols + 1) Q.zero; ncols;
       obj_const = Q.zero; var_cols; rule; degen = 0 }
   in
   (* Phase 1: minimize the sum of artificials. *)
-  for r = 0 to nrows - 1 do
-    t.obj.(art_base + r) <- Q.one
+  for j = art_base to ncols - 1 do
+    t.obj.(j) <- Q.one
   done;
   reduce_objective t;
   (match run_simplex t with
@@ -397,14 +434,16 @@ module Tableau = struct
 
   let of_constraints ?(extra_exprs = []) constraints =
     Obs.Counters.incr c_solves;
-    match build constraints ~rule:Bland ~extra_exprs with
-    | exception Contradictory ->
+    let infeasible () =
       Obs.Counters.incr c_infeasible;
       None
+    in
+    match build constraints ~rule:Dantzig ~extra_exprs:[] with
+    | exception Contradictory -> infeasible ()
     | None ->
-      Obs.Counters.incr c_infeasible;
-      None
-    | some -> some
+      Obs.Counters.incr c_screened;
+      infeasible ()
+    | Some _ -> build constraints ~rule:Bland ~extra_exprs
 
   let set_objective = set_objective
   let value = objective_value

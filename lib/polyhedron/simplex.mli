@@ -4,8 +4,10 @@
     The entering rule is Dantzig's (most negative reduced cost) and falls
     back to Bland's after a streak of degenerate pivots, which keeps the
     anti-cycling guarantee without Bland's pivot counts on non-degenerate
-    problems.  Variables are free (internally split into positive and
-    negative parts); constraints are {!Constr.t} lists.
+    problems.  Phase 1 starts from the slack basis: only equalities and
+    inequalities the origin violates get an artificial column.  Variables
+    are free (internally split into positive and negative parts);
+    constraints are {!Constr.t} lists.
 
     Besides the one-shot entry points, {!Tableau} exposes the solver
     incrementally: build a feasible tableau once, then install successive
@@ -36,7 +38,10 @@ module Tableau : sig
   type t
 
   val of_constraints : ?extra_exprs:Linexpr.t list -> Constr.t list -> t option
-  (** Run phase 1 once over [constraints]; [None] if infeasible.  Variables
+  (** Run phase 1 once over [constraints]; [None] if infeasible.  An
+      infeasible system is caught by a slack-started phase 1 first; a
+      feasible one then gets Bland's rule from an all-artificial basis, so
+      its starting vertex does not depend on that screen.  Variables
       appearing only in [extra_exprs] (later objectives or pushed rows) get
       columns too — {!set_objective}/{!with_le} reject unknown variables. *)
 

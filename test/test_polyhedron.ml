@@ -163,6 +163,66 @@ let prop_simplex_sound =
         && Q.equal v (Linexpr.eval env obj)
         && List.for_all (fun g -> Q.compare v (q g) <= 0) feasible_grid)
 
+(* Random mixed systems over 2-4 variables: equalities and inequalities
+   with constants of both signs and zero (so some rows hold at the origin
+   and some do not), plus duplicated rows and trivially true rows.  The
+   verdict is checked against Fourier-Motzkin elimination of every
+   variable, which never calls the simplex. *)
+let mixed_system_gen =
+  QCheck2.Gen.(
+    let* nv = int_range 2 4 in
+    let vars = List.init nv (Printf.sprintf "v%d") in
+    let row =
+      let* kind = frequency [ (3, pure Constr.Ge); (1, pure Constr.Eq) ] in
+      let* coefs = list_repeat nv (int_range (-3) 3) in
+      let+ k = int_range (-4) 4 in
+      { Constr.expr = le (List.combine coefs vars) k; kind }
+    in
+    let* rows = list_size (int_range 1 8) row in
+    let* dups = list_size (int_range 0 2) (oneofl rows) in
+    let* trivial =
+      list_size (int_range 0 1)
+        (map (fun k -> Constr.ge0 (Linexpr.const_int k)) (int_range 0 3))
+    in
+    let* shuffled = shuffle_l (rows @ dups @ trivial) in
+    let+ obj = list_repeat nv (int_range (-2) 2) in
+    (shuffled, le (List.combine obj vars) 0))
+
+let print_system (cs, obj) =
+  String.concat "; " (List.map Constr.to_string cs)
+  ^ " | min " ^ Linexpr.to_string obj
+
+let prop_feasibility_matches_fm =
+  QCheck2.Test.make ~name:"feasibility verdicts match Fourier-Motzkin" ~count:500
+    ~print:print_system mixed_system_gen
+    (fun (cs, obj) ->
+      (* Eliminating every variable leaves no constraint exactly when the
+         system is feasible (an empty set keeps its contradiction). *)
+      let p = Polyhedron.of_constraints cs in
+      let feasible =
+        Polyhedron.constraints (Polyhedron.project_out (Polyhedron.vars p) p) = []
+      in
+      let point_ok =
+        match Simplex.feasible_point cs with
+        | None -> not feasible
+        | Some a -> feasible && List.for_all (Constr.holds a) cs
+      in
+      let optimum_ok =
+        match
+          ( Simplex.minimize cs obj,
+            Simplex.Tableau.of_constraints ~extra_exprs:[ obj ] cs )
+        with
+        | Simplex.Infeasible, None -> true
+        | Simplex.Unbounded, Some t -> Simplex.Tableau.set_objective t obj = `Unbounded
+        | Simplex.Optimal (v, _), Some t ->
+          Simplex.Tableau.set_objective t obj = `Optimal
+          && Q.equal v (Simplex.Tableau.value t)
+        | _ -> false
+      in
+      Simplex.is_feasible cs = feasible
+      && Option.is_some (Simplex.Tableau.of_constraints cs) = feasible
+      && point_ok && optimum_ok)
+
 (* ------------------------------------------------------------------ *)
 (* Fourier-Motzkin / Polyhedron                                         *)
 (* ------------------------------------------------------------------ *)
@@ -494,7 +554,7 @@ let () =
           Alcotest.test_case "fractional vertex" `Quick test_simplex_fractional_vertex;
           Alcotest.test_case "redundant rows" `Quick test_simplex_redundant_rows
         ] );
-      qsuite "simplex-props" [ prop_simplex_sound ];
+      qsuite "simplex-props" [ prop_simplex_sound; prop_feasibility_matches_fm ];
       ( "fourier-motzkin",
         [ Alcotest.test_case "interval projection" `Quick test_fm_projection_interval;
           Alcotest.test_case "empty detection" `Quick test_fm_empty_detection;

@@ -291,6 +291,20 @@ let test_ilp_cache_hits_on_abandon () =
   Alcotest.(check bool) "legal" true (legal k sched);
   Alcotest.(check bool) "re-solves answered from cache" true (hits >= 1)
 
+let test_softmax_pivot_budget () =
+  (* Softmax's infl tree is infeasible at the root of every branch, so
+     Algorithm 1 tries each one and abandons the tree.  The failed ILPs
+     are screened by the slack-started phase 1 instead of paying a full
+     all-artificial Bland phase 1 each; pivot counts repeat exactly, so
+     the budget is deterministic (the all-artificial roots took 16,663). *)
+  let pivots_before = Obs.Counters.find "simplex.pivots" in
+  let r = Harness.Eval.evaluate_op ~name:"softmax" (Ops.Classics.softmax ()) in
+  let pivots = Obs.Counters.find "simplex.pivots" - pivots_before in
+  Alcotest.(check bool) "infl abandoned" true r.obs.infl_sched.abandoned;
+  Alcotest.(check bool)
+    (Printf.sprintf "softmax pivots (%d) within 5000" pivots)
+    true (pivots <= 5000)
+
 let test_influence_loop_interchange () =
   (* Influence can force an interchange the baseline would not do. *)
   let k = Ops.Classics.cast_transpose ~n:8 ~m:8 () in
@@ -477,6 +491,7 @@ let () =
           Alcotest.test_case "ancestor backtrack" `Quick test_influence_ancestor_backtrack;
           Alcotest.test_case "ilp cache hits on abandon" `Quick
             test_ilp_cache_hits_on_abandon;
+          Alcotest.test_case "softmax pivot budget" `Quick test_softmax_pivot_budget;
           Alcotest.test_case "loop interchange" `Quick test_influence_loop_interchange;
           Alcotest.test_case "legality oracle rejects" `Quick test_legality_oracle_rejects
         ] );
