@@ -1,6 +1,6 @@
 module P = Harness.Pipeline
 
-type stage = Convert | Schedule | Legality | Lower | Structure | Emit | Semantics
+type stage = Convert | Schedule | Legality | Lower | Structure | Emit | Semantics | Simulate
 
 let stage_name = function
   | Convert -> "convert"
@@ -10,6 +10,7 @@ let stage_name = function
   | Structure -> "structure"
   | Emit -> "emit"
   | Semantics -> "semantics"
+  | Simulate -> "simulate"
 
 let stage_of_name = function
   | "convert" -> Some Convert
@@ -19,6 +20,7 @@ let stage_of_name = function
   | "structure" -> Some Structure
   | "emit" -> Some Emit
   | "semantics" -> Some Semantics
+  | "simulate" -> Some Simulate
   | _ -> None
 
 type failure = { version : P.version; stage : stage; message : string }
@@ -168,8 +170,18 @@ let check_version ?(perturb = fun _ s -> s) ?strategy ?max_tile_size ?tile_fault
      | Some runner ->
        guard version Semantics (fun () -> check_cpu_executed runner ~machine k src))
   | P.Simulate ->
-    guard version Semantics (fun () ->
-        mismatch ~what:"bit-for-bit mismatch" version (P.interpret k c))
+    let* () =
+      guard version Semantics (fun () ->
+          mismatch ~what:"bit-for-bit mismatch" version (P.interpret k c))
+    in
+    guard version Simulate (fun () ->
+        let t = (P.simulate c).Gpusim.Sim.time_s in
+        if Float.is_finite t && t > 0.0 then Ok ()
+        else
+          Error
+            { version; stage = Simulate;
+              message = Printf.sprintf "simulated time %g s is not finite and positive" t
+            })
 
 (* Cpu runs last: its checks subsume nothing, so an AST-level defect is
    always attributed to the GPU-side version that first exposes it. *)

@@ -9,9 +9,11 @@
     schedule, backend tiling pass, no vectorization), the driver runs
     scheduling, legality validation, lowering, a structural
     well-formedness pass over the emitted AST, and a bit-for-bit
-    comparison of {!Interp.run_original} against {!Interp.run_ast}.  The
-    first failing stage is reported; exceptions anywhere in the pipeline
-    are caught and attributed to the stage that raised.
+    comparison of {!Interp.run_original} against {!Interp.run_ast}, then
+    runs the performance model ({!Harness.Pipeline.simulate}), which must
+    give a finite, positive time.  The first failing stage is reported;
+    exceptions anywhere in the pipeline are caught and attributed to the
+    stage that raised.
 
     The {b cpu} version (always last) pushes the influenced+vectorized
     lowering through the C emitter ({!Codegen_cpu.Cemit}): by default an
@@ -20,7 +22,7 @@
     a compile+execute differential comparing the executed C's output
     buffers bit-for-bit against {!Interp.run_original}. *)
 
-type stage = Convert | Schedule | Legality | Lower | Structure | Emit | Semantics
+type stage = Convert | Schedule | Legality | Lower | Structure | Emit | Semantics | Simulate
 
 val stage_name : stage -> string
 val stage_of_name : string -> stage option

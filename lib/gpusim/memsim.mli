@@ -16,7 +16,13 @@
     shared-memory/L1 capacity, which is exactly what tiling buys.  Re-reads
     beyond a tensor's own size hit in L2 when the working set fits there.
     [bytes] stays the cache-less sector traffic; [dram_bytes] is what is
-    left for DRAM after both levels. *)
+    left for DRAM after both levels.
+
+    A statement whose [iter_map] has rational entries (a non-unimodular
+    schedule row, see {!Codegen.Ast}) has instances only at the loop
+    points where every entry is an integer.  Lanes at the other points
+    issue no request and no arithmetic for that statement, the points
+    {!Interp.run_ast} skips and {!Codegen.Cuda.emit} guards. *)
 
 type result = {
   requests : float;  (** warp-level memory instructions issued *)

@@ -76,6 +76,14 @@ let test_clean_sweep () =
   Alcotest.(check int) "cases counted" 12 (Obs.Counters.find "fuzz.cases");
   Alcotest.(check int) "failures counted" 0 (Obs.Counters.find "fuzz.failures")
 
+let test_stage_names () =
+  List.iter
+    (fun stage ->
+      Alcotest.(check bool) (Check.stage_name stage) true
+        (Check.stage_of_name (Check.stage_name stage) = Some stage))
+    Check.[ Convert; Schedule; Legality; Lower; Structure; Emit; Semantics; Simulate ];
+  Alcotest.(check bool) "unknown name" true (Check.stage_of_name "bogus" = None)
+
 let test_replay_roundtrip () =
   (* seed 5 cases are verified clean by [test_clean_sweep] *)
   let case = Generate.generate ~seed:5 ~index:0 () in
@@ -194,6 +202,7 @@ let () =
       ("shrink", [ Alcotest.test_case "reaches minimum" `Quick test_shrink_reaches_minimum ]);
       ( "differential",
         [ Alcotest.test_case "clean sweep" `Slow test_clean_sweep;
+          Alcotest.test_case "stage names" `Quick test_stage_names;
           Alcotest.test_case "replay roundtrip" `Quick test_replay_roundtrip;
           Alcotest.test_case "broken scheduler caught" `Slow test_broken_scheduler_caught;
           Alcotest.test_case "broken tiler caught" `Slow test_broken_tiler_caught;
