@@ -328,12 +328,13 @@ let schedule_cmd =
     with_op
       (fun k ->
         let version = if tile then P.Tiled else version in
-        let influence = P.tree version k in
+        let deps = Deps.Analysis.dependences k in
+        let influence = P.tree ~deps version k in
         if tree then
           Option.iter
             (Format.printf "influence tree:@.%a@." Scheduling.Influence.pp)
             influence;
-        let sched, stats, _ = P.schedule ?influence ~strategy k in
+        let sched, stats, _ = P.schedule ?influence ~strategy ~deps k in
         Format.printf "%a@." Scheduling.Schedule.pp sched;
         Format.printf
           "stats: %d ILP solves, %d loop dims, %d scalar dims, %d sibling moves, %d backtracks, %d SCC separations, abandoned %b@."
@@ -342,9 +343,7 @@ let schedule_cmd =
           stats.influence_abandoned;
         Format.printf "fast path: %d hits, %d fallbacks (%d validity rejects)@."
           stats.fastpath_hits stats.fastpath_fallbacks stats.fastpath_validity_rejects;
-        match
-          Scheduling.Legality.check sched k (Deps.Analysis.dependences k)
-        with
+        match Scheduling.Legality.check sched k deps with
         | Ok () -> Format.printf "legality: OK@."
         | Error e -> Format.printf "legality: VIOLATION %s@." e)
       name

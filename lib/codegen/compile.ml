@@ -18,17 +18,20 @@ let pass name kernel_name f =
       ]);
   r
 
-let lower ?(vectorize = true) ?vec_min_parallel ?tile_sizes ?tile_fault ?max_threads
+let lower ?(vectorize = true) ?vec_min_parallel ?tile_sizes ?tile_fault ?max_threads ?deps
     schedule kernel =
   Obs.Span.with_ "codegen.lower" @@ fun () ->
   Obs.Counters.incr c_lowerings;
   let name = kernel.Ir.Kernel.name in
+  let deps =
+    match deps with Some deps -> deps | None -> Deps.Analysis.dependences kernel
+  in
   let ast = pass "gen" name (fun () -> Gen.generate schedule kernel) in
-  let ast = pass "marks" name (fun () -> Marks.refine schedule kernel ast) in
+  let ast = pass "marks" name (fun () -> Marks.refine schedule kernel deps ast) in
   let ast =
     if vectorize then
       pass "vectorpass" name (fun () ->
-          Vectorpass.apply ?min_parallel:vec_min_parallel schedule kernel ast)
+          Vectorpass.apply ?min_parallel:vec_min_parallel schedule kernel deps ast)
     else ast
   in
   (* Explicit [tile_sizes] win; otherwise honour the tile-shape annotation
@@ -43,7 +46,8 @@ let lower ?(vectorize = true) ?vec_min_parallel ?tile_sizes ?tile_fault ?max_thr
     match tile_sizes with
     | None -> ast
     | Some sizes ->
-      pass "tiling" name (fun () -> Tiling.apply ?fault:tile_fault ~sizes schedule kernel ast)
+      pass "tiling" name (fun () ->
+          Tiling.apply ?fault:tile_fault ~sizes schedule kernel deps ast)
   in
   let mapping, ast =
     pass "mapping" name (fun () ->

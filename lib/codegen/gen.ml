@@ -71,7 +71,7 @@ let make_ctx sched (stmt : Stmt.t) =
       List.init m (fun d ->
           Constr.eq (Linexpr.var (Ast.loop_var d)) row_exprs.(d))
     in
-    let with_t = List.fold_left Polyhedron.add_constraint stmt.Stmt.domain eqs in
+    let with_t = Polyhedron.add_constraints stmt.Stmt.domain eqs in
     Polyhedron.project_out stmt.Stmt.iters with_t
   in
   let proj = Array.make m full in

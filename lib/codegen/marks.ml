@@ -3,17 +3,15 @@ open Polyhedra
 
 let dep_carried sched kernel (dep : Deps.Dependence.t) ~dim =
   let ds = Scheduling.Builders.init_dep_state kernel dep in
-  let rel = ref dep.rel in
-  for d = 0 to dim - 1 do
+  let delta d =
     let src_expr = Scheduling.Schedule.expr_for sched ~dim:d ~stmt:dep.source in
     let tgt_expr = Scheduling.Schedule.expr_for sched ~dim:d ~stmt:dep.target in
-    let delta = Scheduling.Builders.delta_concrete ds ~src_expr ~tgt_expr in
-    rel := Polyhedron.add_constraint !rel (Constr.eq0 delta)
-  done;
-  let src_expr = Scheduling.Schedule.expr_for sched ~dim ~stmt:dep.source in
-  let tgt_expr = Scheduling.Schedule.expr_for sched ~dim ~stmt:dep.target in
-  let delta = Scheduling.Builders.delta_concrete ds ~src_expr ~tgt_expr in
-  match Polyhedron.maximum !rel delta with
+    Scheduling.Builders.delta_concrete ds ~src_expr ~tgt_expr
+  in
+  let rel =
+    Polyhedron.add_constraints dep.rel (List.init dim (fun d -> Constr.eq0 (delta d)))
+  in
+  match Polyhedron.maximum rel (delta dim) with
   | `Empty -> false
   | `Value v -> Q.sign v > 0
   | `Unbounded -> true
@@ -27,8 +25,7 @@ let loop_is_parallel sched kernel deps ~dim ~stmts =
   in
   List.for_all (fun dep -> not (dep_carried sched kernel dep ~dim)) relevant
 
-let refine sched kernel ast =
-  let deps = Deps.Analysis.dependences kernel in
+let refine sched kernel deps ast =
   Ast.map_loops
     (fun loop ->
       match loop.Ast.mark with

@@ -7,7 +7,10 @@
     pass recomputes the mark per [For] node from the dependences among the
     statements it actually encloses. *)
 
-val refine : Scheduling.Schedule.t -> Ir.Kernel.t -> Ast.t -> Ast.t
+val refine :
+  Scheduling.Schedule.t -> Ir.Kernel.t -> Deps.Dependence.t list -> Ast.t -> Ast.t
+(** [refine sched kernel deps ast] re-marks every [For] node; [deps] are
+    the kernel's dependences ({!Deps.Analysis.dependences}). *)
 
 val loop_is_parallel :
   Scheduling.Schedule.t -> Ir.Kernel.t -> Deps.Dependence.t list -> dim:int ->

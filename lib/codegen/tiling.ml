@@ -17,13 +17,12 @@ let band_permutable sched kernel deps ~dims ~stmts =
         let tgt_expr = Scheduling.Schedule.expr_for sched ~dim:d ~stmt:dep.target in
         Scheduling.Builders.delta_concrete ds ~src_expr ~tgt_expr
       in
-      let rel = ref dep.rel in
-      for d = 0 to d0 - 1 do
-        rel := Polyhedron.add_constraint !rel (Constr.eq0 (delta d))
-      done;
+      let rel =
+        Polyhedron.add_constraints dep.rel (List.init d0 (fun d -> Constr.eq0 (delta d)))
+      in
       List.for_all
         (fun d ->
-          match Polyhedron.minimum !rel (delta d) with
+          match Polyhedron.minimum rel (delta d) with
           | `Empty -> true
           | `Value v -> Q.sign v >= 0
           | `Unbounded -> false)
@@ -51,8 +50,7 @@ let c_refused =
   Obs.Counters.create "tiling.chains_refused"
     ~doc:"tile-annotated chains refused by the permutability re-check"
 
-let apply ?fault ~sizes sched kernel ast =
-  let deps = Deps.Analysis.dependences kernel in
+let apply ?fault ~sizes sched kernel deps ast =
   (* [fault] is deliberate fault injection for the fuzzer's broken-tiler
      canary: Off_by_one drops the last point of every tile, a semantic
      change the differential interpreter check must catch. *)
@@ -125,8 +123,8 @@ let apply ?fault ~sizes sched kernel ast =
   in
   go ast
 
-let tile_all ~size sched kernel ast =
-  apply ~sizes:(fun _ -> Some size) sched kernel ast
+let tile_all ~size sched kernel deps ast =
+  apply ~sizes:(fun _ -> Some size) sched kernel deps ast
 
 let rec applied = function
   | Ast.Stmts l -> List.exists applied l

@@ -29,13 +29,16 @@ type fault = Off_by_one
 
 val apply :
   ?fault:fault -> sizes:(int -> int option) -> Scheduling.Schedule.t ->
-  Ir.Kernel.t -> Ast.t -> Ast.t
+  Ir.Kernel.t -> Deps.Dependence.t list -> Ast.t -> Ast.t
 (** Tiles every maximal chain of directly-nested, unit-step loops forming a
-    permutable band.  [sizes dim] gives the tile size for a schedule
-    dimension ([None] or sizes <= 1 leave the dimension untiled).  Chains
-    with no tiled dimension are left untouched. *)
+    permutable band (checked against the kernel's dependences).  [sizes
+    dim] gives the tile size for a schedule dimension ([None] or sizes
+    <= 1 leave the dimension untiled).  Chains with no tiled dimension are
+    left untouched. *)
 
-val tile_all : size:int -> Scheduling.Schedule.t -> Ir.Kernel.t -> Ast.t -> Ast.t
+val tile_all :
+  size:int -> Scheduling.Schedule.t -> Ir.Kernel.t -> Deps.Dependence.t list ->
+  Ast.t -> Ast.t
 (** [apply] with the same size for every dimension. *)
 
 val applied : Ast.t -> bool

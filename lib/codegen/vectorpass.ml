@@ -88,11 +88,10 @@ let parallel_capacity ast =
   go ast;
   Hashtbl.fold (fun _ e acc -> acc * e) table 1
 
-let apply ?(min_parallel = 0) sched kernel ast =
+let apply ?(min_parallel = 0) sched kernel deps ast =
   let plan = vector_dims sched kernel in
   if plan = [] then ast
   else begin
-    let deps = Deps.Analysis.dependences kernel in
     let capacity = parallel_capacity ast in
     Ast.map_loops
       (fun loop ->

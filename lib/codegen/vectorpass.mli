@@ -16,8 +16,10 @@
       the chosen width (the minimum across statements). *)
 
 val apply :
-  ?min_parallel:int -> Scheduling.Schedule.t -> Ir.Kernel.t -> Ast.t -> Ast.t
-(** [min_parallel] (default 0 = always) refuses rewrites that would leave
+  ?min_parallel:int -> Scheduling.Schedule.t -> Ir.Kernel.t ->
+  Deps.Dependence.t list -> Ast.t -> Ast.t
+(** [apply sched kernel deps ast], with [deps] the kernel's dependences.
+    [min_parallel] (default 0 = always) refuses rewrites that would leave
     fewer than that many parallel iterations to map on threads. *)
 
 val vector_dims : Scheduling.Schedule.t -> Ir.Kernel.t -> (string * int * int) list

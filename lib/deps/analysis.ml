@@ -23,7 +23,12 @@ let lex_precedence_slices src_iters tgt_iters =
       (d, strict :: eqs))
     src_iters
 
+let c_analyses =
+  Obs.Counters.create "deps.analyses" ~doc:"kernel dependence analyses run"
+
 let dependences ?(include_input = false) (k : Kernel.t) =
+  Obs.Span.with_ "deps.analysis" @@ fun () ->
+  Obs.Counters.incr c_analyses;
   let stmts = Array.of_list k.Kernel.stmts in
   let n = Array.length stmts in
   let deps = ref [] in
@@ -38,9 +43,7 @@ let dependences ?(include_input = false) (k : Kernel.t) =
       let tgt_iters = List.map rename t.Stmt.iters in
       let tgt_domain = Polyhedron.rename rename t.Stmt.domain in
       let base = Polyhedron.inter s.Stmt.domain tgt_domain in
-      let base =
-        List.fold_left Polyhedron.add_constraint base (Kernel.param_context k)
-      in
+      let base = Polyhedron.add_constraints base (Kernel.param_context k) in
       let accesses_of st = Stmt.accesses st in
       List.iter
         (fun ((a : Access.t), arw) ->
@@ -59,8 +62,7 @@ let dependences ?(include_input = false) (k : Kernel.t) =
                 | Some kind ->
                   let b_renamed = Access.rename rename b in
                   let conflict =
-                    List.fold_left Polyhedron.add_constraint base
-                      (index_equalities a b_renamed)
+                    Polyhedron.add_constraints base (index_equalities a b_renamed)
                   in
                   let mk depth rel =
                     add
@@ -77,7 +79,7 @@ let dependences ?(include_input = false) (k : Kernel.t) =
                   if self then
                     List.iter
                       (fun (d, slice) ->
-                        mk d (List.fold_left Polyhedron.add_constraint conflict slice))
+                        mk d (Polyhedron.add_constraints conflict slice))
                       (lex_precedence_slices s.Stmt.iters tgt_iters)
                   else mk (-1) conflict
               end)

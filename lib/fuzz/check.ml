@@ -122,8 +122,8 @@ let check_version ?(perturb = fun _ s -> s) ?strategy ?max_tile_size ?tile_fault
     ?cpu_exec k deps version =
   let* sched =
     guard version Schedule (fun () ->
-        let influence = P.tree ?max_tile_size version k in
-        let s, _, _ = P.schedule ?influence ?strategy k in
+        let influence = P.tree ?max_tile_size ~deps version k in
+        let s, _, _ = P.schedule ?influence ?strategy ~deps k in
         Ok (perturb version s))
   in
   let* () =
@@ -139,7 +139,7 @@ let check_version ?(perturb = fun _ s -> s) ?strategy ?max_tile_size ?tile_fault
            fuzzer's kernels are tiny, so the vector pass runs on every
            parallel loop (threshold 0) instead of the table's 2048. *)
         let tile_fault = if version = P.Tiled then tile_fault else None in
-        Ok (P.lower ~vec_min_parallel:0 ?tile_fault version sched k))
+        Ok (P.lower ~vec_min_parallel:0 ?tile_fault ~deps version sched k))
   in
   let* () =
     match well_formed c with

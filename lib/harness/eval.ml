@@ -47,16 +47,20 @@ let evaluate_op ?(machine = Gpusim.Machine.v100) ?tuning ?strategy ~name kernel 
     total := !total +. dt;
     r
   in
-  (* Three schedules: novec and infl share the vectorizer-tree one, and
-     only the vectorizer's tree is tuned. *)
+  (* One dependence analysis feeds every stage.  Three schedules: novec
+     and infl share the vectorizer-tree one, and only the vectorizer's tree
+     is tuned. *)
+  let deps = Deps.Analysis.dependences kernel in
   let schedule ?tuning version =
-    let influence = timed tree_s (fun () -> Pipeline.tree ?tuning version kernel) in
-    Pipeline.schedule ?influence ?strategy kernel
+    let influence = timed tree_s (fun () -> Pipeline.tree ?tuning ~deps version kernel) in
+    Pipeline.schedule ?influence ?strategy ~deps kernel
   in
   let isl_sched, _, isl_obs = schedule Pipeline.Isl in
   let infl_sched, infl_stats, infl_obs = schedule ?tuning Pipeline.Infl in
   let tiled_sched_r, tiled_stats, tiled_obs = schedule Pipeline.Tiled in
-  let lower version sched = timed lower_s (fun () -> Pipeline.lower version sched kernel) in
+  let lower version sched =
+    timed lower_s (fun () -> Pipeline.lower ~deps version sched kernel)
+  in
   let time c =
     timed sim_s (fun () -> Gpusim.Sim.time_us (Pipeline.simulate ~machine c))
   in

@@ -62,6 +62,7 @@ val rows_equal : Scheduling.Schedule.t -> Scheduling.Schedule.t -> bool
 val timed_schedule :
   ?influence:Scheduling.Influence.t ->
   ?strategy:Scheduling.Scheduler.strategy ->
+  ?deps:Deps.Dependence.t list ->
   Ir.Kernel.t ->
   Scheduling.Schedule.t * Scheduling.Scheduler.stats * sched_obs
 (** {!Pipeline.schedule}. *)

@@ -54,11 +54,12 @@ let influence_with ?tuning kernel =
        ?weights:(Option.map (fun t -> t.weights) tuning)
        kernel)
 
-let tree ?tuning ?max_tile_size version kernel =
+let tree ?tuning ?max_tile_size ?deps version kernel =
   match (spec version).client with
   | No_influence -> None
   | Vectorizer -> Some (influence_with ?tuning kernel)
-  | Tiling -> Some (select tuning (Scheduling.Tiling.influence_for ?max_tile_size kernel))
+  | Tiling ->
+    Some (select tuning (Scheduling.Tiling.influence_for ?max_tile_size ?deps kernel))
 
 type sched_obs = {
   ilp_solves : int;
@@ -74,7 +75,7 @@ type sched_obs = {
 
 (* Runs the scheduler while measuring wall time and the branch-and-bound
    node delta it caused, turning its per-run stats into a [sched_obs]. *)
-let schedule ?influence ?strategy kernel =
+let schedule ?influence ?strategy ?deps kernel =
   let config =
     match strategy with
     | None -> Scheduling.Scheduler.default_config
@@ -82,7 +83,7 @@ let schedule ?influence ?strategy kernel =
   in
   let bb0 = Obs.Counters.find "ilp.bb_nodes" in
   let (sched, stats), sched_s =
-    Obs.Span.timed (fun () -> Scheduling.Scheduler.schedule ~config ?influence kernel)
+    Obs.Span.timed (fun () -> Scheduling.Scheduler.schedule ~config ?influence ?deps kernel)
   in
   let obs =
     { ilp_solves = stats.Scheduling.Scheduler.ilp_solves;
@@ -98,11 +99,11 @@ let schedule ?influence ?strategy kernel =
   in
   (sched, stats, obs)
 
-let lower ?vec_min_parallel ?tile_sizes ?tile_fault version sched kernel =
+let lower ?vec_min_parallel ?tile_sizes ?tile_fault ?deps version sched kernel =
   let s = spec version in
   let vec_min_parallel = Option.value vec_min_parallel ~default:s.vec_min_parallel in
   Codegen.Compile.lower ~vectorize:s.vectorize ~vec_min_parallel ?tile_sizes ?tile_fault
-    sched kernel
+    ?deps sched kernel
 
 let simulate ?machine compiled = Gpusim.Sim.run ?machine compiled
 
@@ -164,9 +165,13 @@ type output = {
   backend_s : float;
 }
 
-let run ?strategy ?tile_sizes ?(machine = Gpusim.Machine.v100) version kernel =
-  let sched, stats, _ = schedule ?influence:(tree version kernel) ?strategy kernel in
-  let compiled = lower ?tile_sizes version sched kernel in
+let run ?strategy ?tile_sizes ?(machine = Gpusim.Machine.v100) ?deps version kernel =
+  let deps =
+    match deps with Some deps -> deps | None -> Deps.Analysis.dependences kernel
+  in
+  let influence = tree ~deps version kernel in
+  let sched, stats, _ = schedule ?influence ?strategy ~deps kernel in
+  let compiled = lower ?tile_sizes ~deps version sched kernel in
   let backend, backend_s =
     Obs.Span.timed (fun () ->
         match (spec version).backend with

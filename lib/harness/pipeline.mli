@@ -55,12 +55,17 @@ val influence_with : ?tuning:tuning -> Ir.Kernel.t -> Scheduling.Influence.t
     order when [tuning] is absent. *)
 
 val tree :
-  ?tuning:tuning -> ?max_tile_size:int -> version -> Ir.Kernel.t ->
-  Scheduling.Influence.t option
+  ?tuning:tuning -> ?max_tile_size:int -> ?deps:Deps.Dependence.t list -> version ->
+  Ir.Kernel.t -> Scheduling.Influence.t option
 (** Stage 1: the version's influence tree ([None] for {b isl}).  A
     [tuning]'s weights shape the vectorizer's tree; its [order] selects
     root branches of either client's tree.  [max_tile_size] caps the
-    tiling client's tile shapes. *)
+    tiling client's tile shapes.
+
+    Every stage takes the kernel's dependences as an optional [deps]
+    ({!Deps.Analysis.dependences}) and analyses the kernel itself when
+    it is absent; a caller running several stages on one kernel analyses
+    it once and passes the list to each. *)
 
 type sched_obs = {
   ilp_solves : int;  (** per-dimension ILP solves of this scheduler run *)
@@ -79,6 +84,7 @@ type sched_obs = {
 val schedule :
   ?influence:Scheduling.Influence.t ->
   ?strategy:Scheduling.Scheduler.strategy ->
+  ?deps:Deps.Dependence.t list ->
   Ir.Kernel.t ->
   Scheduling.Schedule.t * Scheduling.Scheduler.stats * sched_obs
 (** Stage 2: one scheduler run under the default config (with [strategy]
@@ -89,6 +95,7 @@ val lower :
   ?vec_min_parallel:int ->
   ?tile_sizes:(int -> int option) ->
   ?tile_fault:Codegen.Tiling.fault ->
+  ?deps:Deps.Dependence.t list ->
   version ->
   Scheduling.Schedule.t ->
   Ir.Kernel.t ->
@@ -144,10 +151,12 @@ val run :
   ?strategy:Scheduling.Scheduler.strategy ->
   ?tile_sizes:(int -> int option) ->
   ?machine:Gpusim.Machine.t ->
+  ?deps:Deps.Dependence.t list ->
   version ->
   Ir.Kernel.t ->
   output
-(** {!tree}, {!schedule}, {!lower} and the version's backend in one call.
+(** {!tree}, {!schedule}, {!lower} and the version's backend in one call,
+    sharing one dependence analysis ([deps] when given).
     [machine] (default V100) is simulated for the GPU versions.  For
     {b cpu} the C is emitted for [machine] when it is a CPU profile, and
     for the portable scalar profile otherwise. *)

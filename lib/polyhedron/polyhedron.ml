@@ -1,3 +1,5 @@
+open Polybase
+
 (* [Bottom] marks a polyhedron detected as syntactically contradictory; it
    avoids re-running simplification on known-empty sets. *)
 type t = Set of Constr.t list | Bottom
@@ -15,6 +17,13 @@ let constraints = function
 
 let add_constraint p c =
   match p with Bottom -> Bottom | Set cs -> of_constraints (c :: cs)
+
+(* One simplification over the union gives the same set as adding the
+   constraints one at a time: normalization is idempotent and the result
+   is a sorted set, so only the number of sorts changes. *)
+let add_constraints p = function
+  | [] -> p
+  | new_cs -> ( match p with Bottom -> Bottom | Set cs -> of_constraints (new_cs @ cs))
 
 let inter a b =
   match (a, b) with
@@ -50,23 +59,66 @@ let rename f = function
   | Bottom -> Bottom
   | Set cs -> Set (List.map (Constr.rename f) cs)
 
-let minimum p e =
-  match p with
-  | Bottom -> `Empty
-  | Set cs -> (
-    match Simplex.minimize cs e with
-    | Simplex.Infeasible -> `Empty
-    | Simplex.Unbounded -> `Unbounded
-    | Simplex.Optimal (v, _) -> `Value v)
+(* Box systems — every constraint bounds a single variable, as iteration
+   domains with constant bounds do — are optimized without an LP.
+   [box_of cs] maps each variable to its [(lower, upper)] bounds ([None]
+   on an unbounded side); it is [None] when [cs] is not a box system. *)
+let box_of cs =
+  let boxes = Hashtbl.create 8 in
+  let bounds v = Option.value (Hashtbl.find_opt boxes v) ~default:(None, None) in
+  let tighter pick b = function None -> Some b | Some b0 -> Some (pick b0 b) in
+  let add (c : Constr.t) =
+    match Linexpr.vars c.Constr.expr with
+    | [ v ] ->
+      (* [a*v + k >= 0] (or [= 0]) bounds [v] by [-k/a] *)
+      let a = Linexpr.coef c.Constr.expr v in
+      let b = Q.neg (Q.div (Linexpr.constant c.Constr.expr) a) in
+      let is_eq = c.Constr.kind = Constr.Eq in
+      let lo, hi = bounds v in
+      let lo = if is_eq || Q.sign a > 0 then tighter Q.max b lo else lo in
+      let hi = if is_eq || Q.sign a < 0 then tighter Q.min b hi else hi in
+      Hashtbl.replace boxes v (lo, hi);
+      true
+    | _ -> false
+  in
+  if List.for_all add cs then Some bounds else None
 
-let maximum p e =
+(* The simplex's answer for a single-variable objective over a box system:
+   [`Empty] when any variable's box is empty, otherwise the objective at
+   its variable's bound on the optimum's side, [`Unbounded] when that side
+   has none.  [None] when the rule does not apply. *)
+let box_optimum cs e ~maximize =
+  match Linexpr.vars e with
+  | [ x ] -> (
+    match box_of cs with
+    | None -> None
+    | Some bounds ->
+      let empty v =
+        match bounds v with Some l, Some h -> Q.compare l h > 0 | _ -> false
+      in
+      if List.exists (fun c -> List.exists empty (Constr.vars c)) cs then Some `Empty
+      else
+        let a = Linexpr.coef e x in
+        let lo, hi = bounds x in
+        match if maximize = (Q.sign a > 0) then hi else lo with
+        | None -> Some `Unbounded
+        | Some b -> Some (`Value (Q.add (Q.mul a b) (Linexpr.constant e))))
+  | _ -> None
+
+let optimum ~maximize p e =
   match p with
   | Bottom -> `Empty
   | Set cs -> (
-    match Simplex.maximize cs e with
-    | Simplex.Infeasible -> `Empty
-    | Simplex.Unbounded -> `Unbounded
-    | Simplex.Optimal (v, _) -> `Value v)
+    match box_optimum cs e ~maximize with
+    | Some r -> r
+    | None -> (
+      match (if maximize then Simplex.maximize else Simplex.minimize) cs e with
+      | Simplex.Infeasible -> `Empty
+      | Simplex.Unbounded -> `Unbounded
+      | Simplex.Optimal (v, _) -> `Value v))
+
+let minimum p e = optimum ~maximize:false p e
+let maximum p e = optimum ~maximize:true p e
 
 let mem env = function
   | Bottom -> false

@@ -11,6 +11,11 @@ val universe : t
 val of_constraints : Constr.t list -> t
 val constraints : t -> Constr.t list
 val add_constraint : t -> Constr.t -> t
+
+val add_constraints : t -> Constr.t list -> t
+(** [add_constraints p cs] is [List.fold_left add_constraint p cs] with one
+    simplification over the union instead of one per constraint. *)
+
 val inter : t -> t -> t
 val vars : t -> string list
 
@@ -29,7 +34,15 @@ val project_out : string list -> t -> t
 val rename : (string -> string) -> t -> t
 
 val minimum : t -> Linexpr.t -> [ `Empty | `Unbounded | `Value of Q.t ]
+(** Exact rational optimum of an affine objective.  When the objective
+    has one variable and every constraint mentions exactly one variable
+    (a box, such as an iteration domain with constant bounds) the answer
+    is read off the tightest bounds without an LP; it is the one the
+    simplex gives: [`Empty] when any variable's box is empty,
+    [`Unbounded] when the objective's side has no bound. *)
+
 val maximum : t -> Linexpr.t -> [ `Empty | `Unbounded | `Value of Q.t ]
+(** As {!minimum}, maximizing. *)
 
 val mem : (string -> Q.t) -> t -> bool
 (** Whether a point satisfies all constraints. *)

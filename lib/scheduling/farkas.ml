@@ -1,22 +1,19 @@
 open Polybase
 open Polyhedra
 
-let counter = ref 0
-
-let fresh prefix =
-  incr counter;
-  Printf.sprintf "%s#%d" prefix !counter
-
 let nonneg_on ~coef_of ~const p =
   let cs = Polyhedron.constraints p in
   (* One multiplier per constraint: non-negative for inequalities, free for
      equalities; plus the non-negative lambda_0 which we fold directly into
-     the constant equation (turning it into an inequality). *)
+     the constant equation (turning it into an inequality).  Multipliers are
+     eliminated before returning, so their names only need to be unique
+     within this system: numbering them per call keeps the result
+     independent of earlier calls and of other domains. *)
   let tagged =
-    List.map
-      (fun (c : Constr.t) ->
-        let lam = fresh (match c.kind with Constr.Ge -> "lam" | Constr.Eq -> "mu") in
-        (lam, c))
+    List.mapi
+      (fun i (c : Constr.t) ->
+        let prefix = match c.kind with Constr.Ge -> "lam" | Constr.Eq -> "mu" in
+        (Printf.sprintf "%s#%d" prefix (i + 1), c))
       cs
   in
   let vars = Polyhedron.vars p in

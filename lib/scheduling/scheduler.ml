@@ -199,7 +199,7 @@ let scc_topo_order stmt_names comp ncomp reach =
   Array.iteri (fun slot c -> rank.(c) <- slot) order;
   rank
 
-let schedule ?(config = default_config) ?(influence = Influence.empty) kernel =
+let schedule ?(config = default_config) ?(influence = Influence.empty) ?deps kernel =
   Obs.Span.with_ "scheduler.schedule" @@ fun () ->
   Obs.Counters.incr c_schedules;
   Obs.Trace.emitf "scheduler.start" (fun () ->
@@ -217,7 +217,9 @@ let schedule ?(config = default_config) ?(influence = Influence.empty) kernel =
   let stmt_names = List.map (fun (s : Ir.Stmt.t) -> s.Ir.Stmt.name) stmts in
   let params = Ir.Kernel.param_names kernel in
   let deps_all =
-    Deps.Analysis.dependences ~include_input:config.include_input_proximity kernel
+    match deps with
+    | Some deps when not config.include_input_proximity -> deps
+    | _ -> Deps.Analysis.dependences ~include_input:config.include_input_proximity kernel
   in
   let vdeps = Deps.Analysis.validity deps_all in
   let ideps =

@@ -83,9 +83,13 @@ exception Failure_no_schedule of string
 val schedule :
   ?config:config ->
   ?influence:Influence.t ->
+  ?deps:Deps.Dependence.t list ->
   Ir.Kernel.t ->
   Schedule.t * stats
 (** Computes a complete schedule: every validity dependence strongly
     satisfied and every statement full-rank.  With [influence] absent or
     abandoned this is the isl-like baseline the paper evaluates as
-    {b isl}. *)
+    {b isl}.  [deps] are the kernel's dependences
+    ({!Deps.Analysis.dependences}, without input dependences), analysed
+    here when absent; under [config.include_input_proximity] the
+    scheduler always runs its own analysis with input dependences. *)

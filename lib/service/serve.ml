@@ -57,10 +57,11 @@ let make_handler ?(kernel_of_json = None) ?cache
 module P = Harness.Pipeline
 
 let compile_report ~machine ~strategy ~version ~op kernel =
-  let p = P.run ~strategy ~machine version kernel in
+  let deps = Deps.Analysis.dependences kernel in
+  let p = P.run ~strategy ~machine ~deps version kernel in
   let stats = p.P.stats in
   let legal =
-    match Scheduling.Legality.check p.P.sched kernel (Deps.Analysis.dependences kernel) with
+    match Scheduling.Legality.check p.P.sched kernel deps with
     | Ok () -> true
     | Error _ -> false
   in

@@ -79,7 +79,7 @@ let test_marks_refine_split_nests () =
      the joint dimension was not coincident for the whole kernel. *)
   let k = Ops.Classics.fig2 ~n:8 () in
   let sched = schedule k in
-  let ast = Marks.refine sched k (Gen.generate sched k) in
+  let ast = Marks.refine sched k (Deps.Analysis.dependences k) (Gen.generate sched k) in
   let k_loops =
     find_loops
       (fun l -> l.Ast.dim = 2 && Ast.stmts_of l.Ast.body = [ "X" ])

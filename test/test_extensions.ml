@@ -31,7 +31,8 @@ let test_tiling_structure () =
   let k = Ops.Classics.cast_transpose ~n:8 ~m:8 () in
   let sched, _ = Scheduling.Scheduler.schedule k in
   let plain = Gen.generate sched k in
-  let tiled = Tiling.tile_all ~size:4 sched k (Marks.refine sched k plain) in
+  let deps = Deps.Analysis.dependences k in
+  let tiled = Tiling.tile_all ~size:4 sched k deps (Marks.refine sched k deps plain) in
   (* 2 loops become 4: two tile + two point *)
   Alcotest.(check int) "loop count doubles" 4 (count_loops tiled);
   Alcotest.(check bool) "semantics" true (semantics_match k tiled)
@@ -82,8 +83,8 @@ let test_tiling_respects_permutability () =
     (Scheduling.Legality.is_legal sched k deps);
   Alcotest.(check bool) "band not permutable" false
     (Tiling.band_permutable sched k deps ~dims:[ 0; 1 ] ~stmts:[ "S" ]);
-  let plain = Marks.refine sched k (Gen.generate sched k) in
-  let tiled = Tiling.tile_all ~size:4 sched k plain in
+  let plain = Marks.refine sched k deps (Gen.generate sched k) in
+  let tiled = Tiling.tile_all ~size:4 sched k deps plain in
   (* the outer (i) dimension must not be hoisted into a tile loop; the
      inner loop alone may be strip-mined (always legal) *)
   let rec has_tile_dim0 = function

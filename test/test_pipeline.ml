@@ -120,6 +120,51 @@ let test_small_classics () =
         (string_field (serve h ~op P.Cpu) "source"))
     ops
 
+(* Shared analysis: every stage given one [~deps] list must produce what it
+   produces when it analyses the kernel on its own.  Isl, infl and tiled
+   cover the three scheduling clients, the vector pass and the tiling
+   pass; [vec_min_parallel] 0 lets the vector pass fire on tiny kernels. *)
+let analyses () = Obs.Counters.find "deps.analyses"
+
+let compile_versions ?deps ?vec_min_parallel kernel =
+  List.concat_map
+    (fun v ->
+      let influence = P.tree ?deps v kernel in
+      let sched, _, _ = P.schedule ?influence ?deps kernel in
+      let c = P.lower ?vec_min_parallel ?deps v sched kernel in
+      [ Scheduling.Schedule.to_string sched; Codegen.Cuda.emit c ])
+    [ P.Isl; P.Infl; P.Tiled ]
+
+let check_shared ?vec_min_parallel name kernel =
+  let separate = compile_versions ?vec_min_parallel kernel in
+  let deps = Deps.Analysis.dependences kernel in
+  let before = analyses () in
+  let shared = compile_versions ?vec_min_parallel ~deps kernel in
+  Alcotest.(check int) (name ^ ": no analysis when shared") before (analyses ());
+  Alcotest.(check (list string)) (name ^ ": shared = separate") separate shared
+
+let test_shared_analysis () =
+  List.iter (fun (name, mk) -> check_shared name (mk ())) Ops.Classics.all;
+  for index = 0 to 39 do
+    match Fuzz.Case.to_kernel (Fuzz.Generate.generate ~seed:42 ~index ()) with
+    | Error m -> Alcotest.failf "fuzz case %d: %s" index m
+    | Ok k -> check_shared ~vec_min_parallel:0 (Printf.sprintf "fuzz 42/%d" index) k
+  done
+
+(* With input proximity the scheduler needs read-read dependences the
+   shared list lacks, so it must run its own analysis.  broadcast_bias_relu
+   is a kernel whose schedule input proximity changes. *)
+let test_shared_analysis_input_proximity () =
+  let k = Ops.Classics.broadcast_bias_relu () in
+  let rows ?deps include_input_proximity =
+    let config = { Scheduling.Scheduler.default_config with include_input_proximity } in
+    Scheduling.Schedule.to_string (fst (Scheduling.Scheduler.schedule ~config ?deps k))
+  in
+  let own = rows true in
+  Alcotest.(check bool) "input proximity changes the schedule" true (own <> rows false);
+  Alcotest.(check string) "passed deps are not used as-is" own
+    (rows ~deps:(Deps.Analysis.dependences k) true)
+
 let test_version_table () =
   List.iter
     (fun v ->
@@ -134,6 +179,9 @@ let () =
     [ ( "entry-points",
         [ Alcotest.test_case "version table" `Quick test_version_table;
           Alcotest.test_case "small classics" `Quick test_small_classics;
+          Alcotest.test_case "shared analysis" `Slow test_shared_analysis;
+          Alcotest.test_case "shared analysis, input proximity" `Quick
+            test_shared_analysis_input_proximity;
           Alcotest.test_case "zoo: eval = serve = oracle" `Slow test_zoo_times
         ] )
     ]

@@ -535,6 +535,113 @@ let prop_warm_minimize_matches_cold =
         && List.for_all (Constr.holds aw) constraints
         && List.for_all (fun v -> Q.is_integer (aw v)) integer_vars)
 
+(* ------------------------------------------------------------------ *)
+(* Box bounds and batched constraint addition                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Random box systems: every row bounds one variable, with coefficients
+   other than +-1 (fractional bounds), equalities, one-sided and missing
+   bounds, and sometimes an empty box on an extra variable.  Each
+   variable's [Polyhedron.minimum]/[maximum] must be exactly the
+   simplex's answer on the same rows, reached without an LP. *)
+let box_system_gen =
+  QCheck2.Gen.(
+    let* nv = int_range 1 3 in
+    let vars = List.init nv (Printf.sprintf "b%d") in
+    let row v =
+      let* kind = frequency [ (4, pure Constr.Ge); (1, pure Constr.Eq) ] in
+      let* a = oneofl [ -3; -2; -1; 1; 2; 3 ] in
+      let+ k = int_range (-6) 6 in
+      { Constr.expr = le [ (a, v) ] k; kind }
+    in
+    let* rows = flatten_l (List.map (fun v -> list_size (int_range 0 3) (row v)) vars) in
+    let* empty_box =
+      frequency
+        [ (4, pure []); (1, pure [ Constr.lower_bound "w" 3; Constr.upper_bound "w" 1 ]) ]
+    in
+    let* cs = shuffle_l (List.concat rows @ empty_box) in
+    let+ a = oneofl [ -2; 1; 3 ] and+ k = int_range (-2) 2 in
+    (cs, vars @ [ "w"; "absent" ], (a, k)))
+
+let print_box (cs, _, (a, k)) =
+  String.concat "; " (List.map Constr.to_string cs) ^ Printf.sprintf " | obj %d*v + %d" a k
+
+let same_optimum poly simplex =
+  match (poly, simplex) with
+  | `Empty, Simplex.Infeasible | `Unbounded, Simplex.Unbounded -> true
+  | `Value v, Simplex.Optimal (w, _) -> Q.equal v w
+  | _ -> false
+
+let simplex_solves () = Obs.Counters.find "simplex.solves"
+
+let prop_box_bounds_match_simplex =
+  QCheck2.Test.make ~name:"box bounds equal the simplex optimum, without an LP" ~count:500
+    ~print:print_box box_system_gen
+    (fun (cs, vars, (a, k)) ->
+      let p = Polyhedron.of_constraints cs in
+      List.for_all
+        (fun v ->
+          let obj = le [ (a, v) ] k in
+          let before = simplex_solves () in
+          let lo = Polyhedron.minimum p obj and hi = Polyhedron.maximum p obj in
+          simplex_solves () = before
+          && same_optimum lo (Simplex.minimize cs obj)
+          && same_optimum hi (Simplex.maximize cs obj))
+        vars)
+
+let test_non_box_reaches_simplex () =
+  (* x + y <= 4 couples two variables: not a box, so one LP each way *)
+  let p =
+    Polyhedron.of_constraints
+      [ Constr.lower_bound "x" 0; Constr.lower_bound "y" 1;
+        Constr.ge0 (le [ (-1, "x"); (-1, "y") ] 4) ]
+  in
+  let before = simplex_solves () in
+  (match Polyhedron.maximum p (Linexpr.var "x") with
+   | `Value v -> check_q "max x" (q 3) v
+   | _ -> Alcotest.fail "expected a bounded maximum");
+  (match Polyhedron.minimum p (Linexpr.var "x") with
+   | `Value v -> check_q "min x" Q.zero v
+   | _ -> Alcotest.fail "expected a bounded minimum");
+  Alcotest.(check int) "two LPs" 2 (simplex_solves () - before)
+
+(* [add_constraints] against the one-at-a-time fold, on sets whose rows
+   are out of order (renamed) and with added rows that are duplicates,
+   trivially true or contradictory. *)
+let add_constraints_gen =
+  QCheck2.Gen.(
+    let vars = [ "u"; "v"; "x" ] in
+    let row =
+      let* kind = frequency [ (3, pure Constr.Ge); (1, pure Constr.Eq) ] in
+      let* coefs = list_repeat 3 (int_range (-2) 2) in
+      let+ k = int_range (-3) 3 in
+      { Constr.expr = le (List.combine coefs vars) k; kind }
+    in
+    let contradiction = Constr.ge0 (Linexpr.const_int (-1)) in
+    let* base = list_size (int_range 0 5) row in
+    let* rename = bool in
+    let* added = list_size (int_range 0 5) row in
+    let* contra = frequency [ (4, pure []); (1, pure [ contradiction ]) ] in
+    let+ added = shuffle_l (contra @ added) in
+    (base, rename, added))
+
+let print_added (base, rename, added) =
+  Printf.sprintf "%s | rename %b | add %s"
+    (String.concat "; " (List.map Constr.to_string base))
+    rename
+    (String.concat "; " (List.map Constr.to_string added))
+
+let prop_add_constraints_matches_fold =
+  QCheck2.Test.make ~name:"add_constraints = fold add_constraint" ~count:500
+    ~print:print_added add_constraints_gen
+    (fun (base, rename, added) ->
+      let p = Polyhedron.of_constraints base in
+      (* renaming keeps rows in the old variables' order *)
+      let p = if rename then Polyhedron.rename (function "u" -> "z" | v -> v) p else p in
+      Polyhedron.equal_syntactic
+        (Polyhedron.add_constraints p added)
+        (List.fold_left Polyhedron.add_constraint p added))
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -561,6 +668,12 @@ let () =
           Alcotest.test_case "membership" `Quick test_polyhedron_membership
         ] );
       qsuite "fm-props" [ prop_fm_projection_sound; prop_fm_projection_tight ];
+      ( "box-bounds",
+        [ Alcotest.test_case "non-box reaches the simplex" `Quick
+            test_non_box_reaches_simplex
+        ] );
+      qsuite "batch-props"
+        [ prop_box_bounds_match_simplex; prop_add_constraints_matches_fold ];
       ( "ilp",
         [ Alcotest.test_case "rounds up" `Quick test_ilp_rounds_up;
           Alcotest.test_case "knapsackish" `Quick test_ilp_knapsackish;

@@ -58,6 +58,26 @@ let test_farkas_equality_constraint () =
   Alcotest.(check bool) "c1>c2 ok (x=y>=0)" true (holds ~c1:3 ~c2:2);
   Alcotest.(check bool) "c1<c2 rejected" false (holds ~c1:2 ~c2:3)
 
+(* Multiplier names are numbered per call, so the system a relation gives
+   does not depend on the calls made before it, in this domain or in
+   another one running concurrently (as pool workers do under --jobs). *)
+let test_farkas_call_independent () =
+  let k = Ops.Classics.fig2 () in
+  let rels =
+    List.map (fun (d : Deps.Dependence.t) -> d.rel) (Deps.Analysis.dependences k)
+  in
+  let system p =
+    let coef_of v = Linexpr.var ("c_" ^ v) in
+    List.map Constr.to_string (Farkas.nonneg_on ~coef_of ~const:(Linexpr.var "c0") p)
+  in
+  let first = List.map system rels in
+  let others = Domain.spawn (fun () -> List.init 20 (fun _ -> List.map system rels)) in
+  let again = List.map system (List.rev rels) |> List.rev in
+  Alcotest.(check (list (list string))) "same systems after other calls" first again;
+  List.iter
+    (Alcotest.(check (list (list string))) "same systems in another domain" first)
+    (Domain.join others)
+
 (* ------------------------------------------------------------------ *)
 (* Influence trees                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -470,7 +490,9 @@ let () =
   Alcotest.run "scheduling"
     [ ( "farkas",
         [ Alcotest.test_case "interval" `Quick test_farkas_interval;
-          Alcotest.test_case "equality" `Quick test_farkas_equality_constraint
+          Alcotest.test_case "equality" `Quick test_farkas_equality_constraint;
+          Alcotest.test_case "independent of earlier calls" `Quick
+            test_farkas_call_independent
         ] );
       ( "influence-tree",
         [ Alcotest.test_case "shape" `Quick test_influence_tree_shape;
