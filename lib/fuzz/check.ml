@@ -119,11 +119,11 @@ let check_cpu_executed runner ~machine k src =
       mismatch ~what:"executed C differs bit-for-bit" P.Cpu (Option.get checked))
 
 let check_version ?(perturb = fun _ s -> s) ?strategy ?max_tile_size ?tile_fault
-    ?cpu_exec k deps version =
+    ?cpu_exec k deps memo version =
   let* sched =
     guard version Schedule (fun () ->
         let influence = P.tree ?max_tile_size ~deps version k in
-        let s, _, _ = P.schedule ?influence ?strategy ~deps k in
+        let s, _, _ = P.schedule ?influence ?strategy ~deps ~memo k in
         Ok (perturb version s))
   in
   let* () =
@@ -184,15 +184,18 @@ let check_version ?(perturb = fun _ s -> s) ?strategy ?max_tile_size ?tile_fault
             })
 
 (* Cpu runs last: its checks subsume nothing, so an AST-level defect is
-   always attributed to the GPU-side version that first exposes it. *)
+   always attributed to the GPU-side version that first exposes it.  The
+   five versions share one analysis and one solver memo (novec, infl and
+   cpu schedule the same vectorizer tree). *)
 let run ?perturb ?strategy ?max_tile_size ?tile_fault ?cpu_exec k =
   let* deps = guard P.Isl Schedule (fun () -> Ok (Deps.Analysis.dependences k)) in
+  let memo = Scheduling.Scheduler.memo () in
   List.fold_left
     (fun acc v ->
       match acc with
       | Error _ -> acc
       | Ok () ->
-        check_version ?perturb ?strategy ?max_tile_size ?tile_fault ?cpu_exec k deps v)
+        check_version ?perturb ?strategy ?max_tile_size ?tile_fault ?cpu_exec k deps memo v)
     (Ok ()) P.versions
 
 let run_case ?perturb ?strategy ?max_tile_size ?tile_fault ?cpu_exec case =

@@ -47,10 +47,12 @@ val run :
   ?cpu_exec:Codegen_cpu.Runner.t ->
   Ir.Kernel.t ->
   (unit, failure) result
-(** Pushes the kernel through all five versions; [perturb] rewrites each
-    computed schedule before validation and lowering (the hook tests use
-    to inject a deliberately-broken scheduler); [strategy] selects the
-    scheduling strategy (default: the scheduler's default).
+(** Pushes the kernel through all five versions, from one dependence
+    analysis and one solver memo ({!Scheduling.Scheduler.memo});
+    [perturb] rewrites each computed schedule before validation and
+    lowering (the hook tests use to inject a deliberately-broken
+    scheduler); [strategy] selects the scheduling strategy (default:
+    the scheduler's default).
     [max_tile_size] caps the tile shapes the tiled version's influence
     tree proposes; [tile_fault] injects {!Codegen.Tiling.fault} into the
     tiled version only — the broken-tiler canary.  [cpu_exec] upgrades

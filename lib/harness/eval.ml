@@ -47,13 +47,14 @@ let evaluate_op ?(machine = Gpusim.Machine.v100) ?tuning ?strategy ~name kernel 
     total := !total +. dt;
     r
   in
-  (* One dependence analysis feeds every stage.  Three schedules: novec
-     and infl share the vectorizer-tree one, and only the vectorizer's tree
-     is tuned. *)
+  (* One dependence analysis and one solver memo feed every stage.  Three
+     schedules: novec and infl share the vectorizer-tree one, and only the
+     vectorizer's tree is tuned. *)
   let deps = Deps.Analysis.dependences kernel in
+  let memo = Scheduling.Scheduler.memo () in
   let schedule ?tuning version =
     let influence = timed tree_s (fun () -> Pipeline.tree ?tuning ~deps version kernel) in
-    Pipeline.schedule ?influence ?strategy ~deps kernel
+    Pipeline.schedule ?influence ?strategy ~deps ~memo kernel
   in
   let isl_sched, _, isl_obs = schedule Pipeline.Isl in
   let infl_sched, infl_stats, infl_obs = schedule ?tuning Pipeline.Infl in
@@ -125,7 +126,8 @@ let evaluate_op ?(machine = Gpusim.Machine.v100) ?tuning ?strategy ~name kernel 
         ("sibling_moves", Obs.Json.Int infl_obs.sibling_moves);
         ("ancestor_backtracks", Obs.Json.Int infl_obs.ancestor_backtracks);
         ("abandoned", Obs.Json.Bool infl_obs.abandoned);
-        ("sched_ms", Obs.Json.Float ((isl_obs.sched_s +. infl_obs.sched_s) *. 1e3));
+        ( "sched_ms",
+          Obs.Json.Float ((isl_obs.sched_s +. infl_obs.sched_s +. tiled_obs.sched_s) *. 1e3) );
         ("tree_ms", Obs.Json.Float (r.obs.tree_s *. 1e3));
         ("lower_ms", Obs.Json.Float (r.obs.lower_s *. 1e3));
         ("sim_ms", Obs.Json.Float (r.obs.sim_s *. 1e3))

@@ -22,7 +22,10 @@ type sched_obs = Pipeline.sched_obs
 type op_obs = {
   isl_sched : sched_obs;  (** the uninfluenced baseline run *)
   infl_sched : sched_obs;  (** the influenced run (shared by novec/infl) *)
-  tiled_sched : sched_obs;  (** the tiling-influenced run *)
+  tiled_sched : sched_obs;
+      (** the tiling-influenced run.  The three runs share a solver memo,
+          so solver work (nodes, seconds) shifts to whichever runs first:
+          only their sum is comparable across revisions. *)
   tree_s : float;  (** influence-tree construction seconds (both clients) *)
   lower_s : float;  (** all codegen lowerings, seconds *)
   sim_s : float;  (** all GPU-model simulations, seconds *)
@@ -63,6 +66,7 @@ val timed_schedule :
   ?influence:Scheduling.Influence.t ->
   ?strategy:Scheduling.Scheduler.strategy ->
   ?deps:Deps.Dependence.t list ->
+  ?memo:Scheduling.Scheduler.memo ->
   Ir.Kernel.t ->
   Scheduling.Schedule.t * Scheduling.Scheduler.stats * sched_obs
 (** {!Pipeline.schedule}. *)
@@ -74,6 +78,10 @@ val evaluate_op :
   name:string ->
   Ir.Kernel.t ->
   op_result
+(** The five versions of one operator from one dependence analysis and
+    one solver memo ({!Scheduling.Scheduler.memo}) shared by its isl,
+    infl and tiled schedules.  Both are created inside the call, so
+    operators evaluate independently on separate domains. *)
 
 val evaluate_suite :
   ?machine:Gpusim.Machine.t ->

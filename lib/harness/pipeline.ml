@@ -75,7 +75,7 @@ type sched_obs = {
 
 (* Runs the scheduler while measuring wall time and the branch-and-bound
    node delta it caused, turning its per-run stats into a [sched_obs]. *)
-let schedule ?influence ?strategy ?deps kernel =
+let schedule ?influence ?strategy ?deps ?memo kernel =
   let config =
     match strategy with
     | None -> Scheduling.Scheduler.default_config
@@ -83,7 +83,7 @@ let schedule ?influence ?strategy ?deps kernel =
   in
   let bb0 = Obs.Counters.find "ilp.bb_nodes" in
   let (sched, stats), sched_s =
-    Obs.Span.timed (fun () -> Scheduling.Scheduler.schedule ~config ?influence ?deps kernel)
+    Obs.Span.timed (fun () -> Scheduling.Scheduler.schedule ~config ?influence ?deps ?memo kernel)
   in
   let obs =
     { ilp_solves = stats.Scheduling.Scheduler.ilp_solves;

@@ -85,11 +85,15 @@ val schedule :
   ?influence:Scheduling.Influence.t ->
   ?strategy:Scheduling.Scheduler.strategy ->
   ?deps:Deps.Dependence.t list ->
+  ?memo:Scheduling.Scheduler.memo ->
   Ir.Kernel.t ->
   Scheduling.Schedule.t * Scheduling.Scheduler.stats * sched_obs
 (** Stage 2: one scheduler run under the default config (with [strategy]
     substituted when given), timed and with its branch-and-bound node
-    delta attributed. *)
+    delta attributed.  A caller scheduling one kernel several times
+    passes the same [memo] ({!Scheduling.Scheduler.memo}) to each run:
+    the schedules are unchanged, and solves an earlier run already did
+    are looked up (their nodes are then attributed to that run). *)
 
 val lower :
   ?vec_min_parallel:int ->

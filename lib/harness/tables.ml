@@ -53,18 +53,25 @@ let stats_header fmt =
     "operator" "ilp(isl)" "ilp(infl)" "bb-nodes" "sib" "back" "scc" "aband"
     "sched(ms)" "tree(ms)" "lower(ms)" "sim(ms)"
 
+(* Solver work summed over the isl, infl and tiled runs: they share a
+   solver memo, so only the sum is comparable across revisions. *)
+let scheds (r : Eval.op_result) =
+  let o = r.Eval.obs in
+  [ o.Eval.isl_sched; o.Eval.infl_sched; o.Eval.tiled_sched ]
+
+let bb_nodes r = List.fold_left (fun acc s -> acc + s.Pipeline.bb_nodes) 0 (scheds r)
+let sched_ms r = List.fold_left (fun acc s -> acc +. s.Pipeline.sched_s) 0.0 (scheds r) *. 1e3
+
 let stats_row fmt (r : Eval.op_result) =
   let o = r.Eval.obs in
   Format.fprintf fmt
     "%-28s | %9d %9d %8d | %4d %4d %4d %5s | %9.2f %9.2f %9.2f %9.2f@."
     r.Eval.op_name o.Eval.isl_sched.Pipeline.ilp_solves
-    o.Eval.infl_sched.Pipeline.ilp_solves
-    (o.Eval.isl_sched.Pipeline.bb_nodes + o.Eval.infl_sched.Pipeline.bb_nodes)
+    o.Eval.infl_sched.Pipeline.ilp_solves (bb_nodes r)
     o.Eval.infl_sched.Pipeline.sibling_moves o.Eval.infl_sched.Pipeline.ancestor_backtracks
     o.Eval.infl_sched.Pipeline.scc_separations
     (if o.Eval.infl_sched.Pipeline.abandoned then "yes" else "no")
-    ((o.Eval.isl_sched.Pipeline.sched_s +. o.Eval.infl_sched.Pipeline.sched_s) *. 1e3)
-    (o.Eval.tree_s *. 1e3) (o.Eval.lower_s *. 1e3) (o.Eval.sim_s *. 1e3)
+    (sched_ms r) (o.Eval.tree_s *. 1e3) (o.Eval.lower_s *. 1e3) (o.Eval.sim_s *. 1e3)
 
 let stats_table fmt results =
   stats_header fmt;
@@ -76,17 +83,12 @@ let stats_table fmt results =
     (Printf.sprintf "TOTAL (%d ops)" (List.length results))
     (sumi (fun r -> r.Eval.obs.Eval.isl_sched.Pipeline.ilp_solves))
     (sumi (fun r -> r.Eval.obs.Eval.infl_sched.Pipeline.ilp_solves))
-    (sumi (fun r ->
-         r.Eval.obs.Eval.isl_sched.Pipeline.bb_nodes
-         + r.Eval.obs.Eval.infl_sched.Pipeline.bb_nodes))
+    (sumi bb_nodes)
     (sumi (fun r -> r.Eval.obs.Eval.infl_sched.Pipeline.sibling_moves))
     (sumi (fun r -> r.Eval.obs.Eval.infl_sched.Pipeline.ancestor_backtracks))
     (sumi (fun r -> r.Eval.obs.Eval.infl_sched.Pipeline.scc_separations))
     (sumi (fun r -> if r.Eval.obs.Eval.infl_sched.Pipeline.abandoned then 1 else 0))
-    (sum (fun r ->
-         (r.Eval.obs.Eval.isl_sched.Pipeline.sched_s
-         +. r.Eval.obs.Eval.infl_sched.Pipeline.sched_s)
-         *. 1e3))
+    (sum sched_ms)
     (sum (fun r -> r.Eval.obs.Eval.tree_s *. 1e3))
     (sum (fun r -> r.Eval.obs.Eval.lower_s *. 1e3))
     (sum (fun r -> r.Eval.obs.Eval.sim_s *. 1e3))

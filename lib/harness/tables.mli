@@ -48,4 +48,5 @@ val stats_table : Format.formatter -> Eval.op_result list -> unit
 (** The observability companion of Table II: per-operator ILP-solve
     counts, influence-tree backtracking activity, and the compile/simulate
     time breakdown from {!Eval.op_obs}, with a totals row — what the CLI
-    prints under [--stats]. *)
+    prints under [--stats].  [bb-nodes] and [sched(ms)] sum the isl, infl
+    and tiled scheduler runs. *)

@@ -57,37 +57,34 @@ let delta_concrete ds ~src_expr ~tgt_expr =
   in
   Linexpr.sub (Linexpr.rename rename tgt_expr) src_expr
 
-let validity ?slack ~dim ds =
+type nonneg_on =
+  coef_of:(string -> Linexpr.t) -> const:Linexpr.t -> Polyhedron.t -> Constr.t list
+
+let validity ~(nonneg_on : nonneg_on) ?slack ~dim ds =
   let coef_of, const = delta_template ~dim ds in
   let const =
     match slack with
     | None -> const
     | Some v -> Linexpr.add_term Q.minus_one v const
   in
-  Farkas.nonneg_on ~coef_of ~const ds.band_rel
+  nonneg_on ~coef_of ~const ds.band_rel
 
-let coincidence ~dim ds =
-  if Polyhedron.is_empty ds.active_rel then []
-  else begin
-    let coef_of, const = delta_template ~dim ds in
-    let neg_coef v = Linexpr.neg (coef_of v) in
-    Farkas.nonneg_on ~coef_of ~const ds.active_rel
-    @ Farkas.nonneg_on ~coef_of:neg_coef ~const:(Linexpr.neg const) ds.active_rel
-  end
+let coincidence ~(nonneg_on : nonneg_on) ~dim ds =
+  let coef_of, const = delta_template ~dim ds in
+  let neg_coef v = Linexpr.neg (coef_of v) in
+  nonneg_on ~coef_of ~const ds.active_rel
+  @ nonneg_on ~coef_of:neg_coef ~const:(Linexpr.neg const) ds.active_rel
 
-let proximity ~dim ~params ds =
-  if Polyhedron.is_empty ds.active_rel then []
-  else begin
-    let coef_of, const = delta_template ~dim ds in
-    (* u . p + w - delta >= 0.  Parameters appear both as relation variables
-       (with schedule-coefficient multipliers) and in the bound. *)
-    let bound_coef v =
-      if List.mem v params then Linexpr.add_term Q.one (Space.bound_u v) (Linexpr.neg (coef_of v))
-      else Linexpr.neg (coef_of v)
-    in
-    let bound_const = Linexpr.add_term Q.one Space.bound_w (Linexpr.neg const) in
-    Farkas.nonneg_on ~coef_of:bound_coef ~const:bound_const ds.active_rel
-  end
+let proximity ~(nonneg_on : nonneg_on) ~dim ~params ds =
+  let coef_of, const = delta_template ~dim ds in
+  (* u . p + w - delta >= 0.  Parameters appear both as relation variables
+     (with schedule-coefficient multipliers) and in the bound. *)
+  let bound_coef v =
+    if List.mem v params then Linexpr.add_term Q.one (Space.bound_u v) (Linexpr.neg (coef_of v))
+    else Linexpr.neg (coef_of v)
+  in
+  let bound_const = Linexpr.add_term Q.one Space.bound_w (Linexpr.neg const) in
+  nonneg_on ~coef_of:bound_coef ~const:bound_const ds.active_rel
 
 let progression ?(negate = false) ~dim ~stmt ~prev_iter_rows () =
   let iters = stmt.Ir.Stmt.iters in

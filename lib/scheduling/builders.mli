@@ -43,17 +43,28 @@ val delta_concrete :
 (** The schedule difference for already-fixed schedule rows, as an affine
     expression over the relation's variables. *)
 
-val validity : ?slack:string -> dim:int -> dep_state -> Constr.t list
+type nonneg_on =
+  coef_of:(string -> Linexpr.t) -> const:Linexpr.t -> Polyhedron.t -> Constr.t list
+(** The Farkas linearization the three dependence builders below apply:
+    {!Farkas.nonneg_on} or, in the scheduler, a memoized one
+    ({!Scheduler.nonneg_on}). *)
+
+val validity :
+  nonneg_on:nonneg_on -> ?slack:string -> dim:int -> dep_state -> Constr.t list
 (** Equation 1 (weak satisfaction, [delta >= 0]) over [band_rel]).  With
     [slack] the condition becomes [delta >= slack]: a 0/1 slack variable
     per dependence lets a Feautrier-style dimension maximize the number of
     strongly satisfied dependences. *)
 
-val coincidence : dim:int -> dep_state -> Constr.t list
+val coincidence : nonneg_on:nonneg_on -> dim:int -> dep_state -> Constr.t list
 (** Zero reuse distance ([delta = 0]) over [active_rel] — the
-    space-partition constraint of Lim and Lam. *)
+    space-partition constraint of Lim and Lam.  Like {!proximity}, only
+    meaningful for an unsatisfied dependence ([active_rel] not empty):
+    the scheduler tracks satisfaction itself and asks for no others, so
+    no emptiness LP is repeated here. *)
 
-val proximity : dim:int -> params:string list -> dep_state -> Constr.t list
+val proximity :
+  nonneg_on:nonneg_on -> dim:int -> params:string list -> dep_state -> Constr.t list
 (** Equation 2: [delta <= u . p + w] over [active_rel]. *)
 
 val progression :

@@ -76,7 +76,7 @@ let c_band_ends = Obs.Counters.create "scheduler.band_ends" ~doc:"permutable ban
 
 let c_cache_hits =
   Obs.Counters.create "scheduler.ilp_cache_hits"
-    ~doc:"ILP solves answered from the per-schedule cache"
+    ~doc:"ILP solves answered from the solver memo"
 
 let c_cache_misses =
   Obs.Counters.create "scheduler.ilp_cache_misses"
@@ -84,7 +84,19 @@ let c_cache_misses =
 
 let c_cache_evictions =
   Obs.Counters.create "scheduler.ilp_cache_evictions"
-    ~doc:"memoized ILP entries dropped by the per-schedule cache cap"
+    ~doc:"memoized ILP entries dropped by the memo cap"
+
+let c_farkas_expansions =
+  Obs.Counters.create "scheduler.farkas_expansions"
+    ~doc:"Farkas linearizations computed (multipliers eliminated by Fourier-Motzkin)"
+
+let c_farkas_hits =
+  Obs.Counters.create "scheduler.farkas_memo_hits"
+    ~doc:"Farkas linearizations answered from the solver memo"
+
+let c_farkas_evictions =
+  Obs.Counters.create "scheduler.farkas_memo_evictions"
+    ~doc:"memoized Farkas entries dropped by the memo cap"
 
 let c_fastpath_hits =
   Obs.Counters.create "scheduler.fastpath_hits"
@@ -97,6 +109,66 @@ let c_fastpath_fallbacks =
 let c_fastpath_validity_rejects =
   Obs.Counters.create "scheduler.fastpath_validity_rejects"
     ~doc:"fast-path candidates rejected by a validity/coincidence/proximity check"
+
+(* --- the solver memo ---------------------------------------------------
+
+   Two tables keyed by everything their results depend on, so a hit returns
+   exactly what recomputing would: Farkas linearizations (keyed by the
+   relation's constraints, the coefficient template of each of its
+   variables and the constant part) and dimension ILPs (keyed by the
+   constraints, objectives, integer variables and node budget).  Each is
+   capped by [config.ilp_cache_entries] with FIFO eviction, so a
+   backtracking blow-up inside a long-lived process stays bounded. *)
+
+type 'a table = { entries : (string, 'a) Hashtbl.t; order : string Queue.t }
+
+type memo = {
+  farkas : Constr.t list table;
+  ilp : (string -> Q.t) option table;
+}
+
+let table () = { entries = Hashtbl.create 64; order = Queue.create () }
+let memo () = { farkas = table (); ilp = table () }
+
+(* [key] is only built when the memo is enabled ([cap > 0]). *)
+let memoized ~cap ~hit ~miss ~evicted t key compute =
+  if cap <= 0 then begin
+    Obs.Counters.incr miss;
+    compute ()
+  end
+  else
+    let key = key () in
+    match Hashtbl.find_opt t.entries key with
+    | Some r ->
+      Obs.Counters.incr hit;
+      r
+    | None ->
+      Obs.Counters.incr miss;
+      let r = compute () in
+      if Hashtbl.length t.entries >= cap then
+        Option.iter
+          (fun oldest ->
+            Hashtbl.remove t.entries oldest;
+            Obs.Counters.incr evicted)
+          (Queue.take_opt t.order);
+      Hashtbl.add t.entries key r;
+      Queue.add key t.order;
+      r
+
+let farkas_key ~coef_of ~const p () =
+  let b = Buffer.create 512 in
+  let line s = Buffer.add_string b s; Buffer.add_char b '\n' in
+  List.iter (fun c -> line (Constr.to_string c)) (Polyhedron.constraints p);
+  Buffer.add_char b '|';
+  List.iter (fun v -> line (Linexpr.to_string (coef_of v))) (Polyhedron.vars p);
+  Buffer.add_char b '|';
+  Buffer.add_string b (Linexpr.to_string const);
+  Buffer.contents b
+
+let nonneg_on ?(config = default_config) memo ~coef_of ~const p =
+  memoized ~cap:config.ilp_cache_entries ~hit:c_farkas_hits ~miss:c_farkas_expansions
+    ~evicted:c_farkas_evictions memo.farkas (farkas_key ~coef_of ~const p) (fun () ->
+      Obs.Span.with_ "scheduler.farkas" (fun () -> Farkas.nonneg_on ~coef_of ~const p))
 
 (* Depth-first cursor into the influence tree.  [parents] holds, innermost
    first, the remaining (lower-priority) siblings of each ancestor together
@@ -199,7 +271,7 @@ let scc_topo_order stmt_names comp ncomp reach =
   Array.iteri (fun slot c -> rank.(c) <- slot) order;
   rank
 
-let schedule ?(config = default_config) ?(influence = Influence.empty) ?deps kernel =
+let schedule ?(config = default_config) ?(influence = Influence.empty) ?deps ?memo:m kernel =
   Obs.Span.with_ "scheduler.schedule" @@ fun () ->
   Obs.Counters.incr c_schedules;
   Obs.Trace.emitf "scheduler.start" (fun () ->
@@ -240,28 +312,13 @@ let schedule ?(config = default_config) ?(influence = Influence.empty) ?deps ker
   in
   let snapshots : (int, snapshot) Hashtbl.t = Hashtbl.create 8 in
   (* Influence backtracking (sibling moves, ancestor restores) often
-     reassembles the exact ILP already solved on a previous visit; memoize
-     per schedule construction so those re-solves are table lookups.  The
-     cache is local to this call — a global one would make the solver
-     counters depend on what ran before, breaking run-to-run counter
-     determinism.  Entries are capped (FIFO eviction): a pathological
-     backtracking run inside a long serve/fuzz process must not hold an
-     unbounded set of solved tableaux alive. *)
-  let ilp_cache : (string, (string -> Q.t) option) Hashtbl.t = Hashtbl.create 64 in
-  let ilp_cache_order : string Queue.t = Queue.create () in
-  let ilp_cache_add key r =
-    if config.ilp_cache_entries > 0 then begin
-      if Hashtbl.length ilp_cache >= config.ilp_cache_entries then begin
-        match Queue.take_opt ilp_cache_order with
-        | Some oldest ->
-          Hashtbl.remove ilp_cache oldest;
-          Obs.Counters.incr c_cache_evictions
-        | None -> ()
-      end;
-      Hashtbl.add ilp_cache key r;
-      Queue.add key ilp_cache_order
-    end
-  in
+     reassembles the exact ILP already solved on a previous visit, and the
+     schedules of one operator share most Farkas expansions and some
+     ILPs; the memo turns those into table lookups.  It is never global:
+     a process-wide one would make the solver counters depend on what ran
+     before, breaking run-to-run counter determinism. *)
+  let memo = match m with Some m -> m | None -> memo () in
+  let nonneg_on = nonneg_on ~config memo in
 
   let loop_ordinal () = stats.loop_dims in
 
@@ -383,15 +440,15 @@ let schedule ?(config = default_config) ?(influence = Influence.empty) ?deps ker
     let validity =
       Array.to_list dstates
       |> List.filter (fun (ds : Builders.dep_state) -> not ds.retired)
-      |> List.concat_map (fun ds -> Builders.validity ?slack:(slack_of ds) ~dim ds)
+      |> List.concat_map (fun ds -> Builders.validity ~nonneg_on ?slack:(slack_of ds) ~dim ds)
     in
     let coin =
       if not coincident then []
-      else List.concat_map (fun ds -> Builders.coincidence ~dim ds) (unsat_states ())
+      else List.concat_map (fun ds -> Builders.coincidence ~nonneg_on ~dim ds) (unsat_states ())
     in
     let prox =
       List.concat_map
-        (fun (ds : Builders.dep_state) -> Builders.proximity ~dim ~params ds)
+        (fun (ds : Builders.dep_state) -> Builders.proximity ~nonneg_on ~dim ~params ds)
         (unsat_states ()
         @ (Array.to_list pstates |> List.filteri (fun i _ -> not psat.(i))))
     in
@@ -415,7 +472,7 @@ let schedule ?(config = default_config) ?(influence = Influence.empty) ?deps ker
     in
     let integer_vars = slack_vars @ Builders.ilp_vars ~dim ~stmts ~params in
     let bb_nodes_before = Obs.Counters.find "ilp.bb_nodes" in
-    let cache_key =
+    let cache_key () =
       let b = Buffer.create 1024 in
       List.iter (fun c -> Buffer.add_string b (Constr.to_string c); Buffer.add_char b '\n')
         constraints;
@@ -424,27 +481,22 @@ let schedule ?(config = default_config) ?(influence = Influence.empty) ?deps ker
         objectives;
       Buffer.add_char b '|';
       List.iter (fun v -> Buffer.add_string b v; Buffer.add_char b ',') integer_vars;
+      (* a [Limit_reached] under a small budget must not answer a larger one *)
+      Buffer.add_string b (Printf.sprintf "|%d" config.max_ilp_nodes);
       Buffer.contents b
     in
     let result, solve_s =
       Obs.Span.timed (fun () ->
-          match Hashtbl.find_opt ilp_cache cache_key with
-          | Some r ->
-            Obs.Counters.incr c_cache_hits;
-            r
-          | None ->
-            Obs.Counters.incr c_cache_misses;
-            let r =
+          memoized ~cap:config.ilp_cache_entries ~hit:c_cache_hits ~miss:c_cache_misses
+            ~evicted:c_cache_evictions memo.ilp cache_key (fun () ->
+              Obs.Span.with_ "scheduler.ilp" @@ fun () ->
               match
                 Ilp.lexmin ~max_nodes:config.max_ilp_nodes ~constraints ~integer_vars
                   objectives
               with
               | exception Ilp.Limit_reached -> None
               | exception Ilp.Unbounded_objective -> None
-              | r -> r
-            in
-            ilp_cache_add cache_key r;
-            r)
+              | r -> r))
     in
     Obs.Trace.emitf "scheduler.solve" (fun () ->
         [ ("kernel", Obs.Json.String kernel.Ir.Kernel.name);

@@ -102,9 +102,10 @@ let evaluate ?strategy ?(tile = false) ?cpu_runner ~machine kernel (c : Candidat
        candidate's vectorizer weights are inert; its [order] still
        selects among the tile-shape branches. *)
     let tuning = { P.weights = c.Candidate.weights; order = c.Candidate.order } in
-    let influence = P.tree ~tuning version kernel in
-    let sched, stats, _ = P.schedule ?influence ?strategy kernel in
-    let compiled = P.lower version sched kernel in
+    let deps = Deps.Analysis.dependences kernel in
+    let influence = P.tree ~tuning ~deps version kernel in
+    let sched, stats, _ = P.schedule ?influence ?strategy ~deps kernel in
+    let compiled = P.lower ~deps version sched kernel in
     let time_us, cycles =
       match cpu_runner with
       | None ->

@@ -54,7 +54,7 @@ val compute :
   Candidate.t ->
   measurement option
 (** Runs the {!Harness.Pipeline} stages tree → schedule → lower →
-    simulate; [None] if any stage raises (counted as
+    simulate from one dependence analysis; [None] if any stage raises (counted as
     [tune.eval_failures]) — except [Out_of_memory], [Stack_overflow] and
     [Sys.Break], which propagate.  Pure compute, safe to run on worker
     domains.  With [tile:true] the influence tree comes from

@@ -165,6 +165,85 @@ let test_shared_analysis_input_proximity () =
   Alcotest.(check string) "passed deps are not used as-is" own
     (rows ~deps:(Deps.Analysis.dependences k) true)
 
+(* Shared solver memo: the isl, infl and tiled schedules of one kernel
+   computed with one memo, in either order, equal those computed with a
+   fresh memo each — rows, kinds, annotations, CUDA, and every scheduler
+   statistic except the solver work a hit skips (nodes, seconds). *)
+let memo_versions = [ P.Isl; P.Infl; P.Tiled ]
+
+let compile_memo ?memo ?vec_min_parallel ~deps kernel v =
+  let influence = P.tree ~deps v kernel in
+  let sched, stats, obs = P.schedule ?influence ~deps ?memo kernel in
+  let c = P.lower ?vec_min_parallel ~deps v sched kernel in
+  ( Scheduling.Schedule.to_string sched,
+    Codegen.Cuda.emit c,
+    stats,
+    { obs with P.bb_nodes = 0; sched_s = 0.0 } )
+
+let check_memo ?vec_min_parallel name kernel =
+  let deps = Deps.Analysis.dependences kernel in
+  let fresh = List.map (compile_memo ?vec_min_parallel ~deps kernel) memo_versions in
+  List.iter
+    (fun (label, order) ->
+      let memo = Scheduling.Scheduler.memo () in
+      let shared =
+        List.map (fun v -> (v, compile_memo ~memo ?vec_min_parallel ~deps kernel v)) order
+      in
+      List.iter2
+        (fun v (sched, cuda, stats, obs) ->
+          let what = Printf.sprintf "%s %s (%s)" name (P.name v) label in
+          let sched', cuda', stats', obs' = List.assoc v shared in
+          Alcotest.(check string) (what ^ ": schedule") sched sched';
+          Alcotest.(check string) (what ^ ": CUDA") cuda cuda';
+          if stats <> stats' || obs <> obs' then Alcotest.failf "%s: scheduler stats differ" what)
+        memo_versions fresh)
+    [ ("shared", memo_versions); ("shared, reversed", List.rev memo_versions) ]
+
+let test_shared_memo () =
+  let hits () = Obs.Counters.find "scheduler.ilp_cache_hits" in
+  let hits0 = hits () in
+  List.iter (fun (name, mk) -> check_memo name (mk ())) Ops.Classics.all;
+  List.iter
+    (fun (name, k) -> check_memo name k)
+    (Lazy.force Ops.Networks.stencilzoo.Ops.Networks.ops);
+  for index = 0 to 39 do
+    match Fuzz.Case.to_kernel (Fuzz.Generate.generate ~seed:42 ~index ()) with
+    | Error m -> Alcotest.failf "fuzz case %d: %s" index m
+    | Ok k -> check_memo ~vec_min_parallel:0 (Printf.sprintf "fuzz 42/%d" index) k
+  done;
+  (* otherwise the comparison above never exercised a shared entry *)
+  Alcotest.(check bool) "some ILP answered across schedules" true (hits () > hits0)
+
+(* The --stats table's solver work covers all three schedules of an
+   operator (isl 1 node and 1 ms, infl 2 and 2, tiled 4 and 4). *)
+let test_stats_sum_three_schedules () =
+  let obs nodes ms =
+    { P.ilp_solves = 0; bb_nodes = nodes; sibling_moves = 0; ancestor_backtracks = 0;
+      scc_separations = 0; abandoned = false; fastpath_hits = 0; fastpath_fallbacks = 0;
+      sched_s = ms /. 1e3 }
+  in
+  let r =
+    { E.op_name = "op"; isl_us = 1.0; tvm_us = 1.0; novec_us = 1.0; infl_us = 1.0;
+      tiled_us = 1.0; influenced = false; vec = false; tiled = false;
+      obs =
+        { E.isl_sched = obs 1 1.0; infl_sched = obs 2 2.0; tiled_sched = obs 4 4.0;
+          tree_s = 0.0; lower_s = 0.0; sim_s = 0.0 }
+    }
+  in
+  let fields table =
+    match String.split_on_char '|' table with
+    | _ :: ilp :: _ :: times :: _ ->
+      let words s = List.filter (( <> ) "") (String.split_on_char ' ' (String.trim s)) in
+      (List.nth (words ilp) 2, List.hd (words times))
+    | _ -> Alcotest.failf "unexpected stats row %S" table
+  in
+  let row = Format.asprintf "%a" Harness.Tables.stats_row r in
+  Alcotest.(check (pair string string)) "row: bb-nodes, sched(ms)" ("7", "7.00") (fields row);
+  let total =
+    List.nth (String.split_on_char '\n' (Format.asprintf "%a" Harness.Tables.stats_table [ r ])) 2
+  in
+  Alcotest.(check (pair string string)) "total: bb-nodes, sched(ms)" ("7", "7.00") (fields total)
+
 let test_version_table () =
   List.iter
     (fun v ->
@@ -182,6 +261,8 @@ let () =
           Alcotest.test_case "shared analysis" `Slow test_shared_analysis;
           Alcotest.test_case "shared analysis, input proximity" `Quick
             test_shared_analysis_input_proximity;
+          Alcotest.test_case "shared memo" `Slow test_shared_memo;
+          Alcotest.test_case "stats sum three schedules" `Quick test_stats_sum_three_schedules;
           Alcotest.test_case "zoo: eval = serve = oracle" `Slow test_zoo_times
         ] )
     ]

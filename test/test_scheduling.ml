@@ -311,6 +311,86 @@ let test_ilp_cache_hits_on_abandon () =
   Alcotest.(check bool) "legal" true (legal k sched);
   Alcotest.(check bool) "re-solves answered from cache" true (hits >= 1)
 
+(* ------------------------------------------------------------------ *)
+(* the solver memo                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The Farkas key carries the coefficient template: the same relation at
+   another dimension is another entry, over that dimension's
+   coefficient variables, and only an exact repeat is a hit. *)
+let test_memo_farkas_per_dim () =
+  let k = Ops.Classics.fig2 () in
+  let dep = List.hd (Deps.Analysis.validity (Deps.Analysis.dependences k)) in
+  let ds = Builders.init_dep_state k dep in
+  let nonneg_on = Scheduler.nonneg_on (Scheduler.memo ()) in
+  let hits () = Obs.Counters.find "scheduler.farkas_memo_hits" in
+  let system ?(nonneg_on = Farkas.nonneg_on) dim =
+    List.map Constr.to_string (Builders.validity ~nonneg_on ~dim ds)
+  in
+  let dims_of dim =
+    Builders.validity ~nonneg_on ~dim ds
+    |> List.concat_map Constr.vars
+    |> List.filter_map (fun v ->
+           Option.map (fun (_, d, _) -> d) (Space.parse_coef_var v))
+    |> List.sort_uniq compare
+  in
+  let dim0 = system ~nonneg_on 0 in
+  let h = hits () in
+  let dim1 = system ~nonneg_on 1 in
+  Alcotest.(check int) "dim 1 is not answered by dim 0" h (hits ());
+  Alcotest.(check (list string)) "dim 0 = unmemoized" (system 0) dim0;
+  Alcotest.(check (list string)) "dim 1 = unmemoized" (system 1) dim1;
+  Alcotest.(check (list int)) "dim 0 coefficients" [ 0 ] (dims_of 0);
+  Alcotest.(check (list int)) "dim 1 coefficients" [ 1 ] (dims_of 1);
+  let h = hits () in
+  ignore (system ~nonneg_on 0);
+  Alcotest.(check int) "an exact repeat is a hit" (h + 1) (hits ())
+
+(* An ILP that ran out of branch-and-bound nodes is memoized under its
+   own budget: a full-budget schedule sharing the memo afterwards is the
+   schedule a fresh memo gives.  Every classic's ILPs close at their root
+   node, so a one-node budget changes nothing; a zero-node one fails
+   every solve. *)
+let test_memo_node_budget () =
+  let k = Ops.Classics.fig2 () in
+  let influence = Vectorizer.Treegen.influence_for k in
+  let config = { Scheduler.default_config with strategy = `Ilp_only } in
+  let rows ?memo max_ilp_nodes =
+    match Scheduler.schedule ~config:{ config with max_ilp_nodes } ~influence ?memo k with
+    | s, _ -> Some (Schedule.to_string s)
+    | exception Scheduler.Failure_no_schedule _ -> None
+  in
+  let full = config.max_ilp_nodes in
+  let fresh = rows full in
+  Alcotest.(check bool) "a zero-node budget fails the solves" true (rows 0 <> fresh);
+  List.iter
+    (fun budget ->
+      let memo = Scheduler.memo () in
+      ignore (rows ~memo budget);
+      Alcotest.(check (option string))
+        (Printf.sprintf "full budget after a %d-node one" budget)
+        fresh (rows ~memo full))
+    [ 1; 0 ]
+
+(* The ILP key holds the objectives: an influence node that only adds an
+   objective poses the baseline's constraints with another lexicographic
+   order, and must not be answered by the baseline's solve. *)
+let test_memo_objectives () =
+  let k = Ops.Classics.cast_transpose ~n:8 ~m:8 () in
+  let config = { Scheduler.default_config with strategy = `Ilp_only } in
+  let j_outer =
+    Influence.node ~label:"i last" ~objectives:[ (0, cv ~stmt:"T" ~dim:0 "i") ] []
+  in
+  let rows ?memo influence =
+    Schedule.to_string (fst (Scheduler.schedule ~config ~influence ?memo k))
+  in
+  let fresh = rows [ j_outer ] in
+  Alcotest.(check bool) "the objective changes the schedule" true (fresh <> rows []);
+  let memo = Scheduler.memo () in
+  ignore (rows ~memo []);
+  Alcotest.(check string) "objective-only node after the baseline" fresh
+    (rows ~memo [ j_outer ])
+
 let test_softmax_pivot_budget () =
   (* Softmax's infl tree is infeasible at the root of every branch, so
      Algorithm 1 tries each one and abandons the tree.  The failed ILPs
@@ -513,6 +593,9 @@ let () =
           Alcotest.test_case "ancestor backtrack" `Quick test_influence_ancestor_backtrack;
           Alcotest.test_case "ilp cache hits on abandon" `Quick
             test_ilp_cache_hits_on_abandon;
+          Alcotest.test_case "memo: farkas per dimension" `Quick test_memo_farkas_per_dim;
+          Alcotest.test_case "memo: node budget" `Quick test_memo_node_budget;
+          Alcotest.test_case "memo: objectives" `Quick test_memo_objectives;
           Alcotest.test_case "softmax pivot budget" `Quick test_softmax_pivot_budget;
           Alcotest.test_case "loop interchange" `Quick test_influence_loop_interchange;
           Alcotest.test_case "legality oracle rejects" `Quick test_legality_oracle_rejects

@@ -395,6 +395,22 @@ let test_oracle_caches_only_deterministic_failures () =
     Alcotest.(check bool) "runner failure not cached" true
       (Tune.Oracle.find cache (Tune.Oracle.key ~cpu_runner:runner ~machine k c) = None)
 
+(* One oracle evaluation analyses the kernel once and hands the list to
+   every stage, in both tree modes. *)
+let test_oracle_analyses_once () =
+  let machine = Gpusim.Machine.v100 in
+  List.iter
+    (fun (name, kernel, tile) ->
+      let before = Obs.Counters.find "deps.analyses" in
+      (match Tune.Oracle.compute ~tile ~machine kernel Tune.Candidate.baseline with
+       | None -> Alcotest.failf "%s: oracle evaluation failed" name
+       | Some _ -> ());
+      Alcotest.(check int) (name ^ ": one analysis") 1
+        (Obs.Counters.find "deps.analyses" - before))
+    [ ("fig2", classic "fig2", false);
+      ("stencil2d tiled", Ops.Classics.stencil2d ~n:16 ~m:32 (), true)
+    ]
+
 let test_tuned_changes_cache_key () =
   let kernel = classic "fig2" in
   let machine = Gpusim.Machine.v100 in
@@ -439,6 +455,7 @@ let () =
         [ Alcotest.test_case "missing record falls back" `Quick
             test_tuned_missing_record_falls_back;
           Alcotest.test_case "oracle tile mode" `Quick test_oracle_tile_mode;
+          Alcotest.test_case "oracle analyses once" `Quick test_oracle_analyses_once;
           Alcotest.test_case "only deterministic failures cached" `Quick
             test_oracle_caches_only_deterministic_failures;
           Alcotest.test_case "distinct cache keys" `Quick test_tuned_changes_cache_key
