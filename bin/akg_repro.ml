@@ -265,20 +265,6 @@ let tile_sizes_arg =
   in
   Arg.(value & opt (some string) None & info [ "tile-sizes" ] ~docv:"SPEC" ~doc)
 
-let strategy_arg =
-  let doc =
-    "Scheduling strategy: $(b,fastpath-then-ilp) (the default; dimension-matching fast \
-     path with exact-ILP fallback) or $(b,ilp-only) (solve every dimension with the \
-     exact ILP).  Both produce identical schedules; the fast path only changes how \
-     long scheduling takes."
-  in
-  Arg.(
-    value
-    & opt
-        (enum [ ("fastpath-then-ilp", `Fastpath_then_ilp); ("ilp-only", `Ilp_only) ])
-        Scheduling.Scheduler.default_config.Scheduling.Scheduler.strategy
-    & info [ "strategy" ] ~docv:"S" ~doc)
-
 let tile_sizes_of spec =
   Option.map
     (fun spec ->
@@ -321,6 +307,23 @@ let show_cmd =
 let schedule_cmd =
   let tree_flag =
     Arg.(value & flag & info [ "tree" ] ~doc:"Also print the influence constraint tree.")
+  in
+  let strategy_arg =
+    let doc =
+      "Scheduling strategy: $(b,fastpath-then-ilp) (the default; dimension-matching fast \
+       path with exact-ILP fallback) or $(b,ilp-only) (solve every dimension with the \
+       exact ILP).  Both produce identical schedules; the fast path only changes how \
+       long scheduling takes."
+    in
+    Arg.(
+      value
+      & opt
+          (enum
+             (List.map
+                (fun s -> (Scheduling.Scheduler.strategy_name s, s))
+                [ `Fastpath_then_ilp; `Ilp_only ]))
+          Scheduling.Scheduler.default_config.Scheduling.Scheduler.strategy
+      & info [ "strategy" ] ~docv:"S" ~doc)
   in
   let run name version strategy tile _tile_spec tree verbose o =
     setup_logs verbose;
@@ -511,14 +514,14 @@ let cpu_run_cmd =
       $ seed_arg $ no_check_arg $ all_arg $ jobs_arg $ cache_arg $ obs_term)
 
 let eval_cmd =
-  let run name jobs cache tuned strategy o =
+  let run name jobs cache tuned o =
     with_obs o @@ fun () ->
     with_op
       (fun k ->
         let r =
           match
             Service.Batch.evaluate_suite ?cache:(open_cache cache)
-              ?tuned:(tuned_lookup tuned) ~strategy ~jobs:(resolve_jobs jobs)
+              ?tuned:(tuned_lookup tuned) ~jobs:(resolve_jobs jobs)
               [ (name, k) ]
           with
           | [ r ] -> r
@@ -536,7 +539,7 @@ let eval_cmd =
       name
   in
   Cmd.v (Cmd.info "eval" ~doc:"Compare the five compiler versions on one operator")
-    Term.(const run $ op_arg $ jobs_arg $ cache_arg $ tuned_arg $ strategy_arg $ obs_term)
+    Term.(const run $ op_arg $ jobs_arg $ cache_arg $ tuned_arg $ obs_term)
 
 let check_cmd =
   let run name o =
@@ -621,7 +624,7 @@ let tune_cmd =
     let doc = "Directory tuning records are persisted in." in
     Arg.(value & opt string Tune.Store.default_dir & info [ "out" ] ~docv:"DIR" ~doc)
   in
-  let run beam rounds seed corpus count ops out jobs cache strategy o =
+  let run beam rounds seed corpus count ops out jobs cache o =
     with_obs o @@ fun () ->
     let corpus =
       Tune.Corpus.restrict ops
@@ -636,7 +639,7 @@ let tune_cmd =
     else begin
       let config = { Tune.Search.beam; rounds; seed } in
       let result =
-        Tune.Search.run ?cache:(open_cache cache) ~strategy ~jobs:(resolve_jobs jobs)
+        Tune.Search.run ?cache:(open_cache cache) ~jobs:(resolve_jobs jobs)
           ~progress:(fun line -> Format.eprintf "  %s@." line)
           config corpus
       in
@@ -672,7 +675,7 @@ let tune_cmd =
          ])
     Term.(
       const run $ beam_arg $ rounds_arg $ seed_arg $ corpus_arg $ count_arg $ ops_arg
-      $ out_arg $ jobs_arg $ cache_arg $ strategy_arg $ obs_term)
+      $ out_arg $ jobs_arg $ cache_arg $ obs_term)
 
 let network_cmd =
   let name_arg =
@@ -684,13 +687,13 @@ let network_cmd =
     let doc = "Evaluate every network suite: the full Table II plus the geomean line." in
     Arg.(value & flag & info [ "all" ] ~doc)
   in
-  let run name all jobs cache tuned strategy o =
+  let run name all jobs cache tuned o =
     with_obs o @@ fun () ->
     let jobs = resolve_jobs jobs in
     let cache = open_cache cache in
     let tuned = tuned_lookup tuned in
     let evaluate (n : Ops.Networks.t) =
-      Service.Batch.evaluate_suite ?cache ?tuned ~strategy ~jobs
+      Service.Batch.evaluate_suite ?cache ?tuned ~jobs
         ~progress:(fun op -> Format.eprintf "  %s@." op)
         (Lazy.force n.Ops.Networks.ops)
     in
@@ -727,9 +730,7 @@ let network_cmd =
        ~doc:
          "Evaluate network suites (Table II rows); --jobs shards, --cache persists, \
           --tuned applies tuning records")
-    Term.(
-      const run $ name_arg $ all_arg $ jobs_arg $ cache_arg $ tuned_arg $ strategy_arg
-      $ obs_term)
+    Term.(const run $ name_arg $ all_arg $ jobs_arg $ cache_arg $ tuned_arg $ obs_term)
 
 (* ------------------------------------------------------------------ *)
 (* the compile service over stdin/stdout                                *)
@@ -831,7 +832,7 @@ let fuzz_cmd =
     Arg.(value & flag & info [ "cpu-exec" ] ~doc)
   in
   let run seed count replay out max_stmts max_rank max_extent skew max_tile_size
-      cpu_exec jobs strategy o =
+      cpu_exec jobs o =
     with_obs o @@ fun () ->
     let cpu_exec =
       if not cpu_exec then None
@@ -844,7 +845,7 @@ let fuzz_cmd =
     in
     match replay with
     | Some file -> (
-      match Fuzz.replay ~strategy ?max_tile_size ?cpu_exec file with
+      match Fuzz.replay ?max_tile_size ?cpu_exec file with
       | Error e ->
         Format.eprintf "fuzz: %s@." e;
         2
@@ -866,7 +867,7 @@ let fuzz_cmd =
           (match r.Fuzz.file with Some f -> "\n  replay file: " ^ f | None -> "")
       in
       let report =
-        Fuzz.run ~config ~out_dir:out ~strategy ?max_tile_size ?cpu_exec ~progress
+        Fuzz.run ~config ~out_dir:out ?max_tile_size ?cpu_exec ~progress
           ~jobs:(resolve_jobs jobs) ~seed ~count ()
       in
       let nfail = List.length report.Fuzz.failures in
@@ -884,7 +885,7 @@ let fuzz_cmd =
     Term.(
       const run $ seed_arg $ count_arg $ replay_arg $ out_arg $ max_stmts_arg
       $ max_rank_arg $ max_extent_arg $ skew_arg $ max_tile_size_arg $ cpu_exec_arg
-      $ jobs_arg $ strategy_arg $ obs_term)
+      $ jobs_arg $ obs_term)
 
 (* ------------------------------------------------------------------ *)
 (* trace analytics: report / diff                                       *)
@@ -1063,49 +1064,6 @@ let metrics_cmd =
           text exposition (the same text the serve \"metrics\" verb returns)")
     Term.(const run $ op_arg $ obs_term)
 
-let perf_diff_cmd =
-  let bench_pos p docv =
-    Arg.(required & pos p (some string) None
-         & info [] ~docv ~doc:"Committed bench JSON (BENCH_*.json)")
-  in
-  let tolerance_arg =
-    let doc =
-      "Fraction a timing metric may move in the bad direction before it counts as a \
-       regression (exact count metrics regress on any bad movement)."
-    in
-    Arg.(value & opt float 0.1 & info [ "tolerance" ] ~docv:"FRAC" ~doc)
-  in
-  let run old_file new_file tolerance =
-    match (Obs.Benchdiff.load old_file, Obs.Benchdiff.load new_file) with
-    | Error e, _ | _, Error e ->
-      Format.eprintf "perf-diff: %s@." e;
-      2
-    | Ok old_doc, Ok new_doc -> (
-      match Obs.Benchdiff.compare_docs ~tolerance old_doc new_doc with
-      | Error e ->
-        Format.eprintf "perf-diff: %s@." e;
-        2
-      | Ok report ->
-        Format.printf "%a" Obs.Benchdiff.pp_report report;
-        Obs.Benchdiff.exit_code (snd report))
-  in
-  Cmd.v
-    (Cmd.info "perf-diff"
-       ~doc:
-         "Compare two committed bench JSON files schema-aware; exit 0 = identical, 1 = \
-          changed within tolerance (or improved), 2 = regressed"
-       ~man:
-         [ `S Manpage.s_description;
-           `P
-             "Both files must carry the same bench schema \
-              (akg-repro-bench-service/-fastpath/-tune/-tiling/-serve-load, or the \
-              PR-2 micro format).  Deterministic count metrics (ILP solves, serve errors) regress \
-              on any movement in the bad direction; timing metrics (rps, p50/p99, \
-              wall-clock) only regress beyond $(b,--tolerance).  Metrics present on one \
-              side only are reported as added/removed and exit 1, never 2."
-         ])
-    Term.(const run $ bench_pos 0 "OLD.json" $ bench_pos 1 "NEW.json" $ tolerance_arg)
-
 let () =
   let doc = "Polyhedral scheduling with constraint injection (CGO'22 reproduction)" in
   let info = Cmd.info "akg_repro" ~doc in
@@ -1114,4 +1072,4 @@ let () =
        (Cmd.group info
           [ list_cmd; show_cmd; schedule_cmd; codegen_cmd; simulate_cmd; cpu_run_cmd;
             eval_cmd; check_cmd; tune_cmd; network_cmd; serve_cmd;
-            fuzz_cmd; report_cmd; diff_cmd; metrics_cmd; perf_diff_cmd ]))
+            fuzz_cmd; report_cmd; diff_cmd; metrics_cmd ]))

@@ -118,12 +118,12 @@ let check_cpu_executed runner ~machine k src =
     | Ok (_, checked) ->
       mismatch ~what:"executed C differs bit-for-bit" P.Cpu (Option.get checked))
 
-let check_version ?(perturb = fun _ s -> s) ?strategy ?max_tile_size ?tile_fault
+let check_version ?(perturb = fun _ s -> s) ?max_tile_size ?tile_fault
     ?cpu_exec k deps memo version =
   let* sched =
     guard version Schedule (fun () ->
         let influence = P.tree ?max_tile_size ~deps version k in
-        let s, _, _ = P.schedule ?influence ?strategy ~deps ~memo k in
+        let s, _, _ = P.schedule ?influence ~deps ~memo k in
         Ok (perturb version s))
   in
   let* () =
@@ -187,7 +187,7 @@ let check_version ?(perturb = fun _ s -> s) ?strategy ?max_tile_size ?tile_fault
    always attributed to the GPU-side version that first exposes it.  The
    five versions share one analysis and one solver memo (novec, infl and
    cpu schedule the same vectorizer tree). *)
-let run ?perturb ?strategy ?max_tile_size ?tile_fault ?cpu_exec k =
+let run ?perturb ?max_tile_size ?tile_fault ?cpu_exec k =
   let* deps = guard P.Isl Schedule (fun () -> Ok (Deps.Analysis.dependences k)) in
   let memo = Scheduling.Scheduler.memo () in
   List.fold_left
@@ -195,10 +195,10 @@ let run ?perturb ?strategy ?max_tile_size ?tile_fault ?cpu_exec k =
       match acc with
       | Error _ -> acc
       | Ok () ->
-        check_version ?perturb ?strategy ?max_tile_size ?tile_fault ?cpu_exec k deps memo v)
+        check_version ?perturb ?max_tile_size ?tile_fault ?cpu_exec k deps memo v)
     (Ok ()) P.versions
 
-let run_case ?perturb ?strategy ?max_tile_size ?tile_fault ?cpu_exec case =
+let run_case ?perturb ?max_tile_size ?tile_fault ?cpu_exec case =
   match Case.to_kernel case with
   | Error m -> Error { version = P.Isl; stage = Convert; message = m }
-  | Ok k -> run ?perturb ?strategy ?max_tile_size ?tile_fault ?cpu_exec k
+  | Ok k -> run ?perturb ?max_tile_size ?tile_fault ?cpu_exec k

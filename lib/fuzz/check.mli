@@ -41,7 +41,6 @@ val well_formed : Codegen.Compile.compiled -> (unit, string) result
 
 val run :
   ?perturb:(Harness.Pipeline.version -> Scheduling.Schedule.t -> Scheduling.Schedule.t) ->
-  ?strategy:Scheduling.Scheduler.strategy ->
   ?max_tile_size:int ->
   ?tile_fault:Codegen.Tiling.fault ->
   ?cpu_exec:Codegen_cpu.Runner.t ->
@@ -51,8 +50,7 @@ val run :
     analysis and one solver memo ({!Scheduling.Scheduler.memo});
     [perturb] rewrites each computed schedule before validation and
     lowering (the hook tests use to inject a deliberately-broken
-    scheduler); [strategy] selects the scheduling strategy (default:
-    the scheduler's default).
+    scheduler).
     [max_tile_size] caps the tile shapes the tiled version's influence
     tree proposes; [tile_fault] injects {!Codegen.Tiling.fault} into the
     tiled version only — the broken-tiler canary.  [cpu_exec] upgrades
@@ -61,7 +59,6 @@ val run :
 
 val run_case :
   ?perturb:(Harness.Pipeline.version -> Scheduling.Schedule.t -> Scheduling.Schedule.t) ->
-  ?strategy:Scheduling.Scheduler.strategy ->
   ?max_tile_size:int ->
   ?tile_fault:Codegen.Tiling.fault ->
   ?cpu_exec:Codegen_cpu.Runner.t ->

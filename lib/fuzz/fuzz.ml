@@ -94,11 +94,11 @@ let load_case file =
             | Ok case -> Ok (case, f))))
       | _ -> Error (Printf.sprintf "%s: not an %s document" file schema_name)))
 
-let replay ?perturb ?strategy ?max_tile_size ?tile_fault ?cpu_exec file =
+let replay ?perturb ?max_tile_size ?tile_fault ?cpu_exec file =
   match load_case file with
   | Error e -> Error e
   | Ok (case, _) ->
-    Ok (case, Check.run_case ?perturb ?strategy ?max_tile_size ?tile_fault ?cpu_exec case)
+    Ok (case, Check.run_case ?perturb ?max_tile_size ?tile_fault ?cpu_exec case)
 
 (* ------------------------------------------------------------------ *)
 (* the fuzz loop                                                        *)
@@ -114,7 +114,7 @@ let case_stats case =
   in
   (stmts, rank)
 
-let run ?config ?out_dir ?perturb ?strategy ?max_tile_size ?tile_fault ?cpu_exec
+let run ?config ?out_dir ?perturb ?max_tile_size ?tile_fault ?cpu_exec
     ?(progress = fun _ -> ()) ?(jobs = 1) ~seed ~count () =
   (* Phase 1 — generate + differentially check, sharded across the pool.
      A case is a pure function of (seed, index) and the interpreter inputs
@@ -129,7 +129,7 @@ let run ?config ?out_dir ?perturb ?strategy ?max_tile_size ?tile_fault ?cpu_exec
         [ ("seed", J.Int seed); ("index", J.Int index); ("stmts", J.Int stmts);
           ("rank", J.Int rank)
         ]);
-    (index, case, Check.run_case ?perturb ?strategy ?max_tile_size ?tile_fault ?cpu_exec case)
+    (index, case, Check.run_case ?perturb ?max_tile_size ?tile_fault ?cpu_exec case)
   in
   let checked = Service.Pool.map ~jobs check_one (List.init count Fun.id) in
   (* Phase 2 — shrink failures sequentially, in index order: shrinking is
@@ -146,7 +146,7 @@ let run ?config ?out_dir ?perturb ?strategy ?max_tile_size ?tile_fault ?cpu_exec
              minimized kernel reproduces the original defect, not a new one *)
           let still_fails c =
             match
-              Check.run_case ?perturb ?strategy ?max_tile_size ?tile_fault ?cpu_exec c
+              Check.run_case ?perturb ?max_tile_size ?tile_fault ?cpu_exec c
             with
             | Error f ->
               f.Check.version = failure.Check.version

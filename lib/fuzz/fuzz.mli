@@ -39,7 +39,6 @@ val run :
   ?config:Generate.config ->
   ?out_dir:string ->
   ?perturb:(Harness.Pipeline.version -> Scheduling.Schedule.t -> Scheduling.Schedule.t) ->
-  ?strategy:Scheduling.Scheduler.strategy ->
   ?max_tile_size:int ->
   ?tile_fault:Codegen.Tiling.fault ->
   ?cpu_exec:Codegen_cpu.Runner.t ->
@@ -78,7 +77,6 @@ val load_case : string -> (Case.t * Check.failure, string) result
 
 val replay :
   ?perturb:(Harness.Pipeline.version -> Scheduling.Schedule.t -> Scheduling.Schedule.t) ->
-  ?strategy:Scheduling.Scheduler.strategy ->
   ?max_tile_size:int ->
   ?tile_fault:Codegen.Tiling.fault ->
   ?cpu_exec:Codegen_cpu.Runner.t ->

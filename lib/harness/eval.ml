@@ -38,7 +38,7 @@ type tuning = Pipeline.tuning
 
 let influence_with = Pipeline.influence_with
 
-let evaluate_op ?(machine = Gpusim.Machine.v100) ?tuning ?strategy ~name kernel =
+let evaluate_op ?(machine = Gpusim.Machine.v100) ?tuning ~name kernel =
   Obs.Span.with_ "harness.op" @@ fun () ->
   Obs.Trace.emitf "harness.op_start" (fun () -> [ ("op", Obs.Json.String name) ]);
   let tree_s = ref 0.0 and lower_s = ref 0.0 and sim_s = ref 0.0 in
@@ -54,7 +54,7 @@ let evaluate_op ?(machine = Gpusim.Machine.v100) ?tuning ?strategy ~name kernel 
   let memo = Scheduling.Scheduler.memo () in
   let schedule ?tuning version =
     let influence = timed tree_s (fun () -> Pipeline.tree ?tuning ~deps version kernel) in
-    Pipeline.schedule ?influence ?strategy ~deps ~memo kernel
+    Pipeline.schedule ?influence ~deps ~memo kernel
   in
   let isl_sched, _, isl_obs = schedule Pipeline.Isl in
   let infl_sched, infl_stats, infl_obs = schedule ?tuning Pipeline.Infl in
@@ -93,13 +93,19 @@ let evaluate_op ?(machine = Gpusim.Machine.v100) ?tuning ?strategy ~name kernel 
     (not infl_stats.Scheduling.Scheduler.influence_abandoned)
     && ((not (rows_equal isl_sched infl_sched)) || vec)
   in
+  (* Bound before the record: its fields are evaluated right to left, so
+     inside it these simulations would run after [!sim_s] is read. *)
+  let isl_us = version "isl" (time isl_c) in
+  let novec_us = version "novec" (time novec_c) in
+  let infl_us = version "infl" (time infl_c) in
+  let tiled_us = version "tiled" (time tiled_c) in
   let r =
     { op_name = name;
-      isl_us = version "isl" (time isl_c);
+      isl_us;
       tvm_us;
-      novec_us = version "novec" (time novec_c);
-      infl_us = version "infl" (time infl_c);
-      tiled_us = version "tiled" (time tiled_c);
+      novec_us;
+      infl_us;
+      tiled_us;
       influenced;
       vec;
       tiled;
@@ -134,12 +140,12 @@ let evaluate_op ?(machine = Gpusim.Machine.v100) ?tuning ?strategy ~name kernel 
       ]);
   r
 
-let evaluate_suite ?machine ?(progress = fun _ -> ()) ?tuning_for ?strategy ops =
+let evaluate_suite ?machine ?(progress = fun _ -> ()) ?tuning_for ops =
   List.map
     (fun (name, kernel) ->
       progress name;
       let tuning = Option.bind tuning_for (fun f -> f name kernel) in
-      evaluate_op ?machine ?tuning ?strategy ~name kernel)
+      evaluate_op ?machine ?tuning ~name kernel)
     ops
 
 (* ------------------------------------------------------------------ *)
@@ -291,11 +297,11 @@ type cpu_run = {
 
 let memory_to_buffers = Pipeline.memory_to_buffers
 
-let evaluate_cpu_op ?(machine = Gpusim.Machine.scalar_1core) ?runner ?strategy
-    ?(reps = 3) ?(check = true) ?(seed = 42) ~name kernel =
+let evaluate_cpu_op ?(machine = Gpusim.Machine.scalar_1core) ?runner ?(reps = 3)
+    ?(check = true) ?(seed = 42) ~name kernel =
   Obs.Span.with_ "harness.cpu_op" @@ fun () ->
   let kernel = Ir.Kernel.instantiate kernel in
-  let p = Pipeline.run ?strategy ~machine Pipeline.Cpu kernel in
+  let p = Pipeline.run ~machine Pipeline.Cpu kernel in
   let machine, source =
     match p.Pipeline.backend with
     | Pipeline.Emitted { machine; source } -> (machine, source)

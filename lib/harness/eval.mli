@@ -74,7 +74,6 @@ val timed_schedule :
 val evaluate_op :
   ?machine:Gpusim.Machine.t ->
   ?tuning:tuning ->
-  ?strategy:Scheduling.Scheduler.strategy ->
   name:string ->
   Ir.Kernel.t ->
   op_result
@@ -87,7 +86,6 @@ val evaluate_suite :
   ?machine:Gpusim.Machine.t ->
   ?progress:(string -> unit) ->
   ?tuning_for:(string -> Ir.Kernel.t -> tuning option) ->
-  ?strategy:Scheduling.Scheduler.strategy ->
   (string * Ir.Kernel.t) list ->
   op_result list
 
@@ -123,7 +121,6 @@ val memory_to_buffers : Ir.Kernel.t -> Interp.memory -> float array array
 val evaluate_cpu_op :
   ?machine:Gpusim.Machine.t ->
   ?runner:Codegen_cpu.Runner.t ->
-  ?strategy:Scheduling.Scheduler.strategy ->
   ?reps:int ->
   ?check:bool ->
   ?seed:int ->

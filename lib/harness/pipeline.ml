@@ -165,12 +165,12 @@ type output = {
   backend_s : float;
 }
 
-let run ?strategy ?tile_sizes ?(machine = Gpusim.Machine.v100) ?deps version kernel =
+let run ?tile_sizes ?(machine = Gpusim.Machine.v100) ?deps version kernel =
   let deps =
     match deps with Some deps -> deps | None -> Deps.Analysis.dependences kernel
   in
   let influence = tree ~deps version kernel in
-  let sched, stats, _ = schedule ?influence ?strategy ~deps kernel in
+  let sched, stats, _ = schedule ?influence ~deps kernel in
   let compiled = lower ?tile_sizes ~deps version sched kernel in
   let backend, backend_s =
     Obs.Span.timed (fun () ->

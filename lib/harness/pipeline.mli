@@ -152,7 +152,6 @@ type output = {
 }
 
 val run :
-  ?strategy:Scheduling.Scheduler.strategy ->
   ?tile_sizes:(int -> int option) ->
   ?machine:Gpusim.Machine.t ->
   ?deps:Deps.Dependence.t list ->

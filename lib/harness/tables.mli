@@ -26,8 +26,8 @@ type movement = {
   mv_tuned_us : float;  (** infl time under the tuned configuration *)
   mv_config : string;  (** human-readable tuned weights / branch order *)
 }
-(** One operator's baseline-vs-tuned comparison — the row format shared
-    by [akg_repro tune]'s report and [bench/tune_bench.exe]. *)
+(** One operator's baseline-vs-tuned comparison — the row format of
+    [akg_repro tune]'s report. *)
 
 val movement_header : Format.formatter -> unit
 

@@ -8,7 +8,6 @@ module Tracefile = Tracefile
 module Summary = Summary
 module Chrome = Chrome
 module Export = Export
-module Benchdiff = Benchdiff
 
 let reset_all () =
   Counters.reset_all ();

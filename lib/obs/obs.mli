@@ -23,10 +23,9 @@
     CLI's [report] / [diff] subcommands and the [test/golden] CI gate),
     {!Chrome} exports the trace for [ui.perfetto.dev], {!Export}
     serializes counters, spans and histogram summaries for
-    [--stats-json], {!Metrics} renders everything as a Prometheus-style
-    text exposition (the [metrics] subcommand and serve verb), and
-    {!Benchdiff} compares two committed [BENCH_*.json] documents for the
-    [perf-diff] regression gate. *)
+    [--stats-json], and {!Metrics} renders everything as a
+    Prometheus-style text exposition (the [metrics] subcommand and serve
+    verb). *)
 
 module Json = Json
 module Counters = Counters
@@ -38,7 +37,6 @@ module Tracefile = Tracefile
 module Summary = Summary
 module Chrome = Chrome
 module Export = Export
-module Benchdiff = Benchdiff
 
 val reset_all : unit -> unit
 (** Zeroes every counter, resets every histogram, clears the span report

@@ -30,7 +30,9 @@ type strategy = [ `Fastpath_then_ilp | `Ilp_only ]
 
 val strategy_name : strategy -> string
 (** Stable textual name ("fastpath-then-ilp" / "ilp-only"), used by the
-    CLI [--strategy] flag and by service/tune cache keys. *)
+    [schedule] command's [--strategy] flag and by serve's validation of a
+    request's ["strategy"] field.  Cache keys do not carry it: both
+    strategies give the same schedule. *)
 
 val strategy_of_name : string -> strategy option
 

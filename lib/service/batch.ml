@@ -10,22 +10,15 @@ let c_tuned =
   Obs.Counters.create "service.tuned_ops"
     ~doc:"suite operators evaluated under a tuning record"
 
-let eval_key ?tuned ?(strategy = Scheduling.Scheduler.default_config.strategy)
-    ~machine ~name kernel =
+let eval_key ?tuned ~machine ~name kernel =
   (* The tuning-record digest is part of the key: tuned and fixed-weight
      evaluations of the same kernel are different compile results, and a
-     record update invalidates exactly the entries it affects.  The
-     scheduling strategy participates for the same reason — the schedules
-     are identical by construction, but the stored observability
-     (ilp_solves, fastpath counters, timings) is not, and a strategy
-     comparison run must never be answered from the other strategy's
-     entries. *)
+     record update invalidates exactly the entries it affects. *)
   let flags =
     ("op", name)
     (* the column set is part of the key, so adding a version (tiled, PR 9)
        retires every pre-tiling entry instead of relying on decode failure *)
     :: ("columns", "isl,tvm,novec,infl,tiled")
-    :: ("strategy", Scheduling.Scheduler.strategy_name strategy)
     :: (match tuned with None -> [] | Some t -> [ ("tuned", t.digest) ])
   in
   Key.make ~kernel ~machine ~version:"eval" ~flags ()
@@ -36,8 +29,7 @@ type source = Hit of Harness.Eval.op_result | Miss
 (* CPU-backend suite                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let cpu_eval_key ?runner ?(check = true)
-    ?(strategy = Scheduling.Scheduler.default_config.strategy) ~machine ~name kernel =
+let cpu_eval_key ?runner ?(check = true) ~machine ~name kernel =
   (* the toolchain digest is part of the key: emit-only results and
      executed results from different compilers must never answer for each
      other — and a compiler upgrade invalidates exactly the executed
@@ -48,25 +40,18 @@ let cpu_eval_key ?runner ?(check = true)
     | Some r -> (Codegen_cpu.Runner.toolchain r).Codegen_cpu.Toolchain.digest
   in
   Key.make ~kernel ~machine ~version:"cpu-eval"
-    ~flags:
-      [ ("op", name); ("toolchain", toolchain);
-        ("check", if check then "1" else "0");
-        ("strategy", Scheduling.Scheduler.strategy_name strategy)
-      ]
+    ~flags:[ ("op", name); ("toolchain", toolchain); ("check", if check then "1" else "0") ]
     ()
 
 let evaluate_cpu_suite ?(machine = Gpusim.Machine.scalar_1core)
-    ?(progress = fun _ -> ()) ?cache ?runner ?(check = true) ?strategy ?(jobs = 1)
-    ops =
+    ?(progress = fun _ -> ()) ?cache ?runner ?(check = true) ?(jobs = 1) ops =
   let sources =
     List.map
       (fun (name, kernel) ->
         match cache with
         | None -> ((name, kernel), None)
         | Some c -> (
-          match
-            Cache.find c (cpu_eval_key ?runner ~check ?strategy ~machine ~name kernel)
-          with
+          match Cache.find c (cpu_eval_key ?runner ~check ~machine ~name kernel) with
           | None -> ((name, kernel), None)
           | Some payload -> (
             match Harness.Eval.cpu_run_of_json payload with
@@ -79,7 +64,7 @@ let evaluate_cpu_suite ?(machine = Gpusim.Machine.scalar_1core)
   let computed =
     Pool.map ~jobs
       (fun (name, kernel) ->
-        fst (Harness.Eval.evaluate_cpu_op ~machine ?runner ~check ?strategy ~name kernel))
+        fst (Harness.Eval.evaluate_cpu_op ~machine ?runner ~check ~name kernel))
       misses
   in
   (match cache with
@@ -88,7 +73,7 @@ let evaluate_cpu_suite ?(machine = Gpusim.Machine.scalar_1core)
      List.iter2
        (fun (name, kernel) r ->
          Cache.store c
-           (cpu_eval_key ?runner ~check ?strategy ~machine ~name kernel)
+           (cpu_eval_key ?runner ~check ~machine ~name kernel)
            (Harness.Eval.cpu_run_to_json r))
        misses computed);
   let remaining = ref computed in
@@ -105,7 +90,7 @@ let evaluate_cpu_suite ?(machine = Gpusim.Machine.scalar_1core)
     sources
 
 let evaluate_suite ?(machine = Gpusim.Machine.v100) ?(progress = fun _ -> ()) ?cache
-    ?tuned ?strategy ?(jobs = 1) ops =
+    ?tuned ?(jobs = 1) ops =
   let lookup name kernel =
     match tuned with
     | None -> None
@@ -121,7 +106,7 @@ let evaluate_suite ?(machine = Gpusim.Machine.v100) ?(progress = fun _ -> ()) ?c
         match cache with
         | None -> ((name, kernel, tuned), Miss)
         | Some c -> (
-          match Cache.find c (eval_key ?tuned ?strategy ~machine ~name kernel) with
+          match Cache.find c (eval_key ?tuned ~machine ~name kernel) with
           | None -> ((name, kernel, tuned), Miss)
           | Some payload -> (
             match Harness.Eval.result_of_json payload with
@@ -140,7 +125,7 @@ let evaluate_suite ?(machine = Gpusim.Machine.v100) ?(progress = fun _ -> ()) ?c
     Pool.map ~jobs
       (fun (name, kernel, tuned) ->
         let tuning = Option.map (fun t -> t.tuning) tuned in
-        Harness.Eval.evaluate_op ~machine ?tuning ?strategy ~name kernel)
+        Harness.Eval.evaluate_op ~machine ?tuning ~name kernel)
       misses
   in
   (match cache with
@@ -148,7 +133,7 @@ let evaluate_suite ?(machine = Gpusim.Machine.v100) ?(progress = fun _ -> ()) ?c
    | Some c ->
      List.iter2
        (fun (name, kernel, tuned) r ->
-         Cache.store c (eval_key ?tuned ?strategy ~machine ~name kernel)
+         Cache.store c (eval_key ?tuned ~machine ~name kernel)
            (Harness.Eval.result_to_json r))
        misses computed);
   let remaining = ref computed in

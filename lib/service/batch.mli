@@ -28,7 +28,6 @@ val evaluate_suite :
   ?progress:(string -> unit) ->
   ?cache:Cache.t ->
   ?tuned:(string -> Ir.Kernel.t -> tuning option) ->
-  ?strategy:Scheduling.Scheduler.strategy ->
   ?jobs:int ->
   (string * Ir.Kernel.t) list ->
   Harness.Eval.op_result list
@@ -47,7 +46,6 @@ val evaluate_cpu_suite :
   ?cache:Cache.t ->
   ?runner:Codegen_cpu.Runner.t ->
   ?check:bool ->
-  ?strategy:Scheduling.Scheduler.strategy ->
   ?jobs:int ->
   (string * Ir.Kernel.t) list ->
   Harness.Eval.cpu_run list
@@ -64,25 +62,20 @@ val evaluate_cpu_suite :
 val cpu_eval_key :
   ?runner:Codegen_cpu.Runner.t ->
   ?check:bool ->
-  ?strategy:Scheduling.Scheduler.strategy ->
   machine:Gpusim.Machine.t ->
   name:string ->
   Ir.Kernel.t ->
   Key.t
 (** The cache key of one operator's CPU-backend run: the host toolchain
-    digest (or ["none"] for emit-only) and scheduling strategy are part
-    of it, alongside the usual kernel/machine/format fields. *)
+    digest (or ["none"] for emit-only) is part of it, alongside the usual
+    kernel/machine/format fields. *)
 
 val eval_key :
   ?tuned:tuning ->
-  ?strategy:Scheduling.Scheduler.strategy ->
   machine:Gpusim.Machine.t ->
   name:string ->
   Ir.Kernel.t ->
   Key.t
 (** The cache key of one operator's four-version evaluation (exposed for
     tests and cache tooling).  When a tuning record was applied its
-    digest is part of the key, and the scheduling strategy (defaulting to
-    the scheduler's default) always is: both strategies produce the same
-    schedules, but the stored solver observability differs, so their
-    entries must never answer for each other. *)
+    digest is part of the key. *)

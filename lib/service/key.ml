@@ -2,8 +2,9 @@
    a bump changes every digest, so stale entries simply miss (and age out
    of the size cap) instead of being misread.  3: serve lowers infl and cpu
    with the version table's vec_min_parallel, so older serve replies are
-   stale. *)
-let format_version = 3
+   stale.  4: the scheduler's fast-path/ILP choice left every flag list
+   (both choices give the same schedule), so every preimage changed. *)
+let format_version = 4
 
 type t = { digest : string; format : int; label : string }
 

@@ -56,9 +56,9 @@ let make_handler ?(kernel_of_json = None) ?cache
 
 module P = Harness.Pipeline
 
-let compile_report ~machine ~strategy ~version ~op kernel =
+let compile_report ~machine ~version ~op kernel =
   let deps = Deps.Analysis.dependences kernel in
-  let p = P.run ~strategy ~machine ~deps version kernel in
+  let p = P.run ~machine ~deps version kernel in
   let stats = p.P.stats in
   let legal =
     match Scheduling.Legality.check p.P.sched kernel deps with
@@ -186,15 +186,14 @@ let handle_compile h ~id req =
       | None -> Error (Gpusim.Machine.unknown_message s))
     | Some _ -> Error "machine must be a string"
   in
+  (* Both strategies give the same schedule, so a known name is accepted
+     and answered like the default; only its validity is checked. *)
   let strategy =
     match J.member "strategy" req with
-    | None -> Ok Scheduling.Scheduler.default_config.strategy
-    | Some (J.String s) -> (
-      match Scheduling.Scheduler.strategy_of_name s with
-      | Some st -> Ok st
-      | None ->
-        Error
-          (Printf.sprintf "unknown strategy %S (fastpath-then-ilp|ilp-only)" s))
+    | None -> Ok ()
+    | Some (J.String s) when Scheduling.Scheduler.strategy_of_name s <> None -> Ok ()
+    | Some (J.String s) ->
+      Error (Printf.sprintf "unknown strategy %S (fastpath-then-ilp|ilp-only)" s)
     | Some _ -> Error "strategy must be a string"
   in
   let kernel =
@@ -217,7 +216,7 @@ let handle_compile h ~id req =
   match (version, machine, strategy, kernel) with
   | Error e, _, _, _ | _, Error e, _, _ | _, _, Error e, _ | _, _, _, Error e ->
     error ~id e
-  | Ok version, Ok machine, Ok strategy, Ok (op, kernel) -> (
+  | Ok version, Ok machine, Ok (), Ok (op, kernel) -> (
     let t0 = Unix.gettimeofday () in
     (* spans the pipeline records inside this request are captured for
        the reply's breakdown, then folded back into the shared report *)
@@ -225,16 +224,13 @@ let handle_compile h ~id req =
       Obs.Span.scoped (fun () ->
           let key =
             Key.make ~kernel ~machine ~version:(P.name version)
-              ~flags:
-                [ ("entry", "serve"); ("op", op);
-                  ("strategy", Scheduling.Scheduler.strategy_name strategy)
-                ]
+              ~flags:[ ("entry", "serve"); ("op", op) ]
               ()
           in
           match Option.bind h.cache (fun c -> Cache.find c key) with
           | Some (J.Assoc fields) -> Ok (true, Key.digest key, fields)
           | Some _ | None -> (
-            match compile_report ~machine ~strategy ~version ~op kernel with
+            match compile_report ~machine ~version ~op kernel with
             | exception Scheduling.Scheduler.Failure_no_schedule msg ->
               Error (Printf.sprintf "no schedule: %s" msg)
             | fields ->

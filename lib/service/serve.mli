@@ -16,8 +16,10 @@
       of a simulated ["time_us"], and a GPU machine in the request falls
       back to the portable scalar profile — serve never invokes the host
       toolchain), ["machine"] to the handler's
-      default (V100), ["strategy"] (["fastpath-then-ilp"] or
-      ["ilp-only"]) to the scheduler's default.
+      default (V100).  An optional ["strategy"] (["fastpath-then-ilp"]
+      or ["ilp-only"]) is accepted for compatibility and answered like
+      a request without it, since both strategies give the same
+      schedule; any other value is a structured error.
     - [metrics]: returns the full Prometheus-style exposition of every
       registered counter, gauge and histogram
       (see {!Obs.Metrics.exposition}) as the ["metrics"] string field.
@@ -45,7 +47,7 @@
     serving.
 
     With a {!Cache}, compile replies are stored keyed by
-    (kernel, machine, version, strategy, entry=serve) and repeated
+    (kernel, machine, version, entry=serve) and repeated
     requests are answered from disk with ["cached": true].
 
     Latency lands in two histograms: [serve.request_seconds] (every

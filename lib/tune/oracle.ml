@@ -19,8 +19,7 @@ module P = Harness.Pipeline
 
 let version ~tile = if tile then P.Tiled else P.Infl
 
-let key ?(strategy = Scheduling.Scheduler.default_config.strategy) ?(tile = false)
-    ?cpu_runner ~machine kernel candidate =
+let key ?(tile = false) ?cpu_runner ~machine kernel candidate =
   (* measured (cpu-runner) evaluations live under their own version and
      carry the toolchain digest: a simulated cache entry must never
      answer for a measured one, or vice versa *)
@@ -32,10 +31,7 @@ let key ?(strategy = Scheduling.Scheduler.default_config.strategy) ?(tile = fals
   in
   Service.Key.make
     ~flags:
-      ([ ("entry", "tune"); ("candidate", Candidate.digest candidate);
-         ("strategy", Scheduling.Scheduler.strategy_name strategy)
-       ]
-      @ toolchain)
+      ([ ("entry", "tune"); ("candidate", Candidate.digest candidate) ] @ toolchain)
     ~kernel ~machine
     ~version:
       ("tune-"
@@ -93,7 +89,7 @@ exception Runner_failed of Codegen_cpu.Runner.error
 
 type outcome = Measured of measurement | Failed | Transient
 
-let evaluate ?strategy ?(tile = false) ?cpu_runner ~machine kernel (c : Candidate.t) =
+let evaluate ?(tile = false) ?cpu_runner ~machine kernel (c : Candidate.t) =
   Obs.Span.with_ "tune.eval" @@ fun () ->
   Obs.Counters.incr c_evals;
   let version = version ~tile in
@@ -104,7 +100,7 @@ let evaluate ?strategy ?(tile = false) ?cpu_runner ~machine kernel (c : Candidat
     let tuning = { P.weights = c.Candidate.weights; order = c.Candidate.order } in
     let deps = Deps.Analysis.dependences kernel in
     let influence = P.tree ~tuning ~deps version kernel in
-    let sched, stats, _ = P.schedule ?influence ?strategy ~deps kernel in
+    let sched, stats, _ = P.schedule ?influence ~deps kernel in
     let compiled = P.lower ~deps version sched kernel in
     let time_us, cycles =
       match cpu_runner with
@@ -143,20 +139,20 @@ let evaluate ?strategy ?(tile = false) ?cpu_runner ~machine kernel (c : Candidat
     Obs.Counters.incr c_failures;
     Failed
 
-let compute ?strategy ?tile ?cpu_runner ~machine kernel c =
-  match evaluate ?strategy ?tile ?cpu_runner ~machine kernel c with
+let compute ?tile ?cpu_runner ~machine kernel c =
+  match evaluate ?tile ?cpu_runner ~machine kernel c with
   | Measured m -> Some m
   | Failed | Transient -> None
 
 let store cache k m = Service.Cache.store cache k (measurement_to_json m)
 
-let measure ?cache ?strategy ?tile ?cpu_runner ~machine kernel candidate =
-  let k = key ?strategy ?tile ?cpu_runner ~machine kernel candidate in
+let measure ?cache ?tile ?cpu_runner ~machine kernel candidate =
+  let k = key ?tile ?cpu_runner ~machine kernel candidate in
   match Option.bind cache (fun c -> find c k) with
   | Some m -> m
   | None -> (
     let store m = Option.iter (fun c -> store c k m) cache in
-    match evaluate ?strategy ?tile ?cpu_runner ~machine kernel candidate with
+    match evaluate ?tile ?cpu_runner ~machine kernel candidate with
     | Measured m ->
       store (Some m);
       Some m

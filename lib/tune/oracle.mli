@@ -23,7 +23,6 @@ type measurement = {
 }
 
 val key :
-  ?strategy:Scheduling.Scheduler.strategy ->
   ?tile:bool ->
   ?cpu_runner:Codegen_cpu.Runner.t ->
   machine:Gpusim.Machine.t ->
@@ -32,10 +31,7 @@ val key :
   Service.Key.t
 (** Compile-cache key for this evaluation: version ["tune-infl"]
     (["tune-tiled"] when [tile] is set), flags carrying the candidate
-    digest and the scheduling strategy (default: the scheduler's
-    default).  The strategy changes measured compile-side observability,
-    never the schedule, but keeping the keys disjoint means a strategy
-    A/B run can trust every cached measurement.  With [cpu_runner] the
+    digest.  With [cpu_runner] the
     version becomes ["tune-cpu"] and the host toolchain digest joins the
     flags: measured and simulated entries never answer for each other. *)
 
@@ -46,7 +42,6 @@ val find : Service.Cache.t -> Service.Key.t -> measurement option option
     like all compile-cache access. *)
 
 val compute :
-  ?strategy:Scheduling.Scheduler.strategy ->
   ?tile:bool ->
   ?cpu_runner:Codegen_cpu.Runner.t ->
   machine:Gpusim.Machine.t ->
@@ -75,7 +70,6 @@ val store : Service.Cache.t -> Service.Key.t -> measurement option -> unit
 
 val measure :
   ?cache:Service.Cache.t ->
-  ?strategy:Scheduling.Scheduler.strategy ->
   ?tile:bool ->
   ?cpu_runner:Codegen_cpu.Runner.t ->
   machine:Gpusim.Machine.t ->

@@ -38,7 +38,7 @@ let penalty_ratio = 16.0
 
 let take n l = List.filteri (fun i _ -> i < n) l
 
-let run ?cache ?(jobs = 1) ?oracle ?(machine = Gpusim.Machine.v100) ?strategy
+let run ?cache ?(jobs = 1) ?oracle ?(machine = Gpusim.Machine.v100)
     ?(progress = fun _ -> ()) config ops =
   Obs.Span.with_ "tune.search" @@ fun () ->
   let beam = max 1 config.beam and rounds = max 1 config.rounds in
@@ -85,7 +85,7 @@ let run ?cache ?(jobs = 1) ?oracle ?(machine = Gpusim.Machine.v100) ?strategy
       let misses =
         List.filter_map
           (fun (op, k, c) ->
-            let key = Oracle.key ?strategy ~machine k c in
+            let key = Oracle.key ~machine k c in
             match Option.bind cache (fun store -> Oracle.find store key) with
             | Some m ->
               Hashtbl.replace memo (mkey op c) m;
@@ -94,7 +94,7 @@ let run ?cache ?(jobs = 1) ?oracle ?(machine = Gpusim.Machine.v100) ?strategy
           pairs
       in
       let results =
-        Service.Pool.map ~jobs (fun (_, k, c, _) -> Oracle.compute ?strategy ~machine k c) misses
+        Service.Pool.map ~jobs (fun (_, k, c, _) -> Oracle.compute ~machine k c) misses
       in
       List.iter2
         (fun (op, _, c, key) m ->

@@ -52,7 +52,6 @@ val run :
   ?jobs:int ->
   ?oracle:(Ir.Kernel.t -> Candidate.t -> Oracle.measurement option) ->
   ?machine:Gpusim.Machine.t ->
-  ?strategy:Scheduling.Scheduler.strategy ->
   ?progress:(string -> unit) ->
   config ->
   (string * Ir.Kernel.t) list ->

@@ -132,7 +132,15 @@ let test_vector_strip_uses_intrinsics () =
   Alcotest.(check bool) "avx2 vector store" true (contains avx2 "_mm256_storeu_pd");
   let scalar = emit ~machine:Machine.scalar_1core k in
   Alcotest.(check bool) "scalar has no intrinsics" false (contains scalar "_mm");
-  Alcotest.(check bool) "scalar still has the strip" true (contains scalar "vector strip")
+  Alcotest.(check bool) "scalar still has the strip" true (contains scalar "vector strip");
+  (* at full size the version table's vectorization threshold is met, and
+     the run record must say so for at least one classic *)
+  Alcotest.(check bool) "some classic op runs vectorized" true
+    (List.exists
+       (fun (name, mk) ->
+         (fst (Harness.Eval.evaluate_cpu_op ~machine:Machine.avx2_8core ~name (mk ())))
+           .Harness.Eval.cpu_vec)
+       Ops.Classics.all)
 
 let test_tile_annotation_roundtrip () =
   (* tile_sizes annotations deposited by the tiling client must surface as

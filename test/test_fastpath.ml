@@ -6,8 +6,8 @@
    bit-identical schedule rows to `Ilp_only — the candidate it commits
    is provably the ILP's own lexicographic minimum, and anything it is
    unsure about falls back to the exact solver.  This suite checks that
-   contract over the full classic-operator zoo and a 200-case fuzz
-   corpus: identical rows, legality under both strategies, and agreeing
+   contract over the classic operators, every network suite's operators
+   and a 200-case fuzz corpus: identical rows, legality under both strategies, and agreeing
    failures (a kernel the exact solver cannot schedule must not be
    schedulable by the fast path, and vice versa).  It also pins that the
    fast path actually fires — a hit count of zero would mean the whole
@@ -87,7 +87,13 @@ let check_kernel ~name k =
     k
 
 let test_zoo () =
-  List.iter (fun (name, mk) -> check_kernel ~name (mk ())) Ops.Classics.all
+  List.iter (fun (name, mk) -> check_kernel ~name (mk ())) Ops.Classics.all;
+  List.iter
+    (fun (n : Ops.Networks.t) ->
+      List.iter
+        (fun (op, k) -> check_kernel ~name:(n.Ops.Networks.name ^ "/" ^ op) k)
+        (Lazy.force n.Ops.Networks.ops))
+    Ops.Networks.all
 
 let test_fuzz_corpus () =
   for index = 0 to fuzz_count - 1 do

@@ -244,6 +244,23 @@ let test_stats_sum_three_schedules () =
   in
   Alcotest.(check (pair string string)) "total: bb-nodes, sched(ms)" ("7", "7.00") (fields total)
 
+(* The per-op sim(ms) column covers every simulation evaluate_op runs:
+   the isl, novec, infl and tiled kernels as well as TVM's. *)
+let test_sim_s_covers_all_simulations () =
+  let kernel = Ops.Classics.fig2 () in
+  let r, spans = Obs.Span.scoped (fun () -> E.evaluate_op ~name:"fig2" kernel) in
+  let simulated =
+    List.fold_left
+      (fun acc (path, _, total) ->
+        if Filename.basename path = "gpusim.run" then acc +. total else acc)
+      0.0 spans
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "sim_s %.3f ms >= 0.9 x gpusim.run %.3f ms" (r.E.obs.E.sim_s *. 1e3)
+       (simulated *. 1e3))
+    true
+    (simulated > 0.0 && r.E.obs.E.sim_s >= 0.9 *. simulated)
+
 let test_version_table () =
   List.iter
     (fun v ->
@@ -263,6 +280,8 @@ let () =
             test_shared_analysis_input_proximity;
           Alcotest.test_case "shared memo" `Slow test_shared_memo;
           Alcotest.test_case "stats sum three schedules" `Quick test_stats_sum_three_schedules;
+          Alcotest.test_case "sim_s covers every simulation" `Quick
+            test_sim_s_covers_all_simulations;
           Alcotest.test_case "zoo: eval = serve = oracle" `Slow test_zoo_times
         ] )
     ]

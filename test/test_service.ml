@@ -436,6 +436,35 @@ let test_serve_verbs_and_ids () =
   let sc = Option.get (Obs.Histogram.find "serve.compile_seconds") in
   Alcotest.(check int) "compile histogram counts compiles only" 1 sc.Obs.Histogram.count
 
+(* Both strategies give the same schedule, so a known "strategy" is
+   answered exactly like a request without one and shares its cache
+   entry; anything else is still a structured error. *)
+let test_serve_strategy_field () =
+  reset ();
+  let uncached = Service.Serve.make_handler ~find_op:find_classic () in
+  let plain = Service.Serve.handle_line uncached {|{"op":"fig2","id":"s"}|} in
+  let ilp =
+    Service.Serve.handle_line uncached {|{"op":"fig2","strategy":"ilp-only","id":"s"}|}
+  in
+  has {|"status":"ok"|} ilp;
+  Alcotest.(check string) "ilp-only answered like the default" (scrub plain) (scrub ilp);
+  let cache = Service.Cache.open_ (fresh_dir ()) in
+  let reply = Service.Serve.handle_line (Service.Serve.make_handler ~cache ~find_op:find_classic ()) in
+  let first = reply {|{"op":"fig2","id":"s"}|} in
+  has {|"cached":false|} first;
+  let second = reply {|{"op":"fig2","strategy":"ilp-only","id":"s"}|} in
+  has {|"cached":true|} second;
+  Alcotest.(check string) "one cache entry for both"
+    (Str.global_replace (Str.regexp_string {|"cached":false|}) {|"cached":true|}
+       (scrub first))
+    (scrub second);
+  let bogus = reply {|{"op":"fig2","strategy":"bogus"}|} in
+  has {|"status":"error"|} bogus;
+  has {|unknown strategy|} bogus;
+  let not_string = reply {|{"op":"fig2","strategy":1}|} in
+  has {|"status":"error"|} not_string;
+  has {|strategy must be a string|} not_string
+
 (* the serve loop answers every line — blank included — so request and
    reply counts always match *)
 let test_serve_loop_blank_lines () =
@@ -491,6 +520,7 @@ let () =
         [ Alcotest.test_case "scripted requests" `Quick test_serve_requests;
           Alcotest.test_case "input guards" `Quick test_serve_guards;
           Alcotest.test_case "verbs and ids" `Quick test_serve_verbs_and_ids;
+          Alcotest.test_case "strategy field" `Quick test_serve_strategy_field;
           Alcotest.test_case "loop answers blank lines" `Quick
             test_serve_loop_blank_lines
         ] )

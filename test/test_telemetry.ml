@@ -1,9 +1,6 @@
-(* Tests for the scrape/compare side of the observability layer:
-   Obs.Metrics (Prometheus-style text exposition of counters, gauges and
-   histograms) and Obs.Benchdiff (the perf-diff regression gate over
-   committed BENCH_*.json files). *)
-
-module J = Obs.Json
+(* Tests for the scrape side of the observability layer: Obs.Metrics
+   (Prometheus-style text exposition of counters, gauges and
+   histograms). *)
 
 let reset () = Obs.reset_all ()
 
@@ -96,122 +93,6 @@ let test_metrics_histogram_rendering () =
   Alcotest.(check int) "+Inf bucket equals count" 5 last;
   check_line text "akg_telemetry_test_hist_count 5"
 
-(* ------------------------------------------------------------------ *)
-(* Benchdiff                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let serve_load_doc ?(errors = 0) ~cold_p99 ~warm_rps () =
-  J.Assoc
-    [ ("schema", J.String "akg-repro-bench-serve-load");
-      ("cold",
-       J.Assoc [ ("rps", J.Float 100.0); ("p50_us", J.Float 500.0);
-                 ("p99_us", J.Float cold_p99); ("p999_us", J.Float 9000.0) ]);
-      ("warm",
-       J.Assoc [ ("rps", J.Float warm_rps); ("p50_us", J.Float 30.0);
-                 ("p99_us", J.Float 90.0); ("p999_us", J.Float 120.0) ]);
-      ("errors", J.Int errors)
-    ]
-
-let outcomes report =
-  List.map (fun f -> (f.Obs.Benchdiff.metric, f.Obs.Benchdiff.outcome)) (snd report)
-
-let find_outcome report metric =
-  match List.assoc_opt metric (outcomes report) with
-  | Some o -> o
-  | None -> Alcotest.failf "no finding for %s" metric
-
-let test_benchdiff_classification () =
-  let base = serve_load_doc ~cold_p99:2000.0 ~warm_rps:5000.0 () in
-  (* identical documents: every metric Identical, exit 0 *)
-  (match Obs.Benchdiff.compare_docs base base with
-   | Error e -> Alcotest.fail e
-   | Ok report ->
-     Alcotest.(check int) "identical exits 0" 0 (Obs.Benchdiff.exit_code (snd report));
-     List.iter
-       (fun (m, o) ->
-         Alcotest.(check bool) (m ^ " identical") true (o = Obs.Benchdiff.Identical))
-       (outcomes report));
-  (* within tolerance: exit 1, not 2 *)
-  let tol = serve_load_doc ~cold_p99:2100.0 ~warm_rps:5000.0 () in
-  (match Obs.Benchdiff.compare_docs ~tolerance:0.1 base tol with
-   | Error e -> Alcotest.fail e
-   | Ok report ->
-     (match find_outcome report "cold.p99_us" with
-      | Obs.Benchdiff.Tolerable _ -> ()
-      | _ -> Alcotest.fail "5% slower p99 should be Tolerable at 10% tolerance");
-     Alcotest.(check int) "tolerable exits 1" 1
-       (Obs.Benchdiff.exit_code (snd report)));
-  (* beyond tolerance: regression, exit 2 *)
-  let reg = serve_load_doc ~cold_p99:3000.0 ~warm_rps:5000.0 () in
-  (match Obs.Benchdiff.compare_docs ~tolerance:0.1 base reg with
-   | Error e -> Alcotest.fail e
-   | Ok report ->
-     (match find_outcome report "cold.p99_us" with
-      | Obs.Benchdiff.Regressed _ -> ()
-      | _ -> Alcotest.fail "50% slower p99 must be Regressed");
-     Alcotest.(check int) "regression exits 2" 2
-       (Obs.Benchdiff.exit_code (snd report)));
-  (* good-direction movement of any size is an improvement, exit 1 *)
-  let imp = serve_load_doc ~cold_p99:500.0 ~warm_rps:9000.0 () in
-  (match Obs.Benchdiff.compare_docs base imp with
-   | Error e -> Alcotest.fail e
-   | Ok report ->
-     (match find_outcome report "warm.rps" with
-      | Obs.Benchdiff.Improved _ -> ()
-      | _ -> Alcotest.fail "higher rps must be Improved");
-     Alcotest.(check int) "improvement exits 1" 1
-       (Obs.Benchdiff.exit_code (snd report)))
-
-let test_benchdiff_exact_and_missing () =
-  let base = serve_load_doc ~cold_p99:2000.0 ~warm_rps:5000.0 () in
-  (* exact metrics regress on any bad movement, tolerance notwithstanding *)
-  let errs = serve_load_doc ~errors:1 ~cold_p99:2000.0 ~warm_rps:5000.0 () in
-  (match Obs.Benchdiff.compare_docs ~tolerance:10.0 base errs with
-   | Error e -> Alcotest.fail e
-   | Ok report ->
-     (match find_outcome report "errors" with
-      | Obs.Benchdiff.Regressed _ -> ()
-      | _ -> Alcotest.fail "one new serve error must regress despite tolerance"));
-  (* metrics on one side only: added/removed, a change but never exit 2 *)
-  let strip_warm = function
-    | J.Assoc kvs -> J.Assoc (List.filter (fun (k, _) -> k <> "warm") kvs)
-    | j -> j
-  in
-  (match Obs.Benchdiff.compare_docs base (strip_warm base) with
-   | Error e -> Alcotest.fail e
-   | Ok report ->
-     (match find_outcome report "warm.rps" with
-      | Obs.Benchdiff.Removed -> ()
-      | _ -> Alcotest.fail "missing new-side metric must be Removed");
-     Alcotest.(check int) "removed metric exits 1" 1
-       (Obs.Benchdiff.exit_code (snd report)));
-  (* documents of different schemas refuse to compare *)
-  let other = J.Assoc [ ("schema", J.String "akg-repro-bench-tune") ] in
-  match Obs.Benchdiff.compare_docs base other with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "schema mismatch must be an error"
-
-(* the PR-2 micro file predates the schema tag and has dynamic result
-   keys: recognized by its "benchmark" tag, compared via the wildcard *)
-let test_benchdiff_micro_wildcard () =
-  let micro a b =
-    J.Assoc
-      [ ("benchmark", J.String "micro");
-        ("results", J.Assoc [ ("fig2", J.Float a); ("mttkrp", J.Float b) ])
-      ]
-  in
-  match Obs.Benchdiff.compare_docs ~tolerance:0.1 (micro 10.0 20.0) (micro 10.5 40.0) with
-  | Error e -> Alcotest.fail e
-  | Ok report ->
-    (match find_outcome report "results.fig2" with
-     | Obs.Benchdiff.Tolerable _ -> ()
-     | _ -> Alcotest.fail "5% slower micro result should be Tolerable");
-    (match find_outcome report "results.mttkrp" with
-     | Obs.Benchdiff.Regressed _ -> ()
-     | _ -> Alcotest.fail "2x slower micro result must be Regressed");
-    Alcotest.(check int) "micro regression exits 2" 2
-      (Obs.Benchdiff.exit_code (snd report))
-
 let () =
   Alcotest.run "telemetry"
     [ ( "metrics",
@@ -220,10 +101,5 @@ let () =
           Alcotest.test_case "covers the registry" `Quick test_metrics_covers_registry;
           Alcotest.test_case "histogram rendering" `Quick
             test_metrics_histogram_rendering
-        ] );
-      ( "benchdiff",
-        [ Alcotest.test_case "classification" `Quick test_benchdiff_classification;
-          Alcotest.test_case "exact and missing" `Quick test_benchdiff_exact_and_missing;
-          Alcotest.test_case "micro wildcard" `Quick test_benchdiff_micro_wildcard
         ] )
     ]
