@@ -211,15 +211,21 @@ let with_op f name =
 
 module P = Harness.Pipeline
 
-let version_conv = Arg.enum (List.map (fun v -> (P.name v, v)) P.versions)
-
 let version_arg =
   let doc =
-    "Compiler version: isl (baseline), novec, infl, tiled, or cpu (the C backend: \
-     same influenced schedule as infl, lowered to cache-blocked C with SIMD \
-     intrinsics instead of CUDA)."
+    "Compiler version: isl (baseline), novec, infl or tiled; or cpu, which is infl \
+     emitted as C (for $(b,--machine) when it names a CPU profile, for \
+     $(b,scalar-1core) otherwise)."
   in
-  Arg.(value & opt version_conv P.Infl & info [ "version"; "v" ] ~doc)
+  Arg.(
+    value
+    & opt (enum (List.map (fun n -> (n, n)) P.names)) (P.name P.Infl)
+    & info [ "version"; "v" ] ~doc)
+
+(* the version and machine a command runs: --tile means tiled, and the
+   pipeline resolves the cpu name *)
+let resolve ?(machine = Gpusim.Machine.v100) ~tile name =
+  Option.get (P.resolve (if tile then P.name P.Tiled else name) ~machine)
 
 let machine_conv =
   let parse s =
@@ -330,7 +336,7 @@ let schedule_cmd =
     with_obs o @@ fun () ->
     with_op
       (fun k ->
-        let version = if tile then P.Tiled else version in
+        let version, _ = resolve ~tile version in
         let deps = Deps.Analysis.dependences k in
         let influence = P.tree ~deps version k in
         if tree then
@@ -356,28 +362,23 @@ let schedule_cmd =
       const run $ op_arg $ version_arg $ strategy_arg $ tile_flag $ tile_sizes_arg
       $ tree_flag $ verbose_arg $ obs_term)
 
-let run_version ?machine ~tile ~tile_spec version k =
-  P.run ?machine ?tile_sizes:(tile_sizes_of tile_spec)
-    (if tile then P.Tiled else version)
-    k
-
 let codegen_cmd =
   let run name version machine tile tile_spec o =
     with_obs o @@ fun () ->
     with_op
       (fun k ->
-        let p = run_version ?machine ~tile ~tile_spec version k in
+        let version, machine = resolve ?machine ~tile version in
+        let p = P.run ~machine ?tile_sizes:(tile_sizes_of tile_spec) version k in
         match p.P.backend with
-        | P.Emitted { source; _ } -> print_string source
+        | P.Emitted source -> print_string source
         | P.Simulated _ -> print_string (Codegen.Cuda.emit p.P.compiled))
       name
   in
   Cmd.v
     (Cmd.info "codegen"
        ~doc:
-         "Print generated code: CUDA-like for the GPU versions, C with SIMD \
-          intrinsics for $(b,--version cpu) (select the CPU profile with \
-          $(b,--machine))")
+         "Print generated code: CUDA-like on a GPU profile, C with SIMD intrinsics \
+          on a CPU profile ($(b,--machine), or $(b,--version cpu))")
     Term.(
       const run $ op_arg $ version_arg $ machine_arg $ tile_flag $ tile_sizes_arg
       $ obs_term)
@@ -387,12 +388,12 @@ let simulate_cmd =
     with_obs o @@ fun () ->
     with_op
       (fun k ->
-        let p = run_version ~tile ~tile_spec version k in
+        let version, _ = resolve ~tile version in
+        let p = P.run ?tile_sizes:(tile_sizes_of tile_spec) version k in
         Format.printf "%a@." Codegen.Mapping.pp p.P.compiled.Codegen.Compile.mapping;
-        Format.printf "%a@." Gpusim.Sim.pp
-          (match p.P.backend with
-           | P.Simulated report -> report
-           | P.Emitted _ -> P.simulate p.P.compiled))
+        match p.P.backend with
+        | P.Simulated report -> Format.printf "%a@." Gpusim.Sim.pp report
+        | P.Emitted _ -> assert false (* run on the default V100 *))
       name
   in
   Cmd.v (Cmd.info "simulate" ~doc:"Run the GPU performance model")
@@ -552,7 +553,7 @@ let check_cmd =
               (match P.interpret k (P.run version k).P.compiled with
                | Ok () -> "MATCH"
                | Error diff -> Printf.sprintf "MISMATCH (max diff %g)" diff))
-          [ P.Isl; P.Novec; P.Infl; P.Tiled ];
+          P.versions;
         (* the cpu row is an *executed* differential when a host toolchain
            exists; otherwise it degrades to emit-only and says so *)
         let runner =
@@ -560,7 +561,7 @@ let check_cmd =
         in
         let machine = cpu_profile_for None runner in
         let r, _ = Harness.Eval.evaluate_cpu_op ~machine ?runner ~name k in
-        Format.printf "%-6s %s@." "cpu"
+        Format.printf "%-6s %s@." P.cpu_name
           (match (r.Harness.Eval.checked, r.Harness.Eval.cpu_error) with
            | Some true, _ -> Printf.sprintf "MATCH (executed on %s)" machine.Gpusim.Machine.name
            | Some false, _ -> "MISMATCH (executed C differs)"
@@ -824,10 +825,10 @@ let fuzz_cmd =
   in
   let cpu_exec_arg =
     let doc =
-      "Upgrade the cpu version's emit-only check to a compile+execute differential: \
-       every case's emitted C is built with the host toolchain, run, and compared \
-       bit-for-bit against the reference interpreter.  Falls back to emit-only (with \
-       a warning) when no compiler is found."
+      "Upgrade the emit-only C check of the infl lowering to a compile+execute \
+       differential: every case's emitted C is built with the host toolchain, run, \
+       and compared bit-for-bit against the reference interpreter.  Falls back to \
+       emit-only (with a warning) when no compiler is found."
     in
     Arg.(value & flag & info [ "cpu-exec" ] ~doc)
   in

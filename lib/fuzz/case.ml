@@ -99,6 +99,15 @@ let rec ir_expr = function
 
 let to_kernel c =
   try
+    List.iter
+      (fun s ->
+        List.iter
+          (fun (v, e) ->
+            if e < 1 then
+              invalid_arg
+                (Printf.sprintf "Case.to_kernel: non-positive extent %d of %s in %s" e v s.sname))
+          s.iters)
+      c.stmts;
     let tensors = List.map (fun (n, dims) -> Ir.Build.tensor n dims) c.tensors in
     let stmts =
       List.map

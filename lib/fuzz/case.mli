@@ -51,8 +51,10 @@ val tighten_tensors : t -> t
     accesses (at least 1) — the last cosmetic step of shrinking. *)
 
 val to_kernel : t -> (Ir.Kernel.t, string) result
-(** Builds the checked IR kernel; [Error] carries the structural or
-    bounds violation that {!Ir.Build.kernel} rejected. *)
+(** Builds the checked IR kernel; [Error] carries a non-positive
+    iterator extent (rejected like {!Ir.Tensor.make} rejects a
+    non-positive dim) or the structural or bounds violation that
+    {!Ir.Build.kernel} rejected. *)
 
 val to_json : t -> Obs.Json.t
 val of_json : Obs.Json.t -> (t, string) result

@@ -101,25 +101,7 @@ let mismatch ~what version = function
         message = Printf.sprintf "%s (max abs diff %g)" what diff
       }
 
-(* The cpu version's semantics check: compile the emitted C on the host
-   toolchain, execute it, and compare the output buffers bit-for-bit
-   against the reference interpreter — the executed twin of the
-   AST-interpretation check the GPU-side versions get. *)
-let check_cpu_executed runner ~machine k src =
-  let runner_error e =
-    Error
-      { version = P.Cpu; stage = Semantics; message = Codegen_cpu.Runner.error_message e }
-  in
-  match Codegen_cpu.Runner.build_source runner ~machine src with
-  | Error e -> runner_error e
-  | Ok built -> (
-    match P.execute ~reps:1 runner built k with
-    | Error e -> runner_error e
-    | Ok (_, checked) ->
-      mismatch ~what:"executed C differs bit-for-bit" P.Cpu (Option.get checked))
-
-let check_version ?(perturb = fun _ s -> s) ?max_tile_size ?tile_fault
-    ?cpu_exec k deps memo version =
+let check_version ?(perturb = fun _ s -> s) ?max_tile_size ?tile_fault k deps memo version =
   let* sched =
     guard version Schedule (fun () ->
         let influence = P.tree ?max_tile_size ~deps version k in
@@ -146,34 +128,11 @@ let check_version ?(perturb = fun _ s -> s) ?max_tile_size ?tile_fault
     | Ok () -> Ok ()
     | Error m -> Error { version; stage = Structure; message = m }
   in
-  match (P.spec version).P.backend with
-  | P.Emit_c ->
-    (* emit-only by default (toolchain-independent, shrink-probe cheap);
-       with [cpu_exec] the emitted C is also compiled and executed *)
-    let machine =
-      match cpu_exec with
-      | Some runner -> Codegen_cpu.Runner.native_profile runner
-      | None -> Gpusim.Machine.avx2_8core
-    in
-    let* src =
-      guard version Emit (fun () ->
-          let src = P.emit_c ~machine c in
-          if not (has_substring src Codegen_cpu.Cemit.entry_symbol) then
-            Error
-              { version; stage = Emit;
-                message = "emitted C lacks the kernel entry symbol"
-              }
-          else Ok src)
-    in
-    (match cpu_exec with
-     | None -> Ok ()
-     | Some runner ->
-       guard version Semantics (fun () -> check_cpu_executed runner ~machine k src))
-  | P.Simulate ->
-    let* () =
-      guard version Semantics (fun () ->
-          mismatch ~what:"bit-for-bit mismatch" version (P.interpret k c))
-    in
+  let* () =
+    guard version Semantics (fun () ->
+        mismatch ~what:"bit-for-bit mismatch" version (P.interpret k c))
+  in
+  let* () =
     guard version Simulate (fun () ->
         let t = (P.simulate c).Gpusim.Sim.time_s in
         if Float.is_finite t && t > 0.0 then Ok ()
@@ -182,21 +141,59 @@ let check_version ?(perturb = fun _ s -> s) ?max_tile_size ?tile_fault
             { version; stage = Simulate;
               message = Printf.sprintf "simulated time %g s is not finite and positive" t
             })
+  in
+  Ok c
 
-(* Cpu runs last: its checks subsume nothing, so an AST-level defect is
-   always attributed to the GPU-side version that first exposes it.  The
-   five versions share one analysis and one solver memo (novec, infl and
-   cpu schedule the same vectorizer tree). *)
+(* The C backend's checks on the infl lowering: the emitted C must carry
+   the kernel entry symbol and, with [cpu_exec], compile on the host
+   toolchain, execute, and match {!Interp.run_original} bit-for-bit — the
+   executed twin of the AST-interpretation check.  Emit-only by default
+   (toolchain-independent, shrink-probe cheap). *)
+let check_c ?cpu_exec k c =
+  let version = P.Infl in
+  let machine =
+    match cpu_exec with
+    | Some runner -> Codegen_cpu.Runner.native_profile runner
+    | None -> Gpusim.Machine.avx2_8core
+  in
+  let* src =
+    guard version Emit (fun () ->
+        let src = P.emit_c ~machine c in
+        if not (has_substring src Codegen_cpu.Cemit.entry_symbol) then
+          Error { version; stage = Emit; message = "emitted C lacks the kernel entry symbol" }
+        else Ok src)
+  in
+  match cpu_exec with
+  | None -> Ok ()
+  | Some runner ->
+    guard version Semantics (fun () ->
+        let runner_error e =
+          Error { version; stage = Semantics; message = Codegen_cpu.Runner.error_message e }
+        in
+        match Codegen_cpu.Runner.build_source runner ~machine src with
+        | Error e -> runner_error e
+        | Ok built -> (
+          match P.execute ~reps:1 runner built k with
+          | Error e -> runner_error e
+          | Ok (_, checked) ->
+            mismatch ~what:"executed C differs bit-for-bit" version (Option.get checked)))
+
+(* The C checks run last: they subsume nothing, so an AST-level defect is
+   always attributed to the version that first exposes it.  The versions
+   share one analysis and one solver memo (novec and infl schedule the
+   same vectorizer tree). *)
 let run ?perturb ?max_tile_size ?tile_fault ?cpu_exec k =
   let* deps = guard P.Isl Schedule (fun () -> Ok (Deps.Analysis.dependences k)) in
   let memo = Scheduling.Scheduler.memo () in
-  List.fold_left
-    (fun acc v ->
-      match acc with
-      | Error _ -> acc
-      | Ok () ->
-        check_version ?perturb ?max_tile_size ?tile_fault ?cpu_exec k deps memo v)
-    (Ok ()) P.versions
+  let* lowered =
+    List.fold_left
+      (fun acc v ->
+        let* lowered = acc in
+        let* c = check_version ?perturb ?max_tile_size ?tile_fault k deps memo v in
+        Ok ((v, c) :: lowered))
+      (Ok []) P.versions
+  in
+  check_c ?cpu_exec k (List.assoc P.Infl lowered)
 
 let run_case ?perturb ?max_tile_size ?tile_fault ?cpu_exec case =
   match Case.to_kernel case with

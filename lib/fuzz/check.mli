@@ -1,7 +1,8 @@
 (** The differential oracle: one kernel through the {!Harness.Pipeline}
-    stages, all five versions, independent checks per version.  Lowering
-    runs the vector pass at threshold 0 (not the version table's 2048) so
-    the fuzzer's tiny kernels still exercise it.
+    stages, all four versions, independent checks per version, then the
+    C backend on the {b infl} lowering.  Lowering runs the vector pass at
+    threshold 0 (not the version table's 2048) so the fuzzer's tiny
+    kernels still exercise it.
 
     For each of {b isl} (baseline schedule, no vectorization),
     {b novec} (influenced schedule, no explicit vector types),
@@ -15,12 +16,13 @@
     exceptions anywhere in the pipeline are caught and attributed to the
     stage that raised.
 
-    The {b cpu} version (always last) pushes the influenced+vectorized
-    lowering through the C emitter ({!Codegen_cpu.Cemit}): by default an
-    emit-only structural check — toolchain-independent and cheap enough
-    for shrink probes — and, when a {!Codegen_cpu.Runner.t} is supplied,
-    a compile+execute differential comparing the executed C's output
-    buffers bit-for-bit against {!Interp.run_original}. *)
+    Last, the infl lowering already built goes through the C emitter
+    ({!Codegen_cpu.Cemit}): by default an emit-only structural check
+    (the [Emit] stage) — toolchain-independent and cheap enough for
+    shrink probes — and, when a {!Codegen_cpu.Runner.t} is supplied, a
+    compile+execute differential comparing the executed C's output
+    buffers bit-for-bit against {!Interp.run_original} (the [Semantics]
+    stage).  Both report as {b infl} failures. *)
 
 type stage = Convert | Schedule | Legality | Lower | Structure | Emit | Semantics | Simulate
 
@@ -46,16 +48,17 @@ val run :
   ?cpu_exec:Codegen_cpu.Runner.t ->
   Ir.Kernel.t ->
   (unit, failure) result
-(** Pushes the kernel through all five versions, from one dependence
-    analysis and one solver memo ({!Scheduling.Scheduler.memo});
+(** Pushes the kernel through all four versions and the C checks, from
+    one dependence analysis and one solver memo
+    ({!Scheduling.Scheduler.memo});
     [perturb] rewrites each computed schedule before validation and
     lowering (the hook tests use to inject a deliberately-broken
     scheduler).
     [max_tile_size] caps the tile shapes the tiled version's influence
     tree proposes; [tile_fault] injects {!Codegen.Tiling.fault} into the
     tiled version only — the broken-tiler canary.  [cpu_exec] upgrades
-    the cpu version from emit-only to an executed-C differential on that
-    runner's native profile. *)
+    the C check from emit-only (on the AVX2 profile) to an executed-C
+    differential on that runner's native profile. *)
 
 val run_case :
   ?perturb:(Harness.Pipeline.version -> Scheduling.Schedule.t -> Scheduling.Schedule.t) ->

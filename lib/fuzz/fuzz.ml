@@ -76,8 +76,12 @@ let load_case file =
             in
             match (str "compiler", str "stage", str "message") with
             | Some v, Some s, Some m -> (
-              match (Harness.Pipeline.of_name v, Check.stage_of_name s) with
-              | Some version, Some stage ->
+              (* a "cpu" record resolves to infl; the machine plays no part *)
+              match
+                ( Harness.Pipeline.resolve v ~machine:Gpusim.Machine.v100,
+                  Check.stage_of_name s )
+              with
+              | Some (version, _), Some stage ->
                 Ok { Check.version; stage; message = m }
               | _ -> Error "unknown compiler version or stage in failure record")
             | _ -> Error "incomplete failure record")

@@ -57,8 +57,9 @@ val run :
     scheduler.  [max_tile_size] caps the tiled version's tile shapes;
     [tile_fault] injects a deliberate backend tiling bug into the tiled
     version only — the hook used to prove the fuzzer catches a broken
-    tiler.  [cpu_exec] upgrades the cpu version's emit-only check to a
-    compile+execute differential on that runner (the CLI's [--cpu-exec]).
+    tiler.  [cpu_exec] upgrades the emit-only C check of the infl
+    lowering to a compile+execute differential on that runner (the CLI's
+    [--cpu-exec]).
     [progress] is called after each failure is minimized.
 
     [jobs > 1] shards the generate+check phase across a
@@ -74,6 +75,8 @@ val save_case :
 (** Writes a replay file (shrunk case plus the failure it reproduces). *)
 
 val load_case : string -> (Case.t * Check.failure, string) result
+(** A failure whose [compiler] is ["cpu"] (written before the C checks
+    were folded into infl) loads as an {b infl} failure. *)
 
 val replay :
   ?perturb:(Harness.Pipeline.version -> Scheduling.Schedule.t -> Scheduling.Schedule.t) ->

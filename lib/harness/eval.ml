@@ -301,10 +301,11 @@ let evaluate_cpu_op ?(machine = Gpusim.Machine.scalar_1core) ?runner ?(reps = 3)
     ?(check = true) ?(seed = 42) ~name kernel =
   Obs.Span.with_ "harness.cpu_op" @@ fun () ->
   let kernel = Ir.Kernel.instantiate kernel in
-  let p = Pipeline.run ~machine Pipeline.Cpu kernel in
-  let machine, source =
+  let machine = Pipeline.cpu_machine machine in
+  let p = Pipeline.run ~machine Pipeline.Infl kernel in
+  let source =
     match p.Pipeline.backend with
-    | Pipeline.Emitted { machine; source } -> (machine, source)
+    | Pipeline.Emitted source -> source
     | Pipeline.Simulated _ -> assert false
   in
   let base =

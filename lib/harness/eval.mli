@@ -127,9 +127,9 @@ val evaluate_cpu_op :
   name:string ->
   Ir.Kernel.t ->
   cpu_run * string
-(** Influence-schedule, lower, and emit C for [machine] (default the
-    portable scalar profile), returning the run record and the emitted
-    source.  With a [runner], also compile, execute [reps] times on
+(** The {!Pipeline.cpu_name} request: {b infl} emitted as C for
+    {!Pipeline.cpu_machine}[ machine] ([machine] defaults to the portable
+    scalar profile), returning the run record and the emitted source.  With a [runner], also compile, execute [reps] times on
     randomized inputs, and (when [check], the default) compare the output
     buffers bit-for-bit against [Interp.run_original].  Without one, the
     record carries the standard no-compiler degradation error. *)

@@ -1,38 +1,37 @@
-type version = Isl | Novec | Infl | Tiled | Cpu
+type version = Isl | Novec | Infl | Tiled
 
 type client = No_influence | Vectorizer | Tiling
-type backend = Simulate | Emit_c
 
 type spec = {
   name : string;
   client : client;
   vectorize : bool;
   vec_min_parallel : int;
-  backend : backend;
 }
 
 (* The version table.  The vectorizing versions refuse vector rewrites
    that would leave fewer than 2048 parallel iterations to map on threads. *)
 let spec = function
-  | Isl ->
-    { name = "isl"; client = No_influence; vectorize = false; vec_min_parallel = 0;
-      backend = Simulate }
-  | Novec ->
-    { name = "novec"; client = Vectorizer; vectorize = false; vec_min_parallel = 0;
-      backend = Simulate }
-  | Infl ->
-    { name = "infl"; client = Vectorizer; vectorize = true; vec_min_parallel = 2048;
-      backend = Simulate }
-  | Tiled ->
-    { name = "tiled"; client = Tiling; vectorize = false; vec_min_parallel = 0;
-      backend = Simulate }
-  | Cpu ->
-    { name = "cpu"; client = Vectorizer; vectorize = true; vec_min_parallel = 2048;
-      backend = Emit_c }
+  | Isl -> { name = "isl"; client = No_influence; vectorize = false; vec_min_parallel = 0 }
+  | Novec -> { name = "novec"; client = Vectorizer; vectorize = false; vec_min_parallel = 0 }
+  | Infl -> { name = "infl"; client = Vectorizer; vectorize = true; vec_min_parallel = 2048 }
+  | Tiled -> { name = "tiled"; client = Tiling; vectorize = false; vec_min_parallel = 0 }
 
-let versions = [ Isl; Novec; Infl; Tiled; Cpu ]
+let versions = [ Isl; Novec; Infl; Tiled ]
 let name v = (spec v).name
 let of_name s = List.find_opt (fun v -> name v = s) versions
+
+(* "cpu" is not a version: it names infl emitted as C, on the requested
+   machine when that is a CPU profile and on the portable scalar one
+   otherwise. *)
+let cpu_name = "cpu"
+let names = List.map name versions @ [ cpu_name ]
+
+let cpu_machine m = if Gpusim.Machine.is_cpu m then m else Gpusim.Machine.scalar_1core
+
+let resolve s ~machine =
+  if s = cpu_name then Some (Infl, cpu_machine machine)
+  else Option.map (fun v -> (v, machine)) (of_name s)
 
 (* ------------------------------------------------------------------ *)
 (* stages                                                               *)
@@ -153,9 +152,7 @@ let execute ?reps ?seed ?(check = true) runner built kernel =
 (* the composed pipeline                                                *)
 (* ------------------------------------------------------------------ *)
 
-type backend_output =
-  | Simulated of Gpusim.Sim.report
-  | Emitted of { machine : Gpusim.Machine.t; source : string }
+type backend_output = Simulated of Gpusim.Sim.report | Emitted of string
 
 type output = {
   sched : Scheduling.Schedule.t;
@@ -174,12 +171,7 @@ let run ?tile_sizes ?(machine = Gpusim.Machine.v100) ?deps version kernel =
   let compiled = lower ?tile_sizes ~deps version sched kernel in
   let backend, backend_s =
     Obs.Span.timed (fun () ->
-        match (spec version).backend with
-        | Simulate -> Simulated (simulate ~machine compiled)
-        | Emit_c ->
-          let machine =
-            if Gpusim.Machine.is_cpu machine then machine else Gpusim.Machine.scalar_1core
-          in
-          Emitted { machine; source = emit_c ~machine compiled })
+        if Gpusim.Machine.is_cpu machine then Emitted (emit_c ~machine compiled)
+        else Simulated (simulate ~machine compiled))
   in
   { sched; stats; compiled; backend; backend_s }

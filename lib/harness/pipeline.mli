@@ -5,18 +5,18 @@
     for one version.  Table II evaluation, the compile service, the tuning
     oracle, the fuzzer and the CLI all call these stages, so one
     (operator, version, machine) gives one schedule, one AST and one time
-    whichever way it is asked for. *)
+    or C source whichever way it is asked for.
 
-type version = Isl | Novec | Infl | Tiled | Cpu
+    A version is a schedule and its lowering; the machine profile picks
+    the backend.  Any version is simulated on a GPU profile and emitted
+    as C on a CPU profile. *)
+
+type version = Isl | Novec | Infl | Tiled
 
 type client =
   | No_influence  (** the uninfluenced baseline scheduler *)
   | Vectorizer  (** {!Vectorizer.Treegen.influence_for} *)
   | Tiling  (** {!Scheduling.Tiling.influence_for} *)
-
-type backend =
-  | Simulate  (** {!Gpusim.Sim} on a GPU profile *)
-  | Emit_c  (** {!Codegen_cpu.Cemit} on a CPU profile *)
 
 type spec = {
   name : string;  (** the version's name in requests, records and reports *)
@@ -24,19 +24,36 @@ type spec = {
   vectorize : bool;  (** run the explicit vectorization pass *)
   vec_min_parallel : int;
       (** the pass's [min_parallel] threshold ({!Codegen.Vectorpass.apply}) *)
-  backend : backend;
 }
 
 val spec : version -> spec
 (** The version table: [isl] (no influence), [novec] (vectorizer tree),
     [infl] (vectorizer tree, vector pass at threshold 2048) and [tiled]
-    (tiling tree) are simulated; [cpu] (as [infl]) emits C. *)
+    (tiling tree). *)
 
 val versions : version list
-(** Every version, in table order ([cpu] last). *)
+(** Every version, in table order. *)
 
 val name : version -> string
 val of_name : string -> version option
+(** The four version names; ["cpu"] is not one (see {!resolve}). *)
+
+val cpu_name : string
+(** ["cpu"]: accepted wherever a request, a CLI flag or a replay file
+    names a version, meaning {b infl} emitted as C (see {!resolve}). *)
+
+val names : string list
+(** Every name {!resolve} accepts: the versions in table order, then
+    {!cpu_name}. *)
+
+val cpu_machine : Gpusim.Machine.t -> Gpusim.Machine.t
+(** The profile C is emitted for under {!cpu_name}: the machine itself
+    when it is a CPU profile, the portable scalar profile otherwise. *)
+
+val resolve : string -> machine:Gpusim.Machine.t -> (version * Gpusim.Machine.t) option
+(** A version name with the requested machine, as the pipeline runs it:
+    a version's own name keeps [machine]; {!cpu_name} is {b infl} on
+    [cpu_machine machine].  [None] for an unknown name. *)
 
 (** {1 Stages} *)
 
@@ -110,10 +127,10 @@ val lower :
     kernels); [tile_sizes] and [tile_fault] are passed through. *)
 
 val simulate : ?machine:Gpusim.Machine.t -> Codegen.Compile.compiled -> Gpusim.Sim.report
-(** Stage 4 (GPU versions): the performance model, V100 by default. *)
+(** Stage 4 on a GPU profile: the performance model, V100 by default. *)
 
 val emit_c : machine:Gpusim.Machine.t -> Codegen.Compile.compiled -> string
-(** Stage 4 (cpu): the C source for a CPU profile. *)
+(** Stage 4 on a CPU profile: the C source. *)
 
 val memory_to_buffers : Ir.Kernel.t -> Interp.memory -> float array array
 (** Tensor contents flattened row-major, in [kernel.tensors] order — the
@@ -132,7 +149,7 @@ val execute :
   Codegen_cpu.Runner.built ->
   Ir.Kernel.t ->
   (float * (unit, float) result option, Codegen_cpu.Runner.error) result
-(** Stage 5 (cpu): run a built kernel [reps] times on randomized inputs
+(** Stage 5 (C only): run a built kernel [reps] times on randomized inputs
     and return the best wall-clock seconds.  With [check] (the default)
     the output buffers are also compared bit-for-bit against
     {!Interp.run_original}, with the verdict of {!interpret}. *)
@@ -140,8 +157,8 @@ val execute :
 (** {1 The composed pipeline} *)
 
 type backend_output =
-  | Simulated of Gpusim.Sim.report
-  | Emitted of { machine : Gpusim.Machine.t; source : string }
+  | Simulated of Gpusim.Sim.report  (** on a GPU profile *)
+  | Emitted of string  (** the C source, on a CPU profile *)
 
 type output = {
   sched : Scheduling.Schedule.t;
@@ -158,8 +175,7 @@ val run :
   version ->
   Ir.Kernel.t ->
   output
-(** {!tree}, {!schedule}, {!lower} and the version's backend in one call,
-    sharing one dependence analysis ([deps] when given).
-    [machine] (default V100) is simulated for the GPU versions.  For
-    {b cpu} the C is emitted for [machine] when it is a CPU profile, and
-    for the portable scalar profile otherwise. *)
+(** {!tree}, {!schedule}, {!lower} and the machine's backend in one
+    call, sharing one dependence analysis ([deps] when given): {!simulate}
+    when [machine] (default V100) is a GPU profile, {!emit_c} when it is
+    a CPU profile. *)

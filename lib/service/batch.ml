@@ -1,7 +1,7 @@
-(* One cache entry per operator holds the whole four-version op_result:
-   that is the unit Table II consumes, and caching at that granularity
-   makes a warm `network` run perform zero scheduler ILP solves for
-   cached operators.  Lookups and stores happen on the coordinating
+(* One cache entry per operator holds the whole op_result (the isl, tvm,
+   novec, infl and tiled columns): that is the unit Table II consumes,
+   and caching at that granularity makes a warm `network` run perform
+   zero scheduler ILP solves for cached operators.  Lookups and stores happen on the coordinating
    domain; only the compilation of misses is sharded across the pool. *)
 
 type tuning = { digest : string; tuning : Harness.Eval.tuning }

@@ -56,9 +56,11 @@ let make_handler ?(kernel_of_json = None) ?cache
 
 module P = Harness.Pipeline
 
-let compile_report ~machine ~version ~op kernel =
+(* [name] and [machine] are the request's, as its reply reports them;
+   the pipeline runs [version] on [target] ({!P.resolve}). *)
+let compile_report ~name ~machine ~version ~target ~op kernel =
   let deps = Deps.Analysis.dependences kernel in
-  let p = P.run ~machine ~deps version kernel in
+  let p = P.run ~machine:target ~deps version kernel in
   let stats = p.P.stats in
   let legal =
     match Scheduling.Legality.check p.P.sched kernel deps with
@@ -67,7 +69,7 @@ let compile_report ~machine ~version ~op kernel =
   in
   let base =
     [ ("op", J.String op);
-      ("version", J.String (P.name version));
+      ("version", J.String name);
       ("machine", J.String machine.Gpusim.Machine.name);
       ("rows", J.Int (List.length p.P.sched.Scheduling.Schedule.rows));
       ("loop_dims", J.Int stats.Scheduling.Scheduler.loop_dims);
@@ -80,13 +82,12 @@ let compile_report ~machine ~version ~op kernel =
     ]
   in
   match p.P.backend with
-  | P.Emitted { machine = cpu_machine; source } ->
+  | P.Emitted source ->
     (* serve stays emit-only (and so deterministic and toolchain-free):
-       no host compile, no measured timing — a GPU machine in the request
-       falls back to the portable scalar profile *)
+       no host compile, no measured timing *)
     base
-    @ [ ("cpu_machine", J.String cpu_machine.Gpusim.Machine.name);
-        ("isa", J.String (Gpusim.Machine.isa_name cpu_machine.Gpusim.Machine.isa));
+    @ [ ("cpu_machine", J.String target.Gpusim.Machine.name);
+        ("isa", J.String (Gpusim.Machine.isa_name target.Gpusim.Machine.isa));
         ("source_bytes", J.Int (String.length source));
         ("source", J.String source)
       ]
@@ -170,11 +171,10 @@ let metrics_reply ~id =
 let handle_compile h ~id req =
   let version =
     match J.member "version" req with
-    | None -> Ok P.Infl
-    | Some (J.String s) -> (
-      match P.of_name s with
-      | Some v -> Ok v
-      | None -> Error (Printf.sprintf "unknown version %S (isl|novec|infl|tiled|cpu)" s))
+    | None -> Ok (P.name P.Infl)
+    | Some (J.String s) when List.mem s P.names -> Ok s
+    | Some (J.String s) ->
+      Error (Printf.sprintf "unknown version %S (%s)" s (String.concat "|" P.names))
     | Some _ -> Error "version must be a string"
   in
   let machine =
@@ -216,21 +216,22 @@ let handle_compile h ~id req =
   match (version, machine, strategy, kernel) with
   | Error e, _, _, _ | _, Error e, _, _ | _, _, Error e, _ | _, _, _, Error e ->
     error ~id e
-  | Ok version, Ok machine, Ok (), Ok (op, kernel) -> (
+  | Ok name, Ok machine, Ok (), Ok (op, kernel) -> (
+    let version, target = Option.get (P.resolve name ~machine) in
     let t0 = Unix.gettimeofday () in
     (* spans the pipeline records inside this request are captured for
        the reply's breakdown, then folded back into the shared report *)
     let reply, spans =
       Obs.Span.scoped (fun () ->
           let key =
-            Key.make ~kernel ~machine ~version:(P.name version)
+            Key.make ~kernel ~machine ~version:name
               ~flags:[ ("entry", "serve"); ("op", op) ]
               ()
           in
           match Option.bind h.cache (fun c -> Cache.find c key) with
           | Some (J.Assoc fields) -> Ok (true, Key.digest key, fields)
           | Some _ | None -> (
-            match compile_report ~machine ~version ~op kernel with
+            match compile_report ~name ~machine ~version ~target ~op kernel with
             | exception Scheduling.Scheduler.Failure_no_schedule msg ->
               Error (Printf.sprintf "no schedule: %s" msg)
             | fields ->

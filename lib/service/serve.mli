@@ -10,13 +10,16 @@
     v}
 
     The optional ["verb"] selects what the request does:
-    - [compile] (the default): schedule, lower and simulate one kernel.
-      ["version"] defaults to ["infl"] (["cpu"] selects the CPU backend:
-      the reply carries the emitted C source and its byte count instead
-      of a simulated ["time_us"], and a GPU machine in the request falls
-      back to the portable scalar profile — serve never invokes the host
-      toolchain), ["machine"] to the handler's
-      default (V100).  An optional ["strategy"] (["fastpath-then-ilp"]
+    - [compile] (the default): schedule and lower one kernel, then
+      simulate it on a GPU profile or emit C on a CPU profile.
+      ["version"] is one of {!Harness.Pipeline.names} and defaults to
+      ["infl"]; ["machine"] defaults to the handler's default (V100).
+      A C reply carries ["cpu_machine"], ["isa"], the emitted ["source"]
+      and its ["source_bytes"] instead of a simulated ["time_us"]; serve
+      never invokes the host toolchain.  ["cpu"] is infl emitted as C
+      ({!Harness.Pipeline.resolve}): for the requested machine when it
+      is a CPU profile, for the portable scalar profile otherwise; the
+      reply still names the requested version and machine.  An optional ["strategy"] (["fastpath-then-ilp"]
       or ["ilp-only"]) is accepted for compatibility and answered like
       a request without it, since both strategies give the same
       schedule; any other value is a structured error.
@@ -39,15 +42,16 @@
     Success replies look like
     [{"status":"ok","id":I,"cached":B,"digest":D,"op":...,"version":...,
     "machine":...,"rows":N,"loop_dims":N,"scalar_dims":N,"ilp_solves":N,
-    "fastpath_hits":N,"abandoned":B,"legal":B,"time_us":F,
-    "elapsed_us":F,"spans":{...}}], and anything else — a malformed
-    request, a blank line, a line over the size limit, an unknown verb —
+    "fastpath_hits":N,"abandoned":B,"legal":B,"tiled":B,"time_us":F,
+    "elapsed_us":F,"spans":{...}}] (C replies carry the C fields in place
+    of ["time_us"]), and anything else — a malformed request, an inline
+    kernel with a non-positive extent, a blank line, a line over the size limit, an unknown verb —
     is a structured [{"status":"error","id":I,"error":MSG}] reply that
     bumps [service.serve_errors]; the loop never crashes and keeps
     serving.
 
     With a {!Cache}, compile replies are stored keyed by
-    (kernel, machine, version, entry=serve) and repeated
+    (kernel, requested machine, requested version name, entry=serve) and repeated
     requests are answered from disk with ["cached": true].
 
     Latency lands in two histograms: [serve.request_seconds] (every

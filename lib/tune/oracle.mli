@@ -24,16 +24,13 @@ type measurement = {
 
 val key :
   ?tile:bool ->
-  ?cpu_runner:Codegen_cpu.Runner.t ->
   machine:Gpusim.Machine.t ->
   Ir.Kernel.t ->
   Candidate.t ->
   Service.Key.t
 (** Compile-cache key for this evaluation: version ["tune-infl"]
     (["tune-tiled"] when [tile] is set), flags carrying the candidate
-    digest.  With [cpu_runner] the
-    version becomes ["tune-cpu"] and the host toolchain digest joins the
-    flags: measured and simulated entries never answer for each other. *)
+    digest. *)
 
 val find : Service.Cache.t -> Service.Key.t -> measurement option option
 (** [Some (Some m)] — cached successful measurement; [Some None] — the
@@ -43,7 +40,6 @@ val find : Service.Cache.t -> Service.Key.t -> measurement option option
 
 val compute :
   ?tile:bool ->
-  ?cpu_runner:Codegen_cpu.Runner.t ->
   machine:Gpusim.Machine.t ->
   Ir.Kernel.t ->
   Candidate.t ->
@@ -56,28 +52,19 @@ val compute :
     {!Scheduling.Tiling.influence_for} instead of the vectorizer (the
     candidate's weights are inert, its [order] selects among tile-shape
     branches) and lowering is unvectorized, mirroring the harness's
-    {b tiled} column.
-
-    With [cpu_runner] the oracle switches from the simulator to
-    {e measured} mode: the candidate's lowering is emitted as C,
-    compiled and executed on the host, and [time_us]/[cycles] come from
-    the best-of-reps wall clock on the runner's (or the given CPU
-    profile's) machine.  Measured times are host-dependent, so this mode
-    is API-only — the CLI's tuner always simulates, keeping tuning
-    records reproducible. *)
+    {b tiled} column.  Every evaluation is simulated on [machine], so a
+    tuning record is reproducible on any host. *)
 
 val store : Service.Cache.t -> Service.Key.t -> measurement option -> unit
 
 val measure :
   ?cache:Service.Cache.t ->
   ?tile:bool ->
-  ?cpu_runner:Codegen_cpu.Runner.t ->
   machine:Gpusim.Machine.t ->
   Ir.Kernel.t ->
   Candidate.t ->
   measurement option
 (** [find]-or-[compute]-then-[store] in one call, for sequential
-    callers (tests, single-op tuning).  A deterministic failure (say
-    {!Scheduling.Scheduler.Failure_no_schedule}) is stored as failed; a
-    failure of the host runner or toolchain in measured mode is not
-    stored, so the next call retries it. *)
+    callers (tests, single-op tuning).  A failure (say
+    {!Scheduling.Scheduler.Failure_no_schedule}) is deterministic, so it
+    is stored as failed like a success is stored. *)

@@ -12,19 +12,18 @@ module Machine = Gpusim.Machine
 module Cemit = Codegen_cpu.Cemit
 module Runner = Codegen_cpu.Runner
 module Toolchain = Codegen_cpu.Toolchain
+module P = Harness.Pipeline
 
-let influenced k =
-  fst (Scheduling.Scheduler.schedule ~influence:(Vectorizer.Treegen.influence_for k) k)
+(* Any version reaches C through the one pipeline: a CPU profile picks
+   the C backend.  Returns the lowering and its emitted source. *)
+let run ?(version = P.Infl) ~machine k =
+  let p = P.run ~machine version k in
+  match p.P.backend with
+  | P.Emitted source -> (p.P.compiled, source)
+  | P.Simulated _ ->
+    Alcotest.failf "%s simulated on %s" (P.name version) machine.Machine.name
 
-let tiled_sched k =
-  fst (Scheduling.Scheduler.schedule ~influence:(Scheduling.Tiling.influence_for k) k)
-
-let compile_infl k =
-  Codegen.Compile.lower ~vectorize:true ~vec_min_parallel:2048 (influenced k) k
-
-let compile_tiled k = Codegen.Compile.lower ~vectorize:false (tiled_sched k) k
-
-let emit ~machine k = Cemit.emit ~machine (compile_infl k)
+let emit ?version ~machine k = snd (run ?version ~machine k)
 
 let contains hay needle =
   try
@@ -99,7 +98,15 @@ let test_emit_wellformed () =
           Alcotest.(check bool) (label "braces") true (balanced_braces src);
           Alcotest.(check bool) (label "no cuda") false
             (contains src "__global__" || contains src "blockIdx" || contains src "float4"))
-        Machine.cpu_profiles)
+        Machine.cpu_profiles;
+      (* the machine, not the version, picks the backend *)
+      List.iter
+        (fun version ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s/%s emits the entry" name (P.name version))
+            true
+            (contains (emit ~version ~machine:Machine.avx2_8core k) Cemit.entry_symbol))
+        P.versions)
     Ops.Classics.all_small
 
 let test_intrinsic_width_legality () =
@@ -146,7 +153,7 @@ let test_tile_annotation_roundtrip () =
   (* tile_sizes annotations deposited by the tiling client must surface as
      cache-blocked loops: every tile loop's step is its annotated size *)
   let k = Ops.Classics.stencil2d () in
-  let c = compile_tiled k in
+  let c, src = run ~version:P.Tiled ~machine:Machine.scalar_1core k in
   Alcotest.(check bool) "tiling applied" true (Codegen.Tiling.applied c.Codegen.Compile.ast);
   let rec tile_steps = function
     | Codegen.Ast.Stmts l -> List.concat_map tile_steps l
@@ -158,7 +165,6 @@ let test_tile_annotation_roundtrip () =
   in
   let steps = tile_steps c.Codegen.Compile.ast in
   Alcotest.(check bool) "has tile loops" true (steps <> []);
-  let src = Cemit.emit ~machine:Machine.scalar_1core c in
   List.iter
     (fun s ->
       Alcotest.(check bool)
@@ -207,9 +213,7 @@ let test_golden_fig2_avx2 () =
   check_golden_c "fig2_cpu_avx2" src
 
 let test_golden_stencil2d_tiled_scalar () =
-  let src =
-    Cemit.emit ~machine:Machine.scalar_1core (compile_tiled (Ops.Classics.stencil2d ()))
-  in
+  let src = emit ~version:P.Tiled ~machine:Machine.scalar_1core (Ops.Classics.stencil2d ()) in
   Alcotest.(check bool) "tiled" true (contains src "tile loop");
   Alcotest.(check bool) "scalar fallback" false (contains src "_mm");
   check_golden_c "stencil2d_cpu_tiled_scalar" src
@@ -273,8 +277,8 @@ let test_executed_differential_native () =
 
 let test_compile_cache_hit () =
   with_runner @@ fun r ->
-  let c = compile_infl (Ops.Classics.fig2 ~n:8 ()) in
   let m = Machine.scalar_1core in
+  let c, _ = run ~machine:m (Ops.Classics.fig2 ~n:8 ()) in
   (match Runner.build r ~machine:m c with
    | Error e -> Alcotest.failf "first build: %s" (Runner.error_message e)
    | Ok b1 ->
@@ -288,8 +292,8 @@ let test_compile_cache_hit () =
 let test_corruption_recovery () =
   with_runner @@ fun r ->
   let k = Ops.Classics.fig2 ~n:8 () in
-  let c = compile_infl k in
   let m = Machine.scalar_1core in
+  let c, _ = run ~machine:m k in
   match Runner.build r ~machine:m c with
   | Error e -> Alcotest.failf "build: %s" (Runner.error_message e)
   | Ok built ->

@@ -106,6 +106,35 @@ let test_replay_roundtrip () =
         Alcotest.(check bool) "healthy pipeline passes the replay" true
           (result = Ok ()))
 
+(* Replay files written while the C checks were their own "cpu" version
+   still load: the C checks now run on the infl lowering and report as
+   infl. *)
+let test_replay_cpu_compiler () =
+  let case = Generate.generate ~seed:5 ~index:0 () in
+  let failure =
+    { Check.version = Harness.Pipeline.Infl; stage = Check.Emit; message = "synthetic" }
+  in
+  let file = Filename.temp_file "akg_fuzz_case" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      save_case ~file ~seed:5 ~index:0 ~failure case;
+      let ic = open_in_bin file in
+      let doc = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      let legacy =
+        Str.global_replace (Str.regexp_string {|"compiler":"infl"|}) {|"compiler":"cpu"|} doc
+      in
+      Alcotest.(check bool) "legacy record written" true (legacy <> doc);
+      let oc = open_out_bin file in
+      output_string oc legacy;
+      close_out oc;
+      match load_case file with
+      | Error e -> Alcotest.fail e
+      | Ok (c, f) ->
+        Alcotest.(check bool) "case preserved" true (Case.equal case c);
+        Alcotest.(check bool) "cpu loads as infl" true (f = failure))
+
 (* Negate the last loop row of a schedule: reverses the innermost loop,
    which is illegal whenever that loop carries a dependence. *)
 let negate_last_loop (sched : Scheduling.Schedule.t) =
@@ -204,6 +233,7 @@ let () =
         [ Alcotest.test_case "clean sweep" `Slow test_clean_sweep;
           Alcotest.test_case "stage names" `Quick test_stage_names;
           Alcotest.test_case "replay roundtrip" `Quick test_replay_roundtrip;
+          Alcotest.test_case "replay of a cpu failure" `Quick test_replay_cpu_compiler;
           Alcotest.test_case "broken scheduler caught" `Slow test_broken_scheduler_caught;
           Alcotest.test_case "broken tiler caught" `Slow test_broken_tiler_caught;
           Alcotest.test_case "max tile size sweep" `Slow test_max_tile_size_sweep

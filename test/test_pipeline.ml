@@ -10,29 +10,24 @@ module P = Harness.Pipeline
 module E = Harness.Eval
 module J = Obs.Json
 
-let serve_versions = [ P.Isl; P.Novec; P.Infl; P.Tiled ]
-
 let eval_us (r : E.op_result) = function
   | P.Isl -> r.E.isl_us
   | P.Novec -> r.E.novec_us
   | P.Infl -> r.E.infl_us
   | P.Tiled -> r.E.tiled_us
-  | P.Cpu -> invalid_arg "eval_us: cpu is not simulated"
 
 let handler ops =
   Service.Serve.make_handler ~find_op:(fun name -> List.assoc_opt name ops) ()
 
-(* One serve reply for (op, version), as its JSON fields. *)
-let serve h ~op version =
-  let line =
-    J.to_string (J.Assoc [ ("op", J.String op); ("version", J.String (P.name version)) ])
-  in
+(* One serve reply for (op, version name), as its JSON fields. *)
+let serve h ~op name =
+  let line = J.to_string (J.Assoc [ ("op", J.String op); ("version", J.String name) ]) in
   match J.of_string (Service.Serve.handle_line h line) with
-  | Error e -> Alcotest.failf "%s %s: unparseable reply: %s" op (P.name version) e
+  | Error e -> Alcotest.failf "%s %s: unparseable reply: %s" op name e
   | Ok reply -> (
     match J.member "status" reply with
     | Some (J.String "ok") -> reply
-    | _ -> Alcotest.failf "%s %s: %s" op (P.name version) (J.to_string reply))
+    | _ -> Alcotest.failf "%s %s: %s" op name (J.to_string reply))
 
 let float_field reply k =
   match J.member k reply with
@@ -66,9 +61,10 @@ let test_zoo_times () =
           let r = E.evaluate_op ~machine ~name:op kernel in
           List.iter
             (fun v ->
-              same_us "serve" ~op v (eval_us r v) (float_field (serve h ~op v) "time_us");
+              same_us "serve" ~op v (eval_us r v)
+                (float_field (serve h ~op (P.name v)) "time_us");
               incr checked)
-            serve_versions;
+            P.versions;
           List.iter
             (fun (v, tile) ->
               match Tune.Oracle.compute ~tile ~machine kernel Tune.Candidate.baseline with
@@ -111,13 +107,14 @@ let test_small_classics () =
       let r = E.evaluate_op ~name:op kernel in
       List.iter
         (fun v ->
-          same_us "serve" ~op v (eval_us r v) (float_field (serve h ~op v) "time_us"))
-        serve_versions;
+          same_us "serve" ~op v (eval_us r v)
+            (float_field (serve h ~op (P.name v)) "time_us"))
+        P.versions;
       let _, source = E.evaluate_cpu_op ~name:op kernel in
       Alcotest.(check string)
         (op ^ ": serve cpu C = evaluate_cpu_op C")
         source
-        (string_field (serve h ~op P.Cpu) "source"))
+        (string_field (serve h ~op P.cpu_name) "source"))
     ops
 
 (* Shared analysis: every stage given one [~deps] list must produce what it
@@ -267,8 +264,27 @@ let test_version_table () =
       Alcotest.(check bool) (P.name v ^ " round-trips") true (P.of_name (P.name v) = Some v))
     P.versions;
   Alcotest.(check (list string))
-    "names" [ "isl"; "novec"; "infl"; "tiled"; "cpu" ] (List.map P.name P.versions);
-  Alcotest.(check bool) "unknown name" true (P.of_name "tvm" = None)
+    "names" [ "isl"; "novec"; "infl"; "tiled" ] (List.map P.name P.versions);
+  Alcotest.(check (list string))
+    "accepted names" [ "isl"; "novec"; "infl"; "tiled"; "cpu" ] P.names;
+  Alcotest.(check bool) "cpu is not a version" true (P.of_name P.cpu_name = None);
+  Alcotest.(check bool) "unknown name" true (P.of_name "tvm" = None);
+  Alcotest.(check bool) "unknown name unresolved" true
+    (P.resolve "tvm" ~machine:Gpusim.Machine.v100 = None);
+  (* the machine picks the backend; cpu is infl as C on a CPU profile *)
+  let open Gpusim.Machine in
+  List.iter
+    (fun (name, machine, expected) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s on %s" name machine.name)
+        true
+        (P.resolve name ~machine = Some expected))
+    [ ("tiled", v100, (P.Tiled, v100));
+      ("isl", avx2_8core, (P.Isl, avx2_8core));
+      ("cpu", avx2_8core, (P.Infl, avx2_8core));
+      ("cpu", v100, (P.Infl, scalar_1core));
+      ("cpu", a100, (P.Infl, scalar_1core))
+    ]
 
 let () =
   Alcotest.run "pipeline"

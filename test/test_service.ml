@@ -465,6 +465,95 @@ let test_serve_strategy_field () =
   has {|"status":"error"|} not_string;
   has {|strategy must be a string|} not_string
 
+module J = Obs.Json
+
+let fields reply =
+  match J.of_string reply with
+  | Ok j -> j
+  | Error e -> Alcotest.failf "unparseable reply %s: %s" reply e
+
+let str_field j k =
+  match J.member k j with Some (J.String s) -> Some s | _ -> None
+
+(* The machine picks the backend.  "cpu" stays an accepted request name:
+   on the default (GPU) machine it is infl emitted for the scalar profile,
+   the reply keeps the request's version and machine, and its cache key is
+   the request's (version name, machine), as before the split.  An infl
+   request on a CPU profile gets C too, never a simulated time. *)
+let test_serve_backend_axis () =
+  reset ();
+  let h = Service.Serve.make_handler ~find_op:find_classic () in
+  let reply line = fields (Service.Serve.handle_line h line) in
+  let kernel = classic "fig2" in
+  let digest ~machine version =
+    Service.Key.digest
+      (Service.Key.make ~kernel ~machine ~version
+         ~flags:[ ("entry", "serve"); ("op", "fig2") ]
+         ())
+  in
+  let cpu = reply {|{"op":"fig2","version":"cpu"}|} in
+  let check_str what expected j k =
+    Alcotest.(check (option string)) what (Some expected) (str_field j k)
+  in
+  check_str "cpu keeps its name" "cpu" cpu "version";
+  check_str "cpu keeps the requested machine" Gpusim.Machine.v100.Gpusim.Machine.name cpu
+    "machine";
+  check_str "cpu emits for the scalar profile" "scalar-1core" cpu "cpu_machine";
+  check_str "cpu digest is the request's key" (digest ~machine:Gpusim.Machine.v100 "cpu")
+    cpu "digest";
+  Alcotest.(check bool) "cpu has no simulated time" true (J.member "time_us" cpu = None);
+  let avx2 = Gpusim.Machine.avx2_8core in
+  let infl = reply {|{"op":"fig2","version":"infl","machine":"avx2-8core"}|} in
+  check_str "infl on avx2" "infl" infl "version";
+  check_str "infl emits for avx2" "avx2-8core" infl "cpu_machine";
+  Alcotest.(check bool) "infl on a CPU profile has no simulated time" true
+    (J.member "time_us" infl = None);
+  check_str "infl on avx2 digest" (digest ~machine:avx2 "infl") infl "digest";
+  let cpu_avx2 = reply {|{"op":"fig2","version":"cpu","machine":"avx2-8core"}|} in
+  (match (str_field infl "source", str_field cpu_avx2 "source") with
+   | Some a, Some b ->
+     has Codegen_cpu.Cemit.entry_symbol a;
+     Alcotest.(check string) "infl and cpu on avx2 emit the same C" b a
+   | _ -> Alcotest.fail "a C reply lacks its source");
+  let gpu = reply {|{"op":"fig2","version":"infl"}|} in
+  Alcotest.(check bool) "infl on the default machine is simulated" true
+    (J.member "time_us" gpu <> None && J.member "source" gpu = None);
+  let bad = Service.Serve.handle_line h {|{"op":"fig2","version":"warp"}|} in
+  has {|(isl|novec|infl|tiled|cpu)|} bad
+
+(* An inline kernel with a non-positive iterator extent is a structured
+   error, and the loop keeps answering. *)
+let test_serve_bad_extent () =
+  reset ();
+  let kernel_of_json j = Result.bind (Fuzz.Case.of_json j) Fuzz.Case.to_kernel in
+  let h =
+    Service.Serve.make_handler ~kernel_of_json:(Some kernel_of_json) ~find_op:find_classic ()
+  in
+  let case extent =
+    let idx = { Fuzz.Case.coef = 1; iter = Some "i"; offset = 0 } in
+    { Fuzz.Case.name = "k";
+      tensors = [ ("A", [ 4 ]) ];
+      stmts =
+        [ { Fuzz.Case.sname = "S";
+            iters = [ ("i", extent) ];
+            write = { Fuzz.Case.tensor = "A"; index = [ idx ] };
+            rhs = Fuzz.Case.Const 1.0
+          }
+        ]
+    }
+  in
+  let line extent =
+    J.to_string (J.Assoc [ ("kernel", Fuzz.Case.to_json (case extent)); ("id", J.String "k") ])
+  in
+  List.iter
+    (fun extent ->
+      let bad = Service.Serve.handle_line h (line extent) in
+      has {|"status":"error"|} bad;
+      has "non-positive extent" bad;
+      has {|"status":"ok"|} (Service.Serve.handle_line h {|{"op":"fig2"}|}))
+    [ 0; -3 ];
+  has {|"status":"ok"|} (Service.Serve.handle_line h (line 4))
+
 (* the serve loop answers every line — blank included — so request and
    reply counts always match *)
 let test_serve_loop_blank_lines () =
@@ -521,6 +610,8 @@ let () =
           Alcotest.test_case "input guards" `Quick test_serve_guards;
           Alcotest.test_case "verbs and ids" `Quick test_serve_verbs_and_ids;
           Alcotest.test_case "strategy field" `Quick test_serve_strategy_field;
+          Alcotest.test_case "backend axis" `Quick test_serve_backend_axis;
+          Alcotest.test_case "bad extent" `Quick test_serve_bad_extent;
           Alcotest.test_case "loop answers blank lines" `Quick
             test_serve_loop_blank_lines
         ] )

@@ -214,7 +214,7 @@ let test_stencilzoo_contract () =
   let time (p : P.output) =
     match p.P.backend with
     | P.Simulated r -> Gpusim.Sim.time_us r
-    | P.Emitted _ -> Alcotest.fail "a GPU version emitted C"
+    | P.Emitted _ -> Alcotest.fail "a V100 run emitted C"
   in
   let wins =
     List.filter
