@@ -222,10 +222,9 @@ let version_arg =
     & opt (enum (List.map (fun n -> (n, n)) P.names)) (P.name P.Infl)
     & info [ "version"; "v" ] ~doc)
 
-(* the version and machine a command runs: --tile means tiled, and the
-   pipeline resolves the cpu name *)
-let resolve ?(machine = Gpusim.Machine.v100) ~tile name =
-  Option.get (P.resolve (if tile then P.name P.Tiled else name) ~machine)
+(* the version and machine a command runs: the pipeline resolves the cpu
+   name *)
+let resolve ?(machine = Gpusim.Machine.v100) name = Option.get (P.resolve name ~machine)
 
 let machine_conv =
   let parse s =
@@ -253,14 +252,6 @@ let cpu_profile_for machine runner =
     match runner with
     | Some r -> Codegen_cpu.Runner.native_profile r
     | None -> Gpusim.Machine.scalar_1core)
-
-let tile_flag =
-  let doc =
-    "Shorthand for $(b,--version tiled): schedule under the tiling influence tree \
-     (tile-shape constraints injected through the same channel as the vectorizer's) \
-     and lower unvectorized."
-  in
-  Arg.(value & flag & info [ "tile" ] ~doc)
 
 let tile_sizes_arg =
   let doc =
@@ -331,12 +322,12 @@ let schedule_cmd =
           Scheduling.Scheduler.default_config.Scheduling.Scheduler.strategy
       & info [ "strategy" ] ~docv:"S" ~doc)
   in
-  let run name version strategy tile _tile_spec tree verbose o =
+  let run name version strategy tree verbose o =
     setup_logs verbose;
     with_obs o @@ fun () ->
     with_op
       (fun k ->
-        let version, _ = resolve ~tile version in
+        let version, _ = resolve version in
         let deps = Deps.Analysis.dependences k in
         let influence = P.tree ~deps version k in
         if tree then
@@ -359,15 +350,14 @@ let schedule_cmd =
   in
   Cmd.v (Cmd.info "schedule" ~doc:"Schedule an operator and check legality")
     Term.(
-      const run $ op_arg $ version_arg $ strategy_arg $ tile_flag $ tile_sizes_arg
-      $ tree_flag $ verbose_arg $ obs_term)
+      const run $ op_arg $ version_arg $ strategy_arg $ tree_flag $ verbose_arg $ obs_term)
 
 let codegen_cmd =
-  let run name version machine tile tile_spec o =
+  let run name version machine tile_spec o =
     with_obs o @@ fun () ->
     with_op
       (fun k ->
-        let version, machine = resolve ?machine ~tile version in
+        let version, machine = resolve ?machine version in
         let p = P.run ~machine ?tile_sizes:(tile_sizes_of tile_spec) version k in
         match p.P.backend with
         | P.Emitted source -> print_string source
@@ -380,15 +370,14 @@ let codegen_cmd =
          "Print generated code: CUDA-like on a GPU profile, C with SIMD intrinsics \
           on a CPU profile ($(b,--machine), or $(b,--version cpu))")
     Term.(
-      const run $ op_arg $ version_arg $ machine_arg $ tile_flag $ tile_sizes_arg
-      $ obs_term)
+      const run $ op_arg $ version_arg $ machine_arg $ tile_sizes_arg $ obs_term)
 
 let simulate_cmd =
-  let run name version tile tile_spec o =
+  let run name version tile_spec o =
     with_obs o @@ fun () ->
     with_op
       (fun k ->
-        let version, _ = resolve ~tile version in
+        let version, _ = resolve version in
         let p = P.run ?tile_sizes:(tile_sizes_of tile_spec) version k in
         Format.printf "%a@." Codegen.Mapping.pp p.P.compiled.Codegen.Compile.mapping;
         match p.P.backend with
@@ -397,7 +386,7 @@ let simulate_cmd =
       name
   in
   Cmd.v (Cmd.info "simulate" ~doc:"Run the GPU performance model")
-    Term.(const run $ op_arg $ version_arg $ tile_flag $ tile_sizes_arg $ obs_term)
+    Term.(const run $ op_arg $ version_arg $ tile_sizes_arg $ obs_term)
 
 let cpu_run_cmd =
   let emit_only_arg =
@@ -422,8 +411,8 @@ let cpu_run_cmd =
   in
   let all_arg =
     let doc =
-      "Run the whole classic-operator zoo (through the sharded, cache-aware suite \
-       evaluator) instead of one operator."
+      "Run the whole classic-operator zoo, sharded over $(b,--jobs) workers, instead \
+       of one operator."
     in
     Arg.(value & flag & info [ "all" ] ~doc)
   in
@@ -450,7 +439,7 @@ let cpu_run_cmd =
     in
     Arg.(value & pos 0 (some string) None & info [] ~docv:"OP" ~doc)
   in
-  let run name machine emit_only show_source reps seed no_check all jobs cache o =
+  let run name machine emit_only show_source reps seed no_check all jobs o =
     with_obs o @@ fun () ->
     let runner =
       if emit_only then None
@@ -469,11 +458,13 @@ let cpu_run_cmd =
       (Gpusim.Machine.simd_width machine) machine.Gpusim.Machine.sm_count
       (if runner = None then " — emit-only" else "");
     if all then begin
-      let cache = open_cache cache in
       let runs =
-        Service.Batch.evaluate_cpu_suite ~machine ?cache ?runner
-          ~check:(not no_check) ~jobs:(resolve_jobs jobs)
-          (List.map (fun (n, mk) -> (n, mk ())) Ops.Classics.all)
+        Service.Pool.map ~jobs:(resolve_jobs jobs)
+          (fun (name, mk) ->
+            fst
+              (Harness.Eval.evaluate_cpu_op ~machine ?runner ~reps ~check:(not no_check)
+                 ~seed ~name (mk ())))
+          Ops.Classics.all
       in
       List.iter (fun r -> Format.printf "%a@." pp_run r) runs;
       let mismatches =
@@ -512,7 +503,7 @@ let cpu_run_cmd =
           a host C compiler the command degrades to emit-only and still succeeds.")
     Term.(
       const run $ cpu_op_arg $ machine_arg $ emit_only_arg $ source_arg $ reps_arg
-      $ seed_arg $ no_check_arg $ all_arg $ jobs_arg $ cache_arg $ obs_term)
+      $ seed_arg $ no_check_arg $ all_arg $ jobs_arg $ obs_term)
 
 let eval_cmd =
   let run name jobs cache tuned o =

@@ -3,10 +3,14 @@ open Polyhedra
 type mark =
   | Seq_mark
   | Parallel
-  | Vectorized of int * bool
   | Block of int
   | Thread of int
   | BlockThread of int * int
+
+type kind =
+  | Plain
+  | Tile of int
+  | Vector of int
 
 type t =
   | Stmts of t list
@@ -19,7 +23,7 @@ and loop = {
   var : string;
   lower : Linexpr.t list;
   upper : Linexpr.t list;
-  step : int;
+  kind : kind;
   mark : mark;
   dim : int;
   trip_hint : int option;
@@ -53,18 +57,15 @@ let rec map_loops f = function
   | If (cs, b) -> If (cs, map_loops f b)
   | (Exec _ | VecExec _) as e -> e
 
-(* Tiling hoists its tile loops to [dim = row - 1000]; no other loop has a
-   dimension this low. *)
-let is_tile_loop l = l.dim <= -500
+let step l = match l.kind with Plain -> 1 | Tile s | Vector s -> s
 
-(* step > 1 signals a vectorized loop, except on tile loops, which step by
-   the tile size *)
 let rec has_vector_loop = function
   | Stmts l -> List.exists has_vector_loop l
   | If (_, b) -> has_vector_loop b
   | Exec _ -> false
   | VecExec _ -> true
-  | For l -> (l.step > 1 && not (is_tile_loop l)) || has_vector_loop l.body
+  | For { kind = Vector _; _ } -> true
+  | For l -> has_vector_loop l.body
 
 let rec exec_count = function
   | Stmts l -> List.fold_left (fun acc t -> acc + exec_count t) 0 l
@@ -72,13 +73,15 @@ let rec exec_count = function
   | If (_, b) -> exec_count b
   | Exec _ | VecExec _ -> 1
 
-let mark_string = function
-  | Seq_mark -> "for"
-  | Parallel -> "forall"
-  | Vectorized (w, par) -> Printf.sprintf "forvec<%d%s>" w (if par then ",par" else "")
-  | Block a -> Printf.sprintf "forblock.%c" "xyz".[a]
-  | Thread a -> Printf.sprintf "forthread.%c" "xyz".[a]
-  | BlockThread (b, t) -> Printf.sprintf "forgrid.%c%c" "xyz".[b] "xyz".[t]
+let mark_string l =
+  match (l.mark, l.kind) with
+  | Seq_mark, Vector w -> Printf.sprintf "forvec<%d>" w
+  | Parallel, Vector w -> Printf.sprintf "forvec<%d,par>" w
+  | Seq_mark, _ -> "for"
+  | Parallel, _ -> "forall"
+  | Block a, _ -> Printf.sprintf "forblock.%c" "xyz".[a]
+  | Thread a, _ -> Printf.sprintf "forthread.%c" "xyz".[a]
+  | BlockThread (b, t), _ -> Printf.sprintf "forgrid.%c%c" "xyz".[b] "xyz".[t]
 
 let bound_string which exprs =
   match exprs with
@@ -91,12 +94,12 @@ let rec pp_indented fmt indent t =
   match t with
   | Stmts l -> List.iter (pp_indented fmt indent) l
   | For l ->
-    Format.fprintf fmt "%s%s (%s = %s; %s <= %s; %s += %d)@," pad (mark_string l.mark)
+    Format.fprintf fmt "%s%s (%s = %s; %s <= %s; %s += %d)@," pad (mark_string l)
       l.var
       (bound_string "max" l.lower)
       l.var
       (bound_string "min" l.upper)
-      l.var l.step;
+      l.var (step l);
     pp_indented fmt (indent + 2) l.body
   | If (cs, b) ->
     Format.fprintf fmt "%sif (%s)@," pad

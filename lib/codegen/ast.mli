@@ -20,14 +20,22 @@ open Polyhedra
 type mark =
   | Seq_mark  (** ordinary sequential loop *)
   | Parallel  (** no dependence carried: may be mapped *)
-  | Vectorized of int * bool
-      (** rewritten with explicit vector types of (width); the flag records
-          whether the strip loop is parallel (mappable to threads) *)
   | Block of int  (** mapped to CUDA blockIdx.{x,y,z} (axis) *)
   | Thread of int  (** mapped to CUDA threadIdx.{x,y,z} (axis) *)
   | BlockThread of int * int
       (** strip-mined over a (block axis, thread axis) pair: iteration
           [i = blockIdx * thread_extent + threadIdx] *)
+
+(** What a loop's iterations are; {!mark} says how they run. *)
+type kind =
+  | Plain  (** unit step *)
+  | Tile of int
+      (** a tile loop introduced by {!Tiling}, stepping by the tile size
+          over the point loops below it *)
+  | Vector of int
+      (** a vector strip of this width, rewritten by {!Vectorpass}: its
+          body is loop-free and each [VecExec] covers the strip's lanes.
+          A parallel strip keeps its lanes when it is mapped to threads. *)
 
 type t =
   | Stmts of t list  (** ordered sequence *)
@@ -41,11 +49,11 @@ and loop = {
   var : string;
   lower : Linexpr.t list;  (** max of ceilings; never empty *)
   upper : Linexpr.t list;  (** min of floors; never empty *)
-  step : int;
+  kind : kind;
   mark : mark;
   dim : int;
-      (** schedule row this loop implements; tile loops introduced by
-          {!Tiling} use [row - 1000] so they sort outermost *)
+      (** schedule row this loop implements; a tile loop uses [row - 1000]
+          as its mapping key, apart from its point loop's *)
   trip_hint : int option;
       (** constant trip count for loops whose bounds are not constant
           (tiling point loops); lets the mapping pass stay applicable *)
@@ -66,13 +74,11 @@ val stmts_of : t -> string list
 
 val map_loops : (loop -> loop) -> t -> t
 
-val is_tile_loop : loop -> bool
-(** Whether the loop is a tile loop introduced by {!Tiling} — the one place
-    that knows how tile loops are encoded. *)
+val step : loop -> int
+(** The loop's stride: the tile size or vector width, else 1. *)
 
 val has_vector_loop : t -> bool
-(** Whether the AST contains a vectorized loop: a [VecExec], or a loop
-    stepping by more than one that is not a tile loop. *)
+(** Whether the AST contains a vector strip or a [VecExec]. *)
 
 val exec_count : t -> int
 (** Number of [Exec]/[VecExec] sites. *)

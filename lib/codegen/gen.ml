@@ -199,7 +199,7 @@ let generate sched kernel =
           | Scheduling.Schedule.Scalar -> Ast.Seq_mark
         in
         Ast.For
-          { Ast.var = td; lower; upper; step = 1; mark; dim = d; trip_hint = None;
+          { Ast.var = td; lower; upper; kind = Ast.Plain; mark; dim = d; trip_hint = None;
             body = gen (d + 1) group }
       end
     end

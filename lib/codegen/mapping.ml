@@ -15,9 +15,9 @@ let const_of = function
   | [ e ] when Linexpr.is_const e -> Some (Linexpr.constant e)
   | _ -> None
 
-(* Eligible dims with their trip counts: parallel (or parallel vector
-   strips), constant bounds.  A dim can appear as several For nodes (split
-   nests); we keep the largest trip. *)
+(* Eligible dims with their trip counts: parallel loops (vector strips
+   and tile loops included), constant bounds.  A dim can appear as several
+   For nodes (split nests); we keep the largest trip. *)
 let eligible_dims ast =
   let table : (int, int option) Hashtbl.t = Hashtbl.create 8 in
   let note dim extent =
@@ -34,17 +34,16 @@ let eligible_dims ast =
     | Ast.Exec _ | Ast.VecExec _ -> ()
     | Ast.For l ->
       (match l.Ast.mark with
-       | Ast.Parallel | Ast.Vectorized (_, true) -> (
-         (* a parallel vectorized loop is mapped as a strip: one vector
+       | Ast.Parallel -> (
+         (* a parallel vector strip is mapped as a strip: one vector
             operation per thread; only the lanes are never split *)
          match (const_of l.Ast.lower, const_of l.Ast.upper) with
          | Some lo, Some hi ->
            let span = Bigint.to_int (Bigint.sub (Q.floor hi) (Q.ceil lo)) + 1 in
-           let extent = (span + l.Ast.step - 1) / l.Ast.step in
-           note l.Ast.dim (Some extent)
+           let step = Ast.step l in
+           note l.Ast.dim (Some ((span + step - 1) / step))
          | _ -> note l.Ast.dim l.Ast.trip_hint)
-       | Ast.Seq_mark | Ast.Vectorized (_, false) | Ast.Block _ | Ast.Thread _
-       | Ast.BlockThread _ ->
+       | Ast.Seq_mark | Ast.Block _ | Ast.Thread _ | Ast.BlockThread _ ->
          note l.Ast.dim None);
       go l.Ast.body
   in

@@ -1,9 +1,10 @@
 (** CUDA block/thread mapping.
 
-    Selects which (parallel, constant-bound, non-vectorized) schedule
-    dimensions become [blockIdx] and [threadIdx] axes and stamps the marks
-    into the AST.  Following the paper's first AKG modification, dimensions
-    rewritten by the vectorization pass are never considered for mapping. *)
+    Selects which (parallel, constant-bound) schedule dimensions become
+    [blockIdx] and [threadIdx] axes and stamps the marks into the AST.
+    Following the paper's first AKG modification, the lanes of a vector
+    strip are never split across threads: a parallel strip is mapped whole,
+    one vector operation per thread, and a sequential one not at all. *)
 
 type t = {
   block_dims : (int * int) list;  (** (schedule dim, extent), outermost first *)

@@ -35,5 +35,5 @@ let refine sched kernel deps ast =
           loop_is_parallel sched kernel deps ~dim:loop.Ast.dim ~stmts
         in
         { loop with Ast.mark = (if parallel then Ast.Parallel else Ast.Seq_mark) }
-      | Ast.Vectorized _ | Ast.Block _ | Ast.Thread _ | Ast.BlockThread _ -> loop)
+      | Ast.Block _ | Ast.Thread _ | Ast.BlockThread _ -> loop)
     ast

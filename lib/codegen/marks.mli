@@ -10,13 +10,9 @@
 val refine :
   Scheduling.Schedule.t -> Ir.Kernel.t -> Deps.Dependence.t list -> Ast.t -> Ast.t
 (** [refine sched kernel deps ast] re-marks every [For] node; [deps] are
-    the kernel's dependences ({!Deps.Analysis.dependences}). *)
-
-val loop_is_parallel :
-  Scheduling.Schedule.t -> Ir.Kernel.t -> Deps.Dependence.t list -> dim:int ->
-  stmts:string list -> bool
-(** Whether dimension [dim] carries no validity dependence among [stmts],
-    given equal schedule prefixes (exposed for the vectorization pass). *)
+    the kernel's dependences ({!Deps.Analysis.dependences}).  The vector
+    pass runs after it and reads the [Parallel] mark as "the strip may be
+    mapped to threads". *)
 
 val dep_carried :
   Scheduling.Schedule.t -> Ir.Kernel.t -> Deps.Dependence.t -> dim:int -> bool

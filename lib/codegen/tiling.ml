@@ -29,9 +29,9 @@ let band_permutable sched kernel deps ~dims ~stmts =
         dims)
     relevant
 
-(* A chain of directly nested unit-step loops: [For d0 { For d1 { ... body }}]. *)
+(* A chain of directly nested plain loops: [For d0 { For d1 { ... body }}]. *)
 let rec collect_chain (l : Ast.loop) =
-  if l.Ast.step <> 1 || l.Ast.dim < 0 then ([], Ast.For l)
+  if l.Ast.kind <> Ast.Plain then ([], Ast.For l)
   else
     match l.Ast.body with
     | Ast.For inner ->
@@ -107,7 +107,7 @@ let apply ?fault ~sizes sched kernel deps ast =
                   { Ast.var = tile_var c.Ast.dim;
                     lower = c.Ast.lower;
                     upper = c.Ast.upper;
-                    step = s;
+                    kind = Ast.Tile s;
                     mark = c.Ast.mark;
                     dim = c.Ast.dim - 1000;
                     trip_hint = None;
@@ -129,5 +129,6 @@ let tile_all ~size sched kernel deps ast =
 let rec applied = function
   | Ast.Stmts l -> List.exists applied l
   | Ast.If (_, b) -> applied b
-  | Ast.For l -> Ast.is_tile_loop l || applied l.Ast.body
+  | Ast.For { Ast.kind = Ast.Tile _; _ } -> true
+  | Ast.For l -> applied l.Ast.body
   | Ast.Exec _ | Ast.VecExec _ -> false

@@ -30,7 +30,7 @@ type fault = Off_by_one
 val apply :
   ?fault:fault -> sizes:(int -> int option) -> Scheduling.Schedule.t ->
   Ir.Kernel.t -> Deps.Dependence.t list -> Ast.t -> Ast.t
-(** Tiles every maximal chain of directly-nested, unit-step loops forming a
+(** Tiles every maximal chain of directly-nested plain loops forming a
     permutable band (checked against the kernel's dependences).  [sizes
     dim] gives the tile size for a schedule dimension ([None] or sizes
     <= 1 leave the dimension untiled).  Chains with no tiled dimension are
@@ -42,5 +42,5 @@ val tile_all :
 (** [apply] with the same size for every dimension. *)
 
 val applied : Ast.t -> bool
-(** Whether the AST contains tile loops (the negative-dimension loops this
-    pass synthesizes) — how callers report a schedule as actually tiled. *)
+(** Whether the AST contains tile loops — how callers report a schedule
+    as actually tiled. *)

@@ -95,7 +95,7 @@ let apply ?(min_parallel = 0) sched kernel deps ast =
     let capacity = parallel_capacity ast in
     Ast.map_loops
       (fun loop ->
-        if loop.Ast.step <> 1 then loop
+        if loop.Ast.kind <> Ast.Plain then loop
         else begin
           let execs = collect_execs loop.Ast.var loop.Ast.body in
           let unguarded = List.filter (fun (_, g) -> g = []) execs in
@@ -163,22 +163,16 @@ let apply ?(min_parallel = 0) sched kernel deps ast =
               | _ -> false
             in
             if not (safe_order && bounds_ok) then loop
-            else begin
-              let strip_parallel =
-                Marks.loop_is_parallel sched kernel deps ~dim:loop.Ast.dim ~stmts
-              in
-              (* Profitability: widening a parallel loop divides the thread
-                 supply by the width; refuse when the kernel would no longer
-                 fill the machine (vector lanes of a sequential loop cost no
-                 parallelism). *)
-              if strip_parallel && capacity / width < min_parallel then loop
-              else
-                { loop with
-                  Ast.step = width;
-                  mark = Ast.Vectorized (width, strip_parallel);
-                  body = vectorize_body width loop.Ast.var loop.Ast.body
-                }
-            end
+            (* Profitability: widening a parallel loop divides the thread
+               supply by the width; refuse when the kernel would no longer
+               fill the machine (vector lanes of a sequential loop cost no
+               parallelism).  The strip keeps the mark {!Marks.refine} set. *)
+            else if loop.Ast.mark = Ast.Parallel && capacity / width < min_parallel then loop
+            else
+              { loop with
+                Ast.kind = Ast.Vector width;
+                body = vectorize_body width loop.Ast.var loop.Ast.body
+              }
           end
         end)
       ast

@@ -12,8 +12,13 @@
       (single-statement loops may: lanes execute in order);
     - guards on the loop variable must be equalities pinning a
       lane-0-aligned value (such statements stay scalar);
-    - the loop has unit step, constant bounds, and an extent divisible by
-      the chosen width (the minimum across statements). *)
+    - the loop is plain (not a tile loop or a strip), has constant bounds
+      and an extent divisible by the chosen width (the minimum across
+      statements).
+
+    The rewritten loop gets kind [Vector width] and keeps the mark
+    {!Marks.refine} gave it, so a [Parallel] strip may be mapped to
+    threads. *)
 
 val apply :
   ?min_parallel:int -> Scheduling.Schedule.t -> Ir.Kernel.t ->

@@ -448,39 +448,27 @@ let emit ?(machine = Gpusim.Machine.scalar_1core) (c : Codegen.Compile.compiled)
       let header ?(note = "") () =
         add "%sfor (int64_t %s = %s; %s <= %s; %s += %d) {%s\n" pad l.Ast.var
           (lower_to_c l.Ast.lower) l.Ast.var (upper_to_c l.Ast.upper) l.Ast.var
-          l.Ast.step note
+          (Ast.step l) note
       in
       let close () = add "%s}\n" pad in
-      (match l.Ast.mark with
-       | Ast.Vectorized (w, _) ->
+      (match l.Ast.kind with
+       | Ast.Vector w ->
          header ~note:(Printf.sprintf "  /* vector strip (w=%d) */" w) ();
          go_vec (indent + 2) l.Ast.var w l.Ast.body;
          close ()
-       | _ when l.Ast.step > 1 ->
-         (* Interp.run_ast routes every step>1 loop through its go_vec
-            walk: vectorized strips the mapping pass re-marked as thread
-            axes (step = vector width) and tile loops (step = tile size,
-            whose For body falls straight back to the plain walk) *)
-         let note =
-           if Ast.is_tile_loop l then
-             Printf.sprintf "  /* tile loop (size %d) */" l.Ast.step
-           else Printf.sprintf "  /* vector strip (w=%d) */" l.Ast.step
-         in
-         header ~note ();
-         go_vec (indent + 2) l.Ast.var l.Ast.step l.Ast.body;
+       | Ast.Tile s ->
+         (* a tile loop runs sequentially and never opens the OpenMP
+            region: that is left to the point loops below it *)
+         header ~note:(Printf.sprintf "  /* tile loop (size %d) */" s) ();
+         go (indent + 2) l.Ast.body;
          close ()
-       | mark ->
+       | Ast.Plain ->
          let parallel =
-           match mark with
+           match l.Ast.mark with
            | Ast.Parallel | Ast.Block _ | Ast.Thread _ | Ast.BlockThread _ -> true
-           | _ -> false
+           | Ast.Seq_mark -> false
          in
-         let note =
-           if Ast.is_tile_loop l then
-             Printf.sprintf "  /* tile loop (size %d) */" l.Ast.step
-           else if parallel then "  /* parallel */"
-           else ""
-         in
+         let note = if parallel then "  /* parallel */" else "" in
          if parallel && omp && not !omp_open then begin
            add "%s#pragma omp parallel for\n" pad;
            omp_open := true;
@@ -490,9 +478,6 @@ let emit ?(machine = Gpusim.Machine.scalar_1core) (c : Codegen.Compile.compiled)
            omp_open := false
          end
          else begin
-           (* tile loops step by the tile size; Interp treats them through
-              the same go_vec path, where the inner For falls back to the
-              plain walk — emitting the body sequentially is identical *)
            header ~note ();
            go (indent + 2) l.Ast.body;
            close ()

@@ -53,23 +53,24 @@ let well_formed (c : Codegen.Compile.compiled) =
       if w <> 2 && w <> 4 then err "VecExec(%s) width %d not in {2,4}" e.Ast.stmt w;
       if not in_strip then err "VecExec(%s) outside a vector strip" e.Ast.stmt
     | Ast.For l ->
-      (match l.Ast.mark with
-       | Ast.Vectorized (w, _) ->
+      let strip = match l.Ast.kind with Ast.Vector _ -> true | Ast.Plain | Ast.Tile _ -> false in
+      (match l.Ast.kind with
+       | Ast.Vector w ->
          if w <> 2 && w <> 4 then err "vector width %d of %s not in {2,4}" w l.Ast.var;
-         if l.Ast.step <> w then
-           err "vectorized loop %s: step %d differs from width %d" l.Ast.var l.Ast.step w;
-         if List.mem l.Ast.dim block_mapped then
-           err "vectorized dim %d (%s) is also block-mapped" l.Ast.dim l.Ast.var;
-         if List.mem l.Ast.dim thread_mapped then
-           err "vectorized dim %d (%s) is also thread-mapped" l.Ast.dim l.Ast.var;
-         if contains_for l.Ast.body then
-           err "loop nest under vectorized loop %s" l.Ast.var
+         if contains_for l.Ast.body then err "loop nest under vectorized loop %s" l.Ast.var
+       | Ast.Plain | Ast.Tile _ -> ());
+      (match l.Ast.mark with
        | Ast.Block a -> if a < 0 || a > 2 then err "block axis %d outside x/y/z" a
        | Ast.Thread a -> if a < 0 || a > 2 then err "thread axis %d outside x/y/z" a
        | Ast.BlockThread (a, b) ->
          if a < 0 || a > 2 || b < 0 || b > 2 then err "strip axes (%d,%d) outside x/y/z" a b
-       | Ast.Seq_mark | Ast.Parallel -> ());
-      go ~in_strip:(in_strip || l.Ast.step > 1) l.Ast.body
+       | Ast.Seq_mark | Ast.Parallel ->
+         (* an unmapped strip's dimension must not be mapped elsewhere *)
+         if strip && List.mem l.Ast.dim block_mapped then
+           err "vectorized dim %d (%s) is also block-mapped" l.Ast.dim l.Ast.var;
+         if strip && List.mem l.Ast.dim thread_mapped then
+           err "vectorized dim %d (%s) is also thread-mapped" l.Ast.dim l.Ast.var);
+      go ~in_strip:(in_strip || strip) l.Ast.body
   in
   go ~in_strip:false c.Compile.ast;
   if Mapping.block_threads m > 1024 then

@@ -35,11 +35,11 @@ val pp_failure : Format.formatter -> failure -> unit
 
 val well_formed : Codegen.Compile.compiled -> (unit, string) result
 (** Structural invariants of the emitted CUDA AST: explicit vector widths
-    are 2 or 4 and equal the strip step, [VecExec] only occurs under a
-    vector strip, no loop nests under a vectorized loop, mapping axes
-    are within [x]/[y]/[z], the thread-extent product respects the
-    1024-thread budget, and no vectorized dimension is also block- or
-    thread-mapped. *)
+    are 2 or 4, [VecExec] only occurs under a vector strip (a tile loop
+    is not one), no loop nests under a vector strip, mapping axes are
+    within [x]/[y]/[z], the thread-extent product respects the
+    1024-thread budget, and the dimension of a strip left unmapped is not
+    block- or thread-mapped elsewhere. *)
 
 val run :
   ?perturb:(Harness.Pipeline.version -> Scheduling.Schedule.t -> Scheduling.Schedule.t) ->

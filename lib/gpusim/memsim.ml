@@ -74,7 +74,7 @@ let on_lattice env ce = eval_raw env ce mod ce.div = 0
 
 type sguard = { gkind : Constr.kind; gexpr : cexpr }
 
-type role = Serial | BlockAxis of int | ThreadAxis of int | SplitAxis of int * int * int | Vector of int
+type role = Serial | BlockAxis of int | ThreadAxis of int | SplitAxis of int * int * int
 
 type saccess = {
   is_write : bool;
@@ -96,6 +96,7 @@ type sprog =
       upper : cexpr array;
       step : int;
       role : role;
+      strip : bool;  (** a vector strip: its slot is the lanes' variable *)
       has_guards : bool;
       body : sprog;
       mask : bool array;
@@ -193,15 +194,15 @@ let build_program ~lanes (c : Compile.compiled) =
             Option.value ~default:1 (Mapping.thread_extent_of mapping l.Ast.dim)
           in
           SplitAxis (b, t, textent)
-        | Ast.Vectorized (w, _) -> Vector w
         | Ast.Seq_mark | Ast.Parallel -> Serial
       in
       SFor
         { slot = slot_of l.Ast.var;
           lower = Array.of_list (List.map (compile_expr slot_of) l.Ast.lower);
           upper = Array.of_list (List.map (compile_expr slot_of) l.Ast.upper);
-          step = l.Ast.step;
+          step = Ast.step l;
           role;
+          strip = (match l.Ast.kind with Ast.Vector _ -> true | Ast.Plain | Ast.Tile _ -> false);
           has_guards = contains_if l.Ast.body;
           body = go l.Ast.body;
           mask = Array.make lanes false;
@@ -482,9 +483,9 @@ let collect ?(block_samples = 8) ?(warp_samples = 4) ?(loop_sample_cap = 32) mac
             if alive then any := true
           done;
           (* a thread-mapped vector strip keeps its lanes *)
-          let vec_slot' = if f.step > 1 then f.slot else vec_slot in
+          let vec_slot' = if f.strip then f.slot else vec_slot in
           if !any then walk weight f.mask vec_slot' f.body
-        | Serial | Vector _ ->
+        | Serial ->
           let glo = ref max_int and ghi = ref min_int in
           for l = 0 to warp - 1 do
             if mask.(l) then begin
@@ -511,7 +512,7 @@ let collect ?(block_samples = 8) ?(warp_samples = 4) ?(loop_sample_cap = 32) mac
                k*(trip-1)/(cap-1) is then strictly increasing in k *)
             let samples = if trip <= cap then trip else if cap = 1 then 1 else cap in
             let weight' = weight *. (float_of_int trip /. float_of_int samples) in
-            let vec_slot' = match f.role with Vector _ -> f.slot | _ -> vec_slot in
+            let vec_slot' = if f.strip then f.slot else vec_slot in
             for k = 0 to samples - 1 do
               let idx = if trip <= cap then k else if cap = 1 then 0 else k * (trip - 1) / (cap - 1) in
               let v = !glo + (idx * f.step) in

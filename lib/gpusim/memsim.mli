@@ -22,7 +22,12 @@
     schedule row, see {!Codegen.Ast}) has instances only at the loop
     points where every entry is an integer.  Lanes at the other points
     issue no request and no arithmetic for that statement, the points
-    {!Interp.run_ast} skips and {!Codegen.Cuda.emit} guards. *)
+    {!Interp.run_ast} skips and {!Codegen.Cuda.emit} guards.
+
+    Loops advance by {!Codegen.Ast.step}.  The loop kind alone says which
+    variable a [VecExec]'s lanes run along: the innermost enclosing loop
+    of kind [Vector w], serial or thread-mapped.  A tile loop is walked
+    like any other serial or mapped loop. *)
 
 type result = {
   requests : float;  (** warp-level memory instructions issued *)

@@ -365,62 +365,6 @@ let evaluate_cpu_op ?(machine = Gpusim.Machine.scalar_1core) ?runner ?(reps = 3)
       ]);
   (r, source)
 
-let cpu_run_to_json (r : cpu_run) =
-  J.Assoc
-    [ ("op", J.String r.cpu_op);
-      ("machine", J.String r.cpu_machine);
-      ("isa", J.String r.cpu_isa);
-      ("source_bytes", J.Int r.source_bytes);
-      ("emit_s", J.Float r.emit_s);
-      ("vec", J.Bool r.cpu_vec);
-      ("compiled", J.Bool r.compiled);
-      ("compile_cache_hit", J.Bool r.compile_cache_hit);
-      ("compile_s", J.Float r.compile_s);
-      ("executed", J.Bool r.executed);
-      ("exec_best_s", J.Float r.exec_best_s);
-      ("checked", match r.checked with Some b -> J.Bool b | None -> J.Null);
-      ("error", match r.cpu_error with Some e -> J.String e | None -> J.Null)
-    ]
-
-let cpu_run_of_json j =
-  let ( let* ) = Result.bind in
-  let str k o = match J.member k o with Some (J.String s) -> Ok s | _ -> Error ("missing string " ^ k) in
-  let num k o =
-    match J.member k o with
-    | Some (J.Float f) -> Ok f
-    | Some (J.Int i) -> Ok (float_of_int i)
-    | _ -> Error ("missing number " ^ k)
-  in
-  let int k o = match J.member k o with Some (J.Int i) -> Ok i | _ -> Error ("missing int " ^ k) in
-  let bool k o = match J.member k o with Some (J.Bool b) -> Ok b | _ -> Error ("missing bool " ^ k) in
-  let* cpu_op = str "op" j in
-  let* cpu_machine = str "machine" j in
-  let* cpu_isa = str "isa" j in
-  let* source_bytes = int "source_bytes" j in
-  let* emit_s = num "emit_s" j in
-  let* cpu_vec = bool "vec" j in
-  let* compiled = bool "compiled" j in
-  let* compile_cache_hit = bool "compile_cache_hit" j in
-  let* compile_s = num "compile_s" j in
-  let* executed = bool "executed" j in
-  let* exec_best_s = num "exec_best_s" j in
-  let* checked =
-    match J.member "checked" j with
-    | Some (J.Bool b) -> Ok (Some b)
-    | Some J.Null -> Ok None
-    | _ -> Error "missing checked"
-  in
-  let* cpu_error =
-    match J.member "error" j with
-    | Some (J.String e) -> Ok (Some e)
-    | Some J.Null -> Ok None
-    | _ -> Error "missing error"
-  in
-  Ok
-    { cpu_op; cpu_machine; cpu_isa; source_bytes; emit_s; cpu_vec; compiled;
-      compile_cache_hit; compile_s; executed; exec_best_s; checked; cpu_error
-    }
-
 let speedup isl x = if x > 0.0 then isl /. x else nan
 
 let geomean xs =

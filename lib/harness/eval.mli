@@ -134,11 +134,6 @@ val evaluate_cpu_op :
     buffers bit-for-bit against [Interp.run_original].  Without one, the
     record carries the standard no-compiler degradation error. *)
 
-val cpu_run_to_json : cpu_run -> Obs.Json.t
-
-val cpu_run_of_json : Obs.Json.t -> (cpu_run, string) result
-(** Strict inverse of {!cpu_run_to_json}, like {!result_of_json}. *)
-
 val result_to_json : op_result -> Obs.Json.t
 (** Full-fidelity serialization (floats round-trip exactly): the payload
     the compile cache stores for an operator. *)

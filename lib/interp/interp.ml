@@ -156,28 +156,25 @@ let run_ast (k : Kernel.t) ast mem =
     | Codegen.Ast.If (cs, b) -> if List.for_all (Constr.holds env) cs then go b
     | Codegen.Ast.Exec e -> exec_instance e
     | Codegen.Ast.VecExec (e, _) ->
-      (* VecExec only occurs under a Vectorized loop, which dispatches to
+      (* VecExec only occurs under a vector strip, which dispatches to
          [go_vec]; reaching it here would be a codegen bug *)
       ignore e;
       assert false
     | Codegen.Ast.For l ->
       let lo = eval_lower l.Codegen.Ast.lower in
       let hi = eval_upper l.Codegen.Ast.upper in
+      let step = Codegen.Ast.step l in
       let v = ref lo in
       while !v <= hi do
         Hashtbl.replace binding l.Codegen.Ast.var (Q.of_int !v);
-        (match l.Codegen.Ast.mark with
-         | Codegen.Ast.Vectorized (w, _) ->
+        (match l.Codegen.Ast.kind with
+         | Codegen.Ast.Vector w ->
            (* execute the body once per lane, in order, re-binding the
               loop variable; guards and scalar Execs inside see the lane-0
               base value *)
            go_vec l.Codegen.Ast.var !v w l.Codegen.Ast.body
-         | _ when l.Codegen.Ast.step > 1 ->
-           (* a vectorized strip that the mapping pass re-marked as a
-              thread axis: the step is the vector width *)
-           go_vec l.Codegen.Ast.var !v l.Codegen.Ast.step l.Codegen.Ast.body
-         | _ -> go l.Codegen.Ast.body);
-        v := !v + l.Codegen.Ast.step
+         | Codegen.Ast.Plain | Codegen.Ast.Tile _ -> go l.Codegen.Ast.body);
+        v := !v + step
       done;
       Hashtbl.remove binding l.Codegen.Ast.var
   and go_vec var base w body =
@@ -199,7 +196,7 @@ let run_ast (k : Kernel.t) ast mem =
       done;
       Hashtbl.replace binding var (Q.of_int base)
     | Codegen.Ast.For _ as f ->
-      (* no For under a vectorized loop by construction *)
+      (* no For under a vector strip by construction *)
       go f
   in
   go ast

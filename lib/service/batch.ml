@@ -25,70 +25,6 @@ let eval_key ?tuned ~machine ~name kernel =
 
 type source = Hit of Harness.Eval.op_result | Miss
 
-(* ------------------------------------------------------------------ *)
-(* CPU-backend suite                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let cpu_eval_key ?runner ?(check = true) ~machine ~name kernel =
-  (* the toolchain digest is part of the key: emit-only results and
-     executed results from different compilers must never answer for each
-     other — and a compiler upgrade invalidates exactly the executed
-     entries *)
-  let toolchain =
-    match runner with
-    | None -> "none"
-    | Some r -> (Codegen_cpu.Runner.toolchain r).Codegen_cpu.Toolchain.digest
-  in
-  Key.make ~kernel ~machine ~version:"cpu-eval"
-    ~flags:[ ("op", name); ("toolchain", toolchain); ("check", if check then "1" else "0") ]
-    ()
-
-let evaluate_cpu_suite ?(machine = Gpusim.Machine.scalar_1core)
-    ?(progress = fun _ -> ()) ?cache ?runner ?(check = true) ?(jobs = 1) ops =
-  let sources =
-    List.map
-      (fun (name, kernel) ->
-        match cache with
-        | None -> ((name, kernel), None)
-        | Some c -> (
-          match Cache.find c (cpu_eval_key ?runner ~check ~machine ~name kernel) with
-          | None -> ((name, kernel), None)
-          | Some payload -> (
-            match Harness.Eval.cpu_run_of_json payload with
-            | Ok r -> ((name, kernel), Some { r with Harness.Eval.cpu_op = name })
-            | Error _ -> ((name, kernel), None))))
-      ops
-  in
-  List.iter (fun ((name, _), _) -> progress name) sources;
-  let misses = List.filter_map (function (op, None) -> Some op | _ -> None) sources in
-  let computed =
-    Pool.map ~jobs
-      (fun (name, kernel) ->
-        fst (Harness.Eval.evaluate_cpu_op ~machine ?runner ~check ~name kernel))
-      misses
-  in
-  (match cache with
-   | None -> ()
-   | Some c ->
-     List.iter2
-       (fun (name, kernel) r ->
-         Cache.store c
-           (cpu_eval_key ?runner ~check ~machine ~name kernel)
-           (Harness.Eval.cpu_run_to_json r))
-       misses computed);
-  let remaining = ref computed in
-  List.map
-    (fun (_, source) ->
-      match source with
-      | Some r -> r
-      | None -> (
-        match !remaining with
-        | r :: rest ->
-          remaining := rest;
-          r
-        | [] -> assert false))
-    sources
-
 let evaluate_suite ?(machine = Gpusim.Machine.v100) ?(progress = fun _ -> ()) ?cache
     ?tuned ?(jobs = 1) ops =
   let lookup name kernel =

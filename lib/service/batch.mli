@@ -40,36 +40,6 @@ val evaluate_suite :
     partially-tuned suite degrades gracefully.  Each applied record
     counts [service.tuned_ops]. *)
 
-val evaluate_cpu_suite :
-  ?machine:Gpusim.Machine.t ->
-  ?progress:(string -> unit) ->
-  ?cache:Cache.t ->
-  ?runner:Codegen_cpu.Runner.t ->
-  ?check:bool ->
-  ?jobs:int ->
-  (string * Ir.Kernel.t) list ->
-  Harness.Eval.cpu_run list
-(** The CPU-backend twin of {!evaluate_suite}: each operator through
-    {!Harness.Eval.evaluate_cpu_op} for [machine] (default the portable
-    scalar profile), with per-operator cache entries under version
-    ["cpu-eval"].  Without a [runner] every run is emit-only; with one,
-    runs compile and execute, and the stored record carries {e measured}
-    wall-clock times — which is why the runner's toolchain digest is part
-    of the key.  [check] (default [true]) runs the bit-for-bit
-    interpreter comparison; it is part of the cache key, so checked and
-    unchecked records never answer for each other. *)
-
-val cpu_eval_key :
-  ?runner:Codegen_cpu.Runner.t ->
-  ?check:bool ->
-  machine:Gpusim.Machine.t ->
-  name:string ->
-  Ir.Kernel.t ->
-  Key.t
-(** The cache key of one operator's CPU-backend run: the host toolchain
-    digest (or ["none"] for emit-only) is part of it, alongside the usual
-    kernel/machine/format fields. *)
-
 val eval_key :
   ?tuned:tuning ->
   machine:Gpusim.Machine.t ->

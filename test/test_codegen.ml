@@ -101,17 +101,17 @@ let test_vectorpass_fig2 () =
   let k = Ops.Classics.fig2 ~n:8 () in
   let sched = influenced k in
   let c = Compile.lower ~vectorize:true sched k in
-  let vec = find_loops (fun l -> match l.Ast.mark with Ast.Vectorized _ -> true | _ -> false) c.ast in
+  let vec = find_loops (fun l -> match l.Ast.kind with Ast.Vector _ -> true | _ -> false) c.ast in
   Alcotest.(check int) "one vectorized loop" 1 (List.length vec);
   let l = List.hd vec in
-  Alcotest.(check int) "width 4 step" 4 l.Ast.step;
+  Alcotest.(check int) "width 4 step" 4 (Ast.step l);
   Alcotest.(check bool) "vec semantics" true (semantics_match k c.ast)
 
 let test_vectorpass_disabled_for_novec () =
   let k = Ops.Classics.fig2 ~n:8 () in
   let sched = influenced k in
   let c = Compile.lower ~vectorize:false sched k in
-  let vec = find_loops (fun l -> match l.Ast.mark with Ast.Vectorized _ -> true | _ -> false) c.ast in
+  let vec = find_loops (fun l -> match l.Ast.kind with Ast.Vector _ -> true | _ -> false) c.ast in
   Alcotest.(check int) "no vectorized loop" 0 (List.length vec)
 
 let test_vectorpass_width2 () =
@@ -119,7 +119,7 @@ let test_vectorpass_width2 () =
   let k = Ops.Classics.fig2 ~n:6 () in
   let sched = influenced k in
   let c = Compile.lower ~vectorize:true sched k in
-  let vec = find_loops (fun l -> match l.Ast.mark with Ast.Vectorized (w, _) -> w = 2 | _ -> false) c.ast in
+  let vec = find_loops (fun l -> match l.Ast.kind with Ast.Vector w -> w = 2 | _ -> false) c.ast in
   Alcotest.(check int) "float2 loop" 1 (List.length vec);
   Alcotest.(check bool) "semantics" true (semantics_match k c.ast)
 
@@ -127,7 +127,7 @@ let test_vectorpass_odd_extent_refuses () =
   let k = Ops.Classics.fig2 ~n:7 () in
   let sched = influenced k in
   let c = Compile.lower ~vectorize:true sched k in
-  let vec = find_loops (fun l -> match l.Ast.mark with Ast.Vectorized _ -> true | _ -> false) c.ast in
+  let vec = find_loops (fun l -> match l.Ast.kind with Ast.Vector _ -> true | _ -> false) c.ast in
   Alcotest.(check int) "no vector loop at extent 7" 0 (List.length vec);
   Alcotest.(check bool) "semantics" true (semantics_match k c.ast)
 
@@ -150,8 +150,8 @@ let test_mapping_never_splits_lanes () =
   let sched = influenced k in
   let c = Compile.lower ~vectorize:true sched k in
   let vec_loops =
-    find_loops (fun l -> match l.Ast.mark with
-      | Ast.BlockThread _ | Ast.Thread _ -> l.Ast.step > 1
+    find_loops (fun l -> match (l.Ast.mark, l.Ast.kind) with
+      | (Ast.BlockThread _ | Ast.Thread _), Ast.Vector _ -> true
       | _ -> false) c.ast
   in
   Alcotest.(check bool) "vector strip thread-mapped" true (vec_loops <> []);
@@ -160,7 +160,7 @@ let test_mapping_never_splits_lanes () =
       match Mapping.thread_extent_of c.mapping l.Ast.dim with
       | Some e ->
         (* strip extent counts vector ops, not elements *)
-        Alcotest.(check bool) "strip extent bounded by trip" true (e <= 128 / l.Ast.step + 1)
+        Alcotest.(check bool) "strip extent bounded by trip" true (e <= 128 / Ast.step l + 1)
       | None -> Alcotest.fail "expected thread extent")
     vec_loops;
   (* a sequential (reduction) vector strip stays unmapped; rows = 7 so the
@@ -168,7 +168,11 @@ let test_mapping_never_splits_lanes () =
   let r = Ops.Classics.reduce_2d ~n:7 ~m:16 () in
   let rs = influenced r in
   let rc = Compile.lower ~vectorize:true rs r in
-  let seq_vec = find_loops (fun l -> match l.Ast.mark with Ast.Vectorized (_, par) -> not par | _ -> false) rc.ast in
+  let seq_vec =
+    find_loops
+      (fun l -> match l.Ast.kind with Ast.Vector _ -> l.Ast.mark = Ast.Seq_mark | _ -> false)
+      rc.ast
+  in
   Alcotest.(check int) "reduction strip unmapped" 1 (List.length seq_vec)
 
 let test_mapping_thread_budget () =

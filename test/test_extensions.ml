@@ -91,7 +91,8 @@ let test_tiling_respects_permutability () =
     | Ast.Stmts l -> List.exists has_tile_dim0 l
     | Ast.If (_, b) -> has_tile_dim0 b
     | Ast.Exec _ | Ast.VecExec _ -> false
-    | Ast.For l -> l.Ast.dim = -1000 || has_tile_dim0 l.Ast.body
+    | Ast.For { Ast.kind = Ast.Tile _; dim = -1000; _ } -> true
+    | Ast.For l -> has_tile_dim0 l.Ast.body
   in
   Alcotest.(check bool) "band tiling refused" false (has_tile_dim0 tiled);
   Alcotest.(check bool) "untouched semantics" true (semantics_match k tiled);

@@ -205,6 +205,28 @@ let test_max_tile_size_sweep () =
   let report = run ~seed:5 ~count:12 ~max_tile_size:2 () in
   Alcotest.(check int) "no failures with capped tiles" 0 (List.length report.failures)
 
+let test_vecexec_under_tile_loop () =
+  (* a tile loop steps by its size but is no vector strip: a VecExec under
+     it and under no strip is malformed; under a strip inside it, fine *)
+  let k = Ops.Classics.fig2 ~n:8 () in
+  let sched, _ = Scheduling.Scheduler.schedule k in
+  let c = Codegen.Compile.lower ~vectorize:false sched k in
+  let loop kind dim body =
+    Codegen.Ast.For
+      { var = Codegen.Ast.loop_var dim;
+        lower = [ Polyhedra.Linexpr.const_int 0 ];
+        upper = [ Polyhedra.Linexpr.const_int 7 ];
+        kind; mark = Seq_mark; dim; trip_hint = None; body }
+  in
+  let stray = Codegen.Ast.VecExec ({ stmt = "S"; iter_map = [] }, 4) in
+  let check ast = Check.well_formed { c with Codegen.Compile.ast } in
+  (match check (loop (Tile 4) (-1000) stray) with
+   | Error _ -> ()
+   | Ok () -> Alcotest.fail "VecExec under a tile loop accepted");
+  match check (loop (Tile 4) (-1000) (loop (Vector 4) 99 stray)) with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "strip under a tile loop rejected: %s" e
+
 (* ------------------------------------------------------------------ *)
 (* interpreter edge-case inputs                                         *)
 (* ------------------------------------------------------------------ *)
@@ -236,7 +258,8 @@ let () =
           Alcotest.test_case "replay of a cpu failure" `Quick test_replay_cpu_compiler;
           Alcotest.test_case "broken scheduler caught" `Slow test_broken_scheduler_caught;
           Alcotest.test_case "broken tiler caught" `Slow test_broken_tiler_caught;
-          Alcotest.test_case "max tile size sweep" `Slow test_max_tile_size_sweep
+          Alcotest.test_case "max tile size sweep" `Slow test_max_tile_size_sweep;
+          Alcotest.test_case "vecexec under a tile loop" `Quick test_vecexec_under_tile_loop
         ] );
       ( "interp",
         [ Alcotest.test_case "randomize specials" `Quick test_randomize_covers_specials ] )
