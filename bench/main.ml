@@ -4,7 +4,10 @@
    Usage:  dune exec bench/main.exe [--stats] [--trace FILE] [--stats-json FILE]
                                     [target...]
    Targets: table1 table2 fig2 fig3 ablation-weights ablation-scenarios
-            ablation-backtrack micro all (default: all)
+            ablation-backtrack all (default: all); an unknown target exits 2
+
+   Every target compiles through the Harness.Pipeline stages; Table II
+   uses the suite runner and renderer of `akg_repro network --all`.
 
    --stats prints the observability counter table and the pass-timing
    report after the last target; --trace FILE records the structured
@@ -30,10 +33,17 @@ let table1 () =
 (* Table II (+ headline geomean)                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* The suite runner and renderer of [akg_repro network --all]. *)
 let table2 () =
   section "Table II";
-  let per = Harness.Tables.table2 fmt Ops.Networks.all in
-  Harness.Tables.geomean_line fmt per
+  let per_network =
+    List.map
+      (fun (n : Ops.Networks.t) ->
+        (n.Ops.Networks.name, Service.Batch.evaluate_suite (Lazy.force n.Ops.Networks.ops)))
+      Ops.Networks.all
+  in
+  Harness.Tables.table2 fmt per_network;
+  Harness.Tables.geomean_line fmt per_network
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 2: the running example in its three versions                    *)
@@ -75,8 +85,7 @@ let fig2 () =
 let fig3 () =
   section "Fig. 3 - influence constraint tree";
   let k = Ops.Classics.fig2 ~n:64 () in
-  let tree = Vectorizer.Treegen.influence_for k in
-  Format.fprintf fmt "%a@." Scheduling.Influence.pp tree;
+  Format.fprintf fmt "%a@." Scheduling.Influence.pp (P.influence_with k);
   List.iter
     (fun set ->
       Format.fprintf fmt "scenario set:@.";
@@ -96,15 +105,18 @@ let rep_suite () =
     ("reduce", Ops.Netgen.build ~name:"abl_red" (Ops.Netgen.Reduce_rows { rows = 4096; cols = 64 }))
   ]
 
-let infl_time ?weights ?max_branches kernel =
-  let tree = Vectorizer.Treegen.influence_for ?weights ?max_branches kernel in
-  let sched, stats = Scheduling.Scheduler.schedule ~influence:tree kernel in
-  let c = Codegen.Compile.lower ~vectorize:true ~vec_min_parallel:2048 sched kernel in
-  (Gpusim.Sim.time_us (Gpusim.Sim.run c), stats)
+(* The ablations vary the vectorizer's tree through a tuning: its weights,
+   or its first n root branches as the order. *)
+let schedule ?tuning version kernel =
+  let influence = P.tree ?tuning version kernel in
+  let sched, stats, _ = P.schedule ?influence kernel in
+  (sched, stats)
 
-let isl_time kernel =
-  let sched, _ = Scheduling.Scheduler.schedule kernel in
-  Gpusim.Sim.time_us (Gpusim.Sim.run (Codegen.Compile.lower ~vectorize:false sched kernel))
+let time_us ?tuning version kernel =
+  let sched, stats = schedule ?tuning version kernel in
+  (Gpusim.Sim.time_us (P.simulate (P.lower version sched kernel)), stats)
+
+let isl_us kernel = fst (time_us P.Isl kernel)
 
 let ablation_weights () =
   section "Ablation - weight vector W (Section V: w1=5, w2=3, rest 1)";
@@ -123,8 +135,8 @@ let ablation_weights () =
       Format.fprintf fmt "%-24s" label;
       List.iter
         (fun (_, k) ->
-          let t, _ = infl_time ~weights k in
-          Format.fprintf fmt " %10.2f" (isl_time k /. t))
+          let t, _ = time_us ~tuning:{ P.weights; order = None } P.Infl k in
+          Format.fprintf fmt " %10.2f" (isl_us k /. t))
         (rep_suite ());
       Format.fprintf fmt "@.")
     configs
@@ -133,17 +145,22 @@ let ablation_scenarios () =
   section "Ablation - influence-tree branch budget (paper: 8 scenarios)";
   Format.fprintf fmt "%-10s %-14s %-10s %-10s@." "branches" "geomean spdup" "siblings" "abandoned";
   List.iter
-    (fun max_branches ->
+    (fun branches ->
+      let tuning =
+        { P.weights = Vectorizer.Costmodel.default_weights;
+          order = Some (List.init branches Fun.id)
+        }
+      in
       let speedups, sib, aband =
         List.fold_left
           (fun (sp, sib, ab) (_, k) ->
-            let t, stats = infl_time ~max_branches k in
-            ( isl_time k /. t :: sp,
+            let t, stats = time_us ~tuning P.Infl k in
+            ( isl_us k /. t :: sp,
               sib + stats.Scheduling.Scheduler.sibling_moves,
               ab + if stats.Scheduling.Scheduler.influence_abandoned then 1 else 0 ))
           ([], 0, 0) (rep_suite ())
       in
-      Format.fprintf fmt "%-10d %-14.2f %-10d %-10d@." max_branches
+      Format.fprintf fmt "%-10d %-14.2f %-10d %-10d@." branches
         (Harness.Eval.geomean speedups) sib aband)
     [ 1; 2; 4; 8 ]
 
@@ -152,119 +169,13 @@ let ablation_backtrack () =
   Format.fprintf fmt "%-28s %6s %6s %6s %6s %6s %9s@." "operator" "solves" "sibl"
     "backtr" "bands" "scc" "abandoned";
   let show name k =
-    let tree = Vectorizer.Treegen.influence_for k in
-    let _, st = Scheduling.Scheduler.schedule ~influence:tree k in
+    let _, st = schedule P.Infl k in
     Format.fprintf fmt "%-28s %6d %6d %6d %6d %6d %9b@." name
       st.Scheduling.Scheduler.ilp_solves st.sibling_moves st.ancestor_backtracks
       st.band_ends st.scc_separations st.influence_abandoned
   in
   List.iter (fun (name, mk) -> show name (mk ())) Ops.Classics.all_small;
   List.iter (fun (name, k) -> show name k) (rep_suite ())
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: compile-time cost of constraint injection *)
-(* ------------------------------------------------------------------ *)
-
-(* Pre-PR ms/run estimates for the same five cases on the reference
-   machine, recorded before the solver fast paths (small-rational Q,
-   warm-started branch-and-bound, ILP memoization) landed; kept here so
-   BENCH_PR2.json always carries the comparison point. *)
-let micro_baseline_ms =
-  [ ("scheduling/fig2-isl", 577.302);
-    ("scheduling/fig2-influenced", 1037.591);
-    ("scheduling/ew-isl", 965.058);
-    ("scheduling/ew-influenced", 1285.082);
-    ("scheduling/treegen-fig2", 22.755)
-  ]
-
-let micro_json_file = "BENCH_PR2.json"
-
-let micro () =
-  section "Micro - scheduler runtime, isl vs influenced (Bechamel)";
-  let open Bechamel in
-  let fig2 = Ops.Classics.fig2 ~n:64 () in
-  let ew = Ops.Classics.fused_mul_sub_mul_tensoradd ~n:64 ~m:64 () in
-  let tree_fig2 = Vectorizer.Treegen.influence_for fig2 in
-  let tree_ew = Vectorizer.Treegen.influence_for ew in
-  (* One deterministic pass over the four scheduling workloads, so the
-     headline solver counters in the JSON don't depend on how many
-     iterations Bechamel decides to run. *)
-  let headline_counters =
-    let before = Obs.Counters.snapshot () in
-    ignore (Scheduling.Scheduler.schedule fig2);
-    ignore (Scheduling.Scheduler.schedule ~influence:tree_fig2 fig2);
-    ignore (Scheduling.Scheduler.schedule ew);
-    ignore (Scheduling.Scheduler.schedule ~influence:tree_ew ew);
-    (* same serialization path as the CLI's --stats-json *)
-    Obs.Export.counters_json ~base:before ()
-  in
-  let test =
-    Test.make_grouped ~name:"scheduling"
-      [ Test.make ~name:"fig2-isl"
-          (Staged.stage (fun () -> ignore (Scheduling.Scheduler.schedule fig2)));
-        Test.make ~name:"fig2-influenced"
-          (Staged.stage (fun () ->
-               ignore (Scheduling.Scheduler.schedule ~influence:tree_fig2 fig2)));
-        Test.make ~name:"ew-isl"
-          (Staged.stage (fun () -> ignore (Scheduling.Scheduler.schedule ew)));
-        Test.make ~name:"ew-influenced"
-          (Staged.stage (fun () ->
-               ignore (Scheduling.Scheduler.schedule ~influence:tree_ew ew)));
-        Test.make ~name:"treegen-fig2"
-          (Staged.stage (fun () -> ignore (Vectorizer.Treegen.influence_for fig2)))
-      ]
-  in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 0.5) ~kde:None () in
-  let raw = Benchmark.all cfg instances test in
-  let results = List.map (fun instance -> Analyze.all ols instance raw) instances in
-  let merged = Analyze.merge ols instances results in
-  let estimates = ref [] in
-  Hashtbl.iter
-    (fun _measure tbl ->
-      Hashtbl.iter
-        (fun name ols ->
-          match Analyze.OLS.estimates ols with
-          | Some [ est ] ->
-            estimates := (name, est) :: !estimates;
-            Format.fprintf fmt "%-36s %10.3f ms/run@." name (est /. 1e6)
-          | _ -> Format.fprintf fmt "%-36s (no estimate)@." name)
-        tbl)
-    merged;
-  (* Machine-readable companion to the table above: per-benchmark ns/run,
-     the recorded pre-PR baseline, and the headline solver counters. *)
-  let results_json =
-    List.map (fun (name, est) -> (name, Obs.Json.Float est)) !estimates
-  in
-  let speedups =
-    List.filter_map
-      (fun (name, est) ->
-        match List.assoc_opt name micro_baseline_ms with
-        | Some base_ms when est > 0.0 ->
-          Some (name, Obs.Json.Float (base_ms /. (est /. 1e6)))
-        | _ -> None)
-      !estimates
-  in
-  let json =
-    Obs.Json.Assoc
-      [ ("benchmark", Obs.Json.String "micro");
-        ("unit", Obs.Json.String "ns/run");
-        ("results", Obs.Json.Assoc results_json);
-        ( "baseline_ms_per_run",
-          Obs.Json.Assoc
-            (List.map (fun (n, v) -> (n, Obs.Json.Float v)) micro_baseline_ms) );
-        ("speedup_vs_baseline", Obs.Json.Assoc speedups);
-        ("counters", headline_counters)
-      ]
-  in
-  (try
-     let oc = open_out micro_json_file in
-     output_string oc (Obs.Json.to_string json);
-     output_char oc '\n';
-     close_out oc;
-     Format.fprintf fmt "(machine-readable results written to %s)@." micro_json_file
-   with Sys_error e -> Format.eprintf "micro: cannot write %s: %s@." micro_json_file e)
 
 (* ------------------------------------------------------------------ *)
 
@@ -275,8 +186,7 @@ let targets =
     ("fig3", fig3);
     ("ablation-weights", ablation_weights);
     ("ablation-scenarios", ablation_scenarios);
-    ("ablation-backtrack", ablation_backtrack);
-    ("micro", micro)
+    ("ablation-backtrack", ablation_backtrack)
   ]
 
 let () =
@@ -286,6 +196,9 @@ let () =
     | "--stats" :: r -> split_flags true trace stats_json rest r
     | "--trace" :: file :: r -> split_flags stats (Some file) stats_json rest r
     | "--stats-json" :: file :: r -> split_flags stats trace (Some file) rest r
+    | [ ("--trace" | "--stats-json") as flag ] ->
+      Format.eprintf "%s needs a FILE@." flag;
+      exit 2
     | x :: r -> split_flags stats trace stats_json (x :: rest) r
   in
   let stats, trace, stats_json, requested = split_flags false None None [] args in
@@ -295,14 +208,14 @@ let () =
     | _ :: _ when not (List.mem "all" requested) -> requested
     | _ -> List.map fst targets
   in
-  List.iter
-    (fun t ->
-      match List.assoc_opt t targets with
-      | Some f -> f ()
-      | None ->
-        Format.eprintf "unknown target %s (available: %s)@." t
-          (String.concat ", " (List.map fst targets)))
-    requested;
+  (* checked before anything runs *)
+  (match List.filter (fun t -> not (List.mem_assoc t targets)) requested with
+   | [] -> ()
+   | unknown ->
+     Format.eprintf "unknown target %s (available: %s)@." (String.concat ", " unknown)
+       (String.concat ", " ("all" :: List.map fst targets));
+     exit 2);
+  List.iter (fun t -> (List.assoc t targets) ()) requested;
   (match trace with
    | Some file -> (
      try

@@ -15,12 +15,7 @@ let out_file = if Array.length Sys.argv > 1 then Sys.argv.(1) else "BENCH_PR5.js
 
 let networks = Ops.Networks.all
 
-let render results =
-  Format.asprintf "%a"
-    (fun fmt () ->
-      Harness.Tables.table2_header fmt;
-      List.iter (fun (name, rs) -> Harness.Tables.table2_row fmt name rs) results)
-    ()
+let render results = Format.asprintf "%a" Harness.Tables.table2 results
 
 let evaluate ?cache ~jobs () =
   List.map

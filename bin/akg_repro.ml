@@ -706,10 +706,7 @@ let network_cmd =
       let rows =
         List.map (fun (n : Ops.Networks.t) -> (n.Ops.Networks.name, evaluate n)) networks
       in
-      Harness.Tables.table2_header Format.std_formatter;
-      List.iter
-        (fun (name, results) -> Harness.Tables.table2_row Format.std_formatter name results)
-        rows;
+      Harness.Tables.table2 Format.std_formatter rows;
       if all then Harness.Tables.geomean_line Format.std_formatter rows;
       if o.stats then begin
         Format.printf "@.per-operator scheduling statistics:@.";

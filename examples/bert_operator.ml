@@ -21,10 +21,8 @@ let () =
 
   (* The generated code for the influenced version: one fused kernel, the
      column loop rewritten as a float4 strip and mapped on threadIdx.x. *)
-  let tree = Vectorizer.Treegen.influence_for kernel in
-  let sched, _ = Scheduling.Scheduler.schedule ~influence:tree kernel in
-  let compiled = Codegen.Compile.lower ~vectorize:true sched kernel in
-  Format.printf "@.influenced kernel:@.%s" (Codegen.Cuda.emit compiled);
+  let p = Harness.Pipeline.run Harness.Pipeline.Infl kernel in
+  Format.printf "@.influenced kernel:@.%s" (Codegen.Cuda.emit p.Harness.Pipeline.compiled);
 
   (* And what the tvm comparator does instead: four separate kernels. *)
   Format.printf "@.tvm-style compilation: %d separate kernels@."

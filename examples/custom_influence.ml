@@ -37,7 +37,7 @@ let () =
   let tree = [ impossible; interchange ] in
   Format.printf "influence tree:@.%a@." Influence.pp tree;
 
-  let sched, stats = Scheduler.schedule ~influence:tree kernel in
+  let sched, stats, _ = Harness.Pipeline.schedule ~influence:tree kernel in
   Format.printf "schedule:@.%a@." Schedule.pp sched;
   Format.printf "sibling fallbacks taken: %d (branch 1 was infeasible)@."
     stats.Scheduler.sibling_moves;
@@ -49,5 +49,5 @@ let () =
   (match Legality.check sched kernel (Deps.Analysis.dependences kernel) with
    | Ok () -> Format.printf "legality: OK@."
    | Error e -> Format.printf "legality: %s@." e);
-  let compiled = Codegen.Compile.lower ~vectorize:true sched kernel in
+  let compiled = Harness.Pipeline.lower Harness.Pipeline.Infl sched kernel in
   print_string (Codegen.Cuda.emit compiled)

@@ -35,38 +35,34 @@ let () =
   let deps = Deps.Analysis.dependences kernel in
   Format.printf "dependences:@.%a@." Deps.Analysis.pp_all deps;
 
-  (* 3. Baseline (isl-like) schedule. *)
-  let baseline, _ = Scheduling.Scheduler.schedule kernel in
+  (* 3. Baseline (isl-like) schedule, through the pipeline's stages. *)
+  let module P = Harness.Pipeline in
+  let baseline, _, _ = P.schedule ~deps kernel in
   Format.printf "baseline schedule:@.%a@." Scheduling.Schedule.pp baseline;
 
   (* 4. The non-linear optimizer builds an influence constraint tree; the
         scheduler honours it. *)
-  let tree = Vectorizer.Treegen.influence_for kernel in
+  let tree = P.influence_with kernel in
   Format.printf "influence tree (%d branches):@.%a@." (List.length tree)
     Scheduling.Influence.pp tree;
-  let influenced, stats = Scheduling.Scheduler.schedule ~influence:tree kernel in
+  let influenced, stats, _ = P.schedule ~influence:tree ~deps kernel in
   Format.printf "influenced schedule:@.%a@." Scheduling.Schedule.pp influenced;
   Format.printf "scheduler stats: %d ILP solves, abandoned: %b@."
     stats.Scheduling.Scheduler.ilp_solves stats.influence_abandoned;
 
   (* 5. Lower to a mapped, vectorized AST and print CUDA-like code. *)
-  let compiled = Codegen.Compile.lower ~vectorize:true influenced kernel in
+  let compiled = P.lower ~deps P.Infl influenced kernel in
   print_string (Codegen.Cuda.emit compiled);
 
   (* 6. Semantics: interpret original vs generated code. *)
-  let m1 = Interp.randomize kernel in
-  let m2 = Interp.copy m1 in
-  Interp.run_original kernel m1;
-  Interp.run_ast kernel compiled.Codegen.Compile.ast m2;
   Format.printf "semantics: %s@."
-    (if Interp.equal m1 m2 then "MATCH" else "MISMATCH");
+    (if P.interpret kernel compiled = Ok () then "MATCH" else "MISMATCH");
 
   (* 7. Simulated execution times. *)
-  let time sched vectorize =
-    Gpusim.Sim.time_us
-      (Gpusim.Sim.run (Codegen.Compile.lower ~vectorize sched kernel))
+  let time version sched =
+    Gpusim.Sim.time_us (P.simulate (P.lower ~deps version sched kernel))
   in
-  let t_isl = time baseline false in
-  let t_infl = time influenced true in
+  let t_isl = time P.Isl baseline in
+  let t_infl = time P.Infl influenced in
   Format.printf "simulated V100: isl %.2fus, influenced %.2fus (%.2fx)@."
     t_isl t_infl (t_isl /. t_infl)

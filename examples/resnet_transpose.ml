@@ -11,34 +11,31 @@ let () =
   let kernel = Ops.Classics.permute_outer_bad ~a:64 ~b:196 ~c:64 () in
   Format.printf "%a@." Ir.Kernel.pp kernel;
 
-  let show label sched vectorize =
-    let c = Codegen.Compile.lower ~vectorize ~vec_min_parallel:2048 sched kernel in
-    let r = Gpusim.Sim.run c in
+  let module P = Harness.Pipeline in
+  let schedule version kernel =
+    let sched, _, _ = P.schedule ?influence:(P.tree version kernel) kernel in
+    sched
+  in
+  let show label version sched =
+    let c = P.lower version sched kernel in
+    let r = P.simulate c in
     Format.printf "@.--- %s ---@.%a@.%s" label Scheduling.Schedule.pp sched
       (Codegen.Cuda.emit c);
     Format.printf "simulated: %a@." Gpusim.Sim.pp r;
     Gpusim.Sim.time_us r
   in
 
-  let isl_sched, _ = Scheduling.Scheduler.schedule kernel in
-  let t_isl = show "isl baseline (keeps the hostile order)" isl_sched false in
+  let t_isl = show "isl baseline (keeps the hostile order)" P.Isl (schedule P.Isl kernel) in
 
-  let tree = Vectorizer.Treegen.influence_for kernel in
-  let infl_sched, _ = Scheduling.Scheduler.schedule ~influence:tree kernel in
-  let t_novec = show "influenced, no vector types (novec)" infl_sched false in
-  let t_infl = show "influenced + explicit float4 (infl)" infl_sched true in
+  let infl_sched = schedule P.Infl kernel in
+  let t_novec = show "influenced, no vector types (novec)" P.Novec infl_sched in
+  let t_infl = show "influenced + explicit float4 (infl)" P.Infl infl_sched in
 
   Format.printf "@.speedups over isl: novec %.2fx, infl %.2fx@."
     (t_isl /. t_novec) (t_isl /. t_infl);
 
   (* semantic validation at a small size *)
   let small = Ops.Classics.permute_outer_bad ~a:4 ~b:6 ~c:8 () in
-  let tree = Vectorizer.Treegen.influence_for small in
-  let sched, _ = Scheduling.Scheduler.schedule ~influence:tree small in
-  let c = Codegen.Compile.lower ~vectorize:true sched small in
-  let m1 = Interp.randomize small in
-  let m2 = Interp.copy m1 in
-  Interp.run_original small m1;
-  Interp.run_ast small c.Codegen.Compile.ast m2;
+  let c = P.lower ~vec_min_parallel:0 P.Infl (schedule P.Infl small) small in
   Format.printf "semantics (4x6x8): %s@."
-    (if Interp.equal m1 m2 then "MATCH" else "MISMATCH")
+    (if P.interpret small c = Ok () then "MATCH" else "MISMATCH")

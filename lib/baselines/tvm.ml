@@ -40,7 +40,7 @@ let sub_kernel (k : Kernel.t) (s : Stmt.t) =
   let tensors = List.filter (fun (t : Tensor.t) -> List.mem t.Tensor.name touched) k.Kernel.tensors in
   Kernel.make ~name:(k.Kernel.name ^ "_" ^ s.Stmt.name) ~tensors ~stmts:[ s ] ()
 
-let compile ?max_threads (k : Kernel.t) =
+let compile (k : Kernel.t) =
   List.map
     (fun (s : Stmt.t) ->
       let sub = sub_kernel k s in
@@ -48,5 +48,5 @@ let compile ?max_threads (k : Kernel.t) =
       (* Compile.lower re-derives parallel marks from the dependences of the
          single-statement kernel, then maps blocks/threads; the innermost
          output dimension becomes threadIdx.x: coalesced stores. *)
-      Codegen.Compile.lower ~vectorize:false ?max_threads sched sub)
+      Codegen.Compile.lower ~vectorize:false sched sub)
     k.Kernel.stmts

@@ -10,8 +10,7 @@
     the isl baseline on layout-permutation operators, far worse on the
     deep element-wise fusions of BERT. *)
 
-val compile :
-  ?max_threads:int -> Ir.Kernel.t -> Codegen.Compile.compiled list
+val compile : Ir.Kernel.t -> Codegen.Compile.compiled list
 (** One compiled kernel per statement, in original order. *)
 
 val schedule_stmt : Ir.Kernel.t -> Ir.Stmt.t -> Scheduling.Schedule.t

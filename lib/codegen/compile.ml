@@ -18,8 +18,7 @@ let pass name kernel_name f =
       ]);
   r
 
-let lower ?(vectorize = true) ?vec_min_parallel ?tile_sizes ?tile_fault ?max_threads ?deps
-    schedule kernel =
+let lower ?(vectorize = true) ?vec_min_parallel ?tile_sizes ?tile_fault ?deps schedule kernel =
   Obs.Span.with_ "codegen.lower" @@ fun () ->
   Obs.Counters.incr c_lowerings;
   let name = kernel.Ir.Kernel.name in
@@ -51,7 +50,7 @@ let lower ?(vectorize = true) ?vec_min_parallel ?tile_sizes ?tile_fault ?max_thr
   in
   let mapping, ast =
     pass "mapping" name (fun () ->
-        let mapping = Mapping.compute ?max_threads ast in
+        let mapping = Mapping.compute ast in
         (mapping, Mapping.apply mapping ast))
   in
   { kernel; schedule; ast; mapping }

@@ -10,7 +10,7 @@ type compiled = {
 
 val lower :
   ?vectorize:bool -> ?vec_min_parallel:int -> ?tile_sizes:(int -> int option) ->
-  ?tile_fault:Tiling.fault -> ?max_threads:int -> ?deps:Deps.Dependence.t list ->
+  ?tile_fault:Tiling.fault -> ?deps:Deps.Dependence.t list ->
   Scheduling.Schedule.t -> Ir.Kernel.t -> compiled
 (** Pipeline: AST generation, per-loop parallelism refinement, explicit
     vectorization (when [vectorize], honouring the schedule's influence

@@ -53,11 +53,13 @@ let eligible_dims ast =
     table []
   |> List.sort compare
 
+let max_threads = 1024  (* CUDA's per-block thread limit *)
+
 (* Innermost dims become thread axes while the budget lasts; a dim that
    overflows the remaining budget is strip-mined across a (block, thread)
    pair — the moral equivalent of AKG's tiling before mapping; leftover
    outer dims become block axes. *)
-let compute ?(max_threads = 1024) ast =
+let compute ast =
   let dims = eligible_dims ast in
   let budget = ref max_threads in
   let threads = ref [] and blocks = ref [] in

@@ -20,12 +20,11 @@ val thread_extent_of : t -> int -> int option
 (** Thread-extent of a schedule dim (present for thread and strip-mined
     dims). *)
 
-val compute : ?max_threads:int -> Ast.t -> t
+val compute : Ast.t -> t
 (** Policy: the innermost eligible parallel loops become thread axes while
-    the extent product stays within [max_threads] (default 1024, at most 3
-    axes); a dim overflowing the remaining budget is strip-mined across a
-    (block, thread) pair; remaining outer parallel loops become block
-    axes. *)
+    the extent product stays within 1024 threads (at most 3 axes); a dim
+    overflowing the remaining budget is strip-mined across a (block,
+    thread) pair; remaining outer parallel loops become block axes. *)
 
 val apply : t -> Ast.t -> Ast.t
 (** Stamps [Block]/[Thread] marks onto the corresponding [For] nodes. *)

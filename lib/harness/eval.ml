@@ -140,14 +140,6 @@ let evaluate_op ?(machine = Gpusim.Machine.v100) ?tuning ~name kernel =
       ]);
   r
 
-let evaluate_suite ?machine ?(progress = fun _ -> ()) ?tuning_for ops =
-  List.map
-    (fun (name, kernel) ->
-      progress name;
-      let tuning = Option.bind tuning_for (fun f -> f name kernel) in
-      evaluate_op ?machine ?tuning ~name kernel)
-    ops
-
 (* ------------------------------------------------------------------ *)
 (* JSON round-trip (the compile cache's payload format)                 *)
 (* ------------------------------------------------------------------ *)
@@ -284,7 +276,6 @@ type cpu_run = {
   cpu_machine : string;
   cpu_isa : string;
   source_bytes : int;
-  emit_s : float;
   cpu_vec : bool;  (* emitted AST contains a vector strip *)
   compiled : bool;
   compile_cache_hit : bool;
@@ -313,7 +304,6 @@ let evaluate_cpu_op ?(machine = Gpusim.Machine.scalar_1core) ?runner ?(reps = 3)
       cpu_machine = machine.Gpusim.Machine.name;
       cpu_isa = Gpusim.Machine.isa_name machine.Gpusim.Machine.isa;
       source_bytes = String.length source;
-      emit_s = p.Pipeline.backend_s;
       cpu_vec = Codegen.Ast.has_vector_loop p.Pipeline.compiled.Codegen.Compile.ast;
       compiled = false;
       compile_cache_hit = false;

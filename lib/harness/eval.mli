@@ -53,9 +53,8 @@ type tuning = Pipeline.tuning
     fixed baselines. *)
 
 val influence_with : ?tuning:tuning -> Ir.Kernel.t -> Scheduling.Influence.t
-(** The influence tree a (possibly tuned) evaluation injects: paper
-    weights and natural branch order when [tuning] is absent — the
-    fixed-configuration fallback for operators without a tuning record. *)
+(** {!Pipeline.influence_with}, kept for the repository benchmark
+    ([perfbench/]), its only caller. *)
 
 val rows_equal : Scheduling.Schedule.t -> Scheduling.Schedule.t -> bool
 (** Structural equality of two schedules' rows (kind-insensitive, exact
@@ -69,7 +68,8 @@ val timed_schedule :
   ?memo:Scheduling.Scheduler.memo ->
   Ir.Kernel.t ->
   Scheduling.Schedule.t * Scheduling.Scheduler.stats * sched_obs
-(** {!Pipeline.schedule}. *)
+(** {!Pipeline.schedule}, kept for the repository benchmark
+    ([perfbench/]), its only caller. *)
 
 val evaluate_op :
   ?machine:Gpusim.Machine.t ->
@@ -82,19 +82,11 @@ val evaluate_op :
     infl and tiled schedules.  Both are created inside the call, so
     operators evaluate independently on separate domains. *)
 
-val evaluate_suite :
-  ?machine:Gpusim.Machine.t ->
-  ?progress:(string -> unit) ->
-  ?tuning_for:(string -> Ir.Kernel.t -> tuning option) ->
-  (string * Ir.Kernel.t) list ->
-  op_result list
-
 type cpu_run = {
   cpu_op : string;
   cpu_machine : string;
   cpu_isa : string;
   source_bytes : int;
-  emit_s : float;
   cpu_vec : bool;  (** emitted AST contains a vector strip *)
   compiled : bool;
   compile_cache_hit : bool;
@@ -116,7 +108,8 @@ type cpu_run = {
     hosts and toolchains. *)
 
 val memory_to_buffers : Ir.Kernel.t -> Interp.memory -> float array array
-(** {!Pipeline.memory_to_buffers}. *)
+(** {!Pipeline.memory_to_buffers}, kept for the repository benchmark
+    ([perfbench/]), its only caller. *)
 
 val evaluate_cpu_op :
   ?machine:Gpusim.Machine.t ->

@@ -159,7 +159,6 @@ type output = {
   stats : Scheduling.Scheduler.stats;
   compiled : Codegen.Compile.compiled;
   backend : backend_output;
-  backend_s : float;
 }
 
 let run ?tile_sizes ?(machine = Gpusim.Machine.v100) ?deps version kernel =
@@ -169,9 +168,8 @@ let run ?tile_sizes ?(machine = Gpusim.Machine.v100) ?deps version kernel =
   let influence = tree ~deps version kernel in
   let sched, stats, _ = schedule ?influence ~deps kernel in
   let compiled = lower ?tile_sizes ~deps version sched kernel in
-  let backend, backend_s =
-    Obs.Span.timed (fun () ->
-        if Gpusim.Machine.is_cpu machine then Emitted (emit_c ~machine compiled)
-        else Simulated (simulate ~machine compiled))
+  let backend =
+    if Gpusim.Machine.is_cpu machine then Emitted (emit_c ~machine compiled)
+    else Simulated (simulate ~machine compiled)
   in
-  { sched; stats; compiled; backend; backend_s }
+  { sched; stats; compiled; backend }

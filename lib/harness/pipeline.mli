@@ -165,7 +165,6 @@ type output = {
   stats : Scheduling.Scheduler.stats;
   compiled : Codegen.Compile.compiled;
   backend : backend_output;
-  backend_s : float;  (** seconds in {!simulate} or {!emit_c} *)
 }
 
 val run :

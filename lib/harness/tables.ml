@@ -35,17 +35,9 @@ let table2_row fmt name results =
     (Eval.speedup a.i_isl_ms a.i_novec_ms)
     (Eval.speedup a.i_isl_ms a.i_infl_ms)
 
-let table2 ?machine ?progress fmt networks =
+let table2 fmt per_network =
   table2_header fmt;
-  let all =
-    List.map
-      (fun (n : Ops.Networks.t) ->
-        let results = Eval.evaluate_suite ?machine ?progress (Lazy.force n.ops) in
-        table2_row fmt n.Ops.Networks.name results;
-        (n.Ops.Networks.name, results))
-      networks
-  in
-  all
+  List.iter (fun (name, results) -> table2_row fmt name results) per_network
 
 let stats_header fmt =
   Format.fprintf fmt

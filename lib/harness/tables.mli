@@ -3,19 +3,11 @@
 val table1 : Format.formatter -> unit
 (** Table I: target end-to-end workloads. *)
 
-val table2_header : Format.formatter -> unit
-
 val table2_row : Format.formatter -> string -> Eval.op_result list -> unit
 (** One network row of Table II from its per-operator results. *)
 
-val table2 :
-  ?machine:Gpusim.Machine.t ->
-  ?progress:(string -> unit) ->
-  Format.formatter ->
-  Ops.Networks.t list ->
-  (string * Eval.op_result list) list
-(** Runs the full evaluation and prints Table II; returns the per-network
-    results for further reporting (geomean, EXPERIMENTS.md). *)
+val table2 : Format.formatter -> (string * Eval.op_result list) list -> unit
+(** Table II: its header and one row per (network, per-operator results). *)
 
 val geomean_line : Format.formatter -> (string * Eval.op_result list) list -> unit
 (** The headline number: geometric mean of per-network infl speedups. *)

@@ -1,6 +1,7 @@
-(** Sharded, cache-aware suite evaluation.
+(** Sharded, cache-aware suite evaluation: the one Table II suite
+    runner, behind [akg_repro network] and [bench/main.exe table2].
 
-    A drop-in for {!Harness.Eval.evaluate_suite} that (a) consults a
+    {!Harness.Eval.evaluate_op} over a suite that (a) consults a
     {!Cache} before compiling each operator and stores fresh results
     after, and (b) shards the remaining compilations across a
     {!Pool}.  Results come back in suite order, and — because the pool

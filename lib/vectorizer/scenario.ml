@@ -38,7 +38,13 @@ let ranked_candidates ?weights kernel stmt ~taken ~innermost ~thread_budget =
      structure intact *)
   List.stable_sort (fun (_, a) (_, b) -> compare b a) scored
 
-let build ?weights ?(thread_limit = 1024) ?(max_depth = 3) kernel stmt ~alternative =
+(* Algorithm 2's constants: a 1024-thread block budget, at most three
+   influenced dimensions per statement, four scenario sets per kernel. *)
+let thread_limit = 1024
+let max_depth = 3
+let max_alternatives = 4
+
+let build ?weights kernel stmt ~alternative =
   let innermost_ranked =
     ranked_candidates ?weights kernel stmt ~taken:[] ~innermost:true
       ~thread_budget:thread_limit
@@ -84,14 +90,14 @@ let build ?weights ?(thread_limit = 1024) ?(max_depth = 3) kernel stmt ~alternat
         ]);
     Some sc
 
-let build_all ?weights ?(thread_limit = 1024) ?(max_alternatives = 4) kernel =
+let build_all ?weights kernel =
   let stmts = kernel.Kernel.stmts in
   let set r =
     List.map
       (fun s ->
-        match build ?weights ~thread_limit kernel s ~alternative:r with
+        match build ?weights kernel s ~alternative:r with
         | Some sc -> sc
-        | None -> Option.get (build ?weights ~thread_limit kernel s ~alternative:0))
+        | None -> Option.get (build ?weights kernel s ~alternative:0))
       stmts
   in
   let sets = List.init max_alternatives set in

@@ -20,26 +20,23 @@ type t = {
 
 val build :
   ?weights:Costmodel.weights ->
-  ?thread_limit:int ->
-  ?max_depth:int ->
   Ir.Kernel.t ->
   Ir.Stmt.t ->
   alternative:int ->
   t option
 (** The scenario obtained by taking the [alternative]-th best innermost
-    dimension (0 = best) and completing greedily, as in Algorithm 2 with
-    [|I_s| < 3] replaced by [max_depth] (default 3).  [None] when the
-    statement has fewer distinct dimensions than requested alternatives. *)
+    dimension (0 = best) and completing greedily, as in Algorithm 2: at
+    most 3 influenced dimensions under a 1024-thread budget.  [None] when
+    the statement has fewer distinct dimensions than requested
+    alternatives. *)
 
 val build_all :
   ?weights:Costmodel.weights ->
-  ?thread_limit:int ->
-  ?max_alternatives:int ->
   Ir.Kernel.t ->
   t list list
 (** Scenario sets for the whole kernel: element [r] holds the [r]-th
     alternative scenario of every statement (statements without an [r]-th
-    alternative fall back to their best one).  At most [max_alternatives]
-    (default 4) sets, deduplicated. *)
+    alternative fall back to their best one).  At most 4 sets,
+    deduplicated. *)
 
 val pp : Format.formatter -> t -> unit

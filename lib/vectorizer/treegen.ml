@@ -94,12 +94,14 @@ let c_trees = Obs.Counters.create "vectorizer.trees_built" ~doc:"influence trees
 let c_branches =
   Obs.Counters.create "vectorizer.branches" ~doc:"influence branches kept after dedup"
 
-let scenario_sets ?weights ?thread_limit kernel =
-  Scenario.build_all ?weights ?thread_limit kernel
+let scenario_sets ?weights kernel = Scenario.build_all ?weights kernel
 
-let influence_for ?weights ?thread_limit ?(max_branches = 8) kernel =
+(* The paper's cap on root alternatives (Section V: 8 scenarios). *)
+let max_branches = 8
+
+let influence_for ?weights kernel =
   Obs.Span.with_ "vectorizer.treegen" @@ fun () ->
-  let sets = scenario_sets ?weights ?thread_limit kernel in
+  let sets = scenario_sets ?weights kernel in
   let branches =
     List.concat
       (List.mapi

@@ -9,15 +9,9 @@
     statements positionally); lower-priority variants keep only the
     vectorization constraints. *)
 
-val influence_for :
-  ?weights:Costmodel.weights ->
-  ?thread_limit:int ->
-  ?max_branches:int ->
-  Ir.Kernel.t ->
-  Scheduling.Influence.t
+val influence_for : ?weights:Costmodel.weights -> Ir.Kernel.t -> Scheduling.Influence.t
 (** The constraint tree injected for the {b infl} and {b novec} compiler
-    versions.  [max_branches] caps the number of root alternatives
-    (default 8, the paper's setting). *)
+    versions, with at most 8 root alternatives (the paper's setting). *)
 
 val vector_annotation_key : string -> string
 (** Annotation key under which the schedule carries the vectorization
@@ -26,9 +20,5 @@ val vector_annotation_key : string -> string
 val parse_vector_annotation : string -> (string * int) option
 (** [(iterator, width)] from an annotation value. *)
 
-val scenario_sets :
-  ?weights:Costmodel.weights ->
-  ?thread_limit:int ->
-  Ir.Kernel.t ->
-  Scenario.t list list
-(** The underlying scenario sets (exposed for ablation benchmarks). *)
+val scenario_sets : ?weights:Costmodel.weights -> Ir.Kernel.t -> Scenario.t list list
+(** The underlying scenario sets (printed by the Fig. 3 benchmark). *)

@@ -24,7 +24,7 @@ type outcome =
   | Failed of string
 
 let schedule_with ~strategy ?influence k =
-  match Harness.Eval.timed_schedule ?influence ~strategy k with
+  match Harness.Pipeline.schedule ?influence ~strategy k with
   | sched, stats, _ -> Sched (sched, stats)
   | exception Scheduling.Scheduler.Failure_no_schedule msg -> Failed msg
 

@@ -31,11 +31,11 @@ let fig2_trace () =
   trace_of (fun () ->
       ignore (Harness.Eval.evaluate_op ~name:"fig2" (Ops.Classics.fig2 ())))
 
-(* Same event stream as [akg_repro network lstm --trace ...]. *)
-let lstm_trace () =
+(* Same event stream as [akg_repro network lstm --jobs N --trace ...]. *)
+let lstm_trace ~jobs =
   trace_of (fun () ->
       ignore
-        (Harness.Eval.evaluate_suite (Lazy.force Ops.Networks.lstm.Ops.Networks.ops)))
+        (Service.Batch.evaluate_suite ~jobs (Lazy.force Ops.Networks.lstm.Ops.Networks.ops)))
 
 let fig2 = lazy (fig2_trace ())
 
@@ -63,7 +63,9 @@ let check_golden name trace =
           name file Obs.Summary.pp_changes changes)
 
 let test_golden_fig2 () = check_golden "fig2" (Lazy.force fig2)
-let test_golden_lstm () = check_golden "lstm" (lstm_trace ())
+(* The pool merges worker traces deterministically: one golden for any
+   job count. *)
+let test_golden_lstm () = List.iter (fun jobs -> check_golden "lstm" (lstm_trace ~jobs)) [ 1; 2 ]
 
 (* The tiling client's span and events must be part of the fingerprint:
    a harness run emits [tiling.tree] and reports the per-op [tiled] flag,
