@@ -35,8 +35,10 @@ let compile_expr slot_of e =
   in
   let l = List.fold_left Bigint.lcm Bigint.one denoms in
   let scale q = Bigint.to_int (Bigint.div (Bigint.mul (Q.num q) l) (Q.den q)) in
+  (* by slot, not by name: a renamed iterator gives the same [cexpr] *)
   let terms =
-    Array.of_list (Linexpr.fold_terms (fun v q acc -> (slot_of v, scale q) :: acc) e [])
+    List.sort compare (Linexpr.fold_terms (fun v q acc -> (slot_of v, scale q) :: acc) e [])
+    |> Array.of_list
   in
   { slots = Array.map fst terms;
     coefs = Array.map snd terms;
@@ -185,6 +187,11 @@ let build_program ~lanes (c : Compile.compiled) =
     | Ast.Exec e -> compile_exec e 1
     | Ast.VecExec (e, w) -> compile_exec e w
     | Ast.For l ->
+      (* the loop's slot first, so slots number loops in program order
+         whatever their variables are called *)
+      let slot = slot_of l.Ast.var in
+      let lower = Array.of_list (List.map (compile_expr slot_of) l.Ast.lower) in
+      let upper = Array.of_list (List.map (compile_expr slot_of) l.Ast.upper) in
       let role =
         match l.Ast.mark with
         | Ast.Block a -> BlockAxis a
@@ -197,9 +204,9 @@ let build_program ~lanes (c : Compile.compiled) =
         | Ast.Seq_mark | Ast.Parallel -> Serial
       in
       SFor
-        { slot = slot_of l.Ast.var;
-          lower = Array.of_list (List.map (compile_expr slot_of) l.Ast.lower);
-          upper = Array.of_list (List.map (compile_expr slot_of) l.Ast.upper);
+        { slot;
+          lower;
+          upper;
           step = Ast.step l;
           role;
           strip = (match l.Ast.kind with Ast.Vector _ -> true | Ast.Plain | Ast.Tile _ -> false);
@@ -246,11 +253,97 @@ let holds env guards =
   done;
   !ok
 
-let collect ?(block_samples = 8) ?(warp_samples = 4) ?(loop_sample_cap = 32) machine
-    (c : Compile.compiled) =
+type program = {
+  machine : Machine.t;
+  prog : sprog;
+  nslots : int;
+  tensor_bytes : int array;
+  mapping : Mapping.t;
+}
+
+let build machine (c : Compile.compiled) =
+  let prog, nslots, tensor_bytes = build_program ~lanes:machine.Machine.warp_size c in
+  { machine; prog; nslots; tensor_bytes; mapping = c.Compile.mapping }
+
+(* An exact serialization of everything [walk] reads: a fixed grammar
+   with every array length-prefixed, so distinct programs give
+   distinct strings.  The scratch [mask]/[los]/[his] arrays are left out:
+   the walker writes them before it reads them. *)
+let key p =
+  let b = Buffer.create 1024 in
+  let int n =
+    Buffer.add_string b (string_of_int n);
+    Buffer.add_char b ' '
+  in
+  let tag c = Buffer.add_char b c in
+  let bool x = tag (if x then 't' else 'f') in
+  let array f a =
+    int (Array.length a);
+    Array.iter f a
+  in
+  let cexpr ce =
+    int ce.const;
+    int ce.div;
+    array int ce.slots;
+    array int ce.coefs
+  in
+  let access a =
+    bool a.is_write;
+    int a.tid;
+    int a.base;
+    int a.elem;
+    cexpr a.offset
+  in
+  let rec prog = function
+    | SSeq l ->
+      tag 'q';
+      array prog l
+    | SIf g ->
+      tag 'i';
+      array
+        (fun g ->
+          tag (match g.gkind with Constr.Ge -> 'g' | Constr.Eq -> 'e');
+          cexpr g.gexpr)
+        g.guards;
+      prog g.body
+    | SFor f ->
+      tag 'f';
+      int f.slot;
+      array cexpr f.lower;
+      array cexpr f.upper;
+      int f.step;
+      (match f.role with
+       | Serial -> tag 'S'
+       | BlockAxis a -> tag 'B'; int a
+       | ThreadAxis a -> tag 'T'; int a
+       | SplitAxis (bl, t, e) -> tag 'P'; int bl; int t; int e);
+      bool f.strip;
+      bool f.has_guards;
+      prog f.body
+    | SExec e ->
+      tag 'x';
+      array access e.accesses;
+      int e.ops;
+      int e.vec;
+      array cexpr e.lattice
+  in
+  let dims l =
+    int (List.length l);
+    List.iter (fun (d, e) -> int d; int e) l
+  in
+  (* every field of the machine, a field added later included; marshalled
+     data carries its own length *)
+  Buffer.add_string b (Marshal.to_string p.machine [ Marshal.No_sharing ]);
+  dims p.mapping.Mapping.block_dims;
+  dims p.mapping.Mapping.thread_dims;
+  int p.nslots;
+  array int p.tensor_bytes;
+  prog p.prog;
+  Buffer.contents b
+
+let walk ?(block_samples = 8) ?(warp_samples = 4) ?(loop_sample_cap = 32) p =
+  let { machine; prog; nslots; tensor_bytes; mapping } = p in
   let warp = machine.Machine.warp_size in
-  let prog, nslots, tensor_bytes = build_program ~lanes:warp c in
-  let mapping = c.Compile.mapping in
   let blocks = max 1 (Mapping.grid_blocks mapping) in
   let tpb = max 1 (Mapping.block_threads mapping) in
   let warps_pb = (tpb + warp - 1) / warp in
@@ -614,3 +707,6 @@ let collect ?(block_samples = 8) ?(warp_samples = 4) ?(loop_sample_cap = 32) mac
     l2_hit_bytes;
     dram_bytes = Float.max 0.0 (global_bytes -. shared_hit_bytes -. l2_hit_bytes)
   }
+
+let collect ?block_samples ?warp_samples ?loop_sample_cap machine c =
+  walk ?block_samples ?warp_samples ?loop_sample_cap (build machine c)

@@ -47,6 +47,32 @@ type result = {
   dram_bytes : float;  (** [bytes - shared_hit_bytes - l2_hit_bytes] *)
 }
 
+type program
+(** A lowering compiled for the walker on one machine: loop variables
+    become integer slots, numbered in program order; affine expressions
+    become integer terms sorted by slot; each tensor becomes its index in
+    the kernel's tensor list, its base address (laid out in that order)
+    and its element size.  Kernel, statement, tensor and iterator names
+    do not reach it. *)
+
+val build : Machine.t -> Codegen.Compile.compiled -> program
+
+val key : program -> string
+(** An exact serialization (no digest) of everything {!walk} reads: the
+    program (every loop's slot, bounds, step, role and kind; guards;
+    accesses; statement op counts and vector widths), the slot count,
+    the tensor sizes, the mapping's block and thread dims and every
+    field of the machine.  The per-lane scratch arrays the walker writes
+    before it reads are left out.  Equal keys therefore mean equal
+    {!walk} results under equal sampling arguments, and the same kernel
+    under other names has the same key.  A changed extent, element type,
+    tensor declaration order or machine changes it. *)
+
+val walk :
+  ?block_samples:int -> ?warp_samples:int -> ?loop_sample_cap:int -> program -> result
+(** The traffic simulation described above.  A program's scratch arrays
+    make a walk not reentrant: walk one program at a time. *)
+
 val collect :
   ?block_samples:int ->
   ?warp_samples:int ->
@@ -54,3 +80,4 @@ val collect :
   Machine.t ->
   Codegen.Compile.compiled ->
   result
+(** [walk (build machine c)]. *)

@@ -9,7 +9,12 @@ type report = {
   coalescing_efficiency : float;
 }
 
-let c_runs = Obs.Counters.create "gpusim.runs" ~doc:"simulated kernel executions"
+let c_runs =
+  Obs.Counters.create "gpusim.runs" ~doc:"simulated kernel executions (warp walks done)"
+
+let c_memo_hits =
+  Obs.Counters.create "gpusim.memo_hits"
+    ~doc:"simulation requests answered by a simulator memo"
 
 let c_requests =
   Obs.Counters.create "gpusim.mem_requests"
@@ -18,10 +23,31 @@ let c_requests =
 let c_sectors =
   Obs.Counters.create "gpusim.mem_sectors" ~doc:"simulated 32-byte DRAM sectors (rounded)"
 
-let run ?(machine = Machine.v100) compiled =
+type memo = (string, Memsim.result) Hashtbl.t
+
+let memo () = Hashtbl.create 16
+
+let run ?memo ?(machine = Machine.v100) compiled =
   Obs.Span.with_ "gpusim.run" @@ fun () ->
-  Obs.Counters.incr c_runs;
-  let mem = Obs.Span.with_ "gpusim.memsim" (fun () -> Memsim.collect machine compiled) in
+  let program = Memsim.build machine compiled in
+  let walk () =
+    Obs.Counters.incr c_runs;
+    Obs.Span.with_ "gpusim.memsim" (fun () -> Memsim.walk program)
+  in
+  let mem, hit =
+    match memo with
+    | None -> (walk (), false)
+    | Some tbl -> (
+      let key = Memsim.key program in
+      match Hashtbl.find_opt tbl key with
+      | Some mem ->
+        Obs.Counters.incr c_memo_hits;
+        (mem, true)
+      | None ->
+        let mem = walk () in
+        Hashtbl.replace tbl key mem;
+        (mem, false))
+  in
   Obs.Counters.add c_requests (int_of_float mem.Memsim.requests);
   Obs.Counters.add c_sectors (int_of_float mem.Memsim.sectors);
   let m = machine in
@@ -89,6 +115,7 @@ let run ?(machine = Machine.v100) compiled =
   let time_s = m.Machine.launch_overhead_s +. lead +. (0.25 *. others) in
   Obs.Trace.emitf "gpusim.sim" (fun () ->
       [ ("kernel", Obs.Json.String compiled.Codegen.Compile.kernel.Ir.Kernel.name);
+        ("memo", Obs.Json.Bool hit);
         ("time_us", Obs.Json.Float (time_s *. 1e6));
         ("bw_us", Obs.Json.Float (bw_time_s *. 1e6));
         ("onchip_us", Obs.Json.Float (onchip_time_s *. 1e6));

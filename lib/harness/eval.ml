@@ -47,9 +47,9 @@ let evaluate_op ?(machine = Gpusim.Machine.v100) ?tuning ~name kernel =
     total := !total +. dt;
     r
   in
-  (* One dependence analysis and one solver memo feed every stage.  Three
-     schedules: novec and infl share the vectorizer-tree one, and only the
-     vectorizer's tree is tuned. *)
+  (* One dependence analysis, one solver memo and one simulator memo feed
+     every stage.  Three schedules: novec and infl share the
+     vectorizer-tree one, and only the vectorizer's tree is tuned. *)
   let deps = Deps.Analysis.dependences kernel in
   let memo = Scheduling.Scheduler.memo () in
   let schedule ?tuning version =
@@ -62,8 +62,9 @@ let evaluate_op ?(machine = Gpusim.Machine.v100) ?tuning ~name kernel =
   let lower version sched =
     timed lower_s (fun () -> Pipeline.lower ~deps version sched kernel)
   in
+  let sim_memo = Gpusim.Sim.memo () in
   let time c =
-    timed sim_s (fun () -> Gpusim.Sim.time_us (Pipeline.simulate ~machine c))
+    timed sim_s (fun () -> Gpusim.Sim.time_us (Pipeline.simulate ~memo:sim_memo ~machine c))
   in
   let version label us =
     Obs.Trace.emitf "harness.version" (fun () ->

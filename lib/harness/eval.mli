@@ -28,7 +28,9 @@ type op_obs = {
           only their sum is comparable across revisions. *)
   tree_s : float;  (** influence-tree construction seconds (both clients) *)
   lower_s : float;  (** all codegen lowerings, seconds *)
-  sim_s : float;  (** all GPU-model simulations, seconds *)
+  sim_s : float;
+      (** all GPU-model simulation requests, seconds: the walks done and
+          the simulator-memo lookups that answered the rest *)
 }
 (** Per-operator compile+simulate breakdown behind one {!op_result} —
     rendered by {!Tables.stats_table} and the CLI's [--stats] flag. *)
@@ -77,10 +79,12 @@ val evaluate_op :
   name:string ->
   Ir.Kernel.t ->
   op_result
-(** The five versions of one operator from one dependence analysis and
-    one solver memo ({!Scheduling.Scheduler.memo}) shared by its isl,
-    infl and tiled schedules.  Both are created inside the call, so
-    operators evaluate independently on separate domains. *)
+(** The five versions of one operator from one dependence analysis, one
+    solver memo ({!Scheduling.Scheduler.memo}) shared by its isl, infl
+    and tiled schedules and one simulator memo ({!Gpusim.Sim.memo})
+    shared by its four lowerings and the TVM comparator's kernels.  All
+    three are created inside the call, so operators evaluate
+    independently on separate domains. *)
 
 type cpu_run = {
   cpu_op : string;

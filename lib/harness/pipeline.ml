@@ -104,7 +104,7 @@ let lower ?vec_min_parallel ?tile_sizes ?tile_fault ?deps version sched kernel =
   Codegen.Compile.lower ~vectorize:s.vectorize ~vec_min_parallel ?tile_sizes ?tile_fault
     ?deps sched kernel
 
-let simulate ?machine compiled = Gpusim.Sim.run ?machine compiled
+let simulate ?memo ?machine compiled = Gpusim.Sim.run ?memo ?machine compiled
 
 let emit_c ~machine compiled = Codegen_cpu.Cemit.emit ~machine compiled
 

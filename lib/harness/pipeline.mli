@@ -126,8 +126,13 @@ val lower :
     Fig. 2 walkthrough pass 0 to exercise the vector pass on tiny
     kernels); [tile_sizes] and [tile_fault] are passed through. *)
 
-val simulate : ?machine:Gpusim.Machine.t -> Codegen.Compile.compiled -> Gpusim.Sim.report
-(** Stage 4 on a GPU profile: the performance model, V100 by default. *)
+val simulate :
+  ?memo:Gpusim.Sim.memo -> ?machine:Gpusim.Machine.t -> Codegen.Compile.compiled ->
+  Gpusim.Sim.report
+(** Stage 4 on a GPU profile: the performance model, V100 by default.  A
+    caller simulating several lowerings of one kernel passes the same
+    [memo] ({!Gpusim.Sim.memo}) to each: the reports are unchanged, and
+    a kernel an earlier call already simulated is looked up. *)
 
 val emit_c : machine:Gpusim.Machine.t -> Codegen.Compile.compiled -> string
 (** Stage 4 on a CPU profile: the C source. *)

@@ -135,20 +135,27 @@ let golden_kernels () =
       (fun (name, k) -> ("StencilZoo/" ^ name, k))
       (Lazy.force Ops.Networks.stencilzoo.Ops.Networks.ops)
 
-let memsim_dump () =
-  List.concat_map
-    (fun (name, k) ->
-      let isl = sched P.Isl k and infl = sched P.Infl k and tiled = sched P.Tiled k in
-      let line version s =
-        dump_line
-          (Printf.sprintf "%s %s" name (P.name version))
-          (P.simulate (P.lower version s k))
-      in
-      [ line P.Isl isl; line P.Novec infl; line P.Infl infl; line P.Tiled tiled ]
-      @ List.mapi
-          (fun i c -> dump_line (Printf.sprintf "%s tvm#%d" name i) (P.simulate c))
-          (Baselines.Tvm.compile k))
-    (golden_kernels ())
+(* Every golden lowering with its label, lowered once for all the tests
+   below. *)
+let golden_lowerings =
+  lazy
+    (List.concat_map
+       (fun (name, k) ->
+         let isl = sched P.Isl k and infl = sched P.Infl k and tiled = sched P.Tiled k in
+         let lowering version s =
+           (Printf.sprintf "%s %s" name (P.name version), P.lower version s k)
+         in
+         [ lowering P.Isl isl; lowering P.Novec infl; lowering P.Infl infl;
+           lowering P.Tiled tiled ]
+         @ List.mapi
+             (fun i c -> (Printf.sprintf "%s tvm#%d" name i, c))
+             (Baselines.Tvm.compile k))
+       (golden_kernels ()))
+
+let memsim_dump ?memo () =
+  List.map
+    (fun (label, c) -> dump_line label (P.simulate ?memo c))
+    (Lazy.force golden_lowerings)
 
 let read_lines file =
   let ic = open_in_bin file in
@@ -162,6 +169,15 @@ let read_lines file =
       in
       go [])
 
+let check_golden lines =
+  let file = Filename.concat "golden" "memsim.txt" in
+  let expected =
+    try read_lines file
+    with Sys_error e -> Alcotest.failf "cannot read golden %s: %s" file e
+  in
+  Alcotest.(check int) "kernel count" (List.length expected) (List.length lines);
+  List.iter2 (fun e l -> Alcotest.(check string) "simulated kernel" e l) expected lines
+
 let test_golden_memsim () =
   let lines = memsim_dump () in
   match Sys.getenv_opt "AKG_UPDATE_GOLDEN" with
@@ -171,14 +187,117 @@ let test_golden_memsim () =
     List.iter (fun l -> output_string oc (l ^ "\n")) lines;
     close_out oc;
     Printf.printf "wrote %s\n%!" file
-  | None ->
-    let file = Filename.concat "golden" "memsim.txt" in
-    let expected =
-      try read_lines file
-      with Sys_error e -> Alcotest.failf "cannot read golden %s: %s" file e
-    in
-    Alcotest.(check int) "kernel count" (List.length expected) (List.length lines);
-    List.iter2 (fun e l -> Alcotest.(check string) "simulated kernel" e l) expected lines
+  | None -> check_golden lines
+
+(* One simulator memo shared across every golden lowering, of every
+   operator: the hits must reproduce the golden line for line. *)
+let test_memo_golden () =
+  if Sys.getenv_opt "AKG_UPDATE_GOLDEN" = None then begin
+    let hits0 = Obs.Counters.find "gpusim.memo_hits" in
+    check_golden (memsim_dump ~memo:(Gpusim.Sim.memo ()) ());
+    let hits = Obs.Counters.find "gpusim.memo_hits" - hits0 in
+    Alcotest.(check bool) (Printf.sprintf "memo hits (%d)" hits) true (hits > 0)
+  end
+
+(* ------------------------------------------------------------------ *)
+(* The simulator memo's key                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* [names] mapped to [prefix ^ index], in reverse order: every term of
+   every expression then meets its variables in the opposite order. *)
+let reversed_names prefix names =
+  let sorted = List.sort_uniq compare names in
+  let n = List.length sorted in
+  let tbl = Hashtbl.create 16 in
+  List.iteri (fun i v -> Hashtbl.replace tbl v (Printf.sprintf "%s%03d" prefix (n - 1 - i))) sorted;
+  fun v -> Option.value ~default:v (Hashtbl.find_opt tbl v)
+
+(* The same lowering under other kernel, tensor, statement, iterator and
+   loop-variable names. *)
+let renamed (c : Compile.compiled) =
+  let open Polyhedra in
+  let k = c.Compile.kernel in
+  let tensor = reversed_names "T" (List.map (fun (t : Ir.Tensor.t) -> t.name) k.Ir.Kernel.tensors) in
+  let stmt = reversed_names "S" (List.map (fun (s : Ir.Stmt.t) -> s.name) k.Ir.Kernel.stmts) in
+  let iter = reversed_names "it" (List.concat_map (fun (s : Ir.Stmt.t) -> s.iters) k.Ir.Kernel.stmts) in
+  let rec loop_vars = function
+    | Ast.Stmts l -> List.concat_map loop_vars l
+    | Ast.If (_, b) -> loop_vars b
+    | Ast.For l -> l.Ast.var :: loop_vars l.Ast.body
+    | Ast.Exec _ | Ast.VecExec _ -> []
+  in
+  let var = reversed_names "lv" (loop_vars c.Compile.ast) in
+  let access (a : Ir.Access.t) = { (Ir.Access.rename iter a) with tensor = tensor a.tensor } in
+  let stmt' (s : Ir.Stmt.t) =
+    { Ir.Stmt.name = stmt s.name;
+      iters = List.map iter s.iters;
+      domain = Polyhedron.rename iter s.domain;
+      write = access s.write;
+      rhs = Ir.Expr.map_accesses access s.rhs
+    }
+  in
+  let kernel =
+    { k with
+      name = k.Ir.Kernel.name ^ "_renamed";
+      tensors = List.map (fun (t : Ir.Tensor.t) -> { t with name = tensor t.name }) k.tensors;
+      stmts = List.map stmt' k.stmts
+    }
+  in
+  let exec (e : Ast.exec) =
+    { Ast.stmt = stmt e.Ast.stmt;
+      iter_map = List.map (fun (it, by) -> (iter it, Linexpr.rename var by)) e.Ast.iter_map
+    }
+  in
+  let rec ast = function
+    | Ast.Stmts l -> Ast.Stmts (List.map ast l)
+    | Ast.If (cs, b) -> Ast.If (List.map (Constr.rename var) cs, ast b)
+    | Ast.For l ->
+      Ast.For
+        { l with
+          var = var l.Ast.var;
+          lower = List.map (Linexpr.rename var) l.Ast.lower;
+          upper = List.map (Linexpr.rename var) l.Ast.upper;
+          body = ast l.Ast.body
+        }
+    | Ast.Exec e -> Ast.Exec (exec e)
+    | Ast.VecExec (e, w) -> Ast.VecExec (exec e, w)
+  in
+  { c with kernel; ast = ast c.Compile.ast }
+
+let key machine c = Gpusim.Memsim.key (Gpusim.Memsim.build machine c)
+
+let test_key_renaming () =
+  let v100 = Gpusim.Machine.v100 in
+  List.iter
+    (fun (label, c) ->
+      let c' = renamed c in
+      if Ast.to_string c.Compile.ast = Ast.to_string c'.Compile.ast then
+        Alcotest.failf "%s: renaming left the AST unchanged" label;
+      if key v100 c <> key v100 c' then Alcotest.failf "%s: renamed kernel, other key" label;
+      Alcotest.(check string) label
+        (dump_line "" (Gpusim.Sim.run c))
+        (dump_line "" (Gpusim.Sim.run c')))
+    (Lazy.force golden_lowerings)
+
+let test_key_distinguishes () =
+  let v100 = Gpusim.Machine.v100 in
+  let lower k = P.lower P.Isl (sched P.Isl k) k in
+  let c = lower (Ops.Classics.transpose_add ~n:64 ~m:64 ()) in
+  let k = c.Compile.kernel in
+  let differs what c' m =
+    if key v100 c = key m c' then Alcotest.failf "%s: same key" what
+  in
+  differs "extent" (lower (Ops.Classics.transpose_add ~n:64 ~m:128 ())) v100;
+  differs "dtype"
+    { c with
+      kernel =
+        { k with
+          tensors = List.map (fun (t : Ir.Tensor.t) -> { t with dtype = Ir.Tensor.F16 }) k.tensors
+        }
+    }
+    v100;
+  differs "tensor order" { c with kernel = { k with tensors = List.rev k.Ir.Kernel.tensors } } v100;
+  differs "machine" c Gpusim.Machine.a100
 
 (* ------------------------------------------------------------------ *)
 (* Sublattice schedules and an independent flops count                  *)
@@ -253,6 +372,9 @@ let () =
           Alcotest.test_case "warp accounting" `Quick test_warp_accounting;
           Alcotest.test_case "sampling consistency" `Quick test_sampling_consistency;
           Alcotest.test_case "golden" `Quick test_golden_memsim;
+          Alcotest.test_case "golden through one memo" `Quick test_memo_golden;
+          Alcotest.test_case "key ignores names" `Quick test_key_renaming;
+          Alcotest.test_case "key distinguishes" `Quick test_key_distinguishes;
           Alcotest.test_case "sublattice schedules" `Quick test_sublattice_schedules;
           Alcotest.test_case "exhaustive flops" `Quick test_exhaustive_flops
         ] );
