@@ -18,12 +18,17 @@ let c_screened =
 (* The tableau keeps every number exact.  Layout:
    - columns [0 .. ncols-1] are decision columns (x+ / x- pairs per source
      variable, then slacks; artificials exist only during phase 1 and are
-     compacted away before the tableau is handed out), column [ncols] is
-     the RHS;
-   - rows [0 .. nrows-1] are constraint rows;
-   - [obj] is the reduced objective row: obj.(j) is the reduced cost of
-     column [j] and the current objective value is [Q.neg obj.(ncols)]
-     plus the installed objective's constant [obj_const]. *)
+     dropped before the tableau is handed out);
+   - rows [0 .. nrows-1] are constraint rows, each sparse and immutable:
+     the sorted indices of its nonzero columns, their values, and the
+     right-hand side held apart.  A pivot builds new rows only for the
+     rows with a nonzero in the pivot column and keeps every other row, so
+     a copy ({!with_le}) copies the row array and shares each row it does
+     not change with its parent;
+   - [obj] is the dense reduced objective row: obj.(j) is the reduced cost
+     of column [j], obj.(ncols) its right-hand side, and the current
+     objective value is [Q.neg obj.(ncols)] plus the installed objective's
+     constant [obj_const]. *)
 
 (* Entering rule and starting basis.  The Dantzig path (most negative
    reduced cost) serves the LP-heavy layers — emptiness tests, bound
@@ -45,8 +50,10 @@ let c_screened =
    verdict, and feasible systems get the unchanged Bland build. *)
 type rule = Dantzig | Bland
 
+type row = { idx : int array; vals : Q.t array; rhs : Q.t }
+
 type tab = {
-  mutable rows : Q.t array array;
+  mutable rows : row array; (* owned by this tableau; the rows are shared *)
   mutable basis : int array; (* basis.(r) = basic column of row r *)
   mutable obj : Q.t array;
   mutable ncols : int;
@@ -55,6 +62,64 @@ type tab = {
   rule : rule;
   mutable degen : int; (* consecutive degenerate pivots *)
 }
+
+(* The entry of [row] in column [c]. *)
+let coef row c =
+  let rec go lo hi =
+    if lo >= hi then Q.zero
+    else begin
+      let m = (lo + hi) lsr 1 in
+      let j = row.idx.(m) in
+      if j = c then row.vals.(m) else if j < c then go (m + 1) hi else go lo m
+    end
+  in
+  go 0 (Array.length row.idx)
+
+(* The sparse row of the dense entries [d] (zeros dropped) and [rhs]. *)
+let of_dense d rhs =
+  let idx = ref [] in
+  for j = Array.length d - 1 downto 0 do
+    if not (Q.is_zero d.(j)) then idx := j :: !idx
+  done;
+  let idx = Array.of_list !idx in
+  { idx; vals = Array.map (fun j -> d.(j)) idx; rhs }
+
+(* [row - f * p], merged over the two index lists; entries that cancel
+   are dropped. *)
+let sub_scaled row f p =
+  let la = Array.length row.idx and lb = Array.length p.idx in
+  let idx = Array.make (la + lb) 0 and vals = Array.make (la + lb) Q.zero in
+  let rec go a b n =
+    if a = la && b = lb then n
+    else begin
+      let ja = if a < la then row.idx.(a) else max_int
+      and jb = if b < lb then p.idx.(b) else max_int in
+      let v =
+        if ja < jb then row.vals.(a)
+        else if jb < ja then Q.neg (Q.mul f p.vals.(b))
+        else Q.sub row.vals.(a) (Q.mul f p.vals.(b))
+      in
+      let n =
+        if Q.is_zero v then n
+        else begin
+          idx.(n) <- min ja jb;
+          vals.(n) <- v;
+          n + 1
+        end
+      in
+      go (if ja <= jb then a + 1 else a) (if jb <= ja then b + 1 else b) n
+    end
+  in
+  let n = go 0 0 0 in
+  { idx = Array.sub idx 0 n; vals = Array.sub vals 0 n;
+    rhs = Q.sub row.rhs (Q.mul f p.rhs) }
+
+(* obj <- obj - f * row, over the row's nonzeros and its right-hand side. *)
+let sub_from_obj t f row =
+  if not (Q.is_zero f) then begin
+    Array.iteri (fun k j -> t.obj.(j) <- Q.sub t.obj.(j) (Q.mul f row.vals.(k))) row.idx;
+    t.obj.(t.ncols) <- Q.sub t.obj.(t.ncols) (Q.mul f row.rhs)
+  end
 
 (* After this many consecutive degenerate pivots the entering rule drops
    from Dantzig to Bland until the objective moves again, which restores
@@ -68,16 +133,18 @@ let use_bland t =
 let pivot t r c =
   Obs.Counters.incr c_pivots;
   let before = t.obj.(t.ncols) in
-  let prow = t.rows.(r) in
-  let inv = Q.inv prow.(c) in
-  Array.iteri (fun j v -> prow.(j) <- Q.mul inv v) prow;
-  let eliminate row =
-    let f = row.(c) in
-    if not (Q.is_zero f) then
-      Array.iteri (fun j v -> row.(j) <- Q.sub v (Q.mul f prow.(j))) row
-  in
-  Array.iteri (fun i row -> if i <> r then eliminate row) t.rows;
-  eliminate t.obj;
+  let p = t.rows.(r) in
+  let inv = Q.inv (coef p c) in
+  let p = { p with vals = Array.map (Q.mul inv) p.vals; rhs = Q.mul inv p.rhs } in
+  t.rows.(r) <- p;
+  Array.iteri
+    (fun i row ->
+      if i <> r then begin
+        let f = coef row c in
+        if not (Q.is_zero f) then t.rows.(i) <- sub_scaled row f p
+      end)
+    t.rows;
+  sub_from_obj t t.obj.(c) p;
   t.basis.(r) <- c;
   if Q.equal before t.obj.(t.ncols) then begin
     Obs.Counters.incr c_degenerate;
@@ -110,8 +177,9 @@ let find_leaving t c =
   let best = ref None in
   Array.iteri
     (fun r row ->
-      if Q.sign row.(c) > 0 then begin
-        let ratio = Q.div row.(t.ncols) row.(c) in
+      let a = coef row c in
+      if Q.sign a > 0 then begin
+        let ratio = Q.div row.rhs a in
         match !best with
         | None -> best := Some (r, ratio)
         | Some (br, bratio) ->
@@ -142,12 +210,7 @@ let objective_value t = Q.add (Q.neg t.obj.(t.ncols)) t.obj_const
 (* Reduce the objective row against the current basis so that reduced costs
    of basic columns are zero. *)
 let reduce_objective t =
-  Array.iteri
-    (fun r b ->
-      let f = t.obj.(b) in
-      if not (Q.is_zero f) then
-        Array.iteri (fun j v -> t.obj.(j) <- Q.sub v (Q.mul f t.rows.(r).(j))) t.obj)
-    t.basis
+  Array.iteri (fun r b -> sub_from_obj t t.obj.(b) t.rows.(r)) t.basis
 
 (* ------------------------------------------------------------------ *)
 (* Construction: phase 1 over the constraint list, then compaction      *)
@@ -160,8 +223,8 @@ exception Contradictory
    >= 0 is negated so its slack has coefficient +1 and starts basic; under
    [Bland], and for [Eq] rows and [Ge] rows the origin violates, the row
    starts on an artificial column.  Phase 1 minimizes the sum of the
-   artificials, which sit at the top of the column range and are compacted
-   away afterwards. *)
+   artificials, which sit at the top of the column range and are dropped
+   afterwards. *)
 let build constraints ~rule ~extra_exprs =
   (* Filter out constraints without variables first. *)
   let constraints =
@@ -190,8 +253,7 @@ let build constraints ~rule ~extra_exprs =
   Obs.Counters.add c_artificials nart;
   let nrows = List.length constraints in
   let ncols = (2 * nvars) + nslack + nart in
-  let rhs = ncols in
-  let rows = Array.init nrows (fun _ -> Array.make (ncols + 1) Q.zero) in
+  let rows = Array.make nrows { idx = [||]; vals = [||]; rhs = Q.zero } in
   let basis = Array.make nrows 0 in
   let col_pos x = Hashtbl.find var_cols x in
   let slack_base = 2 * nvars in
@@ -199,32 +261,33 @@ let build constraints ~rule ~extra_exprs =
   let slack_idx = ref 0 and art_idx = ref 0 in
   List.iteri
     (fun r c ->
-      let row = rows.(r) in
-      Linexpr.fold_terms
-        (fun x q () ->
-          let cp = col_pos x in
-          row.(cp) <- Q.add row.(cp) q;
-          row.(cp + 1) <- Q.sub row.(cp + 1) q)
-        c.Constr.expr ();
-      (* expr + c0 {>=,=} 0 becomes expr_vars {>=,=} -c0 *)
-      row.(rhs) <- Q.neg (Linexpr.constant c.Constr.expr);
-      let slack = slack_base + !slack_idx in
-      (if c.Constr.kind = Constr.Ge then begin
-         row.(slack) <- Q.minus_one;
-         incr slack_idx
-       end);
-      if slack_started c then begin
-        (* -expr_vars + s = c0 >= 0: the slack is a feasible basic column. *)
-        Array.iteri (fun j v -> row.(j) <- Q.neg v) row;
-        basis.(r) <- slack
-      end
+      (* expr + c0 {>=,=} 0 becomes expr_vars {>=,=} -c0.  A slack-started
+         row is negated, -expr_vars + s = c0 >= 0, so its slack is a
+         feasible basic column; any other row is signed so that its
+         artificial starts at a nonnegative value. *)
+      let ge = c.Constr.kind = Constr.Ge and started = slack_started c in
+      let rhs = Q.neg (Linexpr.constant c.Constr.expr) in
+      let sign = if started || Q.sign rhs < 0 then Q.minus_one else Q.one in
+      let slack = slack_base + !slack_idx and art = art_base + !art_idx in
+      if ge then incr slack_idx;
+      if started then basis.(r) <- slack
       else begin
-        if Q.sign row.(rhs) < 0 then
-          Array.iteri (fun j v -> row.(j) <- Q.neg v) row;
-        row.(art_base + !art_idx) <- Q.one;
-        basis.(r) <- art_base + !art_idx;
+        basis.(r) <- art;
         incr art_idx
-      end)
+      end;
+      let terms =
+        Linexpr.fold_terms
+          (fun x q acc ->
+            let cp = col_pos x and q = Q.mul sign q in
+            (cp, q) :: (cp + 1, Q.neg q) :: acc)
+          c.Constr.expr
+          ((if ge then [ (slack, Q.neg sign) ] else [])
+           @ if started then [] else [ (art, Q.one) ])
+      in
+      let terms = List.sort (fun (i, _) (j, _) -> Int.compare i j) terms in
+      rows.(r) <-
+        { idx = Array.of_list (List.map fst terms);
+          vals = Array.of_list (List.map snd terms); rhs = Q.mul sign rhs })
     constraints;
   let t =
     { rows; basis; obj = Array.make (ncols + 1) Q.zero; ncols;
@@ -240,29 +303,31 @@ let build constraints ~rule ~extra_exprs =
    | Opt -> ());
   if Q.sign (objective_value t) > 0 then None
   else begin
-    (* Drive remaining basic artificials out of the basis. *)
+    (* Drive remaining basic artificials out of the basis: pivot on the
+       row's lowest nonzero column, or drop the row when only artificials
+       are left in it. *)
     let keep = Array.make (Array.length t.rows) true in
     Array.iteri
       (fun r b ->
         if b >= art_base then begin
-          let c = ref (-1) in
-          for j = 0 to art_base - 1 do
-            if !c = -1 && not (Q.is_zero t.rows.(r).(j)) then c := j
-          done;
-          if !c >= 0 then pivot t r !c else keep.(r) <- false
+          let row = t.rows.(r) in
+          if Array.length row.idx > 0 && row.idx.(0) < art_base then
+            pivot t r row.idx.(0)
+          else keep.(r) <- false
         end)
       t.basis;
-    (* Drop redundant rows, then compact the artificial columns away: they
-       sit at the top of the column range, so each surviving row is just
-       truncated to its decision+slack prefix plus the RHS. *)
+    (* Drop redundant rows, then the artificial columns: they sit at the
+       top of the column range, so each surviving row keeps the prefix of
+       its sorted indices below [art_base]. *)
     let kept_rows = ref [] and kept_basis = ref [] in
     Array.iteri
       (fun r row ->
         if keep.(r) then begin
-          let short = Array.make (art_base + 1) Q.zero in
-          Array.blit row 0 short 0 art_base;
-          short.(art_base) <- row.(rhs);
-          kept_rows := short :: !kept_rows;
+          let n = ref 0 in
+          while !n < Array.length row.idx && row.idx.(!n) < art_base do incr n done;
+          kept_rows :=
+            { row with idx = Array.sub row.idx 0 !n; vals = Array.sub row.vals 0 !n }
+            :: !kept_rows;
           kept_basis := t.basis.(r) :: !kept_basis
         end)
       t.rows;
@@ -296,7 +361,7 @@ let set_objective t objective =
 
 let assignment t =
   let value = Array.make t.ncols Q.zero in
-  Array.iteri (fun r b -> value.(b) <- t.rows.(r).(t.ncols)) t.basis;
+  Array.iteri (fun r b -> value.(b) <- t.rows.(r).rhs) t.basis;
   let env = Hashtbl.create (Hashtbl.length t.var_cols) in
   Hashtbl.iter
     (fun x cp -> Hashtbl.replace env x (Q.sub value.(cp) value.(cp + 1)))
@@ -313,9 +378,11 @@ let assignment t =
 let dual_entering t r =
   let row = t.rows.(r) in
   let best = ref None in
-  for j = t.ncols - 1 downto 0 do
-    if Q.sign row.(j) < 0 then begin
-      let ratio = Q.div t.obj.(j) (Q.neg row.(j)) in
+  for k = Array.length row.idx - 1 downto 0 do
+    let v = row.vals.(k) in
+    if Q.sign v < 0 then begin
+      let j = row.idx.(k) in
+      let ratio = Q.div t.obj.(j) (Q.neg v) in
       match !best with
       | Some (_, bratio) when Q.compare ratio bratio > 0 -> ()
       | _ -> best := Some (j, ratio)
@@ -330,9 +397,9 @@ let dual_reoptimize t =
     let bland = use_bland t in
     let best = ref (-1) in
     (Array.iteri (fun r row ->
-         if Q.sign row.(t.ncols) < 0 then
+         if Q.sign row.rhs < 0 then
            if !best = -1 then best := r
-           else if (not bland) && Q.compare row.(t.ncols) t.rows.(!best).(t.ncols) < 0
+           else if (not bland) && Q.compare row.rhs t.rows.(!best).rhs < 0
            then best := r))
       t.rows;
     if !best = -1 then `Feasible
@@ -346,48 +413,44 @@ let dual_reoptimize t =
   in
   loop ()
 
-(* Extend [t] with the row [e <= 0] into a fresh tableau (a structural
-   copy: [t] itself is untouched, so branch-and-bound can keep using it),
-   then restore primal feasibility with the dual simplex.  The new slack
+(* Extend [t] with the row [e <= 0] into a fresh tableau, then restore
+   primal feasibility with the dual simplex.  The fresh tableau gets its
+   own row array, basis and objective row but shares every row with [t],
+   and a pivot replaces rows rather than writing into them, so [t] itself
+   is untouched and branch-and-bound can keep using it.  The new slack
    column keeps the objective row dually feasible by construction. *)
 let with_le t e =
-  let ncols = t.ncols + 1 and nrows = Array.length t.rows in
-  let grow row =
-    let r = Array.make (ncols + 1) Q.zero in
-    Array.blit row 0 r 0 t.ncols;
-    r.(ncols) <- row.(t.ncols);
-    r
-  in
-  let rows = Array.make (nrows + 1) [||] in
-  Array.iteri (fun i row -> rows.(i) <- grow row) t.rows;
-  let basis = Array.make (nrows + 1) 0 in
-  Array.blit t.basis 0 basis 0 nrows;
-  let row = Array.make (ncols + 1) Q.zero in
+  let ncols = t.ncols + 1 in
+  (* The new row, dense over the old columns plus its slack. *)
+  let d = Array.make ncols Q.zero in
   (try
      Linexpr.fold_terms
        (fun x q () ->
          let cp = Hashtbl.find t.var_cols x in
-         row.(cp) <- Q.add row.(cp) q;
-         row.(cp + 1) <- Q.sub row.(cp + 1) q)
+         d.(cp) <- Q.add d.(cp) q;
+         d.(cp + 1) <- Q.sub d.(cp + 1) q)
        e ()
    with Not_found -> invalid_arg "Simplex.Tableau.with_le: unknown variable");
-  row.(t.ncols) <- Q.one; (* fresh slack: e + s = -const, s >= 0 *)
-  row.(ncols) <- Q.neg (Linexpr.constant e);
-  rows.(nrows) <- row;
-  basis.(nrows) <- t.ncols;
-  let t' =
-    { rows; basis; obj = grow t.obj; ncols; obj_const = t.obj_const;
-      var_cols = t.var_cols; rule = t.rule; degen = 0 }
-  in
+  d.(t.ncols) <- Q.one; (* fresh slack: e + s = -const, s >= 0 *)
+  let rhs = ref (Q.neg (Linexpr.constant e)) in
   (* Express the new row over the current basis. *)
   Array.iteri
     (fun r b ->
-      if r < nrows then begin
-        let f = row.(b) in
-        if not (Q.is_zero f) then
-          Array.iteri (fun j v -> row.(j) <- Q.sub v (Q.mul f rows.(r).(j))) row
+      let f = d.(b) in
+      if not (Q.is_zero f) then begin
+        let row = t.rows.(r) in
+        Array.iteri (fun k j -> d.(j) <- Q.sub d.(j) (Q.mul f row.vals.(k))) row.idx;
+        rhs := Q.sub !rhs (Q.mul f row.rhs)
       end)
-    basis;
+    t.basis;
+  let obj = Array.make (ncols + 1) Q.zero in
+  Array.blit t.obj 0 obj 0 t.ncols;
+  obj.(ncols) <- t.obj.(t.ncols);
+  let t' =
+    { rows = Array.append t.rows [| of_dense d !rhs |];
+      basis = Array.append t.basis [| t.ncols |]; obj; ncols;
+      obj_const = t.obj_const; var_cols = t.var_cols; rule = t.rule; degen = 0 }
+  in
   match dual_reoptimize t' with `Feasible -> Some t' | `Infeasible -> None
 
 let with_ge t e = with_le t (Linexpr.neg e)

@@ -9,6 +9,11 @@
     are free (internally split into positive and negative parts);
     constraints are {!Constr.t} lists.
 
+    Tableau rows are sparse and immutable: the sorted columns of a row's
+    nonzero entries, their values, and its right-hand side held apart.  A
+    pivot touches only the nonzeros of the rows with an entry in the pivot
+    column and replaces those rows; every other row is kept as it is.
+
     Besides the one-shot entry points, {!Tableau} exposes the solver
     incrementally: build a feasible tableau once, then install successive
     objectives and push extra rows with dual-simplex re-optimization — the
@@ -59,7 +64,8 @@ module Tableau : sig
   val with_le : t -> Linexpr.t -> t option
   (** [with_le t e] is a copy of [t] extended with the row [e <= 0],
       re-optimized for the current objective with the dual simplex; [None]
-      if the extended system is infeasible.  [t] itself is unchanged. *)
+      if the extended system is infeasible.  The copy shares every row it
+      does not change with [t], and [t] itself is unchanged. *)
 
   val with_ge : t -> Linexpr.t -> t option
 end

@@ -224,6 +224,111 @@ let prop_feasibility_matches_fm =
       && point_ok && optimum_ok)
 
 (* ------------------------------------------------------------------ *)
+(* An LP oracle that shares no code with the solver                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Box-bounded systems over one to three variables, so the feasible set
+   is a polytope: empty, or the hull of its vertices, with every linear
+   objective attaining its optimum at a vertex.  Besides the box, the
+   rows are random inequalities and equalities, and degenerate copies of
+   any row: an exact duplicate, a scaled copy (the same hyperplane) and a
+   parallel shift (for an equality, a contradiction). *)
+let lp_oracle_gen =
+  QCheck2.Gen.(
+    let* nv = int_range 1 3 in
+    let vars = List.filteri (fun i _ -> i < nv) [ "x"; "y"; "z" ] in
+    let bounds v =
+      let* lo = int_range (-3) 1 in
+      let+ width = int_range 0 4 in
+      [ Constr.lower_bound v lo; Constr.upper_bound v (lo + width) ]
+    in
+    let* box = flatten_l (List.map bounds vars) in
+    let row =
+      let* kind = frequency [ (3, pure Constr.Ge); (1, pure Constr.Eq) ] in
+      let* coefs = list_repeat nv (int_range (-3) 3) in
+      let+ k = int_range (-6) 6 in
+      { Constr.expr = le (List.combine coefs vars) k; kind }
+    in
+    let* extra = list_size (int_range 0 4) row in
+    let rows = List.concat box @ extra in
+    let degenerate (r : Constr.t) =
+      let* s = int_range 2 3 in
+      let+ shift = oneofl [ -2; -1; 1; 2 ] in
+      [ r;
+        { r with expr = Linexpr.scale (q s) r.expr };
+        { r with expr = Linexpr.add r.expr (Linexpr.const_int shift) } ]
+    in
+    let* copies =
+      list_size (int_range 0 2) (oneofl rows >>= degenerate >>= oneofl)
+    in
+    let* cs = shuffle_l (rows @ copies) in
+    let* ocoefs = list_repeat nv (int_range (-3) 3) in
+    let+ ok = int_range (-3) 3 in
+    (vars, cs, le (List.combine ocoefs vars) ok))
+
+let print_lp (_, cs, obj) = print_system (cs, obj)
+
+(* The vertices of [cs] over [vars]: each [n]-subset of rows whose normals
+   have full rank [n] meets in one point, solved exactly with
+   [Linalg]; the feasible ones are the vertices. *)
+let lp_vertices vars cs =
+  let n = List.length vars in
+  let rows =
+    Array.of_list
+      (List.map
+         (fun c ->
+           let e = c.Constr.expr in
+           (Array.of_list (List.map (Linexpr.coef e) vars), Q.neg (Linexpr.constant e)))
+         cs)
+  in
+  let m = Array.length rows in
+  let rec subsets k from =
+    if k = 0 then [ [] ]
+    else if from >= m then []
+    else List.map (fun s -> from :: s) (subsets (k - 1) (from + 1)) @ subsets k (from + 1)
+  in
+  List.filter_map
+    (fun s ->
+      let a = Array.of_list (List.map (fun i -> fst rows.(i)) s)
+      and b = Array.of_list (List.map (fun i -> snd rows.(i)) s) in
+      if Linalg.rank a < n then None
+      else
+        Option.bind (Linalg.solve a b) (fun x ->
+            let env v =
+              match List.find_index (String.equal v) vars with
+              | Some i -> x.(i)
+              | None -> Q.zero
+            in
+            if List.for_all (Constr.holds env) cs then Some env else None))
+    (subsets n 0)
+
+let prop_lp_matches_vertex_oracle =
+  QCheck2.Test.make ~name:"LP optimum equals the best vertex" ~count:500 ~print:print_lp
+    lp_oracle_gen
+    (fun (vars, cs, obj) ->
+      let values = List.map (fun env -> Linexpr.eval env obj) (lp_vertices vars cs) in
+      let best pick = List.fold_left pick (List.hd values) values in
+      let attains v a = List.for_all (Constr.holds a) cs && Q.equal v (Linexpr.eval a obj) in
+      let one_shot =
+        match (values, Simplex.minimize cs obj, Simplex.maximize cs obj) with
+        | [], Simplex.Infeasible, Simplex.Infeasible -> true
+        | _ :: _, Simplex.Optimal (lo, a), Simplex.Optimal (hi, b) ->
+          Q.equal lo (best Q.min) && Q.equal hi (best Q.max)
+          && attains lo a && attains hi b
+        | _ -> false
+      in
+      let tableau =
+        match (values, Simplex.Tableau.of_constraints ~extra_exprs:[ obj ] cs) with
+        | [], None -> true
+        | _ :: _, Some t ->
+          Simplex.Tableau.set_objective t obj = `Optimal
+          && Q.equal (Simplex.Tableau.value t) (best Q.min)
+          && attains (Simplex.Tableau.value t) (Simplex.Tableau.assignment t)
+        | _ -> false
+      in
+      one_shot && tableau)
+
+(* ------------------------------------------------------------------ *)
 (* Fourier-Motzkin / Polyhedron                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -474,6 +579,93 @@ let test_pivot_rule_counts () =
     true
     (dantzig < bland)
 
+(* Tableau copies share their unchanged rows with the parent, so every
+   push must leave each ancestor as it was: its value, its assignment and
+   what a further push on it (a sibling branch) finds.  A random chain of
+   [with_le]/[with_ge] pushes (feasible or not, a [None] keeps the
+   current tableau) on a box-bounded system, with a new objective
+   installed on some of the children. *)
+let parent_intact_gen =
+  QCheck2.Gen.(
+    let* vars, cs, obj = lp_oracle_gen in
+    let nv = List.length vars in
+    let expr k =
+      map (fun coefs -> le (List.combine coefs vars) k) (list_repeat nv (int_range (-2) 2))
+    in
+    let push =
+      let* le_row = bool in
+      let* e = int_range (-4) 4 >>= expr in
+      let+ reobjective = frequency [ (3, pure None); (1, map Option.some (expr 0)) ] in
+      (le_row, e, reobjective)
+    in
+    let+ pushes = list_size (int_range 1 6) push in
+    (vars, cs, obj, pushes))
+
+let prop_parent_intact =
+  QCheck2.Test.make ~name:"pushes leave every ancestor intact" ~count:500
+    ~print:(fun (v, cs, obj, _) -> print_lp (v, cs, obj))
+    parent_intact_gen
+    (fun (vars, cs, obj, pushes) ->
+      let state t =
+        let a = Simplex.Tableau.assignment t in
+        (Simplex.Tableau.value t, List.map a vars)
+      in
+      let same_state (v, xs) (v', xs') = Q.equal v v' && List.equal Q.equal xs xs' in
+      let snapshot t =
+        (* the sibling branch: first variable >= its value + 1 *)
+        let x = List.hd vars in
+        let bound = Q.add (Simplex.Tableau.assignment t x) Q.one in
+        let sibling =
+          Simplex.Tableau.with_ge t (Linexpr.add_term Q.one x (Linexpr.const (Q.neg bound)))
+        in
+        (state t, Option.map state sibling)
+      in
+      let intact (t, (s, sibling)) =
+        let s', sibling' = snapshot t in
+        same_state s s' && Option.equal same_state sibling sibling'
+      in
+      match Simplex.Tableau.of_constraints ~extra_exprs:[ obj ] cs with
+      | None -> true
+      | Some root ->
+        ignore (Simplex.Tableau.set_objective root obj);
+        let rec go ancestors t = function
+          | [] -> true
+          | (le_row, e, reobjective) :: rest ->
+            let ancestors = (t, snapshot t) :: ancestors in
+            let child =
+              if le_row then Simplex.Tableau.with_le t e else Simplex.Tableau.with_ge t e
+            in
+            let t =
+              match child with
+              | None -> t
+              | Some c ->
+                Option.iter (fun o -> ignore (Simplex.Tableau.set_objective c o)) reobjective;
+                c
+            in
+            List.for_all intact ancestors && go ancestors t rest
+        in
+        go [] root pushes)
+
+let test_tableau_without_rows () =
+  (* No constraint rows: the tableau is just the columns of x. *)
+  match Simplex.Tableau.of_constraints ~extra_exprs:[ Linexpr.var "x" ] [] with
+  | None -> Alcotest.fail "the empty system is feasible"
+  | Some t -> (
+    check_q "empty optimum" Q.zero (Simplex.Tableau.value t);
+    match Simplex.Tableau.with_le t (le [ (1, "x") ] (-3)) with
+    | None -> Alcotest.fail "x <= 3 is feasible"
+    | Some t1 ->
+      Alcotest.(check bool) "max x under x <= 3" true
+        (Simplex.Tableau.set_objective t1 (le [ (-1, "x") ] 0) = `Optimal);
+      check_q "x at its bound" (q 3) (Simplex.Tableau.assignment t1 "x");
+      check_q "child optimum" (q (-3)) (Simplex.Tableau.value t1);
+      Alcotest.(check bool) "x >= 5 contradicts x <= 3" true
+        (Simplex.Tableau.with_ge t1 (le [ (1, "x") ] (-5)) = None);
+      check_q "parent value intact" Q.zero (Simplex.Tableau.value t);
+      check_q "parent assignment intact" Q.zero (Simplex.Tableau.assignment t "x");
+      Alcotest.(check bool) "parent has no bound on x" true
+        (Simplex.Tableau.set_objective t (le [ (-1, "x") ] 0) = `Unbounded))
+
 (* Random small ILPs: box-bounded (so never unbounded), a few extra
    half-planes, one or two objectives. *)
 let ilp_case_gen =
@@ -662,6 +854,7 @@ let () =
           Alcotest.test_case "redundant rows" `Quick test_simplex_redundant_rows
         ] );
       qsuite "simplex-props" [ prop_simplex_sound; prop_feasibility_matches_fm ];
+      qsuite "lp-oracle" [ prop_lp_matches_vertex_oracle ];
       ( "fourier-motzkin",
         [ Alcotest.test_case "interval projection" `Quick test_fm_projection_interval;
           Alcotest.test_case "empty detection" `Quick test_fm_empty_detection;
@@ -686,8 +879,10 @@ let () =
         [ Alcotest.test_case "matches one-shot solver" `Quick
             test_tableau_matches_oneshot;
           Alcotest.test_case "dantzig pivots less than bland" `Quick
-            test_pivot_rule_counts
+            test_pivot_rule_counts;
+          Alcotest.test_case "no rows, then a push" `Quick test_tableau_without_rows
         ] );
+      qsuite "tableau-props" [ prop_parent_intact ];
       qsuite "warm-vs-cold"
         [ prop_warm_matches_cold; prop_warm_minimize_matches_cold ]
     ]
