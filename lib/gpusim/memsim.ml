@@ -234,7 +234,38 @@ type totals = {
   mutable t_flops : float;
 }
 
-module Int_tbl = Hashtbl.Make (Int)
+(* A set of sector ids: linear probing over a power-of-two table, half
+   full at most.  [min_int] marks an empty slot: a sector id is an address
+   divided by the sector size, so it is never [min_int]. *)
+module Sector_set = struct
+  type t = { mutable slots : int array; mutable count : int }
+
+  let empty = min_int
+  let create n = { slots = Array.make n empty; count = 0 }
+
+  (* [add t k] adds [k] and reports whether it was new. *)
+  let rec add t k =
+    let slots = t.slots in
+    let mask = Array.length slots - 1 in
+    let h = k * 0x9E3779B97F4A7C1 in
+    let i = ref ((h lxor (h lsr 29)) land mask) in
+    while slots.(!i) <> empty && slots.(!i) <> k do
+      i := (!i + 1) land mask
+    done;
+    if slots.(!i) = k then false
+    else begin
+      slots.(!i) <- k;
+      t.count <- t.count + 1;
+      if 2 * t.count > Array.length slots then grow t;
+      true
+    end
+
+  and grow t =
+    let old = t.slots in
+    t.slots <- Array.make (2 * Array.length old) empty;
+    t.count <- 0;
+    Array.iter (fun k -> if k <> empty then ignore (add t k)) old
+end
 
 let spread_samples total wanted =
   if total <= wanted then List.init total Fun.id
@@ -368,6 +399,16 @@ let walk ?(block_samples = 8) ?(warp_samples = 4) ?(loop_sample_cap = 32) p =
      lane.  [gather] collects the sectors the active lanes touch into
      [!sectors] (sorted, with repeats) and the bytes they use. *)
   let sector_bytes = machine.Machine.sector_bytes in
+  (* log2 of a power-of-two sector size, else -1: a nonnegative address
+     then takes a shift instead of a division *)
+  let sector_shift =
+    if sector_bytes > 0 && sector_bytes land (sector_bytes - 1) = 0 then begin
+      let k = ref 0 in
+      while 1 lsl !k < sector_bytes do incr k done;
+      !k
+    end
+    else -1
+  in
   let lane_start = Array.make warp 0 and lane_len = Array.make warp 0 in
   let sectors = ref (Array.make (2 * warp) 0) in
   let nsec = ref 0 and useful = ref 0 in
@@ -386,9 +427,12 @@ let walk ?(block_samples = 8) ?(warp_samples = 4) ?(loop_sample_cap = 32) p =
     for l = 0 to warp - 1 do
       let len = lane_len.(l) in
       if len > 0 then begin
-        let start = lane_start.(l) in
+        let start = lane_start.(l) and stop = lane_start.(l) + len - 1 in
         useful := !useful + len;
-        for s = start / sector_bytes to (start + len - 1) / sector_bytes do
+        let shift = sector_shift >= 0 && start >= 0 in
+        let first = if shift then start asr sector_shift else start / sector_bytes in
+        let last = if shift then stop asr sector_shift else stop / sector_bytes in
+        for s = first to last do
           if !nsec = 0 || !sectors.(!nsec - 1) <> s then push s
         done
       end
@@ -425,7 +469,7 @@ let walk ?(block_samples = 8) ?(warp_samples = 4) ?(loop_sample_cap = 32) p =
      which they arrive cannot change a sum. *)
   let probe_traffic = Array.make (max ntensors 1) 0. in
   let probe_footprint = Array.make (max ntensors 1) 0. in
-  let probe_seen = Array.init (max ntensors 1) (fun _ -> Int_tbl.create 256) in
+  let probe_seen = Array.init (max ntensors 1) (fun _ -> Sector_set.create 256) in
   let probe_record ~weight tid =
     gather ();
     if !useful > 0 then begin
@@ -434,10 +478,8 @@ let walk ?(block_samples = 8) ?(warp_samples = 4) ?(loop_sample_cap = 32) p =
         let s = buf.(i) in
         if i = 0 || s <> buf.(i - 1) then begin
           probe_traffic.(tid) <- probe_traffic.(tid) +. weight;
-          if not (Int_tbl.mem seen s) then begin
-            Int_tbl.replace seen s ();
+          if Sector_set.add seen s then
             probe_footprint.(tid) <- probe_footprint.(tid) +. weight
-          end
         end
       done
     end

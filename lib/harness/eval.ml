@@ -40,6 +40,7 @@ let influence_with = Pipeline.influence_with
 
 let evaluate_op ?(machine = Gpusim.Machine.v100) ?tuning ~name kernel =
   Obs.Span.with_ "harness.op" @@ fun () ->
+  Polyhedra.Solver_memo.scoped @@ fun () ->
   Obs.Trace.emitf "harness.op_start" (fun () -> [ ("op", Obs.Json.String name) ]);
   let tree_s = ref 0.0 and lower_s = ref 0.0 and sim_s = ref 0.0 in
   let timed total f =
@@ -47,9 +48,10 @@ let evaluate_op ?(machine = Gpusim.Machine.v100) ?tuning ~name kernel =
     total := !total +. dt;
     r
   in
-  (* One dependence analysis, one solver memo and one simulator memo feed
-     every stage.  Three schedules: novec and infl share the
-     vectorizer-tree one, and only the vectorizer's tree is tuned. *)
+  (* One dependence analysis, one scheduler memo, one simulator memo and
+     the scope's solver memo feed every stage.  Three schedules: novec and
+     infl share the vectorizer-tree one, and only the vectorizer's tree is
+     tuned. *)
   let deps = Deps.Analysis.dependences kernel in
   let memo = Scheduling.Scheduler.memo () in
   let schedule ?tuning version =

@@ -80,11 +80,12 @@ val evaluate_op :
   Ir.Kernel.t ->
   op_result
 (** The five versions of one operator from one dependence analysis, one
-    solver memo ({!Scheduling.Scheduler.memo}) shared by its isl, infl
+    scheduler memo ({!Scheduling.Scheduler.memo}) shared by its isl, infl
     and tiled schedules and one simulator memo ({!Gpusim.Sim.memo})
-    shared by its four lowerings and the TVM comparator's kernels.  All
-    three are created inside the call, so operators evaluate
-    independently on separate domains. *)
+    shared by its four lowerings and the TVM comparator's kernels, all
+    inside one {!Polyhedra.Solver_memo.scoped} scope.  All are created
+    inside the call, so operators evaluate independently on separate
+    domains. *)
 
 type cpu_run = {
   cpu_op : string;

@@ -162,6 +162,7 @@ type output = {
 }
 
 let run ?tile_sizes ?(machine = Gpusim.Machine.v100) ?deps version kernel =
+  Polyhedra.Solver_memo.scoped @@ fun () ->
   let deps =
     match deps with Some deps -> deps | None -> Deps.Analysis.dependences kernel
   in

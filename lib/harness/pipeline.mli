@@ -182,4 +182,5 @@ val run :
 (** {!tree}, {!schedule}, {!lower} and the machine's backend in one
     call, sharing one dependence analysis ([deps] when given): {!simulate}
     when [machine] (default V100) is a GPU profile, {!emit_c} when it is
-    a CPU profile. *)
+    a CPU profile.  The stages run in one {!Polyhedra.Solver_memo.scoped}
+    scope, closed when [run] returns. *)

@@ -168,6 +168,11 @@ let equal a b =
   | B (n1, d1), B (n2, d2) -> Bigint.equal n1 n2 && Bigint.equal d1 d2
   | _ -> false (* canonical form: small values are never boxed *)
 
+(* Consistent with [equal] by the same canonical form. *)
+let hash = function
+  | S (n, d) -> (n * 65599) + d
+  | B (n, d) -> (Bigint.hash n * 65599) + Bigint.hash d
+
 let min a b = if compare a b <= 0 then a else b
 let max a b = if compare a b >= 0 then a else b
 

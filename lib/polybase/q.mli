@@ -31,6 +31,9 @@ val is_integer : t -> bool
 val equal : t -> t -> bool
 val compare : t -> t -> int
 
+val hash : t -> int
+(** A hash consistent with {!equal}: equal values hash alike. *)
+
 val neg : t -> t
 val abs : t -> t
 val inv : t -> t

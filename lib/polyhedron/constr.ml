@@ -55,6 +55,7 @@ let rename f c = { c with expr = Linexpr.rename f c.expr }
 let subst x e c = { c with expr = Linexpr.subst x e c.expr }
 
 let equal a b = a.kind = b.kind && Linexpr.equal a.expr b.expr
+let hash c = (Linexpr.hash c.expr * 2) + match c.kind with Eq -> 0 | Ge -> 1
 
 let compare a b =
   match (a.kind, b.kind) with

@@ -44,5 +44,9 @@ val subst : string -> Linexpr.t -> t -> t
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
+
+val hash : t -> int
+(** A structural hash consistent with {!equal}. *)
+
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

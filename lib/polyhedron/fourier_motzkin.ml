@@ -4,7 +4,37 @@ exception Contradiction
 
 module Cset = Set.Make (Constr)
 
-let simplify cs =
+let c_memo_hits =
+  Obs.Counters.create "fm.memo_hits"
+    ~doc:"Fourier-Motzkin simplifications and eliminations answered from the solver memo"
+
+(* [None] stands for a raised [Contradiction], which is an answer too. *)
+let memoized find key f =
+  match find key (fun () -> match f () with r -> Some r | exception Contradiction -> None) with
+  | Some r -> r
+  | None -> raise Contradiction
+
+module Simplify_memo = Solver_memo.Make (struct
+  type key = Constr.t list
+  type value = Constr.t list option
+
+  let hash = Solver_memo.hash_constrs 0
+  let equal = Solver_memo.equal_constrs
+  let hits = c_memo_hits
+end)
+
+module Eliminate_memo = Solver_memo.Make (struct
+  type key = string list * Constr.t list
+  type value = Constr.t list option
+
+  let hash (xs, cs) =
+    Solver_memo.hash_constrs (List.fold_left (fun h x -> (h * 65599) + Hashtbl.hash x) 0 xs) cs
+
+  let equal (xs, cs) (xs', cs') = List.equal String.equal xs xs' && Solver_memo.equal_constrs cs cs'
+  let hits = c_memo_hits
+end)
+
+let simplify_raw cs =
   let keep c =
     match Constr.triviality c with
     | Some true -> false
@@ -13,6 +43,13 @@ let simplify cs =
   in
   let cs = List.filter keep (List.map Constr.normalize cs) in
   Cset.elements (Cset.of_list cs)
+
+let simplify cs = memoized Simplify_memo.find cs (fun () -> simplify_raw cs)
+
+(* One elimination step simplifies with [simplify_raw]: a repeated
+   elimination is answered whole by [eliminate_all]'s table, and storing
+   every intermediate system as well saved no time but ~1 MiB of peak
+   memory over a zoo pass. *)
 
 let eliminate x cs =
   let mentions, rest = List.partition (fun c -> not (Q.is_zero (Linexpr.coef c.Constr.expr x))) cs in
@@ -28,7 +65,7 @@ let eliminate x cs =
        (* expr = a*x + e, so x = -e/a *)
        let x_value = Linexpr.scale (Q.neg (Q.inv a)) e in
        let others = List.filter (fun c -> c != eqc) mentions in
-       simplify (rest @ List.map (Constr.subst x x_value) others)
+       simplify_raw (rest @ List.map (Constr.subst x x_value) others)
      | None ->
        (* All inequalities: split by the sign of x's coefficient. *)
        let pos, neg =
@@ -53,6 +90,7 @@ let eliminate x cs =
                neg)
            pos
        in
-       simplify (rest @ combos))
+       simplify_raw (rest @ combos))
 
-let eliminate_all xs cs = List.fold_left (fun acc x -> eliminate x acc) cs xs
+let eliminate_all xs cs =
+  memoized Eliminate_memo.find (xs, cs) (fun () -> List.fold_left (fun acc x -> eliminate x acc) cs xs)

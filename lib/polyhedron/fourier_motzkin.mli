@@ -2,7 +2,9 @@
 
     Used to project polyhedra (loop-bound computation in code generation) and
     to eliminate Farkas multipliers from scheduling constraints, exactly as
-    Pluto does. *)
+    Pluto does.  Inside {!Solver_memo.scoped}, {!simplify} and
+    {!eliminate_all} answer a repeated input (the same lists, in the same
+    order) from the scope's table, a raised {!Contradiction} included. *)
 
 val eliminate : string -> Constr.t list -> Constr.t list
 (** [eliminate x cs] is a system over the remaining variables whose solution

@@ -65,6 +65,13 @@ let eval env t =
 let is_const t = Smap.is_empty t.terms
 let equal a b = Smap.equal Q.equal a.terms b.terms && Q.equal a.constant b.constant
 
+(* Structural, over the sorted terms and the constant, so equal
+   expressions hash alike; no printing. *)
+let hash t =
+  Smap.fold
+    (fun x c h -> (((h * 65599) + Hashtbl.hash x) * 65599) + Q.hash c)
+    t.terms (Q.hash t.constant)
+
 let compare a b =
   let c = Q.compare a.constant b.constant in
   if c <> 0 then c else Smap.compare Q.compare a.terms b.terms

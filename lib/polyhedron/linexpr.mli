@@ -46,5 +46,8 @@ val is_const : t -> bool
 val equal : t -> t -> bool
 val compare : t -> t -> int
 
+val hash : t -> int
+(** A structural hash consistent with {!equal}. *)
+
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

@@ -5,7 +5,7 @@ type result =
   | Unbounded
   | Optimal of Q.t * (string -> Q.t)
 
-let c_solves = Obs.Counters.create "simplex.solves" ~doc:"LP minimizations attempted"
+let c_solves = Obs.Counters.create "simplex.solves" ~doc:"LPs solved (memo hits excluded)"
 let c_pivots = Obs.Counters.create "simplex.pivots" ~doc:"tableau pivot operations"
 let c_degenerate = Obs.Counters.create "simplex.degenerate_pivots" ~doc:"pivots that left the objective unchanged"
 let c_dual_pivots = Obs.Counters.create "simplex.dual_pivots" ~doc:"dual-simplex re-optimization pivots"
@@ -14,6 +14,8 @@ let c_artificials = Obs.Counters.create "simplex.artificials" ~doc:"artificial c
 let c_screened =
   Obs.Counters.create "simplex.screened_infeasible"
     ~doc:"ILP roots the slack-started phase 1 proved infeasible"
+let c_memo_hits =
+  Obs.Counters.create "simplex.memo_hits" ~doc:"one-shot LPs answered from the solver memo"
 
 (* The tableau keeps every number exact.  Layout:
    - columns [0 .. ncols-1] are decision columns (x+ / x- pairs per source
@@ -468,11 +470,27 @@ let minimize_impl constraints objective =
     | `Unbounded -> Unbounded
     | `Optimal -> Optimal (objective_value t, assignment t))
 
+(* Keyed by the ordered constraints and the objective: row order decides
+   the vertex, so the assignment too. *)
+module Memo = Solver_memo.Make (struct
+  type key = Constr.t list * Linexpr.t
+  type value = result
+
+  let hash (cs, objective) = Solver_memo.hash_constrs (Linexpr.hash objective) cs
+
+  let equal (cs, objective) (cs', objective') =
+    (objective == objective' || Linexpr.equal objective objective')
+    && Solver_memo.equal_constrs cs cs'
+
+  let hits = c_memo_hits
+end)
+
 let minimize constraints objective =
-  Obs.Counters.incr c_solves;
-  let r = minimize_impl constraints objective in
-  (match r with Infeasible -> Obs.Counters.incr c_infeasible | _ -> ());
-  r
+  Memo.find (constraints, objective) (fun () ->
+      Obs.Counters.incr c_solves;
+      let r = minimize_impl constraints objective in
+      (match r with Infeasible -> Obs.Counters.incr c_infeasible | _ -> ());
+      r)
 
 let maximize constraints objective =
   match minimize constraints (Linexpr.neg objective) with

@@ -29,6 +29,10 @@ type result =
           function returns zero for variables unconstrained by the problem. *)
 
 val minimize : Constr.t list -> Linexpr.t -> result
+(** Inside {!Solver_memo.scoped}, an LP the scope already solved (the same
+    constraints in the same order and the same objective) is answered from
+    its table; so are {!maximize}, {!feasible_point} and {!is_feasible},
+    which go through [minimize].  The {!Tableau} path is never memoized. *)
 
 val maximize : Constr.t list -> Linexpr.t -> result
 

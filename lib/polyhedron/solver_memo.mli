@@ -1,0 +1,72 @@
+(** One exact solver memo per operator.
+
+    Within one operator, Algorithm 1 schedules three times (isl, the
+    vectorizer tree, the tiling tree) and lowers five times, and each run
+    asks the polyhedral layer many of the same questions again.  The three
+    leaves every polyhedral query reaches — {!Simplex.minimize} (and so
+    [maximize], [feasible_point], [is_feasible] and every {!Polyhedron}
+    query), {!Fourier_motzkin.simplify} and
+    {!Fourier_motzkin.eliminate_all} — look their exact input up in a
+    table that {!scoped} opens, and solve only on a miss.
+
+    {b Exact.}  A key is the leaf's whole input as given, in order: the
+    constraint list and the objective, or the variable list and the
+    constraint list.  It is never sorted, because row order decides the
+    simplex's vertex and so [feasible_point]'s assignment.  Keys are hashed
+    structurally over {!Constr}, {!Linexpr} and {!Polybase.Q} and compared
+    with {!Constr.equal}/{!Linexpr.equal} after a physical-equality check.
+    Every outcome is stored, an infeasible or unbounded LP and a raised
+    {!Fourier_motzkin.Contradiction} included, so a hit returns exactly
+    what the solve would have returned.  The solvers are deterministic and
+    their answers immutable, so sharing one answer between callers is
+    safe.
+
+    {b Scoped.}  The table is domain-local, fresh in each {!scoped} call,
+    restored to the enclosing one on exit (by return or exception) and
+    dropped with its scope.  Outside any scope every leaf solves, exactly
+    as if this module did not exist.  There is no size cap and no switch.
+
+    {b Checkers stay outside.}  Only [Harness.Eval.evaluate_op] and
+    [Harness.Pipeline.run] open a scope.  An independent check — serve's
+    legality check, which runs after [Pipeline.run] returns; the fuzzer's
+    checks; the tests' cold ILP oracles; perfbench's zoo replay, which runs
+    after [evaluate_op] returns — must run outside every scope, so that a
+    memo hit is never the evidence for a result the code presents as
+    checked.
+
+    {b Counters.}  [simplex.solves] counts only LPs actually solved;
+    [simplex.memo_hits] and [fm.memo_hits] count the answers taken from the
+    table. *)
+
+val scoped : (unit -> 'a) -> 'a
+(** [scoped f] runs [f] with a fresh, empty table for every leaf on the
+    calling domain and restores the enclosing scope (or none) when [f]
+    returns or raises. *)
+
+(** What one leaf memoizes. *)
+module type TABLE = sig
+  type key
+  type value
+
+  val hash : key -> int
+  (** Structural, consistent with [equal]. *)
+
+  val equal : key -> key -> bool
+
+  val hits : Obs.Counters.t
+  (** Counts the lookups answered from the table. *)
+end
+
+module Make (T : TABLE) : sig
+  val find : T.key -> (unit -> T.value) -> T.value
+  (** [find k solve] is [solve ()] outside a scope.  Inside one it is the
+      value stored for [k] in the current scope, or else [solve ()], then
+      stored.  A [solve] that raises stores nothing. *)
+end
+
+val hash_constrs : int -> Constr.t list -> int
+(** [hash_constrs h cs] folds the constraints' hashes into [h], in order. *)
+
+val equal_constrs : Constr.t list -> Constr.t list -> bool
+(** Equal lists, position by position; physically equal lists or
+    constraints are equal without a look inside. *)

@@ -62,6 +62,8 @@ let compile_report ~name ~machine ~version ~target ~op kernel =
   let deps = Deps.Analysis.dependences kernel in
   let p = P.run ~machine:target ~deps version kernel in
   let stats = p.P.stats in
+  (* [P.run] has returned, so its solver-memo scope is closed: the
+     legality check solves afresh and checks the schedule independently. *)
   let legal =
     match Scheduling.Legality.check p.P.sched kernel deps with
     | Ok () -> true

@@ -211,6 +211,61 @@ let test_shared_memo () =
   (* otherwise the comparison above never exercised a shared entry *)
   Alcotest.(check bool) "some ILP answered across schedules" true (hits () > hits0)
 
+(* The solver memo changes no answer: every version run through
+   [Pipeline.run] (which opens a scope), and all four composed by hand in
+   one shared scope as [Eval.evaluate_op] does, give the schedules, ASTs,
+   CUDA and simulated times of the same stages composed outside any scope.
+   fig2, the LSTM suite and StencilZoo. *)
+let compile_stages ~deps kernel v =
+  let influence = P.tree ~deps v kernel in
+  let sched, _, _ = P.schedule ?influence ~deps kernel in
+  let c = P.lower ~deps v sched kernel in
+  ( Scheduling.Schedule.to_string sched,
+    Codegen.Ast.to_string c.Codegen.Compile.ast,
+    Codegen.Cuda.emit c,
+    Gpusim.Sim.time_us (P.simulate c) )
+
+let test_solver_memo_invisible () =
+  let hits () = Obs.Counters.find "simplex.memo_hits" + Obs.Counters.find "fm.memo_hits" in
+  let kernels =
+    ("fig2", Ops.Classics.fig2 ())
+    :: Lazy.force Ops.Networks.lstm.Ops.Networks.ops
+    @ Lazy.force Ops.Networks.stencilzoo.Ops.Networks.ops
+  in
+  let hits0 = hits () in
+  List.iter
+    (fun (name, kernel) ->
+      let deps = Deps.Analysis.dependences kernel in
+      let before = hits () in
+      let fresh = List.map (compile_stages ~deps kernel) P.versions in
+      Alcotest.(check int) (name ^ ": no memo outside a scope") before (hits ());
+      let shared =
+        Polyhedra.Solver_memo.scoped (fun () -> List.map (compile_stages ~deps kernel) P.versions)
+      in
+      List.iter2
+        (fun v ((sched, ast, cuda, us), in_scope) ->
+          let what = name ^ " " ^ P.name v in
+          let p = P.run v kernel in
+          let run =
+            ( Scheduling.Schedule.to_string p.P.sched,
+              Codegen.Ast.to_string p.P.compiled.Codegen.Compile.ast,
+              Codegen.Cuda.emit p.P.compiled,
+              match p.P.backend with
+              | P.Simulated r -> Gpusim.Sim.time_us r
+              | P.Emitted _ -> Alcotest.failf "%s: expected a simulation" what )
+          in
+          List.iter
+            (fun (label, (sched', ast', cuda', us')) ->
+              let what = what ^ " (" ^ label ^ ")" in
+              Alcotest.(check string) (what ^ ": schedule") sched sched';
+              Alcotest.(check string) (what ^ ": AST") ast ast';
+              Alcotest.(check string) (what ^ ": CUDA") cuda cuda';
+              same_us label ~op:name v us us')
+            [ ("Pipeline.run", run); ("one shared scope", in_scope) ])
+        P.versions (List.combine fresh shared))
+    kernels;
+  Alcotest.(check bool) "the memo answered some calls" true (hits () > hits0)
+
 (* The --stats table's solver work covers all three schedules of an
    operator (isl 1 node and 1 ms, infl 2 and 2, tiled 4 and 4). *)
 let test_stats_sum_three_schedules () =
@@ -295,6 +350,7 @@ let () =
           Alcotest.test_case "shared analysis, input proximity" `Quick
             test_shared_analysis_input_proximity;
           Alcotest.test_case "shared memo" `Slow test_shared_memo;
+          Alcotest.test_case "solver memo changes nothing" `Slow test_solver_memo_invisible;
           Alcotest.test_case "stats sum three schedules" `Quick test_stats_sum_three_schedules;
           Alcotest.test_case "sim_s covers every simulation" `Quick
             test_sim_s_covers_all_simulations;

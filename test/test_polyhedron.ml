@@ -834,6 +834,149 @@ let prop_add_constraints_matches_fold =
         (Polyhedron.add_constraints p added)
         (List.fold_left Polyhedron.add_constraint p added))
 
+(* ------------------------------------------------------------------ *)
+(* The solver memo: answers inside a scope equal fresh solves           *)
+(* ------------------------------------------------------------------ *)
+
+let memo_hits () = Obs.Counters.find "simplex.memo_hits"
+let fm_hits () = Obs.Counters.find "fm.memo_hits"
+
+(* An answer rendered as text, assignments read on every variable of the
+   system plus one it does not mention; a raised [Contradiction] is an
+   answer too. *)
+let render_lp vars = function
+  | Simplex.Infeasible -> "infeasible"
+  | Simplex.Unbounded -> "unbounded"
+  | Simplex.Optimal (v, a) ->
+    String.concat " " (Q.to_string v :: List.map (fun x -> Q.to_string (a x)) vars)
+
+let render_fm f =
+  match f () with
+  | cs -> String.concat "; " (List.map Constr.to_string cs)
+  | exception Fourier_motzkin.Contradiction -> "contradiction"
+
+(* Every leaf the memo sits in front of, and the queries built on them. *)
+let answers (cs, obj) =
+  let vars = List.sort_uniq String.compare (List.concat_map Constr.vars cs) in
+  let probe = vars @ [ "unmentioned" ] in
+  [ render_lp probe (Simplex.minimize cs obj);
+    render_lp probe (Simplex.maximize cs obj);
+    (match Simplex.feasible_point cs with
+     | None -> "none"
+     | Some a -> render_lp probe (Simplex.Optimal (Q.zero, a)));
+    string_of_bool (Simplex.is_feasible cs);
+    render_fm (fun () -> Fourier_motzkin.simplify cs);
+    render_fm (fun () -> Fourier_motzkin.eliminate_all vars cs);
+    render_fm (fun () -> Fourier_motzkin.eliminate_all (List.rev vars) cs);
+    string_of_bool (Polyhedron.is_empty (Polyhedron.of_constraints cs))
+  ]
+
+let rotate = function [] -> [] | c :: rest -> rest @ [ c ]
+
+let prop_memo_matches_fresh =
+  QCheck2.Test.make ~name:"answers in a scope equal fresh solves, repeats and permutations too"
+    ~count:300 ~print:print_system mixed_system_gen
+    (fun (cs, obj) ->
+      let orders = [ cs; List.rev cs; rotate cs ] in
+      let fresh = List.map (fun cs -> answers (cs, obj)) orders in
+      Polyhedra.Solver_memo.scoped (fun () ->
+          let first = List.map (fun cs -> answers (cs, obj)) orders in
+          let solves = simplex_solves () and hits = memo_hits () in
+          let again = List.map (fun cs -> answers (cs, obj)) orders in
+          first = fresh && again = fresh
+          && simplex_solves () = solves
+          && memo_hits () > hits))
+
+let lp_kinds =
+  let x = Linexpr.var "x" in
+  [ ("optimal", [ Constr.lower_bound "x" 1; Constr.upper_bound "x" 4 ], x);
+    ("infeasible", [ Constr.lower_bound "x" 3; Constr.upper_bound "x" 1 ], x);
+    ("unbounded", [ Constr.upper_bound "x" 4 ], x);
+    ("contradictory", [ Constr.ge0 (Linexpr.const_int (-1)); Constr.lower_bound "x" 0 ], x)
+  ]
+
+let test_memo_every_kind () =
+  List.iter
+    (fun (kind, cs, obj) ->
+      let fresh = answers (cs, obj) in
+      Polyhedra.Solver_memo.scoped (fun () ->
+          Alcotest.(check (list string)) (kind ^ ": first") fresh (answers (cs, obj));
+          let solves = simplex_solves () and hits = memo_hits () and fm = fm_hits () in
+          Alcotest.(check (list string)) (kind ^ ": repeated") fresh (answers (cs, obj));
+          Alcotest.(check int) (kind ^ ": no LP solved again") solves (simplex_solves ());
+          Alcotest.(check bool) (kind ^ ": LPs answered by the memo") true (memo_hits () > hits);
+          Alcotest.(check bool) (kind ^ ": FM answered by the memo") true (fm_hits () > fm)))
+    lp_kinds;
+  (* the contradiction is raised again on a hit, not turned into a value *)
+  let contradictory = [ Constr.lower_bound "x" 0; Constr.eq0 (Linexpr.const_int 2) ] in
+  Polyhedra.Solver_memo.scoped (fun () ->
+      for _ = 1 to 2 do
+        Alcotest.check_raises "simplify raises" Fourier_motzkin.Contradiction (fun () ->
+            ignore (Fourier_motzkin.simplify contradictory));
+        Alcotest.check_raises "eliminate_all raises" Fourier_motzkin.Contradiction (fun () ->
+            ignore (Fourier_motzkin.eliminate_all [ "x" ] contradictory))
+      done)
+
+let lp_a = ([ Constr.lower_bound "x" 1; Constr.ge0 (le [ (-1, "x"); (-1, "y") ] 6) ], le [ (1, "x"); (-1, "y") ] 0)
+let lp_b = ([ Constr.lower_bound "y" 2 ], Linexpr.var "y")
+
+(* [solve lp] reports whether it reached the simplex ([true]) or the memo. *)
+let solved (cs, obj) =
+  let solves = simplex_solves () and hits = memo_hits () in
+  ignore (Simplex.minimize cs obj);
+  let solved = simplex_solves () - solves and hit = memo_hits () - hits in
+  Alcotest.(check int) "one LP or one hit" 1 (solved + hit);
+  solved = 1
+
+let test_memo_scopes () =
+  Alcotest.(check bool) "outside: solved" true (solved lp_a);
+  Alcotest.(check bool) "outside: solved again" true (solved lp_a);
+  Polyhedra.Solver_memo.scoped (fun () ->
+      Alcotest.(check bool) "outer: solved" true (solved lp_a);
+      Alcotest.(check bool) "outer: memoized" false (solved lp_a);
+      Polyhedra.Solver_memo.scoped (fun () ->
+          Alcotest.(check bool) "nested scope is fresh" true (solved lp_a);
+          Alcotest.(check bool) "inner: solved" true (solved lp_b);
+          Alcotest.(check bool) "inner: memoized" false (solved lp_b));
+      Alcotest.(check bool) "outer restored" false (solved lp_a);
+      Alcotest.(check bool) "inner table dropped" true (solved lp_b);
+      (match
+         Polyhedra.Solver_memo.scoped (fun () ->
+             ignore (solved lp_a);
+             failwith "inside")
+       with
+       | () -> Alcotest.fail "expected the exception"
+       | exception Failure _ -> ());
+      Alcotest.(check bool) "outer restored after an exception" false (solved lp_a));
+  let hits = memo_hits () and fm = fm_hits () in
+  ignore (answers lp_a);
+  ignore (answers lp_a);
+  Alcotest.(check int) "no LP memoized outside a scope" hits (memo_hits ());
+  Alcotest.(check int) "no FM call memoized outside a scope" fm (fm_hits ())
+
+(* Each domain opens its own scope over the same systems: the answers and
+   the counter deltas agree with each other and with this domain's. *)
+let test_memo_two_domains () =
+  let systems =
+    QCheck2.Gen.generate ~rand:(Random.State.make [| 27 |]) ~n:40 mixed_system_gen
+  in
+  let run () =
+    Obs.Counters.scoped (fun () ->
+        Polyhedra.Solver_memo.scoped (fun () ->
+            List.concat_map (fun s -> answers s @ answers s) systems))
+  in
+  let domains = List.init 2 (fun _ -> Domain.spawn run) in
+  let here = run () in
+  let answers_of (a, _) = a and deltas_of (_, d) = d in
+  List.iter
+    (fun d ->
+      let r = Domain.join d in
+      Alcotest.(check (list string)) "same answers" (answers_of here) (answers_of r);
+      Alcotest.(check (list (pair string int))) "same counters" (deltas_of here) (deltas_of r))
+    domains;
+  Alcotest.(check bool) "the memo answered" true
+    (List.assoc_opt "simplex.memo_hits" (deltas_of here) <> None)
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -884,5 +1027,13 @@ let () =
         ] );
       qsuite "tableau-props" [ prop_parent_intact ];
       qsuite "warm-vs-cold"
-        [ prop_warm_matches_cold; prop_warm_minimize_matches_cold ]
+        [ prop_warm_matches_cold; prop_warm_minimize_matches_cold ];
+      ( "solver-memo",
+        [ Alcotest.test_case "every answer kind" `Quick test_memo_every_kind;
+          Alcotest.test_case "scopes nest, restore and stay off outside" `Quick
+            test_memo_scopes;
+          Alcotest.test_case "two domains, deterministic counters" `Quick
+            test_memo_two_domains
+        ] );
+      qsuite "memo-props" [ prop_memo_matches_fresh ]
     ]
