@@ -84,6 +84,12 @@ type saccess = {
   base : int;  (** tensor base byte address *)
   elem : int;  (** element size in bytes *)
   offset : cexpr;  (** element offset *)
+  aid : int;  (** the access's index in program order *)
+  lane_shaped : bool;
+      (** [offset] has no denominator and reads only slots its enclosing
+          loops bind, in a program where no loop rebinds an enclosing
+          loop's variable: its lane byte deltas then depend on the warp's
+          lane shape alone *)
 }
 
 (* Every node that narrows the lane mask owns its per-lane scratch arrays.
@@ -119,8 +125,17 @@ let rec contains_if = function
   | Ast.For l -> contains_if l.Ast.body
   | Ast.Exec _ | Ast.VecExec _ -> false
 
+(* Does a loop rebind the variable of a loop around it? *)
+let rec rebinds bound = function
+  | Ast.Stmts l -> List.exists (rebinds bound) l
+  | Ast.If (_, b) -> rebinds bound b
+  | Ast.For l -> List.mem l.Ast.var bound || rebinds (l.Ast.var :: bound) l.Ast.body
+  | Ast.Exec _ | Ast.VecExec _ -> false
+
 let build_program ~lanes (c : Compile.compiled) =
   let kernel = c.Compile.kernel in
+  let shadowing = rebinds [] c.Compile.ast in
+  let naccesses = ref 0 in
   let mapping = c.Compile.mapping in
   (* tensor layout: sequential, 256-byte aligned *)
   let bases = Hashtbl.create 8 in
@@ -140,25 +155,33 @@ let build_program ~lanes (c : Compile.compiled) =
       Hashtbl.replace slots v s;
       s
   in
-  let compile_access iter_map (a : Access.t) is_write =
+  (* [bound]: the slots of the enclosing loops *)
+  let compile_access bound iter_map (a : Access.t) is_write =
     let t = Kernel.tensor kernel a.Access.tensor in
     let offset = Access.linear_offset t a in
     let offset =
       List.fold_left (fun e (it, by) -> Linexpr.subst it by e) offset iter_map
     in
     let base, tid = Hashtbl.find bases a.Access.tensor in
+    let offset = compile_expr slot_of offset in
+    let aid = !naccesses in
+    incr naccesses;
     { is_write;
       tid;
       base;
       elem = Tensor.dtype_bytes t.Tensor.dtype;
-      offset = compile_expr slot_of offset
+      offset;
+      aid;
+      lane_shaped =
+        offset.div = 1 && (not shadowing)
+        && Array.for_all (fun s -> List.mem s bound) offset.slots
     }
   in
-  let compile_exec (e : Ast.exec) vec =
+  let compile_exec bound (e : Ast.exec) vec =
     let stmt = Kernel.stmt kernel e.Ast.stmt in
     let accesses =
-      compile_access e.Ast.iter_map stmt.Stmt.write true
-      :: List.map (fun a -> compile_access e.Ast.iter_map a false) (Stmt.reads stmt)
+      compile_access bound e.Ast.iter_map stmt.Stmt.write true
+      :: List.map (fun a -> compile_access bound e.Ast.iter_map a false) (Stmt.reads stmt)
     in
     let lattice =
       List.filter_map
@@ -175,17 +198,17 @@ let build_program ~lanes (c : Compile.compiled) =
         mask = Array.make lanes false
       }
   in
-  let rec go = function
-    | Ast.Stmts l -> SSeq (Array.of_list (List.map go l))
+  let rec go bound = function
+    | Ast.Stmts l -> SSeq (Array.of_list (List.map (go bound) l))
     | Ast.If (cs, b) ->
       let guards =
         List.map
           (fun (cn : Constr.t) -> { gkind = cn.kind; gexpr = compile_expr slot_of cn.expr })
           cs
       in
-      SIf { guards = Array.of_list guards; mask = Array.make lanes false; body = go b }
-    | Ast.Exec e -> compile_exec e 1
-    | Ast.VecExec (e, w) -> compile_exec e w
+      SIf { guards = Array.of_list guards; mask = Array.make lanes false; body = go bound b }
+    | Ast.Exec e -> compile_exec bound e 1
+    | Ast.VecExec (e, w) -> compile_exec bound e w
     | Ast.For l ->
       (* the loop's slot first, so slots number loops in program order
          whatever their variables are called *)
@@ -211,17 +234,17 @@ let build_program ~lanes (c : Compile.compiled) =
           role;
           strip = (match l.Ast.kind with Ast.Vector _ -> true | Ast.Plain | Ast.Tile _ -> false);
           has_guards = contains_if l.Ast.body;
-          body = go l.Ast.body;
+          body = go (slot :: bound) l.Ast.body;
           mask = Array.make lanes false;
           los = Array.make lanes 0;
           his = Array.make lanes 0
         }
   in
-  let prog = go c.Compile.ast in
+  let prog = go [] c.Compile.ast in
   let tensor_bytes =
     Array.of_list (List.map Tensor.bytes kernel.Kernel.tensors)
   in
-  (prog, Hashtbl.length slots, tensor_bytes)
+  (prog, Hashtbl.length slots, tensor_bytes, !naccesses)
 
 (* ------------------------------------------------------------------ *)
 (* warp walker                                                          *)
@@ -267,6 +290,79 @@ module Sector_set = struct
     Array.iter (fun k -> if k <> empty then ignore (add t k)) old
 end
 
+(* Log2 of a power of two, else -1. *)
+let log2_exact n =
+  if n > 0 && n land (n - 1) = 0 then begin
+    let k = ref 0 in
+    while 1 lsl !k < n do incr k done;
+    !k
+  end
+  else -1
+
+(* A multiplicative hash: the polymorphic one is a C call per request. *)
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash k = (k * 0x9E3779B97F4A7C1) lsr 32
+end)
+
+module Lane_table = struct
+  (* [offsets]: the distinct sectors of a request, ascending, relative to
+     the sector of lane 0's address; [min_delta]: the least byte delta of
+     an active lane (0 with none). *)
+  type entry = { offsets : int array; useful : int; min_delta : int }
+
+  type t = { shift : int; deltas : int array; len : int; entries : entry Int_tbl.t }
+
+  let create ~sector_bytes ~deltas ~len =
+    let shift = log2_exact sector_bytes in
+    if shift < 0 || Array.length deltas + shift > Sys.int_size - 1 then
+      invalid_arg "Memsim.Lane_table.create";
+    { shift; deltas; len; entries = Int_tbl.create 8 }
+
+  (* Lane 0 at [q * S + residue], lane [l] at [q * S + residue + d_l]:
+     floor division by [S = 2^shift] (what [asr] does) gives sector
+     [q + (residue + d_l) asr shift], whatever the signs. *)
+  let fill t ~mask ~residue =
+    let secs = ref [] and active = ref 0 and min_delta = ref max_int in
+    Array.iteri
+      (fun l d ->
+        if mask land (1 lsl l) <> 0 then begin
+          incr active;
+          if d < !min_delta then min_delta := d;
+          let start = residue + d in
+          for s = start asr t.shift to (start + t.len - 1) asr t.shift do
+            secs := s :: !secs
+          done
+        end)
+      t.deltas;
+    { offsets = Array.of_list (List.sort_uniq compare !secs);
+      useful = !active * t.len;
+      min_delta = (if !active = 0 then 0 else !min_delta)
+    }
+
+  let find t ~mask ~residue =
+    let key = (mask lsl t.shift) lor residue in
+    match Int_tbl.find_opt t.entries key with
+    | Some e -> e
+    | None ->
+      let e = fill t ~mask ~residue in
+      Int_tbl.add t.entries key e;
+      e
+
+  let lookup t ~mask ~residue =
+    if mask < 0 || mask lsr Array.length t.deltas <> 0 || residue < 0
+       || residue >= 1 lsl t.shift
+    then invalid_arg "Memsim.Lane_table.lookup";
+    let e = find t ~mask ~residue in
+    (e.offsets, e.useful)
+end
+
+let c_lane_gathers =
+  Obs.Counters.create "gpusim.lane_gathers"
+    ~doc:"warp requests the walker gathered lane by lane, not from a lane-shape table"
+
 let spread_samples total wanted =
   if total <= wanted then List.init total Fun.id
   else if wanted = 1 then [ 0 ]
@@ -289,17 +385,22 @@ type program = {
   prog : sprog;
   nslots : int;
   tensor_bytes : int array;
+  naccesses : int;
   mapping : Mapping.t;
 }
 
 let build machine (c : Compile.compiled) =
-  let prog, nslots, tensor_bytes = build_program ~lanes:machine.Machine.warp_size c in
-  { machine; prog; nslots; tensor_bytes; mapping = c.Compile.mapping }
+  let prog, nslots, tensor_bytes, naccesses =
+    build_program ~lanes:machine.Machine.warp_size c
+  in
+  { machine; prog; nslots; tensor_bytes; naccesses; mapping = c.Compile.mapping }
 
 (* An exact serialization of everything [walk] reads: a fixed grammar
    with every array length-prefixed, so distinct programs give
    distinct strings.  The scratch [mask]/[los]/[his] arrays are left out:
-   the walker writes them before it reads them. *)
+   the walker writes them before it reads them.  So are an access's [aid]
+   and [lane_shaped] and the program's [naccesses]: the tree and its
+   expressions, which are in the key, decide them. *)
 let key p =
   let b = Buffer.create 1024 in
   let int n =
@@ -373,7 +474,7 @@ let key p =
   Buffer.contents b
 
 let walk ?(block_samples = 8) ?(warp_samples = 4) ?(loop_sample_cap = 32) p =
-  let { machine; prog; nslots; tensor_bytes; mapping } = p in
+  let { machine; prog; nslots; tensor_bytes; naccesses; mapping } = p in
   let warp = machine.Machine.warp_size in
   let blocks = max 1 (Mapping.grid_blocks mapping) in
   let tpb = max 1 (Mapping.block_threads mapping) in
@@ -394,21 +495,18 @@ let walk ?(block_samples = 8) ?(warp_samples = 4) ?(loop_sample_cap = 32) p =
     coords_into dims id arr;
     arr
   in
-  (* One warp request: lane [l] touches bytes [lane_start.(l)] to
+  (* A request reaches [record ~weight tid q secs n useful]: its [n]
+     distinct sectors are [q + secs.(i)], ascending, and its lanes use
+     [useful] bytes.
+
+     The lane-by-lane gather: lane [l] touches bytes [lane_start.(l)] to
      [lane_start.(l) + lane_len.(l) - 1]; [lane_len.(l) = 0] is an inactive
-     lane.  [gather] collects the sectors the active lanes touch into
-     [!sectors] (sorted, with repeats) and the bytes they use. *)
+     lane.  [gather] collects the distinct sectors the active lanes touch
+     into [!sectors] (sorted) and the bytes they use. *)
   let sector_bytes = machine.Machine.sector_bytes in
   (* log2 of a power-of-two sector size, else -1: a nonnegative address
      then takes a shift instead of a division *)
-  let sector_shift =
-    if sector_bytes > 0 && sector_bytes land (sector_bytes - 1) = 0 then begin
-      let k = ref 0 in
-      while 1 lsl !k < sector_bytes do incr k done;
-      !k
-    end
-    else -1
-  in
+  let sector_shift = log2_exact sector_bytes in
   let lane_start = Array.make warp 0 and lane_len = Array.make warp 0 in
   let sectors = ref (Array.make (2 * warp) 0) in
   let nsec = ref 0 and useful = ref 0 in
@@ -447,18 +545,22 @@ let walk ?(block_samples = 8) ?(warp_samples = 4) ?(loop_sample_cap = 32) p =
         decr j
       done;
       buf.(!j + 1) <- x
-    done
+    done;
+    (* drop the repeats *)
+    let distinct = ref 0 in
+    for i = 0 to !nsec - 1 do
+      if i = 0 || buf.(i) <> buf.(i - 1) then begin
+        buf.(!distinct) <- buf.(i);
+        incr distinct
+      end
+    done;
+    nsec := !distinct
   in
-  let main_record ~weight _tid =
-    gather ();
-    if !useful > 0 then begin
-      let buf = !sectors and distinct = ref 0 in
-      for i = 0 to !nsec - 1 do
-        if i = 0 || buf.(i) <> buf.(i - 1) then incr distinct
-      done;
+  let main_record ~weight _tid _q _secs n useful =
+    if useful > 0 then begin
       tot.t_requests <- tot.t_requests +. weight;
-      tot.t_sectors <- tot.t_sectors +. (weight *. float_of_int !distinct);
-      tot.t_useful <- tot.t_useful +. (weight *. float_of_int !useful)
+      tot.t_sectors <- tot.t_sectors +. (weight *. float_of_int n);
+      tot.t_useful <- tot.t_useful +. (weight *. float_of_int useful)
     end
   in
   let ntensors = Array.length tensor_bytes in
@@ -470,17 +572,13 @@ let walk ?(block_samples = 8) ?(warp_samples = 4) ?(loop_sample_cap = 32) p =
   let probe_traffic = Array.make (max ntensors 1) 0. in
   let probe_footprint = Array.make (max ntensors 1) 0. in
   let probe_seen = Array.init (max ntensors 1) (fun _ -> Sector_set.create 256) in
-  let probe_record ~weight tid =
-    gather ();
-    if !useful > 0 then begin
-      let buf = !sectors and seen = probe_seen.(tid) in
-      for i = 0 to !nsec - 1 do
-        let s = buf.(i) in
-        if i = 0 || s <> buf.(i - 1) then begin
-          probe_traffic.(tid) <- probe_traffic.(tid) +. weight;
-          if Sector_set.add seen s then
-            probe_footprint.(tid) <- probe_footprint.(tid) +. weight
-        end
+  let probe_record ~weight tid q secs n useful =
+    if useful > 0 then begin
+      let seen = probe_seen.(tid) in
+      for i = 0 to n - 1 do
+        probe_traffic.(tid) <- probe_traffic.(tid) +. weight;
+        if Sector_set.add seen (q + secs.(i)) then
+          probe_footprint.(tid) <- probe_footprint.(tid) +. weight
       done
     end
   in
@@ -491,19 +589,94 @@ let walk ?(block_samples = 8) ?(warp_samples = 4) ?(loop_sample_cap = 32) p =
   let envs = Array.init warp (fun _ -> Array.make (max nslots 1) 0) in
   let base_mask = Array.make warp false in
   let tcoords = Array.init warp (fun _ -> Array.make 3 0) in
-  (* Lane addresses of one access by the lanes in [mask]; [vec_slot] is
-     the slot of the enclosing vector strip's variable, or -1. *)
-  let access ~record weight mask vec_slot vec acc =
-    if vec = 1 then begin
+  (* Lane-shape tables (see memsim.mli): a [lane_shaped] access's byte
+     delta from lane 0 to lane [l] is the same in every warp and block of
+     one lane shape, so it is computed once per (access, shape, request
+     length), and each request is answered from that pattern's table. *)
+  let tables = sector_shift >= 0 && warp + sector_shift <= Sys.int_size - 1 in
+  let shapes = Hashtbl.create 4 and shape_key = Array.make (4 * warp) 0 in
+  let shape = ref 0 in
+  let set_shape () =
+    for l = 0 to warp - 1 do
+      for a = 0 to 2 do
+        shape_key.((4 * l) + a) <- tcoords.(l).(a) - tcoords.(0).(a)
+      done;
+      shape_key.((4 * l) + 3) <- Bool.to_int base_mask.(l)
+    done;
+    shape :=
+      match Hashtbl.find_opt shapes shape_key with
+      | Some id -> id
+      | None ->
+        let id = Hashtbl.length shapes in
+        Hashtbl.add shapes (Array.copy shape_key) id;
+        id
+  in
+  (* per access: (shape, request length, table) *)
+  let lane_tables = Array.make naccesses [] in
+  let lane_table acc len =
+    let rec find = function
+      | (sh, n, t) :: _ when sh = !shape && n = len -> t
+      | _ :: rest -> find rest
+      | [] ->
+        let o0 = eval_raw envs.(0) acc.offset in
+        let deltas =
+          Array.init warp (fun l -> (eval_raw envs.(l) acc.offset - o0) * acc.elem)
+        in
+        let t = Lane_table.create ~sector_bytes ~deltas ~len in
+        lane_tables.(acc.aid) <- (!shape, len, t) :: lane_tables.(acc.aid);
+        t
+    in
+    find lane_tables.(acc.aid)
+  in
+  (* Records the request of the lanes in [bits], lane 0 at byte [a0], and
+     says so, unless an active lane's address is negative. *)
+  let from_table ~record weight bits acc len a0 =
+    let e =
+      Lane_table.find (lane_table acc len) ~mask:bits ~residue:(a0 land (sector_bytes - 1))
+    in
+    a0 + e.Lane_table.min_delta >= 0
+    && begin
+      record ~weight acc.tid (a0 asr sector_shift) e.Lane_table.offsets
+        (Array.length e.Lane_table.offsets) e.Lane_table.useful;
+      true
+    end
+  in
+  let gathers = ref 0 in
+  (* One request of [len] bytes per lane in [mask] ([bits] as a bitmask),
+     lane [l] at element [offset_l + lane_step * stride] along the vector
+     strip's slot [slot]; [a0] is lane 0's byte address at [lane_step]
+     when [acc] is lane-shaped. *)
+  let request ~record weight mask bits acc ~len ~slot ~lane_step ~a0 =
+    if not (tables && acc.lane_shaped && from_table ~record weight bits acc len a0) then begin
+      incr gathers;
       for l = 0 to warp - 1 do
         if mask.(l) then begin
-          lane_start.(l) <- acc.base + (eval_exact envs.(l) acc.offset * acc.elem);
-          lane_len.(l) <- acc.elem
+          let env = envs.(l) in
+          if lane_step = 0 then
+            lane_start.(l) <- acc.base + (eval_exact env acc.offset * acc.elem)
+          else begin
+            let v = env.(slot) in
+            env.(slot) <- v + lane_step;
+            lane_start.(l) <- acc.base + (eval_exact env acc.offset * acc.elem);
+            env.(slot) <- v
+          end;
+          lane_len.(l) <- len
         end
         else lane_len.(l) <- 0
       done;
-      record ~weight acc.tid
+      gather ();
+      record ~weight acc.tid 0 !sectors !nsec !useful
     end
+  in
+  (* Lane addresses of one access by the lanes in [mask]; [vec_slot] is
+     the slot of the enclosing vector strip's variable, or -1. *)
+  let access ~record weight mask bits vec_slot vec acc =
+    let a0 =
+      if tables && acc.lane_shaped then acc.base + (eval_raw envs.(0) acc.offset * acc.elem)
+      else 0
+    in
+    if vec = 1 then
+      request ~record weight mask bits acc ~len:acc.elem ~slot:vec_slot ~lane_step:0 ~a0
     else begin
       (* stride of the access along the vectorized variable *)
       assert (vec_slot >= 0);
@@ -520,31 +693,14 @@ let walk ?(block_samples = 8) ?(warp_samples = 4) ?(loop_sample_cap = 32) p =
       if abs stride <= 1 then begin
         (* one vector request covering [vec] lanes' elements *)
         let len = if stride = 0 then acc.elem else acc.elem * vec in
-        for l = 0 to warp - 1 do
-          if mask.(l) then begin
-            lane_start.(l) <- acc.base + (eval_exact envs.(l) acc.offset * acc.elem);
-            lane_len.(l) <- len
-          end
-          else lane_len.(l) <- 0
-        done;
-        record ~weight acc.tid
+        request ~record weight mask bits acc ~len ~slot ~lane_step:0 ~a0
       end
       else
         (* strided access inside a vector loop stays scalar: one request
            per lane-step *)
         for lane_step = 0 to vec - 1 do
-          for l = 0 to warp - 1 do
-            if mask.(l) then begin
-              let env = envs.(l) in
-              let v = env.(slot) in
-              env.(slot) <- v + lane_step;
-              lane_start.(l) <- acc.base + (eval_exact env acc.offset * acc.elem);
-              env.(slot) <- v;
-              lane_len.(l) <- acc.elem
-            end
-            else lane_len.(l) <- 0
-          done;
-          record ~weight acc.tid
+          request ~record weight mask bits acc ~len:acc.elem ~slot ~lane_step
+            ~a0:(a0 + (lane_step * stride * acc.elem))
         done
     end
   in
@@ -553,6 +709,7 @@ let walk ?(block_samples = 8) ?(warp_samples = 4) ?(loop_sample_cap = 32) p =
       base_mask.(l) <- (wid * warp) + l < tpb;
       coords_into mapping.Mapping.thread_dims ((wid * warp) + l) tcoords.(l)
     done;
+    if tables then set_shape ();
     let rec walk weight mask vec_slot = function
       | SSeq l ->
         for i = 0 to Array.length l - 1 do
@@ -578,14 +735,17 @@ let walk ?(block_samples = 8) ?(warp_samples = 4) ?(loop_sample_cap = 32) p =
             e.mask
           end
         in
-        let active = ref 0 in
+        let active = ref 0 and bits = ref 0 in
         for l = 0 to warp - 1 do
-          if mask.(l) then incr active
+          if mask.(l) then begin
+            incr active;
+            if tables then bits := !bits lor (1 lsl l)
+          end
         done;
         if !active > 0 then begin
           flops (weight *. float_of_int (e.ops * !active * e.vec));
           for i = 0 to Array.length e.accesses - 1 do
-            access ~record weight mask vec_slot e.vec e.accesses.(i)
+            access ~record weight mask !bits vec_slot e.vec e.accesses.(i)
           done
         end
       | SFor f -> (
@@ -685,6 +845,7 @@ let walk ?(block_samples = 8) ?(warp_samples = 4) ?(loop_sample_cap = 32) p =
     (fun wid ->
       run_warp ~record:probe_record ~flops:ignore ~weight0:1.0 probe_bcoords wid)
     (List.init warps_pb Fun.id);
+  Obs.Counters.add c_lane_gathers !gathers;
   let sector_b = float_of_int machine.Machine.sector_bytes in
   let block_footprint =
     sector_b *. Array.fold_left ( +. ) 0.0 probe_footprint

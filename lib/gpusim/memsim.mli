@@ -5,8 +5,40 @@
     counts warp-level memory requests, the 32-byte DRAM sectors they touch
     (coalescing falls out of the actual per-lane addresses), useful bytes
     and arithmetic operations.  Long serial loops are sampled and counts
-    scaled — exact for the affine access streams this repository
-    generates.
+    scaled.  That the scaled counts equal an unsampled walk is assumed,
+    not proven: only the flops are checked against an exhaustive walk
+    (ROADMAP item 2).
+
+    {b Lane shapes.}  A warp's lane shape is its lanes' thread coordinates
+    relative to lane 0's, plus its base mask.  Once per (access, lane
+    shape, request length) the walker computes the byte delta of every
+    lane's address from lane 0's and shares it across every warp and
+    block of that shape, in a {!Lane_table}.  Each request is then
+    answered from the table entry of (active-lane bitmask, lane 0's
+    address modulo the sector size): the sorted distinct sector offsets
+    and the useful bytes.  The main walk adds [weight] times their count,
+    the probe inserts lane 0's sector plus each offset in ascending order,
+    so every sum and every set insertion happens in the order of a
+    lane-by-lane gather, and every result is bit-identical to one.  It is
+    exact because:
+    - inside a warp, lane environments differ only on the slots of
+      enclosing thread-mapped loops, by [(pos_l - pos_0) * step], so an
+      offset without a denominator has lane deltas that depend on the
+      shape alone;
+    - for non-negative addresses, [(q*S + r + d) asr k = q + ((r + d) asr k)]
+      with [S = 2^k] and [0 <= r < S].
+
+    A request is still gathered lane by lane, and counted in
+    [gpusim.lane_gathers] (added once per walk), when:
+    - its offset has a denominator (a statement on a sublattice, see
+      below);
+    - its offset reads a variable that no enclosing loop binds, or the
+      program has a loop that rebinds an enclosing loop's variable;
+    - an active lane's address is negative, where the gather divides by
+      truncation;
+    - the sector size is not a power of two;
+    - the warp is too wide for its lane bitmask and the residue to share
+      one [int].
 
     On top of the raw traffic counts, a footprint probe walks one
     mid-grid block with {e all} of its warps and measures, per tensor,
@@ -63,10 +95,33 @@ val key : program -> string
     accesses; statement op counts and vector widths), the slot count,
     the tensor sizes, the mapping's block and thread dims and every
     field of the machine.  The per-lane scratch arrays the walker writes
-    before it reads are left out.  Equal keys therefore mean equal
-    {!walk} results under equal sampling arguments, and the same kernel
-    under other names has the same key.  A changed extent, element type,
+    before it reads are left out, and so are the accesses' numbering and
+    lane-shape flags, which the program's tree decides.  Equal keys
+    therefore mean equal {!walk} results under equal sampling arguments,
+    and the same kernel under other names has the same key.  A changed extent, element type,
     tensor declaration order or machine changes it. *)
+
+(** The per-pattern sector table of one access under one lane shape and
+    request length. *)
+module Lane_table : sig
+  type t
+
+  val create : sector_bytes:int -> deltas:int array -> len:int -> t
+  (** [deltas.(l)] is the byte delta of lane [l]'s address from lane 0's;
+      every lane requests [len] bytes.
+      @raise Invalid_argument when [sector_bytes] is not a power of two
+      [2^k] or [Array.length deltas + k] exceeds [Sys.int_size - 1]. *)
+
+  val lookup : t -> mask:int -> residue:int -> int array * int
+  (** The request of the lanes whose bits are set in [mask], lane 0 at an
+      address [a] with [a mod sector_bytes = residue]: the distinct
+      sectors the active lanes' byte ranges touch, ascending, as offsets
+      from the sector of [a] (rounded down, so an offset may be
+      negative), and the bytes they use.  Entries are filled on first
+      use and kept.
+      @raise Invalid_argument when [mask] has a bit at or beyond
+      [Array.length deltas] or [residue] is outside [\[0, sector_bytes)]. *)
+end
 
 val walk :
   ?block_samples:int -> ?warp_samples:int -> ?loop_sample_cap:int -> program -> result

@@ -178,8 +178,15 @@ let check_golden lines =
   Alcotest.(check int) "kernel count" (List.length expected) (List.length lines);
   List.iter2 (fun e l -> Alcotest.(check string) "simulated kernel" e l) expected lines
 
+let lane_gathers () = Obs.Counters.find "gpusim.lane_gathers"
+
+(* The golden set has no sublattice statement and no negative address:
+   the walker answers every one of its requests from a lane-shape table,
+   so a change that quietly turns the tables off shows up here. *)
 let test_golden_memsim () =
+  let gathers0 = lane_gathers () in
   let lines = memsim_dump () in
+  Alcotest.(check int) "requests gathered lane by lane" 0 (lane_gathers () - gathers0);
   match Sys.getenv_opt "AKG_UPDATE_GOLDEN" with
   | Some dir ->
     let file = Filename.concat dir "memsim.txt" in
@@ -315,6 +322,7 @@ let fuzz_kernel index =
 let sublattice_cases = [ 283; 306; 423; 454; 660 ]
 
 let test_sublattice_schedules () =
+  let gathers0 = lane_gathers () in
   List.iter
     (fun index ->
       let k = fuzz_kernel index in
@@ -327,7 +335,88 @@ let test_sublattice_schedules () =
               Alcotest.failf "case %d %s: time %g" index (P.name version) t
           | P.Emitted _ -> Alcotest.fail "a V100 run emitted C")
         P.versions)
-    sublattice_cases
+    sublattice_cases;
+  (* an offset with a denominator is gathered lane by lane *)
+  let gathers = lane_gathers () - gathers0 in
+  Alcotest.(check bool) (Printf.sprintf "lane gathers (%d)" gathers) true (gathers > 0)
+
+(* ------------------------------------------------------------------ *)
+(* Lane-shape sector tables                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* A random lane pattern: sector size [2^shift], request length, every
+   lane's byte delta from lane 0 (negative and non-monotone ones
+   included) and a few active-lane masks, holes included. *)
+let lane_pattern_gen =
+  QCheck2.Gen.(
+    let* lanes = int_range 1 32 in
+    let* shift = int_range 0 6 in
+    let* len = int_range 1 64 in
+    let* deltas = array_repeat lanes (int_range (-300) 300) in
+    let mask =
+      map
+        (fun on -> Array.fold_right (fun on m -> (m lsl 1) lor Bool.to_int on) on 0)
+        (array_repeat lanes bool)
+    in
+    let* masks = list_size (int_range 1 3) mask in
+    return (shift, len, deltas, masks))
+
+let print_lane_pattern (shift, len, deltas, masks) =
+  Printf.sprintf "sector %d, len %d, deltas [%s], masks [%s]" (1 lsl shift) len
+    (String.concat "; " (Array.to_list (Array.map string_of_int deltas)))
+    (String.concat "; " (List.map (Printf.sprintf "%#x") masks))
+
+(* The sectors a lane-by-lane gather sees: lane 0 at the non-negative
+   address [q * S + residue], every active lane's bytes divided one by
+   one by [S], relative to sector [q]. *)
+let brute_force ~sector ~len deltas mask residue =
+  let q = 1000 in
+  let secs = ref [] and useful = ref 0 in
+  Array.iteri
+    (fun l d ->
+      if mask land (1 lsl l) <> 0 then
+        for i = 0 to len - 1 do
+          let s = (((q * sector) + residue + d + i) / sector) - q in
+          incr useful;
+          match !secs with
+          | s' :: _ when s' = s -> ()
+          | _ -> secs := s :: !secs
+        done)
+    deltas;
+  (Array.of_list (List.sort_uniq compare !secs), !useful)
+
+(* Every residue, in order, on one table: a table that confused two keys
+   would answer a later residue with an earlier one's sectors. *)
+let prop_lane_table =
+  QCheck2.Test.make ~name:"lane table equals a lane-by-lane gather" ~count:200
+    ~print:print_lane_pattern lane_pattern_gen
+    (fun (shift, len, deltas, masks) ->
+      let sector = 1 lsl shift in
+      let t = Gpusim.Memsim.Lane_table.create ~sector_bytes:sector ~deltas ~len in
+      List.for_all
+        (fun mask ->
+          List.for_all
+            (fun residue ->
+              Gpusim.Memsim.Lane_table.lookup t ~mask ~residue
+              = brute_force ~sector ~len deltas mask residue)
+            (List.init sector Fun.id))
+        masks)
+
+let test_lane_table_bounds () =
+  let module L = Gpusim.Memsim.Lane_table in
+  let raises what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: no Invalid_argument" what
+    | exception Invalid_argument _ -> ()
+  in
+  raises "sector size 24" (fun () -> L.create ~sector_bytes:24 ~deltas:[| 0 |] ~len:4);
+  raises "a mask wider than an int" (fun () ->
+      L.create ~sector_bytes:32 ~deltas:(Array.make (Sys.int_size - 5) 0) ~len:4);
+  let t = L.create ~sector_bytes:32 ~deltas:[| 0; 4 |] ~len:4 in
+  raises "residue 32" (fun () -> L.lookup t ~mask:1 ~residue:32);
+  raises "lane 2" (fun () -> L.lookup t ~mask:4 ~residue:0);
+  Alcotest.(check (pair (array int) int)) "two lanes across a boundary" ([| 0; 1 |], 8)
+    (L.lookup t ~mask:3 ~residue:28)
 
 (* With every block, warp and serial-loop iteration visited, every sample
    weight is exactly 1, so the simulator's flops must equal the sum over
@@ -376,7 +465,9 @@ let () =
           Alcotest.test_case "key ignores names" `Quick test_key_renaming;
           Alcotest.test_case "key distinguishes" `Quick test_key_distinguishes;
           Alcotest.test_case "sublattice schedules" `Quick test_sublattice_schedules;
-          Alcotest.test_case "exhaustive flops" `Quick test_exhaustive_flops
+          Alcotest.test_case "exhaustive flops" `Quick test_exhaustive_flops;
+          Alcotest.test_case "lane table bounds" `Quick test_lane_table_bounds;
+          QCheck_alcotest.to_alcotest prop_lane_table
         ] );
       ( "sim",
         [ Alcotest.test_case "time orderings" `Quick test_time_orderings;
