@@ -132,40 +132,6 @@ let cache_arg =
 let open_cache = Option.map (fun dir -> Service.Cache.open_ dir)
 
 (* ------------------------------------------------------------------ *)
-(* tuning-record flags                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let tuned_arg =
-  let doc =
-    "Apply persisted tuning records from $(docv) (written by $(b,tune)); omitting \
-     $(docv) uses $(b,.akg-tune).  Operators without a record fall back to the paper's \
-     fixed weights, so a partially-tuned run degrades gracefully."
-  in
-  Arg.(
-    value
-    & opt ~vopt:(Some Tune.Store.default_dir) (some string) None
-    & info [ "tuned" ] ~docv:"DIR" ~doc)
-
-(* Adapts a tuning-record store into the service's tuner-agnostic lookup:
-   record found -> its candidate plus content digest (the digest keeps
-   tuned cache entries apart from fixed-weight ones). *)
-let tuned_lookup ?(machine = Gpusim.Machine.v100) dir =
-  Option.map
-    (fun dir ->
-      let store = Tune.Store.open_ dir in
-      fun _name kernel ->
-        Option.map
-          (fun (r : Tune.Record.t) ->
-            { Service.Batch.digest = Tune.Record.digest r;
-              tuning =
-                { Harness.Pipeline.weights = r.Tune.Record.candidate.Tune.Candidate.weights;
-                  order = r.Tune.Record.candidate.Tune.Candidate.order
-                }
-            })
-          (Tune.Store.lookup store ~machine:machine.Gpusim.Machine.name kernel))
-    dir
-
-(* ------------------------------------------------------------------ *)
 (* operator lookup                                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -506,14 +472,13 @@ let cpu_run_cmd =
       $ seed_arg $ no_check_arg $ all_arg $ jobs_arg $ obs_term)
 
 let eval_cmd =
-  let run name jobs cache tuned o =
+  let run name jobs cache o =
     with_obs o @@ fun () ->
     with_op
       (fun k ->
         let r =
           match
-            Service.Batch.evaluate_suite ?cache:(open_cache cache)
-              ?tuned:(tuned_lookup tuned) ~jobs:(resolve_jobs jobs)
+            Service.Batch.evaluate_suite ?cache:(open_cache cache) ~jobs:(resolve_jobs jobs)
               [ (name, k) ]
           with
           | [ r ] -> r
@@ -531,7 +496,7 @@ let eval_cmd =
       name
   in
   Cmd.v (Cmd.info "eval" ~doc:"Compare the five compiler versions on one operator")
-    Term.(const run $ op_arg $ jobs_arg $ cache_arg $ tuned_arg $ obs_term)
+    Term.(const run $ op_arg $ jobs_arg $ cache_arg $ obs_term)
 
 let check_cmd =
   let run name o =
@@ -567,108 +532,6 @@ let check_cmd =
           cpu row executes the emitted C when a host toolchain is available)")
     Term.(const run $ op_arg $ obs_term)
 
-(* ------------------------------------------------------------------ *)
-(* influence-space autotuning                                           *)
-(* ------------------------------------------------------------------ *)
-
-type tune_corpus = Corpus_zoo | Corpus_fuzz
-
-let tune_cmd =
-  let beam_arg =
-    let doc = "Beam width: candidates kept alive between rounds." in
-    Arg.(value & opt int Tune.Search.default_config.Tune.Search.beam
-         & info [ "beam" ] ~docv:"N" ~doc)
-  in
-  let rounds_arg =
-    let doc = "Search rounds; each round scores the population and breeds survivors." in
-    Arg.(value & opt int Tune.Search.default_config.Tune.Search.rounds
-         & info [ "rounds" ] ~docv:"N" ~doc)
-  in
-  let seed_arg =
-    let doc =
-      "PRNG seed for candidate generation.  The search is a pure function of (seed, \
-       corpus, beam, rounds), so records reproduce exactly — at any $(b,--jobs)."
-    in
-    Arg.(value & opt int Tune.Search.default_config.Tune.Search.seed
-         & info [ "seed" ] ~docv:"N" ~doc)
-  in
-  let corpus_arg =
-    let doc =
-      "Operator corpus to tune on: $(b,zoo) (classics plus every network operator of \
-       Table II) or $(b,fuzz) (generated kernels, see $(b,--count))."
-    in
-    Arg.(value
-         & opt (enum [ ("zoo", Corpus_zoo); ("fuzz", Corpus_fuzz) ]) Corpus_zoo
-         & info [ "corpus" ] ~docv:"WHICH" ~doc)
-  in
-  let count_arg =
-    let doc = "Size of the $(b,fuzz) corpus (ignored for $(b,zoo))." in
-    Arg.(value & opt int 16 & info [ "count" ] ~docv:"K" ~doc)
-  in
-  let ops_arg =
-    let doc =
-      "Restrict the corpus to operators whose name contains $(docv) (repeatable); \
-       e.g. $(b,--ops resnet50) tunes one network's suite."
-    in
-    Arg.(value & opt_all string [] & info [ "ops" ] ~docv:"NAME" ~doc)
-  in
-  let out_arg =
-    let doc = "Directory tuning records are persisted in." in
-    Arg.(value & opt string Tune.Store.default_dir & info [ "out" ] ~docv:"DIR" ~doc)
-  in
-  let run beam rounds seed corpus count ops out jobs cache o =
-    with_obs o @@ fun () ->
-    let corpus =
-      Tune.Corpus.restrict ops
-        (match corpus with
-         | Corpus_zoo -> Tune.Corpus.zoo ()
-         | Corpus_fuzz -> Tune.Corpus.fuzz ~seed ~count)
-    in
-    if corpus = [] then begin
-      Format.eprintf "tune: empty corpus (unknown --ops filter?)@.";
-      1
-    end
-    else begin
-      let config = { Tune.Search.beam; rounds; seed } in
-      let result =
-        Tune.Search.run ?cache:(open_cache cache) ~jobs:(resolve_jobs jobs)
-          ~progress:(fun line -> Format.eprintf "  %s@." line)
-          config corpus
-      in
-      let movements =
-        List.map
-          (fun (oc : Tune.Search.op_outcome) ->
-            { Harness.Tables.mv_op = oc.Tune.Search.op;
-              mv_baseline_us = oc.Tune.Search.baseline_m.Tune.Oracle.time_us;
-              mv_tuned_us = oc.Tune.Search.best_m.Tune.Oracle.time_us;
-              mv_config = Tune.Candidate.describe oc.Tune.Search.best
-            })
-          result.Tune.Search.outcomes
-      in
-      Harness.Tables.movement_table Format.std_formatter movements;
-      let records = Tune.Search.to_records result in
-      let store = Tune.Store.open_ out in
-      List.iter (Tune.Store.store store) records;
-      Format.printf "%d tuning records persisted to %s (machine %s)@."
-        (List.length records) out result.Tune.Search.machine;
-      0
-    end
-  in
-  Cmd.v
-    (Cmd.info "tune"
-       ~doc:
-         "Beam-search cost-model weights and influence-tree branch orders against the \
-          GPU model; persists per-(kernel, machine) tuning records that $(b,eval \
-          --tuned) and $(b,network --tuned) apply"
-       ~man:
-         [ `S Manpage.s_examples;
-           `P "akg_repro tune --seed 42 --corpus zoo --cache";
-           `P "akg_repro network --all --tuned  # apply the records just written"
-         ])
-    Term.(
-      const run $ beam_arg $ rounds_arg $ seed_arg $ corpus_arg $ count_arg $ ops_arg
-      $ out_arg $ jobs_arg $ cache_arg $ obs_term)
-
 let network_cmd =
   let name_arg =
     Arg.(
@@ -679,13 +542,12 @@ let network_cmd =
     let doc = "Evaluate every network suite: the full Table II plus the geomean line." in
     Arg.(value & flag & info [ "all" ] ~doc)
   in
-  let run name all jobs cache tuned o =
+  let run name all jobs cache o =
     with_obs o @@ fun () ->
     let jobs = resolve_jobs jobs in
     let cache = open_cache cache in
-    let tuned = tuned_lookup tuned in
     let evaluate (n : Ops.Networks.t) =
-      Service.Batch.evaluate_suite ?cache ?tuned ~jobs
+      Service.Batch.evaluate_suite ?cache ~jobs
         ~progress:(fun op -> Format.eprintf "  %s@." op)
         (Lazy.force n.Ops.Networks.ops)
     in
@@ -717,9 +579,8 @@ let network_cmd =
   Cmd.v
     (Cmd.info "network"
        ~doc:
-         "Evaluate network suites (Table II rows); --jobs shards, --cache persists, \
-          --tuned applies tuning records")
-    Term.(const run $ name_arg $ all_arg $ jobs_arg $ cache_arg $ tuned_arg $ obs_term)
+         "Evaluate network suites (Table II rows); --jobs shards, --cache persists")
+    Term.(const run $ name_arg $ all_arg $ jobs_arg $ cache_arg $ obs_term)
 
 (* ------------------------------------------------------------------ *)
 (* the compile service over stdin/stdout                                *)
@@ -1060,5 +921,5 @@ let () =
     (Cmd.eval'
        (Cmd.group info
           [ list_cmd; show_cmd; schedule_cmd; codegen_cmd; simulate_cmd; cpu_run_cmd;
-            eval_cmd; check_cmd; tune_cmd; network_cmd; serve_cmd;
+            eval_cmd; check_cmd; network_cmd; serve_cmd;
             fuzz_cmd; report_cmd; diff_cmd; metrics_cmd ]))

@@ -140,8 +140,6 @@ let run ?memo ?(machine = Machine.v100) compiled =
 
 let time_us r = r.time_s *. 1e6
 
-let cycles ?(machine = Machine.v100) r = r.time_s *. machine.Machine.clock_hz
-
 let pp fmt r =
   Format.fprintf fmt
     "time %.2fus (bw %.2f, chip %.2f, lat %.2f, cmp %.2f, iss %.2f) bytes %.0f dram %.0f useful %.0f coal %.0f%% reqs %.0f warps %.0f"

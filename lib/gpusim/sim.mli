@@ -50,10 +50,4 @@ val run : ?memo:memo -> ?machine:Machine.t -> Codegen.Compile.compiled -> report
 
 val time_us : report -> float
 
-val cycles : ?machine:Machine.t -> report -> float
-(** The modeled time denominated in GPU clock cycles of [machine]
-    (default V100) — the autotuner's objective, so tuning scores read in
-    the same unit on every profile regardless of clock rate.  Callers
-    must pass the machine the report was produced with. *)
-
 val pp : Format.formatter -> report -> unit

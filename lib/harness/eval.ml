@@ -34,11 +34,9 @@ let rows_equal (a : Scheduling.Schedule.t) (b : Scheduling.Schedule.t) =
 
 let timed_schedule = Pipeline.schedule
 
-type tuning = Pipeline.tuning
+let influence_with kernel = Pipeline.influence_with kernel
 
-let influence_with = Pipeline.influence_with
-
-let evaluate_op ?(machine = Gpusim.Machine.v100) ?tuning ~name kernel =
+let evaluate_op ?(machine = Gpusim.Machine.v100) ~name kernel =
   Obs.Span.with_ "harness.op" @@ fun () ->
   Polyhedra.Solver_memo.scoped @@ fun () ->
   Obs.Trace.emitf "harness.op_start" (fun () -> [ ("op", Obs.Json.String name) ]);
@@ -50,16 +48,15 @@ let evaluate_op ?(machine = Gpusim.Machine.v100) ?tuning ~name kernel =
   in
   (* One dependence analysis, one scheduler memo, one simulator memo and
      the scope's solver memo feed every stage.  Three schedules: novec and
-     infl share the vectorizer-tree one, and only the vectorizer's tree is
-     tuned. *)
+     infl share the vectorizer-tree one. *)
   let deps = Deps.Analysis.dependences kernel in
   let memo = Scheduling.Scheduler.memo () in
-  let schedule ?tuning version =
-    let influence = timed tree_s (fun () -> Pipeline.tree ?tuning ~deps version kernel) in
+  let schedule version =
+    let influence = timed tree_s (fun () -> Pipeline.tree ~deps version kernel) in
     Pipeline.schedule ?influence ~deps ~memo kernel
   in
   let isl_sched, _, isl_obs = schedule Pipeline.Isl in
-  let infl_sched, infl_stats, infl_obs = schedule ?tuning Pipeline.Infl in
+  let infl_sched, infl_stats, infl_obs = schedule Pipeline.Infl in
   let tiled_sched_r, tiled_stats, tiled_obs = schedule Pipeline.Tiled in
   let lower version sched =
     timed lower_s (fun () -> Pipeline.lower ~deps version sched kernel)

@@ -48,15 +48,9 @@ type op_result = {
   obs : op_obs;
 }
 
-type tuning = Pipeline.tuning
-(** Only the influenced versions ({b novec}/{b infl}) see a tuning — the
-    {b isl} baseline and the {b tvm} comparator never see injected
-    constraints, so a tuned evaluation still measures against the paper's
-    fixed baselines. *)
-
-val influence_with : ?tuning:tuning -> Ir.Kernel.t -> Scheduling.Influence.t
-(** {!Pipeline.influence_with}, kept for the repository benchmark
-    ([perfbench/]), its only caller. *)
+val influence_with : Ir.Kernel.t -> Scheduling.Influence.t
+(** {!Pipeline.influence_with} at the paper's weights and branch order,
+    kept for the repository benchmark ([perfbench/]), its only caller. *)
 
 val rows_equal : Scheduling.Schedule.t -> Scheduling.Schedule.t -> bool
 (** Structural equality of two schedules' rows (kind-insensitive, exact
@@ -75,7 +69,6 @@ val timed_schedule :
 
 val evaluate_op :
   ?machine:Gpusim.Machine.t ->
-  ?tuning:tuning ->
   name:string ->
   Ir.Kernel.t ->
   op_result

@@ -2,8 +2,8 @@
 
     Each stage is its own function — {!tree} → {!schedule} → {!lower} →
     {!simulate} or {!emit_c} (then {!execute}) — and {!run} composes them
-    for one version.  Table II evaluation, the compile service, the tuning
-    oracle, the fuzzer and the CLI all call these stages, so one
+    for one version.  Table II evaluation, the compile service, the
+    fuzzer and the CLI all call these stages, so one
     (operator, version, machine) gives one schedule, one AST and one time
     or C source whichever way it is asked for.
 
@@ -64,8 +64,8 @@ type tuning = {
       (** influence-tree root-branch selection ({!Scheduling.Influence.select});
           [None] keeps the natural branch order *)
 }
-(** A tuned compilation configuration, as found by the autotuner
-    ([lib/tune]) and persisted in tuning records. *)
+(** A compilation configuration other than the paper's, as the bench's
+    weight and branch-budget ablations vary it. *)
 
 val influence_with : ?tuning:tuning -> Ir.Kernel.t -> Scheduling.Influence.t
 (** The vectorizer's influence tree: paper weights and natural branch

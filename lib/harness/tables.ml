@@ -85,41 +85,6 @@ let stats_table fmt results =
     (sum (fun r -> r.Eval.obs.Eval.lower_s *. 1e3))
     (sum (fun r -> r.Eval.obs.Eval.sim_s *. 1e3))
 
-type movement = {
-  mv_op : string;
-  mv_baseline_us : float;
-  mv_tuned_us : float;
-  mv_config : string;
-}
-
-let movement_header fmt =
-  Format.fprintf fmt "%-28s | %12s %12s %8s | %s@." "operator" "baseline(us)"
-    "tuned(us)" "speedup" "configuration";
-  Format.fprintf fmt "%-28s | %34s | %s@." "" "infl version, simulated"
-    "weights / branch order vs paper default"
-
-let movement_row fmt m =
-  Format.fprintf fmt "%-28s | %12.2f %12.2f %8.2f | %s@." m.mv_op m.mv_baseline_us
-    m.mv_tuned_us
-    (Eval.speedup m.mv_baseline_us m.mv_tuned_us)
-    m.mv_config
-
-let movement_geomean rows =
-  Eval.geomean
-    (List.filter_map
-       (fun m ->
-         if m.mv_tuned_us > 0.0 then Some (m.mv_baseline_us /. m.mv_tuned_us)
-         else None)
-       rows)
-
-let movement_table fmt rows =
-  movement_header fmt;
-  List.iter (movement_row fmt) rows;
-  let moved = List.length (List.filter (fun m -> m.mv_tuned_us < m.mv_baseline_us) rows) in
-  Format.fprintf fmt
-    "geomean tuned speedup over fixed-weight baseline: %.3fx (%d of %d operators improved)@."
-    (movement_geomean rows) moved (List.length rows)
-
 let geomean_line fmt per_network =
   let speedups =
     List.map

@@ -12,26 +12,6 @@ val table2 : Format.formatter -> (string * Eval.op_result list) list -> unit
 val geomean_line : Format.formatter -> (string * Eval.op_result list) list -> unit
 (** The headline number: geometric mean of per-network infl speedups. *)
 
-type movement = {
-  mv_op : string;
-  mv_baseline_us : float;  (** infl time under the paper's fixed weights *)
-  mv_tuned_us : float;  (** infl time under the tuned configuration *)
-  mv_config : string;  (** human-readable tuned weights / branch order *)
-}
-(** One operator's baseline-vs-tuned comparison — the row format of
-    [akg_repro tune]'s report. *)
-
-val movement_header : Format.formatter -> unit
-
-val movement_row : Format.formatter -> movement -> unit
-
-val movement_geomean : movement list -> float
-(** Geometric mean of per-operator [baseline/tuned] speedups (operators
-    with a non-positive tuned time are skipped). *)
-
-val movement_table : Format.formatter -> movement list -> unit
-(** Full per-operator table plus the geomean-movement summary line. *)
-
 val stats_header : Format.formatter -> unit
 
 val stats_row : Format.formatter -> Eval.op_result -> unit

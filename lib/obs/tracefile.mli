@@ -35,8 +35,8 @@ val timing_field : string -> bool
 val normalize_event : event -> event
 
 val normalize : t -> t
-(** Strips all timing fields (recursively, including nested objects such
-    as [harness.tune] candidates) and timestamps. *)
+(** Strips all timing fields (recursively, including nested objects) and
+    timestamps. *)
 
 val timing_totals : t -> (string * float) list
 (** Per [kind.field] sums of the timing fields normalization would drop

@@ -50,10 +50,10 @@ val select : int list -> t -> t
     result keeps branch [List.nth t i] for each [i] of [order], in
     [order]'s order.  Out-of-range and repeated indices are ignored, so
     any integer list is a valid selection; [select [] t] is {!empty}
-    (schedule exactly like the baseline).  This is the search space the
-    autotuner ([lib/tune]) explores on top of weight vectors: sibling
-    order encodes priority, so reordering changes which wish the
-    scheduler tries — and backtracks from — first. *)
+    (schedule exactly like the baseline).  Sibling order encodes
+    priority, so reordering changes which wish the scheduler tries — and
+    backtracks from — first; the bench's branch-budget ablation cuts the
+    tree this way. *)
 
 val depth : t -> int
 (** Length of the deepest root-to-leaf path. *)

@@ -4,72 +4,52 @@
    zero scheduler ILP solves for cached operators.  Lookups and stores happen on the coordinating
    domain; only the compilation of misses is sharded across the pool. *)
 
-type tuning = { digest : string; tuning : Harness.Eval.tuning }
-
-let c_tuned =
-  Obs.Counters.create "service.tuned_ops"
-    ~doc:"suite operators evaluated under a tuning record"
-
-let eval_key ?tuned ~machine ~name kernel =
-  (* The tuning-record digest is part of the key: tuned and fixed-weight
-     evaluations of the same kernel are different compile results, and a
-     record update invalidates exactly the entries it affects. *)
+let eval_key ~machine ~name kernel =
   let flags =
-    ("op", name)
-    (* the column set is part of the key, so adding a version (tiled, PR 9)
-       retires every pre-tiling entry instead of relying on decode failure *)
-    :: ("columns", "isl,tvm,novec,infl,tiled")
-    :: (match tuned with None -> [] | Some t -> [ ("tuned", t.digest) ])
+    [ ("op", name);
+      (* the column set is part of the key, so adding a version (tiled, PR 9)
+         retires every pre-tiling entry instead of relying on decode failure *)
+      ("columns", "isl,tvm,novec,infl,tiled")
+    ]
   in
   Key.make ~kernel ~machine ~version:"eval" ~flags ()
 
 type source = Hit of Harness.Eval.op_result | Miss
 
 let evaluate_suite ?(machine = Gpusim.Machine.v100) ?(progress = fun _ -> ()) ?cache
-    ?tuned ?(jobs = 1) ops =
-  let lookup name kernel =
-    match tuned with
-    | None -> None
-    | Some f ->
-      let t = f name kernel in
-      if Option.is_some t then Obs.Counters.incr c_tuned;
-      t
-  in
+    ?(jobs = 1) ops =
   let sources =
     List.map
       (fun (name, kernel) ->
-        let tuned = lookup name kernel in
         match cache with
-        | None -> ((name, kernel, tuned), Miss)
+        | None -> ((name, kernel), Miss)
         | Some c -> (
-          match Cache.find c (eval_key ?tuned ~machine ~name kernel) with
-          | None -> ((name, kernel, tuned), Miss)
+          match Cache.find c (eval_key ~machine ~name kernel) with
+          | None -> ((name, kernel), Miss)
           | Some payload -> (
             match Harness.Eval.result_of_json payload with
             | Ok r ->
               (* belt and braces: key collisions across identically-shaped
                  kernels must still report under the requested name *)
-              ((name, kernel, tuned), Hit { r with Harness.Eval.op_name = name })
-            | Error _ -> ((name, kernel, tuned), Miss))))
+              ((name, kernel), Hit { r with Harness.Eval.op_name = name })
+            | Error _ -> ((name, kernel), Miss))))
       ops
   in
   (* announce all work up front, in suite order — worker domains must not
      interleave writes on the caller's progress channel *)
-  List.iter (fun ((name, _, _), _) -> progress name) sources;
+  List.iter (fun ((name, _), _) -> progress name) sources;
   let misses = List.filter_map (function (op, Miss) -> Some op | _ -> None) sources in
   let computed =
     Pool.map ~jobs
-      (fun (name, kernel, tuned) ->
-        let tuning = Option.map (fun t -> t.tuning) tuned in
-        Harness.Eval.evaluate_op ~machine ?tuning ~name kernel)
+      (fun (name, kernel) -> Harness.Eval.evaluate_op ~machine ~name kernel)
       misses
   in
   (match cache with
    | None -> ()
    | Some c ->
      List.iter2
-       (fun (name, kernel, tuned) r ->
-         Cache.store c (eval_key ?tuned ~machine ~name kernel)
+       (fun (name, kernel) r ->
+         Cache.store c (eval_key ~machine ~name kernel)
            (Harness.Eval.result_to_json r))
        misses computed);
   let remaining = ref computed in

@@ -2,7 +2,7 @@ open Polybase
 open Polyhedra
 open Ir
 
-type weights = Weights.t = {
+type weights = {
   w1 : float;
   w2 : float;
   w3 : float;
@@ -10,7 +10,7 @@ type weights = Weights.t = {
   w5 : float;
 }
 
-let default_weights = Weights.default_paper
+let default_weights = { w1 = 5.0; w2 = 3.0; w3 = 1.0; w4 = 1.0; w5 = 1.0 }
 
 let stride kernel _stmt (a : Access.t) ~iter =
   let tensor = Kernel.tensor kernel a.Access.tensor in

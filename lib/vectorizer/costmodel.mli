@@ -7,20 +7,20 @@
     the affine scheduler through influence constraint trees instead of
     objective functions. *)
 
-type weights = Weights.t = {
+type weights = {
   w1 : float;  (** vectorizable stores *)
   w2 : float;  (** vectorizable loads *)
   w3 : float;  (** inverse minimum stride *)
   w4 : float;  (** accesses achieving the minimum stride *)
   w5 : float;  (** thread-budget contribution *)
 }
-(** Re-export of {!Weights.t}, the single source of truth for the weight
-    vector (tuning records and the autotuner manipulate {!Weights.t}
-    directly; the cost model keeps this alias so existing call sites and
-    record literals stay valid). *)
+(** The weight vector [w1..w5] of the cost function.  The scenario
+    builder and {!Treegen} thread it down unchanged. *)
 
 val default_weights : weights
-(** {!Weights.default_paper}: [w1 = 5, w2 = 3], others 1. *)
+(** The paper's configuration: [w1 = 5, w2 = 3], others 1 (Section V's
+    ablation winner).  EXPERIMENTS.md quotes it as [(5,3,1,1,1)] and a
+    test pins the quotation against this value. *)
 
 val stride : Ir.Kernel.t -> Ir.Stmt.t -> Ir.Access.t -> iter:string -> int
 (** Element-stride of the access when the iterator advances by one (the

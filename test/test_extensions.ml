@@ -1,5 +1,5 @@
-(* Tests for the paper-adjacent extensions: tiling of permutable bands with
-   the auto-tuner, cost-function (objective) injection, the Feautrier
+(* Tests for the paper-adjacent extensions: tiling of permutable bands,
+   cost-function (objective) injection, the Feautrier
    fallback strategy, the TVM-style comparator and the evaluation
    harness. *)
 

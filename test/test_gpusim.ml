@@ -170,7 +170,11 @@ let read_lines file =
       go [])
 
 let check_golden lines =
-  let file = Filename.concat "golden" "memsim.txt" in
+  (* dune runtest runs in _build/default/test where the goldens sit in
+     ./golden; `dune exec test/test_gpusim.exe` from the repo root sees
+     them in test/golden *)
+  let dir = if Sys.file_exists "golden" then "golden" else "test/golden" in
+  let file = Filename.concat dir "memsim.txt" in
   let expected =
     try read_lines file
     with Sys_error e -> Alcotest.failf "cannot read golden %s: %s" file e

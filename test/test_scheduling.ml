@@ -103,6 +103,23 @@ let test_space_roundtrip () =
     (Space.parse_coef_var c = Some ("X", 0, Space.Const));
   Alcotest.(check bool) "garbage" true (Space.parse_coef_var "nonsense" = None)
 
+(* Influence.select reorders and subsets the root branches; the bench
+   ablations cut the vectorizer's tree with it. *)
+let test_influence_select () =
+  let tree = Vectorizer.Treegen.influence_for (Ops.Classics.fig2 ()) in
+  let n = List.length tree in
+  Alcotest.(check bool) "fig2 has branches" true (n >= 2);
+  Alcotest.(check int)
+    "identity order keeps everything" n
+    (List.length (Influence.select (List.init n Fun.id) tree));
+  Alcotest.(check int) "subset keeps one" 1 (List.length (Influence.select [ 0 ] tree));
+  Alcotest.(check int)
+    "out-of-range and repeats ignored" 1
+    (List.length (Influence.select [ 99; 0; 0; -1 ] tree));
+  Alcotest.(check int)
+    "empty selection empties the tree" 0
+    (List.length (Influence.select [] tree))
+
 (* ------------------------------------------------------------------ *)
 (* Baseline scheduling                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -576,7 +593,8 @@ let () =
         ] );
       ( "influence-tree",
         [ Alcotest.test_case "shape" `Quick test_influence_tree_shape;
-          Alcotest.test_case "space roundtrip" `Quick test_space_roundtrip
+          Alcotest.test_case "space roundtrip" `Quick test_space_roundtrip;
+          Alcotest.test_case "select" `Quick test_influence_select
         ] );
       ( "baseline",
         [ Alcotest.test_case "fig2 isl-like" `Quick test_baseline_fig2;

@@ -53,6 +53,16 @@ let test_key_stability () =
     "format bump changes digest" false
     (base = mk ~format_version:(Service.Key.format_version + 1) k v100 "eval")
 
+(* The on-disk name of fig2's Table II entry: a change to eval_key's
+   preimage (its flags, the kernel text, the machine rendering) orphans
+   every existing .akg-cache entry and shows up here first.  A deliberate
+   Key.format_version bump moves it too; update the literal then. *)
+let test_eval_key_pinned () =
+  Alcotest.(check string)
+    "fig2 on v100" "f580dc4235014aeedac098ec417af463"
+    (Service.Key.digest
+       (Service.Batch.eval_key ~machine:Gpusim.Machine.v100 ~name:"fig2" (classic "fig2")))
+
 (* ------------------------------------------------------------------ *)
 (* Pool                                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -585,7 +595,10 @@ let test_serve_loop_blank_lines () =
 
 let () =
   Alcotest.run "service"
-    [ ("key", [ Alcotest.test_case "stability" `Quick test_key_stability ]);
+    [ ( "key",
+        [ Alcotest.test_case "stability" `Quick test_key_stability;
+          Alcotest.test_case "eval key pinned" `Quick test_eval_key_pinned
+        ] );
       ( "pool",
         [ Alcotest.test_case "order and counters" `Quick test_pool_order_and_counters;
           Alcotest.test_case "exceptions" `Quick test_pool_exception;

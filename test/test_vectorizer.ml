@@ -51,6 +51,39 @@ let test_cost_write_priority () =
   let cost' it = Costmodel.cost ~weights:w k t ~iter:it ~innermost:true ~thread_budget:1024 in
   Alcotest.(check bool) "inverted weights flip" true (cost' "i" > cost' "j")
 
+let render (w : Costmodel.weights) =
+  let f x = if Float.is_integer x then string_of_int (int_of_float x) else Printf.sprintf "%g" x in
+  Printf.sprintf "(%s)" (String.concat "," (List.map f [ w.w1; w.w2; w.w3; w.w4; w.w5 ]))
+
+(* The paper's weight vector lives once, as Costmodel.default_weights:
+   every consumer that takes optional weights defaults to it. *)
+let test_weights_single_source () =
+  let w = Costmodel.default_weights in
+  Alcotest.(check string) "paper default" "(5,3,1,1,1)" (render w);
+  List.iter
+    (fun (s : Stmt.t) ->
+      List.iter
+        (fun iter ->
+          Alcotest.(check (float 0.0))
+            (Printf.sprintf "cost %s/%s defaults to the paper weights" s.Stmt.name iter)
+            (Costmodel.cost ~weights:w fig2 s ~iter ~innermost:true ~thread_budget:1024)
+            (Costmodel.cost fig2 s ~iter ~innermost:true ~thread_budget:1024))
+        s.Stmt.iters)
+    fig2.Kernel.stmts;
+  Alcotest.(check string)
+    "tree defaults to the paper weights"
+    (Scheduling.Influence.to_string (Treegen.influence_for ~weights:w fig2))
+    (Scheduling.Influence.to_string (Treegen.influence_for fig2))
+
+(* The numbers the documentation quotes must be the numbers the code
+   uses: EXPERIMENTS.md cites the paper default in its rendered form. *)
+let test_docs_quote_default_weights () =
+  let text = In_channel.with_open_bin "../EXPERIMENTS.md" In_channel.input_all in
+  let quoted = render Costmodel.default_weights in
+  let nt = String.length text and nq = String.length quoted in
+  let rec found i = i + nq <= nt && (String.sub text i nq = quoted || found (i + 1)) in
+  Alcotest.(check bool) ("EXPERIMENTS.md quotes " ^ quoted) true (found 0)
+
 let test_scenarios_fig2 () =
   let sx = Option.get (Scenario.build fig2 x ~alternative:0) in
   let sy = Option.get (Scenario.build fig2 y ~alternative:0) in
@@ -216,6 +249,10 @@ let () =
           Alcotest.test_case "vector width" `Quick test_vector_width;
           Alcotest.test_case "contiguous innermost" `Quick test_cost_prefers_contiguous_innermost;
           Alcotest.test_case "write priority" `Quick test_cost_write_priority
+        ] );
+      ( "weights",
+        [ Alcotest.test_case "single source of truth" `Quick test_weights_single_source;
+          Alcotest.test_case "docs quote the default" `Quick test_docs_quote_default_weights
         ] );
       ( "scenario",
         [ Alcotest.test_case "fig2 scenarios" `Quick test_scenarios_fig2;
