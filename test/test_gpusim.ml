@@ -135,27 +135,77 @@ let golden_kernels () =
       (fun (name, k) -> ("StencilZoo/" ^ name, k))
       (Lazy.force Ops.Networks.stencilzoo.Ops.Networks.ops)
 
-(* Every golden lowering with its label, lowered once for all the tests
-   below. *)
-let golden_lowerings =
-  lazy
-    (List.concat_map
-       (fun (name, k) ->
-         let isl = sched P.Isl k and infl = sched P.Infl k and tiled = sched P.Tiled k in
-         let lowering version s =
-           (Printf.sprintf "%s %s" name (P.name version), P.lower version s k)
-         in
-         [ lowering P.Isl isl; lowering P.Novec infl; lowering P.Infl infl;
-           lowering P.Tiled tiled ]
-         @ List.mapi
-             (fun i c -> (Printf.sprintf "%s tvm#%d" name i, c))
-             (Baselines.Tvm.compile k))
-       (golden_kernels ()))
+let fuzz_kernel index =
+  match Fuzz.Case.to_kernel (Fuzz.Generate.generate ~seed:42 ~index ()) with
+  | Ok k -> k
+  | Error m -> Alcotest.failf "fuzz case 42/%d does not convert: %s" index m
 
-let memsim_dump ?memo () =
+(* Fuzz cases (seed 42) whose schedules map a statement onto a sublattice
+   of its fused loop: a rational iter_map, so some loop points carry no
+   instance of that statement.  283, 306, 423 and 660 do so under isl and
+   tiled, 454 under novec and infl. *)
+let sublattice_cases = [ 283; 306; 423; 454; 660 ]
+
+(* Fuzz cases (seed 42) with a guard that reads a thread-mapped loop
+   variable: 0 and 6 under novec and infl, 8, 33 and 56 under every
+   version. *)
+let lane_guard_cases = [ 0; 6; 8; 33; 56 ]
+
+(* Row sums of the lower triangle: under isl the serial [j] loop's upper
+   bound reads the thread-mapped row [i], so its lanes run different trip
+   counts. *)
+let triangular_rowsum ?(n = 96) () =
+  let open Ir in
+  let open Polyhedra in
+  let domain =
+    Polyhedron.of_constraints
+      [ Constr.lower_bound "i" 0;
+        Constr.upper_bound "i" (n - 1);
+        Constr.lower_bound "j" 0;
+        Constr.leq (Linexpr.var "j") (Linexpr.var "i")
+      ]
+  in
+  let s =
+    let open Expr.Infix in
+    Stmt.make ~name:"S" ~iters:[ "i"; "j" ] ~domain
+      ~write:(Build.access "out" [ "i" ])
+      ~rhs:(Expr.load (Build.access "out" [ "i" ]) + Expr.load (Build.access "A" [ "i"; "j" ]))
+  in
+  Build.kernel "triangular_rowsum"
+    ~tensors:[ Build.tensor "A" [ n; n ]; Build.tensor "out" [ n ] ]
+    ~stmts:[ s ]
+
+(* Kernels that take the walker's per-lane paths, which no classic or
+   StencilZoo lowering takes: lane-varying guards, sublattice statements
+   and serial loops with lane-varying bounds. *)
+let lane_path_kernels () =
   List.map
-    (fun (label, c) -> dump_line label (P.simulate ?memo c))
-    (Lazy.force golden_lowerings)
+    (fun i -> (Printf.sprintf "fuzz42/%d" i, fuzz_kernel i))
+    (lane_guard_cases @ sublattice_cases)
+  @ [ ("triangular_rowsum", triangular_rowsum ()) ]
+
+(* Every lowering of [kernels] with its label. *)
+let lowerings kernels =
+  List.concat_map
+    (fun (name, k) ->
+      let isl = sched P.Isl k and infl = sched P.Infl k and tiled = sched P.Tiled k in
+      let lowering version s =
+        (Printf.sprintf "%s %s" name (P.name version), P.lower version s k)
+      in
+      [ lowering P.Isl isl; lowering P.Novec infl; lowering P.Infl infl;
+        lowering P.Tiled tiled ]
+      @ List.mapi
+          (fun i c -> (Printf.sprintf "%s tvm#%d" name i, c))
+          (Baselines.Tvm.compile k))
+    kernels
+
+(* The golden lowerings, lowered once for all the tests below: the
+   classic and StencilZoo ones first, then the lane-path ones. *)
+let golden_lowerings = lazy (lowerings (golden_kernels ()))
+let lane_path_lowerings = lazy (lowerings (lane_path_kernels ()))
+
+let memsim_dump ?memo lowerings =
+  List.map (fun (label, c) -> dump_line label (P.simulate ?memo c)) lowerings
 
 let read_lines file =
   let ic = open_in_bin file in
@@ -184,13 +234,15 @@ let check_golden lines =
 
 let lane_gathers () = Obs.Counters.find "gpusim.lane_gathers"
 
-(* The golden set has no sublattice statement and no negative address:
-   the walker answers every one of its requests from a lane-shape table,
-   so a change that quietly turns the tables off shows up here. *)
+(* The classic and StencilZoo lowerings have no sublattice statement and
+   no negative address: the walker answers every one of their requests
+   from a lane-shape table, so a change that quietly turns the tables off
+   shows up here. *)
 let test_golden_memsim () =
   let gathers0 = lane_gathers () in
-  let lines = memsim_dump () in
+  let lines = memsim_dump (Lazy.force golden_lowerings) in
   Alcotest.(check int) "requests gathered lane by lane" 0 (lane_gathers () - gathers0);
+  let lines = lines @ memsim_dump (Lazy.force lane_path_lowerings) in
   match Sys.getenv_opt "AKG_UPDATE_GOLDEN" with
   | Some dir ->
     let file = Filename.concat dir "memsim.txt" in
@@ -205,7 +257,10 @@ let test_golden_memsim () =
 let test_memo_golden () =
   if Sys.getenv_opt "AKG_UPDATE_GOLDEN" = None then begin
     let hits0 = Obs.Counters.find "gpusim.memo_hits" in
-    check_golden (memsim_dump ~memo:(Gpusim.Sim.memo ()) ());
+    let memo = Gpusim.Sim.memo () in
+    check_golden
+      (memsim_dump ~memo (Lazy.force golden_lowerings)
+      @ memsim_dump ~memo (Lazy.force lane_path_lowerings));
     let hits = Obs.Counters.find "gpusim.memo_hits" - hits0 in
     Alcotest.(check bool) (Printf.sprintf "memo hits (%d)" hits) true (hits > 0)
   end
@@ -288,7 +343,7 @@ let test_key_renaming () =
       Alcotest.(check string) label
         (dump_line "" (Gpusim.Sim.run c))
         (dump_line "" (Gpusim.Sim.run c')))
-    (Lazy.force golden_lowerings)
+    (Lazy.force golden_lowerings @ Lazy.force lane_path_lowerings)
 
 let test_key_distinguishes () =
   let v100 = Gpusim.Machine.v100 in
@@ -313,17 +368,6 @@ let test_key_distinguishes () =
 (* ------------------------------------------------------------------ *)
 (* Sublattice schedules and an independent flops count                  *)
 (* ------------------------------------------------------------------ *)
-
-let fuzz_kernel index =
-  match Fuzz.Case.to_kernel (Fuzz.Generate.generate ~seed:42 ~index ()) with
-  | Ok k -> k
-  | Error m -> Alcotest.failf "fuzz case 42/%d does not convert: %s" index m
-
-(* Fuzz cases (seed 42) whose schedules map a statement onto a sublattice
-   of its fused loop: a rational iter_map, so some loop points carry no
-   instance of that statement.  283, 306, 423 and 660 do so under isl and
-   tiled, 454 under novec and infl. *)
-let sublattice_cases = [ 283; 306; 423; 454; 660 ]
 
 let test_sublattice_schedules () =
   let gathers0 = lane_gathers () in
