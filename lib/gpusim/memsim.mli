@@ -40,6 +40,23 @@
     - the warp is too wide for its lane bitmask and the residue to share
       one [int].
 
+    {b Lane-uniform work.}  Lanes of one warp differ only on the slots
+    that thread-mapped loops bind: every other loop writes one value into
+    every lane.  A bound or guard expression that reads no such slot (one
+    bound by a thread-mapped loop anywhere in the program) is lane-uniform:
+    the walker evaluates it once, on lane 0, and passes the incoming lane
+    mask through unchanged, since every active lane would give the same
+    answer and a uniform serial loop's sample points lie inside every
+    lane's range.  Only lane-varying guards and serial loop bounds, and
+    statements on a sublattice, are evaluated lane by lane.  Lane 0's
+    environment holds every slot; the other lanes' hold the thread-mapped
+    slots only and read the rest from lane 0's, which is the value they
+    would hold.  Integer sums do not depend on term order, and every float
+    sum is formed as before, so the results are bit-identical to a walk
+    that writes and evaluates every lane.  Lane masks are [int] bitmasks
+    carried with their lane counts, and each warp id's thread
+    coordinates, base mask and lane shape are computed once per walk.
+
     On top of the raw traffic counts, a footprint probe walks one
     mid-grid block with {e all} of its warps and measures, per tensor,
     total sector traffic vs. distinct sectors touched.  The gap is
@@ -47,6 +64,8 @@
     footprint (its worst-case reuse distance) fits the occupancy-limited
     shared-memory/L1 capacity, which is exactly what tiling buys.  Re-reads
     beyond a tensor's own size hit in L2 when the working set fits there.
+    The probe marks a tensor's sectors in a bitmap over the tensor's own
+    sector range; a sector outside it goes to a hash set.
     [bytes] stays the cache-less sector traffic; [dram_bytes] is what is
     left for DRAM after both levels.
 
@@ -88,6 +107,8 @@ type program
     do not reach it. *)
 
 val build : Machine.t -> Codegen.Compile.compiled -> program
+(** @raise Invalid_argument when the machine's warp has more lanes than
+    an [int] has bits ([Sys.int_size]). *)
 
 val key : program -> string
 (** An exact serialization (no digest) of everything {!walk} reads: the
@@ -95,8 +116,10 @@ val key : program -> string
     accesses; statement op counts and vector widths), the slot count,
     the tensor sizes, the mapping's block and thread dims and every
     field of the machine.  The per-lane scratch arrays the walker writes
-    before it reads are left out, and so are the accesses' numbering and
-    lane-shape flags, which the program's tree decides.  Equal keys
+    before it reads are left out, and so are the accesses' numbering,
+    their lane-shape flags, the lane-uniform classification of
+    expressions and the tensors' base addresses, which the program's tree
+    and the tensor sizes decide.  Equal keys
     therefore mean equal {!walk} results under equal sampling arguments,
     and the same kernel under other names has the same key.  A changed extent, element type,
     tensor declaration order or machine changes it. *)
