@@ -19,11 +19,15 @@ let stride kernel _stmt (a : Access.t) ~iter =
   if not (Q.is_integer c) then failwith "Costmodel.stride: fractional stride";
   Q.to_int c
 
-let vector_width kernel stmt ~iter (a : Access.t) =
+(* [extent], when given, is [Stmt.extent stmt], possibly memoized. *)
+let extent_of ?extent stmt iter =
+  match extent with Some f -> f iter | None -> Stmt.extent stmt iter
+
+let vector_width ?extent kernel stmt ~iter (a : Access.t) =
   let s = stride kernel stmt a ~iter in
   if s <> 0 && s <> 1 then 1
   else begin
-    let extent = Stmt.extent stmt iter in
+    let extent = extent_of ?extent stmt iter in
     let tensor = Kernel.tensor kernel a.Access.tensor in
     let last_dim = tensor.Tensor.dims.(Tensor.rank tensor - 1) in
     let fits w =
@@ -49,15 +53,15 @@ let vector_width kernel stmt ~iter (a : Access.t) =
 
 (* Broadcasts (stride 0) are compatible with a vector loop but gain nothing
    from it; only unit-stride accesses benefit from explicit vector types. *)
-let benefits_width kernel stmt ~iter a =
-  if stride kernel stmt a ~iter = 1 then vector_width kernel stmt ~iter a else 1
+let benefits_width ?extent kernel stmt ~iter a =
+  if stride kernel stmt a ~iter = 1 then vector_width ?extent kernel stmt ~iter a else 1
 
-let stmt_vector_width kernel stmt ~iter =
+let stmt_vector_width ?extent kernel stmt ~iter =
   (* the loop rewrite is profitable as soon as one access (load or store)
      turns into a genuine vector access: vector and scalar types mix
      (Section V) *)
   List.fold_left
-    (fun acc (a, _) -> max acc (benefits_width kernel stmt ~iter a))
+    (fun acc (a, _) -> max acc (benefits_width ?extent kernel stmt ~iter a))
     1 (Stmt.accesses stmt)
 
 type breakdown = {
@@ -73,17 +77,17 @@ type breakdown = {
   total : float;
 }
 
-let cost_breakdown ?(weights = default_weights) kernel stmt ~iter ~innermost
+let cost_breakdown ?(weights = default_weights) ?extent kernel stmt ~iter ~innermost
     ~thread_budget =
   let accesses = List.map fst (Stmt.accesses stmt) in
   let vw =
-    if innermost && benefits_width kernel stmt ~iter stmt.Stmt.write > 1 then 1 else 0
+    if innermost && benefits_width ?extent kernel stmt ~iter stmt.Stmt.write > 1 then 1 else 0
   in
   let vr =
     if not innermost then 0
     else
       List.length
-        (List.filter (fun a -> benefits_width kernel stmt ~iter a > 1) (Stmt.reads stmt))
+        (List.filter (fun a -> benefits_width ?extent kernel stmt ~iter a > 1) (Stmt.reads stmt))
   in
   let strides = List.map (fun a -> abs (stride kernel stmt a ~iter)) accesses in
   let m = List.fold_left min max_int strides in
@@ -93,7 +97,7 @@ let cost_breakdown ?(weights = default_weights) kernel stmt ~iter ~innermost
   (* "favors as many references as possible with short memory jumps":
      count the accesses whose stride is at most one element. *)
   let c = List.length (List.filter (fun s -> s <= 1) strides) in
-  let n = Stmt.extent stmt iter in
+  let n = extent_of ?extent stmt iter in
   (* Thread-budget contribution, normalized to [0, 1]: the literal w5*F*L/N
      of the paper explodes for small extents (L/N >> w1) and would invert
      the intended "high contribution to the number of threads" preference;

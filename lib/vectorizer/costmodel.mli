@@ -27,14 +27,17 @@ val stride : Ir.Kernel.t -> Ir.Stmt.t -> Ir.Access.t -> iter:string -> int
     coefficient of the iterator in the row-major linear offset). *)
 
 val vector_width :
-  Ir.Kernel.t -> Ir.Stmt.t -> iter:string -> Ir.Access.t -> int
+  ?extent:(string -> int) -> Ir.Kernel.t -> Ir.Stmt.t -> iter:string -> Ir.Access.t -> int
 (** Largest explicit vector width (4 or 2) usable for this access when
     [iter] is the innermost loop: the access must be constant in [iter] or
     contiguous through the tensor's last dimension with compatible
     alignment, and the loop extent must be divisible by the width.
-    1 means not vectorizable. *)
+    1 means not vectorizable.  [extent] gives the statement's iterator
+    extents, {!Ir.Stmt.extent} by default; a caller asking many questions
+    of one statement passes a memoized one. *)
 
-val stmt_vector_width : Ir.Kernel.t -> Ir.Stmt.t -> iter:string -> int
+val stmt_vector_width :
+  ?extent:(string -> int) -> Ir.Kernel.t -> Ir.Stmt.t -> iter:string -> int
 (** Vector width for the whole statement: the largest width any of its
     accesses supports (the paper vectorizes loads and stores independently,
     mixing vector and scalar types). *)
@@ -68,6 +71,7 @@ type breakdown = {
 
 val cost_breakdown :
   ?weights:weights ->
+  ?extent:(string -> int) ->
   Ir.Kernel.t ->
   Ir.Stmt.t ->
   iter:string ->
