@@ -57,8 +57,7 @@ let tree ?tuning ?max_tile_size ?deps version kernel =
   match (spec version).client with
   | No_influence -> None
   | Vectorizer -> Some (influence_with ?tuning kernel)
-  | Tiling ->
-    Some (select tuning (Scheduling.Tiling.influence_for ?max_tile_size ?deps kernel))
+  | Tiling -> Some (Scheduling.Tiling.influence_for ?max_tile_size ?deps kernel)
 
 type sched_obs = {
   ilp_solves : int;

@@ -75,9 +75,9 @@ val tree :
   ?tuning:tuning -> ?max_tile_size:int -> ?deps:Deps.Dependence.t list -> version ->
   Ir.Kernel.t -> Scheduling.Influence.t option
 (** Stage 1: the version's influence tree ([None] for {b isl}).  A
-    [tuning]'s weights shape the vectorizer's tree; its [order] selects
-    root branches of either client's tree.  [max_tile_size] caps the
-    tiling client's tile shapes.
+    [tuning] steers only the vectorizer's tree: its weights shape it and
+    its [order] selects its root branches; the tiling client's tree
+    ignores it.  [max_tile_size] caps the tiling client's tile shapes.
 
     Every stage takes the kernel's dependences as an optional [deps]
     ({!Deps.Analysis.dependences}) and analyses the kernel itself when
