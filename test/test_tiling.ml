@@ -184,7 +184,11 @@ let check_golden_tiled name k =
     close_out oc;
     Printf.printf "wrote %s\n%!" file
   | None -> (
-    let file = Filename.concat "golden" (name ^ ".cu") in
+    (* dune runtest runs in _build/default/test where the goldens sit in
+       ./golden; a test binary run from the repo root sees them in
+       test/golden *)
+    let dir = if Sys.file_exists "golden" then "golden" else "test/golden" in
+    let file = Filename.concat dir (name ^ ".cu") in
     match read_file file with
     | exception Sys_error e -> Alcotest.failf "cannot read golden %s: %s" file e
     | expected ->

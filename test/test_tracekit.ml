@@ -51,7 +51,11 @@ let check_golden name trace =
     Obs.Summary.write_file file fp;
     Printf.printf "wrote %s\n%!" file
   | None -> (
-    let file = Filename.concat "golden" (name ^ ".fingerprint.json") in
+    (* dune runtest runs in _build/default/test where the goldens sit in
+       ./golden; a test binary run from the repo root sees them in
+       test/golden *)
+    let dir = if Sys.file_exists "golden" then "golden" else "test/golden" in
+    let file = Filename.concat dir (name ^ ".fingerprint.json") in
     match Obs.Summary.load file with
     | Error e -> Alcotest.failf "cannot load golden %s: %s" file e
     | Ok golden ->
