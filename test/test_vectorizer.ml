@@ -78,7 +78,9 @@ let test_weights_single_source () =
 (* The numbers the documentation quotes must be the numbers the code
    uses: EXPERIMENTS.md cites the paper default in its rendered form. *)
 let test_docs_quote_default_weights () =
-  let text = In_channel.with_open_bin "../EXPERIMENTS.md" In_channel.input_all in
+  (* ../ under dune runtest (cwd _build/default/test), ./ from the repo root *)
+  let file = if Sys.file_exists "EXPERIMENTS.md" then "EXPERIMENTS.md" else "../EXPERIMENTS.md" in
+  let text = In_channel.with_open_bin file In_channel.input_all in
   let quoted = render Costmodel.default_weights in
   let nt = String.length text and nq = String.length quoted in
   let rec found i = i + nq <= nt && (String.sub text i nq = quoted || found (i + 1)) in
