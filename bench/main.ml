@@ -56,6 +56,7 @@ let fig2 () =
   (* the vector pass runs at threshold 0 (not the version table's 2048):
      at n = 64 it would otherwise leave the fused nest unvectorized *)
   let compile version k =
+    Polyhedra.Solver_memo.scoped @@ fun () ->
     let influence = P.tree version k in
     let sched, _, _ = P.schedule ?influence k in
     (sched, P.lower ~vec_min_parallel:0 version sched k)
@@ -108,6 +109,7 @@ let rep_suite () =
 (* The ablations vary the vectorizer's tree through a tuning: its weights,
    or its first n root branches as the order. *)
 let schedule ?tuning version kernel =
+  Polyhedra.Solver_memo.scoped @@ fun () ->
   let influence = P.tree ?tuning version kernel in
   let sched, stats, _ = P.schedule ?influence kernel in
   (sched, stats)

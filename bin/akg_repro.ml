@@ -294,13 +294,16 @@ let schedule_cmd =
     with_op
       (fun k ->
         let version, _ = resolve version in
-        let deps = Deps.Analysis.dependences k in
-        let influence = P.tree ~deps version k in
+        let influence, (sched, stats, _), deps =
+          Polyhedra.Solver_memo.scoped (fun () ->
+              let influence = P.tree version k in
+              let scheduled = P.schedule ?influence ~strategy k in
+              (influence, scheduled, Deps.Analysis.dependences k))
+        in
         if tree then
           Option.iter
             (Format.printf "influence tree:@.%a@." Scheduling.Influence.pp)
             influence;
-        let sched, stats, _ = P.schedule ?influence ~strategy ~deps k in
         Format.printf "%a@." Scheduling.Schedule.pp sched;
         Format.printf
           "stats: %d ILP solves, %d loop dims, %d scalar dims, %d sibling moves, %d backtracks, %d SCC separations, abandoned %b@."

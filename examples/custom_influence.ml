@@ -37,7 +37,9 @@ let () =
   let tree = [ impossible; interchange ] in
   Format.printf "influence tree:@.%a@." Influence.pp tree;
 
-  let sched, stats, _ = Harness.Pipeline.schedule ~influence:tree kernel in
+  let sched, stats, _ =
+    Polyhedra.Solver_memo.scoped (fun () -> Harness.Pipeline.schedule ~influence:tree kernel)
+  in
   Format.printf "schedule:@.%a@." Schedule.pp sched;
   Format.printf "sibling fallbacks taken: %d (branch 1 was infeasible)@."
     stats.Scheduler.sibling_moves;

@@ -30,37 +30,42 @@ let () =
         ]
   in
   Format.printf "operator:@.%a@." Kernel.pp kernel;
-
-  (* 2. Dependences: the producer/consumer flow on [scaled]. *)
-  let deps = Deps.Analysis.dependences kernel in
-  Format.printf "dependences:@.%a@." Deps.Analysis.pp_all deps;
-
-  (* 3. Baseline (isl-like) schedule, through the pipeline's stages. *)
   let module P = Harness.Pipeline in
-  let baseline, _, _ = P.schedule ~deps kernel in
-  Format.printf "baseline schedule:@.%a@." Scheduling.Schedule.pp baseline;
 
-  (* 4. The non-linear optimizer builds an influence constraint tree; the
-        scheduler honours it. *)
-  let tree = P.influence_with kernel in
-  Format.printf "influence tree (%d branches):@.%a@." (List.length tree)
-    Scheduling.Influence.pp tree;
-  let influenced, stats, _ = P.schedule ~influence:tree ~deps kernel in
-  Format.printf "influenced schedule:@.%a@." Scheduling.Schedule.pp influenced;
-  Format.printf "scheduler stats: %d ILP solves, abandoned: %b@."
-    stats.Scheduling.Scheduler.ilp_solves stats.influence_abandoned;
+  (* Steps 2 to 5 compile in one solver-memo scope, as [Harness.Eval.evaluate_op]
+     does: the stages share one dependence analysis and their solver work. *)
+  let baseline, influenced, compiled =
+    Polyhedra.Solver_memo.scoped @@ fun () ->
+    (* 2. Dependences: the producer/consumer flow on [scaled]. *)
+    Format.printf "dependences:@.%a@." Deps.Analysis.pp_all (Deps.Analysis.dependences kernel);
 
-  (* 5. Lower to a mapped, vectorized AST and print CUDA-like code. *)
-  let compiled = P.lower ~deps P.Infl influenced kernel in
-  print_string (Codegen.Cuda.emit compiled);
+    (* 3. Baseline (isl-like) schedule, through the pipeline's stages. *)
+    let baseline, _, _ = P.schedule kernel in
+    Format.printf "baseline schedule:@.%a@." Scheduling.Schedule.pp baseline;
 
-  (* 6. Semantics: interpret original vs generated code. *)
+    (* 4. The non-linear optimizer builds an influence constraint tree; the
+          scheduler honours it. *)
+    let tree = P.influence_with kernel in
+    Format.printf "influence tree (%d branches):@.%a@." (List.length tree)
+      Scheduling.Influence.pp tree;
+    let influenced, stats, _ = P.schedule ~influence:tree kernel in
+    Format.printf "influenced schedule:@.%a@." Scheduling.Schedule.pp influenced;
+    Format.printf "scheduler stats: %d ILP solves, abandoned: %b@."
+      stats.Scheduling.Scheduler.ilp_solves stats.influence_abandoned;
+
+    (* 5. Lower to a mapped, vectorized AST and print CUDA-like code. *)
+    let compiled = P.lower P.Infl influenced kernel in
+    print_string (Codegen.Cuda.emit compiled);
+    (baseline, influenced, compiled)
+  in
+
+  (* 6. Semantics, outside the scope: interpret original vs generated code. *)
   Format.printf "semantics: %s@."
     (if P.interpret kernel compiled = Ok () then "MATCH" else "MISMATCH");
 
   (* 7. Simulated execution times. *)
   let time version sched =
-    Gpusim.Sim.time_us (P.simulate (P.lower ~deps version sched kernel))
+    Gpusim.Sim.time_us (P.simulate (P.lower version sched kernel))
   in
   let t_isl = time P.Isl baseline in
   let t_infl = time P.Infl influenced in

@@ -12,7 +12,9 @@ let () =
   Format.printf "%a@." Ir.Kernel.pp kernel;
 
   let module P = Harness.Pipeline in
+  (* each schedule is one solver-memo scope *)
   let schedule version kernel =
+    Polyhedra.Solver_memo.scoped @@ fun () ->
     let sched, _, _ = P.schedule ?influence:(P.tree version kernel) kernel in
     sched
   in

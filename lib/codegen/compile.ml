@@ -18,13 +18,11 @@ let pass name kernel_name f =
       ]);
   r
 
-let lower ?(vectorize = true) ?vec_min_parallel ?tile_sizes ?tile_fault ?deps schedule kernel =
+let lower ?(vectorize = true) ?vec_min_parallel ?tile_sizes ?tile_fault schedule kernel =
   Obs.Span.with_ "codegen.lower" @@ fun () ->
   Obs.Counters.incr c_lowerings;
   let name = kernel.Ir.Kernel.name in
-  let deps =
-    match deps with Some deps -> deps | None -> Deps.Analysis.dependences kernel
-  in
+  let deps = Deps.Analysis.dependences kernel in
   let ast = pass "gen" name (fun () -> Gen.generate schedule kernel) in
   let ast = pass "marks" name (fun () -> Marks.refine schedule kernel deps ast) in
   let ast =

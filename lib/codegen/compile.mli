@@ -10,15 +10,13 @@ type compiled = {
 
 val lower :
   ?vectorize:bool -> ?vec_min_parallel:int -> ?tile_sizes:(int -> int option) ->
-  ?tile_fault:Tiling.fault -> ?deps:Deps.Dependence.t list ->
-  Scheduling.Schedule.t -> Ir.Kernel.t -> compiled
+  ?tile_fault:Tiling.fault -> Scheduling.Schedule.t -> Ir.Kernel.t -> compiled
 (** Pipeline: AST generation, per-loop parallelism refinement, explicit
     vectorization (when [vectorize], honouring the schedule's influence
     annotations), tiling of permutable bands ([tile_sizes] per schedule
     dimension, defaulting to the schedule's ["tile_sizes"] annotation when
     the tiling influence client injected one), block/thread mapping (which
     never considers vectorized dimensions).  [tile_fault] is the fuzzer's
-    broken-tiler fault injection; see {!Tiling.fault}.  [deps] are the
-    kernel's dependences ({!Deps.Analysis.dependences}), analysed here
-    once when absent and shared by the marking, vectorization and tiling
-    passes. *)
+    broken-tiler fault injection; see {!Tiling.fault}.  The kernel's
+    dependences ({!Deps.Analysis.dependences}) are looked up once and
+    shared by the marking, vectorization and tiling passes. *)

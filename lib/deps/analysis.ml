@@ -26,7 +26,23 @@ let lex_precedence_slices src_iters tgt_iters =
 let c_analyses =
   Obs.Counters.create "deps.analyses" ~doc:"kernel dependence analyses run"
 
+let c_memo_hits =
+  Obs.Counters.create "deps.memo_hits"
+    ~doc:"dependence analyses answered from the solver memo"
+
+(* The stages of one operator pass one kernel value around, so a kernel is
+   compared physically; its name only spreads the hash. *)
+module Memo = Solver_memo.Make (struct
+  type key = bool * Kernel.t
+  type value = Dependence.t list
+
+  let hash (include_input, (k : Kernel.t)) = Hashtbl.hash (include_input, k.Kernel.name)
+  let equal (i, k) (i', k') = i = i' && k == k'
+  let hits = c_memo_hits
+end)
+
 let dependences ?(include_input = false) (k : Kernel.t) =
+  Memo.find (include_input, k) @@ fun () ->
   Obs.Span.with_ "deps.analysis" @@ fun () ->
   Obs.Counters.incr c_analyses;
   let stmts = Array.of_list k.Kernel.stmts in

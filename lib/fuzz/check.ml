@@ -102,12 +102,16 @@ let mismatch ~what version = function
         message = Printf.sprintf "%s (max abs diff %g)" what diff
       }
 
-let check_version ?(perturb = fun _ s -> s) ?max_tile_size ?tile_fault k deps memo version =
+(* A version's tree, schedule, perturbation and lowering run inside the
+   case's solver-memo [scope]; every check runs outside it. *)
+let check_version ?(perturb = fun _ s -> s) ?max_tile_size ?tile_fault ~scope k deps version =
+  let compile f = Polyhedra.Solver_memo.within scope f in
   let* sched =
     guard version Schedule (fun () ->
-        let influence = P.tree ?max_tile_size ~deps version k in
-        let s, _, _ = P.schedule ?influence ~deps ~memo k in
-        Ok (perturb version s))
+        compile (fun () ->
+            let influence = P.tree ?max_tile_size version k in
+            let s, _, _ = P.schedule ?influence k in
+            Ok (perturb version s)))
   in
   let* () =
     guard version Legality (fun () ->
@@ -115,19 +119,26 @@ let check_version ?(perturb = fun _ s -> s) ?max_tile_size ?tile_fault k deps me
         | Ok () -> Ok ()
         | Error m -> Error { version; stage = Legality; message = m })
   in
-  let* c =
+  let* c, refused =
     guard version Lower (fun () ->
         (* [tile_fault] only reaches the version that tiles, so a broken
            tiler shows up as a tiled-version failure, not an isl one.  The
            fuzzer's kernels are tiny, so the vector pass runs on every
            parallel loop (threshold 0) instead of the table's 2048. *)
         let tile_fault = if version = P.Tiled then tile_fault else None in
-        Ok (P.lower ~vec_min_parallel:0 ?tile_fault ~deps version sched k))
+        let refused0 = Obs.Counters.find "tiling.chains_refused" in
+        let c = compile (fun () -> P.lower ~vec_min_parallel:0 ?tile_fault version sched k) in
+        Ok (c, Obs.Counters.find "tiling.chains_refused" - refused0))
   in
   let* () =
     match well_formed c with
-    | Ok () -> Ok ()
     | Error m -> Error { version; stage = Structure; message = m }
+    (* only a schedule with the tiling client's annotation reaches the
+       tiling pass here, and the client proposes permutable bands only *)
+    | Ok () when refused > 0 ->
+      let message = Printf.sprintf "the tiling pass refused %d annotated chain(s)" refused in
+      Error { version; stage = Structure; message }
+    | Ok () -> Ok ()
   in
   let* () =
     guard version Semantics (fun () ->
@@ -181,16 +192,21 @@ let check_c ?cpu_exec k c =
 
 (* The C checks run last: they subsume nothing, so an AST-level defect is
    always attributed to the version that first exposes it.  The versions
-   share one analysis and one solver memo (novec and infl schedule the
-   same vectorizer tree). *)
+   compile in one solver-memo scope, entered around each compile only, so
+   that they share one analysis and their solver work (novec and infl
+   schedule the same vectorizer tree) while no memo answer is the
+   evidence for a check. *)
 let run ?perturb ?max_tile_size ?tile_fault ?cpu_exec k =
-  let* deps = guard P.Isl Schedule (fun () -> Ok (Deps.Analysis.dependences k)) in
-  let memo = Scheduling.Scheduler.memo () in
+  let scope = Polyhedra.Solver_memo.fresh () in
+  let* deps =
+    guard P.Isl Schedule (fun () ->
+        Ok (Polyhedra.Solver_memo.within scope (fun () -> Deps.Analysis.dependences k)))
+  in
   let* lowered =
     List.fold_left
       (fun acc v ->
         let* lowered = acc in
-        let* c = check_version ?perturb ?max_tile_size ?tile_fault k deps memo v in
+        let* c = check_version ?perturb ?max_tile_size ?tile_fault ~scope k deps v in
         Ok ((v, c) :: lowered))
       (Ok []) P.versions
   in

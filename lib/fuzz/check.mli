@@ -12,9 +12,10 @@
     well-formedness pass over the emitted AST, and a bit-for-bit
     comparison of {!Interp.run_original} against {!Interp.run_ast}, then
     runs the performance model ({!Harness.Pipeline.simulate}), which must
-    give a finite, positive time.  The first failing stage is reported;
-    exceptions anywhere in the pipeline are caught and attributed to the
-    stage that raised.
+    give a finite, positive time; a lowering that moves
+    [tiling.chains_refused] fails at [Structure].  The first failing stage
+    is reported; exceptions anywhere in the pipeline are caught and
+    attributed to the stage that raised.
 
     Last, the infl lowering already built goes through the C emitter
     ({!Codegen_cpu.Cemit}): by default an emit-only structural check
@@ -48,9 +49,9 @@ val run :
   ?cpu_exec:Codegen_cpu.Runner.t ->
   Ir.Kernel.t ->
   (unit, failure) result
-(** Pushes the kernel through all four versions and the C checks, from
-    one dependence analysis and one solver memo
-    ({!Scheduling.Scheduler.memo});
+(** Pushes the kernel through all four versions and the C checks.  The
+    versions compile (tree, schedule, [perturb], lower) in one
+    {!Polyhedra.Solver_memo.scoped} scope; the checks run after it.
     [perturb] rewrites each computed schedule before validation and
     lowering (the hook tests use to inject a deliberately-broken
     scheduler).

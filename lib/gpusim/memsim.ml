@@ -345,14 +345,19 @@ end
 (* The sectors of one tensor that the footprint probe has seen: a bitmap
    over the tensor's own sector range [lo, lo + len), allocated on first
    use, and a [Sector_set] for a sector outside it (an address that the
-   kernel's bounds do not keep inside the tensor). *)
+   kernel's bounds do not keep inside the tensor).  A tensor of more than
+   [max_bitmap_sectors] sectors (512 MiB at 32-byte sectors, 64 times the
+   largest zoo tensor) has only the set, which holds one block's sectors. *)
 module Footprint = struct
   type t = { lo : int; len : int; mutable bits : Bytes.t; stray : Sector_set.t }
+
+  let max_bitmap_sectors = 1 lsl 24
 
   (* the tensor at bytes [base, base + bytes) *)
   let create ~sector_bytes ~base ~bytes =
     let lo = base / sector_bytes in
     let len = ((base + bytes - 1) / sector_bytes) - lo + 1 in
+    let len = if len > max_bitmap_sectors then 0 else len in
     { lo; len; bits = Bytes.empty; stray = Sector_set.create 8 }
 
   (* [add t s] adds sector [s] and reports whether it was new. *)

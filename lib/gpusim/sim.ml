@@ -14,7 +14,7 @@ let c_runs =
 
 let c_memo_hits =
   Obs.Counters.create "gpusim.memo_hits"
-    ~doc:"simulation requests answered by a simulator memo"
+    ~doc:"simulation requests answered from the solver memo"
 
 let c_requests =
   Obs.Counters.create "gpusim.mem_requests"
@@ -23,31 +23,27 @@ let c_requests =
 let c_sectors =
   Obs.Counters.create "gpusim.mem_sectors" ~doc:"simulated 32-byte DRAM sectors (rounded)"
 
-type memo = (string, Memsim.result) Hashtbl.t
+(* Keyed by the walker's name-free input, serialized only inside a scope. *)
+module Memo = Polyhedra.Solver_memo.Make (struct
+  type key = string Lazy.t
+  type value = Memsim.result
 
-let memo () = Hashtbl.create 16
+  let hash k = Hashtbl.hash (Lazy.force k)
+  let equal a b = String.equal (Lazy.force a) (Lazy.force b)
+  let hits = c_memo_hits
+end)
 
-let run ?memo ?(machine = Machine.v100) compiled =
+let run ?(machine = Machine.v100) compiled =
   Obs.Span.with_ "gpusim.run" @@ fun () ->
   let program = Memsim.build machine compiled in
-  let walk () =
-    Obs.Counters.incr c_runs;
-    Obs.Span.with_ "gpusim.memsim" (fun () -> Memsim.walk program)
+  let hit = ref true in
+  let mem =
+    Memo.find (lazy (Memsim.key program)) (fun () ->
+        hit := false;
+        Obs.Counters.incr c_runs;
+        Obs.Span.with_ "gpusim.memsim" (fun () -> Memsim.walk program))
   in
-  let mem, hit =
-    match memo with
-    | None -> (walk (), false)
-    | Some tbl -> (
-      let key = Memsim.key program in
-      match Hashtbl.find_opt tbl key with
-      | Some mem ->
-        Obs.Counters.incr c_memo_hits;
-        (mem, true)
-      | None ->
-        let mem = walk () in
-        Hashtbl.replace tbl key mem;
-        (mem, false))
-  in
+  let hit = !hit in
   Obs.Counters.add c_requests (int_of_float mem.Memsim.requests);
   Obs.Counters.add c_sectors (int_of_float mem.Memsim.sectors);
   let m = machine in

@@ -22,31 +22,20 @@ type report = {
   coalescing_efficiency : float;  (** useful bytes / transferred bytes *)
 }
 
-type memo
-(** A simulator memo: the {!Memsim.result} of every kernel simulated
-    through it, keyed by {!Memsim.key} (the walker's own input, so
-    kernel, tensor, statement and iterator names do not split entries).
-    [run] always computes the report from the result, so a hit returns a
-    report bit-identical to a fresh run's.  The lowerings of one
-    operator repeat kernels (novec is often isl's, tiled is isl's when
-    no band tiles, the TVM comparator's per-statement kernels repeat
-    the versions'): callers simulating one operator's lowerings share
-    one memo across them.
-
-    {b Not domain-safe: one memo per operator.}  A memo is a mutable
-    table: create it inside the task that uses it and never share it
-    across domains. *)
-
-val memo : unit -> memo
-(** An empty memo. *)
-
-val run : ?memo:memo -> ?machine:Machine.t -> Codegen.Compile.compiled -> report
-(** The time model on [machine] (default V100).  With [memo] the
-    kernel's {!Memsim.key} is looked up first.  [gpusim.runs] counts the
-    walks done and [gpusim.memo_hits] the requests a memo answered;
+val run : ?machine:Machine.t -> Codegen.Compile.compiled -> report
+(** The time model on [machine] (default V100).  The walk's
+    {!Memsim.result} is a {!Polyhedra.Solver_memo} table keyed by
+    {!Memsim.key} (the walker's own input, so kernel, tensor, statement
+    and iterator names do not split entries); the report is always
+    computed from the result, so a hit returns a report bit-identical to
+    a fresh run's.  The lowerings of one operator repeat kernels (novec
+    is often isl's, tiled is isl's when no band tiles, the TVM
+    comparator's per-statement kernels repeat the versions'), and inside
+    one scope each is walked once.  [gpusim.runs] counts the walks done
+    and [gpusim.memo_hits] the requests the table answered;
     [gpusim.mem_requests] and [gpusim.mem_sectors] add the simulated
     traffic of every request, and every request emits one [gpusim.sim]
-    trace event whose [memo] field says whether the memo answered it. *)
+    trace event whose [memo] field says whether the table answered it. *)
 
 val time_us : report -> float
 

@@ -32,7 +32,8 @@ let rows_equal (a : Scheduling.Schedule.t) (b : Scheduling.Schedule.t) =
               ra.exprs rb.exprs)
        a.Scheduling.Schedule.rows b.Scheduling.Schedule.rows
 
-let timed_schedule = Pipeline.schedule
+let timed_schedule ?influence ?strategy kernel =
+  Polyhedra.Solver_memo.scoped (fun () -> Pipeline.schedule ?influence ?strategy kernel)
 
 let influence_with kernel = Pipeline.influence_with kernel
 
@@ -46,24 +47,20 @@ let evaluate_op ?(machine = Gpusim.Machine.v100) ~name kernel =
     total := !total +. dt;
     r
   in
-  (* One dependence analysis, one scheduler memo, one simulator memo and
-     the scope's solver memo feed every stage.  Three schedules: novec and
+  (* Every stage shares the scope's tables.  Three schedules: novec and
      infl share the vectorizer-tree one. *)
-  let deps = Deps.Analysis.dependences kernel in
-  let memo = Scheduling.Scheduler.memo () in
   let schedule version =
-    let influence = timed tree_s (fun () -> Pipeline.tree ~deps version kernel) in
-    Pipeline.schedule ?influence ~deps ~memo kernel
+    let influence = timed tree_s (fun () -> Pipeline.tree version kernel) in
+    Pipeline.schedule ?influence kernel
   in
   let isl_sched, _, isl_obs = schedule Pipeline.Isl in
   let infl_sched, infl_stats, infl_obs = schedule Pipeline.Infl in
   let tiled_sched_r, tiled_stats, tiled_obs = schedule Pipeline.Tiled in
   let lower version sched =
-    timed lower_s (fun () -> Pipeline.lower ~deps version sched kernel)
+    timed lower_s (fun () -> Pipeline.lower version sched kernel)
   in
-  let sim_memo = Gpusim.Sim.memo () in
   let time c =
-    timed sim_s (fun () -> Gpusim.Sim.time_us (Pipeline.simulate ~memo:sim_memo ~machine c))
+    timed sim_s (fun () -> Gpusim.Sim.time_us (Pipeline.simulate ~machine c))
   in
   let version label us =
     Obs.Trace.emitf "harness.version" (fun () ->

@@ -30,7 +30,7 @@ type op_obs = {
   lower_s : float;  (** all codegen lowerings, seconds *)
   sim_s : float;
       (** all GPU-model simulation requests, seconds: the walks done and
-          the simulator-memo lookups that answered the rest *)
+          the lookups the operator's scope answered *)
 }
 (** Per-operator compile+simulate breakdown behind one {!op_result} —
     rendered by {!Tables.stats_table} and the CLI's [--stats] flag. *)
@@ -60,25 +60,24 @@ val rows_equal : Scheduling.Schedule.t -> Scheduling.Schedule.t -> bool
 val timed_schedule :
   ?influence:Scheduling.Influence.t ->
   ?strategy:Scheduling.Scheduler.strategy ->
-  ?deps:Deps.Dependence.t list ->
-  ?memo:Scheduling.Scheduler.memo ->
   Ir.Kernel.t ->
   Scheduling.Schedule.t * Scheduling.Scheduler.stats * sched_obs
-(** {!Pipeline.schedule}, kept for the repository benchmark
-    ([perfbench/]), its only caller. *)
+(** {!Pipeline.schedule} in a {!Polyhedra.Solver_memo.scoped} scope of
+    its own, kept for the repository benchmark ([perfbench/]), its only
+    caller: its zoo replay and CPU compile schedule outside every other
+    scope, so one schedule shares its repeats with nothing else. *)
 
 val evaluate_op :
   ?machine:Gpusim.Machine.t ->
   name:string ->
   Ir.Kernel.t ->
   op_result
-(** The five versions of one operator from one dependence analysis, one
-    scheduler memo ({!Scheduling.Scheduler.memo}) shared by its isl, infl
-    and tiled schedules and one simulator memo ({!Gpusim.Sim.memo})
-    shared by its four lowerings and the TVM comparator's kernels, all
-    inside one {!Polyhedra.Solver_memo.scoped} scope.  All are created
-    inside the call, so operators evaluate independently on separate
-    domains. *)
+(** The five versions of one operator, inside one
+    {!Polyhedra.Solver_memo.scoped} scope: one dependence analysis, the
+    Farkas expansions and ILPs its isl, infl and tiled schedules share,
+    and the walks its four lowerings and the TVM comparator's kernels
+    share.  The scope is opened and dropped inside the call, so
+    operators evaluate independently on separate domains. *)
 
 type cpu_run = {
   cpu_op : string;

@@ -53,11 +53,11 @@ let influence_with ?tuning kernel =
        ?weights:(Option.map (fun t -> t.weights) tuning)
        kernel)
 
-let tree ?tuning ?max_tile_size ?deps version kernel =
+let tree ?tuning ?max_tile_size version kernel =
   match (spec version).client with
   | No_influence -> None
   | Vectorizer -> Some (influence_with ?tuning kernel)
-  | Tiling -> Some (Scheduling.Tiling.influence_for ?max_tile_size ?deps kernel)
+  | Tiling -> Some (Scheduling.Tiling.influence_for ?max_tile_size kernel)
 
 type sched_obs = {
   ilp_solves : int;
@@ -73,7 +73,7 @@ type sched_obs = {
 
 (* Runs the scheduler while measuring wall time and the branch-and-bound
    node delta it caused, turning its per-run stats into a [sched_obs]. *)
-let schedule ?influence ?strategy ?deps ?memo kernel =
+let schedule ?influence ?strategy kernel =
   let config =
     match strategy with
     | None -> Scheduling.Scheduler.default_config
@@ -81,7 +81,7 @@ let schedule ?influence ?strategy ?deps ?memo kernel =
   in
   let bb0 = Obs.Counters.find "ilp.bb_nodes" in
   let (sched, stats), sched_s =
-    Obs.Span.timed (fun () -> Scheduling.Scheduler.schedule ~config ?influence ?deps ?memo kernel)
+    Obs.Span.timed (fun () -> Scheduling.Scheduler.schedule ~config ?influence kernel)
   in
   let obs =
     { ilp_solves = stats.Scheduling.Scheduler.ilp_solves;
@@ -97,13 +97,13 @@ let schedule ?influence ?strategy ?deps ?memo kernel =
   in
   (sched, stats, obs)
 
-let lower ?vec_min_parallel ?tile_sizes ?tile_fault ?deps version sched kernel =
+let lower ?vec_min_parallel ?tile_sizes ?tile_fault version sched kernel =
   let s = spec version in
   let vec_min_parallel = Option.value vec_min_parallel ~default:s.vec_min_parallel in
-  Codegen.Compile.lower ~vectorize:s.vectorize ~vec_min_parallel ?tile_sizes ?tile_fault
-    ?deps sched kernel
+  Codegen.Compile.lower ~vectorize:s.vectorize ~vec_min_parallel ?tile_sizes ?tile_fault sched
+    kernel
 
-let simulate ?memo ?machine compiled = Gpusim.Sim.run ?memo ?machine compiled
+let simulate ?machine compiled = Gpusim.Sim.run ?machine compiled
 
 let emit_c ~machine compiled = Codegen_cpu.Cemit.emit ~machine compiled
 
@@ -158,18 +158,16 @@ type output = {
   stats : Scheduling.Scheduler.stats;
   compiled : Codegen.Compile.compiled;
   backend : backend_output;
+  deps : Deps.Dependence.t list;
 }
 
-let run ?tile_sizes ?(machine = Gpusim.Machine.v100) ?deps version kernel =
+let run ?tile_sizes ?(machine = Gpusim.Machine.v100) version kernel =
   Polyhedra.Solver_memo.scoped @@ fun () ->
-  let deps =
-    match deps with Some deps -> deps | None -> Deps.Analysis.dependences kernel
-  in
-  let influence = tree ~deps version kernel in
-  let sched, stats, _ = schedule ?influence ~deps kernel in
-  let compiled = lower ?tile_sizes ~deps version sched kernel in
+  let influence = tree version kernel in
+  let sched, stats, _ = schedule ?influence kernel in
+  let compiled = lower ?tile_sizes version sched kernel in
   let backend =
     if Gpusim.Machine.is_cpu machine then Emitted (emit_c ~machine compiled)
     else Simulated (simulate ~machine compiled)
   in
-  { sched; stats; compiled; backend }
+  { sched; stats; compiled; backend; deps = Deps.Analysis.dependences kernel }

@@ -72,17 +72,12 @@ val influence_with : ?tuning:tuning -> Ir.Kernel.t -> Scheduling.Influence.t
     order when [tuning] is absent. *)
 
 val tree :
-  ?tuning:tuning -> ?max_tile_size:int -> ?deps:Deps.Dependence.t list -> version ->
-  Ir.Kernel.t -> Scheduling.Influence.t option
+  ?tuning:tuning -> ?max_tile_size:int -> version -> Ir.Kernel.t ->
+  Scheduling.Influence.t option
 (** Stage 1: the version's influence tree ([None] for {b isl}).  A
     [tuning] steers only the vectorizer's tree: its weights shape it and
     its [order] selects its root branches; the tiling client's tree
-    ignores it.  [max_tile_size] caps the tiling client's tile shapes.
-
-    Every stage takes the kernel's dependences as an optional [deps]
-    ({!Deps.Analysis.dependences}) and analyses the kernel itself when
-    it is absent; a caller running several stages on one kernel analyses
-    it once and passes the list to each. *)
+    ignores it.  [max_tile_size] caps the tiling client's tile shapes. *)
 
 type sched_obs = {
   ilp_solves : int;  (** per-dimension ILP solves of this scheduler run *)
@@ -101,22 +96,18 @@ type sched_obs = {
 val schedule :
   ?influence:Scheduling.Influence.t ->
   ?strategy:Scheduling.Scheduler.strategy ->
-  ?deps:Deps.Dependence.t list ->
-  ?memo:Scheduling.Scheduler.memo ->
   Ir.Kernel.t ->
   Scheduling.Schedule.t * Scheduling.Scheduler.stats * sched_obs
 (** Stage 2: one scheduler run under the default config (with [strategy]
     substituted when given), timed and with its branch-and-bound node
-    delta attributed.  A caller scheduling one kernel several times
-    passes the same [memo] ({!Scheduling.Scheduler.memo}) to each run:
-    the schedules are unchanged, and solves an earlier run already did
-    are looked up (their nodes are then attributed to that run). *)
+    delta attributed.  Inside a {!Polyhedra.Solver_memo.scoped} scope, a
+    solve an earlier run of the scope already did is looked up, and its
+    nodes stay attributed to that run. *)
 
 val lower :
   ?vec_min_parallel:int ->
   ?tile_sizes:(int -> int option) ->
   ?tile_fault:Codegen.Tiling.fault ->
-  ?deps:Deps.Dependence.t list ->
   version ->
   Scheduling.Schedule.t ->
   Ir.Kernel.t ->
@@ -126,13 +117,10 @@ val lower :
     Fig. 2 walkthrough pass 0 to exercise the vector pass on tiny
     kernels); [tile_sizes] and [tile_fault] are passed through. *)
 
-val simulate :
-  ?memo:Gpusim.Sim.memo -> ?machine:Gpusim.Machine.t -> Codegen.Compile.compiled ->
-  Gpusim.Sim.report
-(** Stage 4 on a GPU profile: the performance model, V100 by default.  A
-    caller simulating several lowerings of one kernel passes the same
-    [memo] ({!Gpusim.Sim.memo}) to each: the reports are unchanged, and
-    a kernel an earlier call already simulated is looked up. *)
+val simulate : ?machine:Gpusim.Machine.t -> Codegen.Compile.compiled -> Gpusim.Sim.report
+(** Stage 4 on a GPU profile: the performance model, V100 by default.
+    Inside a scope, a kernel an earlier call of the scope already
+    simulated is looked up; the report is unchanged. *)
 
 val emit_c : machine:Gpusim.Machine.t -> Codegen.Compile.compiled -> string
 (** Stage 4 on a CPU profile: the C source. *)
@@ -170,17 +158,17 @@ type output = {
   stats : Scheduling.Scheduler.stats;
   compiled : Codegen.Compile.compiled;
   backend : backend_output;
+  deps : Deps.Dependence.t list;  (** the kernel's dependences, as the run analysed them *)
 }
 
 val run :
   ?tile_sizes:(int -> int option) ->
   ?machine:Gpusim.Machine.t ->
-  ?deps:Deps.Dependence.t list ->
   version ->
   Ir.Kernel.t ->
   output
 (** {!tree}, {!schedule}, {!lower} and the machine's backend in one
-    call, sharing one dependence analysis ([deps] when given): {!simulate}
-    when [machine] (default V100) is a GPU profile, {!emit_c} when it is
-    a CPU profile.  The stages run in one {!Polyhedra.Solver_memo.scoped}
-    scope, closed when [run] returns. *)
+    call: {!simulate} when [machine] (default V100) is a GPU profile,
+    {!emit_c} when it is a CPU profile.  The stages run in one
+    {!Polyhedra.Solver_memo.scoped} scope, closed when [run] returns, so
+    they share one dependence analysis, which the output carries. *)

@@ -16,6 +16,15 @@ let check_unique what names =
 
 let make ?(params = []) ~name ~tensors ~stmts () =
   check_unique "tensor names" (List.map (fun (t : Tensor.t) -> t.name) tensors);
+  (* the tensors laid out one after another, each padded to 256 bytes as
+     the simulator places them, must fit an [int] address space *)
+  let place layout t =
+    let padded = Tensor.bytes t + 255 in
+    if padded < 0 || layout > max_int - padded then
+      invalid_arg "Kernel.make: the tensor layout overflows int";
+    layout + padded
+  in
+  ignore (List.fold_left place 0 tensors);
   check_unique "statement names" (List.map (fun (s : Stmt.t) -> s.name) stmts);
   check_unique "iterator names"
     (List.map fst params @ List.concat_map (fun (s : Stmt.t) -> s.iters) stmts);

@@ -21,7 +21,9 @@ val make :
   stmts:Stmt.t list -> unit -> t
 (** Structural checks: unique tensor names, unique statement names, unique
     iterator names across statements, every access naming a declared tensor
-    with matching rank.  @raise Invalid_argument on violation. *)
+    with matching rank, and a tensor layout (the byte sizes summed, each
+    padded by 255 bytes of alignment) that fits an [int].
+    @raise Invalid_argument on violation. *)
 
 val tensor : t -> string -> Tensor.t
 (** @raise Not_found on undeclared tensors. *)

@@ -2,16 +2,21 @@ type dtype = F16 | F32
 
 type t = { name : string; dims : int array; dtype : dtype }
 
+let dtype_bytes = function F16 -> 2 | F32 -> 4
+
 let make ?(dtype = F32) name dims =
   if String.length name = 0 then invalid_arg "Tensor.make: empty name";
   if dims = [] then invalid_arg "Tensor.make: scalar tensors need rank >= 1";
   List.iter (fun d -> if d <= 0 then invalid_arg "Tensor.make: non-positive dim") dims;
+  let grow bytes d =
+    if bytes > max_int / d then invalid_arg ("Tensor.make: " ^ name ^ "'s size overflows int");
+    bytes * d
+  in
+  ignore (List.fold_left grow (dtype_bytes dtype) dims);
   { name; dims = Array.of_list dims; dtype }
 
 let rank t = Array.length t.dims
 let elems t = Array.fold_left ( * ) 1 t.dims
-
-let dtype_bytes = function F16 -> 2 | F32 -> 4
 
 let bytes t = elems t * dtype_bytes t.dtype
 

@@ -8,7 +8,8 @@ type dtype = F16 | F32
 type t = { name : string; dims : int array; dtype : dtype }
 
 val make : ?dtype:dtype -> string -> int list -> t
-(** @raise Invalid_argument on empty name or non-positive dimension. *)
+(** @raise Invalid_argument on empty name, non-positive dimension or a
+    byte size ({!bytes}) that overflows [int]. *)
 
 val rank : t -> int
 

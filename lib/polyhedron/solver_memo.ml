@@ -7,10 +7,14 @@ type scope = { mutable stores : store option array }
 
 let scope_key : scope option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
-let scoped f =
+let fresh () = { stores = [||] }
+
+let within scope f =
   let saved = Domain.DLS.get scope_key in
-  Domain.DLS.set scope_key (Some { stores = [||] });
+  Domain.DLS.set scope_key (Some scope);
   Fun.protect ~finally:(fun () -> Domain.DLS.set scope_key saved) f
+
+let scoped f = within (fresh ()) f
 
 let next_slot = Atomic.make 0
 

@@ -1,13 +1,14 @@
-(** One exact solver memo per operator.
+(** One exact memo per operator: the only way work is shared within one.
 
     Within one operator, Algorithm 1 schedules three times (isl, the
     vectorizer tree, the tiling tree) and lowers five times, and each run
-    asks the polyhedral layer many of the same questions again.  The three
-    leaves every polyhedral query reaches — {!Simplex.minimize} (and so
-    [maximize], [feasible_point], [is_feasible] and every {!Polyhedron}
-    query), {!Fourier_motzkin.simplify} and
-    {!Fourier_motzkin.eliminate_all} — look their exact input up in a
-    table that {!scoped} opens, and solve only on a miss.
+    asks many of the same questions again.  The three leaves every
+    polyhedral query reaches — {!Simplex.minimize} (and so [maximize],
+    [feasible_point], [is_feasible] and every {!Polyhedron} query),
+    {!Fourier_motzkin.simplify} and {!Fourier_motzkin.eliminate_all} —
+    look their exact input up in a table that {!scoped} opens, and solve
+    only on a miss.  With {!Make}, so do the dependence analysis, the
+    scheduler's Farkas expansions and ILPs, and the simulator's walks.
 
     {b Exact.}  A key is the leaf's whole input as given, in order: the
     constraint list and the objective, or the variable list and the
@@ -26,22 +27,34 @@
     dropped with its scope.  Outside any scope every leaf solves, exactly
     as if this module did not exist.  There is no size cap and no switch.
 
-    {b Checkers stay outside.}  Only [Harness.Eval.evaluate_op] and
-    [Harness.Pipeline.run] open a scope.  An independent check — serve's
-    legality check, which runs after [Pipeline.run] returns; the fuzzer's
-    checks; the tests' cold ILP oracles; perfbench's zoo replay, which runs
-    after [evaluate_op] returns — must run outside every scope, so that a
-    memo hit is never the evidence for a result the code presents as
+    {b Checkers stay outside.}  [Harness.Eval.evaluate_op],
+    [Harness.Pipeline.run] and [Fuzz.Check.run] (around each of its
+    versions' compiles) open a scope, and so do other callers around their
+    compile work.  An independent check — serve's legality check, which
+    runs after [Pipeline.run] returns; the fuzzer's checks; the tests'
+    cold ILP oracles; perfbench's zoo replay, which runs after
+    [evaluate_op] returns and schedules through [Eval.timed_schedule], one
+    scope per schedule — must share no scope with what it checks, so that
+    a memo hit is never the evidence for a result the code presents as
     checked.
 
     {b Counters.}  [simplex.solves] counts only LPs actually solved;
     [simplex.memo_hits] and [fm.memo_hits] count the answers taken from the
-    table. *)
+    table; each other table counts its own hits. *)
 
 val scoped : (unit -> 'a) -> 'a
 (** [scoped f] runs [f] with a fresh, empty table for every leaf on the
     calling domain and restores the enclosing scope (or none) when [f]
     returns or raises. *)
+
+type scope
+
+val fresh : unit -> scope
+
+val within : scope -> (unit -> 'a) -> 'a
+(** [within s f] runs [f] inside [s], which keeps its tables from one
+    entry to the next ([scoped f] is [within (fresh ()) f]), and restores
+    the enclosing scope on exit.  A scope belongs to its domain. *)
 
 (** What one leaf memoizes. *)
 module type TABLE = sig

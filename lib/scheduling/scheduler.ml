@@ -18,14 +18,13 @@ type config = {
   max_ilp_nodes : int;
   include_input_proximity : bool;
   feautrier_fallback : bool;
-  ilp_cache_entries : int;
   strategy : strategy;
 }
 
 let default_config =
   { coef_bound = 4; const_bound = 4; max_ilp_nodes = 200_000;
     include_input_proximity = false; feautrier_fallback = false;
-    ilp_cache_entries = 512; strategy = `Fastpath_then_ilp }
+    strategy = `Fastpath_then_ilp }
 
 type stats = {
   mutable ilp_solves : int;
@@ -82,10 +81,6 @@ let c_cache_misses =
   Obs.Counters.create "scheduler.ilp_cache_misses"
     ~doc:"ILP solves that reached the branch-and-bound solver"
 
-let c_cache_evictions =
-  Obs.Counters.create "scheduler.ilp_cache_evictions"
-    ~doc:"memoized ILP entries dropped by the memo cap"
-
 let c_farkas_expansions =
   Obs.Counters.create "scheduler.farkas_expansions"
     ~doc:"Farkas linearizations computed (multipliers eliminated by Fourier-Motzkin)"
@@ -93,10 +88,6 @@ let c_farkas_expansions =
 let c_farkas_hits =
   Obs.Counters.create "scheduler.farkas_memo_hits"
     ~doc:"Farkas linearizations answered from the solver memo"
-
-let c_farkas_evictions =
-  Obs.Counters.create "scheduler.farkas_memo_evictions"
-    ~doc:"memoized Farkas entries dropped by the memo cap"
 
 let c_fastpath_hits =
   Obs.Counters.create "scheduler.fastpath_hits"
@@ -110,64 +101,43 @@ let c_fastpath_validity_rejects =
   Obs.Counters.create "scheduler.fastpath_validity_rejects"
     ~doc:"fast-path candidates rejected by a validity/coincidence/proximity check"
 
-(* --- the solver memo ---------------------------------------------------
+(* --- the solver memo tables: keyed by all a result reads, so a hit returns
+   what recomputing would.  A Farkas linearization reads the relation's
+   constraints, the constant part and each variable's coefficient
+   template; a dimension ILP its constraints, objectives, integer
+   variables and node budget (a [Limit_reached] under a small budget must
+   not answer a larger one). *)
 
-   Two tables keyed by everything their results depend on, so a hit returns
-   exactly what recomputing would: Farkas linearizations (keyed by the
-   relation's constraints, the coefficient template of each of its
-   variables and the constant part) and dimension ILPs (keyed by the
-   constraints, objectives, integer variables and node budget).  Each is
-   capped by [config.ilp_cache_entries] with FIFO eviction, so a
-   backtracking blow-up inside a long-lived process stays bounded. *)
+let hash_exprs h es = List.fold_left (fun h e -> (h * 65599) + Linexpr.hash e) h es
+let equal_exprs a b = a == b || List.equal Linexpr.equal a b
 
-type 'a table = { entries : (string, 'a) Hashtbl.t; order : string Queue.t }
+module Farkas_memo = Solver_memo.Make (struct
+  type key = Constr.t list * Linexpr.t list
+  type value = Constr.t list
 
-type memo = {
-  farkas : Constr.t list table;
-  ilp : (string -> Q.t) option table;
-}
+  let hash (cs, es) = Solver_memo.hash_constrs (hash_exprs 0 es) cs
+  let equal (cs, es) (cs', es') = equal_exprs es es' && Solver_memo.equal_constrs cs cs'
+  let hits = c_farkas_hits
+end)
 
-let table () = { entries = Hashtbl.create 64; order = Queue.create () }
-let memo () = { farkas = table (); ilp = table () }
+module Ilp_memo = Solver_memo.Make (struct
+  type key = Constr.t list * Linexpr.t list * string list * int
+  type value = (string -> Q.t) option
 
-(* [key] is only built when the memo is enabled ([cap > 0]). *)
-let memoized ~cap ~hit ~miss ~evicted t key compute =
-  if cap <= 0 then begin
-    Obs.Counters.incr miss;
-    compute ()
-  end
-  else
-    let key = key () in
-    match Hashtbl.find_opt t.entries key with
-    | Some r ->
-      Obs.Counters.incr hit;
-      r
-    | None ->
-      Obs.Counters.incr miss;
-      let r = compute () in
-      if Hashtbl.length t.entries >= cap then
-        Option.iter
-          (fun oldest ->
-            Hashtbl.remove t.entries oldest;
-            Obs.Counters.incr evicted)
-          (Queue.take_opt t.order);
-      Hashtbl.add t.entries key r;
-      Queue.add key t.order;
-      r
+  let hash (cs, os, vs, n) = Solver_memo.hash_constrs (hash_exprs (Hashtbl.hash (vs, n)) os) cs
 
-let farkas_key ~coef_of ~const p () =
-  let b = Buffer.create 512 in
-  let line s = Buffer.add_string b s; Buffer.add_char b '\n' in
-  List.iter (fun c -> line (Constr.to_string c)) (Polyhedron.constraints p);
-  Buffer.add_char b '|';
-  List.iter (fun v -> line (Linexpr.to_string (coef_of v))) (Polyhedron.vars p);
-  Buffer.add_char b '|';
-  Buffer.add_string b (Linexpr.to_string const);
-  Buffer.contents b
+  let equal (cs, os, vs, n) (cs', os', vs', n') =
+    n = n' && List.equal String.equal vs vs' && equal_exprs os os'
+    && Solver_memo.equal_constrs cs cs'
 
-let nonneg_on ?(config = default_config) memo ~coef_of ~const p =
-  memoized ~cap:config.ilp_cache_entries ~hit:c_farkas_hits ~miss:c_farkas_expansions
-    ~evicted:c_farkas_evictions memo.farkas (farkas_key ~coef_of ~const p) (fun () ->
+  let hits = c_cache_hits
+end)
+
+let nonneg_on ~coef_of ~const p =
+  Farkas_memo.find
+    (Polyhedron.constraints p, const :: List.map coef_of (Polyhedron.vars p))
+    (fun () ->
+      Obs.Counters.incr c_farkas_expansions;
       Obs.Span.with_ "scheduler.farkas" (fun () -> Farkas.nonneg_on ~coef_of ~const p))
 
 (* Depth-first cursor into the influence tree.  [parents] holds, innermost
@@ -271,7 +241,7 @@ let scc_topo_order stmt_names comp ncomp reach =
   Array.iteri (fun slot c -> rank.(c) <- slot) order;
   rank
 
-let schedule ?(config = default_config) ?(influence = Influence.empty) ?deps ?memo:m kernel =
+let schedule ?(config = default_config) ?(influence = Influence.empty) kernel =
   Obs.Span.with_ "scheduler.schedule" @@ fun () ->
   Obs.Counters.incr c_schedules;
   Obs.Trace.emitf "scheduler.start" (fun () ->
@@ -289,9 +259,7 @@ let schedule ?(config = default_config) ?(influence = Influence.empty) ?deps ?me
   let stmt_names = List.map (fun (s : Ir.Stmt.t) -> s.Ir.Stmt.name) stmts in
   let params = Ir.Kernel.param_names kernel in
   let deps_all =
-    match deps with
-    | Some deps when not config.include_input_proximity -> deps
-    | _ -> Deps.Analysis.dependences ~include_input:config.include_input_proximity kernel
+    Deps.Analysis.dependences ~include_input:config.include_input_proximity kernel
   in
   let vdeps = Deps.Analysis.validity deps_all in
   let ideps =
@@ -311,14 +279,6 @@ let schedule ?(config = default_config) ?(influence = Influence.empty) ?deps ?me
        | n :: rest -> Some { node = n; right = rest; parents = []; ordinal = 0 })
   in
   let snapshots : (int, snapshot) Hashtbl.t = Hashtbl.create 8 in
-  (* Influence backtracking (sibling moves, ancestor restores) often
-     reassembles the exact ILP already solved on a previous visit, and the
-     schedules of one operator share most Farkas expansions and some
-     ILPs; the memo turns those into table lookups.  It is never global:
-     a process-wide one would make the solver counters depend on what ran
-     before, breaking run-to-run counter determinism. *)
-  let memo = match m with Some m -> m | None -> memo () in
-  let nonneg_on = nonneg_on ~config memo in
 
   let loop_ordinal () = stats.loop_dims in
 
@@ -472,23 +432,11 @@ let schedule ?(config = default_config) ?(influence = Influence.empty) ?deps ?me
     in
     let integer_vars = slack_vars @ Builders.ilp_vars ~dim ~stmts ~params in
     let bb_nodes_before = Obs.Counters.find "ilp.bb_nodes" in
-    let cache_key () =
-      let b = Buffer.create 1024 in
-      List.iter (fun c -> Buffer.add_string b (Constr.to_string c); Buffer.add_char b '\n')
-        constraints;
-      Buffer.add_char b '|';
-      List.iter (fun o -> Buffer.add_string b (Linexpr.to_string o); Buffer.add_char b '\n')
-        objectives;
-      Buffer.add_char b '|';
-      List.iter (fun v -> Buffer.add_string b v; Buffer.add_char b ',') integer_vars;
-      (* a [Limit_reached] under a small budget must not answer a larger one *)
-      Buffer.add_string b (Printf.sprintf "|%d" config.max_ilp_nodes);
-      Buffer.contents b
-    in
     let result, solve_s =
       Obs.Span.timed (fun () ->
-          memoized ~cap:config.ilp_cache_entries ~hit:c_cache_hits ~miss:c_cache_misses
-            ~evicted:c_cache_evictions memo.ilp cache_key (fun () ->
+          Ilp_memo.find (constraints, objectives, integer_vars, config.max_ilp_nodes)
+            (fun () ->
+              Obs.Counters.incr c_cache_misses;
               Obs.Span.with_ "scheduler.ilp" @@ fun () ->
               match
                 Ilp.lexmin ~max_nodes:config.max_ilp_nodes ~constraints ~integer_vars

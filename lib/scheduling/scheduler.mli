@@ -50,13 +50,6 @@ type config = {
           number of strongly satisfied dependences, via 0/1 slacks) instead
           of plain distance minimization — the isl mechanism the paper
           mentions but did not need (Section IV-B); off by default *)
-  ilp_cache_entries : int;
-      (** cap on each table of the solver {!type:memo} — Farkas
-          expansions and dimension ILPs (512 by default; [0] disables
-          both).  Oldest entries are evicted first, counted by
-          [scheduler.farkas_memo_evictions] and
-          [scheduler.ilp_cache_evictions], so a backtracking blow-up
-          inside a long-lived serve or fuzz process stays bounded. *)
   strategy : strategy;
       (** [`Fastpath_then_ilp] by default; see {!type:strategy}. *)
 }
@@ -83,48 +76,26 @@ type stats = {
 
 exception Failure_no_schedule of string
 
-type memo
-(** The scheduler's solver memo: every Farkas linearization
-    ({!Farkas.nonneg_on}) and every dimension ILP it has computed, keyed
-    by everything the result depends on — the relation's constraints,
-    its coefficient template and constant part for Farkas; the
-    constraints, objectives, integer variables and
-    [config.max_ilp_nodes] for an ILP.  A hit therefore returns exactly
-    what recomputing would, and a schedule computed with a memo is
-    bit-identical to one computed without, whatever the memo already
-    holds.  Influence only adds constraints to the scheduler's linear
-    problem, so the isl, vectorizer and tiling schedules of one kernel
-    share most Farkas expansions and some ILPs: callers that schedule one
-    kernel several times share one memo across those runs.  Hits and
-    misses are counted by [scheduler.farkas_memo_hits] /
-    [scheduler.farkas_expansions] and [scheduler.ilp_cache_hits] /
-    [scheduler.ilp_cache_misses]; misses run under the
-    [scheduler.farkas] and [scheduler.ilp] spans.
-
-    {b Not domain-safe.}  A memo is a pair of mutable tables: create it
-    inside the task that uses it and never share it across domains. *)
-
-val memo : unit -> memo
-(** An empty memo. *)
-
-val nonneg_on : ?config:config -> memo -> Builders.nonneg_on
-(** {!Farkas.nonneg_on} through [memo] (capped by
-    [config.ilp_cache_entries]) — the linearization every schedule
-    applies to its validity, coincidence and proximity conditions. *)
+val nonneg_on : Builders.nonneg_on
+(** {!Farkas.nonneg_on} through a {!Polyhedra.Solver_memo} table keyed by
+    the relation's constraints, coefficient template and constant part.
+    Dimension ILPs have a table too, keyed by constraints, objectives,
+    integer variables and [config.max_ilp_nodes].  Influence only adds
+    constraints, so one kernel's schedules share most expansions and
+    some ILPs, and backtracking re-poses solved ILPs: in a scope those
+    are lookups, with bit-identical schedules.  Counted by
+    [scheduler.farkas_memo_hits] / [scheduler.farkas_expansions] and
+    [scheduler.ilp_cache_hits] / [scheduler.ilp_cache_misses]. *)
 
 val schedule :
   ?config:config ->
   ?influence:Influence.t ->
-  ?deps:Deps.Dependence.t list ->
-  ?memo:memo ->
   Ir.Kernel.t ->
   Schedule.t * stats
 (** Computes a complete schedule: every validity dependence strongly
     satisfied and every statement full-rank.  With [influence] absent or
     abandoned this is the isl-like baseline the paper evaluates as
-    {b isl}.  [deps] are the kernel's dependences
-    ({!Deps.Analysis.dependences}, without input dependences), analysed
-    here when absent; under [config.include_input_proximity] the
-    scheduler always runs its own analysis with input dependences.
-    [memo] is filled and consulted; without it the call uses a fresh
-    one, so repeated solves inside this schedule are still shared. *)
+    {b isl}.  The kernel's dependences come from
+    {!Deps.Analysis.dependences}, with input dependences under
+    [config.include_input_proximity]; inside a scope they are the
+    scope's analysis of the kernel. *)

@@ -190,7 +190,7 @@ let c_rejects =
   Obs.Counters.create "tiling.bands_rejected"
     ~doc:"kernels with no tilable band (backward dependences or too shallow)"
 
-let influence_for ?(model = default_model) ?max_tile_size ?deps (kernel : Kernel.t) =
+let influence_for ?(model = default_model) ?max_tile_size (kernel : Kernel.t) =
   Obs.Span.with_ "tiling.treegen" @@ fun () ->
   let model =
     match max_tile_size with
@@ -198,10 +198,7 @@ let influence_for ?(model = default_model) ?max_tile_size ?deps (kernel : Kernel
     | None -> model
   in
   Obs.Counters.incr c_trees;
-  let deps =
-    match deps with Some deps -> deps | None -> Deps.Analysis.dependences kernel
-  in
-  let k = band_depth kernel deps in
+  let k = band_depth kernel (Deps.Analysis.dependences kernel) in
   let sizes = if k >= 2 then choose_sizes model kernel k else [] in
   let tree =
     if sizes = [] then Influence.empty

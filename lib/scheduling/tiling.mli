@@ -57,13 +57,11 @@ val sizes_of_schedule : Schedule.t -> (int -> int option) option
     carries no (non-empty) tiling annotation. *)
 
 val influence_for :
-  ?model:model -> ?max_tile_size:int -> ?deps:Deps.Dependence.t list -> Ir.Kernel.t ->
-  Influence.t
+  ?model:model -> ?max_tile_size:int -> Ir.Kernel.t -> Influence.t
 (** Builds the tiling influence tree: one branch pinning identity rows
     for the full band (with the tile shape as leaf payload), plus a
     2-dimensional fallback branch for deeper bands.  Returns
     {!Influence.empty} when the kernel has no tilable band of depth >= 2
     or every dimension is too small to tile — scheduling with an empty
     tree is exactly the baseline.  [max_tile_size] overrides the model's
-    per-dimension cap (the fuzzer's [--max-tile-size] toggle).  [deps]
-    are the kernel's dependences, analysed here when absent. *)
+    per-dimension cap (the fuzzer's [--max-tile-size] toggle). *)

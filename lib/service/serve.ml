@@ -59,13 +59,13 @@ module P = Harness.Pipeline
 (* [name] and [machine] are the request's, as its reply reports them;
    the pipeline runs [version] on [target] ({!P.resolve}). *)
 let compile_report ~name ~machine ~version ~target ~op kernel =
-  let deps = Deps.Analysis.dependences kernel in
-  let p = P.run ~machine:target ~deps version kernel in
+  let p = P.run ~machine:target version kernel in
   let stats = p.P.stats in
   (* [P.run] has returned, so its solver-memo scope is closed: the
-     legality check solves afresh and checks the schedule independently. *)
+     legality check solves afresh against the run's dependences and checks
+     the schedule independently. *)
   let legal =
-    match Scheduling.Legality.check p.P.sched kernel deps with
+    match Scheduling.Legality.check p.P.sched kernel p.P.deps with
     | Ok () -> true
     | Error _ -> false
   in

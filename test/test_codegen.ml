@@ -5,7 +5,8 @@
 open Ir
 open Codegen
 
-let schedule ?influence k = fst (Scheduling.Scheduler.schedule ?influence k)
+let schedule ?influence k =
+  fst (Polyhedra.Solver_memo.scoped (fun () -> Scheduling.Scheduler.schedule ?influence k))
 
 let influenced k = schedule ~influence:(Vectorizer.Treegen.influence_for k) k
 

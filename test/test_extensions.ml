@@ -10,6 +10,9 @@ open Codegen
 let cv ~stmt ~dim it =
   Linexpr.var (Scheduling.Space.coef_var ~stmt ~dim (Scheduling.Space.Iter it))
 
+let schedule ?config ?influence k =
+  Solver_memo.scoped (fun () -> Scheduling.Scheduler.schedule ?config ?influence k)
+
 let semantics_match k ast =
   let m1 = Interp.randomize k in
   let m2 = Interp.copy m1 in
@@ -29,7 +32,7 @@ let rec count_loops = function
 
 let test_tiling_structure () =
   let k = Ops.Classics.cast_transpose ~n:8 ~m:8 () in
-  let sched, _ = Scheduling.Scheduler.schedule k in
+  let sched, _ = schedule k in
   let plain = Gen.generate sched k in
   let deps = Deps.Analysis.dependences k in
   let tiled = Tiling.tile_all ~size:4 sched k deps (Marks.refine sched k deps plain) in
@@ -41,7 +44,7 @@ let test_tiling_all_classics_semantics () =
   List.iter
     (fun (name, mk) ->
       let k = mk () in
-      let sched, _ = Scheduling.Scheduler.schedule k in
+      let sched, _ = schedule k in
       let c = Compile.lower ~vectorize:false ~tile_sizes:(fun _ -> Some 4) sched k in
       Alcotest.(check bool) (name ^ " tiled semantics") true (semantics_match k c.ast))
     Ops.Classics.all_small
@@ -97,21 +100,21 @@ let test_tiling_respects_permutability () =
   Alcotest.(check bool) "band tiling refused" false (has_tile_dim0 tiled);
   Alcotest.(check bool) "untouched semantics" true (semantics_match k tiled);
   (* the scheduler's own (skewed) schedule is permutable and legal *)
-  let auto, _ = Scheduling.Scheduler.schedule k in
+  let auto, _ = schedule k in
   Alcotest.(check bool) "auto schedule legal" true
     (Scheduling.Legality.is_legal auto k deps);
   Alcotest.(check bool) "skewed band permutable" true
     (Tiling.band_permutable auto k deps ~dims:[ 0; 1 ] ~stmts:[ "S" ]);
   (* and a permutable kernel reports permutable *)
   let k2 = Ops.Classics.cast_transpose ~n:8 ~m:8 () in
-  let sched2, _ = Scheduling.Scheduler.schedule k2 in
+  let sched2, _ = schedule k2 in
   Alcotest.(check bool) "transpose band permutable" true
     (Tiling.band_permutable sched2 k2 (Deps.Analysis.dependences k2)
        ~dims:[ 0; 1 ] ~stmts:[ "T" ])
 
 let test_tiling_point_loops_mappable () =
   let k = Ops.Classics.broadcast_bias_relu ~n:64 ~c:64 () in
-  let sched, _ = Scheduling.Scheduler.schedule k in
+  let sched, _ = schedule k in
   let c = Compile.lower ~vectorize:false ~tile_sizes:(fun _ -> Some 16) sched k in
   (* point loops carry trip hints, so threads still exist *)
   Alcotest.(check bool) "threads mapped" true (Mapping.block_threads c.mapping > 1);
@@ -131,7 +134,7 @@ let test_objective_injection () =
       ~objectives:[ (1, cv ~stmt:"T" ~dim:0 "i") ]
       []
   in
-  let sched, stats = Scheduling.Scheduler.schedule ~influence:[ node ] k in
+  let sched, stats = schedule ~influence:[ node ] k in
   let e dim = Linexpr.to_string (Scheduling.Schedule.expr_for sched ~dim ~stmt:"T") in
   Alcotest.(check string) "dim0 j" "j" (e 0);
   Alcotest.(check string) "dim1 i" "i" (e 1);
@@ -142,7 +145,7 @@ let test_objective_injection () =
       ~objectives:[ (0, Linexpr.scale (Polybase.Q.of_int 1000) (cv ~stmt:"T" ~dim:0 "i")) ]
       []
   in
-  let sched2, stats2 = Scheduling.Scheduler.schedule ~influence:[ absurd ] k in
+  let sched2, stats2 = schedule ~influence:[ absurd ] k in
   Alcotest.(check bool) "still schedules" true (Scheduling.Schedule.dims sched2 = 2);
   Alcotest.(check bool) "not abandoned" false stats2.influence_abandoned
 
@@ -155,13 +158,13 @@ let test_feautrier_fallback () =
   List.iter
     (fun (name, mk) ->
       let k = mk () in
-      let sched, _ = Scheduling.Scheduler.schedule ~config:cfg k in
+      let sched, _ = schedule ~config:cfg k in
       Alcotest.(check bool) (name ^ " feautrier legal") true
         (Scheduling.Legality.is_legal sched k (Deps.Analysis.dependences k)))
     Ops.Classics.all_small;
   (* the reduction still sequentializes j with the slack mechanism active *)
   let k = Ops.Classics.reduce_2d ~n:4 ~m:8 () in
-  let sched, _ = Scheduling.Scheduler.schedule ~config:cfg k in
+  let sched, _ = schedule ~config:cfg k in
   Alcotest.(check string) "dim1 j"
     "j" (Linexpr.to_string (Scheduling.Schedule.expr_for sched ~dim:1 ~stmt:"R"))
 
@@ -171,7 +174,7 @@ let test_feautrier_fallback () =
 
 let test_parametric_schedule () =
   let k = Ops.Classics.fig2_parametric ~n:8 () in
-  let sched, _ = Scheduling.Scheduler.schedule k in
+  let sched, _ = schedule k in
   (* same structure as the concrete running example *)
   let e dim stmt = Linexpr.to_string (Scheduling.Schedule.expr_for sched ~dim ~stmt) in
   Alcotest.(check string) "dim0 X" "iX" (e 0 "X");
@@ -182,7 +185,7 @@ let test_parametric_schedule () =
 
 let test_parametric_instantiate () =
   let k = Ops.Classics.fig2_parametric ~n:8 () in
-  let sched, _ = Scheduling.Scheduler.schedule k in
+  let sched, _ = schedule k in
   let ck = Kernel.instantiate k in
   Alcotest.(check (list string)) "no params left" [] (Kernel.param_names ck);
   let cs = Scheduling.Schedule.instantiate k.Kernel.params sched in
@@ -190,7 +193,7 @@ let test_parametric_instantiate () =
   Alcotest.(check bool) "instantiated semantics" true (semantics_match ck c.ast);
   (* and it matches the concrete fig2 pipeline result *)
   let concrete = Ops.Classics.fig2 ~n:8 () in
-  let csched, _ = Scheduling.Scheduler.schedule concrete in
+  let csched, _ = schedule concrete in
   Alcotest.(check int) "same dims as concrete" (Scheduling.Schedule.dims csched)
     (Scheduling.Schedule.dims sched)
 
@@ -216,7 +219,7 @@ let test_parametric_proximity_bound () =
       ~tensors:[ Build.tensor "x" [ 8; 8 ]; Build.tensor "out" [ 8 ] ]
       ~stmts:[ s ] ()
   in
-  let sched, _ = Scheduling.Scheduler.schedule k in
+  let sched, _ = schedule k in
   Alcotest.(check bool) "legal" true
     (Scheduling.Legality.is_legal sched k (Deps.Analysis.dependences k));
   let e dim = Linexpr.to_string (Scheduling.Schedule.expr_for sched ~dim ~stmt:"R") in
@@ -232,7 +235,7 @@ let test_softmax_schedule () =
      the phases with one scalar dimension and keep the j loops sequential
      (the reductions and the all-of-row flow dependences forbid more) *)
   let k = Ops.Classics.softmax ~n:4 ~m:8 () in
-  let sched, _ = Scheduling.Scheduler.schedule k in
+  let sched, _ = schedule k in
   Alcotest.(check bool) "legal" true
     (Scheduling.Legality.is_legal sched k (Deps.Analysis.dependences k));
   Alcotest.(check int) "three dims" 3 (Scheduling.Schedule.dims sched);
@@ -245,7 +248,7 @@ let test_softmax_schedule () =
   (* the vectorization scenarios are infeasible here: influence must fall
      back to the baseline (the safety property of Section IV-A4) *)
   let tree = Vectorizer.Treegen.influence_for k in
-  let infl, stats = Scheduling.Scheduler.schedule ~influence:tree k in
+  let infl, stats = schedule ~influence:tree k in
   Alcotest.(check bool) "abandoned" true stats.Scheduling.Scheduler.influence_abandoned;
   Alcotest.(check string) "identical to baseline"
     (Scheduling.Schedule.to_string sched)
@@ -262,7 +265,7 @@ let test_downsample_strided_loads () =
     (Vectorizer.Costmodel.vector_width k s ~iter:"j" s.Stmt.write);
   (* full pipeline still bit-exact *)
   let tree = Vectorizer.Treegen.influence_for k in
-  let sched, _ = Scheduling.Scheduler.schedule ~influence:tree k in
+  let sched, _ = schedule ~influence:tree k in
   let c = Compile.lower ~vectorize:true sched k in
   Alcotest.(check bool) "semantics" true (semantics_match k c.ast)
 
@@ -280,7 +283,7 @@ let test_shift_add_unaligned () =
   Alcotest.(check int) "but unaligned: no vector type" 1
     (Vectorizer.Costmodel.vector_width k s ~iter:"j" shifted);
   let tree = Vectorizer.Treegen.influence_for k in
-  let sched, _ = Scheduling.Scheduler.schedule ~influence:tree k in
+  let sched, _ = schedule ~influence:tree k in
   let c = Compile.lower ~vectorize:true sched k in
   Alcotest.(check bool) "semantics" true (semantics_match k c.ast)
 
@@ -331,9 +334,9 @@ let test_geomean () =
 let test_machines_agree_on_ranking () =
   (* the permute ranking must hold on both machine generations *)
   let k = Ops.Classics.permute_outer_bad () in
-  let isl_sched, _ = Scheduling.Scheduler.schedule k in
+  let isl_sched, _ = schedule k in
   let tree = Vectorizer.Treegen.influence_for k in
-  let infl_sched, _ = Scheduling.Scheduler.schedule ~influence:tree k in
+  let infl_sched, _ = schedule ~influence:tree k in
   List.iter
     (fun machine ->
       let t sched vec =

@@ -23,8 +23,11 @@ type outcome =
   | Sched of Scheduling.Schedule.t * Scheduling.Scheduler.stats
   | Failed of string
 
+(* one scope per run: the strategies stay independent, the checks outside *)
 let schedule_with ~strategy ?influence k =
-  match Harness.Pipeline.schedule ?influence ~strategy k with
+  match
+    Polyhedra.Solver_memo.scoped (fun () -> Harness.Pipeline.schedule ?influence ~strategy k)
+  with
   | sched, stats, _ -> Sched (sched, stats)
   | exception Scheduling.Scheduler.Failure_no_schedule msg -> Failed msg
 

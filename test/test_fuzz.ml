@@ -199,6 +199,35 @@ let test_broken_tiler_caught () =
         (List.length fr.shrunk.Case.stmts <= 3))
     report.failures
 
+let test_refused_tile_chain_caught () =
+  (* A[i+1][j] = A[i][j+1] carries distance (1, -1): the rows (i, j) are
+     legal but no permutable band, so the tiling pass refuses the tile
+     shape annotated onto them in place of the tiled version's schedule *)
+  let open Ir in
+  let a i j = Build.access_e "A" [ i; j ] in
+  let k =
+    Build.kernel "skewed" ~tensors:[ Build.tensor "A" [ 16; 16 ] ]
+      ~stmts:
+        [ Build.stmt "S" ~iters:[ ("i", 15); ("j", 15) ]
+            ~write:(a (Build.idx_plus "i" 1) (Build.idx "j"))
+            ~rhs:(Expr.load (a (Build.idx "i") (Build.idx_plus "j" 1))) ]
+  in
+  let row i =
+    { Scheduling.Schedule.kind = Loop { coincident = false };
+      exprs = [ ("S", Polyhedra.Linexpr.var i) ] }
+  in
+  let perturb v (s : Scheduling.Schedule.t) =
+    if v <> Harness.Pipeline.Tiled then s
+    else
+      { s with rows = [ row "i"; row "j" ];
+               annotations = [ (Scheduling.Tiling.annotation_key, "0:4,1:4") ] }
+  in
+  Alcotest.(check bool) "unperturbed, the case passes" true (Check.run k = Ok ());
+  match Check.run ~perturb k with
+  | Error { Check.version = Harness.Pipeline.Tiled; stage = Check.Structure; _ } -> ()
+  | Error f -> Alcotest.failf "wrong failure: %a" Check.pp_failure f
+  | Ok () -> Alcotest.fail "a refused tile chain passed"
+
 let test_max_tile_size_sweep () =
   (* the --max-tile-size toggle must not break the clean sweep: capping
      the proposed tile shapes only changes which schedules get tiled *)
@@ -258,6 +287,7 @@ let () =
           Alcotest.test_case "replay of a cpu failure" `Quick test_replay_cpu_compiler;
           Alcotest.test_case "broken scheduler caught" `Slow test_broken_scheduler_caught;
           Alcotest.test_case "broken tiler caught" `Slow test_broken_tiler_caught;
+          Alcotest.test_case "refused tile chain caught" `Quick test_refused_tile_chain_caught;
           Alcotest.test_case "max tile size sweep" `Slow test_max_tile_size_sweep;
           Alcotest.test_case "vecexec under a tile loop" `Quick test_vecexec_under_tile_loop
         ] );

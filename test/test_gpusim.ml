@@ -3,14 +3,14 @@
 
 open Codegen
 
+(* each kernel compiled in one solver-memo scope *)
 let compile ?(vectorize = false) ?influence k =
+  Polyhedra.Solver_memo.scoped @@ fun () ->
   let sched, _ = Scheduling.Scheduler.schedule ?influence k in
   Compile.lower ~vectorize sched k
 
 let compile_infl ?(vectorize = true) k =
-  let infl = Vectorizer.Treegen.influence_for k in
-  let sched, _ = Scheduling.Scheduler.schedule ~influence:infl k in
-  Compile.lower ~vectorize sched k
+  compile ~vectorize ~influence:(Vectorizer.Treegen.influence_for k) k
 
 let collect c = Gpusim.Memsim.collect Gpusim.Machine.v100 c
 
@@ -184,10 +184,11 @@ let lane_path_kernels () =
     (lane_guard_cases @ sublattice_cases)
   @ [ ("triangular_rowsum", triangular_rowsum ()) ]
 
-(* Every lowering of [kernels] with its label. *)
+(* Every lowering of [kernels] with its label, one scope per kernel. *)
 let lowerings kernels =
   List.concat_map
     (fun (name, k) ->
+      Polyhedra.Solver_memo.scoped @@ fun () ->
       let isl = sched P.Isl k and infl = sched P.Infl k and tiled = sched P.Tiled k in
       let lowering version s =
         (Printf.sprintf "%s %s" name (P.name version), P.lower version s k)
@@ -204,8 +205,8 @@ let lowerings kernels =
 let golden_lowerings = lazy (lowerings (golden_kernels ()))
 let lane_path_lowerings = lazy (lowerings (lane_path_kernels ()))
 
-let memsim_dump ?memo lowerings =
-  List.map (fun (label, c) -> dump_line label (P.simulate ?memo c)) lowerings
+let memsim_dump lowerings =
+  List.map (fun (label, c) -> dump_line label (P.simulate c)) lowerings
 
 let read_lines file =
   let ic = open_in_bin file in
@@ -252,15 +253,14 @@ let test_golden_memsim () =
     Printf.printf "wrote %s\n%!" file
   | None -> check_golden lines
 
-(* One simulator memo shared across every golden lowering, of every
-   operator: the hits must reproduce the golden line for line. *)
+(* One solver-memo scope around the simulation of every golden lowering,
+   of every operator: the hits must reproduce the golden line for line. *)
 let test_memo_golden () =
   if Sys.getenv_opt "AKG_UPDATE_GOLDEN" = None then begin
+    let golden = Lazy.force golden_lowerings and lane_path = Lazy.force lane_path_lowerings in
     let hits0 = Obs.Counters.find "gpusim.memo_hits" in
-    let memo = Gpusim.Sim.memo () in
     check_golden
-      (memsim_dump ~memo (Lazy.force golden_lowerings)
-      @ memsim_dump ~memo (Lazy.force lane_path_lowerings));
+      (Polyhedra.Solver_memo.scoped (fun () -> memsim_dump golden @ memsim_dump lane_path));
     let hits = Obs.Counters.find "gpusim.memo_hits" - hits0 in
     Alcotest.(check bool) (Printf.sprintf "memo hits (%d)" hits) true (hits > 0)
   end
@@ -485,7 +485,7 @@ let test_exhaustive_flops () =
             acc + (points * Ir.Expr.op_count s.Ir.Stmt.rhs))
           0 k.Ir.Kernel.stmts
       in
-      let isl = sched P.Isl k and infl = sched P.Infl k in
+      let isl, infl = Polyhedra.Solver_memo.scoped (fun () -> (sched P.Isl k, sched P.Infl k)) in
       List.iter
         (fun (version, s) ->
           let c = P.lower ~vec_min_parallel:0 version s k in

@@ -279,6 +279,9 @@ let scheduler_counters () =
   ]
   |> List.map (fun n -> (n, Obs.Counters.find n))
 
+let schedule ?config ?influence k =
+  Polyhedra.Solver_memo.scoped (fun () -> Scheduling.Scheduler.schedule ?config ?influence k)
+
 let test_scheduler_counters_move () =
   reset ();
   let k = Ops.Classics.cast_transpose ~n:8 ~m:8 () in
@@ -287,7 +290,7 @@ let test_scheduler_counters_move () =
   let config =
     { Scheduling.Scheduler.default_config with strategy = `Ilp_only }
   in
-  let _ = Scheduling.Scheduler.schedule ~config k in
+  let _ = schedule ~config k in
   Alcotest.(check bool) "ilp solves counted" true (Obs.Counters.find "ilp.solves" > 0);
   Alcotest.(check bool) "simplex pivots counted" true
     (Obs.Counters.find "simplex.pivots" > 0);
@@ -295,7 +298,7 @@ let test_scheduler_counters_move () =
     (Obs.Counters.find "scheduler.ilp_solves" > 0);
   Alcotest.(check bool) "no fastpath under ilp-only" true
     (Obs.Counters.find "scheduler.fastpath_hits" = 0);
-  let _ = Scheduling.Scheduler.schedule k in
+  let _ = schedule k in
   Alcotest.(check bool) "fastpath hits counted under the default" true
     (Obs.Counters.find "scheduler.fastpath_hits" > 0)
 
@@ -304,7 +307,7 @@ let test_scheduler_counters_deterministic () =
     reset ();
     let k = Ops.Classics.cast_transpose ~n:8 ~m:8 () in
     let tree = Vectorizer.Treegen.influence_for k in
-    let _ = Scheduling.Scheduler.schedule ~influence:tree k in
+    let _ = schedule ~influence:tree k in
     scheduler_counters ()
   in
   let first = run () in

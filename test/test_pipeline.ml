@@ -110,154 +110,141 @@ let test_small_classics () =
         (string_field (serve h ~op P.cpu_name) "source"))
     ops
 
-(* Shared analysis: every stage given one [~deps] list must produce what it
-   produces when it analyses the kernel on its own.  Isl, infl and tiled
-   cover the three scheduling clients, the vector pass and the tiling
-   pass; [vec_min_parallel] 0 lets the vector pass fire on tiny kernels. *)
+(* One version through the stages: its schedule, AST and CUDA text and
+   its scheduler statistics, without the solver work a memo hit skips
+   (nodes, seconds); and the lowering.  The shared tests below compare
+   these outside any scope and inside one. *)
+let compile ?vec_min_parallel kernel v =
+  let influence = P.tree v kernel in
+  let sched, stats, obs = P.schedule ?influence kernel in
+  let c = P.lower ?vec_min_parallel v sched kernel in
+  ( ( Scheduling.Schedule.to_string sched,
+      Codegen.Ast.to_string c.Codegen.Compile.ast,
+      Codegen.Cuda.emit c,
+      stats,
+      { obs with P.bb_nodes = 0; sched_s = 0.0 } ),
+    c )
+
+let compiled what expected actual =
+  let sched, ast, cuda, stats, obs = expected and sched', ast', cuda', stats', obs' = actual in
+  Alcotest.(check string) (what ^ ": schedule") sched sched';
+  Alcotest.(check string) (what ^ ": AST") ast ast';
+  Alcotest.(check string) (what ^ ": CUDA") cuda cuda';
+  if stats <> stats' || obs <> obs' then Alcotest.failf "%s: scheduler stats differ" what
+
 let analyses () = Obs.Counters.find "deps.analyses"
 
-let compile_versions ?deps ?vec_min_parallel kernel =
-  List.concat_map
-    (fun v ->
-      let influence = P.tree ?deps v kernel in
-      let sched, _, _ = P.schedule ?influence ?deps kernel in
-      let c = P.lower ?vec_min_parallel ?deps v sched kernel in
-      [ Scheduling.Schedule.to_string sched; Codegen.Cuda.emit c ])
-    [ P.Isl; P.Infl; P.Tiled ]
-
-let check_shared ?vec_min_parallel name kernel =
-  let separate = compile_versions ?vec_min_parallel kernel in
-  let deps = Deps.Analysis.dependences kernel in
-  let before = analyses () in
-  let shared = compile_versions ?vec_min_parallel ~deps kernel in
-  Alcotest.(check int) (name ^ ": no analysis when shared") before (analyses ());
-  Alcotest.(check (list string)) (name ^ ": shared = separate") separate shared
-
-let test_shared_analysis () =
-  List.iter (fun (name, mk) -> check_shared name (mk ())) Ops.Classics.all;
-  for index = 0 to 39 do
-    match Fuzz.Case.to_kernel (Fuzz.Generate.generate ~seed:42 ~index ()) with
-    | Error m -> Alcotest.failf "fuzz case %d: %s" index m
-    | Ok k -> check_shared ~vec_min_parallel:0 (Printf.sprintf "fuzz 42/%d" index) k
-  done
-
-(* With input proximity the scheduler needs read-read dependences the
-   shared list lacks, so it must run its own analysis.  broadcast_bias_relu
-   is a kernel whose schedule input proximity changes. *)
-let test_shared_analysis_input_proximity () =
-  let k = Ops.Classics.broadcast_bias_relu () in
-  let rows ?deps include_input_proximity =
-    let config = { Scheduling.Scheduler.default_config with include_input_proximity } in
-    Scheduling.Schedule.to_string (fst (Scheduling.Scheduler.schedule ~config ?deps k))
-  in
-  let own = rows true in
-  Alcotest.(check bool) "input proximity changes the schedule" true (own <> rows false);
-  Alcotest.(check string) "passed deps are not used as-is" own
-    (rows ~deps:(Deps.Analysis.dependences k) true)
-
-(* Shared solver memo: the isl, infl and tiled schedules of one kernel
-   computed with one memo, in either order, equal those computed with a
-   fresh memo each — rows, kinds, annotations, CUDA, and every scheduler
-   statistic except the solver work a hit skips (nodes, seconds). *)
+(* Shared solver memo: the isl, infl and tiled versions of one kernel
+   compiled in one scope, in either order, equal those compiled outside
+   any scope, where each stage analyses the kernel on its own; the scope
+   analyses it once.  Isl, infl and tiled cover the three scheduling
+   clients, the vector pass and the tiling pass; [vec_min_parallel] 0
+   lets the vector pass fire on tiny kernels. *)
 let memo_versions = [ P.Isl; P.Infl; P.Tiled ]
 
-let compile_memo ?memo ?vec_min_parallel ~deps kernel v =
-  let influence = P.tree ~deps v kernel in
-  let sched, stats, obs = P.schedule ?influence ~deps ?memo kernel in
-  let c = P.lower ?vec_min_parallel ~deps v sched kernel in
-  ( Scheduling.Schedule.to_string sched,
-    Codegen.Cuda.emit c,
-    stats,
-    { obs with P.bb_nodes = 0; sched_s = 0.0 } )
-
 let check_memo ?vec_min_parallel name kernel =
-  let deps = Deps.Analysis.dependences kernel in
-  let fresh = List.map (compile_memo ?vec_min_parallel ~deps kernel) memo_versions in
+  let fresh = List.map (fun v -> fst (compile ?vec_min_parallel kernel v)) memo_versions in
   List.iter
     (fun (label, order) ->
-      let memo = Scheduling.Scheduler.memo () in
+      let before = analyses () in
       let shared =
-        List.map (fun v -> (v, compile_memo ~memo ?vec_min_parallel ~deps kernel v)) order
+        Polyhedra.Solver_memo.scoped (fun () ->
+            List.map (fun v -> (v, fst (compile ?vec_min_parallel kernel v))) order)
       in
+      let what = Printf.sprintf "%s (%s)" name label in
+      Alcotest.(check int) (what ^ ": one analysis") (before + 1) (analyses ());
       List.iter2
-        (fun v (sched, cuda, stats, obs) ->
-          let what = Printf.sprintf "%s %s (%s)" name (P.name v) label in
-          let sched', cuda', stats', obs' = List.assoc v shared in
-          Alcotest.(check string) (what ^ ": schedule") sched sched';
-          Alcotest.(check string) (what ^ ": CUDA") cuda cuda';
-          if stats <> stats' || obs <> obs' then Alcotest.failf "%s: scheduler stats differ" what)
+        (fun v expected -> compiled (what ^ " " ^ P.name v) expected (List.assoc v shared))
         memo_versions fresh)
     [ ("shared", memo_versions); ("shared, reversed", List.rev memo_versions) ]
 
+let fuzz_kernels () =
+  List.init 40 (fun index ->
+      match Fuzz.Case.to_kernel (Fuzz.Generate.generate ~seed:42 ~index ()) with
+      | Error m -> Alcotest.failf "fuzz case %d: %s" index m
+      | Ok k -> (Printf.sprintf "fuzz 42/%d" index, k))
+
+let test_shared_analysis () =
+  List.iter (fun (name, mk) -> check_memo name (mk ())) Ops.Classics.all;
+  List.iter (fun (name, k) -> check_memo ~vec_min_parallel:0 name k) (fuzz_kernels ())
+
+(* With input proximity the scheduler needs read-read dependences the
+   plain analysis lacks: inside a scope that already holds the plain
+   analysis, it must still get its own.  broadcast_bias_relu is a kernel
+   whose schedule input proximity changes. *)
+let test_shared_analysis_input_proximity () =
+  let k = Ops.Classics.broadcast_bias_relu () in
+  let rows include_input_proximity =
+    let config = { Scheduling.Scheduler.default_config with include_input_proximity } in
+    Scheduling.Schedule.to_string (fst (Scheduling.Scheduler.schedule ~config k))
+  in
+  let own = rows true in
+  Alcotest.(check bool) "input proximity changes the schedule" true (own <> rows false);
+  Polyhedra.Solver_memo.scoped @@ fun () ->
+  ignore (Deps.Analysis.dependences k);
+  Alcotest.(check string) "the scope's plain analysis is not used as-is" own (rows true)
+
+(* StencilZoo's isl, infl and tiled schedules share ILPs (12 answered
+   in a [network StencilZoo] pass). *)
 let test_shared_memo () =
   let hits () = Obs.Counters.find "scheduler.ilp_cache_hits" in
   let hits0 = hits () in
-  List.iter (fun (name, mk) -> check_memo name (mk ())) Ops.Classics.all;
   List.iter
     (fun (name, k) -> check_memo name k)
     (Lazy.force Ops.Networks.stencilzoo.Ops.Networks.ops);
-  for index = 0 to 39 do
-    match Fuzz.Case.to_kernel (Fuzz.Generate.generate ~seed:42 ~index ()) with
-    | Error m -> Alcotest.failf "fuzz case %d: %s" index m
-    | Ok k -> check_memo ~vec_min_parallel:0 (Printf.sprintf "fuzz 42/%d" index) k
-  done;
   (* otherwise the comparison above never exercised a shared entry *)
   Alcotest.(check bool) "some ILP answered across schedules" true (hits () > hits0)
 
 (* The solver memo changes no answer: every version run through
-   [Pipeline.run] (which opens a scope), and all four composed by hand in
-   one shared scope as [Eval.evaluate_op] does, give the schedules, ASTs,
-   CUDA and simulated times of the same stages composed outside any scope.
+   [Pipeline.run] (which opens a scope and analyses the kernel once), and
+   all four composed by hand in one shared scope as [Eval.evaluate_op]
+   does, give the schedules, ASTs, CUDA and simulated times of the same
+   stages composed outside any scope, where no table answers anything.
    fig2, the LSTM suite and StencilZoo. *)
-let compile_stages ~deps kernel v =
-  let influence = P.tree ~deps v kernel in
-  let sched, _, _ = P.schedule ?influence ~deps kernel in
-  let c = P.lower ~deps v sched kernel in
-  ( Scheduling.Schedule.to_string sched,
-    Codegen.Ast.to_string c.Codegen.Compile.ast,
-    Codegen.Cuda.emit c,
-    Gpusim.Sim.time_us (P.simulate c) )
+let memo_hit_counters =
+  [ "simplex.memo_hits"; "fm.memo_hits"; "scheduler.farkas_memo_hits";
+    "scheduler.ilp_cache_hits"; "gpusim.memo_hits"; "deps.memo_hits" ]
 
 let test_solver_memo_invisible () =
-  let hits () = Obs.Counters.find "simplex.memo_hits" + Obs.Counters.find "fm.memo_hits" in
+  let hits () = List.map (fun c -> (c, Obs.Counters.find c)) memo_hit_counters in
+  let total () = List.fold_left (fun n (_, h) -> n + h) 0 (hits ()) in
+  let simulated kernel v =
+    let r, c = compile kernel v in
+    (r, Gpusim.Sim.time_us (P.simulate c))
+  in
+  let all kernel () = List.map (simulated kernel) P.versions in
   let kernels =
     ("fig2", Ops.Classics.fig2 ())
     :: Lazy.force Ops.Networks.lstm.Ops.Networks.ops
     @ Lazy.force Ops.Networks.stencilzoo.Ops.Networks.ops
   in
-  let hits0 = hits () in
+  let total0 = total () in
   List.iter
     (fun (name, kernel) ->
-      let deps = Deps.Analysis.dependences kernel in
       let before = hits () in
-      let fresh = List.map (compile_stages ~deps kernel) P.versions in
-      Alcotest.(check int) (name ^ ": no memo outside a scope") before (hits ());
-      let shared =
-        Polyhedra.Solver_memo.scoped (fun () -> List.map (compile_stages ~deps kernel) P.versions)
-      in
+      let fresh = all kernel () in
+      Alcotest.(check (list (pair string int))) (name ^ ": no memo outside a scope") before
+        (hits ());
+      let shared = Polyhedra.Solver_memo.scoped (all kernel) in
       List.iter2
-        (fun v ((sched, ast, cuda, us), in_scope) ->
+        (fun v ((((_, _, _, _, obs) as expected), us), (in_scope, us')) ->
           let what = name ^ " " ^ P.name v in
+          let analyses0 = analyses () in
           let p = P.run v kernel in
-          let run =
+          Alcotest.(check int) (what ^ ": Pipeline.run analyses once") (analyses0 + 1)
+            (analyses ());
+          compiled (what ^ " (Pipeline.run)") expected
             ( Scheduling.Schedule.to_string p.P.sched,
               Codegen.Ast.to_string p.P.compiled.Codegen.Compile.ast,
-              Codegen.Cuda.emit p.P.compiled,
-              match p.P.backend with
-              | P.Simulated r -> Gpusim.Sim.time_us r
-              | P.Emitted _ -> Alcotest.failf "%s: expected a simulation" what )
-          in
-          List.iter
-            (fun (label, (sched', ast', cuda', us')) ->
-              let what = what ^ " (" ^ label ^ ")" in
-              Alcotest.(check string) (what ^ ": schedule") sched sched';
-              Alcotest.(check string) (what ^ ": AST") ast ast';
-              Alcotest.(check string) (what ^ ": CUDA") cuda cuda';
-              same_us label ~op:name v us us')
-            [ ("Pipeline.run", run); ("one shared scope", in_scope) ])
+              Codegen.Cuda.emit p.P.compiled, p.P.stats, obs );
+          (match p.P.backend with
+           | P.Simulated r -> same_us "Pipeline.run" ~op:name v us (Gpusim.Sim.time_us r)
+           | P.Emitted _ -> Alcotest.failf "%s: expected a simulation" what);
+          compiled (what ^ " (one shared scope)") expected in_scope;
+          same_us "one shared scope" ~op:name v us us')
         P.versions (List.combine fresh shared))
     kernels;
-  Alcotest.(check bool) "the memo answered some calls" true (hits () > hits0)
+  Alcotest.(check bool) "the memo answered some calls" true (total () > total0)
 
 (* The --stats table's solver work covers all three schedules of an
    operator (isl 1 node and 1 ms, infl 2 and 2, tiled 4 and 4). *)

@@ -11,6 +11,9 @@ let cv ~stmt ~dim it = Linexpr.var (Space.coef_var ~stmt ~dim (Space.Iter it))
 let legal kernel sched =
   Legality.is_legal sched kernel (Deps.Analysis.dependences kernel)
 
+(* one solver-memo scope per schedule, as a caller compiling a kernel opens *)
+let schedule ?influence k = Solver_memo.scoped (fun () -> Scheduler.schedule ?influence k)
+
 let check_expr msg sched ~dim ~stmt expected =
   let e = Schedule.expr_for sched ~dim ~stmt in
   Alcotest.(check string) msg expected (Linexpr.to_string e)
@@ -126,7 +129,7 @@ let test_influence_select () =
 
 let test_baseline_fig2 () =
   let k = Ops.Classics.fig2 ~n:8 () in
-  let sched, stats = Scheduler.schedule k in
+  let sched, stats = schedule k in
   Alcotest.(check bool) "legal" true (legal k sched);
   Alcotest.(check int) "4 dims" 4 (Schedule.dims sched);
   (* isl-like shape: fused parallel i, SCC split, X:k || Y:j, then Y:k.
@@ -147,7 +150,7 @@ let test_baseline_fig2 () =
 
 let test_baseline_elementwise_fuses () =
   let k = Ops.Classics.fused_mul_sub_mul_tensoradd ~n:8 ~m:16 () in
-  let sched, stats = Scheduler.schedule k in
+  let sched, stats = schedule k in
   Alcotest.(check bool) "legal" true (legal k sched);
   Alcotest.(check int) "3 dims" 3 (Schedule.dims sched);
   (* the statement interleave is the only separation, after both loop dims *)
@@ -165,7 +168,7 @@ let test_baseline_elementwise_fuses () =
 
 let test_baseline_reduction () =
   let k = Ops.Classics.reduce_2d ~n:8 ~m:8 () in
-  let sched, _ = Scheduler.schedule k in
+  let sched, _ = schedule k in
   Alcotest.(check bool) "legal" true (legal k sched);
   check_expr "dim0 i" sched ~dim:0 ~stmt:"R" "i";
   check_expr "dim1 j" sched ~dim:1 ~stmt:"R" "j";
@@ -178,7 +181,7 @@ let test_baseline_reduction () =
 
 let test_baseline_transpose_identity () =
   let k = Ops.Classics.cast_transpose ~n:8 ~m:8 () in
-  let sched, _ = Scheduler.schedule k in
+  let sched, _ = schedule k in
   Alcotest.(check bool) "legal" true (legal k sched);
   (* no dependences: isl-like baseline keeps the original order *)
   check_expr "dim0" sched ~dim:0 ~stmt:"T" "i";
@@ -194,7 +197,7 @@ let test_all_classics_legal () =
   List.iter
     (fun (name, mk) ->
       let k = mk () in
-      let sched, _ = Scheduler.schedule k in
+      let sched, _ = schedule k in
       Alcotest.(check bool) (name ^ " legal") true (legal k sched))
     Ops.Classics.all_small
 
@@ -227,7 +230,7 @@ let fig3_like_tree () =
 
 let test_influenced_fig2_matches_paper () =
   let k = Ops.Classics.fig2 ~n:8 () in
-  let sched, stats = Scheduler.schedule ~influence:(fig3_like_tree ()) k in
+  let sched, stats = schedule ~influence:(fig3_like_tree ()) k in
   Alcotest.(check bool) "legal" true (legal k sched);
   (* the desired Fig. 2(c) shape: X and Y fused on (i, k), Y innermost j *)
   check_expr "dim0 X" sched ~dim:0 ~stmt:"X" "iX";
@@ -249,7 +252,7 @@ let test_influence_sibling_fallback () =
       [ Constr.eq0 (cv ~stmt:"X" ~dim:0 "iX"); Constr.eq0 (cv ~stmt:"X" ~dim:0 "kX") ]
   in
   let ok = Influence.node ~label:"ok" ~payload:[ ("took", "second") ] [] in
-  let sched, stats = Scheduler.schedule ~influence:[ impossible; ok ] k in
+  let sched, stats = schedule ~influence:[ impossible; ok ] k in
   Alcotest.(check bool) "legal" true (legal k sched);
   Alcotest.(check (option string)) "second branch used" (Some "second")
     (Schedule.annotation sched "took");
@@ -263,8 +266,8 @@ let test_influence_abandon () =
     Influence.node ~label
       [ Constr.eq0 (cv ~stmt:"X" ~dim:0 "iX"); Constr.eq0 (cv ~stmt:"X" ~dim:0 "kX") ]
   in
-  let sched, stats = Scheduler.schedule ~influence:[ impossible "a"; impossible "b" ] k in
-  let base, _ = Scheduler.schedule k in
+  let sched, stats = schedule ~influence:[ impossible "a"; impossible "b" ] k in
+  let base, _ = schedule k in
   Alcotest.(check bool) "abandoned" true stats.influence_abandoned;
   Alcotest.(check bool) "legal" true (legal k sched);
   Alcotest.(check string) "same as baseline" (Schedule.to_string base)
@@ -282,7 +285,7 @@ let test_influence_require_parallel () =
       ]
   in
   let fallback = Influence.node ~label:"fallback" ~payload:[ ("fb", "1") ] [] in
-  let sched, _ = Scheduler.schedule ~influence:[ forced_j; fallback ] k in
+  let sched, _ = schedule ~influence:[ forced_j; fallback ] k in
   Alcotest.(check bool) "legal" true (legal k sched);
   Alcotest.(check (option string)) "fallback used" (Some "1") (Schedule.annotation sched "fb");
   check_expr "dim0 i" sched ~dim:0 ~stmt:"R" "i"
@@ -303,7 +306,7 @@ let test_influence_ancestor_backtrack () =
       ~children:[ impossible_child ]
   in
   let b = Influence.node ~label:"B" ~payload:[ ("branch", "B") ] [] in
-  let sched, stats = Scheduler.schedule ~influence:[ a; b ] k in
+  let sched, stats = schedule ~influence:[ a; b ] k in
   Alcotest.(check bool) "legal" true (legal k sched);
   Alcotest.(check bool) "backtracked" true (stats.ancestor_backtracks >= 1);
   Alcotest.(check (option string)) "branch B" (Some "B") (Schedule.annotation sched "branch");
@@ -314,7 +317,7 @@ let test_ilp_cache_hits_on_abandon () =
   (* A no-op root whose only child is impossible at dim 1: the tree is
      abandoned and the whole construction restarts uninfluenced.  The
      restarted dimensions assemble exactly the ILPs already solved under
-     the no-op root, so the per-schedule memo table must answer them. *)
+     the no-op root, so inside a scope the ILP table must answer them. *)
   let k = Ops.Classics.cast_transpose ~n:8 ~m:8 () in
   let impossible_child =
     Influence.node ~label:"impossible child"
@@ -322,7 +325,9 @@ let test_ilp_cache_hits_on_abandon () =
   in
   let root = Influence.node ~label:"noop root" [] ~children:[ impossible_child ] in
   let hits_before = Obs.Counters.find "scheduler.ilp_cache_hits" in
-  let sched, stats = Scheduler.schedule ~influence:[ root ] k in
+  let sched, stats =
+    Polyhedra.Solver_memo.scoped (fun () -> Scheduler.schedule ~influence:[ root ] k)
+  in
   let hits = Obs.Counters.find "scheduler.ilp_cache_hits" - hits_before in
   Alcotest.(check bool) "abandoned" true stats.influence_abandoned;
   Alcotest.(check bool) "legal" true (legal k sched);
@@ -339,7 +344,7 @@ let test_memo_farkas_per_dim () =
   let k = Ops.Classics.fig2 () in
   let dep = List.hd (Deps.Analysis.validity (Deps.Analysis.dependences k)) in
   let ds = Builders.init_dep_state k dep in
-  let nonneg_on = Scheduler.nonneg_on (Scheduler.memo ()) in
+  let nonneg_on = Scheduler.nonneg_on in
   let hits () = Obs.Counters.find "scheduler.farkas_memo_hits" in
   let system ?(nonneg_on = Farkas.nonneg_on) dim =
     List.map Constr.to_string (Builders.validity ~nonneg_on ~dim ds)
@@ -351,6 +356,7 @@ let test_memo_farkas_per_dim () =
            Option.map (fun (_, d, _) -> d) (Space.parse_coef_var v))
     |> List.sort_uniq compare
   in
+  Polyhedra.Solver_memo.scoped @@ fun () ->
   let dim0 = system ~nonneg_on 0 in
   let h = hits () in
   let dim1 = system ~nonneg_on 1 in
@@ -364,29 +370,30 @@ let test_memo_farkas_per_dim () =
   Alcotest.(check int) "an exact repeat is a hit" (h + 1) (hits ())
 
 (* An ILP that ran out of branch-and-bound nodes is memoized under its
-   own budget: a full-budget schedule sharing the memo afterwards is the
-   schedule a fresh memo gives.  Every classic's ILPs close at their root
+   own budget: a full-budget schedule in the same scope afterwards is the
+   one a fresh scope gives.  Every classic's ILPs close at their root
    node, so a one-node budget changes nothing; a zero-node one fails
    every solve. *)
 let test_memo_node_budget () =
   let k = Ops.Classics.fig2 () in
   let influence = Vectorizer.Treegen.influence_for k in
   let config = { Scheduler.default_config with strategy = `Ilp_only } in
-  let rows ?memo max_ilp_nodes =
-    match Scheduler.schedule ~config:{ config with max_ilp_nodes } ~influence ?memo k with
+  let rows max_ilp_nodes =
+    match Scheduler.schedule ~config:{ config with max_ilp_nodes } ~influence k with
     | s, _ -> Some (Schedule.to_string s)
     | exception Scheduler.Failure_no_schedule _ -> None
   in
   let full = config.max_ilp_nodes in
-  let fresh = rows full in
-  Alcotest.(check bool) "a zero-node budget fails the solves" true (rows 0 <> fresh);
+  let fresh = Solver_memo.scoped (fun () -> rows full) in
+  Alcotest.(check bool) "a zero-node budget fails the solves" true
+    (Solver_memo.scoped (fun () -> rows 0) <> fresh);
   List.iter
     (fun budget ->
-      let memo = Scheduler.memo () in
-      ignore (rows ~memo budget);
+      Polyhedra.Solver_memo.scoped @@ fun () ->
+      ignore (rows budget);
       Alcotest.(check (option string))
         (Printf.sprintf "full budget after a %d-node one" budget)
-        fresh (rows ~memo full))
+        fresh (rows full))
     [ 1; 0 ]
 
 (* The ILP key holds the objectives: an influence node that only adds an
@@ -398,15 +405,12 @@ let test_memo_objectives () =
   let j_outer =
     Influence.node ~label:"i last" ~objectives:[ (0, cv ~stmt:"T" ~dim:0 "i") ] []
   in
-  let rows ?memo influence =
-    Schedule.to_string (fst (Scheduler.schedule ~config ~influence ?memo k))
-  in
+  let rows influence = Schedule.to_string (fst (Scheduler.schedule ~config ~influence k)) in
   let fresh = rows [ j_outer ] in
   Alcotest.(check bool) "the objective changes the schedule" true (fresh <> rows []);
-  let memo = Scheduler.memo () in
-  ignore (rows ~memo []);
-  Alcotest.(check string) "objective-only node after the baseline" fresh
-    (rows ~memo [ j_outer ])
+  Polyhedra.Solver_memo.scoped @@ fun () ->
+  ignore (rows []);
+  Alcotest.(check string) "objective-only node after the baseline" fresh (rows [ j_outer ])
 
 let test_softmax_pivot_budget () =
   (* Softmax's infl tree is infeasible at the root of every branch, so
@@ -431,7 +435,7 @@ let test_influence_loop_interchange () =
         Constr.eq0 (cv ~stmt:"T" ~dim:0 "i")
       ]
   in
-  let sched, _ = Scheduler.schedule ~influence:[ interchanged ] k in
+  let sched, _ = schedule ~influence:[ interchanged ] k in
   Alcotest.(check bool) "legal" true (legal k sched);
   check_expr "dim0 j" sched ~dim:0 ~stmt:"T" "j";
   check_expr "dim1 i" sched ~dim:1 ~stmt:"T" "i"
@@ -485,7 +489,7 @@ let prop_random_influence_always_legal =
             })
           tree
       in
-      let sched, _ = Scheduler.schedule ~influence:tree k in
+      let sched, _ = schedule ~influence:tree k in
       legal k sched)
 
 let test_legality_oracle_rejects () =

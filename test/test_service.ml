@@ -531,29 +531,27 @@ let test_serve_backend_axis () =
   let bad = Service.Serve.handle_line h {|{"op":"fig2","version":"warp"}|} in
   has {|(isl|novec|infl|tiled|cpu)|} bad
 
+(* A handler that takes inline kernels, and the request for the kernel
+   whose one statement S writes [write] = [rhs] for i < [extent]. *)
+let inline_handler () =
+  let kernel_of_json j = Result.bind (Fuzz.Case.of_json j) Fuzz.Case.to_kernel in
+  Service.Serve.make_handler ~kernel_of_json:(Some kernel_of_json) ~find_op:find_classic ()
+
+let inline_request ~tensors ~extent ~write ~rhs =
+  let stmts = [ { Fuzz.Case.sname = "S"; iters = [ ("i", extent) ]; write; rhs } ] in
+  let case = { Fuzz.Case.name = "k"; tensors; stmts } in
+  J.to_string (J.Assoc [ ("kernel", Fuzz.Case.to_json case); ("id", J.String "k") ])
+
+let at_i tensor =
+  { Fuzz.Case.tensor; index = [ { Fuzz.Case.coef = 1; iter = Some "i"; offset = 0 } ] }
+
 (* An inline kernel with a non-positive iterator extent is a structured
    error, and the loop keeps answering. *)
 let test_serve_bad_extent () =
   reset ();
-  let kernel_of_json j = Result.bind (Fuzz.Case.of_json j) Fuzz.Case.to_kernel in
-  let h =
-    Service.Serve.make_handler ~kernel_of_json:(Some kernel_of_json) ~find_op:find_classic ()
-  in
-  let case extent =
-    let idx = { Fuzz.Case.coef = 1; iter = Some "i"; offset = 0 } in
-    { Fuzz.Case.name = "k";
-      tensors = [ ("A", [ 4 ]) ];
-      stmts =
-        [ { Fuzz.Case.sname = "S";
-            iters = [ ("i", extent) ];
-            write = { Fuzz.Case.tensor = "A"; index = [ idx ] };
-            rhs = Fuzz.Case.Const 1.0
-          }
-        ]
-    }
-  in
+  let h = inline_handler () in
   let line extent =
-    J.to_string (J.Assoc [ ("kernel", Fuzz.Case.to_json (case extent)); ("id", J.String "k") ])
+    inline_request ~tensors:[ ("A", [ 4 ]) ] ~extent ~write:(at_i "A") ~rhs:(Fuzz.Case.Const 1.0)
   in
   List.iter
     (fun extent ->
@@ -563,6 +561,27 @@ let test_serve_bad_extent () =
       has {|"status":"ok"|} (Service.Serve.handle_line h {|{"op":"fig2"}|}))
     [ 0; -3 ];
   has {|"status":"ok"|} (Service.Serve.handle_line h (line 4))
+
+(* Inline copies B[i] = A[i] too large for a bitmap or for an [int]: 2^40
+   elements simulate (the footprint probe keeps their sectors in a set),
+   while a byte size (2^62 - 1 and 2^61 elements) or a summed tensor
+   layout (2^59 elements each) that overflows [int] is a kernel error.
+   Every request gets one reply. *)
+let test_serve_huge_kernels () =
+  reset ();
+  let h = inline_handler () in
+  let reply n =
+    Service.Serve.handle_line h
+      (inline_request ~tensors:[ ("A", [ n ]); ("B", [ n ]) ] ~extent:n ~write:(at_i "B")
+         ~rhs:(Fuzz.Case.Load (at_i "A")))
+  in
+  has {|"status":"ok"|} (reply (1 lsl 40));
+  List.iter
+    (fun n ->
+      let r = reply n in
+      has {|"status":"error"|} r;
+      has "overflows int" r)
+    [ max_int; 1 lsl 61; 1 lsl 59 ]
 
 (* the serve loop answers every line — blank included — so request and
    reply counts always match *)
@@ -625,6 +644,7 @@ let () =
           Alcotest.test_case "strategy field" `Quick test_serve_strategy_field;
           Alcotest.test_case "backend axis" `Quick test_serve_backend_axis;
           Alcotest.test_case "bad extent" `Quick test_serve_bad_extent;
+          Alcotest.test_case "huge kernels" `Quick test_serve_huge_kernels;
           Alcotest.test_case "loop answers blank lines" `Quick
             test_serve_loop_blank_lines
         ] )

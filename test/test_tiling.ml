@@ -7,7 +7,8 @@
 open Ir
 open Codegen
 
-let schedule ?influence k = fst (Scheduling.Scheduler.schedule ?influence k)
+let schedule ?influence k =
+  fst (Polyhedra.Solver_memo.scoped (fun () -> Scheduling.Scheduler.schedule ?influence k))
 
 let tiled_lower k =
   let tree = Scheduling.Tiling.influence_for k in
@@ -223,9 +224,8 @@ let test_stencilzoo_contract () =
   let wins =
     List.filter
       (fun (op, k) ->
-        let deps = Deps.Analysis.dependences k in
-        let isl = P.run ~deps P.Isl k and tiled = P.run ~deps P.Tiled k in
-        (match Scheduling.Legality.check tiled.P.sched k deps with
+        let isl = P.run P.Isl k and tiled = P.run P.Tiled k in
+        (match Scheduling.Legality.check tiled.P.sched k tiled.P.deps with
          | Ok () -> ()
          | Error e -> Alcotest.failf "%s: tiled schedule is illegal: %s" op e);
         Codegen.Tiling.applied tiled.P.compiled.Compile.ast && time tiled < time isl)

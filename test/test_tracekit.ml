@@ -121,7 +121,9 @@ let sched_trace ~force_sibling_move () =
       :: tree
     else tree
   in
-  trace_of (fun () -> ignore (Scheduling.Scheduler.schedule ~influence:tree k))
+  trace_of (fun () ->
+      Polyhedra.Solver_memo.scoped (fun () ->
+          ignore (Scheduling.Scheduler.schedule ~influence:tree k)))
 
 (* An injected scheduler change shows up as a non-empty structural diff
    naming the changed per-run fields — the CLI's [diff] exit 1. *)

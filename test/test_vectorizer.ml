@@ -123,11 +123,14 @@ let test_annotation_roundtrip () =
   Alcotest.(check (option (pair string int))) "garbage" None
     (Treegen.parse_vector_annotation "nonsense")
 
+let schedule ~influence k =
+  Polyhedra.Solver_memo.scoped (fun () -> Scheduling.Scheduler.schedule ~influence k)
+
 let test_influenced_schedule_fig2 () =
   (* The full pipeline: Algorithm 2 -> tree -> Algorithm 1 must produce the
      paper's Fig. 2(c) schedule. *)
   let infl = Treegen.influence_for fig2 in
-  let sched, stats = Scheduling.Scheduler.schedule ~influence:infl fig2 in
+  let sched, stats = schedule ~influence:infl fig2 in
   Alcotest.(check bool) "legal" true
     (Scheduling.Legality.is_legal sched fig2 (Deps.Analysis.dependences fig2));
   let e dim stmt = Polyhedra.Linexpr.to_string (Scheduling.Schedule.expr_for sched ~dim ~stmt) in
@@ -144,7 +147,7 @@ let test_influenced_all_classics_legal () =
     (fun (name, mk) ->
       let k = mk () in
       let infl = Treegen.influence_for k in
-      let sched, _ = Scheduling.Scheduler.schedule ~influence:infl k in
+      let sched, _ = schedule ~influence:infl k in
       Alcotest.(check bool) (name ^ " influenced legal") true
         (Scheduling.Legality.is_legal sched k (Deps.Analysis.dependences k)))
     Ops.Classics.all_small
