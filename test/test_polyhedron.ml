@@ -948,6 +948,12 @@ let test_memo_scopes () =
        | () -> Alcotest.fail "expected the exception"
        | exception Failure _ -> ());
       Alcotest.(check bool) "outer restored after an exception" false (solved lp_a));
+  (* a scope entered again keeps its tables, and is off between entries *)
+  let s = Polyhedra.Solver_memo.fresh () in
+  let within () = Polyhedra.Solver_memo.within s (fun () -> solved lp_b) in
+  Alcotest.(check bool) "first entry: solved" true (within ());
+  Alcotest.(check bool) "between entries: solved" true (solved lp_b);
+  Alcotest.(check bool) "second entry: memoized" false (within ());
   let hits = memo_hits () and fm = fm_hits () in
   ignore (answers lp_a);
   ignore (answers lp_a);
