@@ -218,19 +218,4 @@ let () =
        (String.concat ", " ("all" :: List.map fst targets));
      exit 2);
   List.iter (fun t -> (List.assoc t targets) ()) requested;
-  (match trace with
-   | Some file -> (
-     try
-       Obs.Trace.write_file file;
-       Format.eprintf "trace: %d events written to %s@." (Obs.Trace.length ()) file
-     with Sys_error e -> Format.eprintf "trace: cannot write %s: %s@." file e)
-   | None -> ());
-  (match stats_json with
-   | Some file -> (
-     try Obs.Export.write_stats file
-     with Sys_error e -> Format.eprintf "stats-json: cannot write %s: %s@." file e)
-   | None -> ());
-  if stats then begin
-    Format.fprintf fmt "@.counters:@.%a" Obs.Counters.pp_table ();
-    Format.fprintf fmt "@.pass timings:@.%a" Obs.Span.pp_report ()
-  end
+  if not (Obs.Export.write_run ~stats ?trace ?stats_json ()) then exit 1

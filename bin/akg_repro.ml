@@ -33,8 +33,6 @@ let trace_arg =
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
-type trace_format = Fmt_json | Fmt_chrome
-
 let trace_format_arg =
   let doc =
     "Format of the $(b,--trace) file: $(b,json) (the native akg-repro-trace document, \
@@ -43,7 +41,8 @@ let trace_format_arg =
   in
   Arg.(
     value
-    & opt (enum [ ("json", Fmt_json); ("chrome", Fmt_chrome) ]) Fmt_json
+    & opt (enum [ ("json", Obs.Export.Native); ("chrome", Obs.Export.Chrome_events) ])
+        Obs.Export.Native
     & info [ "trace-format" ] ~docv:"FMT" ~doc)
 
 let stats_json_arg =
@@ -56,7 +55,7 @@ let stats_json_arg =
 type obs_opts = {
   stats : bool;
   trace : string option;
-  trace_format : trace_format;
+  trace_format : Obs.Export.trace_format;
   stats_json : string option;
 }
 
@@ -69,39 +68,11 @@ let obs_term =
 let with_obs o f =
   if Option.is_some o.trace then Obs.Trace.enable ();
   let code = f () in
-  let code =
-    match o.trace with
-    | None -> code
-    | Some file -> (
-      try
-        (match o.trace_format with
-         | Fmt_json -> Obs.Trace.write_file file
-         | Fmt_chrome -> Obs.Chrome.write_file file (Obs.Tracefile.of_live ()));
-        Format.eprintf "trace: %d events written to %s@." (Obs.Trace.length ()) file;
-        code
-      with Sys_error e ->
-        Format.eprintf "trace: cannot write %s: %s@." file e;
-        1)
-  in
-  let code =
-    match o.stats_json with
-    | None -> code
-    | Some file -> (
-      try
-        Obs.Export.write_stats file;
-        code
-      with Sys_error e ->
-        Format.eprintf "stats-json: cannot write %s: %s@." file e;
-        1)
-  in
-  if o.stats then begin
-    Format.printf "@.counters:@.%a" Obs.Counters.pp_table ();
-    Format.printf "@.pass timings:@.%a" Obs.Span.pp_report ();
-    (* latency histograms record only on the serve path, so this table
-       is usually empty (and then omitted) for one-shot commands *)
-    Format.printf "%a" Obs.Histogram.pp_table ()
-  end;
-  code
+  if
+    Obs.Export.write_run ~stats:o.stats ?trace:o.trace ~trace_format:o.trace_format
+      ?stats_json:o.stats_json ()
+  then code
+  else 1
 
 (* ------------------------------------------------------------------ *)
 (* compile-service flags (worker pool + persistent cache)               *)

@@ -96,33 +96,36 @@ let detect () =
 
 let available () = detect () <> None
 
-(* probe-compile a snippet with the given flags; memoized per
-   (compiler, flags, snippet) *)
+(* Probe-compiles a snippet with the given flags and, with [~run], runs
+   the result; memoized per (compiler, flags, snippet, run).  Pool worker
+   domains probe too (through [Runner.build_source]), so the memo is
+   guarded by a mutex, held across the probe so each key runs once. *)
 let probe_memo : (string, bool) Hashtbl.t = Hashtbl.create 8
+let probe_lock = Mutex.create ()
 
-let compiles t ~flags snippet =
-  let key = t.digest ^ "|" ^ String.concat " " flags ^ "|" ^ Digest.string snippet in
+let probe t ~flags ~run snippet =
+  let key =
+    String.concat "|"
+      [ (if run then "run" else "cc"); t.digest; String.concat " " flags; Digest.string snippet ]
+  in
+  Mutex.protect probe_lock @@ fun () ->
   match Hashtbl.find_opt probe_memo key with
   | Some b -> b
   | None ->
     let b =
       try
         let src = Filename.temp_file "akg_probe" ".c" in
-        let out = Filename.temp_file "akg_probe" ".so" in
-        let oc = open_out src in
-        output_string oc snippet;
-        close_out oc;
-        let argv =
-          Array.of_list ((t.cc :: flags) @ [ src; "-o"; out ])
+        let out = Filename.temp_file "akg_probe" (if run then ".exe" else ".so") in
+        Out_channel.with_open_text src (fun oc -> output_string oc snippet);
+        let ok argv =
+          match run_capture argv with Some (Unix.WEXITED 0, _) -> true | _ -> false
         in
-        let ok =
-          match run_capture argv with
-          | Some (Unix.WEXITED 0, _) -> true
-          | _ -> false
+        let b =
+          ok (Array.of_list ((t.cc :: flags) @ [ src; "-o"; out ]))
+          && ((not run) || ok [| out |])
         in
-        (try Sys.remove src with Sys_error _ -> ());
-        (try Sys.remove out with Sys_error _ -> ());
-        ok
+        List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ src; out ];
+        b
       with Sys_error _ -> false
     in
     Hashtbl.add probe_memo key b;
@@ -147,10 +150,10 @@ let isa_snippet (isa : Gpusim.Machine.isa) =
   | Gpusim.Machine.Scalar_c | Gpusim.Machine.Ptx -> "int f(int a) { return a + a; }\n"
 
 let supports_isa t (isa : Gpusim.Machine.isa) =
-  compiles t ~flags:(base_flags @ isa_flags isa) (isa_snippet isa)
+  probe t ~flags:(base_flags @ isa_flags isa) ~run:false (isa_snippet isa)
 
 let supports_openmp t =
-  compiles t ~flags:(base_flags @ [ "-fopenmp" ])
+  probe t ~flags:(base_flags @ [ "-fopenmp" ]) ~run:false
     "int f(int n) {\n\
     \  int s = 0;\n\
      #pragma omp parallel for\n\
@@ -163,42 +166,6 @@ let kernel_flags t (machine : Gpusim.Machine.t) =
   base_flags @ isa_flags machine.Gpusim.Machine.isa
   @ (if machine.Gpusim.Machine.sm_count > 1 && supports_openmp t then [ "-fopenmp" ] else [])
   @ [ "-lm" ]
-
-(* compile-and-run probe: catches ISAs the compiler accepts but the host
-   CPU cannot execute (e.g. -mavx512f on an AVX2-only machine) *)
-let runs t ~flags snippet =
-  let key =
-    "run|" ^ t.digest ^ "|" ^ String.concat " " flags ^ "|" ^ Digest.string snippet
-  in
-  match Hashtbl.find_opt probe_memo key with
-  | Some b -> b
-  | None ->
-    let b =
-      try
-        let src = Filename.temp_file "akg_probe" ".c" in
-        let out = Filename.temp_file "akg_probe" ".exe" in
-        let oc = open_out src in
-        output_string oc snippet;
-        close_out oc;
-        let compiled =
-          match run_capture (Array.of_list ((t.cc :: flags) @ [ src; "-o"; out ])) with
-          | Some (Unix.WEXITED 0, _) -> true
-          | _ -> false
-        in
-        let ok =
-          compiled
-          &&
-          match run_capture [| out |] with
-          | Some (Unix.WEXITED 0, _) -> true
-          | _ -> false
-        in
-        (try Sys.remove src with Sys_error _ -> ());
-        (try Sys.remove out with Sys_error _ -> ());
-        ok
-      with Sys_error _ -> false
-    in
-    Hashtbl.add probe_memo key b;
-    b
 
 let isa_run_snippet (isa : Gpusim.Machine.isa) =
   match isa with
@@ -224,5 +191,7 @@ let isa_run_snippet (isa : Gpusim.Machine.isa) =
      }\n"
   | Gpusim.Machine.Scalar_c | Gpusim.Machine.Ptx -> "int main(void) { return 0; }\n"
 
+(* compile-and-run probe: catches ISAs the compiler accepts but the host
+   CPU cannot execute (e.g. -mavx512f on an AVX2-only machine) *)
 let executes_isa t (isa : Gpusim.Machine.isa) =
-  runs t ~flags:([ "-O2" ] @ isa_flags isa) (isa_run_snippet isa)
+  probe t ~flags:([ "-O2" ] @ isa_flags isa) ~run:true (isa_run_snippet isa)

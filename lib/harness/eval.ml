@@ -41,100 +41,97 @@ let evaluate_op ?(machine = Gpusim.Machine.v100) ~name kernel =
   Obs.Span.with_ "harness.op" @@ fun () ->
   Polyhedra.Solver_memo.scoped @@ fun () ->
   Obs.Trace.emitf "harness.op_start" (fun () -> [ ("op", Obs.Json.String name) ]);
-  let tree_s = ref 0.0 and lower_s = ref 0.0 and sim_s = ref 0.0 in
-  let timed total f =
-    let r, dt = Obs.Span.timed f in
-    total := !total +. dt;
+  let r, capture =
+    Obs.scoped @@ fun () ->
+    (* Every stage shares the scope's tables.  Three schedules: novec and
+       infl share the vectorizer-tree one. *)
+    let schedule version =
+      Pipeline.schedule ?influence:(Pipeline.tree version kernel) kernel
+    in
+    let isl_sched, _, isl_obs = schedule Pipeline.Isl in
+    let infl_sched, infl_stats, infl_obs = schedule Pipeline.Infl in
+    let tiled_sched_r, tiled_stats, tiled_obs = schedule Pipeline.Tiled in
+    let lower version sched = Pipeline.lower version sched kernel in
+    let time c = Gpusim.Sim.time_us (Pipeline.simulate ~machine c) in
+    let version label us =
+      Obs.Trace.emitf "harness.version" (fun () ->
+          [ ("op", Obs.Json.String name);
+            ("version", Obs.Json.String label);
+            ("time_us", Obs.Json.Float us)
+          ]);
+      us
+    in
+    let isl_c = lower Pipeline.Isl isl_sched in
+    let novec_c = lower Pipeline.Novec infl_sched in
+    let infl_c = lower Pipeline.Infl infl_sched in
+    let tiled_c = lower Pipeline.Tiled tiled_sched_r in
+    let tiled =
+      (not tiled_stats.Scheduling.Scheduler.influence_abandoned)
+      && Codegen.Tiling.applied tiled_c.Codegen.Compile.ast
+    in
+    let tvm_us =
+      version "tvm"
+        (List.fold_left (fun acc c -> acc +. time c) 0.0 (Baselines.Tvm.compile kernel))
+    in
+    let vec = Codegen.Ast.has_vector_loop infl_c.Codegen.Compile.ast in
+    let influenced =
+      (not infl_stats.Scheduling.Scheduler.influence_abandoned)
+      && ((not (rows_equal isl_sched infl_sched)) || vec)
+    in
+    let isl_us = version "isl" (time isl_c) in
+    let novec_us = version "novec" (time novec_c) in
+    let infl_us = version "infl" (time infl_c) in
+    let tiled_us = version "tiled" (time tiled_c) in
+    (* stage seconds: every captured span of these names *)
+    let spans = Obs.Span.report () in
+    let seconds names =
+      List.fold_left
+        (fun acc (path, _, s) ->
+          if List.mem (Filename.basename path) names then acc +. s else acc)
+        0.0 spans
+    in
+    let r =
+      { op_name = name;
+        isl_us;
+        tvm_us;
+        novec_us;
+        infl_us;
+        tiled_us;
+        influenced;
+        vec;
+        tiled;
+        obs =
+          { isl_sched = isl_obs;
+            infl_sched = infl_obs;
+            tiled_sched = tiled_obs;
+            tree_s = seconds [ "vectorizer.treegen"; "tiling.treegen" ];
+            lower_s = seconds [ "codegen.lower" ];
+            sim_s = seconds [ "gpusim.run" ]
+          }
+      }
+    in
+    Obs.Trace.emitf "harness.op" (fun () ->
+        [ ("op", Obs.Json.String name);
+          ("influenced", Obs.Json.Bool r.influenced);
+          ("vec", Obs.Json.Bool r.vec);
+          ("tiled", Obs.Json.Bool r.tiled);
+          ("isl_ilp_solves", Obs.Json.Int isl_obs.ilp_solves);
+          ("infl_ilp_solves", Obs.Json.Int infl_obs.ilp_solves);
+          ( "fastpath_hits",
+            Obs.Json.Int (isl_obs.fastpath_hits + infl_obs.fastpath_hits) );
+          ("infl_bb_nodes", Obs.Json.Int infl_obs.bb_nodes);
+          ("sibling_moves", Obs.Json.Int infl_obs.sibling_moves);
+          ("ancestor_backtracks", Obs.Json.Int infl_obs.ancestor_backtracks);
+          ("abandoned", Obs.Json.Bool infl_obs.abandoned);
+          ( "sched_ms",
+            Obs.Json.Float ((isl_obs.sched_s +. infl_obs.sched_s +. tiled_obs.sched_s) *. 1e3) );
+          ("tree_ms", Obs.Json.Float (r.obs.tree_s *. 1e3));
+          ("lower_ms", Obs.Json.Float (r.obs.lower_s *. 1e3));
+          ("sim_ms", Obs.Json.Float (r.obs.sim_s *. 1e3))
+        ]);
     r
   in
-  (* Every stage shares the scope's tables.  Three schedules: novec and
-     infl share the vectorizer-tree one. *)
-  let schedule version =
-    let influence = timed tree_s (fun () -> Pipeline.tree version kernel) in
-    Pipeline.schedule ?influence kernel
-  in
-  let isl_sched, _, isl_obs = schedule Pipeline.Isl in
-  let infl_sched, infl_stats, infl_obs = schedule Pipeline.Infl in
-  let tiled_sched_r, tiled_stats, tiled_obs = schedule Pipeline.Tiled in
-  let lower version sched =
-    timed lower_s (fun () -> Pipeline.lower version sched kernel)
-  in
-  let time c =
-    timed sim_s (fun () -> Gpusim.Sim.time_us (Pipeline.simulate ~machine c))
-  in
-  let version label us =
-    Obs.Trace.emitf "harness.version" (fun () ->
-        [ ("op", Obs.Json.String name);
-          ("version", Obs.Json.String label);
-          ("time_us", Obs.Json.Float us)
-        ]);
-    us
-  in
-  let isl_c = lower Pipeline.Isl isl_sched in
-  let novec_c = lower Pipeline.Novec infl_sched in
-  let infl_c = lower Pipeline.Infl infl_sched in
-  let tiled_c = lower Pipeline.Tiled tiled_sched_r in
-  let tiled =
-    (not tiled_stats.Scheduling.Scheduler.influence_abandoned)
-    && Codegen.Tiling.applied tiled_c.Codegen.Compile.ast
-  in
-  let tvm_us =
-    version "tvm"
-      (List.fold_left
-         (fun acc c -> acc +. time c)
-         0.0
-         (timed lower_s (fun () -> Baselines.Tvm.compile kernel)))
-  in
-  let vec = Codegen.Ast.has_vector_loop infl_c.Codegen.Compile.ast in
-  let influenced =
-    (not infl_stats.Scheduling.Scheduler.influence_abandoned)
-    && ((not (rows_equal isl_sched infl_sched)) || vec)
-  in
-  (* Bound before the record: its fields are evaluated right to left, so
-     inside it these simulations would run after [!sim_s] is read. *)
-  let isl_us = version "isl" (time isl_c) in
-  let novec_us = version "novec" (time novec_c) in
-  let infl_us = version "infl" (time infl_c) in
-  let tiled_us = version "tiled" (time tiled_c) in
-  let r =
-    { op_name = name;
-      isl_us;
-      tvm_us;
-      novec_us;
-      infl_us;
-      tiled_us;
-      influenced;
-      vec;
-      tiled;
-      obs =
-        { isl_sched = isl_obs;
-          infl_sched = infl_obs;
-          tiled_sched = tiled_obs;
-          tree_s = !tree_s;
-          lower_s = !lower_s;
-          sim_s = !sim_s
-        }
-    }
-  in
-  Obs.Trace.emitf "harness.op" (fun () ->
-      [ ("op", Obs.Json.String name);
-        ("influenced", Obs.Json.Bool r.influenced);
-        ("vec", Obs.Json.Bool r.vec);
-        ("tiled", Obs.Json.Bool r.tiled);
-        ("isl_ilp_solves", Obs.Json.Int isl_obs.ilp_solves);
-        ("infl_ilp_solves", Obs.Json.Int infl_obs.ilp_solves);
-        ( "fastpath_hits",
-          Obs.Json.Int (isl_obs.fastpath_hits + infl_obs.fastpath_hits) );
-        ("infl_bb_nodes", Obs.Json.Int infl_obs.bb_nodes);
-        ("sibling_moves", Obs.Json.Int infl_obs.sibling_moves);
-        ("ancestor_backtracks", Obs.Json.Int infl_obs.ancestor_backtracks);
-        ("abandoned", Obs.Json.Bool infl_obs.abandoned);
-        ( "sched_ms",
-          Obs.Json.Float ((isl_obs.sched_s +. infl_obs.sched_s +. tiled_obs.sched_s) *. 1e3) );
-        ("tree_ms", Obs.Json.Float (r.obs.tree_s *. 1e3));
-        ("lower_ms", Obs.Json.Float (r.obs.lower_s *. 1e3));
-        ("sim_ms", Obs.Json.Float (r.obs.sim_s *. 1e3))
-      ]);
+  Obs.merge capture;
   r
 
 (* ------------------------------------------------------------------ *)

@@ -26,11 +26,15 @@ type op_obs = {
       (** the tiling-influenced run.  The three runs share a solver memo,
           so solver work (nodes, seconds) shifts to whichever runs first:
           only their sum is comparable across revisions. *)
-  tree_s : float;  (** influence-tree construction seconds (both clients) *)
-  lower_s : float;  (** all codegen lowerings, seconds *)
+  tree_s : float;
+      (** influence-tree construction seconds: the operator's
+          [vectorizer.treegen] and [tiling.treegen] spans *)
+  lower_s : float;
+      (** codegen lowering seconds, the TVM comparator's included: its
+          [codegen.lower] spans *)
   sim_s : float;
-      (** all GPU-model simulation requests, seconds: the walks done and
-          the lookups the operator's scope answered *)
+      (** GPU-model simulation seconds, the walks done and the lookups
+          the operator's scope answered: its [gpusim.run] spans *)
 }
 (** Per-operator compile+simulate breakdown behind one {!op_result} —
     rendered by {!Tables.stats_table} and the CLI's [--stats] flag. *)
@@ -77,7 +81,9 @@ val evaluate_op :
     Farkas expansions and ILPs its isl, infl and tiled schedules share,
     and the walks its four lowerings and the TVM comparator's kernels
     share.  The scope is opened and dropped inside the call, so
-    operators evaluate independently on separate domains. *)
+    operators evaluate independently on separate domains.  The stages
+    run in one {!Obs.scoped} capture, merged back before the call
+    returns; the [op_obs] stage times are read from its spans. *)
 
 type cpu_run = {
   cpu_op : string;

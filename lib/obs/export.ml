@@ -52,3 +52,35 @@ let write_stats path =
     (fun () ->
       output_string oc (Json.to_string (stats_json ()));
       output_char oc '\n')
+
+type trace_format = Native | Chrome_events
+
+let write_run ~stats ?trace ?(trace_format = Native) ?stats_json () =
+  let written what file write =
+    match write file with
+    | () -> true
+    | exception Sys_error e ->
+      Format.eprintf "%s: cannot write %s: %s@." what file e;
+      false
+  in
+  let trace_ok =
+    match trace with
+    | None -> true
+    | Some file ->
+      written "trace" file (fun file ->
+          (match trace_format with
+           | Native -> Trace.write_file file
+           | Chrome_events -> Chrome.write_file file (Tracefile.of_live ()));
+          Format.eprintf "trace: %d events written to %s@." (Trace.length ()) file)
+  in
+  let stats_ok =
+    match stats_json with None -> true | Some file -> written "stats-json" file write_stats
+  in
+  if stats then begin
+    Format.printf "@.counters:@.%a" Counters.pp_table ();
+    Format.printf "@.pass timings:@.%a" Span.pp_report ();
+    (* latency histograms record only on the serve path, so this table
+       is usually empty (and then prints nothing) *)
+    Format.printf "%a" Histogram.pp_table ()
+  end;
+  trace_ok && stats_ok

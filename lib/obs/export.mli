@@ -28,3 +28,16 @@ val stats_json : unit -> Json.t
 
 val write_stats : string -> unit
 (** Writes {!stats_json} to a file. *)
+
+type trace_format =
+  | Native  (** the akg-repro-trace document ({!Trace.write_file}) *)
+  | Chrome_events  (** Chrome trace-event JSON ({!Chrome.write_file}) *)
+
+val write_run :
+  stats:bool -> ?trace:string -> ?trace_format:trace_format -> ?stats_json:string -> unit -> bool
+(** The end of a run's observability, shared by the CLI and the bench
+    driver: writes the trace to [trace] (in [trace_format], {!Native} by
+    default) and {!stats_json} to [stats_json], then with [~stats] prints
+    the counter table, the pass-timing report and the nonempty
+    histograms to stdout.  A file that cannot be written is reported on
+    stderr; the result is [false] when any was not written. *)

@@ -15,10 +15,10 @@
    drift with the grouping.  min/max are exact.
 
    Sharding: like {!Counters}, the hot path takes no lock.  The
-   coordinating domain owns each histogram's shared cell; worker domains
-   run inside [scoped], which redirects recording into a domain-local
-   shard merged back (snapshot-shaped deltas) by the coordinator after
-   the join. *)
+   coordinating domain owns each histogram's shared cell; inside an
+   [Obs.scoped] capture (every worker task runs in one), recording lands
+   in the capture's own cell, which [Obs.merge] folds back after the
+   join. *)
 
 let sub_buckets_per_octave = 8
 let gamma = Float.pow 2.0 (1.0 /. float_of_int sub_buckets_per_octave)
@@ -39,17 +39,13 @@ let bucket_value i =
   if i <= floor_bucket then v_floor
   else 2.0 *. bucket_upper i /. (gamma +. 1.0)
 
-type cell = {
+type cell = Capture.hist_cell = {
   mutable count : int;
   mutable sum_fp : int;
   mutable vmin : float;
   mutable vmax : float;
   buckets : (int, int ref) Hashtbl.t;
 }
-
-let fresh_cell () =
-  { count = 0; sum_fp = 0; vmin = Float.infinity; vmax = Float.neg_infinity;
-    buckets = Hashtbl.create 16 }
 
 type t = { hname : string; doc : string; shared : cell }
 
@@ -73,7 +69,7 @@ let create ?(doc = "") hname =
       match Hashtbl.find_opt registry hname with
       | Some h -> h
       | None ->
-        let h = { hname; doc; shared = fresh_cell () } in
+        let h = { hname; doc; shared = Capture.hist Capture.shared hname } in
         Hashtbl.replace registry hname h;
         publish ();
         h)
@@ -84,18 +80,6 @@ let doc h = h.doc
 (* ------------------------------------------------------------------ *)
 (* recording                                                            *)
 (* ------------------------------------------------------------------ *)
-
-type scope = (string, cell) Hashtbl.t
-
-let scope_key : scope option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-
-let scope_cell scope hname =
-  match Hashtbl.find_opt scope hname with
-  | Some c -> c
-  | None ->
-    let c = fresh_cell () in
-    Hashtbl.replace scope hname c;
-    c
 
 let record_cell c v =
   c.count <- c.count + 1;
@@ -108,8 +92,8 @@ let record_cell c v =
   | None -> Hashtbl.replace c.buckets i (ref 1)
 
 let observe h v =
-  match Domain.DLS.get scope_key with
-  | Some s -> record_cell (scope_cell s h.hname) v
+  match Capture.local () with
+  | Some s -> record_cell (Capture.hist s h.hname) v
   | None -> record_cell h.shared v
 
 (* ------------------------------------------------------------------ *)
@@ -137,34 +121,18 @@ let snapshot_of_cell name (c : cell) =
   }
 
 let local_cell hname =
-  match Domain.DLS.get scope_key with
-  | Some s -> Hashtbl.find_opt s hname
-  | None -> None
+  Option.bind (Capture.local ()) (fun s -> Hashtbl.find_opt s.Capture.hists hname)
 
-(* inside a scope, a handle reads shared + local delta, mirroring the
+(* inside a capture, a handle reads shared + local delta, mirroring the
    counter semantics: a task observes its own recordings *)
-let merge_cells name a b =
-  let sa = snapshot_of_cell name a and sb = snapshot_of_cell name b in
-  let rec merge_buckets xs ys =
-    match (xs, ys) with
-    | [], l | l, [] -> l
-    | (i, n) :: xs', (j, m) :: ys' ->
-      if i = j then (i, n + m) :: merge_buckets xs' ys'
-      else if i < j then (i, n) :: merge_buckets xs' ys
-      else (j, m) :: merge_buckets xs ys'
-  in
-  { name;
-    count = sa.count + sb.count;
-    sum_fp = sa.sum_fp + sb.sum_fp;
-    min = Float.min sa.min sb.min;
-    max = Float.max sa.max sb.max;
-    buckets = merge_buckets sa.buckets sb.buckets
-  }
-
 let snapshot_of h =
   match local_cell h.hname with
   | None -> snapshot_of_cell h.hname h.shared
-  | Some local -> merge_cells h.hname h.shared local
+  | Some local ->
+    let sum = Capture.fresh_hist () in
+    Capture.add_hist sum h.shared;
+    Capture.add_hist sum local;
+    snapshot_of_cell h.hname sum
 
 let snapshot () = List.map (fun (_, h) -> snapshot_of h) (Atomic.get published)
 
@@ -198,48 +166,6 @@ let find hname =
   | Some h -> Some (snapshot_of h)
   | None -> None
 
-(* ------------------------------------------------------------------ *)
-(* scoped capture and merge (the Pool contract)                         *)
-(* ------------------------------------------------------------------ *)
-
-let scoped f =
-  let saved = Domain.DLS.get scope_key in
-  let s : scope = Hashtbl.create 8 in
-  Domain.DLS.set scope_key (Some s);
-  Fun.protect
-    ~finally:(fun () -> Domain.DLS.set scope_key saved)
-    (fun () ->
-      let r = f () in
-      let deltas =
-        Hashtbl.fold (fun n c acc -> snapshot_of_cell n c :: acc) s []
-        |> List.filter (fun s -> s.count > 0)
-        |> List.sort (fun a b -> String.compare a.name b.name)
-      in
-      (r, deltas))
-
-let merge_into_cell (c : cell) (s : snapshot) =
-  c.count <- c.count + s.count;
-  c.sum_fp <- c.sum_fp + s.sum_fp;
-  if s.min < c.vmin then c.vmin <- s.min;
-  if s.max > c.vmax then c.vmax <- s.max;
-  List.iter
-    (fun (i, n) ->
-      match Hashtbl.find_opt c.buckets i with
-      | Some r -> r := !r + n
-      | None -> Hashtbl.replace c.buckets i (ref n))
-    s.buckets
-
-let merge deltas =
-  List.iter
-    (fun (s : snapshot) ->
-      let cell =
-        match Domain.DLS.get scope_key with
-        | Some scope -> scope_cell scope s.name
-        | None -> (create s.name).shared
-      in
-      merge_into_cell cell s)
-    deltas
-
 let reset_all () =
   List.iter
     (fun (_, h) ->
@@ -250,9 +176,7 @@ let reset_all () =
       c.vmax <- Float.neg_infinity;
       Hashtbl.reset c.buckets)
     (Atomic.get published);
-  match Domain.DLS.get scope_key with
-  | Some s -> Hashtbl.reset s
-  | None -> ()
+  Option.iter (fun s -> Hashtbl.reset s.Capture.hists) (Capture.local ())
 
 (* ------------------------------------------------------------------ *)
 (* rendering                                                            *)

@@ -15,10 +15,11 @@
     [--jobs N] observationally identical to [--jobs 1].
 
     {b Domain safety.}  Recording takes no lock: the coordinating domain
-    writes each histogram's own cell, and worker domains run inside
-    {!scoped}, which shards recording into a domain-local table; the
-    coordinator folds the returned deltas back with {!merge} after the
-    join. *)
+    writes each histogram's own cell, and worker domains run inside an
+    {!Obs.scoped} capture, which shards recording into a domain-local
+    table; the coordinator folds it back with {!Obs.merge} after the
+    join.  Inside a capture, {!snapshot_of} and {!find} read the shared
+    cell plus the capture's delta. *)
 
 type t
 (** A registered histogram handle. *)
@@ -37,7 +38,7 @@ val name : t -> string
 val doc : t -> string
 
 val count : t -> int
-(** Observations recorded so far (shared plus the current scope). *)
+(** Observations recorded so far (shared plus the current capture). *)
 
 (** A point-in-time summary: exact count/min/max, fixed-point sum, and
     the sparse (bucket index, count) list sorted by index. *)
@@ -83,17 +84,6 @@ val bucket_upper : int -> float
 
 val bucket_value : int -> float
 (** The representative (midpoint) estimate for bucket [i]. *)
-
-val scoped : (unit -> 'a) -> 'a * snapshot list
-(** [scoped f] runs [f] with all recording sharded into a domain-local
-    table and returns [f]'s result with the nonempty per-histogram
-    deltas, sorted by name.  The deltas are {e not} applied to the
-    shared cells — pass them to {!merge} from the coordinating domain.
-    Inside a scope, {!snapshot_of} reads shared plus local delta. *)
-
-val merge : snapshot list -> unit
-(** Folds deltas into the current context's cells (registering unknown
-    names), respecting an enclosing scope so nested pools compose. *)
 
 val reset_all : unit -> unit
 (** Empties every registered histogram (registration survives). *)

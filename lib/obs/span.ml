@@ -1,29 +1,14 @@
-type cell = { mutable count : int; mutable total_s : float }
-
-(* Buckets of the coordinating domain; worker domains record into the
-   domain-local scope installed by [scoped] instead. *)
-let buckets : (string, cell) Hashtbl.t = Hashtbl.create 32
-
-type scope = (string, cell) Hashtbl.t
-
-let scope_key : scope option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-
 (* current path, innermost first — per domain, so worker nesting cannot
    corrupt the coordinator's open spans *)
 let stack_key : string list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
 
 let now () = Unix.gettimeofday ()
 
-let record_into tbl path n dt =
-  match Hashtbl.find_opt tbl path with
-  | Some c ->
-    c.count <- c.count + n;
-    c.total_s <- c.total_s +. dt
-  | None -> Hashtbl.replace tbl path { count = n; total_s = dt }
-
+(* recorded into whichever capture is current when the span closes *)
 let record path dt =
-  let tbl = match Domain.DLS.get scope_key with Some s -> s | None -> buckets in
-  record_into tbl path 1 dt
+  let c = Capture.span (Capture.current ()) path in
+  c.calls <- c.calls + 1;
+  c.total_s <- c.total_s +. dt
 
 let with_ name f =
   let stack = Domain.DLS.get stack_key in
@@ -45,39 +30,10 @@ let timed f =
 let depth () = List.length !(Domain.DLS.get stack_key)
 
 let reset () =
-  Hashtbl.reset buckets;
-  match Domain.DLS.get scope_key with
-  | Some s -> Hashtbl.reset s
-  | None -> ()
+  Hashtbl.reset Capture.shared.spans;
+  Option.iter (fun s -> Hashtbl.reset s.Capture.spans) (Capture.local ())
 
-let report () =
-  let tbl = match Domain.DLS.get scope_key with Some s -> s | None -> buckets in
-  Hashtbl.fold (fun path c acc -> (path, c.count, c.total_s) :: acc) tbl []
-  |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
-
-let scoped f =
-  let saved_scope = Domain.DLS.get scope_key in
-  let saved_stack = Domain.DLS.get stack_key in
-  let s : scope = Hashtbl.create 32 in
-  Domain.DLS.set scope_key (Some s);
-  (* a fresh stack: the worker's span paths must not inherit whatever
-     span happened to be open where the task was dispatched from *)
-  Domain.DLS.set stack_key (ref []);
-  Fun.protect
-    ~finally:(fun () ->
-      Domain.DLS.set scope_key saved_scope;
-      Domain.DLS.set stack_key saved_stack)
-    (fun () ->
-      let r = f () in
-      let entries =
-        Hashtbl.fold (fun path c acc -> (path, c.count, c.total_s) :: acc) s []
-        |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
-      in
-      (r, entries))
-
-let merge entries =
-  let tbl = match Domain.DLS.get scope_key with Some s -> s | None -> buckets in
-  List.iter (fun (path, n, dt) -> record_into tbl path n dt) entries
+let report () = Capture.spans (Capture.current ())
 
 let pp_report fmt () =
   let entries = report () in

@@ -8,11 +8,13 @@
     belong in {!Trace} event fields, not in span paths — dynamic names
     would make the aggregate table unbounded).
 
-    {b Domain safety.}  The span stack is domain-local, and worker domains
-    run inside {!scoped}, which redirects recording into a domain-local
-    bucket table; the coordinator folds the returned entries back with
-    {!merge} after the join, so [--stats] timing reports keep working
-    under [--jobs]. *)
+    {b Domain safety.}  The span stack is domain-local, and a span records
+    into the innermost {!Obs.scoped} capture open when it closes (the
+    shared report outside every capture).  A capture keeps the enclosing
+    stack, so a path does not depend on whether it was captured; worker
+    domains start with an empty stack.  The coordinator folds a worker's
+    capture back with {!Obs.merge} after the join, so [--stats] timing
+    reports keep working under [--jobs]. *)
 
 val with_ : string -> (unit -> 'a) -> 'a
 (** Runs the thunk inside a span; exception-safe (the span is closed and
@@ -33,18 +35,8 @@ val reset : unit -> unit
 val report : unit -> (string * int * float) list
 (** [(path, count, total_seconds)] for every path seen since the last
     {!reset}, sorted by path — so children sort under their parents.
-    Inside {!scoped}, reports the scope's entries only. *)
-
-val scoped : (unit -> 'a) -> 'a * (string * int * float) list
-(** [scoped f] runs [f] with span recording redirected to a domain-local
-    bucket table (and a fresh span stack) and returns [f]'s result with
-    the recorded [(path, count, total_seconds)] entries, sorted by path.
-    The entries are not applied to the shared report — pass them to
-    {!merge} from the coordinating domain. *)
-
-val merge : (string * int * float) list -> unit
-(** Folds scoped entries into the current context's buckets (the shared
-    report, or the enclosing scope when nested). *)
+    Inside an {!Obs.scoped} capture, reports the capture's entries
+    only. *)
 
 val pp_report : Format.formatter -> unit -> unit
 (** Human-readable table of {!report}: path, call count, total and mean

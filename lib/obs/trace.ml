@@ -1,4 +1,4 @@
-type event = {
+type event = Capture.event = {
   seq : int;
   ts_us : float;
   kind : string;
@@ -15,29 +15,21 @@ let version = 2
 let header () = [ ("schema", Json.String schema_name); ("version", Json.Int version) ]
 
 let on = ref false
-let rev_events : event list ref = ref []
-let count = ref 0
 
 (* wall-clock origin of [ts_us]; rearmed when the trace restarts *)
 let epoch = ref (Unix.gettimeofday ())
 
 let enable () =
-  if !count = 0 then epoch := Unix.gettimeofday ();
+  if Capture.shared.n_events = 0 then epoch := Unix.gettimeofday ();
   on := true
 
 let disable () = on := false
 let enabled () = !on
 
 let clear () =
-  rev_events := [];
-  count := 0;
+  Capture.shared.events <- [];
+  Capture.shared.n_events <- 0;
   epoch := Unix.gettimeofday ()
-
-(* Domain-local buffer installed by [buffered]: worker domains append
-   here (sequence numbers assigned later, by [append]) instead of touching
-   the shared event list.  [on] and [epoch] are only written while no
-   worker domain is running, so the plain reads below are race-free. *)
-let buffer_key : event list ref option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 (* Current request id, domain-local.  Set by the serve front end around
    each request (and re-installed inside pool workers by the dispatching
@@ -55,6 +47,11 @@ let with_request id f =
 let with_request_opt req f =
   match req with None -> f () | Some id -> with_request id f
 
+(* Inside a capture, events are buffered in it (sequence numbers are
+   reassigned when it merges) instead of touching the shared event list.
+   [on] and [epoch] are only written while no worker domain is running,
+   so the plain reads below are race-free. *)
+
 let emit kind fields =
   if !on then begin
     let ts_us = (Unix.gettimeofday () -. !epoch) *. 1e6 in
@@ -63,38 +60,14 @@ let emit kind fields =
       | None -> fields
       | Some id -> ("req", Json.String id) :: fields
     in
-    match Domain.DLS.get buffer_key with
-    | Some b -> b := { seq = -1; ts_us; kind; fields } :: !b
-    | None ->
-      rev_events := { seq = !count; ts_us; kind; fields } :: !rev_events;
-      incr count
+    Capture.push (Capture.current ()) { seq = 0; ts_us; kind; fields }
   end
 
 let emitf kind mk = if !on then emit kind (mk ())
 
-let buffered f =
-  let saved = Domain.DLS.get buffer_key in
-  let b = ref [] in
-  Domain.DLS.set buffer_key (Some b);
-  Fun.protect
-    ~finally:(fun () -> Domain.DLS.set buffer_key saved)
-    (fun () ->
-      let r = f () in
-      (r, List.rev !b))
+let events () = List.rev Capture.shared.events
 
-let append evs =
-  List.iter
-    (fun e ->
-      match Domain.DLS.get buffer_key with
-      | Some b -> b := { e with seq = -1 } :: !b
-      | None ->
-        rev_events := { e with seq = !count } :: !rev_events;
-        incr count)
-    evs
-
-let events () = List.rev !rev_events
-
-let length () = !count
+let length () = Capture.shared.n_events
 
 let event_to_json e =
   Json.Assoc

@@ -12,7 +12,7 @@
     traces are read back by {!Tracefile} and folded into structural
     fingerprints by {!Summary}. *)
 
-type event = {
+type event = Capture.event = {
   seq : int;  (** 0-based position in the trace *)
   ts_us : float;
       (** wall-clock microseconds since the trace epoch (the moment the
@@ -38,6 +38,10 @@ val clear : unit -> unit
 
 val emit : string -> (string * Json.t) list -> unit
 (** [emit kind fields] appends an event; a no-op when tracing is off.
+    Inside an {!Obs.scoped} capture the event is buffered there, and
+    {!Obs.merge} appends a capture's events in emission order,
+    renumbering them, so a parallel run produces the same event
+    sequence as the sequential one.
     When a request id is installed ({!with_request}), a ["req"] field
     carrying it is prepended to the event's fields. *)
 
@@ -59,18 +63,6 @@ val with_request_opt : string option -> (unit -> 'a) -> 'a
 val emitf : string -> (unit -> (string * Json.t) list) -> unit
 (** Like {!emit} but the fields are only computed when tracing is on —
     use this whenever building the fields does real work. *)
-
-val buffered : (unit -> 'a) -> 'a * event list
-(** [buffered f] runs [f] with event emission redirected to a
-    domain-local buffer and returns [f]'s result with the buffered
-    events in emission order (their [seq] fields are placeholders).
-    Worker domains run tasks under [buffered]; the coordinator splices
-    each task's events back with {!append} in task order, so a parallel
-    run produces the same event sequence as the sequential one. *)
-
-val append : event list -> unit
-(** Appends events to the trace (or to the enclosing buffer when
-    nested), re-assigning sequence numbers; timestamps are kept. *)
 
 val events : unit -> event list
 (** Recorded events, oldest first. *)

@@ -3,10 +3,9 @@
    work-stealing deque without per-worker queues (tasks here are coarse —
    whole operator compilations — so the cursor is never contended enough
    to matter).  Determinism comes from the merge step, not the execution
-   order: every task runs under Obs capture, and the coordinator applies
-   counter deltas, span buckets, histogram deltas and trace events in
-   task-index order after the join, so `--jobs 4` produces bit-identical
-   observability to `--jobs 1`. *)
+   order: every task runs in its own Obs capture, and the coordinator
+   merges the captures in task-index order after the join, so `--jobs 4`
+   produces bit-identical observability to `--jobs 1`. *)
 
 let c_tasks =
   Obs.Counters.create "service.pool_tasks"
@@ -34,32 +33,23 @@ let default_jobs () = Domain.recommended_domain_count ()
    [map] runs its sub-tasks sequentially on the same domain. *)
 let in_worker : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 
-type 'b slot = {
-  result : ('b, exn) result;
-  counters : (string * int) list;
-  spans : (string * int * float) list;
-  hists : Obs.Histogram.snapshot list;
-  trace : Obs.Trace.event list;
-}
+type 'b slot = { result : ('b, exn) result; capture : Obs.capture }
 
 (* [req] is the coordinator's request id (if any): re-installed on the
    worker so trace events the task emits carry the same "req" field the
    dispatching request's own events do. *)
 let run_task req f x =
-  let ((((result, hists), counters), spans), trace) =
-    Obs.Trace.buffered (fun () ->
-        Obs.Span.scoped (fun () ->
-            Obs.Counters.scoped (fun () ->
-                Obs.Histogram.scoped (fun () ->
-                    Obs.Trace.with_request_opt req (fun () ->
-                        Obs.Counters.incr c_tasks;
-                        match f x with r -> Ok r | exception e -> Error e)))))
+  let result, capture =
+    Obs.scoped (fun () ->
+        Obs.Trace.with_request_opt req (fun () ->
+            Obs.Counters.incr c_tasks;
+            match f x with r -> Ok r | exception e -> Error e))
   in
-  { result; counters; spans; hists; trace }
+  { result; capture }
 
 (* Spawning is only worth it when there are real cores to spawn onto: on a
    single-core host the domains time-slice the one core and the pool pays
-   scoped-capture and merge overhead for nothing (BENCH_PR5 measured
+   capture and merge overhead for nothing (BENCH_PR5 measured
    par_speedup 0.49 exactly this way).  Kept pure and parameterized on the
    core count so the single-core branch is testable on any host. *)
 let parallelizable ?cores ~jobs n =
@@ -106,12 +96,6 @@ let map ~jobs f xs =
       | None -> assert false (* every index was claimed before the join *)
       | Some s -> out := s :: !out
     done;
-    List.iter
-      (fun s ->
-        Obs.Counters.merge s.counters;
-        Obs.Span.merge s.spans;
-        Obs.Histogram.merge s.hists;
-        Obs.Trace.append s.trace)
-      !out;
+    List.iter (fun s -> Obs.merge s.capture) !out;
     List.map (function { result = Ok r; _ } -> r | { result = Error e; _ } -> raise e) !out
   end

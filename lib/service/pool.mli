@@ -3,11 +3,11 @@
 
     [map ~jobs f xs] applies [f] to every element of [xs], running up to
     [jobs] tasks concurrently on spawned domains.  Results come back in
-    input order regardless of completion order, and every task runs under
-    {!Obs.Counters.scoped}, {!Obs.Span.scoped}, {!Obs.Histogram.scoped}
-    and {!Obs.Trace.buffered}: the pool folds each task's counter deltas,
-    span buckets, histogram deltas and trace events back into the shared
-    Obs state {e in task-index order} after joining the workers.
+    input order regardless of completion order, and every task runs in
+    one {!Obs.scoped} capture on its worker domain: after joining the
+    workers, the coordinator passes each task's capture (counter deltas,
+    span cells, histogram cells and trace events) to {!Obs.merge}
+    {e in task-index order}.
     Consequently a parallel run is observationally bit-identical to a
     sequential one — same counter totals, same histogram snapshots, same
     trace event sequence — which is what lets [--jobs N] reproduce
@@ -33,7 +33,7 @@ val parallelizable : ?cores:int -> jobs:int -> int -> bool
     spawn worker domains.  False when [jobs <= 1], [n <= 1], or the host
     has a single core ([cores], defaulting to
     [Domain.recommended_domain_count ()], is [<= 1]) — time-slicing
-    domains on one core only adds scoped-capture and merge overhead (the
+    domains on one core only adds capture and merge overhead (the
     BENCH_PR5 [par_speedup 0.49] pathology).  Exposed with the [cores]
     parameter so the single-core branch has a regression test on any
     host. *)
@@ -42,4 +42,4 @@ val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** When {!parallelizable} is false for the input — or when called from
     inside a pool worker (nested parallelism) — degrades to a plain
     sequential [List.map] on the current domain: same counters, same
-    traces, no domain spawn, no scoped-capture merge. *)
+    traces, no domain spawn, no capture. *)

@@ -221,10 +221,10 @@ let handle_compile h ~id req =
   | Ok name, Ok machine, Ok (), Ok (op, kernel) -> (
     let version, target = Option.get (P.resolve name ~machine) in
     let t0 = Unix.gettimeofday () in
-    (* spans the pipeline records inside this request are captured for
-       the reply's breakdown, then folded back into the shared report *)
-    let reply, spans =
-      Obs.Span.scoped (fun () ->
+    (* what the pipeline records inside this request is captured for the
+       reply's span breakdown, then folded back into the shared state *)
+    let reply, capture =
+      Obs.scoped (fun () ->
           let key =
             Key.make ~kernel ~machine ~version:name
               ~flags:[ ("entry", "serve"); ("op", op) ]
@@ -240,7 +240,8 @@ let handle_compile h ~id req =
               Option.iter (fun c -> Cache.store c key (J.Assoc fields)) h.cache;
               Ok (false, Key.digest key, fields)))
     in
-    Obs.Span.merge spans;
+    Obs.merge capture;
+    let spans = Obs.spans capture in
     let elapsed_s = Unix.gettimeofday () -. t0 in
     Obs.Histogram.observe h_compile elapsed_s;
     match reply with

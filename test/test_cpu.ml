@@ -298,6 +298,26 @@ let test_no_compiler_degrades () =
     Alcotest.(check bool) "structured error" true (contains msg "emit-only")
   | None -> Alcotest.fail "expected a degradation error"
 
+(* Pool worker domains probe the toolchain (Runner.build_source asks
+   supports_isa, and kernel_flags asks supports_openmp): 4 domains probing
+   a cold memo at once must each get the sequential answers. *)
+let test_concurrent_probes () =
+  match Toolchain.detect () with
+  | None -> Printf.printf "  [skipped: no host C compiler]\n%!"
+  | Some tc ->
+    let answers () =
+      Toolchain.supports_openmp tc
+      :: List.map (Toolchain.supports_isa tc)
+           Machine.[ Avx2; Avx512; Neon; Scalar_c ]
+    in
+    let sequential = answers () in
+    Hashtbl.reset Toolchain.probe_memo;
+    let domains = List.init 4 (fun _ -> Domain.spawn answers) in
+    List.iter
+      (fun d ->
+        Alcotest.(check (list bool)) "same answers as one domain" sequential (Domain.join d))
+      domains
+
 let () =
   Alcotest.run "cpu"
     [ ( "machine",
@@ -322,6 +342,7 @@ let () =
             test_executed_differential_native;
           Alcotest.test_case "compile cache hit" `Quick test_compile_cache_hit;
           Alcotest.test_case "corruption recovery" `Quick test_corruption_recovery;
-          Alcotest.test_case "no-compiler degradation" `Quick test_no_compiler_degrades
+          Alcotest.test_case "no-compiler degradation" `Quick test_no_compiler_degrades;
+          Alcotest.test_case "concurrent toolchain probes" `Quick test_concurrent_probes
         ] )
     ]
