@@ -20,7 +20,7 @@ let loop_is_parallel sched kernel deps ~dim ~stmts =
   let relevant =
     List.filter
       (fun (d : Deps.Dependence.t) ->
-        Deps.Dependence.is_validity d && List.mem d.source stmts && List.mem d.target stmts)
+        List.mem d.source stmts && List.mem d.target stmts)
       deps
   in
   List.for_all (fun dep -> not (dep_carried sched kernel dep ~dim)) relevant

@@ -6,7 +6,7 @@ let band_permutable sched kernel deps ~dims ~stmts =
   let relevant =
     List.filter
       (fun (d : Deps.Dependence.t) ->
-        Deps.Dependence.is_validity d && List.mem d.source stmts && List.mem d.target stmts)
+        List.mem d.source stmts && List.mem d.target stmts)
       deps
   in
   List.for_all

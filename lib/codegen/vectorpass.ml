@@ -130,8 +130,7 @@ let apply ?(min_parallel = 0) sched kernel deps ast =
             let safe_order =
               List.for_all
                 (fun (dep : Deps.Dependence.t) ->
-                  (not (Deps.Dependence.is_validity dep))
-                  || (not (List.mem dep.source stmts))
+                  (not (List.mem dep.source stmts))
                   || (not (List.mem dep.target stmts))
                   || dep.source = dep.target
                   || position dep.source <= position dep.target

@@ -2,6 +2,7 @@ open Polybase
 open Polyhedra
 open Ir
 module Ast = Codegen.Ast
+module Cuda = Codegen.Cuda
 
 let entry_symbol = "akg_kernel"
 
@@ -39,44 +40,22 @@ let sanitize_ident s =
 let tensor_ident name = "buf_" ^ sanitize_ident name
 
 (* ------------------------------------------------------------------ *)
-(* affine expression rendering (mirrors Codegen.Cuda's rational story)  *)
+(* affine expression rendering (shares Codegen.Cuda's rational story)   *)
 (* ------------------------------------------------------------------ *)
 
-(* A statement whose inverted schedule has rational coefficients only has
-   instances where the inverse image is integral; C-side that becomes a
-   [%]-divisibility guard plus exact integer division (both safe for
-   negatives with C's truncating operators: divisibility and exact
-   quotients are sign-agnostic). *)
-let denominator e =
-  let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
-  let lcm a b = a / gcd a b * b in
-  Linexpr.fold_terms
-    (fun _ c acc -> lcm acc (Bigint.to_int (Q.den c)))
-    e
-    (Bigint.to_int (Q.den (Linexpr.constant e)))
-
+(* Cuda.lattice_guards' [%]-divisibility guards and the exact integer
+   division below are both safe for negatives with C's truncating
+   operators: divisibility and exact quotients are sign-agnostic. *)
 let int_expr_to_c e =
-  let q = denominator e in
+  let q = Cuda.denominator e in
   if q = 1 then Printf.sprintf "(%s)" (Linexpr.to_string e)
   else
     Printf.sprintf "((%s) / %d)" (Linexpr.to_string (Linexpr.scale (Q.of_int q) e)) q
 
-let lattice_guards sub =
-  List.filter_map
-    (fun (_, ex) ->
-      let q = denominator ex in
-      if q = 1 then None
-      else
-        Some
-          (Printf.sprintf "(%s) %% %d == 0"
-             (Linexpr.to_string (Linexpr.scale (Q.of_int q) ex))
-             q))
-    sub
-
 let constr_to_c (cn : Constr.t) =
   (* scaling by the (positive) denominator preserves the sign, keeping the
      comparison integral *)
-  let q = denominator cn.Constr.expr in
+  let q = Cuda.denominator cn.Constr.expr in
   Printf.sprintf "(%s) %s 0"
     (Linexpr.to_string (Linexpr.scale (Q.of_int q) cn.Constr.expr))
     (match cn.Constr.kind with Constr.Eq -> "==" | Constr.Ge -> ">=")
@@ -100,7 +79,7 @@ let lower_to_c exprs =
     nest "akg_imax"
       (List.map
          (fun e ->
-           let q = denominator e in
+           let q = Cuda.denominator e in
            if q = 1 then Printf.sprintf "(%s)" (Linexpr.to_string e)
            else
              Printf.sprintf "akg_ceildiv(%s, %d)"
@@ -115,7 +94,7 @@ let upper_to_c exprs =
     nest "akg_imin"
       (List.map
          (fun e ->
-           let q = denominator e in
+           let q = Cuda.denominator e in
            if q = 1 then Printf.sprintf "(%s)" (Linexpr.to_string e)
            else
              Printf.sprintf "akg_floordiv(%s, %d)"
@@ -339,7 +318,7 @@ let emit ?(machine = Gpusim.Machine.scalar_1core) (c : Codegen.Compile.compiled)
         (access_to_c k isub stmt.Stmt.write)
         (rhs_to_c k isub stmt.Stmt.rhs)
     in
-    match lattice_guards isub with
+    match Cuda.lattice_guards isub with
     | [] -> line pad
     | gs ->
       add "%sif (%s) {\n" pad (String.concat " && " gs);
@@ -350,11 +329,11 @@ let emit ?(machine = Gpusim.Machine.scalar_1core) (c : Codegen.Compile.compiled)
   let emit_vec_exec pad v lanes (e : Ast.exec) =
     let stmt = Kernel.stmt k e.Ast.stmt in
     let integral_images =
-      List.for_all (fun (_, ex) -> denominator ex = 1) e.Ast.iter_map
+      List.for_all (fun (_, ex) -> Cuda.denominator ex = 1) e.Ast.iter_map
       && List.for_all
            (fun (a : Access.t) ->
              List.for_all
-               (fun ex -> denominator (subst_all e.Ast.iter_map ex) = 1)
+               (fun ex -> Cuda.denominator (subst_all e.Ast.iter_map ex) = 1)
                a.Access.index)
            (stmt.Stmt.write :: Expr.loads stmt.Stmt.rhs)
     in

@@ -33,16 +33,16 @@ let c_memo_hits =
 (* The stages of one operator pass one kernel value around, so a kernel is
    compared physically; its name only spreads the hash. *)
 module Memo = Solver_memo.Make (struct
-  type key = bool * Kernel.t
+  type key = Kernel.t
   type value = Dependence.t list
 
-  let hash (include_input, (k : Kernel.t)) = Hashtbl.hash (include_input, k.Kernel.name)
-  let equal (i, k) (i', k') = i = i' && k == k'
+  let hash (k : Kernel.t) = Hashtbl.hash k.Kernel.name
+  let equal = ( == )
   let hits = c_memo_hits
 end)
 
-let dependences ?(include_input = false) (k : Kernel.t) =
-  Memo.find (include_input, k) @@ fun () ->
+let dependences (k : Kernel.t) =
+  Memo.find k @@ fun () ->
   Obs.Span.with_ "deps.analysis" @@ fun () ->
   Obs.Counters.incr c_analyses;
   let stmts = Array.of_list k.Kernel.stmts in
@@ -71,7 +71,7 @@ let dependences ?(include_input = false) (k : Kernel.t) =
                   | `Write, `Read -> Some Dependence.Flow
                   | `Read, `Write -> Some Dependence.Anti
                   | `Write, `Write -> Some Dependence.Output
-                  | `Read, `Read -> if include_input then Some Dependence.Input else None
+                  | `Read, `Read -> None
                 in
                 match kind with
                 | None -> ()
@@ -105,16 +105,6 @@ let dependences ?(include_input = false) (k : Kernel.t) =
     done
   done;
   List.rev !deps
-
-let validity deps = List.filter Dependence.is_validity deps
-
-let proximity deps =
-  List.filter
-    (fun (d : Dependence.t) ->
-      match d.Dependence.kind with
-      | Dependence.Flow | Dependence.Input -> true
-      | Dependence.Anti | Dependence.Output -> false)
-    deps
 
 let pp_all fmt deps =
   Format.fprintf fmt "@[<v>";

@@ -1,20 +1,15 @@
 (** Exact dependence analysis over kernels.
 
     For every ordered pair of accesses to the same tensor with at least one
-    write (plus read-read pairs when [include_input] is set), the analyzer
-    builds the dependence polyhedron of Section IV-A1 — both executions in
-    their domains, equal indices, source preceding target in the original
-    order — and keeps the non-empty ones. *)
+    write, the analyzer builds the dependence polyhedron of Section IV-A1 —
+    both executions in their domains, equal indices, source preceding
+    target in the original order — and keeps the non-empty ones. *)
 
-val dependences : ?include_input:bool -> Ir.Kernel.t -> Dependence.t list
+val dependences : Ir.Kernel.t -> Dependence.t list
 (** Original-order precedence: statement list order between different
-    statements, lexicographic iteration order within one statement. *)
-
-val validity : Dependence.t list -> Dependence.t list
-(** The subset that constrains legality (flow, anti, output). *)
-
-val proximity : Dependence.t list -> Dependence.t list
-(** The subset used for locality optimization (flow and input, following
-    the Pluto/isl convention of minimizing reuse distance on data reuse). *)
+    statements, lexicographic iteration order within one statement.  Every
+    result constrains legality; read-read pairs are not dependences.
+    Inside a {!Polyhedra.Solver_memo} scope the result is remembered per
+    kernel (compared physically) and a repeat counts [deps.memo_hits]. *)
 
 val pp_all : Format.formatter -> Dependence.t list -> unit

@@ -1,6 +1,6 @@
 open Polyhedra
 
-type kind = Flow | Anti | Output | Input
+type kind = Flow | Anti | Output
 
 type t = {
   kind : kind;
@@ -16,13 +16,10 @@ type t = {
 let target_suffix = "'"
 let rename_target x = x ^ target_suffix
 
-let is_validity d = d.kind <> Input
-
 let kind_to_string = function
   | Flow -> "flow"
   | Anti -> "anti"
   | Output -> "output"
-  | Input -> "input"
 
 let pp fmt d =
   Format.fprintf fmt "%s dep on %s: %s(%s) -> %s(%s) @@depth %d: %a"

@@ -10,7 +10,7 @@
 
 open Polyhedra
 
-type kind = Flow | Anti | Output | Input
+type kind = Flow | Anti | Output
 
 type t = {
   kind : kind;
@@ -31,9 +31,6 @@ val target_suffix : string
 (** Suffix used to rename target iterators in self-dependences. *)
 
 val rename_target : string -> string
-
-val is_validity : t -> bool
-(** Whether the dependence constrains legality (everything but [Input]). *)
 
 val kind_to_string : kind -> string
 val pp : Format.formatter -> t -> unit

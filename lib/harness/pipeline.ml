@@ -140,10 +140,10 @@ let execute ?reps ?seed ?(check = true) runner built kernel =
     (* the runner got copies, so [mem] still holds the inputs *)
     let checked =
       if not check then None
-      else begin
+      else
+        Obs.Span.with_ "cpu.check" @@ fun () ->
         Interp.run_original kernel mem;
         Some (verdict mem (buffers_to_memory kernel outputs))
-      end
     in
     Ok (best_s, checked)
 

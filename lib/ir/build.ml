@@ -15,7 +15,6 @@ let access t iters = Access.of_iters t iters
 let access_e t index = Access.make t index
 let idx x = Linexpr.var x
 let idx_plus x n = Linexpr.add (Linexpr.var x) (Linexpr.const_int n)
-let idx_const n = Linexpr.const_int n
 let tensor = Tensor.make
 
 let kernel ?params name ~tensors ~stmts =

@@ -26,7 +26,6 @@ val idx : string -> Linexpr.t
 (** Iterator as an index expression. *)
 
 val idx_plus : string -> int -> Linexpr.t
-val idx_const : int -> Linexpr.t
 
 val tensor : ?dtype:Tensor.dtype -> string -> int list -> Tensor.t
 

@@ -9,15 +9,6 @@ type category =
   | Reduce_rows of { rows : int; cols : int }
   | Copy2d of { rows : int; cols : int }
 
-let category_name = function
-  | Ew_chain _ -> "ew_chain"
-  | Bias_act _ -> "bias_act"
-  | Permute_bad _ -> "permute_bad"
-  | Permute_fused _ -> "permute_fused"
-  | Transpose2d _ -> "transpose2d"
-  | Reduce_rows _ -> "reduce_rows"
-  | Copy2d _ -> "copy2d"
-
 (* a rotating pool of binary/unary operations so chains differ *)
 let binops = [| Expr.Add; Expr.Sub; Expr.Mul; Expr.Max |]
 let unops = [| Expr.Relu; Expr.Sigmoid; Expr.Tanh; Expr.Abs |]

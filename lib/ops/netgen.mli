@@ -20,5 +20,3 @@ type category =
   | Copy2d of { rows : int; cols : int }
 
 val build : name:string -> category -> Ir.Kernel.t
-
-val category_name : category -> string

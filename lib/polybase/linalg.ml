@@ -37,9 +37,6 @@ let mat_mul a b =
   let bt = transpose b in
   Array.map (fun row -> Array.map (dot row) bt) a
 
-let vec_add a b = Array.mapi (fun i ai -> Q.add ai b.(i)) a
-let vec_sub a b = Array.mapi (fun i ai -> Q.sub ai b.(i)) a
-let vec_scale k v = Array.map (Q.mul k) v
 let vec_is_zero v = Array.for_all Q.is_zero v
 let vec_equal a b = Array.length a = Array.length b && Array.for_all2 Q.equal a b
 
@@ -135,12 +132,3 @@ let row_space_contains m v =
   (* v in rowspace(m) iff rank unchanged when appending v *)
   let with_v = Array.append m [| v |] in
   rank m = rank with_v
-
-let pp_vec fmt v =
-  Format.fprintf fmt "[%s]"
-    (String.concat "; " (Array.to_list (Array.map Q.to_string v)))
-
-let pp_mat fmt m =
-  Format.fprintf fmt "@[<v>";
-  Array.iter (fun row -> Format.fprintf fmt "%a@," pp_vec row) m;
-  Format.fprintf fmt "@]"

@@ -19,9 +19,6 @@ val transpose : mat -> mat
 val mat_mul : mat -> mat -> mat
 val mat_vec : mat -> vec -> vec
 val dot : vec -> vec -> Q.t
-val vec_add : vec -> vec -> vec
-val vec_sub : vec -> vec -> vec
-val vec_scale : Q.t -> vec -> vec
 val vec_is_zero : vec -> bool
 val vec_equal : vec -> vec -> bool
 
@@ -49,6 +46,3 @@ val integerize : vec -> vec
 (** Scales a rational vector by the positive lcm of denominators divided by
     the gcd of numerators, yielding a primitive integer vector (zero vector
     maps to itself). *)
-
-val pp_vec : Format.formatter -> vec -> unit
-val pp_mat : Format.formatter -> mat -> unit

@@ -50,11 +50,6 @@ let project_out xs = function
     | cs -> Set cs
     | exception Fourier_motzkin.Contradiction -> Bottom)
 
-let project_onto keep p =
-  let all = vars p in
-  let gone = List.filter (fun v -> not (List.mem v keep)) all in
-  project_out gone p
-
 let rename f = function
   | Bottom -> Bottom
   | Set cs -> Set (List.map (Constr.rename f) cs)

@@ -25,10 +25,6 @@ val is_empty : t -> bool
 
 val sample : t -> (string -> Q.t) option
 
-val project_onto : string list -> t -> t
-(** Keeps only the given variables, eliminating all others by
-    Fourier-Motzkin. *)
-
 val project_out : string list -> t -> t
 
 val rename : (string -> string) -> t -> t

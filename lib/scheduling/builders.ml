@@ -19,8 +19,6 @@ let init_dep_state kernel (dep : Dependence.t) =
     retired = false
   }
 
-let is_satisfied ds = Polyhedron.is_empty ds.active_rel
-
 (* Relation variables are source iterators, target iterators (possibly
    renamed) and shared parameters.  [delta = phi_T(t) - phi_S(s)]. *)
 let delta_template ~dim ds =
@@ -60,13 +58,8 @@ let delta_concrete ds ~src_expr ~tgt_expr =
 type nonneg_on =
   coef_of:(string -> Linexpr.t) -> const:Linexpr.t -> Polyhedron.t -> Constr.t list
 
-let validity ~(nonneg_on : nonneg_on) ?slack ~dim ds =
+let validity ~(nonneg_on : nonneg_on) ~dim ds =
   let coef_of, const = delta_template ~dim ds in
-  let const =
-    match slack with
-    | None -> const
-    | Some v -> Linexpr.add_term Q.minus_one v const
-  in
   nonneg_on ~coef_of ~const ds.band_rel
 
 let coincidence ~(nonneg_on : nonneg_on) ~dim ds =
@@ -114,7 +107,10 @@ let progression ?(negate = false) ~dim ~stmt ~prev_iter_rows () =
     Some (Constr.ge0 (Linexpr.add total (Linexpr.const_int (-1))) :: per_row)
   end
 
-let var_bounds ~dim ~stmts ~params ~coef_bound ~const_bound =
+let coef_bound = 4
+let const_bound = 4
+
+let var_bounds ~dim ~stmts ~params =
   let for_stmt (s : Ir.Stmt.t) =
     let name = s.Ir.Stmt.name in
     let iter_bounds =

@@ -27,10 +27,6 @@ type dep_state = {
 
 val init_dep_state : Ir.Kernel.t -> Dependence.t -> dep_state
 
-val is_satisfied : dep_state -> bool
-(** Strongly satisfied: no pair of dependent instances is left with equal
-    schedule prefix. *)
-
 val delta_template :
   dim:int -> dep_state -> (string -> Linexpr.t) * Linexpr.t
 (** The schedule-difference [phi_T(t) - phi_S(s)] at a dimension, as a
@@ -49,12 +45,8 @@ type nonneg_on =
     {!Farkas.nonneg_on} or, in the scheduler, a memoized one
     ({!Scheduler.nonneg_on}). *)
 
-val validity :
-  nonneg_on:nonneg_on -> ?slack:string -> dim:int -> dep_state -> Constr.t list
-(** Equation 1 (weak satisfaction, [delta >= 0]) over [band_rel]).  With
-    [slack] the condition becomes [delta >= slack]: a 0/1 slack variable
-    per dependence lets a Feautrier-style dimension maximize the number of
-    strongly satisfied dependences. *)
+val validity : nonneg_on:nonneg_on -> dim:int -> dep_state -> Constr.t list
+(** Equation 1 (weak satisfaction, [delta >= 0]) over [band_rel]. *)
 
 val coincidence : nonneg_on:nonneg_on -> dim:int -> dep_state -> Constr.t list
 (** Zero reuse distance ([delta = 0]) over [active_rel] — the
@@ -77,9 +69,16 @@ val progression :
     last resort when the default cone excludes every valid row (the
     over-constraining the paper acknowledges in Section IV-A3). *)
 
-val var_bounds :
-  dim:int -> stmts:Ir.Stmt.t list -> params:string list -> coef_bound:int ->
-  const_bound:int -> Constr.t list
+val coef_bound : int
+(** Upper bound (4) on every iterator and parameter coefficient. *)
+
+val const_bound : int
+(** Upper bound (4) on every constant coefficient. *)
+
+val var_bounds : dim:int -> stmts:Ir.Stmt.t list -> params:string list -> Constr.t list
+(** Each coefficient in [0, {!coef_bound}] (constants in
+    [0, {!const_bound}]) and the proximity bound variables [u], [w]
+    non-negative. *)
 
 val objectives :
   dim:int -> stmts:Ir.Stmt.t list -> params:string list -> Linexpr.t list

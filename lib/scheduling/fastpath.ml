@@ -5,14 +5,10 @@ type problem = {
   stmts : Ir.Stmt.t list;
   params : string list;
   dim : int;
-  coef_bound : int;
-  const_bound : int;
   with_progression : bool;
   prev_rows : Ir.Stmt.t -> Linalg.mat;
   dstates : Builders.dep_state array;
   dsat : bool array;
-  pstates : Builders.dep_state array;
-  psat : bool array;
 }
 
 type reject =
@@ -33,7 +29,7 @@ let reject_to_string = function
   | Not_coincident -> "not-coincident"
   | Not_proximate -> "not-proximate"
 
-let is_validity_reject = function
+let is_dependence_reject = function
   | Invalid | Not_coincident | Not_proximate -> true
   | Influence_objectives | Influence_unsat | No_candidate | Ambiguous -> false
 
@@ -72,8 +68,8 @@ let forced_values p infl_cs =
                (* dimensions below are substituted away and deeper ones are
                   rejected upstream, so this is unreachable in practice *)
                raise (Reject Influence_unsat)
-             | Some (_, _, Space.Const) -> p.const_bound
-             | Some (_, _, (Space.Iter _ | Space.Param _)) -> p.coef_bound
+             | Some (_, _, Space.Const) -> Builders.const_bound
+             | Some (_, _, (Space.Iter _ | Space.Param _)) -> Builders.coef_bound
              | None ->
                (* w / u or a foreign variable: the candidate's zero point
                   may not be optimal any more — let the ILP decide *)
@@ -104,19 +100,19 @@ let progressing basis row =
      >= 0
 
 (* All assignments of the free positions with exact weighted cost [k],
-   entries in [0, coef_bound].  Position weights are [j+1] — the exact
-   iterator weights of the ILP's tie-breaking objective — so ascending [k]
-   enumerates rows in the same order the ILP ranks them. *)
-let rec assignments_of_cost ~coef_bound free k =
+   entries in [0, Builders.coef_bound].  Position weights are [j+1] — the
+   exact iterator weights of the ILP's tie-breaking objective — so
+   ascending [k] enumerates rows in the same order the ILP ranks them. *)
+let rec assignments_of_cost free k =
   match free with
   | [] -> if k = 0 then [ [] ] else []
   | (idx, w) :: rest ->
     let acc = ref [] in
-    let vmax = min coef_bound (k / w) in
+    let vmax = min Builders.coef_bound (k / w) in
     for v = vmax downto 0 do
       List.iter
         (fun tail -> acc := ((idx, v) :: tail) :: !acc)
-        (assignments_of_cost ~coef_bound rest (k - (v * w)))
+        (assignments_of_cost rest (k - (v * w)))
     done;
     !acc
 
@@ -156,7 +152,7 @@ let minimal_row p ~forced (s : Ir.Stmt.t) =
     done;
     let free = !free in
     let max_cost =
-      List.fold_left (fun acc (_, w) -> acc + (w * p.coef_bound)) 0 free
+      List.fold_left (fun acc (_, w) -> acc + (w * Builders.coef_bound)) 0 free
     in
     let enumerated = ref 0 in
     let rec at_cost k =
@@ -168,7 +164,7 @@ let minimal_row p ~forced (s : Ir.Stmt.t) =
               let row = base_row () in
               List.iter (fun (idx, v) -> row.(idx) <- Q.of_int v) assign;
               row)
-            (assignments_of_cost ~coef_bound:p.coef_bound free k)
+            (assignments_of_cost free k)
         in
         enumerated := !enumerated + List.length rows;
         if !enumerated > enumeration_budget then raise (Reject No_candidate);
@@ -251,14 +247,5 @@ let attempt ~coincident ~infl_cs ~infl_objs p =
           else if not (Polyhedron.nonpos_on ds.active_rel (delta ds)) then
             raise (Reject Not_proximate))
       p.dstates;
-    (* proximity at the zero bound (u = 0, w = 0) for input-reuse
-       relations; anything needing a positive bound would displace the
-       candidate from the ILP's lexicographic optimum *)
-    Array.iteri
-      (fun i (ds : Builders.dep_state) ->
-        if not p.psat.(i) then
-          if not (Polyhedron.nonpos_on ds.active_rel (delta ds)) then
-            raise (Reject Not_proximate))
-      p.pstates;
     Ok point
   with Reject r -> Error r

@@ -38,18 +38,14 @@ type problem = {
   stmts : Ir.Stmt.t list;
   params : string list;
   dim : int;  (** loop ordinal of the dimension being scheduled *)
-  coef_bound : int;
-  const_bound : int;
   with_progression : bool;
       (** whether the exact solver would include progression constraints
           (it omits them only when every statement is already full-rank
           and the dimension exists purely to consume influence nodes) *)
   prev_rows : Ir.Stmt.t -> Linalg.mat;
       (** iterator coefficients of the rows committed so far *)
-  dstates : Builders.dep_state array;  (** validity dependences *)
+  dstates : Builders.dep_state array;  (** the kernel's dependences *)
   dsat : bool array;  (** strong-satisfaction flags for [dstates] *)
-  pstates : Builders.dep_state array;  (** input-reuse (proximity-only) *)
-  psat : bool array;
 }
 
 type reject =
@@ -66,7 +62,7 @@ type reject =
 
 val reject_to_string : reject -> string
 
-val is_validity_reject : reject -> bool
+val is_dependence_reject : reject -> bool
 (** The rejects where a structurally sound candidate existed but failed a
     semantic dependence check — the [scheduler.fastpath_validity_rejects]
     counter. *)

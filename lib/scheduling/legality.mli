@@ -1,8 +1,8 @@
 (** Semantic validation of schedules against dependence relations.
 
-    A schedule is legal when every (validity) dependence is strongly
-    satisfied: the target instance is scheduled at a lexicographically
-    strictly later date than the source instance, for every dependent pair.
+    A schedule is legal when every dependence is strongly satisfied: the
+    target instance is scheduled at a lexicographically strictly later
+    date than the source instance, for every dependent pair.
     Used by the test-suite as an oracle independent of the scheduler's own
     constraint construction. *)
 

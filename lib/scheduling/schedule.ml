@@ -25,16 +25,6 @@ let expr_for t ~dim ~stmt =
 let date t ~stmt env =
   List.map (fun row -> Linexpr.eval env (List.assoc stmt row.exprs)) t.rows
 
-let stmt_matrix t ~stmt ~iters =
-  let rows =
-    List.map
-      (fun row ->
-        let e = List.assoc stmt row.exprs in
-        Array.of_list (List.map (fun it -> Linexpr.coef e it) iters))
-      t.rows
-  in
-  Array.of_list rows
-
 let annotation t key = List.assoc_opt key t.annotations
 
 let instantiate params t =
@@ -49,13 +39,6 @@ let instantiate params t =
         (fun row -> { row with exprs = List.map (fun (s, e) -> (s, subst e)) row.exprs })
         t.rows
   }
-
-let add_annotations t kvs = { t with annotations = kvs @ t.annotations }
-
-let is_trivial_row row ~stmt =
-  match List.assoc_opt stmt row.exprs with
-  | None -> true
-  | Some e -> Linexpr.vars e = []
 
 let kind_string = function
   | Loop { coincident = true } -> "loop(parallel)"

@@ -38,20 +38,11 @@ val expr_for : t -> dim:int -> stmt:string -> Linexpr.t
 val date : t -> stmt:string -> (string -> Q.t) -> Q.t list
 (** Logical date of one statement instance. *)
 
-val stmt_matrix : t -> stmt:string -> iters:string list -> Q.t array array
-(** The iterator part [H_S] of the transformation matrix: one row per
-    schedule dimension, one column per iterator. *)
-
 val annotation : t -> string -> string option
 
 val instantiate : (string * int) list -> t -> t
 (** Substitutes concrete values for global parameters in every row; pair
     with {!Ir.Kernel.instantiate} before code generation. *)
-
-val add_annotations : t -> (string * string) list -> t
-
-val is_trivial_row : row -> stmt:string -> bool
-(** Whether the row's expression for a statement involves no iterator. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

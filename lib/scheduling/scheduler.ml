@@ -12,19 +12,9 @@ let strategy_of_name = function
   | "ilp-only" -> Some `Ilp_only
   | _ -> None
 
-type config = {
-  coef_bound : int;
-  const_bound : int;
-  max_ilp_nodes : int;
-  include_input_proximity : bool;
-  feautrier_fallback : bool;
-  strategy : strategy;
-}
+type config = { max_ilp_nodes : int; strategy : strategy }
 
-let default_config =
-  { coef_bound = 4; const_bound = 4; max_ilp_nodes = 200_000;
-    include_input_proximity = false; feautrier_fallback = false;
-    strategy = `Fastpath_then_ilp }
+let default_config = { max_ilp_nodes = 200_000; strategy = `Fastpath_then_ilp }
 
 type stats = {
   mutable ilp_solves : int;
@@ -161,7 +151,6 @@ type snapshot = {
   s_rows : Schedule.row list;
   s_env : (string * Q.t) list;
   s_dep : dep_snapshot array;
-  s_prox : dep_snapshot array;
   s_payload : (string * string) list;
 }
 
@@ -258,17 +247,10 @@ let schedule ?(config = default_config) ?(influence = Influence.empty) kernel =
   let stmts = kernel.Ir.Kernel.stmts in
   let stmt_names = List.map (fun (s : Ir.Stmt.t) -> s.Ir.Stmt.name) stmts in
   let params = Ir.Kernel.param_names kernel in
-  let deps_all =
-    Deps.Analysis.dependences ~include_input:config.include_input_proximity kernel
+  let dstates =
+    Array.of_list (List.map (Builders.init_dep_state kernel) (Deps.Analysis.dependences kernel))
   in
-  let vdeps = Deps.Analysis.validity deps_all in
-  let ideps =
-    List.filter (fun (d : Deps.Dependence.t) -> d.kind = Deps.Dependence.Input) deps_all
-  in
-  let dstates = Array.of_list (List.map (Builders.init_dep_state kernel) vdeps) in
-  let pstates = Array.of_list (List.map (Builders.init_dep_state kernel) ideps) in
   let dsat = Array.map (fun ds -> Polyhedron.is_empty ds.Builders.active_rel) dstates in
-  let psat = Array.map (fun ds -> Polyhedron.is_empty ds.Builders.active_rel) pstates in
   let rows_rev = ref [] in
   let env : (string, Q.t) Hashtbl.t = Hashtbl.create 64 in
   let payload = ref [] in
@@ -282,38 +264,32 @@ let schedule ?(config = default_config) ?(influence = Influence.empty) kernel =
 
   let loop_ordinal () = stats.loop_dims in
 
-  let snap_dep_array states sat =
-    Array.mapi
-      (fun i (ds : Builders.dep_state) ->
-        { ds_band = ds.band_rel; ds_active = ds.active_rel; ds_retired = ds.retired;
-          ds_satisfied = sat.(i) })
-      states
-  in
   let take_snapshot () =
     Hashtbl.replace snapshots (loop_ordinal ())
       { s_rows = !rows_rev;
         s_env = Hashtbl.fold (fun k v acc -> (k, v) :: acc) env [];
-        s_dep = snap_dep_array dstates dsat;
-        s_prox = snap_dep_array pstates psat;
+        s_dep =
+          Array.mapi
+            (fun i (ds : Builders.dep_state) ->
+              { ds_band = ds.band_rel; ds_active = ds.active_rel; ds_retired = ds.retired;
+                ds_satisfied = dsat.(i) })
+            dstates;
         s_payload = !payload
       }
-  in
-  let restore_dep_array states sat snaps =
-    Array.iteri
-      (fun i (ds : Builders.dep_state) ->
-        ds.band_rel <- snaps.(i).ds_band;
-        ds.active_rel <- snaps.(i).ds_active;
-        ds.retired <- snaps.(i).ds_retired;
-        sat.(i) <- snaps.(i).ds_satisfied)
-      states
   in
   let restore ordinal =
     let snap = Hashtbl.find snapshots ordinal in
     rows_rev := snap.s_rows;
     Hashtbl.reset env;
     List.iter (fun (k, v) -> Hashtbl.replace env k v) snap.s_env;
-    restore_dep_array dstates dsat snap.s_dep;
-    restore_dep_array pstates psat snap.s_prox;
+    Array.iteri
+      (fun i (ds : Builders.dep_state) ->
+        let d = snap.s_dep.(i) in
+        ds.band_rel <- d.ds_band;
+        ds.active_rel <- d.ds_active;
+        ds.retired <- d.ds_retired;
+        dsat.(i) <- d.ds_satisfied)
+      dstates;
     payload := snap.s_payload;
     (* recompute derived counters *)
     stats.loop_dims <- ordinal;
@@ -358,49 +334,16 @@ let schedule ?(config = default_config) ?(influence = Influence.empty) kernel =
       (List.sort (fun (a, _) (b, _) -> compare a b) extras)
   in
 
-  let solve ?(feautrier = false) ?(prog_negate = false) ~coincident ~with_progression
-      ~infl_cs ~infl_objs () =
+  let solve ?(prog_negate = false) ~coincident ~with_progression ~infl_cs ~infl_objs () =
     stats.ilp_solves <- stats.ilp_solves + 1;
     Obs.Counters.incr c_solves;
     Obs.Counters.add c_injected (List.length infl_cs);
     let dim = loop_ordinal () in
-    let bounds =
-      Builders.var_bounds ~dim ~stmts ~params ~coef_bound:config.coef_bound
-        ~const_bound:config.const_bound
-    in
-    (* Feautrier strategy: one 0/1 slack per unsatisfied dependence, delta
-       >= slack, maximize the number of strongly satisfied dependences. *)
-    let slack_of =
-      if not feautrier then fun _ -> None
-      else begin
-        let tbl = Hashtbl.create 8 in
-        List.iteri
-          (fun i (ds : Builders.dep_state) -> Hashtbl.replace tbl ds (Printf.sprintf "sat#%d" i))
-          (unsat_states ());
-        fun ds -> Hashtbl.find_opt tbl ds
-      end
-    in
-    let slack_vars =
-      List.filter_map slack_of (Array.to_list dstates)
-    in
-    let slack_bounds =
-      List.concat_map
-        (fun v -> [ Constr.lower_bound v 0; Constr.upper_bound v 1 ])
-        slack_vars
-    in
-    let feautrier_obj =
-      if slack_vars = [] then []
-      else
-        [ ( 0,
-            List.fold_left
-              (fun acc v -> Linexpr.add_term Q.minus_one v acc)
-              (Linexpr.const_int (List.length slack_vars))
-              slack_vars ) ]
-    in
+    let bounds = Builders.var_bounds ~dim ~stmts ~params in
     let validity =
       Array.to_list dstates
       |> List.filter (fun (ds : Builders.dep_state) -> not ds.retired)
-      |> List.concat_map (fun ds -> Builders.validity ~nonneg_on ?slack:(slack_of ds) ~dim ds)
+      |> List.concat_map (fun ds -> Builders.validity ~nonneg_on ~dim ds)
     in
     let coin =
       if not coincident then []
@@ -409,8 +352,7 @@ let schedule ?(config = default_config) ?(influence = Influence.empty) kernel =
     let prox =
       List.concat_map
         (fun (ds : Builders.dep_state) -> Builders.proximity ~nonneg_on ~dim ~params ds)
-        (unsat_states ()
-        @ (Array.to_list pstates |> List.filteri (fun i _ -> not psat.(i))))
+        (unsat_states ())
     in
     let prog =
       if not with_progression then []
@@ -425,12 +367,9 @@ let schedule ?(config = default_config) ?(influence = Influence.empty) kernel =
             | Some cs -> cs)
           stmts
     in
-    let constraints = bounds @ slack_bounds @ validity @ coin @ prox @ prog @ infl_cs in
-    let objectives =
-      merge_objectives (Builders.objectives ~dim ~stmts ~params)
-        (feautrier_obj @ infl_objs)
-    in
-    let integer_vars = slack_vars @ Builders.ilp_vars ~dim ~stmts ~params in
+    let constraints = bounds @ validity @ coin @ prox @ prog @ infl_cs in
+    let objectives = merge_objectives (Builders.objectives ~dim ~stmts ~params) infl_objs in
+    let integer_vars = Builders.ilp_vars ~dim ~stmts ~params in
     let bb_nodes_before = Obs.Counters.find "ilp.bb_nodes" in
     let result, solve_s =
       Obs.Span.timed (fun () ->
@@ -450,7 +389,6 @@ let schedule ?(config = default_config) ?(influence = Influence.empty) kernel =
         [ ("kernel", Obs.Json.String kernel.Ir.Kernel.name);
           ("dim", Obs.Json.Int dim);
           ("coincident", Obs.Json.Bool coincident);
-          ("feautrier", Obs.Json.Bool feautrier);
           ("constraints", Obs.Json.Int (List.length constraints));
           ("injected", Obs.Json.Int (List.length infl_cs));
           ("objectives", Obs.Json.Int (List.length objectives));
@@ -459,8 +397,8 @@ let schedule ?(config = default_config) ?(influence = Influence.empty) kernel =
           ("dur_us", Obs.Json.Float (solve_s *. 1e6))
         ]);
     Log.debug (fun m ->
-        m "dim %d solve: coincident=%b feautrier=%b constraints=%d -> %s" dim coincident
-          feautrier (List.length constraints)
+        m "dim %d solve: coincident=%b constraints=%d -> %s" dim coincident
+          (List.length constraints)
           (match result with Some _ -> "solution" | None -> "infeasible"));
     result
   in
@@ -474,11 +412,8 @@ let schedule ?(config = default_config) ?(influence = Influence.empty) kernel =
     if config.strategy <> `Fastpath_then_ilp then None
     else begin
       let problem =
-        { Fastpath.stmts; params; dim = loop_ordinal ();
-          coef_bound = config.coef_bound; const_bound = config.const_bound;
-          with_progression; prev_rows = stmt_iter_matrix;
-          dstates; dsat; pstates; psat
-        }
+        { Fastpath.stmts; params; dim = loop_ordinal (); with_progression;
+          prev_rows = stmt_iter_matrix; dstates; dsat }
       in
       let outcome, fp_s =
         Obs.Span.timed (fun () -> Fastpath.attempt ~coincident ~infl_cs ~infl_objs problem)
@@ -490,7 +425,7 @@ let schedule ?(config = default_config) ?(influence = Influence.empty) kernel =
        | Error r ->
          stats.fastpath_fallbacks <- stats.fastpath_fallbacks + 1;
          Obs.Counters.incr c_fastpath_fallbacks;
-         if Fastpath.is_validity_reject r then begin
+         if Fastpath.is_dependence_reject r then begin
            stats.fastpath_validity_rejects <- stats.fastpath_validity_rejects + 1;
            Obs.Counters.incr c_fastpath_validity_rejects
          end);
@@ -522,20 +457,16 @@ let schedule ?(config = default_config) ?(influence = Influence.empty) kernel =
   in
 
   let restrict_actives row =
-    let delta states sat =
-      Array.iteri
-        (fun i (ds : Builders.dep_state) ->
-          if (not ds.retired) && not sat.(i) then begin
-            let src_expr = List.assoc ds.dep.source row in
-            let tgt_expr = List.assoc ds.dep.target row in
-            let d = Builders.delta_concrete ds ~src_expr ~tgt_expr in
-            ds.active_rel <- Polyhedron.add_constraint ds.active_rel (Constr.eq0 d);
-            if Polyhedron.is_empty ds.active_rel then sat.(i) <- true
-          end)
-        states
-    in
-    delta dstates dsat;
-    delta pstates psat
+    Array.iteri
+      (fun i (ds : Builders.dep_state) ->
+        if (not ds.retired) && not dsat.(i) then begin
+          let src_expr = List.assoc ds.dep.source row in
+          let tgt_expr = List.assoc ds.dep.target row in
+          let d = Builders.delta_concrete ds ~src_expr ~tgt_expr in
+          ds.active_rel <- Polyhedron.add_constraint ds.active_rel (Constr.eq0 d);
+          if Polyhedron.is_empty ds.active_rel then dsat.(i) <- true
+        end)
+      dstates
   in
 
   let commit assignment ~coincident =
@@ -809,16 +740,7 @@ let schedule ?(config = default_config) ?(influence = Influence.empty) kernel =
              if scc_split () then step ()
              else (
                match
-                 (* Feautrier's slack objective changes what the dimension
-                    optimizes, so the zero-point candidate argument does
-                    not apply — only the plain distance-minimizing solve
-                    has a fast path. *)
-                 if config.feautrier_fallback then
-                   solve ~feautrier:true ~coincident:false ~with_progression
-                     ~infl_cs:[] ~infl_objs:[] ()
-                 else
-                   attempt ~coincident:false ~with_progression ~infl_cs:[]
-                     ~infl_objs:[] ()
+                 attempt ~coincident:false ~with_progression ~infl_cs:[] ~infl_objs:[] ()
                with
                | Some a ->
                  commit a ~coincident:false;

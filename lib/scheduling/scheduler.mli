@@ -7,7 +7,11 @@
     coincidence constraints (zero reuse distance on every active
     dependence); when that fails the scheduler separates strongly connected
     components with a scalar dimension when possible, and otherwise accepts
-    a sequential dimension.
+    a sequential dimension.  There is one formulation: proximity bounds
+    the distance of every unsatisfied dependence (flow, anti, output;
+    read-read pairs are not dependences), coefficients lie in
+    [0, {!Builders.coef_bound}], and isl's Feautrier fallback is omitted,
+    as the paper itself does (Section IV-B).
 
     An {!Influence.t} tree injects additional constraints: the tree is
     traversed depth-first, node constraints join the ILP of the matching
@@ -37,19 +41,7 @@ val strategy_name : strategy -> string
 val strategy_of_name : string -> strategy option
 
 type config = {
-  coef_bound : int;  (** upper bound on iterator/parameter coefficients *)
-  const_bound : int;  (** upper bound on constant coefficients *)
   max_ilp_nodes : int;  (** branch-and-bound budget per solve *)
-  include_input_proximity : bool;
-      (** also bound read-read reuse distances (off by default, like
-          Pluto's original proximity on data-flow; turning it on makes the
-          scheduler trade coalescing for temporal reuse on broadcasts) *)
-  feautrier_fallback : bool;
-      (** when coincidence fails and SCC separation does not apply, compute
-          the sequential dimension with Feautrier's strategy (maximize the
-          number of strongly satisfied dependences, via 0/1 slacks) instead
-          of plain distance minimization — the isl mechanism the paper
-          mentions but did not need (Section IV-B); off by default *)
   strategy : strategy;
       (** [`Fastpath_then_ilp] by default; see {!type:strategy}. *)
 }
@@ -92,10 +84,8 @@ val schedule :
   ?influence:Influence.t ->
   Ir.Kernel.t ->
   Schedule.t * stats
-(** Computes a complete schedule: every validity dependence strongly
-    satisfied and every statement full-rank.  With [influence] absent or
-    abandoned this is the isl-like baseline the paper evaluates as
-    {b isl}.  The kernel's dependences come from
-    {!Deps.Analysis.dependences}, with input dependences under
-    [config.include_input_proximity]; inside a scope they are the
-    scope's analysis of the kernel. *)
+(** Computes a complete schedule: every dependence strongly satisfied and
+    every statement full-rank.  With [influence] absent or abandoned this
+    is the isl-like baseline the paper evaluates as {b isl}.  The kernel's
+    dependences come from {!Deps.Analysis.dependences}; inside a scope
+    they are the scope's analysis of the kernel. *)

@@ -38,9 +38,8 @@ let band_depth (kernel : Kernel.t) deps =
   in
   if min_dims = max_int || min_dims = 0 then 0
   else begin
-    let vdeps = Deps.Analysis.validity deps in
-    (* Dimension [d] keeps the band permutable iff every validity
-       dependence moves forward (or not at all) along it: non-negative
+    (* Dimension [d] keeps the band permutable iff every dependence moves
+       forward (or not at all) along it: non-negative
        distance without any outer-equality context, the componentwise
        condition of Pluto-style rectangular tiling. *)
     let forward_at d =
@@ -54,7 +53,7 @@ let band_depth (kernel : Kernel.t) deps =
              | `Value v -> Q.sign v >= 0
              | `Unbounded -> false)
           | _ -> false)
-        vdeps
+        deps
     in
     let rec grow d = if d >= min_dims || not (forward_at d) then d else grow (d + 1) in
     grow 0

@@ -5,7 +5,7 @@
     constraints through Algorithm 1 without scheduler surgery.  The
     vectorizer was the first client; this module is the second.  It
     selects a tilable band — the outermost contiguous run of dimensions on
-    which every validity dependence has a non-negative distance
+    which every dependence has a non-negative distance
     (forward-dependence-only, hence permutable) — picks tile shapes whose
     per-tile footprint fits the machine's per-block shared-memory budget,
     and emits an influence tree that pins the band's canonical identity
@@ -39,7 +39,7 @@ val render_sizes : (int * int) list -> string
 
 val band_depth : Ir.Kernel.t -> Deps.Dependence.t list -> int
 (** Length of the outermost contiguous run of dimensions (bounded by the
-    shallowest statement) on which every validity dependence has a
+    shallowest statement) on which every dependence has a
     non-negative distance — the permutable, forward-dependence-only band
     tiling may partition.  [0] when no such band exists. *)
 

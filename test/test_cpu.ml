@@ -275,6 +275,23 @@ let test_corruption_recovery () =
     | Ok (_, checked) ->
       Alcotest.(check bool) "recovered output bit-identical" true (checked = Some (Ok ()))
 
+(* The interpreter check is most of a checked run's time; it must show in
+   the span report under the operator's span, and only when it runs. *)
+let test_check_span () =
+  with_runner @@ fun runner ->
+  let check_calls check =
+    let _, capture =
+      Obs.scoped (fun () ->
+          Harness.Eval.evaluate_cpu_op ~machine:Machine.scalar_1core ~runner ~check
+            ~name:"fig2" (Ops.Classics.fig2 ~n:8 ()))
+    in
+    List.fold_left
+      (fun acc (path, calls, _) -> if path = "harness.cpu_op/cpu.check" then acc + calls else acc)
+      0 (Obs.spans capture)
+  in
+  Alcotest.(check int) "one cpu.check when checked" 1 (check_calls true);
+  Alcotest.(check int) "no cpu.check when unchecked" 0 (check_calls false)
+
 let test_no_compiler_degrades () =
   (* force AKG_CC=none: creation reports the structured error and the
      harness records the degradation instead of raising *)
@@ -342,6 +359,7 @@ let () =
             test_executed_differential_native;
           Alcotest.test_case "compile cache hit" `Quick test_compile_cache_hit;
           Alcotest.test_case "corruption recovery" `Quick test_corruption_recovery;
+          Alcotest.test_case "interpreter check span" `Quick test_check_span;
           Alcotest.test_case "no-compiler degradation" `Quick test_no_compiler_degrades;
           Alcotest.test_case "concurrent toolchain probes" `Quick test_concurrent_probes
         ] )

@@ -1,7 +1,6 @@
 (* Tests for the paper-adjacent extensions: tiling of permutable bands,
-   cost-function (objective) injection, the Feautrier
-   fallback strategy, the TVM-style comparator and the evaluation
-   harness. *)
+   cost-function (objective) injection, the extra operators, parametric
+   schedules, the TVM-style comparator and the evaluation harness. *)
 
 open Polyhedra
 open Ir
@@ -10,8 +9,8 @@ open Codegen
 let cv ~stmt ~dim it =
   Linexpr.var (Scheduling.Space.coef_var ~stmt ~dim (Scheduling.Space.Iter it))
 
-let schedule ?config ?influence k =
-  Solver_memo.scoped (fun () -> Scheduling.Scheduler.schedule ?config ?influence k)
+let schedule ?influence k =
+  Solver_memo.scoped (fun () -> Scheduling.Scheduler.schedule ?influence k)
 
 let semantics_match k ast =
   let m1 = Interp.randomize k in
@@ -148,25 +147,6 @@ let test_objective_injection () =
   let sched2, stats2 = schedule ~influence:[ absurd ] k in
   Alcotest.(check bool) "still schedules" true (Scheduling.Schedule.dims sched2 = 2);
   Alcotest.(check bool) "not abandoned" false stats2.influence_abandoned
-
-(* ------------------------------------------------------------------ *)
-(* Feautrier fallback                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let test_feautrier_fallback () =
-  let cfg = { Scheduling.Scheduler.default_config with feautrier_fallback = true } in
-  List.iter
-    (fun (name, mk) ->
-      let k = mk () in
-      let sched, _ = schedule ~config:cfg k in
-      Alcotest.(check bool) (name ^ " feautrier legal") true
-        (Scheduling.Legality.is_legal sched k (Deps.Analysis.dependences k)))
-    Ops.Classics.all_small;
-  (* the reduction still sequentializes j with the slack mechanism active *)
-  let k = Ops.Classics.reduce_2d ~n:4 ~m:8 () in
-  let sched, _ = schedule ~config:cfg k in
-  Alcotest.(check string) "dim1 j"
-    "j" (Linexpr.to_string (Scheduling.Schedule.expr_for sched ~dim:1 ~stmt:"R"))
 
 (* ------------------------------------------------------------------ *)
 (* Parametric domains (Section III)                                     *)
@@ -358,7 +338,6 @@ let () =
         ] );
       ( "cost-injection",
         [ Alcotest.test_case "objective injection" `Quick test_objective_injection ] );
-      ("feautrier", [ Alcotest.test_case "fallback legal" `Quick test_feautrier_fallback ]);
       ( "operators",
         [ Alcotest.test_case "softmax" `Quick test_softmax_schedule;
           Alcotest.test_case "downsample strided" `Quick test_downsample_strided_loads;

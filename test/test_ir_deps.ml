@@ -108,32 +108,13 @@ let test_y_self_deps () =
     ds
 
 let test_no_spurious_deps () =
-  Alcotest.(check int) "exactly 4 validity deps" 4
-    (List.length (Deps.Analysis.validity deps_fig2));
+  Alcotest.(check int) "exactly 4 deps" 4 (List.length deps_fig2);
   Alcotest.(check (list string)) "X has no self deps" []
     (List.map Deps.Dependence.to_string (find_deps ~source:"X" ~target:"X" ()))
 
-let test_input_deps_optional () =
-  let with_input = Deps.Analysis.dependences ~include_input:true fig2 in
-  Alcotest.(check bool) "more deps with input" true
-    (List.length with_input > List.length deps_fig2);
-  let inputs =
-    List.filter (fun (d : Deps.Dependence.t) -> d.kind = Deps.Dependence.Input) with_input
-  in
-  (* B[iY][kY] read at every jY gives a self input dep on Y at depth 1,
-     A[iX][kX] is read once per iteration: no self input dep on X. *)
-  Alcotest.(check bool) "B reuse found" true
-    (List.exists
-       (fun (d : Deps.Dependence.t) -> d.source = "Y" && d.target = "Y" && d.tensor = "B")
-       inputs);
-  Alcotest.(check bool) "no A self reuse" false
-    (List.exists
-       (fun (d : Deps.Dependence.t) -> d.source = "X" && d.target = "X" && d.tensor = "A")
-       inputs)
-
 let test_elementwise_chain_deps () =
   let k = Ops.Classics.fused_mul_sub_mul_tensoradd ~n:4 ~m:6 () in
-  let ds = Deps.Analysis.validity (Deps.Analysis.dependences k) in
+  let ds = Deps.Analysis.dependences k in
   (* Exactly the producer-consumer flow deps t1: S0->S1, t2: S1->S2, t3: S2->S3. *)
   Alcotest.(check int) "three flow deps" 3 (List.length ds);
   List.iter
@@ -146,7 +127,7 @@ let test_single_stmt_kernels () =
   Alcotest.(check int) "transpose has no deps" 0
     (List.length (Deps.Analysis.dependences k));
   let r = Ops.Classics.reduce_2d ~n:4 ~m:4 () in
-  let ds = Deps.Analysis.validity (Deps.Analysis.dependences r) in
+  let ds = Deps.Analysis.dependences r in
   Alcotest.(check int) "reduction carries three self deps" 3 (List.length ds);
   List.iter
     (fun (d : Deps.Dependence.t) ->
@@ -167,7 +148,6 @@ let () =
         [ Alcotest.test_case "flow X->Y" `Quick test_flow_x_to_y;
           Alcotest.test_case "Y self deps" `Quick test_y_self_deps;
           Alcotest.test_case "no spurious deps" `Quick test_no_spurious_deps;
-          Alcotest.test_case "input deps optional" `Quick test_input_deps_optional;
           Alcotest.test_case "elementwise chain" `Quick test_elementwise_chain_deps;
           Alcotest.test_case "single stmt kernels" `Quick test_single_stmt_kernels
         ] )

@@ -168,22 +168,6 @@ let test_shared_analysis () =
   List.iter (fun (name, mk) -> check_memo name (mk ())) Ops.Classics.all;
   List.iter (fun (name, k) -> check_memo ~vec_min_parallel:0 name k) (fuzz_kernels ())
 
-(* With input proximity the scheduler needs read-read dependences the
-   plain analysis lacks: inside a scope that already holds the plain
-   analysis, it must still get its own.  broadcast_bias_relu is a kernel
-   whose schedule input proximity changes. *)
-let test_shared_analysis_input_proximity () =
-  let k = Ops.Classics.broadcast_bias_relu () in
-  let rows include_input_proximity =
-    let config = { Scheduling.Scheduler.default_config with include_input_proximity } in
-    Scheduling.Schedule.to_string (fst (Scheduling.Scheduler.schedule ~config k))
-  in
-  let own = rows true in
-  Alcotest.(check bool) "input proximity changes the schedule" true (own <> rows false);
-  Polyhedra.Solver_memo.scoped @@ fun () ->
-  ignore (Deps.Analysis.dependences k);
-  Alcotest.(check string) "the scope's plain analysis is not used as-is" own (rows true)
-
 (* StencilZoo's isl, infl and tiled schedules share ILPs (12 answered
    in a [network StencilZoo] pass). *)
 let test_shared_memo () =
@@ -329,8 +313,6 @@ let () =
         [ Alcotest.test_case "version table" `Quick test_version_table;
           Alcotest.test_case "small classics" `Quick test_small_classics;
           Alcotest.test_case "shared analysis" `Slow test_shared_analysis;
-          Alcotest.test_case "shared analysis, input proximity" `Quick
-            test_shared_analysis_input_proximity;
           Alcotest.test_case "shared memo" `Slow test_shared_memo;
           Alcotest.test_case "solver memo changes nothing" `Slow test_solver_memo_invisible;
           Alcotest.test_case "stats sum three schedules" `Quick test_stats_sum_three_schedules;

@@ -342,7 +342,7 @@ let test_ilp_cache_hits_on_abandon () =
    coefficient variables, and only an exact repeat is a hit. *)
 let test_memo_farkas_per_dim () =
   let k = Ops.Classics.fig2 () in
-  let dep = List.hd (Deps.Analysis.validity (Deps.Analysis.dependences k)) in
+  let dep = List.hd (Deps.Analysis.dependences k) in
   let ds = Builders.init_dep_state k dep in
   let nonneg_on = Scheduler.nonneg_on in
   let hits () = Obs.Counters.find "scheduler.farkas_memo_hits" in
