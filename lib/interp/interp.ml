@@ -86,34 +86,34 @@ let exec_stmt kernel mem (s : Stmt.t) env =
 let run_original (k : Kernel.t) mem =
   List.iter
     (fun (s : Stmt.t) ->
-      (* enumerate the (rectangular or not) domain lexicographically *)
+      (* enumerate the (rectangular or not) domain lexicographically: each
+         iterator ranges over its bounds in the domain restricted to the
+         outer iterators' values, and once every outer iterator is fixed a
+         point is tested against the restricted domain's constraints *)
       let binding : (string, Q.t) Hashtbl.t = Hashtbl.create 8 in
       let env x = try Hashtbl.find binding x with Not_found -> Q.zero in
       let rec loop iters domain =
         match iters with
         | [] -> exec_stmt k mem s env
-        | it :: rest ->
-          let lo =
-            match Polyhedron.minimum domain (Linexpr.var it) with
-            | `Value v -> Bigint.to_int (Q.ceil v)
-            | _ -> failwith "Interp: unbounded iterator"
-          in
-          let hi =
-            match Polyhedron.maximum domain (Linexpr.var it) with
-            | `Value v -> Bigint.to_int (Q.floor v)
-            | _ -> failwith "Interp: unbounded iterator"
-          in
-          for v = lo to hi do
-            let fixed =
-              Polyhedron.add_constraint domain
-                (Constr.eq (Linexpr.var it) (Linexpr.const_int v))
-            in
-            if not (Polyhedron.is_empty fixed) then begin
+        | it :: rest -> (
+          match
+            ( Polyhedron.minimum domain (Linexpr.var it),
+              Polyhedron.maximum domain (Linexpr.var it) )
+          with
+          | `Empty, _ | _, `Empty -> ()
+          | `Unbounded, _ | _, `Unbounded -> failwith "Interp: unbounded iterator"
+          | `Value lo, `Value hi ->
+            for v = Bigint.to_int (Q.ceil lo) to Bigint.to_int (Q.floor hi) do
               Hashtbl.replace binding it (Q.of_int v);
-              loop rest fixed
-            end
-          done;
-          Hashtbl.remove binding it
+              if rest = [] then begin
+                if Polyhedron.mem env domain then exec_stmt k mem s env
+              end
+              else
+                loop rest
+                  (Polyhedron.add_constraint domain
+                     (Constr.eq (Linexpr.var it) (Linexpr.const_int v)))
+            done;
+            Hashtbl.remove binding it)
       in
       loop s.Stmt.iters s.Stmt.domain)
     k.Kernel.stmts

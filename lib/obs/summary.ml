@@ -290,6 +290,7 @@ let bool_field name fields =
 type sched_run = {
   sr_kernel : string;
   mutable sr_solves : int;
+  mutable sr_screened : int;
   mutable sr_injected : int;
   mutable sr_solve_us : float;
   mutable sr_done : (string * Json.t) list;
@@ -306,8 +307,8 @@ let sched_runs (tf : Tracefile.t) =
       match e.Tracefile.kind with
       | "scheduler.start" ->
         Hashtbl.replace open_runs (kernel ())
-          { sr_kernel = kernel (); sr_solves = 0; sr_injected = 0; sr_solve_us = 0.0;
-            sr_done = []
+          { sr_kernel = kernel (); sr_solves = 0; sr_screened = 0; sr_injected = 0;
+            sr_solve_us = 0.0; sr_done = []
           }
       | "scheduler.solve" -> (
         match Hashtbl.find_opt open_runs (kernel ()) with
@@ -318,6 +319,10 @@ let sched_runs (tf : Tracefile.t) =
             r.sr_injected + Option.value ~default:0 (int_field "injected" e.fields);
           r.sr_solve_us <-
             r.sr_solve_us +. Option.value ~default:0.0 (float_field "dur_us" e.fields))
+      | "scheduler.screen" -> (
+        match Hashtbl.find_opt open_runs (kernel ()) with
+        | None -> ()
+        | Some r -> r.sr_screened <- r.sr_screened + 1)
       | "scheduler.done" -> (
         match Hashtbl.find_opt open_runs (kernel ()) with
         | None -> ()
@@ -343,14 +348,14 @@ let report fmt (tf : Tracefile.t) =
    | [] -> ()
    | runs ->
      Format.fprintf fmt "@.scheduler runs:@.";
-     Format.fprintf fmt "  %-28s %7s %8s %6s %6s %6s %5s %5s %9s@." "kernel" "solves"
-       "injected" "sibl" "backtr" "scc" "bands" "aband" "solve(ms)";
+     Format.fprintf fmt "  %-28s %7s %8s %8s %6s %6s %6s %5s %5s %9s@." "kernel" "solves"
+       "screened" "injected" "sibl" "backtr" "scc" "bands" "aband" "solve(ms)";
      List.iter
        (fun r ->
          let d name = Option.value ~default:0 (int_field name r.sr_done) in
-         Format.fprintf fmt "  %-28s %7d %8d %6d %6d %6d %5d %5b %9.2f@." r.sr_kernel
-           r.sr_solves r.sr_injected (d "sibling_moves") (d "ancestor_backtracks")
-           (d "scc_separations") (d "band_ends")
+         Format.fprintf fmt "  %-28s %7d %8d %8d %6d %6d %6d %5d %5b %9.2f@." r.sr_kernel
+           r.sr_solves r.sr_screened r.sr_injected (d "sibling_moves")
+           (d "ancestor_backtracks") (d "scc_separations") (d "band_ends")
            (Option.value ~default:false (bool_field "abandoned" r.sr_done))
            (r.sr_solve_us /. 1e3))
        runs);

@@ -55,7 +55,8 @@ val pp_changes : Format.formatter -> change list -> unit
 
 val report : Format.formatter -> Tracefile.t -> unit
 (** Human drill-down of one trace: kind histogram, per-scheduler-run
-    table (solves, injected constraints, backtracking ladder, solve
-    time), vectorization scenarios (widths, dims, scores) and the
-    per-operator summary with its time split.  Timing columns read the
-    raw trace; pass an un-normalized one. *)
+    table (ILP solves, screened dimensions, injected constraints of the
+    solved ILPs, backtracking ladder, solve time), vectorization
+    scenarios (widths, dims, scores) and the per-operator summary with
+    its time split.  Timing columns read the raw trace; pass an
+    un-normalized one. *)

@@ -16,7 +16,7 @@ type reject =
   | Influence_unsat
   | No_candidate
   | Ambiguous
-  | Invalid
+  | Invalid of Builders.dep_state
   | Not_coincident
   | Not_proximate
 
@@ -25,12 +25,12 @@ let reject_to_string = function
   | Influence_unsat -> "influence-unsat"
   | No_candidate -> "no-candidate"
   | Ambiguous -> "ambiguous"
-  | Invalid -> "invalid"
+  | Invalid _ -> "invalid"
   | Not_coincident -> "not-coincident"
   | Not_proximate -> "not-proximate"
 
 let is_dependence_reject = function
-  | Invalid | Not_coincident | Not_proximate -> true
+  | Invalid _ | Not_coincident | Not_proximate -> true
   | Influence_objectives | Influence_unsat | No_candidate | Ambiguous -> false
 
 exception Reject of reject
@@ -231,7 +231,7 @@ let attempt ~coincident ~infl_cs ~infl_objs p =
       (fun (ds : Builders.dep_state) ->
         if not ds.retired then
           if not (Polyhedron.nonneg_on ds.band_rel (delta ds)) then
-            raise (Reject Invalid))
+            raise (Reject (Invalid ds)))
       p.dstates;
     (* coincidence (parallel attempt): zero distance on every active,
        unsatisfied dependence — this is exactly what the ILP's two-sided

@@ -56,7 +56,9 @@ type reject =
           coefficient range, or fail at the candidate point *)
   | No_candidate  (** no progressing row within bounds (or budget) *)
   | Ambiguous  (** minimal-cost progressing row is not unique *)
-  | Invalid  (** candidate violates validity on some band relation *)
+  | Invalid of Builders.dep_state
+      (** candidate violates validity on this dependence's band relation
+          (the first such dependence in [dstates] order) *)
   | Not_coincident  (** non-zero reuse distance on an active dependence *)
   | Not_proximate  (** candidate needs a non-zero proximity bound *)
 

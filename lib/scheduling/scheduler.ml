@@ -29,6 +29,7 @@ type stats = {
   mutable fastpath_hits : int;
   mutable fastpath_fallbacks : int;
   mutable fastpath_validity_rejects : int;
+  mutable screened : int;
 }
 
 exception Failure_no_schedule of string
@@ -90,6 +91,10 @@ let c_fastpath_fallbacks =
 let c_fastpath_validity_rejects =
   Obs.Counters.create "scheduler.fastpath_validity_rejects"
     ~doc:"fast-path candidates rejected by a validity/coincidence/proximity check"
+
+let c_screened =
+  Obs.Counters.create "scheduler.screened"
+    ~doc:"dimension ILPs ruled out by the LP of the dependence the fast path rejected"
 
 (* --- the solver memo tables: keyed by all a result reads, so a hit returns
    what recomputing would.  A Farkas linearization reads the relation's
@@ -242,7 +247,8 @@ let schedule ?(config = default_config) ?(influence = Influence.empty) kernel =
     { ilp_solves = 0; loop_dims = 0; scalar_dims = 0; coincidence_failures = 0;
       band_ends = 0; sibling_moves = 0; ancestor_backtracks = 0;
       scc_separations = 0; influence_abandoned = false;
-      fastpath_hits = 0; fastpath_fallbacks = 0; fastpath_validity_rejects = 0 }
+      fastpath_hits = 0; fastpath_fallbacks = 0; fastpath_validity_rejects = 0;
+      screened = 0 }
   in
   let stmts = kernel.Ir.Kernel.stmts in
   let stmt_names = List.map (fun (s : Ir.Stmt.t) -> s.Ir.Stmt.name) stmts in
@@ -334,82 +340,121 @@ let schedule ?(config = default_config) ?(influence = Influence.empty) kernel =
       (List.sort (fun (a, _) (b, _) -> compare a b) extras)
   in
 
-  let solve ?(prog_negate = false) ~coincident ~with_progression ~infl_cs ~infl_objs () =
+  (* [failed] is the dependence whose validity check rejected the fast
+     path's candidate.  Its validity rows, the progression rows of its two
+     statements, the coefficient bounds and the injected constraints are a
+     sublist of the dimension ILP's constraints, so when their LP relaxation
+     is empty the ILP is infeasible too: [None] is the ILP's own answer,
+     reached before the other dependences' Farkas rows are expanded.  With
+     one live dependence that subsystem is nearly the whole validity
+     system, so it is not screened. *)
+  let solve ?(prog_negate = false) ?failed ~coincident ~with_progression ~infl_cs
+      ~infl_objs () =
     stats.ilp_solves <- stats.ilp_solves + 1;
     Obs.Counters.incr c_solves;
     Obs.Counters.add c_injected (List.length infl_cs);
     let dim = loop_ordinal () in
     let bounds = Builders.var_bounds ~dim ~stmts ~params in
-    let validity =
-      Array.to_list dstates
-      |> List.filter (fun (ds : Builders.dep_state) -> not ds.retired)
-      |> List.concat_map (fun ds -> Builders.validity ~nonneg_on ~dim ds)
+    let live =
+      Array.to_list dstates |> List.filter (fun (ds : Builders.dep_state) -> not ds.retired)
     in
-    let coin =
-      if not coincident then []
-      else List.concat_map (fun ds -> Builders.coincidence ~nonneg_on ~dim ds) (unsat_states ())
-    in
-    let prox =
-      List.concat_map
-        (fun (ds : Builders.dep_state) -> Builders.proximity ~nonneg_on ~dim ~params ds)
-        (unsat_states ())
-    in
-    let prog =
+    let prog_of (s : Ir.Stmt.t) =
       if not with_progression then []
       else
+        match
+          Builders.progression ~negate:prog_negate ~dim ~stmt:s
+            ~prev_iter_rows:(stmt_iter_matrix s) ()
+        with
+        | None -> []
+        | Some cs -> cs
+    in
+    let screened_by =
+      match failed with
+      | Some (ds : Builders.dep_state) when List.compare_length_with live 1 > 0 ->
+        let ends =
+          List.filter
+            (fun (s : Ir.Stmt.t) ->
+              s.Ir.Stmt.name = ds.dep.source || s.Ir.Stmt.name = ds.dep.target)
+            stmts
+        in
+        let subsystem =
+          bounds @ Builders.validity ~nonneg_on ~dim ds
+          @ List.concat_map prog_of ends @ infl_cs
+        in
+        if Simplex.is_feasible subsystem then None else Some ds
+      | _ -> None
+    in
+    match screened_by with
+    | Some ds ->
+      stats.screened <- stats.screened + 1;
+      Obs.Counters.incr c_screened;
+      Obs.Trace.emitf "scheduler.screen" (fun () ->
+          [ ("kernel", Obs.Json.String kernel.Ir.Kernel.name);
+            ("dim", Obs.Json.Int dim);
+            ("coincident", Obs.Json.Bool coincident);
+            ("dependence", Obs.Json.String (ds.dep.source ^ "->" ^ ds.dep.target))
+          ]);
+      Log.debug (fun m ->
+          m "dim %d solve: coincident=%b -> screened infeasible (%s->%s)" dim coincident
+            ds.dep.source ds.dep.target);
+      None
+    | None ->
+      let validity = List.concat_map (fun ds -> Builders.validity ~nonneg_on ~dim ds) live in
+      let coin =
+        if not coincident then []
+        else
+          List.concat_map (fun ds -> Builders.coincidence ~nonneg_on ~dim ds) (unsat_states ())
+      in
+      let prox =
         List.concat_map
-          (fun (s : Ir.Stmt.t) ->
-            match
-              Builders.progression ~negate:prog_negate ~dim ~stmt:s
-                ~prev_iter_rows:(stmt_iter_matrix s) ()
-            with
-            | None -> []
-            | Some cs -> cs)
-          stmts
-    in
-    let constraints = bounds @ validity @ coin @ prox @ prog @ infl_cs in
-    let objectives = merge_objectives (Builders.objectives ~dim ~stmts ~params) infl_objs in
-    let integer_vars = Builders.ilp_vars ~dim ~stmts ~params in
-    let bb_nodes_before = Obs.Counters.find "ilp.bb_nodes" in
-    let result, solve_s =
-      Obs.Span.timed (fun () ->
-          Ilp_memo.find (constraints, objectives, integer_vars, config.max_ilp_nodes)
-            (fun () ->
-              Obs.Counters.incr c_cache_misses;
-              Obs.Span.with_ "scheduler.ilp" @@ fun () ->
-              match
-                Ilp.lexmin ~max_nodes:config.max_ilp_nodes ~constraints ~integer_vars
-                  objectives
-              with
-              | exception Ilp.Limit_reached -> None
-              | exception Ilp.Unbounded_objective -> None
-              | r -> r))
-    in
-    Obs.Trace.emitf "scheduler.solve" (fun () ->
-        [ ("kernel", Obs.Json.String kernel.Ir.Kernel.name);
-          ("dim", Obs.Json.Int dim);
-          ("coincident", Obs.Json.Bool coincident);
-          ("constraints", Obs.Json.Int (List.length constraints));
-          ("injected", Obs.Json.Int (List.length infl_cs));
-          ("objectives", Obs.Json.Int (List.length objectives));
-          ("feasible", Obs.Json.Bool (Option.is_some result));
-          ("bb_nodes", Obs.Json.Int (Obs.Counters.find "ilp.bb_nodes" - bb_nodes_before));
-          ("dur_us", Obs.Json.Float (solve_s *. 1e6))
-        ]);
-    Log.debug (fun m ->
-        m "dim %d solve: coincident=%b constraints=%d -> %s" dim coincident
-          (List.length constraints)
-          (match result with Some _ -> "solution" | None -> "infeasible"));
-    result
+          (fun (ds : Builders.dep_state) -> Builders.proximity ~nonneg_on ~dim ~params ds)
+          (unsat_states ())
+      in
+      let prog = List.concat_map prog_of stmts in
+      let constraints = bounds @ validity @ coin @ prox @ prog @ infl_cs in
+      let objectives = merge_objectives (Builders.objectives ~dim ~stmts ~params) infl_objs in
+      let integer_vars = Builders.ilp_vars ~dim ~stmts ~params in
+      let bb_nodes_before = Obs.Counters.find "ilp.bb_nodes" in
+      let result, solve_s =
+        Obs.Span.timed (fun () ->
+            Ilp_memo.find (constraints, objectives, integer_vars, config.max_ilp_nodes)
+              (fun () ->
+                Obs.Counters.incr c_cache_misses;
+                Obs.Span.with_ "scheduler.ilp" @@ fun () ->
+                match
+                  Ilp.lexmin ~max_nodes:config.max_ilp_nodes ~constraints ~integer_vars
+                    objectives
+                with
+                | exception Ilp.Limit_reached -> None
+                | exception Ilp.Unbounded_objective -> None
+                | r -> r))
+      in
+      Obs.Trace.emitf "scheduler.solve" (fun () ->
+          [ ("kernel", Obs.Json.String kernel.Ir.Kernel.name);
+            ("dim", Obs.Json.Int dim);
+            ("coincident", Obs.Json.Bool coincident);
+            ("constraints", Obs.Json.Int (List.length constraints));
+            ("injected", Obs.Json.Int (List.length infl_cs));
+            ("objectives", Obs.Json.Int (List.length objectives));
+            ("feasible", Obs.Json.Bool (Option.is_some result));
+            ("bb_nodes", Obs.Json.Int (Obs.Counters.find "ilp.bb_nodes" - bb_nodes_before));
+            ("dur_us", Obs.Json.Float (solve_s *. 1e6))
+          ]);
+      Log.debug (fun m ->
+          m "dim %d solve: coincident=%b constraints=%d -> %s" dim coincident
+            (List.length constraints)
+            (match result with Some _ -> "solution" | None -> "infeasible"));
+      result
   in
 
   (* Sub-ILP fast path: build the provably-optimal candidate for this
      dimension and check it against the dependence relations directly; on
      any reject, fall back to the exact ILP for this dimension only.  An
      accepted candidate is the ILP's unique lexicographic optimum (see
-     {!Fastpath}), so both strategies commit bit-identical rows. *)
+     {!Fastpath}), so both strategies commit bit-identical rows.  [Error]
+     carries the dependence an [Invalid] reject names, for [solve]. *)
   let fastpath ~coincident ~with_progression ~infl_cs ~infl_objs () =
-    if config.strategy <> `Fastpath_then_ilp then None
+    if config.strategy <> `Fastpath_then_ilp then Error None
     else begin
       let problem =
         { Fastpath.stmts; params; dim = loop_ordinal (); with_progression;
@@ -442,18 +487,18 @@ let schedule ?(config = default_config) ?(influence = Influence.empty) kernel =
             ("dur_us", Obs.Json.Float (fp_s *. 1e6))
           ]);
       match outcome with
-      | Ok point -> Some point
+      | Ok point -> Ok point
       | Error r ->
         Log.debug (fun m ->
             m "dim %d fastpath: coincident=%b -> fallback (%s)" (loop_ordinal ())
               coincident (Fastpath.reject_to_string r));
-        None
+        Error (match r with Fastpath.Invalid ds -> Some ds | _ -> None)
     end
   in
   let attempt ~coincident ~with_progression ~infl_cs ~infl_objs () =
     match fastpath ~coincident ~with_progression ~infl_cs ~infl_objs () with
-    | Some a -> Some a
-    | None -> solve ~coincident ~with_progression ~infl_cs ~infl_objs ()
+    | Ok a -> Some a
+    | Error failed -> solve ?failed ~coincident ~with_progression ~infl_cs ~infl_objs ()
   in
 
   let restrict_actives row =

@@ -64,6 +64,10 @@ type stats = {
           can contribute two: the coincident and the sequential attempt) *)
   mutable fastpath_validity_rejects : int;
       (** fallbacks whose candidate failed a semantic dependence check *)
+  mutable screened : int;
+      (** fallbacks answered infeasible by the LP of the dependence whose
+          validity rejected the candidate, before the dimension ILP was
+          built (counted in [ilp_solves] too) *)
 }
 
 exception Failure_no_schedule of string

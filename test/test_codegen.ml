@@ -316,6 +316,101 @@ let prop_random_kernels_all_versions =
           semantics_match k c.ast)
         [ (base, false); (infl, false); (infl, true) ])
 
+(* ------------------------------------------------------------------ *)
+(* the reference interpreter's original order                           *)
+(* ------------------------------------------------------------------ *)
+
+(* The statement's instances in lexicographic order, found by walking the
+   domain's whole bounding box and keeping the points that satisfy every
+   constraint: no bound is derived from the domain. *)
+let brute_force_original (k : Kernel.t) mem =
+  let open Polybase in
+  List.iter
+    (fun (s : Stmt.t) ->
+      let rec points = function
+        | [] -> [ [] ]
+        | it :: rest ->
+          let lo, hi = Stmt.iter_bounds s it in
+          List.concat_map
+            (fun v -> List.map (fun p -> (it, Q.of_int v) :: p) (points rest))
+            (List.init (hi - lo + 1) (fun d -> lo + d))
+      in
+      List.iter
+        (fun point ->
+          let env x = Option.value (List.assoc_opt x point) ~default:Q.zero in
+          if Polyhedra.Polyhedron.mem env s.Stmt.domain then begin
+            let offset (a : Access.t) =
+              let strides = Tensor.strides (Kernel.tensor k a.Access.tensor) in
+              List.fold_left ( + ) 0
+                (List.mapi (fun d i -> i * strides.(d)) (Access.eval env a))
+            in
+            let load (a : Access.t) = (Hashtbl.find mem a.Access.tensor).(offset a) in
+            (Hashtbl.find mem s.Stmt.write.Access.tensor).(offset s.Stmt.write) <-
+              Expr.eval load s.Stmt.rhs
+          end)
+        (points s.Stmt.iters))
+    k.Kernel.stmts
+
+(* An in-place wavefront over a padded buffer: each instance reads its two
+   lower neighbours, which earlier instances may have written, so running
+   the instances in any other order, skipping one or repeating one changes
+   the result.  A third iterator [k] re-updates the point, adding [A[k]]. *)
+let wavefront name ~n constrs ~iters =
+  let open Polyhedra in
+  let i = List.nth iters 0 and j = List.nth iters 1 in
+  let at di dj = Build.access_e "B" [ Build.idx_plus i di; Build.idx_plus j dj ] in
+  let extra =
+    match iters with
+    | [ _; _; k ] -> Expr.load (Build.access "A" [ k ])
+    | _ -> Expr.const 1.0
+  in
+  let s =
+    Stmt.make ~name:"S" ~iters ~domain:(Polyhedron.of_constraints constrs)
+      ~write:(at 1 1)
+      ~rhs:Expr.Infix.(Expr.load (at 0 1) + (Expr.load (at 1 0) * Expr.const 0.5) + extra)
+  in
+  Build.kernel name
+    ~tensors:[ Build.tensor "B" [ n + 2; n + 2 ]; Build.tensor "A" [ n + 2 ] ]
+    ~stmts:[ s ]
+
+let test_interp_original_order () =
+  let open Polyhedra in
+  let v = Linexpr.var and n = 6 in
+  let between x lo hi = [ Constr.lower_bound x lo; Constr.upper_bound x hi ] in
+  let kernels =
+    [ (* strictly lower triangle: row 0 is empty *)
+      wavefront "triangular" ~n ~iters:[ "i"; "j" ]
+        (between "i" 0 (n - 1)
+        @ [ Constr.lower_bound "j" 0; Constr.leq (v "j") (Build.idx_plus "i" (-1)) ]);
+      (* a band of width 3 around the diagonal *)
+      wavefront "banded" ~n ~iters:[ "i"; "j" ]
+        (between "i" 0 (n - 1) @ between "j" 0 (n - 1)
+        @ [ Constr.leq (v "j") (Build.idx_plus "i" 1);
+            Constr.leq (v "i") (Build.idx_plus "j" 1) ]);
+      (* a skewed 3-deep nest: j < i leaves row i = 0 without a j, and
+         i + j <= k <= i + 2 leaves (i, j) without a k once j > 2 *)
+      wavefront "skewed" ~n ~iters:[ "i"; "j"; "k" ]
+        (between "i" 0 (n - 1)
+        @ [ Constr.lower_bound "j" 0;
+            Constr.leq (v "j") (Build.idx_plus "i" (-1));
+            Constr.leq (Linexpr.add (v "i") (v "j")) (v "k");
+            Constr.leq (v "k") (Build.idx_plus "i" 2)
+          ])
+    ]
+  in
+  List.iter
+    (fun k ->
+      let m1 = Interp.randomize k in
+      let m2 = Interp.copy m1 in
+      Interp.run_original k m1;
+      brute_force_original k m2;
+      Alcotest.(check bool)
+        (k.Kernel.name ^ ": box enumeration agrees")
+        true (Interp.equal m1 m2);
+      Alcotest.(check bool) (k.Kernel.name ^ ": the kernel writes") false
+        (Interp.equal m1 (Interp.randomize k)))
+    kernels
+
 let () =
   Alcotest.run "codegen"
     [ ( "gen",
@@ -337,6 +432,10 @@ let () =
           Alcotest.test_case "thread budget" `Quick test_mapping_thread_budget
         ] );
       ("cuda", [ Alcotest.test_case "printer" `Quick test_cuda_printer ]);
+      ( "interp",
+        [ Alcotest.test_case "original order on non-rectangular domains" `Quick
+            test_interp_original_order
+        ] );
       ( "golden-cuda",
         [ Alcotest.test_case "fig2 float4" `Quick test_golden_fig2_float4;
           Alcotest.test_case "fused float2" `Quick test_golden_fused_float2

@@ -11,13 +11,16 @@
    failures (a kernel the exact solver cannot schedule must not be
    schedulable by the fast path, and vice versa).  It also pins that the
    fast path actually fires — a hit count of zero would mean the whole
-   mechanism is dead code and the differential check vacuous. *)
+   mechanism is dead code and the differential check vacuous — and that
+   the infeasibility screen behind the fast path's validity rejects fires,
+   so the comparison with `Ilp_only, which never screens, covers it. *)
 
 let fuzz_seed = 42
 let fuzz_count = 200
 
 let hits = ref 0
 let fallbacks = ref 0
+let screened = ref 0
 
 type outcome =
   | Sched of Scheduling.Schedule.t * Scheduling.Scheduler.stats
@@ -50,9 +53,13 @@ let check_mode ~what ?influence k =
   | Sched (fast, stats), Sched (exact, exact_stats) ->
     hits := !hits + stats.Scheduling.Scheduler.fastpath_hits;
     fallbacks := !fallbacks + stats.Scheduling.Scheduler.fastpath_fallbacks;
+    screened := !screened + stats.Scheduling.Scheduler.screened;
     Alcotest.(check int)
       (what ^ ": ilp-only run reports no fastpath activity")
       0 exact_stats.Scheduling.Scheduler.fastpath_hits;
+    Alcotest.(check int)
+      (what ^ ": ilp-only run screens nothing")
+      0 exact_stats.Scheduling.Scheduler.screened;
     let deps = Deps.Analysis.dependences k in
     (match Scheduling.Legality.check fast k deps with
     | Ok () -> ()
@@ -113,12 +120,19 @@ let test_fastpath_fires () =
        !fallbacks)
     true (!hits > 0)
 
+let test_screen_fires () =
+  (* runs after the differential sweeps too *)
+  Alcotest.(check bool)
+    (Printf.sprintf "the screen decided at least one dimension (%d)" !screened)
+    true (!screened > 0)
+
 let () =
   Alcotest.run "fastpath"
     [ ( "differential",
         [ Alcotest.test_case "op zoo: fastpath = exact ILP" `Quick test_zoo;
           Alcotest.test_case "fuzz corpus: fastpath = exact ILP" `Quick
             test_fuzz_corpus;
-          Alcotest.test_case "fast path fires" `Quick test_fastpath_fires
+          Alcotest.test_case "fast path fires" `Quick test_fastpath_fires;
+          Alcotest.test_case "screen fires" `Quick test_screen_fires
         ] )
     ]

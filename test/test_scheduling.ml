@@ -426,6 +426,84 @@ let test_softmax_pivot_budget () =
     (Printf.sprintf "softmax pivots (%d) within 5000" pivots)
     true (pivots <= 5000)
 
+(* Softmax's and layernorm_chain's infl trees are infeasible at every
+   branch.  The fast path's candidate for each failed dimension breaks a
+   named dependence, and the LP of that dependence's subsystem proves 9 of
+   the 11 fallbacks infeasible before the dimension ILP is built.  The
+   schedules are the exact ILP's, which never screens. *)
+let test_screen_infeasible_branches () =
+  (* parallel rows, then the statements in program order, then the
+     sequential rows: statement [n] iterates over [i<n>] and [j<n>] *)
+  let expected name stmts =
+    let row f = String.concat "  " (List.mapi (fun n s -> s ^ ": " ^ f n) stmts) in
+    String.concat "\n"
+      [ "schedule of " ^ name ^ ":";
+        "  dim 0 [loop(parallel)]: " ^ row (Printf.sprintf "i%d");
+        "  dim 1 [scalar]: " ^ row string_of_int;
+        "  dim 2 [loop]: " ^ row (Printf.sprintf "j%d");
+        ""
+      ]
+  in
+  List.iter
+    (fun (name, mk, stmts) ->
+      let k = mk () in
+      let influence = Vectorizer.Treegen.influence_for k in
+      let run strategy =
+        Solver_memo.scoped (fun () ->
+            Scheduler.schedule
+              ~config:{ Scheduler.default_config with strategy }
+              ~influence k)
+      in
+      let sched, stats = run `Fastpath_then_ilp in
+      let exact, exact_stats = run `Ilp_only in
+      Alcotest.(check string) (name ^ ": schedule") (expected name stmts)
+        (Schedule.to_string sched);
+      Alcotest.(check string)
+        (name ^ ": the exact ILP's schedule")
+        (Schedule.to_string exact) (Schedule.to_string sched);
+      Alcotest.(check bool) (name ^ ": abandoned") true stats.influence_abandoned;
+      Alcotest.(check int) (name ^ ": ILP fallbacks") 11 stats.ilp_solves;
+      Alcotest.(check int) (name ^ ": screened") 9 stats.screened;
+      Alcotest.(check int) (name ^ ": ilp-only never screens") 0 exact_stats.screened)
+    [ ("softmax", (fun () -> Ops.Classics.softmax ()), [ "Smax"; "Sexp"; "Ssum"; "Sdiv" ]);
+      ( "layernorm_chain",
+        (fun () -> Ops.Classics.layernorm_chain ()),
+        [ "Lsum"; "Lcent"; "Lout" ] )
+    ]
+
+(* With one live dependence the screen's subsystem is nearly the whole
+   validity system, so it is not asked.  Here the node pins the first
+   row's [i] coefficient to 0: the fast path's candidate [j] breaks the
+   only dependence (distance (1, -1)), and the ILP proves the node
+   infeasible itself. *)
+let test_screen_skips_single_dependence () =
+  let n = 8 in
+  let s =
+    let open Ir in
+    Stmt.make ~name:"S" ~iters:[ "i"; "j" ]
+      ~domain:(Build.rect_from [ ("i", 1, n - 1); ("j", 0, n - 2) ])
+      ~write:(Build.access "A" [ "i"; "j" ])
+      ~rhs:
+        Expr.Infix.(
+          Expr.load (Build.access_e "A" [ Build.idx_plus "i" (-1); Build.idx_plus "j" 1 ])
+          + Expr.const 1.0)
+  in
+  let k =
+    Ir.Build.kernel "skew_recurrence" ~tensors:[ Ir.Build.tensor "A" [ n; n ] ] ~stmts:[ s ]
+  in
+  let no_i =
+    Influence.node ~label:"no i at dim 0" [ Constr.eq0 (cv ~stmt:"S" ~dim:0 "i") ]
+  in
+  let ok = Influence.node ~label:"ok" ~payload:[ ("took", "second") ] [] in
+  let sched, stats = schedule ~influence:[ no_i; ok ] k in
+  Alcotest.(check int) "one dependence" 1 (List.length (Deps.Analysis.dependences k));
+  Alcotest.(check bool) "legal" true (legal k sched);
+  Alcotest.(check (option string)) "second branch used" (Some "second")
+    (Schedule.annotation sched "took");
+  Alcotest.(check bool) "the fast path's candidate broke the dependence" true
+    (stats.fastpath_validity_rejects >= 1);
+  Alcotest.(check int) "never screened" 0 stats.screened
+
 let test_influence_loop_interchange () =
   (* Influence can force an interchange the baseline would not do. *)
   let k = Ops.Classics.cast_transpose ~n:8 ~m:8 () in
@@ -619,6 +697,10 @@ let () =
           Alcotest.test_case "memo: node budget" `Quick test_memo_node_budget;
           Alcotest.test_case "memo: objectives" `Quick test_memo_objectives;
           Alcotest.test_case "softmax pivot budget" `Quick test_softmax_pivot_budget;
+          Alcotest.test_case "screen: infeasible branches" `Quick
+            test_screen_infeasible_branches;
+          Alcotest.test_case "screen: one dependence is not screened" `Quick
+            test_screen_skips_single_dependence;
           Alcotest.test_case "loop interchange" `Quick test_influence_loop_interchange;
           Alcotest.test_case "legality oracle rejects" `Quick test_legality_oracle_rejects
         ] );
