@@ -58,7 +58,7 @@ let fig2 () =
   let compile version k =
     Polyhedra.Solver_memo.scoped @@ fun () ->
     let influence = P.tree version k in
-    let sched, _, _ = P.schedule ?influence k in
+    let sched, _ = P.schedule ?influence k in
     (sched, P.lower ~vec_min_parallel:0 version sched k)
   in
   let show label version =
@@ -86,7 +86,7 @@ let fig2 () =
 let fig3 () =
   section "Fig. 3 - influence constraint tree";
   let k = Ops.Classics.fig2 ~n:64 () in
-  Format.fprintf fmt "%a@." Scheduling.Influence.pp (P.influence_with k);
+  Format.fprintf fmt "%a@." Scheduling.Influence.pp (Vectorizer.Treegen.influence_for k);
   List.iter
     (fun set ->
       Format.fprintf fmt "scenario set:@.";
@@ -106,16 +106,17 @@ let rep_suite () =
     ("reduce", Ops.Netgen.build ~name:"abl_red" (Ops.Netgen.Reduce_rows { rows = 4096; cols = 64 }))
   ]
 
-(* The ablations vary the vectorizer's tree through a tuning: its weights,
-   or its first n root branches as the order. *)
-let schedule ?tuning version kernel =
+(* The ablations build the vectorizer's tree themselves ([tree]): under
+   other weights, or with its first n root branches. *)
+let schedule ?tree version kernel =
   Polyhedra.Solver_memo.scoped @@ fun () ->
-  let influence = P.tree ?tuning version kernel in
-  let sched, stats, _ = P.schedule ?influence kernel in
-  (sched, stats)
+  let influence =
+    match tree with Some tree -> Some (tree kernel) | None -> P.tree version kernel
+  in
+  P.schedule ?influence kernel
 
-let time_us ?tuning version kernel =
-  let sched, stats = schedule ?tuning version kernel in
+let time_us ?tree version kernel =
+  let sched, stats = schedule ?tree version kernel in
   (Gpusim.Sim.time_us (P.simulate (P.lower version sched kernel)), stats)
 
 let isl_us kernel = fst (time_us P.Isl kernel)
@@ -137,7 +138,7 @@ let ablation_weights () =
       Format.fprintf fmt "%-24s" label;
       List.iter
         (fun (_, k) ->
-          let t, _ = time_us ~tuning:{ P.weights; order = None } P.Infl k in
+          let t, _ = time_us ~tree:(Vectorizer.Treegen.influence_for ~weights) P.Infl k in
           Format.fprintf fmt " %10.2f" (isl_us k /. t))
         (rep_suite ());
       Format.fprintf fmt "@.")
@@ -148,15 +149,14 @@ let ablation_scenarios () =
   Format.fprintf fmt "%-10s %-14s %-10s %-10s@." "branches" "geomean spdup" "siblings" "abandoned";
   List.iter
     (fun branches ->
-      let tuning =
-        { P.weights = Vectorizer.Costmodel.default_weights;
-          order = Some (List.init branches Fun.id)
-        }
+      let tree k =
+        Scheduling.Influence.select (List.init branches Fun.id)
+          (Vectorizer.Treegen.influence_for k)
       in
       let speedups, sib, aband =
         List.fold_left
           (fun (sp, sib, ab) (_, k) ->
-            let t, stats = time_us ~tuning P.Infl k in
+            let t, stats = time_us ~tree P.Infl k in
             ( isl_us k /. t :: sp,
               sib + stats.Scheduling.Scheduler.sibling_moves,
               ab + if stats.Scheduling.Scheduler.influence_abandoned then 1 else 0 ))

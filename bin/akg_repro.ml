@@ -33,18 +33,6 @@ let trace_arg =
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
-let trace_format_arg =
-  let doc =
-    "Format of the $(b,--trace) file: $(b,json) (the native akg-repro-trace document, \
-     readable by $(b,report) and $(b,diff)) or $(b,chrome) (Chrome trace-event JSON, \
-     openable in ui.perfetto.dev)."
-  in
-  Arg.(
-    value
-    & opt (enum [ ("json", Obs.Export.Native); ("chrome", Obs.Export.Chrome_events) ])
-        Obs.Export.Native
-    & info [ "trace-format" ] ~docv:"FMT" ~doc)
-
 let stats_json_arg =
   let doc =
     "Dump the nonzero observability counters and the span totals to $(docv) as JSON \
@@ -52,25 +40,18 @@ let stats_json_arg =
   in
   Arg.(value & opt (some string) None & info [ "stats-json" ] ~docv:"FILE" ~doc)
 
-type obs_opts = {
-  stats : bool;
-  trace : string option;
-  trace_format : Obs.Export.trace_format;
-  stats_json : string option;
-}
+type obs_opts = { stats : bool; trace : string option; stats_json : string option }
 
 let obs_term =
   Term.(
-    const (fun stats trace trace_format stats_json ->
-        { stats; trace; trace_format; stats_json })
-    $ stats_arg $ trace_arg $ trace_format_arg $ stats_json_arg)
+    const (fun stats trace stats_json -> { stats; trace; stats_json })
+    $ stats_arg $ trace_arg $ stats_json_arg)
 
 let with_obs o f =
   if Option.is_some o.trace then Obs.Trace.enable ();
   let code = f () in
   if
-    Obs.Export.write_run ~stats:o.stats ?trace:o.trace ~trace_format:o.trace_format
-      ?stats_json:o.stats_json ()
+    Obs.Export.write_run ~stats:o.stats ?trace:o.trace ?stats_json:o.stats_json ()
   then code
   else 1
 
@@ -265,7 +246,7 @@ let schedule_cmd =
     with_op
       (fun k ->
         let version, _ = resolve version in
-        let influence, (sched, stats, _), deps =
+        let influence, (sched, stats), deps =
           Polyhedra.Solver_memo.scoped (fun () ->
               let influence = P.tree version k in
               let scheduled = P.schedule ?influence ~strategy k in

@@ -37,7 +37,7 @@ let () =
   let tree = [ impossible; interchange ] in
   Format.printf "influence tree:@.%a@." Influence.pp tree;
 
-  let sched, stats, _ =
+  let sched, stats =
     Polyhedra.Solver_memo.scoped (fun () -> Harness.Pipeline.schedule ~influence:tree kernel)
   in
   Format.printf "schedule:@.%a@." Schedule.pp sched;

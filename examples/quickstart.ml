@@ -40,15 +40,15 @@ let () =
     Format.printf "dependences:@.%a@." Deps.Analysis.pp_all (Deps.Analysis.dependences kernel);
 
     (* 3. Baseline (isl-like) schedule, through the pipeline's stages. *)
-    let baseline, _, _ = P.schedule kernel in
+    let baseline, _ = P.schedule kernel in
     Format.printf "baseline schedule:@.%a@." Scheduling.Schedule.pp baseline;
 
     (* 4. The non-linear optimizer builds an influence constraint tree; the
           scheduler honours it. *)
-    let tree = P.influence_with kernel in
+    let tree = Vectorizer.Treegen.influence_for kernel in
     Format.printf "influence tree (%d branches):@.%a@." (List.length tree)
       Scheduling.Influence.pp tree;
-    let influenced, stats, _ = P.schedule ~influence:tree kernel in
+    let influenced, stats = P.schedule ~influence:tree kernel in
     Format.printf "influenced schedule:@.%a@." Scheduling.Schedule.pp influenced;
     Format.printf "scheduler stats: %d ILP solves, abandoned: %b@."
       stats.Scheduling.Scheduler.ilp_solves stats.influence_abandoned;

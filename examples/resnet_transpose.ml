@@ -15,8 +15,7 @@ let () =
   (* each schedule is one solver-memo scope *)
   let schedule version kernel =
     Polyhedra.Solver_memo.scoped @@ fun () ->
-    let sched, _, _ = P.schedule ?influence:(P.tree version kernel) kernel in
-    sched
+    fst (P.schedule ?influence:(P.tree version kernel) kernel)
   in
   let show label version sched =
     let c = P.lower version sched kernel in

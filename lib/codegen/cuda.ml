@@ -35,11 +35,6 @@ let lattice_guards sub =
              q))
     sub
 
-let expr_to_c env e =
-  (* affine expression over loop variables, with substitutions applied *)
-  let e = List.fold_left (fun e (v, by) -> Linexpr.subst v (Linexpr.var by) e) e env in
-  Linexpr.to_string e
-
 let rec rhs_to_c iter_sub (e : Expr.t) =
   match e with
   | Expr.Const c -> Printf.sprintf "%gf" c
@@ -120,11 +115,26 @@ let emit (c : Compile.compiled) =
     | Some b, None -> scale (Printf.sprintf "blockIdx.%s" (axis_name b))
     | None, None -> Ast.loop_var d
   in
+  (* an affine expression with each enclosing mapped loop variable renamed
+     to its block/thread expression *)
+  let subst e = List.fold_left (fun e (v, by) -> Linexpr.subst v (Linexpr.var by) e) e !mapped in
+  let expr_to_c e = Linexpr.to_string (subst e) in
   let bound_c which exprs =
     match exprs with
-    | [ e ] -> expr_to_c !mapped e
-    | es ->
-      Printf.sprintf "%s(%s)" which (String.concat ", " (List.map (expr_to_c !mapped) es))
+    | [ e ] -> expr_to_c e
+    | es -> Printf.sprintf "%s(%s)" which (String.concat ", " (List.map expr_to_c es))
+  in
+  (* a statement instance: its iterator map under the mapping, emitted by
+     [body] inside the divisibility guards of a sublattice instance *)
+  let exec pad (e : Ast.exec) body =
+    let sub = List.map (fun (it, ex) -> (it, subst ex)) e.Ast.iter_map in
+    let stmt = Kernel.stmt k e.Ast.stmt in
+    match lattice_guards sub with
+    | [] -> body pad sub stmt
+    | gs ->
+      add "%sif (%s) {\n" pad (String.concat " && " gs);
+      body (pad ^ "  ") sub stmt;
+      add "%s}\n" pad
   in
   let rec go indent ast =
     let pad = String.make indent ' ' in
@@ -135,8 +145,7 @@ let emit (c : Compile.compiled) =
         (String.concat " && "
            (List.map
               (fun (cn : Constr.t) ->
-                let e = List.fold_left (fun e (v, by) -> Linexpr.subst v (Linexpr.var by) e) cn.expr !mapped in
-                Linexpr.to_string e
+                expr_to_c cn.expr
                 ^ (match cn.kind with Constr.Eq -> " == 0" | Constr.Ge -> " >= 0"))
               cs));
       go (indent + 2) b;
@@ -165,47 +174,13 @@ let emit (c : Compile.compiled) =
         go (indent + 2) l.Ast.body;
         add "%s}\n" pad)
     | Ast.Exec e ->
-      let sub =
-        List.map
-          (fun (it, ex) ->
-            let ex = List.fold_left (fun ex (v, by) -> Linexpr.subst v (Linexpr.var by) ex) ex !mapped in
-            (it, ex))
-          e.Ast.iter_map
-      in
-      let stmt = Kernel.stmt k e.Ast.stmt in
-      let body_pad, close =
-        match lattice_guards sub with
-        | [] -> (pad, fun () -> ())
-        | gs ->
-          add "%sif (%s) {\n" pad (String.concat " && " gs);
-          (pad ^ "  ", fun () -> add "%s}\n" pad)
-      in
-      add "%s%s = %s;\n" body_pad
-        (access_to_c sub stmt.Stmt.write)
-        (rhs_to_c sub stmt.Stmt.rhs);
-      close ()
+      exec pad e (fun pad sub stmt ->
+          add "%s%s = %s;\n" pad (access_to_c sub stmt.Stmt.write) (rhs_to_c sub stmt.Stmt.rhs))
     | Ast.VecExec (e, w) ->
-      let sub =
-        List.map
-          (fun (it, ex) ->
-            let ex = List.fold_left (fun ex (v, by) -> Linexpr.subst v (Linexpr.var by) ex) ex !mapped in
-            (it, ex))
-          e.Ast.iter_map
-      in
-      let stmt = Kernel.stmt k e.Ast.stmt in
-      let body_pad, close =
-        match lattice_guards sub with
-        | [] -> (pad, fun () -> ())
-        | gs ->
-          add "%sif (%s) {\n" pad (String.concat " && " gs);
-          (pad ^ "  ", fun () -> add "%s}\n" pad)
-      in
-      add "%s// float%d vector load/store over %d lanes\n" body_pad w w;
-      add "%s*(float%d*)&%s = vec%d(%s);\n" body_pad w
-        (access_to_c sub stmt.Stmt.write)
-        w
-        (rhs_to_c sub stmt.Stmt.rhs);
-      close ()
+      exec pad e (fun pad sub stmt ->
+          add "%s// float%d vector load/store over %d lanes\n" pad w w;
+          add "%s*(float%d*)&%s = vec%d(%s);\n" pad w (access_to_c sub stmt.Stmt.write) w
+            (rhs_to_c sub stmt.Stmt.rhs))
   in
   go 2 c.ast;
   add "}\n";

@@ -110,7 +110,7 @@ let check_version ?(perturb = fun _ s -> s) ?max_tile_size ?tile_fault ~scope k 
     guard version Schedule (fun () ->
         compile (fun () ->
             let influence = P.tree ?max_tile_size version k in
-            let s, _, _ = P.schedule ?influence k in
+            let s, _ = P.schedule ?influence k in
             Ok (perturb version s)))
   in
   let* () =

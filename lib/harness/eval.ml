@@ -1,9 +1,8 @@
-type sched_obs = Pipeline.sched_obs
-
 type op_obs = {
-  isl_sched : sched_obs;
-  infl_sched : sched_obs;
-  tiled_sched : sched_obs;
+  isl : Scheduling.Scheduler.stats;
+  infl : Scheduling.Scheduler.stats;
+  tiled : Scheduling.Scheduler.stats;
+  sched_s : float;
   tree_s : float;
   lower_s : float;
   sim_s : float;
@@ -19,7 +18,7 @@ type op_result = {
   influenced : bool;
   vec : bool;
   tiled : bool;
-  obs : op_obs;
+  obs : op_obs option;
 }
 
 let rows_equal (a : Scheduling.Schedule.t) (b : Scheduling.Schedule.t) =
@@ -33,9 +32,11 @@ let rows_equal (a : Scheduling.Schedule.t) (b : Scheduling.Schedule.t) =
        a.Scheduling.Schedule.rows b.Scheduling.Schedule.rows
 
 let timed_schedule ?influence ?strategy kernel =
-  Polyhedra.Solver_memo.scoped (fun () -> Pipeline.schedule ?influence ?strategy kernel)
+  Polyhedra.Solver_memo.scoped @@ fun () ->
+  let (sched, stats), s = Obs.Span.timed (fun () -> Pipeline.schedule ?influence ?strategy kernel) in
+  (sched, stats, s)
 
-let influence_with kernel = Pipeline.influence_with kernel
+let influence_with kernel = Vectorizer.Treegen.influence_for kernel
 
 let evaluate_op ?(machine = Gpusim.Machine.v100) ~name kernel =
   Obs.Span.with_ "harness.op" @@ fun () ->
@@ -48,9 +49,9 @@ let evaluate_op ?(machine = Gpusim.Machine.v100) ~name kernel =
     let schedule version =
       Pipeline.schedule ?influence:(Pipeline.tree version kernel) kernel
     in
-    let isl_sched, _, isl_obs = schedule Pipeline.Isl in
-    let infl_sched, infl_stats, infl_obs = schedule Pipeline.Infl in
-    let tiled_sched_r, tiled_stats, tiled_obs = schedule Pipeline.Tiled in
+    let isl_sched, isl_stats = schedule Pipeline.Isl in
+    let infl_sched, infl_stats = schedule Pipeline.Infl in
+    let tiled_sched, tiled_stats = schedule Pipeline.Tiled in
     let lower version sched = Pipeline.lower version sched kernel in
     let time c = Gpusim.Sim.time_us (Pipeline.simulate ~machine c) in
     let version label us =
@@ -64,7 +65,7 @@ let evaluate_op ?(machine = Gpusim.Machine.v100) ~name kernel =
     let isl_c = lower Pipeline.Isl isl_sched in
     let novec_c = lower Pipeline.Novec infl_sched in
     let infl_c = lower Pipeline.Infl infl_sched in
-    let tiled_c = lower Pipeline.Tiled tiled_sched_r in
+    let tiled_c = lower Pipeline.Tiled tiled_sched in
     let tiled =
       (not tiled_stats.Scheduling.Scheduler.influence_abandoned)
       && Codegen.Tiling.applied tiled_c.Codegen.Compile.ast
@@ -90,46 +91,36 @@ let evaluate_op ?(machine = Gpusim.Machine.v100) ~name kernel =
           if List.mem (Filename.basename path) names then acc +. s else acc)
         0.0 spans
     in
-    let r =
-      { op_name = name;
-        isl_us;
-        tvm_us;
-        novec_us;
-        infl_us;
-        tiled_us;
-        influenced;
-        vec;
-        tiled;
-        obs =
-          { isl_sched = isl_obs;
-            infl_sched = infl_obs;
-            tiled_sched = tiled_obs;
-            tree_s = seconds [ "vectorizer.treegen"; "tiling.treegen" ];
-            lower_s = seconds [ "codegen.lower" ];
-            sim_s = seconds [ "gpusim.run" ]
-          }
+    let obs =
+      { isl = isl_stats;
+        infl = infl_stats;
+        tiled = tiled_stats;
+        sched_s = seconds [ "scheduler.schedule" ];
+        tree_s = seconds [ "vectorizer.treegen"; "tiling.treegen" ];
+        lower_s = seconds [ "codegen.lower" ];
+        sim_s = seconds [ "gpusim.run" ]
       }
     in
     Obs.Trace.emitf "harness.op" (fun () ->
         [ ("op", Obs.Json.String name);
-          ("influenced", Obs.Json.Bool r.influenced);
-          ("vec", Obs.Json.Bool r.vec);
-          ("tiled", Obs.Json.Bool r.tiled);
-          ("isl_ilp_solves", Obs.Json.Int isl_obs.ilp_solves);
-          ("infl_ilp_solves", Obs.Json.Int infl_obs.ilp_solves);
+          ("influenced", Obs.Json.Bool influenced);
+          ("vec", Obs.Json.Bool vec);
+          ("tiled", Obs.Json.Bool tiled);
+          ("isl_ilp_solves", Obs.Json.Int isl_stats.ilp_solves);
+          ("infl_ilp_solves", Obs.Json.Int infl_stats.ilp_solves);
           ( "fastpath_hits",
-            Obs.Json.Int (isl_obs.fastpath_hits + infl_obs.fastpath_hits) );
-          ("infl_bb_nodes", Obs.Json.Int infl_obs.bb_nodes);
-          ("sibling_moves", Obs.Json.Int infl_obs.sibling_moves);
-          ("ancestor_backtracks", Obs.Json.Int infl_obs.ancestor_backtracks);
-          ("abandoned", Obs.Json.Bool infl_obs.abandoned);
-          ( "sched_ms",
-            Obs.Json.Float ((isl_obs.sched_s +. infl_obs.sched_s +. tiled_obs.sched_s) *. 1e3) );
-          ("tree_ms", Obs.Json.Float (r.obs.tree_s *. 1e3));
-          ("lower_ms", Obs.Json.Float (r.obs.lower_s *. 1e3));
-          ("sim_ms", Obs.Json.Float (r.obs.sim_s *. 1e3))
+            Obs.Json.Int (isl_stats.fastpath_hits + infl_stats.fastpath_hits) );
+          ("infl_bb_nodes", Obs.Json.Int infl_stats.bb_nodes);
+          ("sibling_moves", Obs.Json.Int infl_stats.sibling_moves);
+          ("ancestor_backtracks", Obs.Json.Int infl_stats.ancestor_backtracks);
+          ("abandoned", Obs.Json.Bool infl_stats.influence_abandoned);
+          ("sched_ms", Obs.Json.Float (obs.sched_s *. 1e3));
+          ("tree_ms", Obs.Json.Float (obs.tree_s *. 1e3));
+          ("lower_ms", Obs.Json.Float (obs.lower_s *. 1e3));
+          ("sim_ms", Obs.Json.Float (obs.sim_s *. 1e3))
         ]);
-    r
+    { op_name = name; isl_us; tvm_us; novec_us; infl_us; tiled_us; influenced; vec; tiled;
+      obs = Some obs }
   in
   Obs.merge capture;
   r
@@ -139,19 +130,6 @@ let evaluate_op ?(machine = Gpusim.Machine.v100) ~name kernel =
 (* ------------------------------------------------------------------ *)
 
 module J = Obs.Json
-
-let sched_obs_to_json (s : sched_obs) =
-  J.Assoc
-    [ ("ilp_solves", J.Int s.ilp_solves);
-      ("bb_nodes", J.Int s.bb_nodes);
-      ("sibling_moves", J.Int s.sibling_moves);
-      ("ancestor_backtracks", J.Int s.ancestor_backtracks);
-      ("scc_separations", J.Int s.scc_separations);
-      ("abandoned", J.Bool s.abandoned);
-      ("fastpath_hits", J.Int s.fastpath_hits);
-      ("fastpath_fallbacks", J.Int s.fastpath_fallbacks);
-      ("sched_s", J.Float s.sched_s)
-    ]
 
 let result_to_json (r : op_result) =
   J.Assoc
@@ -163,18 +141,15 @@ let result_to_json (r : op_result) =
       ("tiled_us", J.Float r.tiled_us);
       ("influenced", J.Bool r.influenced);
       ("vec", J.Bool r.vec);
-      ("tiled", J.Bool r.tiled);
-      ("isl_sched", sched_obs_to_json r.obs.isl_sched);
-      ("infl_sched", sched_obs_to_json r.obs.infl_sched);
-      ("tiled_sched", sched_obs_to_json r.obs.tiled_sched);
-      ("tree_s", J.Float r.obs.tree_s);
-      ("lower_s", J.Float r.obs.lower_s);
-      ("sim_s", J.Float r.obs.sim_s)
+      ("tiled", J.Bool r.tiled)
     ]
 
 (* Every accessor is strict: a payload missing any field is rejected so a
    half-written or schema-drifted cache entry recomputes instead of
-   producing a plausible-looking wrong row. *)
+   producing a plausible-looking wrong row.  Other fields are ignored, so
+   payloads that also carry an earlier format's per-run observations
+   still decode.  A decoded row has no [obs]: those belong to the run
+   that computed it. *)
 let result_of_json j =
   let ( let* ) = Result.bind in
   let str k o = match J.member k o with Some (J.String s) -> Ok s | _ -> Error ("missing string " ^ k) in
@@ -184,24 +159,7 @@ let result_of_json j =
     | Some (J.Int i) -> Ok (float_of_int i)
     | _ -> Error ("missing number " ^ k)
   in
-  let int k o = match J.member k o with Some (J.Int i) -> Ok i | _ -> Error ("missing int " ^ k) in
   let bool k o = match J.member k o with Some (J.Bool b) -> Ok b | _ -> Error ("missing bool " ^ k) in
-  let sched k o =
-    match J.member k o with
-    | None -> Error ("missing record " ^ k)
-    | Some s ->
-      let* ilp_solves = int "ilp_solves" s in
-      let* bb_nodes = int "bb_nodes" s in
-      let* sibling_moves = int "sibling_moves" s in
-      let* ancestor_backtracks = int "ancestor_backtracks" s in
-      let* scc_separations = int "scc_separations" s in
-      let* abandoned = bool "abandoned" s in
-      let* fastpath_hits = int "fastpath_hits" s in
-      let* fastpath_fallbacks = int "fastpath_fallbacks" s in
-      let* sched_s = num "sched_s" s in
-      Ok { Pipeline.ilp_solves; bb_nodes; sibling_moves; ancestor_backtracks;
-           scc_separations; abandoned; fastpath_hits; fastpath_fallbacks; sched_s }
-  in
   let* op_name = str "op" j in
   let* isl_us = num "isl_us" j in
   let* tvm_us = num "tvm_us" j in
@@ -211,16 +169,7 @@ let result_of_json j =
   let* influenced = bool "influenced" j in
   let* vec = bool "vec" j in
   let* tiled = bool "tiled" j in
-  let* isl_sched = sched "isl_sched" j in
-  let* infl_sched = sched "infl_sched" j in
-  let* tiled_sched = sched "tiled_sched" j in
-  let* tree_s = num "tree_s" j in
-  let* lower_s = num "lower_s" j in
-  let* sim_s = num "sim_s" j in
-  Ok
-    { op_name; isl_us; tvm_us; novec_us; infl_us; tiled_us; influenced; vec; tiled;
-      obs = { isl_sched; infl_sched; tiled_sched; tree_s; lower_s; sim_s }
-    }
+  Ok { op_name; isl_us; tvm_us; novec_us; infl_us; tiled_us; influenced; vec; tiled; obs = None }
 
 type aggregate = {
   total : int;

@@ -17,15 +17,16 @@
     the tiling influence survived scheduling and the backend actually
     rewrote a band into tile/point loops. *)
 
-type sched_obs = Pipeline.sched_obs
-
 type op_obs = {
-  isl_sched : sched_obs;  (** the uninfluenced baseline run *)
-  infl_sched : sched_obs;  (** the influenced run (shared by novec/infl) *)
-  tiled_sched : sched_obs;
+  isl : Scheduling.Scheduler.stats;  (** the uninfluenced baseline run *)
+  infl : Scheduling.Scheduler.stats;  (** the influenced run (shared by novec/infl) *)
+  tiled : Scheduling.Scheduler.stats;
       (** the tiling-influenced run.  The three runs share a solver memo,
-          so solver work (nodes, seconds) shifts to whichever runs first:
+          so solver work ([bb_nodes]) shifts to whichever runs first:
           only their sum is comparable across revisions. *)
+  sched_s : float;
+      (** scheduling seconds of the three runs: the operator's
+          [scheduler.schedule] spans *)
   tree_s : float;
       (** influence-tree construction seconds: the operator's
           [vectorizer.treegen] and [tiling.treegen] spans *)
@@ -36,7 +37,8 @@ type op_obs = {
       (** GPU-model simulation seconds, the walks done and the lookups
           the operator's scope answered: its [gpusim.run] spans *)
 }
-(** Per-operator compile+simulate breakdown behind one {!op_result} —
+(** What computing one {!op_result} cost: the three scheduler runs'
+    statistics and the stage times, read from the operator's capture —
     rendered by {!Tables.stats_table} and the CLI's [--stats] flag. *)
 
 type op_result = {
@@ -49,12 +51,14 @@ type op_result = {
   influenced : bool;
   vec : bool;
   tiled : bool;
-  obs : op_obs;
+  obs : op_obs option;
+      (** [Some] when this process computed the row; [None] for a row read
+          back from the compile cache ({!result_of_json}) *)
 }
 
 val influence_with : Ir.Kernel.t -> Scheduling.Influence.t
-(** {!Pipeline.influence_with} at the paper's weights and branch order,
-    kept for the repository benchmark ([perfbench/]), its only caller. *)
+(** {!Vectorizer.Treegen.influence_for} at the paper's weights, kept for
+    the repository benchmark ([perfbench/]), its only caller. *)
 
 val rows_equal : Scheduling.Schedule.t -> Scheduling.Schedule.t -> bool
 (** Structural equality of two schedules' rows (kind-insensitive, exact
@@ -65,9 +69,10 @@ val timed_schedule :
   ?influence:Scheduling.Influence.t ->
   ?strategy:Scheduling.Scheduler.strategy ->
   Ir.Kernel.t ->
-  Scheduling.Schedule.t * Scheduling.Scheduler.stats * sched_obs
+  Scheduling.Schedule.t * Scheduling.Scheduler.stats * float
 (** {!Pipeline.schedule} in a {!Polyhedra.Solver_memo.scoped} scope of
-    its own, kept for the repository benchmark ([perfbench/]), its only
+    its own, with its wall-clock seconds, kept for the repository
+    benchmark ([perfbench/]), its only
     caller: its zoo replay and CPU compile schedule outside every other
     scope, so one schedule shares its repeats with nothing else. *)
 
@@ -83,7 +88,8 @@ val evaluate_op :
     share.  The scope is opened and dropped inside the call, so
     operators evaluate independently on separate domains.  The stages
     run in one {!Obs.scoped} capture, merged back before the call
-    returns; the [op_obs] stage times are read from its spans. *)
+    returns; the [op_obs] stage times are read from its spans and the
+    result's [obs] is [Some]. *)
 
 type cpu_run = {
   cpu_op : string;
@@ -131,13 +137,14 @@ val evaluate_cpu_op :
     record carries the standard no-compiler degradation error. *)
 
 val result_to_json : op_result -> Obs.Json.t
-(** Full-fidelity serialization (floats round-trip exactly): the payload
-    the compile cache stores for an operator. *)
+(** The payload the compile cache stores for an operator: Table II's
+    facts (the name, the five simulated times and the three flags, floats
+    round-tripping exactly).  [obs] is not stored. *)
 
 val result_of_json : Obs.Json.t -> (op_result, string) result
-(** Strict inverse of {!result_to_json}: any missing or mistyped field is
-    an [Error], so stale cache payloads recompute instead of decoding
-    into garbage. *)
+(** Strict inverse of {!result_to_json}, with [obs = None]: any missing
+    or mistyped field is an [Error], so stale cache payloads recompute
+    instead of decoding into garbage.  Other fields are ignored. *)
 
 type aggregate = {
   total : int;

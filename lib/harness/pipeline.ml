@@ -37,65 +37,19 @@ let resolve s ~machine =
 (* stages                                                               *)
 (* ------------------------------------------------------------------ *)
 
-type tuning = {
-  weights : Vectorizer.Costmodel.weights;
-  order : int list option;
-}
-
-let select tuning tree =
-  match tuning with
-  | Some { order = Some order; _ } -> Scheduling.Influence.select order tree
-  | _ -> tree
-
-let influence_with ?tuning kernel =
-  select tuning
-    (Vectorizer.Treegen.influence_for
-       ?weights:(Option.map (fun t -> t.weights) tuning)
-       kernel)
-
-let tree ?tuning ?max_tile_size version kernel =
+let tree ?max_tile_size version kernel =
   match (spec version).client with
   | No_influence -> None
-  | Vectorizer -> Some (influence_with ?tuning kernel)
+  | Vectorizer -> Some (Vectorizer.Treegen.influence_for kernel)
   | Tiling -> Some (Scheduling.Tiling.influence_for ?max_tile_size kernel)
 
-type sched_obs = {
-  ilp_solves : int;
-  bb_nodes : int;
-  sibling_moves : int;
-  ancestor_backtracks : int;
-  scc_separations : int;
-  abandoned : bool;
-  fastpath_hits : int;
-  fastpath_fallbacks : int;
-  sched_s : float;
-}
-
-(* Runs the scheduler while measuring wall time and the branch-and-bound
-   node delta it caused, turning its per-run stats into a [sched_obs]. *)
 let schedule ?influence ?strategy kernel =
   let config =
     match strategy with
     | None -> Scheduling.Scheduler.default_config
     | Some strategy -> { Scheduling.Scheduler.default_config with strategy }
   in
-  let bb0 = Obs.Counters.find "ilp.bb_nodes" in
-  let (sched, stats), sched_s =
-    Obs.Span.timed (fun () -> Scheduling.Scheduler.schedule ~config ?influence kernel)
-  in
-  let obs =
-    { ilp_solves = stats.Scheduling.Scheduler.ilp_solves;
-      bb_nodes = Obs.Counters.find "ilp.bb_nodes" - bb0;
-      sibling_moves = stats.sibling_moves;
-      ancestor_backtracks = stats.ancestor_backtracks;
-      scc_separations = stats.scc_separations;
-      abandoned = stats.influence_abandoned;
-      fastpath_hits = stats.fastpath_hits;
-      fastpath_fallbacks = stats.fastpath_fallbacks;
-      sched_s
-    }
-  in
-  (sched, stats, obs)
+  Scheduling.Scheduler.schedule ~config ?influence kernel
 
 let lower ?vec_min_parallel ?tile_sizes ?tile_fault version sched kernel =
   let s = spec version in
@@ -164,7 +118,7 @@ type output = {
 let run ?tile_sizes ?(machine = Gpusim.Machine.v100) version kernel =
   Polyhedra.Solver_memo.scoped @@ fun () ->
   let influence = tree version kernel in
-  let sched, stats, _ = schedule ?influence kernel in
+  let sched, stats = schedule ?influence kernel in
   let compiled = lower ?tile_sizes version sched kernel in
   let backend =
     if Gpusim.Machine.is_cpu machine then Emitted (emit_c ~machine compiled)

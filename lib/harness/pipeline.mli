@@ -57,52 +57,21 @@ val resolve : string -> machine:Gpusim.Machine.t -> (version * Gpusim.Machine.t)
 
 (** {1 Stages} *)
 
-type tuning = {
-  weights : Vectorizer.Costmodel.weights;
-      (** cost-model weight vector for scenario construction *)
-  order : int list option;
-      (** influence-tree root-branch selection ({!Scheduling.Influence.select});
-          [None] keeps the natural branch order *)
-}
-(** A compilation configuration other than the paper's, as the bench's
-    weight and branch-budget ablations vary it. *)
-
-val influence_with : ?tuning:tuning -> Ir.Kernel.t -> Scheduling.Influence.t
-(** The vectorizer's influence tree: paper weights and natural branch
-    order when [tuning] is absent. *)
-
-val tree :
-  ?tuning:tuning -> ?max_tile_size:int -> version -> Ir.Kernel.t ->
-  Scheduling.Influence.t option
-(** Stage 1: the version's influence tree ([None] for {b isl}).  A
-    [tuning] steers only the vectorizer's tree: its weights shape it and
-    its [order] selects its root branches; the tiling client's tree
-    ignores it.  [max_tile_size] caps the tiling client's tile shapes. *)
-
-type sched_obs = {
-  ilp_solves : int;  (** per-dimension ILP solves of this scheduler run *)
-  bb_nodes : int;  (** branch-and-bound nodes those solves explored *)
-  sibling_moves : int;
-  ancestor_backtracks : int;
-  scc_separations : int;
-  abandoned : bool;
-  fastpath_hits : int;  (** dimensions committed by the sub-ILP fast path *)
-  fastpath_fallbacks : int;  (** fast-path attempts that fell back to ILP *)
-  sched_s : float;  (** wall-clock seconds spent scheduling *)
-}
-(** Scheduler-internal statistics of one {!schedule} run, as observed
-    through {!Obs}. *)
+val tree : ?max_tile_size:int -> version -> Ir.Kernel.t -> Scheduling.Influence.t option
+(** Stage 1: the version's influence tree ([None] for {b isl}) at the
+    paper's weights and branch order.  [max_tile_size] caps the tiling
+    client's tile shapes. *)
 
 val schedule :
   ?influence:Scheduling.Influence.t ->
   ?strategy:Scheduling.Scheduler.strategy ->
   Ir.Kernel.t ->
-  Scheduling.Schedule.t * Scheduling.Scheduler.stats * sched_obs
+  Scheduling.Schedule.t * Scheduling.Scheduler.stats
 (** Stage 2: one scheduler run under the default config (with [strategy]
-    substituted when given), timed and with its branch-and-bound node
-    delta attributed.  Inside a {!Polyhedra.Solver_memo.scoped} scope, a
-    solve an earlier run of the scope already did is looked up, and its
-    nodes stay attributed to that run. *)
+    substituted when given).  Its time is the [scheduler.schedule] span.
+    Inside a {!Polyhedra.Solver_memo.scoped} scope, a solve an earlier
+    run of the scope already did is looked up, and its nodes stay
+    attributed to that run. *)
 
 val lower :
   ?vec_min_parallel:int ->

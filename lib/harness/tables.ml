@@ -47,43 +47,44 @@ let stats_header fmt =
 
 (* Solver work summed over the isl, infl and tiled runs: they share a
    solver memo, so only the sum is comparable across revisions. *)
-let scheds (r : Eval.op_result) =
-  let o = r.Eval.obs in
-  [ o.Eval.isl_sched; o.Eval.infl_sched; o.Eval.tiled_sched ]
-
-let bb_nodes r = List.fold_left (fun acc s -> acc + s.Pipeline.bb_nodes) 0 (scheds r)
-let sched_ms r = List.fold_left (fun acc s -> acc +. s.Pipeline.sched_s) 0.0 (scheds r) *. 1e3
+let bb_nodes (o : Eval.op_obs) = o.isl.bb_nodes + o.infl.bb_nodes + o.tiled.bb_nodes
 
 let stats_row fmt (r : Eval.op_result) =
-  let o = r.Eval.obs in
-  Format.fprintf fmt
-    "%-28s | %9d %9d %8d | %4d %4d %4d %5s | %9.2f %9.2f %9.2f %9.2f@."
-    r.Eval.op_name o.Eval.isl_sched.Pipeline.ilp_solves
-    o.Eval.infl_sched.Pipeline.ilp_solves (bb_nodes r)
-    o.Eval.infl_sched.Pipeline.sibling_moves o.Eval.infl_sched.Pipeline.ancestor_backtracks
-    o.Eval.infl_sched.Pipeline.scc_separations
-    (if o.Eval.infl_sched.Pipeline.abandoned then "yes" else "no")
-    (sched_ms r) (o.Eval.tree_s *. 1e3) (o.Eval.lower_s *. 1e3) (o.Eval.sim_s *. 1e3)
+  match r.Eval.obs with
+  | None -> Format.fprintf fmt "%-28s | cached@." r.Eval.op_name
+  | Some o ->
+    let i = o.Eval.infl in
+    Format.fprintf fmt
+      "%-28s | %9d %9d %8d | %4d %4d %4d %5s | %9.2f %9.2f %9.2f %9.2f@."
+      r.Eval.op_name o.isl.ilp_solves i.ilp_solves (bb_nodes o) i.sibling_moves
+      i.ancestor_backtracks i.scc_separations
+      (if i.influence_abandoned then "yes" else "no")
+      (o.sched_s *. 1e3) (o.tree_s *. 1e3) (o.lower_s *. 1e3) (o.sim_s *. 1e3)
 
+(* The totals cover the rows computed in this run: a cached row's work
+   was done by another. *)
 let stats_table fmt results =
   stats_header fmt;
   List.iter (stats_row fmt) results;
-  let sum f = List.fold_left (fun acc r -> acc +. f r) 0.0 results in
-  let sumi f = List.fold_left (fun acc r -> acc + f r) 0 results in
+  let computed = List.filter_map (fun (r : Eval.op_result) -> r.obs) results in
+  let cached = List.length results - List.length computed in
+  let sum f = List.fold_left (fun acc o -> acc +. (f o *. 1e3)) 0.0 computed in
+  let sumi f = List.fold_left (fun acc o -> acc + f o) 0 computed in
   Format.fprintf fmt
     "%-28s | %9d %9d %8d | %4d %4d %4d %5d | %9.2f %9.2f %9.2f %9.2f@."
-    (Printf.sprintf "TOTAL (%d ops)" (List.length results))
-    (sumi (fun r -> r.Eval.obs.Eval.isl_sched.Pipeline.ilp_solves))
-    (sumi (fun r -> r.Eval.obs.Eval.infl_sched.Pipeline.ilp_solves))
+    (if cached = 0 then Printf.sprintf "TOTAL (%d ops)" (List.length computed)
+     else Printf.sprintf "TOTAL (%d ops, %d cached)" (List.length computed) cached)
+    (sumi (fun o -> o.isl.ilp_solves))
+    (sumi (fun o -> o.infl.ilp_solves))
     (sumi bb_nodes)
-    (sumi (fun r -> r.Eval.obs.Eval.infl_sched.Pipeline.sibling_moves))
-    (sumi (fun r -> r.Eval.obs.Eval.infl_sched.Pipeline.ancestor_backtracks))
-    (sumi (fun r -> r.Eval.obs.Eval.infl_sched.Pipeline.scc_separations))
-    (sumi (fun r -> if r.Eval.obs.Eval.infl_sched.Pipeline.abandoned then 1 else 0))
-    (sum sched_ms)
-    (sum (fun r -> r.Eval.obs.Eval.tree_s *. 1e3))
-    (sum (fun r -> r.Eval.obs.Eval.lower_s *. 1e3))
-    (sum (fun r -> r.Eval.obs.Eval.sim_s *. 1e3))
+    (sumi (fun o -> o.infl.sibling_moves))
+    (sumi (fun o -> o.infl.ancestor_backtracks))
+    (sumi (fun o -> o.infl.scc_separations))
+    (sumi (fun o -> if o.infl.influence_abandoned then 1 else 0))
+    (sum (fun o -> o.sched_s))
+    (sum (fun o -> o.tree_s))
+    (sum (fun o -> o.lower_s))
+    (sum (fun o -> o.sim_s))
 
 let geomean_line fmt per_network =
   let speedups =

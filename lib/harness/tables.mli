@@ -15,10 +15,13 @@ val geomean_line : Format.formatter -> (string * Eval.op_result list) list -> un
 val stats_header : Format.formatter -> unit
 
 val stats_row : Format.formatter -> Eval.op_result -> unit
+(** One operator's row; a row without [obs] (read from the compile
+    cache) reads [cached]. *)
 
 val stats_table : Format.formatter -> Eval.op_result list -> unit
 (** The observability companion of Table II: per-operator ILP-solve
     counts, influence-tree backtracking activity, and the compile/simulate
-    time breakdown from {!Eval.op_obs}, with a totals row — what the CLI
-    prints under [--stats].  [bb-nodes] and [sched(ms)] sum the isl, infl
-    and tiled scheduler runs. *)
+    time breakdown from {!Eval.op_obs}, with a totals row over the rows
+    computed in this run — what the CLI prints under [--stats].
+    [bb-nodes] and [sched(ms)] sum the isl, infl and tiled scheduler
+    runs. *)

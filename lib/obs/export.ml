@@ -53,9 +53,7 @@ let write_stats path =
       output_string oc (Json.to_string (stats_json ()));
       output_char oc '\n')
 
-type trace_format = Native | Chrome_events
-
-let write_run ~stats ?trace ?(trace_format = Native) ?stats_json () =
+let write_run ~stats ?trace ?stats_json () =
   let written what file write =
     match write file with
     | () -> true
@@ -68,9 +66,7 @@ let write_run ~stats ?trace ?(trace_format = Native) ?stats_json () =
     | None -> true
     | Some file ->
       written "trace" file (fun file ->
-          (match trace_format with
-           | Native -> Trace.write_file file
-           | Chrome_events -> Chrome.write_file file (Tracefile.of_live ()));
+          Trace.write_file file;
           Format.eprintf "trace: %d events written to %s@." (Trace.length ()) file)
   in
   let stats_ok =

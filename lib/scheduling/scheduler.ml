@@ -18,6 +18,7 @@ let default_config = { max_ilp_nodes = 200_000; strategy = `Fastpath_then_ilp }
 
 type stats = {
   mutable ilp_solves : int;
+  mutable bb_nodes : int;
   mutable loop_dims : int;
   mutable scalar_dims : int;
   mutable coincidence_failures : int;
@@ -244,7 +245,7 @@ let schedule ?(config = default_config) ?(influence = Influence.empty) kernel =
         ("influence_size", Obs.Json.Int (Influence.size influence))
       ]);
   let stats =
-    { ilp_solves = 0; loop_dims = 0; scalar_dims = 0; coincidence_failures = 0;
+    { ilp_solves = 0; bb_nodes = 0; loop_dims = 0; scalar_dims = 0; coincidence_failures = 0;
       band_ends = 0; sibling_moves = 0; ancestor_backtracks = 0;
       scc_separations = 0; influence_abandoned = false;
       fastpath_hits = 0; fastpath_fallbacks = 0; fastpath_validity_rejects = 0;
@@ -429,6 +430,8 @@ let schedule ?(config = default_config) ?(influence = Influence.empty) kernel =
                 | exception Ilp.Unbounded_objective -> None
                 | r -> r))
       in
+      let bb_nodes = Obs.Counters.find "ilp.bb_nodes" - bb_nodes_before in
+      stats.bb_nodes <- stats.bb_nodes + bb_nodes;
       Obs.Trace.emitf "scheduler.solve" (fun () ->
           [ ("kernel", Obs.Json.String kernel.Ir.Kernel.name);
             ("dim", Obs.Json.Int dim);
@@ -437,7 +440,7 @@ let schedule ?(config = default_config) ?(influence = Influence.empty) kernel =
             ("injected", Obs.Json.Int (List.length infl_cs));
             ("objectives", Obs.Json.Int (List.length objectives));
             ("feasible", Obs.Json.Bool (Option.is_some result));
-            ("bb_nodes", Obs.Json.Int (Obs.Counters.find "ilp.bb_nodes" - bb_nodes_before));
+            ("bb_nodes", Obs.Json.Int bb_nodes);
             ("dur_us", Obs.Json.Float (solve_s *. 1e6))
           ]);
       Log.debug (fun m ->

@@ -50,6 +50,11 @@ val default_config : config
 
 type stats = {
   mutable ilp_solves : int;
+  mutable bb_nodes : int;
+      (** branch-and-bound nodes this run's dimension ILPs explored (the
+          [ilp.bb_nodes] delta of each solve); inside a
+          {!Polyhedra.Solver_memo} scope, a solve an earlier run already
+          did is looked up, and its nodes stay with that run *)
   mutable loop_dims : int;
   mutable scalar_dims : int;
   mutable coincidence_failures : int;

@@ -31,7 +31,7 @@ let schedule_with ~strategy ?influence k =
   match
     Polyhedra.Solver_memo.scoped (fun () -> Harness.Pipeline.schedule ?influence ~strategy k)
   with
-  | sched, stats, _ -> Sched (sched, stats)
+  | sched, stats -> Sched (sched, stats)
   | exception Scheduling.Scheduler.Failure_no_schedule msg -> Failed msg
 
 let cost sched k =

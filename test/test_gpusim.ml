@@ -117,7 +117,7 @@ let test_machine_defaults () =
 module P = Harness.Pipeline
 
 let sched version k =
-  let s, _, _ = P.schedule ?influence:(P.tree version k) k in
+  let s, _ = P.schedule ?influence:(P.tree version k) k in
   s
 
 let dump_line label (r : Gpusim.Sim.report) =

@@ -421,7 +421,7 @@ let test_softmax_pivot_budget () =
   let pivots_before = Obs.Counters.find "simplex.pivots" in
   let r = Harness.Eval.evaluate_op ~name:"softmax" (Ops.Classics.softmax ()) in
   let pivots = Obs.Counters.find "simplex.pivots" - pivots_before in
-  Alcotest.(check bool) "infl abandoned" true r.obs.infl_sched.abandoned;
+  Alcotest.(check bool) "infl abandoned" true (Option.get r.obs).infl.influence_abandoned;
   Alcotest.(check bool)
     (Printf.sprintf "softmax pivots (%d) within 5000" pivots)
     true (pivots <= 5000)

@@ -261,28 +261,9 @@ let test_cache_eviction () =
 let suite_ops = [ "transpose_add"; "reduce_2d" ]
 let suite () = List.map (fun n -> (n, classic n)) suite_ops
 
-(* drop the wall-clock observation fields (suffix "_s"): they are real
-   elapsed times, so only the cached-replay path reproduces them
-   bit-for-bit *)
-let rec strip_times = function
-  | Obs.Json.Assoc kvs ->
-    Obs.Json.Assoc
-      (List.filter_map
-         (fun (k, v) ->
-           if String.length k > 2 && String.sub k (String.length k - 2) 2 = "_s" then
-             None
-           else Some (k, strip_times v))
-         kvs)
-  | Obs.Json.List l -> Obs.Json.List (List.map strip_times l)
-  | j -> j
-
-let render ?(timeless = false) results =
+let render results =
   String.concat "\n"
-    (List.map
-       (fun r ->
-         let j = Harness.Eval.result_to_json r in
-         Obs.Json.to_string (if timeless then strip_times j else j))
-       results)
+    (List.map (fun r -> Obs.Json.to_string (Harness.Eval.result_to_json r)) results)
 
 let test_batch_cache_roundtrip () =
   reset ();
@@ -301,10 +282,60 @@ let test_batch_cache_roundtrip () =
     "warm run performs zero ILP solves" solves_after_cold
     (counter "scheduler.ilp_solves")
 
+(* A row read from the cache carries no observations of its own: the
+   stats table shows it as cached and totals only the computed rows. *)
+let test_batch_hits_carry_no_obs () =
+  reset ();
+  let cache = Service.Cache.open_ (fresh_dir ()) in
+  let first, second = match suite () with [ a; b ] -> (a, b) | _ -> assert false in
+  ignore (Service.Batch.evaluate_suite ~cache [ first ]);
+  let results = Service.Batch.evaluate_suite ~cache [ first; second ] in
+  Alcotest.(check (list (pair string bool)))
+    "hit has no obs, miss has"
+    [ (fst first, false); (fst second, true) ]
+    (List.map (fun (r : Harness.Eval.op_result) -> (r.op_name, Option.is_some r.obs)) results);
+  let lines =
+    String.split_on_char '\n' (Format.asprintf "%a" Harness.Tables.stats_table results)
+  in
+  let row op =
+    match List.find_opt (fun l -> String.starts_with ~prefix:(op ^ " ") l) lines with
+    | Some l -> List.map String.trim (String.split_on_char '|' l)
+    | None -> Alcotest.failf "no stats row for %s" op
+  in
+  Alcotest.(check (list string)) "hit row reads cached" [ fst first; "cached" ] (row (fst first));
+  Alcotest.(check bool) "miss row has numbers" true (List.length (row (fst second)) = 4);
+  Alcotest.(check (list string)) "total covers the computed row" [ "TOTAL (1 ops, 1 cached)" ]
+    [ List.hd (row "TOTAL") ]
+
+(* A payload stored before the compile cache dropped per-run observations
+   (isl_sched ... sim_s) still decodes to the same Table II facts. *)
+let test_batch_old_payload_decodes () =
+  let sched =
+    {|{"ilp_solves":3,"bb_nodes":1,"sibling_moves":0,"ancestor_backtracks":0,"scc_separations":1,"abandoned":false,"fastpath_hits":2,"fastpath_fallbacks":1,"sched_s":0.0012}|}
+  in
+  let payload =
+    Printf.sprintf
+      {|{"op":"fig2","isl_us":12.5,"tvm_us":20.25,"novec_us":11.0,"infl_us":9.75,"tiled_us":12.5,"influenced":true,"vec":true,"tiled":false,"isl_sched":%s,"infl_sched":%s,"tiled_sched":%s,"tree_s":0.001,"lower_s":0.002,"sim_s":0.003}|}
+      sched sched sched
+  in
+  match Obs.Json.of_string payload with
+  | Error e -> Alcotest.failf "payload does not parse: %s" e
+  | Ok j -> (
+    match Harness.Eval.result_of_json j with
+    | Error e -> Alcotest.failf "old payload rejected: %s" e
+    | Ok r ->
+      let expected =
+        { Harness.Eval.op_name = "fig2"; isl_us = 12.5; tvm_us = 20.25; novec_us = 11.0;
+          infl_us = 9.75; tiled_us = 12.5; influenced = true; vec = true; tiled = false;
+          obs = None }
+      in
+      Alcotest.(check string) "same facts" (render [ expected ]) (render [ r ]);
+      Alcotest.(check bool) "no obs" true (r.obs = None))
+
 let test_batch_corrupt_entry_recomputes () =
   reset ();
   let cache = Service.Cache.open_ (fresh_dir ()) in
-  let cold = render ~timeless:true (Service.Batch.evaluate_suite ~cache (suite ())) in
+  let cold = render (Service.Batch.evaluate_suite ~cache (suite ())) in
   let name = List.hd suite_ops in
   let k =
     Service.Batch.eval_key ~machine:Gpusim.Machine.v100 ~name (classic name)
@@ -312,7 +343,7 @@ let test_batch_corrupt_entry_recomputes () =
   let oc = open_out (Service.Cache.entry_path cache k) in
   output_string oc "garbage";
   close_out oc;
-  let again = render ~timeless:true (Service.Batch.evaluate_suite ~cache (suite ())) in
+  let again = render (Service.Batch.evaluate_suite ~cache (suite ())) in
   Alcotest.(check string) "recomputed results identical" cold again;
   Alcotest.(check int) "only the intact entry hits" 1 (counter "service.cache_hits");
   Alcotest.(check bool)
@@ -343,7 +374,7 @@ let test_suite_determinism_across_jobs () =
   Alcotest.(check string) "Table II row identical under --jobs" (row r1) (row r4);
   Alcotest.(check string)
     "structural results identical"
-    (render ~timeless:true r1) (render ~timeless:true r4);
+    (render r1) (render r4);
   Alcotest.(check (list (pair string int)))
     "merged counter totals identical" d1 d4
 
@@ -644,6 +675,8 @@ let () =
         ] );
       ( "batch",
         [ Alcotest.test_case "cache roundtrip" `Quick test_batch_cache_roundtrip;
+          Alcotest.test_case "hits carry no obs" `Quick test_batch_hits_carry_no_obs;
+          Alcotest.test_case "old payload decodes" `Quick test_batch_old_payload_decodes;
           Alcotest.test_case "corrupt entry" `Quick test_batch_corrupt_entry_recomputes;
           Alcotest.test_case "jobs determinism" `Quick test_suite_determinism_across_jobs
         ] );
