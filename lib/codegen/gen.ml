@@ -38,7 +38,7 @@ let iter_map_for sched (stmt : Stmt.t) =
     | None -> failwith "Gen: selected rows not invertible"
   in
   (* i = M^-1 (t_sel - shift), where shift is the non-iterator part of the
-     selected rows (constants and parameters). *)
+     selected rows (their constants). *)
   let t_minus_shift =
     List.map
       (fun (d, e, _) ->

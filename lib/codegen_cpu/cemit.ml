@@ -35,7 +35,7 @@ let sanitize_ident s =
   if s = "" || (s.[0] >= '0' && s.[0] <= '9') then "k" ^ s else s
 
 (* Tensor parameters share a C scope with scheduler iterators (t0, t1,
-   ...) and kernel-parameter consts, and fused kernels routinely name
+   ...), and fused kernels routinely name
    temporaries [t1]/[t2] — so buffers get their own namespace. *)
 let tensor_ident name = "buf_" ^ sanitize_ident name
 
@@ -291,10 +291,6 @@ let emit ?(machine = Gpusim.Machine.scalar_1core) (c : Codegen.Compile.compiled)
   add "static inline int64_t akg_ceildiv(int64_t n, int64_t q) {\n";
   add "  int64_t d = n / q;\n  return d * q < n ? d + 1 : d;\n}\n";
   add "\n";
-  List.iter
-    (fun (p, v) -> add "static const int64_t %s = %d;\n" (sanitize_ident p) v)
-    k.Kernel.params;
-  if k.Kernel.params <> [] then add "\n";
   add "static void %s(%s) {\n" body_name
     (String.concat ", "
        (List.map

@@ -59,7 +59,6 @@ let dependences (k : Kernel.t) =
       let tgt_iters = List.map rename t.Stmt.iters in
       let tgt_domain = Polyhedron.rename rename t.Stmt.domain in
       let base = Polyhedron.inter s.Stmt.domain tgt_domain in
-      let base = Polyhedron.add_constraints base (Kernel.param_context k) in
       let accesses_of st = Stmt.accesses st in
       List.iter
         (fun ((a : Access.t), arw) ->

@@ -234,7 +234,6 @@ let memory_to_buffers = Pipeline.memory_to_buffers
 let evaluate_cpu_op ?(machine = Gpusim.Machine.scalar_1core) ?runner ?(reps = 3)
     ?(check = true) ?(seed = 42) ~name kernel =
   Obs.Span.with_ "harness.cpu_op" @@ fun () ->
-  let kernel = Ir.Kernel.instantiate kernel in
   let machine = Pipeline.cpu_machine machine in
   let p = Pipeline.run ~machine Pipeline.Infl kernel in
   let source =

@@ -10,7 +10,9 @@ val table2 : Format.formatter -> (string * Eval.op_result list) list -> unit
 (** Table II: its header and one row per (network, per-operator results). *)
 
 val geomean_line : Format.formatter -> (string * Eval.op_result list) list -> unit
-(** The headline number: geometric mean of per-network infl speedups. *)
+(** The headline numbers: the geometric mean of per-network infl speedups
+    over the rows that are Table I networks, beside the paper's 1.7x, then
+    over every row (StencilZoo included). *)
 
 val stats_header : Format.formatter -> unit
 

@@ -1,5 +1,5 @@
 (** Affine tensor accesses: a tensor name plus one affine index expression
-    per tensor dimension, over statement iterators (and parameters). *)
+    per tensor dimension, over statement iterators. *)
 
 open Polyhedra
 
@@ -13,7 +13,7 @@ val of_iters : string -> string list -> t
 val rank : t -> int
 
 val vars : t -> string list
-(** Iterators/parameters mentioned by the index expressions, sorted. *)
+(** Iterators mentioned by the index expressions, sorted. *)
 
 val rename : (string -> string) -> t -> t
 

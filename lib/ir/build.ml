@@ -17,8 +17,8 @@ let idx x = Linexpr.var x
 let idx_plus x n = Linexpr.add (Linexpr.var x) (Linexpr.const_int n)
 let tensor = Tensor.make
 
-let kernel ?params name ~tensors ~stmts =
-  let k = Kernel.make ?params ~name ~tensors ~stmts () in
+let kernel name ~tensors ~stmts =
+  let k = Kernel.make ~name ~tensors ~stmts () in
   match Kernel.validate_bounds k with
   | Ok () -> k
   | Error msg -> invalid_arg (Printf.sprintf "Build.kernel %s: %s" name msg)

@@ -29,8 +29,6 @@ val idx_plus : string -> int -> Linexpr.t
 
 val tensor : ?dtype:Tensor.dtype -> string -> int list -> Tensor.t
 
-val kernel :
-  ?params:(string * int) list -> string -> tensors:Tensor.t list ->
-  stmts:Stmt.t list -> Kernel.t
+val kernel : string -> tensors:Tensor.t list -> stmts:Stmt.t list -> Kernel.t
 (** {!Kernel.make} plus a bounds check; @raise Invalid_argument when an
     access can leave its tensor. *)

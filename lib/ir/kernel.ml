@@ -5,8 +5,6 @@ type t = {
   name : string;
   tensors : Tensor.t list;
   stmts : Stmt.t list;
-  params : (string * int) list;
-      (* symbolic sizes with the concrete binding used for execution *)
 }
 
 let check_unique what names =
@@ -14,7 +12,7 @@ let check_unique what names =
   if List.length sorted <> List.length names then
     invalid_arg (Printf.sprintf "Kernel.make: duplicate %s" what)
 
-let make ?(params = []) ~name ~tensors ~stmts () =
+let make ~name ~tensors ~stmts () =
   check_unique "tensor names" (List.map (fun (t : Tensor.t) -> t.name) tensors);
   (* the tensors laid out one after another, each padded to 256 bytes as
      the simulator places them, must fit an [int] address space *)
@@ -26,13 +24,23 @@ let make ?(params = []) ~name ~tensors ~stmts () =
   in
   ignore (List.fold_left place 0 tensors);
   check_unique "statement names" (List.map (fun (s : Stmt.t) -> s.name) stmts);
-  check_unique "iterator names"
-    (List.map fst params @ List.concat_map (fun (s : Stmt.t) -> s.iters) stmts);
+  check_unique "iterator names" (List.concat_map (fun (s : Stmt.t) -> s.iters) stmts);
+  let own_iters (s : Stmt.t) what vars =
+    List.iter
+      (fun v ->
+        if not (List.mem v s.iters) then
+          invalid_arg
+            (Printf.sprintf "Kernel.make: %s of %s names %s, not one of its iterators" what
+               s.name v))
+      vars
+  in
   let find_tensor tn = List.find_opt (fun (t : Tensor.t) -> t.name = tn) tensors in
   List.iter
     (fun (s : Stmt.t) ->
+      own_iters s "the domain" (Polyhedron.vars s.domain);
       List.iter
         (fun ((a : Access.t), _) ->
+          own_iters s ("an access to " ^ a.tensor) (Access.vars a);
           match find_tensor a.tensor with
           | None ->
             invalid_arg
@@ -45,7 +53,7 @@ let make ?(params = []) ~name ~tensors ~stmts () =
                    a.tensor s.name))
         (Stmt.accesses s))
     stmts;
-  { name; tensors; stmts; params }
+  { name; tensors; stmts }
 
 let tensor k tn = List.find (fun (t : Tensor.t) -> t.name = tn) k.tensors
 let stmt k sn = List.find (fun (s : Stmt.t) -> s.name = sn) k.stmts
@@ -115,40 +123,4 @@ let pp fmt k =
 
 let to_string k = Format.asprintf "%a" pp k
 
-let param_names k = List.map fst k.params
-
-(* Scheduling context: parameters are positive sizes. *)
-let param_context k =
-  List.map (fun (p, _) -> Polyhedra.Constr.lower_bound p 1) k.params
-
-(* Substitute the concrete parameter values everywhere, yielding a
-   parameter-free kernel ready for code generation and simulation. *)
-let instantiate k =
-  if k.params = [] then k
-  else begin
-    let subst_expr e =
-      List.fold_left
-        (fun e (p, v) -> Polyhedra.Linexpr.subst p (Polyhedra.Linexpr.const_int v) e)
-        e k.params
-    in
-    let subst_domain d =
-      Polyhedra.Polyhedron.of_constraints
-        (List.map
-           (fun (c : Polyhedra.Constr.t) -> { c with Polyhedra.Constr.expr = subst_expr c.expr })
-           (Polyhedra.Polyhedron.constraints d))
-    in
-    let subst_access (a : Access.t) =
-      { a with Access.index = List.map subst_expr a.Access.index }
-    in
-    let stmts =
-      List.map
-        (fun (s : Stmt.t) ->
-          { s with
-            Stmt.domain = subst_domain s.Stmt.domain;
-            write = subst_access s.Stmt.write;
-            rhs = Expr.map_accesses subst_access s.Stmt.rhs
-          })
-        k.stmts
-    in
-    { k with stmts; params = [] }
-  end
+let instantiate k = k

@@ -10,17 +10,14 @@ type t = {
   name : string;
   tensors : Tensor.t list;
   stmts : Stmt.t list;
-  params : (string * int) list;
-      (** global parameters (Section III's [p] vector): symbolic sizes the
-          scheduler reasons about, each with the concrete value used for
-          execution and simulation *)
 }
+(** Every extent is concrete: the paper's fused operators all have static
+    shapes, so the scheduler reasons about no symbolic parameter. *)
 
-val make :
-  ?params:(string * int) list -> name:string -> tensors:Tensor.t list ->
-  stmts:Stmt.t list -> unit -> t
+val make : name:string -> tensors:Tensor.t list -> stmts:Stmt.t list -> unit -> t
 (** Structural checks: unique tensor names, unique statement names, unique
-    iterator names across statements, every access naming a declared tensor
+    iterator names across statements, a domain and access indices over the
+    statement's own iterators only, every access naming a declared tensor
     with matching rank, and a tensor layout (the byte sizes summed, each
     padded by 255 bytes of alignment) that fits an [int].
     @raise Invalid_argument on violation. *)
@@ -33,15 +30,10 @@ val stmt : t -> string -> Stmt.t
 val stmt_position : t -> string -> int
 (** Position of a statement in the original order. *)
 
-val param_names : t -> string list
-
-val param_context : t -> Polyhedra.Constr.t list
-(** The assumptions dependence analysis and legality checks may make about
-    parameters: every parameter is at least 1. *)
-
 val instantiate : t -> t
-(** Substitutes the concrete parameter values into all domains and
-    accesses, yielding a parameter-free kernel. *)
+(** The identity: kernels have no parameters to substitute.  It stays only
+    because [perfbench/bench.ml] still calls it; once that call goes, so
+    can this. *)
 
 val validate_bounds : t -> (unit, string) result
 (** Checks that every access stays within its tensor's extent for every

@@ -10,7 +10,7 @@ open Polyhedra
 type t = {
   name : string;
   iters : string list;  (** iteration vector, outermost first *)
-  domain : Polyhedron.t;  (** over [iters] (and kernel parameters) *)
+  domain : Polyhedron.t;  (** over [iters] only *)
   write : Access.t;
   rhs : Expr.t;
 }

@@ -26,42 +26,6 @@ let fig2 ?(n = 64) () =
   in
   Build.kernel "fig2_running_example" ~tensors ~stmts:[ x; y ]
 
-(* The running example with the paper's symbolic parameter N (Section III):
-   domains are 0 <= i < N; N carries a concrete binding for execution. *)
-let fig2_parametric ?(n = 64) () =
-  let open Polyhedra in
-  let dom iters =
-    Polyhedron.of_constraints
-      (List.concat_map
-         (fun i ->
-           [ Constr.lower_bound i 0;
-             Constr.leq (Linexpr.var i)
-               (Linexpr.add_term Polybase.Q.one "N" (Linexpr.const_int (-1)))
-           ])
-         iters)
-  in
-  let x =
-    Stmt.make ~name:"X" ~iters:[ "iX"; "kX" ] ~domain:(dom [ "iX"; "kX" ])
-      ~write:(Build.access "B" [ "iX"; "kX" ])
-      ~rhs:(Expr.Unop (Expr.Relu, Expr.load (Build.access "A" [ "iX"; "kX" ])))
-  in
-  let y =
-    let open Expr.Infix in
-    Stmt.make ~name:"Y" ~iters:[ "iY"; "jY"; "kY" ]
-      ~domain:(dom [ "iY"; "jY"; "kY" ])
-      ~write:(Build.access "C" [ "iY"; "jY" ])
-      ~rhs:
-        (Expr.load (Build.access "C" [ "iY"; "jY" ])
-        + Expr.load (Build.access "B" [ "iY"; "kY" ])
-          * Expr.load (Build.access "D" [ "kY"; "iY"; "jY" ]))
-  in
-  Kernel.make ~params:[ ("N", n) ] ~name:"fig2_parametric"
-    ~tensors:
-      [ Build.tensor "A" [ n; n ]; Build.tensor "B" [ n; n ];
-        Build.tensor "C" [ n; n ]; Build.tensor "D" [ n; n; n ]
-      ]
-    ~stmts:[ x; y ] ()
-
 let fused_mul_sub_mul_tensoradd ?(n = 128) ?(m = 768) () =
   let t2 name = Build.tensor name [ n; m ] in
   let tensors =

@@ -10,11 +10,6 @@ val fig2 : ?n:int -> unit -> Ir.Kernel.t
     [C[i][j] += B[i][k] * D[k][i][j]].  [n] is the extent of every loop
     (the paper's parameter [N]); default 64. *)
 
-val fig2_parametric : ?n:int -> unit -> Ir.Kernel.t
-(** The running example with the symbolic parameter [N] of Section III in
-    the iteration domains ([n] is the concrete binding used when the
-    kernel is instantiated for execution). *)
-
 val fused_mul_sub_mul_tensoradd : ?n:int -> ?m:int -> unit -> Ir.Kernel.t
 (** A BERT-style fused element-wise chain
     ([T1 = a*b; T2 = T1 - c; T3 = T2 * d; out = T3 + e]) over an [n x m]

@@ -147,4 +147,5 @@ let stencilzoo =
         ]
   }
 
-let all = [ bert; lstm; mobilenetv2; resnet50; resnet101; resnext50; vgg16; stencilzoo ]
+let table1 = [ bert; lstm; mobilenetv2; resnet50; resnet101; resnext50; vgg16 ]
+let all = table1 @ [ stencilzoo ]

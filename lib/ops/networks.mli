@@ -28,7 +28,10 @@ val stencilzoo : t
     from {!Classics} whose untiled working sets exceed on-chip capacity —
     the suite the [tiled] column is meant to move on. *)
 
+val table1 : t list
+(** The paper's seven suites, in Table I order. *)
+
 val all : t list
-(** In Table I order, followed by the tiling-sensitive zoo. *)
+(** {!table1} followed by the tiling-sensitive zoo. *)
 
 val op_count : t -> int

@@ -19,8 +19,9 @@ let init_dep_state kernel (dep : Dependence.t) =
     retired = false
   }
 
-(* Relation variables are source iterators, target iterators (possibly
-   renamed) and shared parameters.  [delta = phi_T(t) - phi_S(s)]. *)
+(* Relation variables are source iterators and target iterators (possibly
+   renamed): {!Ir.Kernel.make} admits no other variable in a domain or an
+   access.  [delta = phi_T(t) - phi_S(s)]. *)
 let delta_template ~dim ds =
   let dep = ds.dep in
   let src = dep.source and tgt = dep.target in
@@ -28,14 +29,7 @@ let delta_template ~dim ds =
   let coef_of v =
     match List.assoc_opt v tgt_assoc with
     | Some orig -> Linexpr.var (Space.coef_var ~stmt:tgt ~dim (Space.Iter orig))
-    | None ->
-      if List.mem v dep.src_iters then
-        Linexpr.var ~coef:Q.minus_one (Space.coef_var ~stmt:src ~dim (Space.Iter v))
-      else
-        (* shared parameter *)
-        Linexpr.sub
-          (Linexpr.var (Space.coef_var ~stmt:tgt ~dim (Space.Param v)))
-          (Linexpr.var (Space.coef_var ~stmt:src ~dim (Space.Param v)))
+    | None -> Linexpr.var ~coef:Q.minus_one (Space.coef_var ~stmt:src ~dim (Space.Iter v))
   in
   let const =
     Linexpr.sub
@@ -68,14 +62,10 @@ let coincidence ~(nonneg_on : nonneg_on) ~dim ds =
   nonneg_on ~coef_of ~const ds.active_rel
   @ nonneg_on ~coef_of:neg_coef ~const:(Linexpr.neg const) ds.active_rel
 
-let proximity ~(nonneg_on : nonneg_on) ~dim ~params ds =
+let proximity ~(nonneg_on : nonneg_on) ~dim ds =
   let coef_of, const = delta_template ~dim ds in
-  (* u . p + w - delta >= 0.  Parameters appear both as relation variables
-     (with schedule-coefficient multipliers) and in the bound. *)
-  let bound_coef v =
-    if List.mem v params then Linexpr.add_term Q.one (Space.bound_u v) (Linexpr.neg (coef_of v))
-    else Linexpr.neg (coef_of v)
-  in
+  (* w - delta >= 0 *)
+  let bound_coef v = Linexpr.neg (coef_of v) in
   let bound_const = Linexpr.add_term Q.one Space.bound_w (Linexpr.neg const) in
   nonneg_on ~coef_of:bound_coef ~const:bound_const ds.active_rel
 
@@ -110,7 +100,7 @@ let progression ?(negate = false) ~dim ~stmt ~prev_iter_rows () =
 let coef_bound = 4
 let const_bound = 4
 
-let var_bounds ~dim ~stmts ~params =
+let var_bounds ~dim ~stmts =
   let for_stmt (s : Ir.Stmt.t) =
     let name = s.Ir.Stmt.name in
     let iter_bounds =
@@ -120,35 +110,14 @@ let var_bounds ~dim ~stmts ~params =
           [ Constr.lower_bound v 0; Constr.upper_bound v coef_bound ])
         s.Ir.Stmt.iters
     in
-    let param_bounds =
-      List.concat_map
-        (fun p ->
-          let v = Space.coef_var ~stmt:name ~dim (Space.Param p) in
-          [ Constr.lower_bound v 0; Constr.upper_bound v coef_bound ])
-        params
-    in
     let cv = Space.coef_var ~stmt:name ~dim Space.Const in
-    iter_bounds @ param_bounds
-    @ [ Constr.lower_bound cv 0; Constr.upper_bound cv const_bound ]
+    iter_bounds @ [ Constr.lower_bound cv 0; Constr.upper_bound cv const_bound ]
   in
-  let bound_vars =
-    Constr.lower_bound Space.bound_w 0
-    :: List.map (fun p -> Constr.lower_bound (Space.bound_u p) 0) params
-  in
-  bound_vars @ List.concat_map for_stmt stmts
+  Constr.lower_bound Space.bound_w 0 :: List.concat_map for_stmt stmts
 
-let objectives ~dim ~stmts ~params =
+let objectives ~dim ~stmts =
   let sum_over f = List.fold_left (fun acc x -> Linexpr.add acc (f x)) Linexpr.zero in
-  let u_sum = sum_over (fun p -> Linexpr.var (Space.bound_u p)) params in
   let w = Linexpr.var Space.bound_w in
-  let param_sum =
-    sum_over
-      (fun (s : Ir.Stmt.t) ->
-        sum_over
-          (fun p -> Linexpr.var (Space.coef_var ~stmt:s.Ir.Stmt.name ~dim (Space.Param p)))
-          params)
-      stmts
-  in
   let const_sum =
     sum_over
       (fun (s : Ir.Stmt.t) ->
@@ -170,14 +139,12 @@ let objectives ~dim ~stmts ~params =
         |> fst)
       stmts
   in
-  let base = [ w; param_sum; const_sum; iter_weighted ] in
-  if params = [] then base else u_sum :: base
+  [ w; const_sum; iter_weighted ]
 
-let ilp_vars ~dim ~stmts ~params =
+let ilp_vars ~dim ~stmts =
   List.concat_map
     (fun (s : Ir.Stmt.t) ->
       let name = s.Ir.Stmt.name in
-      (Space.coef_var ~stmt:name ~dim Space.Const
-       :: List.map (fun it -> Space.coef_var ~stmt:name ~dim (Space.Iter it)) s.Ir.Stmt.iters)
-      @ List.map (fun p -> Space.coef_var ~stmt:name ~dim (Space.Param p)) params)
+      Space.coef_var ~stmt:name ~dim Space.Const
+      :: List.map (fun it -> Space.coef_var ~stmt:name ~dim (Space.Iter it)) s.Ir.Stmt.iters)
     stmts

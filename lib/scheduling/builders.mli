@@ -55,9 +55,8 @@ val coincidence : nonneg_on:nonneg_on -> dim:int -> dep_state -> Constr.t list
     the scheduler tracks satisfaction itself and asks for no others, so
     no emptiness LP is repeated here. *)
 
-val proximity :
-  nonneg_on:nonneg_on -> dim:int -> params:string list -> dep_state -> Constr.t list
-(** Equation 2: [delta <= u . p + w] over [active_rel]. *)
+val proximity : nonneg_on:nonneg_on -> dim:int -> dep_state -> Constr.t list
+(** Equation 2 with concrete extents: [delta <= w] over [active_rel]. *)
 
 val progression :
   ?negate:bool -> dim:int -> stmt:Ir.Stmt.t -> prev_iter_rows:Q.t array array ->
@@ -70,25 +69,23 @@ val progression :
     over-constraining the paper acknowledges in Section IV-A3). *)
 
 val coef_bound : int
-(** Upper bound (4) on every iterator and parameter coefficient. *)
+(** Upper bound (4) on every iterator coefficient. *)
 
 val const_bound : int
 (** Upper bound (4) on every constant coefficient. *)
 
-val var_bounds : dim:int -> stmts:Ir.Stmt.t list -> params:string list -> Constr.t list
+val var_bounds : dim:int -> stmts:Ir.Stmt.t list -> Constr.t list
 (** Each coefficient in [0, {!coef_bound}] (constants in
-    [0, {!const_bound}]) and the proximity bound variables [u], [w]
-    non-negative. *)
+    [0, {!const_bound}]) and the proximity bound [w] non-negative. *)
 
-val objectives :
-  dim:int -> stmts:Ir.Stmt.t list -> params:string list -> Linexpr.t list
-(** Lexicographic objectives: isl's [(sum u, w)] proximity cost (equation 2
-    footnote), then parameter-coefficient sums, constant sums, and a
-    position-weighted iterator-coefficient sum whose effect is to prefer
-    the original loop order among otherwise equivalent solutions (the
-    documented tendency of isl this work compares against). *)
+val objectives : dim:int -> stmts:Ir.Stmt.t list -> Linexpr.t list
+(** The three lexicographic objectives: isl's proximity cost [w]
+    (equation 2 footnote; with concrete extents there is no [u . p] term),
+    then the sum of constant coefficients, then a position-weighted
+    iterator-coefficient sum whose effect is to prefer the original loop
+    order among otherwise equivalent solutions (the documented tendency of
+    isl this work compares against). *)
 
-val ilp_vars :
-  dim:int -> stmts:Ir.Stmt.t list -> params:string list -> string list
+val ilp_vars : dim:int -> stmts:Ir.Stmt.t list -> string list
 (** The coefficient variables of one dimension (the integer variables of
     the per-dimension ILP). *)

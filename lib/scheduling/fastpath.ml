@@ -3,7 +3,6 @@ open Polyhedra
 
 type problem = {
   stmts : Ir.Stmt.t list;
-  params : string list;
   dim : int;
   with_progression : bool;
   prev_rows : Ir.Stmt.t -> Linalg.mat;
@@ -69,9 +68,9 @@ let forced_values p infl_cs =
                   rejected upstream, so this is unreachable in practice *)
                raise (Reject Influence_unsat)
              | Some (_, _, Space.Const) -> Builders.const_bound
-             | Some (_, _, (Space.Iter _ | Space.Param _)) -> Builders.coef_bound
+             | Some (_, _, Space.Iter _) -> Builders.coef_bound
              | None ->
-               (* w / u or a foreign variable: the candidate's zero point
+               (* w or a foreign variable: the candidate's zero point
                   may not be optimal any more — let the ILP decide *)
                raise (Reject Influence_unsat)
            in
@@ -200,15 +199,6 @@ let attempt ~coincident ~infl_cs ~infl_objs p =
                 (Linexpr.add_term row.(j) it acc, j + 1))
               (Linexpr.zero, 0) s.Ir.Stmt.iters
           in
-          let e =
-            List.fold_left
-              (fun acc prm ->
-                let v = Space.coef_var ~stmt:name ~dim:p.dim (Space.Param prm) in
-                let value = forced_or_zero v in
-                Hashtbl.replace env v value;
-                Linexpr.add_term value prm acc)
-              e p.params
-          in
           let cv = Space.coef_var ~stmt:name ~dim:p.dim Space.Const in
           let cvalue = forced_or_zero cv in
           Hashtbl.replace env cv cvalue;
@@ -217,7 +207,7 @@ let attempt ~coincident ~infl_cs ~infl_objs p =
     in
     (* influence equalities on non-row variables were folded into [env];
        everything else must hold at the candidate point (all remaining
-       variables — u, w, foreign coefficients — sit at zero there) *)
+       variables — w, foreign coefficients — sit at zero there) *)
     let point v = match Hashtbl.find_opt env v with Some q -> q | None -> Q.zero in
     if not (List.for_all (Constr.holds point) residual) then
       raise (Reject Influence_unsat);

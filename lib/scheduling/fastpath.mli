@@ -36,7 +36,6 @@ open Polyhedra
 
 type problem = {
   stmts : Ir.Stmt.t list;
-  params : string list;
   dim : int;  (** loop ordinal of the dimension being scheduled *)
   with_progression : bool;
       (** whether the exact solver would include progression constraints

@@ -24,8 +24,10 @@ type node = {
   objectives : (int * Polyhedra.Linexpr.t) list;
       (** cost-function injection (end of Section IV-A4): extra expressions
           over coefficient variables to minimize, merged into the
-          scheduler's lexicographic objective list at the given priority
-          (0 = before the proximity objective, larger = later).  Softer
+          scheduler's lexicographic objective list
+          ({!Builders.objectives}) at the given priority: 0 = before the
+          proximity bound [w], 1 = after [w] and before the constant sum,
+          2 = before the loop-order tie-break, 3 or more = last.  Softer
           than constraints: they guide without restricting the space. *)
   children : node list;
 }

@@ -27,19 +27,6 @@ let date t ~stmt env =
 
 let annotation t key = List.assoc_opt key t.annotations
 
-let instantiate params t =
-  let subst e =
-    List.fold_left
-      (fun e (p, v) -> Linexpr.subst p (Linexpr.const_int v) e)
-      e params
-  in
-  { t with
-    rows =
-      List.map
-        (fun row -> { row with exprs = List.map (fun (s, e) -> (s, subst e)) row.exprs })
-        t.rows
-  }
-
 let kind_string = function
   | Loop { coincident = true } -> "loop(parallel)"
   | Loop { coincident = false } -> "loop"

@@ -20,7 +20,7 @@ type row = {
   kind : dim_kind;
   exprs : (string * Linexpr.t) list;
       (** per-statement scheduling expression over that statement's
-          iterators (and parameters) *)
+          iterators *)
 }
 
 type t = {
@@ -39,10 +39,6 @@ val date : t -> stmt:string -> (string -> Q.t) -> Q.t list
 (** Logical date of one statement instance. *)
 
 val annotation : t -> string -> string option
-
-val instantiate : (string * int) list -> t -> t
-(** Substitutes concrete values for global parameters in every row; pair
-    with {!Ir.Kernel.instantiate} before code generation. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

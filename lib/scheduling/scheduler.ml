@@ -253,7 +253,6 @@ let schedule ?(config = default_config) ?(influence = Influence.empty) kernel =
   in
   let stmts = kernel.Ir.Kernel.stmts in
   let stmt_names = List.map (fun (s : Ir.Stmt.t) -> s.Ir.Stmt.name) stmts in
-  let params = Ir.Kernel.param_names kernel in
   let dstates =
     Array.of_list (List.map (Builders.init_dep_state kernel) (Deps.Analysis.dependences kernel))
   in
@@ -355,7 +354,7 @@ let schedule ?(config = default_config) ?(influence = Influence.empty) kernel =
     Obs.Counters.incr c_solves;
     Obs.Counters.add c_injected (List.length infl_cs);
     let dim = loop_ordinal () in
-    let bounds = Builders.var_bounds ~dim ~stmts ~params in
+    let bounds = Builders.var_bounds ~dim ~stmts in
     let live =
       Array.to_list dstates |> List.filter (fun (ds : Builders.dep_state) -> not ds.retired)
     in
@@ -407,14 +406,12 @@ let schedule ?(config = default_config) ?(influence = Influence.empty) kernel =
           List.concat_map (fun ds -> Builders.coincidence ~nonneg_on ~dim ds) (unsat_states ())
       in
       let prox =
-        List.concat_map
-          (fun (ds : Builders.dep_state) -> Builders.proximity ~nonneg_on ~dim ~params ds)
-          (unsat_states ())
+        List.concat_map (Builders.proximity ~nonneg_on ~dim) (unsat_states ())
       in
       let prog = List.concat_map prog_of stmts in
       let constraints = bounds @ validity @ coin @ prox @ prog @ infl_cs in
-      let objectives = merge_objectives (Builders.objectives ~dim ~stmts ~params) infl_objs in
-      let integer_vars = Builders.ilp_vars ~dim ~stmts ~params in
+      let objectives = merge_objectives (Builders.objectives ~dim ~stmts) infl_objs in
+      let integer_vars = Builders.ilp_vars ~dim ~stmts in
       let bb_nodes_before = Obs.Counters.find "ilp.bb_nodes" in
       let result, solve_s =
         Obs.Span.timed (fun () ->
@@ -460,7 +457,7 @@ let schedule ?(config = default_config) ?(influence = Influence.empty) kernel =
     if config.strategy <> `Fastpath_then_ilp then Error None
     else begin
       let problem =
-        { Fastpath.stmts; params; dim = loop_ordinal (); with_progression;
+        { Fastpath.stmts; dim = loop_ordinal (); with_progression;
           prev_rows = stmt_iter_matrix; dstates; dsat }
       in
       let outcome, fp_s =
@@ -533,11 +530,6 @@ let schedule ?(config = default_config) ?(influence = Influence.empty) kernel =
             List.fold_left
               (fun acc it -> Linexpr.add_term (record (Space.Iter it)) it acc)
               Linexpr.zero s.Ir.Stmt.iters
-          in
-          let e =
-            List.fold_left
-              (fun acc p -> Linexpr.add_term (record (Space.Param p)) p acc)
-              e params
           in
           let e = Linexpr.add e (Linexpr.const (record Space.Const)) in
           (name, e))

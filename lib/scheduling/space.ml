@@ -1,6 +1,5 @@
 type coeff =
   | Iter of string
-  | Param of string
   | Const
 
 (* '#' cannot occur in statement/iterator identifiers, which keeps the
@@ -9,13 +8,11 @@ let coef_var ~stmt ~dim coeff =
   let what =
     match coeff with
     | Iter x -> "it:" ^ x
-    | Param p -> "par:" ^ p
     | Const -> "cst"
   in
   Printf.sprintf "c#%s#%d#%s" stmt dim what
 
 let bound_w = "w#"
-let bound_u p = "u#" ^ p
 
 let parse_coef_var v =
   match String.split_on_char '#' v with
@@ -28,8 +25,5 @@ let parse_coef_var v =
       | Some i ->
         let kind = String.sub what 0 i in
         let name = String.sub what (i + 1) (String.length what - i - 1) in
-        (match kind with
-         | "it" -> Some (stmt, d, Iter name)
-         | "par" -> Some (stmt, d, Param name)
-         | _ -> None)))
+        if kind = "it" then Some (stmt, d, Iter name) else None))
   | _ -> None

@@ -9,7 +9,6 @@
 
 type coeff =
   | Iter of string  (** coefficient of a statement iterator *)
-  | Param of string  (** coefficient of a global parameter *)
   | Const  (** the constant (affine) part *)
 
 val coef_var : stmt:string -> dim:int -> coeff -> string
@@ -17,10 +16,8 @@ val coef_var : stmt:string -> dim:int -> coeff -> string
     [dim] for statement [stmt]. *)
 
 val bound_w : string
-(** The [w] variable of the proximity bound [u . p + w] (equation 2). *)
-
-val bound_u : string -> string
-(** The [u] variable associated with a parameter. *)
+(** The [w] variable of the proximity bound (equation 2, whose [u . p]
+    term vanishes with concrete extents). *)
 
 val parse_coef_var : string -> (string * int * coeff) option
 (** Inverse of {!coef_var}, for pretty-printing solver output. *)

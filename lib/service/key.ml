@@ -14,7 +14,7 @@ let label t = t.label
 
 (* The preimage is a fully textual, versioned rendering of everything the
    compile result depends on.  Ir.Kernel.pp prints the complete kernel
-   (tensors, statements, accesses, parameter values), and machine floats
+   (tensors, statements, accesses), and machine floats
    are rendered in hex so equal profiles digest equally and nearly-equal
    ones never collide. *)
 let machine_fields (m : Gpusim.Machine.t) =

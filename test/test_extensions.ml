@@ -1,6 +1,6 @@
 (* Tests for the paper-adjacent extensions: tiling of permutable bands,
-   cost-function (objective) injection, the extra operators, parametric
-   schedules, the TVM-style comparator and the evaluation harness. *)
+   cost-function (objective) injection, the extra operators, the TVM-style
+   comparator and the evaluation harness. *)
 
 open Polyhedra
 open Ir
@@ -149,64 +149,6 @@ let test_objective_injection () =
   Alcotest.(check bool) "not abandoned" false stats2.influence_abandoned
 
 (* ------------------------------------------------------------------ *)
-(* Parametric domains (Section III)                                     *)
-(* ------------------------------------------------------------------ *)
-
-let test_parametric_schedule () =
-  let k = Ops.Classics.fig2_parametric ~n:8 () in
-  let sched, _ = schedule k in
-  (* same structure as the concrete running example *)
-  let e dim stmt = Linexpr.to_string (Scheduling.Schedule.expr_for sched ~dim ~stmt) in
-  Alcotest.(check string) "dim0 X" "iX" (e 0 "X");
-  Alcotest.(check string) "dim2 Y" "jY" (e 2 "Y");
-  (* legality holds for all values of N >= 1, not just the binding *)
-  Alcotest.(check bool) "parametrically legal" true
-    (Scheduling.Legality.is_legal sched k (Deps.Analysis.dependences k))
-
-let test_parametric_instantiate () =
-  let k = Ops.Classics.fig2_parametric ~n:8 () in
-  let sched, _ = schedule k in
-  let ck = Kernel.instantiate k in
-  Alcotest.(check (list string)) "no params left" [] (Kernel.param_names ck);
-  let cs = Scheduling.Schedule.instantiate k.Kernel.params sched in
-  let c = Compile.lower ~vectorize:false cs ck in
-  Alcotest.(check bool) "instantiated semantics" true (semantics_match ck c.ast);
-  (* and it matches the concrete fig2 pipeline result *)
-  let concrete = Ops.Classics.fig2 ~n:8 () in
-  let csched, _ = schedule concrete in
-  Alcotest.(check int) "same dims as concrete" (Scheduling.Schedule.dims csched)
-    (Scheduling.Schedule.dims sched)
-
-let test_parametric_proximity_bound () =
-  (* the parametric reduction: the reuse-distance bound must use u.N + w *)
-  let open Polyhedra in
-  let dom =
-    Polyhedron.of_constraints
-      [ Constr.lower_bound "i" 0;
-        Constr.leq (Linexpr.var "i")
-          (Linexpr.add_term Polybase.Q.one "N" (Linexpr.const_int (-1)));
-        Constr.lower_bound "j" 0; Constr.upper_bound "j" 7
-      ]
-  in
-  let s =
-    let open Expr.Infix in
-    Stmt.make ~name:"R" ~iters:[ "i"; "j" ] ~domain:dom
-      ~write:(Build.access "out" [ "i" ])
-      ~rhs:(Expr.load (Build.access "out" [ "i" ]) + Expr.load (Build.access "x" [ "i"; "j" ]))
-  in
-  let k =
-    Kernel.make ~params:[ ("N", 8) ] ~name:"param_reduce"
-      ~tensors:[ Build.tensor "x" [ 8; 8 ]; Build.tensor "out" [ 8 ] ]
-      ~stmts:[ s ] ()
-  in
-  let sched, _ = schedule k in
-  Alcotest.(check bool) "legal" true
-    (Scheduling.Legality.is_legal sched k (Deps.Analysis.dependences k));
-  let e dim = Linexpr.to_string (Scheduling.Schedule.expr_for sched ~dim ~stmt:"R") in
-  Alcotest.(check string) "i parallel outer" "i" (e 0);
-  Alcotest.(check string) "j reduction inner" "j" (e 1)
-
-(* ------------------------------------------------------------------ *)
 (* Multi-phase and irregular operators                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -342,11 +284,6 @@ let () =
         [ Alcotest.test_case "softmax" `Quick test_softmax_schedule;
           Alcotest.test_case "downsample strided" `Quick test_downsample_strided_loads;
           Alcotest.test_case "shift unaligned" `Quick test_shift_add_unaligned
-        ] );
-      ( "parametric",
-        [ Alcotest.test_case "schedule" `Quick test_parametric_schedule;
-          Alcotest.test_case "instantiate" `Quick test_parametric_instantiate;
-          Alcotest.test_case "proximity bound" `Quick test_parametric_proximity_bound
         ] );
       ( "tvm",
         [ Alcotest.test_case "unfused" `Quick test_tvm_unfused;

@@ -303,8 +303,7 @@ let renamed (c : Compile.compiled) =
     }
   in
   let kernel =
-    { k with
-      name = k.Ir.Kernel.name ^ "_renamed";
+    { Ir.Kernel.name = k.Ir.Kernel.name ^ "_renamed";
       tensors = List.map (fun (t : Ir.Tensor.t) -> { t with name = tensor t.name }) k.tensors;
       stmts = List.map stmt' k.stmts
     }

@@ -50,6 +50,34 @@ let test_kernel_rejects_bad () =
                  ~write:(Build.access "Z" [ "i" ])
                  ~rhs:(Expr.load (Build.access "A" [ "i" ]))
              ] ()));
+  (* A domain or an index may name only the statement's own iterators:
+     Fig. 2's X over 0 <= i, k < N with a symbolic N is rejected. *)
+  let below_n x =
+    let open Polyhedra in
+    [ Constr.lower_bound x 0;
+      Constr.leq (Linexpr.var x) (Linexpr.add_term Polybase.Q.one "N" (Linexpr.const_int (-1)))
+    ]
+  in
+  let x ~domain ~index =
+    Kernel.make ~name:"fig2_n"
+      ~tensors:[ Build.tensor "A" [ 8; 8 ]; Build.tensor "B" [ 8; 8 ] ]
+      ~stmts:
+        [ Stmt.make ~name:"X" ~iters:[ "iX"; "kX" ] ~domain ~write:(Build.access "B" [ "iX"; "kX" ])
+            ~rhs:(Expr.load (Access.make "A" index))
+        ]
+      ()
+  in
+  Alcotest.check_raises "domain bounded by N"
+    (Invalid_argument "Kernel.make: the domain of X names N, not one of its iterators")
+    (fun () ->
+      ignore
+        (x ~domain:(Polyhedra.Polyhedron.of_constraints (below_n "iX" @ below_n "kX"))
+           ~index:[ Build.idx "iX"; Build.idx "kX" ]));
+  Alcotest.check_raises "index naming N"
+    (Invalid_argument "Kernel.make: an access to A of X names N, not one of its iterators")
+    (fun () ->
+      ignore
+        (x ~domain:(Build.rect [ ("iX", 8); ("kX", 8) ]) ~index:[ Build.idx "iX"; Build.idx "N" ]));
   (* Out-of-bounds access caught by the bounds validator. *)
   let oob () =
     ignore

@@ -106,6 +106,15 @@ let test_space_roundtrip () =
     (Space.parse_coef_var c = Some ("X", 0, Space.Const));
   Alcotest.(check bool) "garbage" true (Space.parse_coef_var "nonsense" = None)
 
+(* Every dimension ILP minimizes w, then the constant sum, then the
+   loop-order tie-break: no objective is a constant, so no lexmin stage is
+   paid for nothing. *)
+let test_objectives_three () =
+  let stmts = (Ops.Classics.fig2 ()).Ir.Kernel.stmts in
+  let objs = Builders.objectives ~dim:0 ~stmts in
+  Alcotest.(check int) "three objectives" 3 (List.length objs);
+  Alcotest.(check bool) "none constant" false (List.exists Linexpr.is_const objs)
+
 (* Influence.select reorders and subsets the root branches; the bench
    ablations cut the vectorizer's tree with it. *)
 let test_influence_select () =
@@ -676,6 +685,7 @@ let () =
       ( "influence-tree",
         [ Alcotest.test_case "shape" `Quick test_influence_tree_shape;
           Alcotest.test_case "space roundtrip" `Quick test_space_roundtrip;
+          Alcotest.test_case "three objectives" `Quick test_objectives_three;
           Alcotest.test_case "select" `Quick test_influence_select
         ] );
       ( "baseline",

@@ -183,7 +183,7 @@ let prop_scenario_order_invariant =
       | None -> true
       | Some k ->
         let rev =
-          Kernel.make ~params:k.Kernel.params ~name:k.Kernel.name
+          Kernel.make ~name:k.Kernel.name
             ~tensors:k.Kernel.tensors ~stmts:(List.rev k.Kernel.stmts) ()
         in
         List.for_all
