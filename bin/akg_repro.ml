@@ -5,14 +5,6 @@
 
 open Cmdliner
 
-let setup_logs verbose =
-  Logs.set_reporter (Logs.format_reporter ());
-  Logs.set_level (if verbose then Some Logs.Debug else Some Logs.Warning)
-
-let verbose_arg =
-  let doc = "Print scheduler trace (ILP solves, backtracking, abandonment)." in
-  Arg.(value & flag & info [ "verbose" ] ~doc)
-
 (* ------------------------------------------------------------------ *)
 (* observability flags (shared by every pipeline command)               *)
 (* ------------------------------------------------------------------ *)
@@ -223,25 +215,7 @@ let schedule_cmd =
   let tree_flag =
     Arg.(value & flag & info [ "tree" ] ~doc:"Also print the influence constraint tree.")
   in
-  let strategy_arg =
-    let doc =
-      "Scheduling strategy: $(b,fastpath-then-ilp) (the default; dimension-matching fast \
-       path with exact-ILP fallback) or $(b,ilp-only) (solve every dimension with the \
-       exact ILP).  Both produce identical schedules; the fast path only changes how \
-       long scheduling takes."
-    in
-    Arg.(
-      value
-      & opt
-          (enum
-             (List.map
-                (fun s -> (Scheduling.Scheduler.strategy_name s, s))
-                [ `Fastpath_then_ilp; `Ilp_only ]))
-          Scheduling.Scheduler.default_config.Scheduling.Scheduler.strategy
-      & info [ "strategy" ] ~docv:"S" ~doc)
-  in
-  let run name version strategy tree verbose o =
-    setup_logs verbose;
+  let run name version tree o =
     with_obs o @@ fun () ->
     with_op
       (fun k ->
@@ -249,7 +223,7 @@ let schedule_cmd =
         let influence, (sched, stats), deps =
           Polyhedra.Solver_memo.scoped (fun () ->
               let influence = P.tree version k in
-              let scheduled = P.schedule ?influence ~strategy k in
+              let scheduled = P.schedule ?influence k in
               (influence, scheduled, Deps.Analysis.dependences k))
         in
         if tree then
@@ -270,8 +244,7 @@ let schedule_cmd =
       name
   in
   Cmd.v (Cmd.info "schedule" ~doc:"Schedule an operator and check legality")
-    Term.(
-      const run $ op_arg $ version_arg $ strategy_arg $ tree_flag $ verbose_arg $ obs_term)
+    Term.(const run $ op_arg $ version_arg $ tree_flag $ obs_term)
 
 let codegen_cmd =
   let run name version machine tile_spec o =

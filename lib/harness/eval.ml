@@ -31,9 +31,9 @@ let rows_equal (a : Scheduling.Schedule.t) (b : Scheduling.Schedule.t) =
               ra.exprs rb.exprs)
        a.Scheduling.Schedule.rows b.Scheduling.Schedule.rows
 
-let timed_schedule ?influence ?strategy kernel =
+let timed_schedule ?influence kernel =
   Polyhedra.Solver_memo.scoped @@ fun () ->
-  let (sched, stats), s = Obs.Span.timed (fun () -> Pipeline.schedule ?influence ?strategy kernel) in
+  let (sched, stats), s = Obs.Span.timed (fun () -> Pipeline.schedule ?influence kernel) in
   (sched, stats, s)
 
 let influence_with kernel = Vectorizer.Treegen.influence_for kernel

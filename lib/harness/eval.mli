@@ -67,7 +67,6 @@ val rows_equal : Scheduling.Schedule.t -> Scheduling.Schedule.t -> bool
 
 val timed_schedule :
   ?influence:Scheduling.Influence.t ->
-  ?strategy:Scheduling.Scheduler.strategy ->
   Ir.Kernel.t ->
   Scheduling.Schedule.t * Scheduling.Scheduler.stats * float
 (** {!Pipeline.schedule} in a {!Polyhedra.Solver_memo.scoped} scope of

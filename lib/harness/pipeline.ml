@@ -43,13 +43,7 @@ let tree ?max_tile_size version kernel =
   | Vectorizer -> Some (Vectorizer.Treegen.influence_for kernel)
   | Tiling -> Some (Scheduling.Tiling.influence_for ?max_tile_size kernel)
 
-let schedule ?influence ?strategy kernel =
-  let config =
-    match strategy with
-    | None -> Scheduling.Scheduler.default_config
-    | Some strategy -> { Scheduling.Scheduler.default_config with strategy }
-  in
-  Scheduling.Scheduler.schedule ~config ?influence kernel
+let schedule ?influence kernel = Scheduling.Scheduler.schedule ?influence kernel
 
 let lower ?vec_min_parallel ?tile_sizes ?tile_fault version sched kernel =
   let s = spec version in

@@ -64,14 +64,13 @@ val tree : ?max_tile_size:int -> version -> Ir.Kernel.t -> Scheduling.Influence.
 
 val schedule :
   ?influence:Scheduling.Influence.t ->
-  ?strategy:Scheduling.Scheduler.strategy ->
   Ir.Kernel.t ->
   Scheduling.Schedule.t * Scheduling.Scheduler.stats
-(** Stage 2: one scheduler run under the default config (with [strategy]
-    substituted when given).  Its time is the [scheduler.schedule] span.
-    Inside a {!Polyhedra.Solver_memo.scoped} scope, a solve an earlier
-    run of the scope already did is looked up, and its nodes stay
-    attributed to that run. *)
+(** Stage 2: one scheduler run under the default config.  Its time is
+    the [scheduler.schedule] span.  Inside a
+    {!Polyhedra.Solver_memo.scoped} scope, a solve an earlier run of the
+    scope already did is looked up, and its nodes stay attributed to that
+    run. *)
 
 val lower :
   ?vec_min_parallel:int ->

@@ -5,7 +5,7 @@ let table1 fmt =
     (fun (n : Ops.Networks.t) ->
       Format.fprintf fmt "%-14s %-5s %-22s %d@." n.Ops.Networks.name n.kind n.dataset
         (Ops.Networks.op_count n))
-    Ops.Networks.all
+    Ops.Networks.table1
 
 let table2_header fmt =
   Format.fprintf fmt

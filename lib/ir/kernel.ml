@@ -111,10 +111,6 @@ let inputs k =
   let read = read_tensors k in
   List.filter (fun (t : Tensor.t) -> List.mem t.name read && not (List.mem t.name written)) k.tensors
 
-let outputs k =
-  let written = written_tensors k in
-  List.filter (fun (t : Tensor.t) -> List.mem t.name written) k.tensors
-
 let pp fmt k =
   Format.fprintf fmt "@[<v>kernel %s@," k.name;
   List.iter (fun t -> Format.fprintf fmt "  tensor %a@," Tensor.pp t) k.tensors;

@@ -45,8 +45,5 @@ val read_tensors : t -> string list
 val inputs : t -> Tensor.t list
 (** Tensors read but never written: the operator's inputs. *)
 
-val outputs : t -> Tensor.t list
-(** Tensors written: the operator's outputs (intermediate or final). *)
-
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -40,5 +40,3 @@ let pp fmt s =
   Format.fprintf fmt "%s(%s): %a = %a  where %a" s.name
     (String.concat ", " s.iters)
     Access.pp s.write Expr.pp s.rhs Polyhedron.pp s.domain
-
-let to_string s = Format.asprintf "%a" pp s

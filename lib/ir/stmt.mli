@@ -36,4 +36,3 @@ val iter_bounds : t -> string -> int * int
     @raise Failure if unbounded. *)
 
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

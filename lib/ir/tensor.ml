@@ -28,8 +28,6 @@ let strides t =
   done;
   s
 
-let equal a b = a.name = b.name && a.dims = b.dims && a.dtype = b.dtype
-
 let pp fmt t =
   Format.fprintf fmt "%s%s[%s]" t.name
     (match t.dtype with F16 -> ":f16" | F32 -> "")

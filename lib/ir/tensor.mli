@@ -23,6 +23,5 @@ val bytes : t -> int
 val strides : t -> int array
 (** Row-major element strides: the last dimension has stride 1. *)
 
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

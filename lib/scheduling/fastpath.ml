@@ -11,7 +11,6 @@ type problem = {
 }
 
 type reject =
-  | Influence_objectives
   | Influence_unsat
   | No_candidate
   | Ambiguous
@@ -20,7 +19,6 @@ type reject =
   | Not_proximate
 
 let reject_to_string = function
-  | Influence_objectives -> "influence-objectives"
   | Influence_unsat -> "influence-unsat"
   | No_candidate -> "no-candidate"
   | Ambiguous -> "ambiguous"
@@ -30,7 +28,7 @@ let reject_to_string = function
 
 let is_dependence_reject = function
   | Invalid _ | Not_coincident | Not_proximate -> true
-  | Influence_objectives | Influence_unsat | No_candidate | Ambiguous -> false
+  | Influence_unsat | No_candidate | Ambiguous -> false
 
 exception Reject of reject
 
@@ -178,9 +176,8 @@ let minimal_row p ~forced (s : Ir.Stmt.t) =
 
 (* --- candidate assembly and semantic checks --------------------------- *)
 
-let attempt ~coincident ~infl_cs ~infl_objs p =
+let attempt ~coincident ~infl_cs p =
   try
-    if infl_objs <> [] then raise (Reject Influence_objectives);
     let forced, residual = forced_values p infl_cs in
     let env : (string, Q.t) Hashtbl.t = Hashtbl.create 64 in
     let forced_or_zero v =

@@ -13,9 +13,9 @@
     The candidate is constructed to be {e provably} the exact ILP's
     unique lexicographic optimum whenever it is accepted:
 
-    - every bound variable ([u], [w]), free parameter coefficient and
-      free constant sits at zero — the absolute lower bound of the
-      leading objectives — and feasibility of that zero point is what the
+    - the proximity bound [w] and every free constant sit at zero — the
+      absolute lower bound of the two leading objectives of
+      {!Builders.objectives} — and feasibility of that zero point is what the
       validity/coincidence/proximity checks establish;
     - each statement's iterator row is the {e unique} cheapest row (under
       the ILP's position-weighted tie-breaking objective) that satisfies
@@ -48,8 +48,6 @@ type problem = {
 }
 
 type reject =
-  | Influence_objectives
-      (** the node injects extra objectives; optimum unknown without ILP *)
   | Influence_unsat
       (** injected constraints pin non-row variables, conflict, leave the
           coefficient range, or fail at the candidate point *)
@@ -71,12 +69,11 @@ val is_dependence_reject : reject -> bool
 val attempt :
   coincident:bool ->
   infl_cs:Constr.t list ->
-  infl_objs:(int * Linexpr.t) list ->
   problem ->
   (string -> Q.t, reject) result
 (** Build and check the candidate for one dimension.  [Ok point] is an
     assignment over the {!Space} coefficient variables, directly suitable
     for the scheduler's [commit]; unlisted variables evaluate to zero,
-    matching the ILP optimum.  [infl_cs] and [infl_objs] are the prepared
-    (already substituted) influence constraints and objectives of the
-    current node, exactly as the exact solver would receive them. *)
+    matching the ILP optimum.  [infl_cs] are the prepared
+    (already substituted) influence constraints of the current node,
+    exactly as the exact solver would receive them. *)

@@ -5,15 +5,13 @@ type node = {
   constrs : Constr.t list;
   require_parallel : bool;
   payload : (string * string) list;
-  objectives : (int * Linexpr.t) list;
   children : node list;
 }
 
 type t = node list
 
-let node ?(label = "") ?(require_parallel = false) ?(payload = []) ?(objectives = [])
-    ?(children = []) constrs =
-  { label; constrs; require_parallel; payload; objectives; children }
+let node ?(label = "") ?(require_parallel = false) ?(payload = []) ?(children = []) constrs =
+  { label; constrs; require_parallel; payload; children }
 
 let empty = []
 
@@ -43,21 +41,6 @@ let rec node_leaves n =
   | cs -> List.concat_map node_leaves cs
 
 let leaves t = List.concat_map node_leaves t
-
-let rec node_to_json n =
-  Obs.Json.Assoc
-    [ ("label", Obs.Json.String n.label);
-      ( "constrs",
-        Obs.Json.List (List.map (fun c -> Obs.Json.String (Constr.to_string c)) n.constrs)
-      );
-      ("require_parallel", Obs.Json.Bool n.require_parallel);
-      ( "payload",
-        Obs.Json.Assoc (List.map (fun (k, v) -> (k, Obs.Json.String v)) n.payload) );
-      ("objectives", Obs.Json.Int (List.length n.objectives));
-      ("children", Obs.Json.List (List.map node_to_json n.children))
-    ]
-
-let to_json t = Obs.Json.List (List.map node_to_json t)
 
 let pp fmt t =
   let rec pp_node prefix fmt n =

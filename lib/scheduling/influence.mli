@@ -5,7 +5,10 @@
     sibling order encodes priority (leftmost first).  A non-linear optimizer
     builds the tree; the scheduler traverses it depth-first, injecting each
     node's constraints when computing the corresponding dimension and
-    backtracking to lower-priority alternatives when the ILP fails. *)
+    backtracking to lower-priority alternatives when the ILP fails.
+    Nodes inject constraints only: the paper's cost-function hook (end of
+    Section IV-A4), unused there, is not implemented, so every dimension
+    ILP minimizes exactly {!Builders.objectives}. *)
 
 open Polyhedra
 
@@ -21,14 +24,6 @@ type node = {
       (** key/value annotations surfaced on the schedule when construction
           terminates at (a leaf below) this node — e.g. which dimension was
           prepared for vectorization *)
-  objectives : (int * Polyhedra.Linexpr.t) list;
-      (** cost-function injection (end of Section IV-A4): extra expressions
-          over coefficient variables to minimize, merged into the
-          scheduler's lexicographic objective list
-          ({!Builders.objectives}) at the given priority: 0 = before the
-          proximity bound [w], 1 = after [w] and before the constant sum,
-          2 = before the loop-order tie-break, 3 or more = last.  Softer
-          than constraints: they guide without restricting the space. *)
   children : node list;
 }
 
@@ -39,7 +34,6 @@ val node :
   ?label:string ->
   ?require_parallel:bool ->
   ?payload:(string * string) list ->
-  ?objectives:(int * Polyhedra.Linexpr.t) list ->
   ?children:node list ->
   Constr.t list ->
   node
@@ -68,7 +62,3 @@ val pp : Format.formatter -> t -> unit
 (** Renders the tree in the style of Fig. 3. *)
 
 val to_string : t -> string
-
-val to_json : t -> Obs.Json.t
-(** Structural JSON rendering (labels, pretty-printed constraints,
-    payloads) for trace emission. *)

@@ -22,9 +22,6 @@ let expr_for t ~dim ~stmt =
   let row = List.nth t.rows dim in
   List.assoc stmt row.exprs
 
-let date t ~stmt env =
-  List.map (fun row -> Linexpr.eval env (List.assoc stmt row.exprs)) t.rows
-
 let annotation t key = List.assoc_opt key t.annotations
 
 let kind_string = function

@@ -7,7 +7,6 @@
     interleaving) and the annotations deposited by the influence tree's
     leaf (vectorization preparation). *)
 
-open Polybase
 open Polyhedra
 
 type dim_kind =
@@ -34,9 +33,6 @@ val dims : t -> int
 
 val expr_for : t -> dim:int -> stmt:string -> Linexpr.t
 (** @raise Not_found if the statement is unknown. *)
-
-val date : t -> stmt:string -> (string -> Q.t) -> Q.t list
-(** Logical date of one statement instance. *)
 
 val annotation : t -> string -> string option
 

@@ -3,10 +3,6 @@ open Polyhedra
 
 type strategy = [ `Fastpath_then_ilp | `Ilp_only ]
 
-let strategy_name = function
-  | `Fastpath_then_ilp -> "fastpath-then-ilp"
-  | `Ilp_only -> "ilp-only"
-
 let strategy_of_name = function
   | "fastpath-then-ilp" -> Some `Fastpath_then_ilp
   | "ilp-only" -> Some `Ilp_only
@@ -34,10 +30,6 @@ type stats = {
 }
 
 exception Failure_no_schedule of string
-
-let log_src = Logs.Src.create "akg.scheduler" ~doc:"influenced scheduling construction"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
 
 let c_schedules = Obs.Counters.create "scheduler.schedules" ~doc:"schedule constructions"
 let c_solves = Obs.Counters.create "scheduler.ilp_solves" ~doc:"per-dimension ILP solves"
@@ -102,7 +94,13 @@ let c_screened =
    constraints, the constant part and each variable's coefficient
    template; a dimension ILP its constraints, objectives, integer
    variables and node budget (a [Limit_reached] under a small budget must
-   not answer a larger one). *)
+   not answer a larger one).  The ILP key holds only the constraints and
+   the budget: every dimension ILP's constraint list starts with
+   [Builders.var_bounds ~dim ~stmts], which names each statement's
+   coefficient variables at [dim] in iterator order, and its objectives
+   and integer variables are [Builders.objectives] and [Builders.ilp_vars]
+   of the same [dim] and [stmts].  Equal constraint lists therefore pose
+   equal ILPs. *)
 
 let hash_exprs h es = List.fold_left (fun h e -> (h * 65599) + Linexpr.hash e) h es
 let equal_exprs a b = a == b || List.equal Linexpr.equal a b
@@ -117,14 +115,11 @@ module Farkas_memo = Solver_memo.Make (struct
 end)
 
 module Ilp_memo = Solver_memo.Make (struct
-  type key = Constr.t list * Linexpr.t list * string list * int
+  type key = Constr.t list * int
   type value = (string -> Q.t) option
 
-  let hash (cs, os, vs, n) = Solver_memo.hash_constrs (hash_exprs (Hashtbl.hash (vs, n)) os) cs
-
-  let equal (cs, os, vs, n) (cs', os', vs', n') =
-    n = n' && List.equal String.equal vs vs' && equal_exprs os os'
-    && Solver_memo.equal_constrs cs cs'
+  let hash (cs, n) = Solver_memo.hash_constrs (Hashtbl.hash n) cs
+  let equal (cs, n) (cs', n') = n = n' && Solver_memo.equal_constrs cs cs'
 
   let hits = c_cache_hits
 end)
@@ -327,19 +322,6 @@ let schedule ?(config = default_config) ?(influence = Influence.empty) kernel =
 
   (* --- constraint assembly and solving ------------------------------- *)
 
-  let merge_objectives base extras =
-    List.fold_left
-      (fun acc (p, e) ->
-        let rec ins i = function
-          | l when i <= 0 -> e :: l
-          | [] -> [ e ]
-          | x :: r -> x :: ins (i - 1) r
-        in
-        ins (min p (List.length acc)) acc)
-      base
-      (List.sort (fun (a, _) (b, _) -> compare a b) extras)
-  in
-
   (* [failed] is the dependence whose validity check rejected the fast
      path's candidate.  Its validity rows, the progression rows of its two
      statements, the coefficient bounds and the injected constraints are a
@@ -348,8 +330,7 @@ let schedule ?(config = default_config) ?(influence = Influence.empty) kernel =
      reached before the other dependences' Farkas rows are expanded.  With
      one live dependence that subsystem is nearly the whole validity
      system, so it is not screened. *)
-  let solve ?(prog_negate = false) ?failed ~coincident ~with_progression ~infl_cs
-      ~infl_objs () =
+  let solve ?(prog_negate = false) ?failed ~coincident ~with_progression ~infl_cs () =
     stats.ilp_solves <- stats.ilp_solves + 1;
     Obs.Counters.incr c_solves;
     Obs.Counters.add c_injected (List.length infl_cs);
@@ -394,9 +375,6 @@ let schedule ?(config = default_config) ?(influence = Influence.empty) kernel =
             ("coincident", Obs.Json.Bool coincident);
             ("dependence", Obs.Json.String (ds.dep.source ^ "->" ^ ds.dep.target))
           ]);
-      Log.debug (fun m ->
-          m "dim %d solve: coincident=%b -> screened infeasible (%s->%s)" dim coincident
-            ds.dep.source ds.dep.target);
       None
     | None ->
       let validity = List.concat_map (fun ds -> Builders.validity ~nonneg_on ~dim ds) live in
@@ -410,12 +388,12 @@ let schedule ?(config = default_config) ?(influence = Influence.empty) kernel =
       in
       let prog = List.concat_map prog_of stmts in
       let constraints = bounds @ validity @ coin @ prox @ prog @ infl_cs in
-      let objectives = merge_objectives (Builders.objectives ~dim ~stmts) infl_objs in
+      let objectives = Builders.objectives ~dim ~stmts in
       let integer_vars = Builders.ilp_vars ~dim ~stmts in
       let bb_nodes_before = Obs.Counters.find "ilp.bb_nodes" in
       let result, solve_s =
         Obs.Span.timed (fun () ->
-            Ilp_memo.find (constraints, objectives, integer_vars, config.max_ilp_nodes)
+            Ilp_memo.find (constraints, config.max_ilp_nodes)
               (fun () ->
                 Obs.Counters.incr c_cache_misses;
                 Obs.Span.with_ "scheduler.ilp" @@ fun () ->
@@ -435,15 +413,10 @@ let schedule ?(config = default_config) ?(influence = Influence.empty) kernel =
             ("coincident", Obs.Json.Bool coincident);
             ("constraints", Obs.Json.Int (List.length constraints));
             ("injected", Obs.Json.Int (List.length infl_cs));
-            ("objectives", Obs.Json.Int (List.length objectives));
             ("feasible", Obs.Json.Bool (Option.is_some result));
             ("bb_nodes", Obs.Json.Int bb_nodes);
             ("dur_us", Obs.Json.Float (solve_s *. 1e6))
           ]);
-      Log.debug (fun m ->
-          m "dim %d solve: coincident=%b constraints=%d -> %s" dim coincident
-            (List.length constraints)
-            (match result with Some _ -> "solution" | None -> "infeasible"));
       result
   in
 
@@ -453,7 +426,7 @@ let schedule ?(config = default_config) ?(influence = Influence.empty) kernel =
      accepted candidate is the ILP's unique lexicographic optimum (see
      {!Fastpath}), so both strategies commit bit-identical rows.  [Error]
      carries the dependence an [Invalid] reject names, for [solve]. *)
-  let fastpath ~coincident ~with_progression ~infl_cs ~infl_objs () =
+  let fastpath ~coincident ~with_progression ~infl_cs () =
     if config.strategy <> `Fastpath_then_ilp then Error None
     else begin
       let problem =
@@ -461,7 +434,7 @@ let schedule ?(config = default_config) ?(influence = Influence.empty) kernel =
           prev_rows = stmt_iter_matrix; dstates; dsat }
       in
       let outcome, fp_s =
-        Obs.Span.timed (fun () -> Fastpath.attempt ~coincident ~infl_cs ~infl_objs problem)
+        Obs.Span.timed (fun () -> Fastpath.attempt ~coincident ~infl_cs problem)
       in
       (match outcome with
        | Ok _ ->
@@ -488,17 +461,13 @@ let schedule ?(config = default_config) ?(influence = Influence.empty) kernel =
           ]);
       match outcome with
       | Ok point -> Ok point
-      | Error r ->
-        Log.debug (fun m ->
-            m "dim %d fastpath: coincident=%b -> fallback (%s)" (loop_ordinal ())
-              coincident (Fastpath.reject_to_string r));
-        Error (match r with Fastpath.Invalid ds -> Some ds | _ -> None)
+      | Error r -> Error (match r with Fastpath.Invalid ds -> Some ds | _ -> None)
     end
   in
-  let attempt ~coincident ~with_progression ~infl_cs ~infl_objs () =
-    match fastpath ~coincident ~with_progression ~infl_cs ~infl_objs () with
+  let attempt ~coincident ~with_progression ~infl_cs () =
+    match fastpath ~coincident ~with_progression ~infl_cs () with
     | Ok a -> Some a
-    | Error failed -> solve ?failed ~coincident ~with_progression ~infl_cs ~infl_objs ()
+    | Error failed -> solve ?failed ~coincident ~with_progression ~infl_cs ()
   in
 
   let restrict_actives row =
@@ -633,18 +602,6 @@ let schedule ?(config = default_config) ?(influence = Influence.empty) kernel =
     let cs = List.map subst_fixed node.Influence.constrs in
     let contradictory = List.exists (fun c -> Constr.triviality c = Some false) cs in
     let cs = List.filter (fun c -> Constr.triviality c = None) cs in
-    let objs =
-      List.map
-        (fun (p, e) ->
-          ( p,
-            List.fold_left
-              (fun e v ->
-                match Hashtbl.find_opt env v with
-                | Some value -> Linexpr.subst v (Linexpr.const value) e
-                | None -> e)
-              e (Linexpr.vars e) ))
-        node.Influence.objectives
-    in
     let malformed =
       List.exists
         (fun c ->
@@ -658,7 +615,7 @@ let schedule ?(config = default_config) ?(influence = Influence.empty) kernel =
     in
     if malformed then
       raise (Failure_no_schedule "influence tree constrains a deeper dimension");
-    if contradictory then None else Some (cs, objs)
+    if contradictory then None else Some cs
   in
 
   (* --- the main construction loop (Algorithm 1) ----------------------- *)
@@ -682,7 +639,6 @@ let schedule ?(config = default_config) ?(influence = Influence.empty) kernel =
               ("to", Obs.Json.String sib.Influence.label);
               ("at_dim", Obs.Json.Int (loop_ordinal ()))
             ]);
-        Log.debug (fun m -> m "influence: moving to sibling %S" sib.Influence.label);
         cursor := Some { c with node = sib; right = rest };
         step ()
       | [] ->
@@ -695,9 +651,6 @@ let schedule ?(config = default_config) ?(influence = Influence.empty) kernel =
               Obs.Counters.incr c_abandoned;
               Obs.Trace.emitf "scheduler.abandon" (fun () ->
                   [ ("kernel", Obs.Json.String kernel.Ir.Kernel.name) ]);
-              Log.info (fun m ->
-                  m "influence: no feasible scenario for %s, running uninfluenced"
-                    kernel.Ir.Kernel.name);
               restore 0;
               cursor := None;
               step ()
@@ -710,9 +663,6 @@ let schedule ?(config = default_config) ?(influence = Influence.empty) kernel =
                     ("to_ordinal", Obs.Json.Int ordinal);
                     ("to", Obs.Json.String sib.Influence.label)
                   ]);
-              Log.debug (fun m ->
-                  m "influence: backtracking to ordinal %d, sibling %S" ordinal
-                    sib.Influence.label);
               restore ordinal;
               cursor := Some { node = sib; right = rest; parents = up; ordinal };
               step ()
@@ -726,10 +676,7 @@ let schedule ?(config = default_config) ?(influence = Influence.empty) kernel =
     else (
       (* Last resort: equation 4 keeps only one cone of the orthogonal
          subspace; the valid completion row may live in the other one. *)
-      match
-        solve ~prog_negate:true ~coincident:false ~with_progression:true ~infl_cs:[]
-          ~infl_objs:[] ()
-      with
+      match solve ~prog_negate:true ~coincident:false ~with_progression:true ~infl_cs:[] () with
       | Some a ->
         commit a ~coincident:false;
         step ()
@@ -752,15 +699,12 @@ let schedule ?(config = default_config) ?(influence = Influence.empty) kernel =
     | _, _, _ -> begin
       take_snapshot ();
       let node = Option.map (fun c -> c.node) !cursor in
-      let infl_cs = Option.map prepare_influence node in
-      match infl_cs with
+      match Option.map prepare_influence node with
       | Some None -> node_failure () (* node contradicts fixed dimensions *)
       | infl ->
-        let infl_cs, infl_objs =
-          match infl with Some (Some (cs, objs)) -> (cs, objs) | _ -> ([], [])
-        in
+        let infl_cs = Option.join infl |> Option.value ~default:[] in
         let with_progression = not (unsat = [] && full) in
-        (match attempt ~coincident:true ~with_progression ~infl_cs ~infl_objs () with
+        (match attempt ~coincident:true ~with_progression ~infl_cs () with
          | Some a ->
            commit a ~coincident:true;
            step ()
@@ -771,7 +715,7 @@ let schedule ?(config = default_config) ?(influence = Influence.empty) kernel =
            | Some n ->
              if n.Influence.require_parallel then node_failure ()
              else (
-               match attempt ~coincident:false ~with_progression ~infl_cs ~infl_objs () with
+               match attempt ~coincident:false ~with_progression ~infl_cs () with
                | Some a ->
                  commit a ~coincident:false;
                  step ()
@@ -779,9 +723,7 @@ let schedule ?(config = default_config) ?(influence = Influence.empty) kernel =
            | None ->
              if scc_split () then step ()
              else (
-               match
-                 attempt ~coincident:false ~with_progression ~infl_cs:[] ~infl_objs:[] ()
-               with
+               match attempt ~coincident:false ~with_progression ~infl_cs:[] () with
                | Some a ->
                  commit a ~coincident:false;
                  step ()

@@ -32,13 +32,11 @@ type strategy = [ `Fastpath_then_ilp | `Ilp_only ]
     unique lexicographic optimum); the fast path only changes how much
     work finding them takes. *)
 
-val strategy_name : strategy -> string
-(** Stable textual name ("fastpath-then-ilp" / "ilp-only"), used by the
-    [schedule] command's [--strategy] flag and by serve's validation of a
-    request's ["strategy"] field.  Cache keys do not carry it: both
-    strategies give the same schedule. *)
-
 val strategy_of_name : string -> strategy option
+(** Parses the stable names ["fastpath-then-ilp"] and ["ilp-only"], for
+    serve's validation of a request's ["strategy"] field.  No entry point
+    selects a strategy: both give the same schedule, so [`Ilp_only] is
+    reachable only through {!config}, as the fast path's reference. *)
 
 type config = {
   max_ilp_nodes : int;  (** branch-and-bound budget per solve *)
@@ -80,8 +78,10 @@ exception Failure_no_schedule of string
 val nonneg_on : Builders.nonneg_on
 (** {!Farkas.nonneg_on} through a {!Polyhedra.Solver_memo} table keyed by
     the relation's constraints, coefficient template and constant part.
-    Dimension ILPs have a table too, keyed by constraints, objectives,
-    integer variables and [config.max_ilp_nodes].  Influence only adds
+    Dimension ILPs have a table too, keyed by constraints and
+    [config.max_ilp_nodes]: each ILP minimizes exactly
+    {!Builders.objectives} over {!Builders.ilp_vars}, and both follow from
+    the {!Builders.var_bounds} prefix of its constraints.  Influence only adds
     constraints, so one kernel's schedules share most expansions and
     some ILPs, and backtracking re-poses solved ILPs: in a scope those
     are lookups, with bit-identical schedules.  Counted by

@@ -28,8 +28,9 @@ type outcome =
 
 (* one scope per run: the strategies stay independent, the checks outside *)
 let schedule_with ~strategy ?influence k =
+  let config = { Scheduling.Scheduler.default_config with strategy } in
   match
-    Polyhedra.Solver_memo.scoped (fun () -> Harness.Pipeline.schedule ?influence ~strategy k)
+    Polyhedra.Solver_memo.scoped (fun () -> Scheduling.Scheduler.schedule ~config ?influence k)
   with
   | sched, stats -> Sched (sched, stats)
   | exception Scheduling.Scheduler.Failure_no_schedule msg -> Failed msg

@@ -405,22 +405,6 @@ let test_memo_node_budget () =
         fresh (rows full))
     [ 1; 0 ]
 
-(* The ILP key holds the objectives: an influence node that only adds an
-   objective poses the baseline's constraints with another lexicographic
-   order, and must not be answered by the baseline's solve. *)
-let test_memo_objectives () =
-  let k = Ops.Classics.cast_transpose ~n:8 ~m:8 () in
-  let config = { Scheduler.default_config with strategy = `Ilp_only } in
-  let j_outer =
-    Influence.node ~label:"i last" ~objectives:[ (0, cv ~stmt:"T" ~dim:0 "i") ] []
-  in
-  let rows influence = Schedule.to_string (fst (Scheduler.schedule ~config ~influence k)) in
-  let fresh = rows [ j_outer ] in
-  Alcotest.(check bool) "the objective changes the schedule" true (fresh <> rows []);
-  Polyhedra.Solver_memo.scoped @@ fun () ->
-  ignore (rows []);
-  Alcotest.(check string) "objective-only node after the baseline" fresh (rows [ j_outer ])
-
 let test_softmax_pivot_budget () =
   (* Softmax's infl tree is infeasible at the root of every branch, so
      Algorithm 1 tries each one and abandons the tree.  The failed ILPs
@@ -705,7 +689,6 @@ let () =
             test_ilp_cache_hits_on_abandon;
           Alcotest.test_case "memo: farkas per dimension" `Quick test_memo_farkas_per_dim;
           Alcotest.test_case "memo: node budget" `Quick test_memo_node_budget;
-          Alcotest.test_case "memo: objectives" `Quick test_memo_objectives;
           Alcotest.test_case "softmax pivot budget" `Quick test_softmax_pivot_budget;
           Alcotest.test_case "screen: infeasible branches" `Quick
             test_screen_infeasible_branches;
