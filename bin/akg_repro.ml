@@ -163,22 +163,6 @@ let cpu_profile_for machine runner =
     | Some r -> Codegen_cpu.Runner.native_profile r
     | None -> Gpusim.Machine.scalar_1core)
 
-let tile_sizes_arg =
-  let doc =
-    "Override tile shapes in the backend tiling pass as $(i,ROW:SIZE) pairs keyed by \
-     schedule row, e.g. $(b,0:8,1:16).  Applies to any version and takes precedence \
-     over the schedule's injected $(b,tile_sizes) annotation; malformed pairs and \
-     sizes below 2 are dropped."
-  in
-  Arg.(value & opt (some string) None & info [ "tile-sizes" ] ~docv:"SPEC" ~doc)
-
-let tile_sizes_of spec =
-  Option.map
-    (fun spec ->
-      let pairs = Scheduling.Tiling.parse_sizes spec in
-      fun dim -> List.assoc_opt dim pairs)
-    spec
-
 (* ------------------------------------------------------------------ *)
 (* commands                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -247,12 +231,12 @@ let schedule_cmd =
     Term.(const run $ op_arg $ version_arg $ tree_flag $ obs_term)
 
 let codegen_cmd =
-  let run name version machine tile_spec o =
+  let run name version machine o =
     with_obs o @@ fun () ->
     with_op
       (fun k ->
         let version, machine = resolve ?machine version in
-        let p = P.run ~machine ?tile_sizes:(tile_sizes_of tile_spec) version k in
+        let p = P.run ~machine version k in
         match p.P.backend with
         | P.Emitted source -> print_string source
         | P.Simulated _ -> print_string (Codegen.Cuda.emit p.P.compiled))
@@ -263,16 +247,15 @@ let codegen_cmd =
        ~doc:
          "Print generated code: CUDA-like on a GPU profile, C with SIMD intrinsics \
           on a CPU profile ($(b,--machine), or $(b,--version cpu))")
-    Term.(
-      const run $ op_arg $ version_arg $ machine_arg $ tile_sizes_arg $ obs_term)
+    Term.(const run $ op_arg $ version_arg $ machine_arg $ obs_term)
 
 let simulate_cmd =
-  let run name version tile_spec o =
+  let run name version o =
     with_obs o @@ fun () ->
     with_op
       (fun k ->
         let version, _ = resolve version in
-        let p = P.run ?tile_sizes:(tile_sizes_of tile_spec) version k in
+        let p = P.run version k in
         Format.printf "%a@." Codegen.Mapping.pp p.P.compiled.Codegen.Compile.mapping;
         match p.P.backend with
         | P.Simulated report -> Format.printf "%a@." Gpusim.Sim.pp report
@@ -280,7 +263,7 @@ let simulate_cmd =
       name
   in
   Cmd.v (Cmd.info "simulate" ~doc:"Run the GPU performance model")
-    Term.(const run $ op_arg $ version_arg $ tile_sizes_arg $ obs_term)
+    Term.(const run $ op_arg $ version_arg $ obs_term)
 
 let cpu_run_cmd =
   let emit_only_arg =

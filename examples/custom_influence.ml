@@ -11,8 +11,6 @@
 open Polyhedra
 open Scheduling
 
-let coef ~stmt ~dim iter = Linexpr.var (Space.coef_var ~stmt ~dim (Space.Iter iter))
-
 let () =
   let kernel = Ops.Classics.cast_transpose ~n:64 ~m:64 () in
   Format.printf "%a@." Ir.Kernel.pp kernel;
@@ -21,17 +19,17 @@ let () =
      scheduling dimension of T to the zero row, which progression forbids. *)
   let impossible =
     Influence.node ~label:"impossible"
-      [ Constr.eq0 (coef ~stmt:"T" ~dim:0 "i");
-        Constr.eq0 (coef ~stmt:"T" ~dim:0 "j")
+      [ Constr.eq0 (Influence.coef ~stmt:"T" ~dim:0 "i");
+        Constr.eq0 (Influence.coef ~stmt:"T" ~dim:0 "j")
       ]
   in
   (* Branch 2: interchange — j outermost, i innermost — and require the
      outer dimension to be parallel. *)
   let interchange =
     Influence.node ~label:"interchange" ~require_parallel:true
-      ~payload:[ ("strategy", "interchange") ]
-      [ Constr.eq (coef ~stmt:"T" ~dim:0 "j") (Linexpr.const_int 1);
-        Constr.eq0 (coef ~stmt:"T" ~dim:0 "i")
+      ~payload:[ Schedule.Branch "interchange" ]
+      [ Constr.eq (Influence.coef ~stmt:"T" ~dim:0 "j") (Linexpr.const_int 1);
+        Constr.eq0 (Influence.coef ~stmt:"T" ~dim:0 "i")
       ]
   in
   let tree = [ impossible; interchange ] in
@@ -43,8 +41,11 @@ let () =
   Format.printf "schedule:@.%a@." Schedule.pp sched;
   Format.printf "sibling fallbacks taken: %d (branch 1 was infeasible)@."
     stats.Scheduler.sibling_moves;
-  Format.printf "payload carried to the schedule: strategy=%s@."
-    (Option.value ~default:"?" (Schedule.annotation sched "strategy"));
+  let branch =
+    List.find_map (function Schedule.Branch l -> Some l | _ -> None) sched.Schedule.annotations
+  in
+  Format.printf "payload carried to the schedule: branch %s@."
+    (Option.value ~default:"?" branch);
 
   (* the interchanged schedule is still legal (trivially: no dependences),
      and codegen honours it *)

@@ -18,7 +18,7 @@ let pass name kernel_name f =
       ]);
   r
 
-let lower ?(vectorize = true) ?vec_min_parallel ?tile_sizes ?tile_fault schedule kernel =
+let lower ?(vectorize = true) ?vec_min_parallel ?tile_fault schedule kernel =
   Obs.Span.with_ "codegen.lower" @@ fun () ->
   Obs.Counters.incr c_lowerings;
   let name = kernel.Ir.Kernel.name in
@@ -31,16 +31,10 @@ let lower ?(vectorize = true) ?vec_min_parallel ?tile_sizes ?tile_fault schedule
           Vectorpass.apply ?min_parallel:vec_min_parallel schedule kernel deps ast)
     else ast
   in
-  (* Explicit [tile_sizes] win; otherwise honour the tile-shape annotation
-     the scheduling-level tiling client injected through the influence
-     tree (absent on untiled schedules, so this is a no-op for them). *)
-  let tile_sizes =
-    match tile_sizes with
-    | Some _ -> tile_sizes
-    | None -> Scheduling.Tiling.sizes_of_schedule schedule
-  in
+  (* The tile shape the tiling client injected through the influence tree
+     (absent on untiled schedules, so this is a no-op for them). *)
   let ast =
-    match tile_sizes with
+    match Tiling.sizes_of_schedule schedule with
     | None -> ast
     | Some sizes ->
       pass "tiling" name (fun () ->

@@ -9,14 +9,15 @@ type compiled = {
 }
 
 val lower :
-  ?vectorize:bool -> ?vec_min_parallel:int -> ?tile_sizes:(int -> int option) ->
-  ?tile_fault:Tiling.fault -> Scheduling.Schedule.t -> Ir.Kernel.t -> compiled
+  ?vectorize:bool -> ?vec_min_parallel:int -> ?tile_fault:Tiling.fault ->
+  Scheduling.Schedule.t -> Ir.Kernel.t -> compiled
 (** Pipeline: AST generation, per-loop parallelism refinement, explicit
-    vectorization (when [vectorize], honouring the schedule's influence
-    annotations), tiling of permutable bands ([tile_sizes] per schedule
-    dimension, defaulting to the schedule's ["tile_sizes"] annotation when
-    the tiling influence client injected one), block/thread mapping (which
-    never considers vectorized dimensions).  [tile_fault] is the fuzzer's
+    vectorization (when [vectorize], honouring the schedule's
+    {!Scheduling.Schedule.Vector} annotations), tiling of permutable bands
+    at the shape of the schedule's {!Scheduling.Schedule.Tile_sizes}
+    annotation ({!Tiling.sizes_of_schedule}; only the tiling influence
+    client injects one), block/thread mapping (which never considers
+    vectorized dimensions).  [tile_fault] is the fuzzer's
     broken-tiler fault injection; see {!Tiling.fault}.  The kernel's
     dependences ({!Deps.Analysis.dependences}) are looked up once and
     shared by the marking, vectorization and tiling passes. *)

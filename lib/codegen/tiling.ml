@@ -123,6 +123,30 @@ let apply ?fault ~sizes sched kernel deps ast =
   in
   go ast
 
+(* The annotation keys loop ordinals; codegen loop [dim]s are schedule row
+   indices, so skip scalar rows when translating. *)
+let sizes_of_schedule (sched : Scheduling.Schedule.t) =
+  match
+    List.find_map
+      (function Scheduling.Schedule.Tile_sizes l -> Some l | _ -> None)
+      sched.Scheduling.Schedule.annotations
+  with
+  | None -> None
+  | Some pairs ->
+    let loop_rows =
+      List.concat
+        (List.mapi
+           (fun i (r : Scheduling.Schedule.row) ->
+             if r.kind = Scheduling.Schedule.Scalar then [] else [ i ])
+           sched.Scheduling.Schedule.rows)
+    in
+    let translated =
+      List.filter_map
+        (fun (ord, s) -> Option.map (fun row -> (row, s)) (List.nth_opt loop_rows ord))
+        pairs
+    in
+    if translated = [] then None else Some (fun d -> List.assoc_opt d translated)
+
 let tile_all ~size sched kernel deps ast =
   apply ~sizes:(fun _ -> Some size) sched kernel deps ast
 

@@ -36,6 +36,13 @@ val apply :
     <= 1 leave the dimension untiled).  Chains with no tiled dimension are
     left untouched. *)
 
+val sizes_of_schedule : Scheduling.Schedule.t -> (int -> int option) option
+(** The [sizes] {!apply} takes, from the schedule's
+    {!Scheduling.Schedule.Tile_sizes} annotation: loop ordinals are
+    translated to schedule row indices (skipping scalar rows).  [None]
+    when the schedule carries no tile shape, or none of its ordinals names
+    a loop row. *)
+
 val tile_all :
   size:int -> Scheduling.Schedule.t -> Ir.Kernel.t -> Deps.Dependence.t list ->
   Ast.t -> Ast.t

@@ -1,32 +1,29 @@
 open Polybase
 open Polyhedra
 
-(* The treegen payload convention ("vec#<stmt>" -> "<iter>:<width>") is
-   duplicated here rather than importing the vectorizer library: codegen is
-   a backend and must not depend on the optimizer. *)
-let annotation_of sched stmt =
-  match Scheduling.Schedule.annotation sched ("vec#" ^ stmt) with
-  | None -> None
-  | Some v -> (
-    match String.split_on_char ':' v with
-    | [ iter; w ] -> Option.map (fun w -> (iter, w)) (int_of_string_opt w)
-    | _ -> None)
-
-let vector_dims sched kernel =
+(* Per-statement [(stmt, schedule_dim, width)] plan: the row that is
+   exactly the iterator the schedule's Vector annotation names. *)
+let vector_dims (sched : Scheduling.Schedule.t) kernel =
   List.filter_map
     (fun (s : Ir.Stmt.t) ->
-      match annotation_of sched s.Ir.Stmt.name with
+      let stmt = s.Ir.Stmt.name in
+      match
+        List.find_map
+          (function
+            | Scheduling.Schedule.Vector v when v.stmt = stmt -> Some (v.iter, v.width)
+            | _ -> None)
+          sched.Scheduling.Schedule.annotations
+      with
       | None -> None
       | Some (iter, width) ->
-        (* find the schedule row that is exactly this iterator *)
         let rec find d =
           if d >= Scheduling.Schedule.dims sched then None
           else begin
-            let e = Scheduling.Schedule.expr_for sched ~dim:d ~stmt:s.Ir.Stmt.name in
+            let e = Scheduling.Schedule.expr_for sched ~dim:d ~stmt in
             if Linexpr.equal e (Linexpr.var iter) then Some d else find (d + 1)
           end
         in
-        Option.map (fun d -> (s.Ir.Stmt.name, d, width)) (find 0))
+        Option.map (fun d -> (stmt, d, width)) (find 0))
     kernel.Ir.Kernel.stmts
 
 let const_bound = function

@@ -1,10 +1,11 @@
 (** Backend explicit-vectorization pass (the second AKG modification of
     Section V).
 
-    Rewrites loops that the influence tree prepared (via schedule
-    annotations) into strided loops whose statement instances execute
-    [width] lanes per step with explicit vector loads/stores.  A loop is
-    rewritten only when it is safe and profitable:
+    Rewrites loops that the influence tree prepared (the schedule's
+    {!Scheduling.Schedule.Vector} annotations) into strided loops whose
+    statement instances execute [width] lanes per step with explicit
+    vector loads/stores.  A loop is rewritten only when it is safe and
+    profitable:
 
     - every unguarded statement under the loop carries a vectorization
       annotation for this dimension;
@@ -26,7 +27,3 @@ val apply :
 (** [apply sched kernel deps ast], with [deps] the kernel's dependences.
     [min_parallel] (default 0 = always) refuses rewrites that would leave
     fewer than that many parallel iterations to map on threads. *)
-
-val vector_dims : Scheduling.Schedule.t -> Ir.Kernel.t -> (string * int * int) list
-(** Per-statement [(stmt, schedule_dim, width)] vectorization plan derived
-    from the schedule annotations. *)

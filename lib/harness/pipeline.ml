@@ -5,17 +5,16 @@ type client = No_influence | Vectorizer | Tiling
 type spec = {
   name : string;
   client : client;
-  vectorize : bool;
-  vec_min_parallel : int;
+  vector_pass : int option;
 }
 
-(* The version table.  The vectorizing versions refuse vector rewrites
+(* The version table.  The vectorizing version refuses vector rewrites
    that would leave fewer than 2048 parallel iterations to map on threads. *)
 let spec = function
-  | Isl -> { name = "isl"; client = No_influence; vectorize = false; vec_min_parallel = 0 }
-  | Novec -> { name = "novec"; client = Vectorizer; vectorize = false; vec_min_parallel = 0 }
-  | Infl -> { name = "infl"; client = Vectorizer; vectorize = true; vec_min_parallel = 2048 }
-  | Tiled -> { name = "tiled"; client = Tiling; vectorize = false; vec_min_parallel = 0 }
+  | Isl -> { name = "isl"; client = No_influence; vector_pass = None }
+  | Novec -> { name = "novec"; client = Vectorizer; vector_pass = None }
+  | Infl -> { name = "infl"; client = Vectorizer; vector_pass = Some 2048 }
+  | Tiled -> { name = "tiled"; client = Tiling; vector_pass = None }
 
 let versions = [ Isl; Novec; Infl; Tiled ]
 let name v = (spec v).name
@@ -45,11 +44,10 @@ let tree ?max_tile_size version kernel =
 
 let schedule ?influence kernel = Scheduling.Scheduler.schedule ?influence kernel
 
-let lower ?vec_min_parallel ?tile_sizes ?tile_fault version sched kernel =
-  let s = spec version in
-  let vec_min_parallel = Option.value vec_min_parallel ~default:s.vec_min_parallel in
-  Codegen.Compile.lower ~vectorize:s.vectorize ~vec_min_parallel ?tile_sizes ?tile_fault sched
-    kernel
+let lower ?vec_min_parallel ?tile_fault version sched kernel =
+  let pass = (spec version).vector_pass in
+  let vec_min_parallel = if vec_min_parallel = None then pass else vec_min_parallel in
+  Codegen.Compile.lower ~vectorize:(pass <> None) ?vec_min_parallel ?tile_fault sched kernel
 
 let simulate ?machine compiled = Gpusim.Sim.run ?machine compiled
 
@@ -109,11 +107,11 @@ type output = {
   deps : Deps.Dependence.t list;
 }
 
-let run ?tile_sizes ?(machine = Gpusim.Machine.v100) version kernel =
+let run ?(machine = Gpusim.Machine.v100) version kernel =
   Polyhedra.Solver_memo.scoped @@ fun () ->
   let influence = tree version kernel in
   let sched, stats = schedule ?influence kernel in
-  let compiled = lower ?tile_sizes version sched kernel in
+  let compiled = lower version sched kernel in
   let backend =
     if Gpusim.Machine.is_cpu machine then Emitted (emit_c ~machine compiled)
     else Simulated (simulate ~machine compiled)

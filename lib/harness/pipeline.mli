@@ -21,9 +21,9 @@ type client =
 type spec = {
   name : string;  (** the version's name in requests, records and reports *)
   client : client;
-  vectorize : bool;  (** run the explicit vectorization pass *)
-  vec_min_parallel : int;
-      (** the pass's [min_parallel] threshold ({!Codegen.Vectorpass.apply}) *)
+  vector_pass : int option;
+      (** [Some threshold]: run the explicit vectorization pass with that
+          [min_parallel] ({!Codegen.Vectorpass.apply}); [None]: skip it *)
 }
 
 val spec : version -> spec
@@ -74,7 +74,6 @@ val schedule :
 
 val lower :
   ?vec_min_parallel:int ->
-  ?tile_sizes:(int -> int option) ->
   ?tile_fault:Codegen.Tiling.fault ->
   version ->
   Scheduling.Schedule.t ->
@@ -83,7 +82,9 @@ val lower :
 (** Stage 3: {!Codegen.Compile.lower} with the version's settings.
     [vec_min_parallel] overrides the table's threshold (the fuzzer and the
     Fig. 2 walkthrough pass 0 to exercise the vector pass on tiny
-    kernels); [tile_sizes] and [tile_fault] are passed through. *)
+    kernels) on a version that runs the vector pass; [tile_fault] is
+    passed through.  Tile sizes come only from the schedule's
+    {!Scheduling.Schedule.Tile_sizes} annotation. *)
 
 val simulate : ?machine:Gpusim.Machine.t -> Codegen.Compile.compiled -> Gpusim.Sim.report
 (** Stage 4 on a GPU profile: the performance model, V100 by default.
@@ -130,7 +131,6 @@ type output = {
 }
 
 val run :
-  ?tile_sizes:(int -> int option) ->
   ?machine:Gpusim.Machine.t ->
   version ->
   Ir.Kernel.t ->

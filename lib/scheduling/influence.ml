@@ -4,7 +4,7 @@ type node = {
   label : string;
   constrs : Constr.t list;
   require_parallel : bool;
-  payload : (string * string) list;
+  payload : Schedule.annotation list;
   children : node list;
 }
 
@@ -14,6 +14,24 @@ let node ?(label = "") ?(require_parallel = false) ?(payload = []) ?(children = 
   { label; constrs; require_parallel; payload; children }
 
 let empty = []
+
+let coef ~stmt ~dim iter = Linexpr.var (Space.coef_var ~stmt ~dim (Space.Iter iter))
+
+let pin_row ~stmt ~dim ~iter ~all_iters =
+  Constr.eq (coef ~stmt ~dim iter) (Linexpr.const_int 1)
+  :: List.filter_map
+       (fun it -> if it = iter then None else Some (Constr.eq0 (coef ~stmt ~dim it)))
+       all_iters
+
+let chain ~label ~payload (kernel : Ir.Kernel.t) at =
+  let depth =
+    List.fold_left (fun acc s -> max acc (Ir.Stmt.dim s)) 1 kernel.Ir.Kernel.stmts
+  in
+  let rec go d =
+    if d = depth - 1 then node ~label:(label ^ "@leaf") ~payload (at d)
+    else node ~label:(Printf.sprintf "%s@%d" label d) ~children:[ go (d + 1) ] (at d)
+  in
+  go 0
 
 let rec node_depth n =
   1 + List.fold_left (fun acc c -> max acc (node_depth c)) 0 n.children

@@ -20,10 +20,10 @@ type node = {
   require_parallel : bool;
       (** meta-requirement: the dimension only counts as successful if it is
           coincident (end of Section IV-A4) *)
-  payload : (string * string) list;
-      (** key/value annotations surfaced on the schedule when construction
-          terminates at (a leaf below) this node — e.g. which dimension was
-          prepared for vectorization *)
+  payload : Schedule.annotation list;
+      (** annotations surfaced on the schedule when construction
+          terminates at (a leaf below) this node: the accepted branch, the
+          rows prepared for vectorization, the tile shape *)
   children : node list;
 }
 
@@ -33,13 +33,38 @@ type t = node list
 val node :
   ?label:string ->
   ?require_parallel:bool ->
-  ?payload:(string * string) list ->
+  ?payload:Schedule.annotation list ->
   ?children:node list ->
   Constr.t list ->
   node
 
 val empty : t
 (** No influence: the scheduler behaves exactly like the baseline. *)
+
+(** {1 Building client branches}
+
+    Both clients ({!Vectorizer.Treegen} and {!Tiling}) pin statement rows
+    to iterators and chain one node per scheduling dimension. *)
+
+val coef : stmt:string -> dim:int -> string -> Linexpr.t
+(** The coefficient of an iterator in a statement's row at [dim]
+    ({!Space.coef_var}). *)
+
+val pin_row :
+  stmt:string -> dim:int -> iter:string -> all_iters:string list -> Constr.t list
+(** Constraints making [stmt]'s row at [dim] exactly [iter]: its
+    coefficient is 1, every other iterator's in [all_iters] is 0. *)
+
+val chain :
+  label:string ->
+  payload:Schedule.annotation list ->
+  Ir.Kernel.t ->
+  (int -> Constr.t list) ->
+  node
+(** [chain ~label ~payload kernel at] is one branch: a chain of nodes, one
+    per depth [d] below the kernel's deepest statement (at least one),
+    carrying [at d].  Inner nodes are labelled [label@d], the leaf
+    [label@leaf], and the leaf carries [payload]. *)
 
 val select : int list -> t -> t
 (** [select order t] reorders and subsets the root alternatives: the

@@ -9,11 +9,16 @@ type row = {
   exprs : (string * Linexpr.t) list;
 }
 
+type annotation =
+  | Branch of string
+  | Vector of { stmt : string; iter : string; width : int }
+  | Tile_sizes of (int * int) list
+
 type t = {
   kernel_name : string;
   stmt_names : string list;
   rows : row list;
-  annotations : (string * string) list;
+  annotations : annotation list;
 }
 
 let dims t = List.length t.rows
@@ -22,7 +27,13 @@ let expr_for t ~dim ~stmt =
   let row = List.nth t.rows dim in
   List.assoc stmt row.exprs
 
-let annotation t key = List.assoc_opt key t.annotations
+let sizes_to_string l =
+  String.concat "," (List.map (fun (d, s) -> Printf.sprintf "%d:%d" d s) l)
+
+let annotation_to_string = function
+  | Branch label -> "influence_branch=" ^ label
+  | Vector { stmt; iter; width } -> Printf.sprintf "vec#%s=%s:%d" stmt iter width
+  | Tile_sizes l -> "tile_sizes=" ^ sizes_to_string l
 
 let kind_string = function
   | Loop { coincident = true } -> "loop(parallel)"
@@ -41,9 +52,9 @@ let pp fmt t =
     t.rows;
   (match t.annotations with
    | [] -> ()
-   | kvs ->
+   | l ->
      Format.fprintf fmt "  annotations: %s@,"
-       (String.concat ", " (List.map (fun (k, v) -> k ^ "=" ^ v) kvs)));
+       (String.concat ", " (List.map annotation_to_string l)));
   Format.fprintf fmt "@]"
 
 let to_string t = Format.asprintf "%a" pp t

@@ -152,7 +152,7 @@ type snapshot = {
   s_rows : Schedule.row list;
   s_env : (string * Q.t) list;
   s_dep : dep_snapshot array;
-  s_payload : (string * string) list;
+  s_payload : Schedule.annotation list;
 }
 
 (* Strongly connected components by mutual reachability; kernels have a
@@ -191,20 +191,17 @@ let sccs stmt_names edges =
 
 (* Topological order of the SCC DAG, ties broken by smallest original
    statement position so the baseline preserves program order. *)
-let scc_topo_order stmt_names comp ncomp reach =
+let scc_topo_order comp ncomp reach =
   let n = Array.length comp in
-  let edges_between a b =
-    let found = ref false in
-    for i = 0 to n - 1 do
-      for j = 0 to n - 1 do
-        if comp.(i) = a && comp.(j) = b && a <> b && reach.(i).(j) then found := true
-      done
-    done;
-    !found
-  in
+  (* edge.(a).(b): some statement of SCC [a] reaches one of SCC [b] *)
+  let edge = Array.make_matrix ncomp ncomp false in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      if comp.(i) <> comp.(j) && reach.(i).(j) then edge.(comp.(i)).(comp.(j)) <- true
+    done
+  done;
   let min_pos = Array.make ncomp max_int in
   Array.iteri (fun i c -> if i < min_pos.(c) then min_pos.(c) <- i) comp;
-  ignore stmt_names;
   let order = Array.make ncomp (-1) in
   let placed = Array.make ncomp false in
   for slot = 0 to ncomp - 1 do
@@ -215,7 +212,7 @@ let scc_topo_order stmt_names comp ncomp reach =
         let ready =
           let ok = ref true in
           for p = 0 to ncomp - 1 do
-            if (not placed.(p)) && p <> c && edges_between p c then ok := false
+            if (not placed.(p)) && p <> c && edge.(p).(c) then ok := false
           done;
           !ok
         in
@@ -565,7 +562,7 @@ let schedule ?(config = default_config) ?(influence = Influence.empty) kernel =
       let comp, ncomp, reach = sccs stmt_names edges in
       if ncomp < 2 then false
       else begin
-        let rank = scc_topo_order stmt_names comp ncomp reach in
+        let rank = scc_topo_order comp ncomp reach in
         let exprs =
           List.mapi
             (fun i name -> (name, Linexpr.const_int rank.(comp.(i))))

@@ -12,22 +12,6 @@ type model = {
 let default_model =
   { shared_mem_bytes = 48 * 1024; max_tile_size = 32; elem_bytes = 4; halo = 2 }
 
-let annotation_key = "tile_sizes"
-
-let parse_sizes v =
-  List.filter_map
-    (fun part ->
-      match String.split_on_char ':' part with
-      | [ d; s ] -> (
-        match (int_of_string_opt d, int_of_string_opt s) with
-        | Some d, Some s when d >= 0 && s > 1 -> Some (d, s)
-        | _ -> None)
-      | _ -> None)
-    (String.split_on_char ',' v)
-
-let render_sizes l =
-  String.concat "," (List.map (fun (d, s) -> Printf.sprintf "%d:%d" d s) l)
-
 (* ------------------------------------------------------------------ *)
 (* band selection                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -111,53 +95,12 @@ let choose_sizes model (kernel : Kernel.t) k =
     (List.init k Fun.id)
 
 (* ------------------------------------------------------------------ *)
-(* schedule-annotation consumption                                      *)
+(* influence-tree construction                                          *)
 (* ------------------------------------------------------------------ *)
 
-let sizes_of_schedule (sched : Schedule.t) =
-  match Schedule.annotation sched annotation_key with
-  | None -> None
-  | Some v ->
-    let pairs = parse_sizes v in
-    if pairs = [] then None
-    else begin
-      (* The annotation keys loop ordinals; codegen loop [dim]s are
-         schedule row indices, so skip scalar rows when translating. *)
-      let row_indices =
-        List.filter_map
-          (fun (i, (r : Schedule.row)) ->
-            match r.Schedule.kind with
-            | Schedule.Loop _ -> Some i
-            | Schedule.Scalar -> None)
-          (List.mapi (fun i r -> (i, r)) sched.Schedule.rows)
-      in
-      let translated =
-        List.filter_map
-          (fun (ord, s) -> Option.map (fun ri -> (ri, s)) (List.nth_opt row_indices ord))
-          pairs
-      in
-      if translated = [] then None else Some (fun d -> List.assoc_opt d translated)
-    end
-
-(* ------------------------------------------------------------------ *)
-(* influence-tree construction (mirrors Vectorizer.Treegen)             *)
-(* ------------------------------------------------------------------ *)
-
-let cvar ~stmt ~dim it = Linexpr.var (Space.coef_var ~stmt ~dim (Space.Iter it))
-
-let pin_row ~stmt ~dim ~iter ~all_iters =
-  Constr.eq (cvar ~stmt ~dim iter) (Linexpr.const_int 1)
-  :: List.filter_map
-       (fun it -> if it = iter then None else Some (Constr.eq0 (cvar ~stmt ~dim it)))
-       all_iters
-
-(* One branch: pin every statement's identity row on the band's first [k]
-   dimensions, chained one node per depth like the vectorizer, with the
-   tile shape deposited at the leaf. *)
+(* One branch: pin every statement's identity row on the band's first
+   [band] dimensions, with the tile shape deposited at the leaf. *)
 let branch ~label kernel ~band ~sizes =
-  let depth =
-    List.fold_left (fun acc (s : Stmt.t) -> max acc (Stmt.dim s)) 1 kernel.Kernel.stmts
-  in
   let at d =
     if d >= band then []
     else
@@ -165,20 +108,12 @@ let branch ~label kernel ~band ~sizes =
         (fun (s : Stmt.t) ->
           match List.nth_opt s.Stmt.iters d with
           | Some iter ->
-            pin_row ~stmt:s.Stmt.name ~dim:d ~iter ~all_iters:s.Stmt.iters
+            Influence.pin_row ~stmt:s.Stmt.name ~dim:d ~iter ~all_iters:s.Stmt.iters
           | None -> [])
         kernel.Kernel.stmts
   in
-  let payload =
-    [ ("influence_branch", label); (annotation_key, render_sizes sizes) ]
-  in
-  let rec chain d =
-    if d = depth - 1 then Influence.node ~label:(label ^ "@leaf") ~payload (at d)
-    else
-      Influence.node ~label:(Printf.sprintf "%s@%d" label d)
-        ~children:[ chain (d + 1) ] (at d)
-  in
-  chain 0
+  Influence.chain ~label ~payload:[ Schedule.Branch label; Schedule.Tile_sizes sizes ]
+    kernel at
 
 let c_trees = Obs.Counters.create "tiling.trees_built" ~doc:"tiling influence trees generated"
 
@@ -215,7 +150,7 @@ let influence_for ?(model = default_model) ?max_tile_size (kernel : Kernel.t) =
   Obs.Trace.emitf "tiling.tree" (fun () ->
       [ ("kernel", Obs.Json.String kernel.Kernel.name);
         ("band_depth", Obs.Json.Int k);
-        ("sizes", Obs.Json.String (render_sizes sizes));
+        ("sizes", Obs.Json.String (Schedule.sizes_to_string sizes));
         ("branches", Obs.Json.Int (List.length tree));
         ( "labels",
           Obs.Json.List

@@ -9,10 +9,11 @@
     (forward-dependence-only, hence permutable) — picks tile shapes whose
     per-tile footprint fits the machine's per-block shared-memory budget,
     and emits an influence tree that pins the band's canonical identity
-    rows and deposits the chosen tile sizes as a schedule annotation.  The
-    codegen tiling pass ({!Codegen.Tiling}) later consumes the annotation,
-    re-checking permutability against the dependences, so an erroneous
-    band selection here degrades to "not tiled", never to wrong code. *)
+    rows and deposits the chosen tile sizes as a {!Schedule.Tile_sizes}
+    annotation.  The codegen tiling pass ({!Codegen.Tiling}) later
+    consumes the annotation, re-checking permutability against the
+    dependences, so an erroneous band selection here degrades to "not
+    tiled", never to wrong code. *)
 
 type model = {
   shared_mem_bytes : int;
@@ -26,17 +27,6 @@ val default_model : model
 (** Approximates a V100 SM at two resident blocks: 48 KiB per block,
     32-wide tiles, 4-byte elements, halo 2. *)
 
-val annotation_key : string
-(** ["tile_sizes"] — the schedule-annotation key carrying the injected
-    tile shape, as ["ordinal:size,ordinal:size"] pairs keyed by {e loop}
-    ordinal (scalar rows excluded, outermost first). *)
-
-val parse_sizes : string -> (int * int) list
-(** Parses the annotation payload; entries with sizes [<= 1] or malformed
-    pairs are dropped. *)
-
-val render_sizes : (int * int) list -> string
-
 val band_depth : Ir.Kernel.t -> Deps.Dependence.t list -> int
 (** Length of the outermost contiguous run of dimensions (bounded by the
     shallowest statement) on which every dependence has a
@@ -49,12 +39,6 @@ val choose_sizes : model -> Ir.Kernel.t -> int -> (int * int) list
     dimension's extent, then halved (largest first) until the estimated
     per-tile footprint fits [model.shared_mem_bytes].  Dimensions too
     small to tile are omitted. *)
-
-val sizes_of_schedule : Schedule.t -> (int -> int option) option
-(** Reads the {!annotation_key} annotation off a schedule and translates
-    loop ordinals to schedule row indices (skipping scalar rows) — the
-    function {!Codegen.Tiling.apply} expects.  [None] when the schedule
-    carries no (non-empty) tiling annotation. *)
 
 val influence_for :
   ?model:model -> ?max_tile_size:int -> Ir.Kernel.t -> Influence.t

@@ -2,22 +2,8 @@ open Polyhedra
 open Ir
 open Scheduling
 
-let vector_annotation_key stmt = "vec#" ^ stmt
-
-let parse_vector_annotation v =
-  match String.split_on_char ':' v with
-  | [ iter; width ] -> Option.map (fun w -> (iter, w)) (int_of_string_opt width)
-  | _ -> None
-
-let cvar ~stmt ~dim it = Linexpr.var (Space.coef_var ~stmt ~dim (Space.Iter it))
-
-let pin_row ~stmt ~dim ~iter ~all_iters =
-  Constr.eq (cvar ~stmt ~dim iter) (Linexpr.const_int 1)
-  :: List.filter_map
-       (fun it -> if it = iter then None else Some (Constr.eq0 (cvar ~stmt ~dim it)))
-       all_iters
-
-let exclude ~stmt ~dim ~iters = List.map (fun it -> Constr.eq0 (cvar ~stmt ~dim it)) iters
+let exclude ~stmt ~dim ~iters =
+  List.map (fun it -> Constr.eq0 (Influence.coef ~stmt ~dim it)) iters
 
 (* Constraints of one scenario, as (depth, constraint) pairs. *)
 let scenario_constraints ~full (kernel : Kernel.t) (sc : Scenario.t) =
@@ -25,22 +11,18 @@ let scenario_constraints ~full (kernel : Kernel.t) (sc : Scenario.t) =
   let all_iters = stmt.Stmt.iters in
   let ds = Stmt.dim stmt in
   let k = List.length sc.Scenario.dims in
+  let pin dim iter =
+    List.map (fun c -> (dim, c)) (Influence.pin_row ~stmt:sc.stmt ~dim ~iter ~all_iters)
+  in
   let pinned =
     if full then
       (* dims = [outermost .. innermost] at ordinals ds-k .. ds-1 *)
-      List.concat
-        (List.mapi
-           (fun idx iter ->
-             let dim = ds - k + idx in
-             List.map (fun c -> (dim, c)) (pin_row ~stmt:sc.stmt ~dim ~iter ~all_iters))
-           sc.Scenario.dims)
+      List.concat (List.mapi (fun idx iter -> pin (ds - k + idx) iter) sc.Scenario.dims)
     else begin
       (* relaxed: only the vectorization preparation *)
       match sc.Scenario.vector_iter with
       | None -> []
-      | Some iter ->
-        let dim = ds - 1 in
-        List.map (fun c -> (dim, c)) (pin_row ~stmt:sc.stmt ~dim ~iter ~all_iters)
+      | Some iter -> pin (ds - 1) iter
     end
   in
   let excluded =
@@ -55,31 +37,21 @@ let scenario_constraints ~full (kernel : Kernel.t) (sc : Scenario.t) =
   in
   pinned @ excluded
 
-(* Assemble one branch: a chain of nodes carrying each depth's constraints,
-   with the vectorization payload at the leaf. *)
+(* Assemble one branch: each depth's constraints, with the vectorization
+   payload at the leaf. *)
 let branch_of_set ~label ~full kernel (set : Scenario.t list) =
-  let depth =
-    List.fold_left (fun acc (s : Ir.Stmt.t) -> max acc (Stmt.dim s)) 1 kernel.Kernel.stmts
-  in
   let tagged = List.concat_map (scenario_constraints ~full kernel) set in
   let at d = List.filter_map (fun (dd, c) -> if dd = d then Some c else None) tagged in
-  let payload =
+  let vectors =
     List.filter_map
       (fun (sc : Scenario.t) ->
         match sc.vector_iter with
-        | Some it when sc.vector_width > 1 ->
-          Some
-            ( vector_annotation_key sc.stmt,
-              Printf.sprintf "%s:%d" it sc.vector_width )
+        | Some iter when sc.vector_width > 1 ->
+          Some (Schedule.Vector { stmt = sc.stmt; iter; width = sc.vector_width })
         | _ -> None)
       set
   in
-  let payload = ("influence_branch", label) :: payload in
-  let rec chain d =
-    if d = depth - 1 then Influence.node ~label:(label ^ "@leaf") ~payload (at d)
-    else Influence.node ~label:(Printf.sprintf "%s@%d" label d) ~children:[ chain (d + 1) ] (at d)
-  in
-  chain 0
+  Influence.chain ~label ~payload:(Schedule.Branch label :: vectors) kernel at
 
 let branch_key (n : Influence.node) =
   let rec go (n : Influence.node) =

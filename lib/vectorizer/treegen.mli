@@ -11,14 +11,11 @@
 
 val influence_for : ?weights:Costmodel.weights -> Ir.Kernel.t -> Scheduling.Influence.t
 (** The constraint tree injected for the {b infl} and {b novec} compiler
-    versions, with at most 8 root alternatives (the paper's setting). *)
-
-val vector_annotation_key : string -> string
-(** Annotation key under which the schedule carries the vectorization
-    preparation of a statement. *)
-
-val parse_vector_annotation : string -> (string * int) option
-(** [(iterator, width)] from an annotation value. *)
+    versions, with at most 8 root alternatives (the paper's setting).
+    Each branch is an {!Scheduling.Influence.chain} whose leaf carries the
+    branch label ({!Scheduling.Schedule.Branch}) and one
+    {!Scheduling.Schedule.Vector} per statement prepared for vectors
+    wider than 1. *)
 
 val scenario_sets : ?weights:Costmodel.weights -> Ir.Kernel.t -> Scenario.t list list
 (** The underlying scenario sets (printed by the Fig. 3 benchmark). *)

@@ -16,6 +16,18 @@ let semantics_match k ast =
   Interp.run_ast k ast m2;
   Interp.equal m1 m2
 
+(* [sched] annotated to tile every loop row at [size], as the tiling
+   client's leaf would *)
+let tile_every ~size (sched : Scheduling.Schedule.t) =
+  let loops =
+    List.filter
+      (fun (r : Scheduling.Schedule.row) -> r.kind <> Scheduling.Schedule.Scalar)
+      sched.rows
+  in
+  { sched with
+    annotations = [ Scheduling.Schedule.Tile_sizes (List.mapi (fun ord _ -> (ord, size)) loops) ]
+  }
+
 let rec count_loops = function
   | Ast.Stmts l -> List.fold_left (fun acc t -> acc + count_loops t) 0 l
   | Ast.If (_, b) -> count_loops b
@@ -41,7 +53,7 @@ let test_tiling_all_classics_semantics () =
     (fun (name, mk) ->
       let k = mk () in
       let sched, _ = schedule k in
-      let c = Compile.lower ~vectorize:false ~tile_sizes:(fun _ -> Some 4) sched k in
+      let c = Compile.lower ~vectorize:false (tile_every ~size:4 sched) k in
       Alcotest.(check bool) (name ^ " tiled semantics") true (semantics_match k c.ast))
     Ops.Classics.all_small
 
@@ -111,7 +123,7 @@ let test_tiling_respects_permutability () =
 let test_tiling_point_loops_mappable () =
   let k = Ops.Classics.broadcast_bias_relu ~n:64 ~c:64 () in
   let sched, _ = schedule k in
-  let c = Compile.lower ~vectorize:false ~tile_sizes:(fun _ -> Some 16) sched k in
+  let c = Compile.lower ~vectorize:false (tile_every ~size:16 sched) k in
   (* point loops carry trip hints, so threads still exist *)
   Alcotest.(check bool) "threads mapped" true (Mapping.block_threads c.mapping > 1);
   Alcotest.(check bool) "blocks from tile loops" true (Mapping.grid_blocks c.mapping > 1);

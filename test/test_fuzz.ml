@@ -220,7 +220,7 @@ let test_refused_tile_chain_caught () =
     if v <> Harness.Pipeline.Tiled then s
     else
       { s with rows = [ row "i"; row "j" ];
-               annotations = [ (Scheduling.Tiling.annotation_key, "0:4,1:4") ] }
+               annotations = [ Scheduling.Schedule.Tile_sizes [ (0, 4); (1, 4) ] ] }
   in
   Alcotest.(check bool) "unperturbed, the case passes" true (Check.run k = Ok ());
   match Check.run ~perturb k with

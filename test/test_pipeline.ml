@@ -46,7 +46,7 @@ let same_us what ~op version expected actual =
 
 (* Every zoo operator under isl/novec/infl/tiled: eval = serve.
    The infl time of 7 reduce operators (r50_reduce_011 among them) depends
-   on the version table's vec_min_parallel: 11.89/12.03 us with it,
+   on the version table's vector-pass threshold: 11.89/12.03 us with it,
    21.19/21.42 us without. *)
 let test_zoo_times () =
   let machine = Gpusim.Machine.v100 in

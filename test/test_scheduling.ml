@@ -86,7 +86,7 @@ let test_farkas_call_independent () =
 (* ------------------------------------------------------------------ *)
 
 let test_influence_tree_shape () =
-  let leaf = Influence.node ~label:"leaf" ~payload:[ ("k", "v") ] [] in
+  let leaf = Influence.node ~label:"leaf" ~payload:[ Schedule.Branch "leaf" ] [] in
   let t =
     [ Influence.node ~label:"a" [] ~children:[ Influence.node [] ~children:[ leaf ] ];
       Influence.node ~label:"b" [] ]
@@ -214,6 +214,8 @@ let test_all_classics_legal () =
 (* Influenced scheduling                                                *)
 (* ------------------------------------------------------------------ *)
 
+let vec_jY = Schedule.Vector { stmt = "Y"; iter = "jY"; width = 4 }
+
 let fig3_like_tree () =
   let same dim =
     [ Constr.eq (cv ~stmt:"X" ~dim "iX") (cv ~stmt:"Y" ~dim "iY");
@@ -227,7 +229,7 @@ let fig3_like_tree () =
       Constr.eq0 (cv ~stmt:"Y" ~dim:2 "kY")
     ]
   in
-  let leaf = Influence.node ~label:"vec j" ~payload:[ ("vec", "Y@2") ] vec_last in
+  let leaf = Influence.node ~label:"vec j" ~payload:[ vec_jY ] vec_last in
   [ Influence.node ~label:"fuse d0" (same 0)
       ~children:[ Influence.node ~label:"fuse d1" (same 1) ~children:[ leaf ] ];
     Influence.node ~label:"relaxed d0" [ Constr.eq0 (cv ~stmt:"Y" ~dim:0 "jY") ]
@@ -247,7 +249,7 @@ let test_influenced_fig2_matches_paper () =
   check_expr "dim1 X" sched ~dim:1 ~stmt:"X" "kX";
   check_expr "dim1 Y" sched ~dim:1 ~stmt:"Y" "kY";
   check_expr "dim2 Y" sched ~dim:2 ~stmt:"Y" "jY";
-  Alcotest.(check (option string)) "annotation" (Some "Y@2") (Schedule.annotation sched "vec");
+  Alcotest.(check bool) "annotation" true (sched.Schedule.annotations = [ vec_jY ]);
   Alcotest.(check bool) "no abandon" false stats.influence_abandoned;
   Alcotest.(check int) "no sibling move" 0 stats.sibling_moves
 
@@ -260,11 +262,11 @@ let test_influence_sibling_fallback () =
     Influence.node ~label:"impossible"
       [ Constr.eq0 (cv ~stmt:"X" ~dim:0 "iX"); Constr.eq0 (cv ~stmt:"X" ~dim:0 "kX") ]
   in
-  let ok = Influence.node ~label:"ok" ~payload:[ ("took", "second") ] [] in
+  let ok = Influence.node ~label:"ok" ~payload:[ Schedule.Branch "second" ] [] in
   let sched, stats = schedule ~influence:[ impossible; ok ] k in
   Alcotest.(check bool) "legal" true (legal k sched);
-  Alcotest.(check (option string)) "second branch used" (Some "second")
-    (Schedule.annotation sched "took");
+  Alcotest.(check bool) "second branch used" true
+    (sched.Schedule.annotations = [ Schedule.Branch "second" ]);
   Alcotest.(check bool) "sibling move counted" true (stats.sibling_moves >= 1)
 
 let test_influence_abandon () =
@@ -293,10 +295,11 @@ let test_influence_require_parallel () =
         Constr.eq0 (cv ~stmt:"R" ~dim:0 "i")
       ]
   in
-  let fallback = Influence.node ~label:"fallback" ~payload:[ ("fb", "1") ] [] in
+  let fallback = Influence.node ~label:"fallback" ~payload:[ Schedule.Branch "fb" ] [] in
   let sched, _ = schedule ~influence:[ forced_j; fallback ] k in
   Alcotest.(check bool) "legal" true (legal k sched);
-  Alcotest.(check (option string)) "fallback used" (Some "1") (Schedule.annotation sched "fb");
+  Alcotest.(check bool) "fallback used" true
+    (sched.Schedule.annotations = [ Schedule.Branch "fb" ]);
   check_expr "dim0 i" sched ~dim:0 ~stmt:"R" "i"
 
 let test_influence_ancestor_backtrack () =
@@ -314,11 +317,11 @@ let test_influence_ancestor_backtrack () =
       ]
       ~children:[ impossible_child ]
   in
-  let b = Influence.node ~label:"B" ~payload:[ ("branch", "B") ] [] in
+  let b = Influence.node ~label:"B" ~payload:[ Schedule.Branch "B" ] [] in
   let sched, stats = schedule ~influence:[ a; b ] k in
   Alcotest.(check bool) "legal" true (legal k sched);
   Alcotest.(check bool) "backtracked" true (stats.ancestor_backtracks >= 1);
-  Alcotest.(check (option string)) "branch B" (Some "B") (Schedule.annotation sched "branch");
+  Alcotest.(check bool) "branch B" true (sched.Schedule.annotations = [ Schedule.Branch "B" ]);
   (* the dim 0 computed under A must have been withdrawn *)
   check_expr "dim0 back to i" sched ~dim:0 ~stmt:"T" "i"
 
@@ -487,12 +490,12 @@ let test_screen_skips_single_dependence () =
   let no_i =
     Influence.node ~label:"no i at dim 0" [ Constr.eq0 (cv ~stmt:"S" ~dim:0 "i") ]
   in
-  let ok = Influence.node ~label:"ok" ~payload:[ ("took", "second") ] [] in
+  let ok = Influence.node ~label:"ok" ~payload:[ Schedule.Branch "second" ] [] in
   let sched, stats = schedule ~influence:[ no_i; ok ] k in
   Alcotest.(check int) "one dependence" 1 (List.length (Deps.Analysis.dependences k));
   Alcotest.(check bool) "legal" true (legal k sched);
-  Alcotest.(check (option string)) "second branch used" (Some "second")
-    (Schedule.annotation sched "took");
+  Alcotest.(check bool) "second branch used" true
+    (sched.Schedule.annotations = [ Schedule.Branch "second" ]);
   Alcotest.(check bool) "the fast path's candidate broke the dependence" true
     (stats.fastpath_validity_rejects >= 1);
   Alcotest.(check int) "never screened" 0 stats.screened

@@ -86,7 +86,9 @@ let test_stencil_tiled_end_to_end () =
   Alcotest.(check bool) "tree nonempty" true (tree <> Scheduling.Influence.empty);
   let sched = schedule ~influence:tree k in
   Alcotest.(check bool) "tile-shape annotation injected" true
-    (Scheduling.Schedule.annotation sched Scheduling.Tiling.annotation_key <> None);
+    (List.exists
+       (function Scheduling.Schedule.Tile_sizes _ -> true | _ -> false)
+       sched.Scheduling.Schedule.annotations);
   let c = Compile.lower ~vectorize:false sched k in
   Alcotest.(check bool) "backend tiled the band" true (Tiling.applied c.Compile.ast);
   Alcotest.(check bool) "tiled AST matches the interpreter" true
@@ -125,7 +127,7 @@ let test_no_annotation_reproduces_untiled () =
   let k = Ops.Classics.stencil2d ~n:16 ~m:32 () in
   let sched = schedule k in
   Alcotest.(check bool) "baseline schedule carries no tile annotation" true
-    (Scheduling.Tiling.sizes_of_schedule sched = None);
+    (Tiling.sizes_of_schedule sched = None);
   let plain = Compile.lower ~vectorize:false sched k in
   Alcotest.(check bool) "nothing tiled" false (Tiling.applied plain.Compile.ast)
 
@@ -133,18 +135,40 @@ let test_tile_size_one_is_identity () =
   let k = Ops.Classics.stencil2d ~n:16 ~m:32 () in
   let sched = schedule k in
   let plain = Compile.lower ~vectorize:false sched k in
-  let one = Compile.lower ~vectorize:false ~tile_sizes:(fun _ -> Some 1) sched k in
+  let one =
+    Compile.lower ~vectorize:false
+      { sched with annotations = [ Scheduling.Schedule.Tile_sizes [ (0, 1); (1, 1) ] ] }
+      k
+  in
   Alcotest.(check string) "size-1 tiling emits bit-identical CUDA"
     (Cuda.emit plain) (Cuda.emit one)
 
-let test_sizes_roundtrip () =
-  let sizes = [ (0, 16); (1, 8); (3, 4) ] in
+(* Tile sizes are keyed by loop ordinal: on rows [Loop; Scalar; Loop],
+   ordinal 1 is row 2, so its size must tile row 2 and nothing row 1. *)
+let test_ordinals_skip_scalar_rows () =
+  let k = Ops.Classics.cast_transpose ~n:8 ~m:8 () in
+  let row kind e = { Scheduling.Schedule.kind; exprs = [ ("T", e) ] } in
+  let loop it = row (Scheduling.Schedule.Loop { coincident = true }) (Polyhedra.Linexpr.var it) in
+  let sched =
+    { Scheduling.Schedule.kernel_name = k.Kernel.name;
+      stmt_names = [ "T" ];
+      rows = [ loop "i"; row Scheduling.Schedule.Scalar Polyhedra.Linexpr.zero; loop "j" ];
+      annotations = [ Scheduling.Schedule.Tile_sizes [ (0, 2); (1, 4) ] ]
+    }
+  in
+  let c = Compile.lower ~vectorize:false sched k in
+  let rec tiles = function
+    | Ast.Stmts l -> List.concat_map tiles l
+    | Ast.If (_, b) -> tiles b
+    | Ast.Exec _ | Ast.VecExec _ -> []
+    | Ast.For l ->
+      (match l.Ast.kind with Ast.Tile s -> [ (l.Ast.dim + 1000, s) ] | _ -> [])
+      @ tiles l.Ast.body
+  in
   Alcotest.(check (list (pair int int)))
-    "render/parse round-trip" sizes
-    (Scheduling.Tiling.parse_sizes (Scheduling.Tiling.render_sizes sizes));
-  Alcotest.(check (list (pair int int)))
-    "garbage rejected" []
-    (Scheduling.Tiling.parse_sizes "a:b,1,;;2:-4,3:1")
+    "(row, size) of every tile loop" [ (0, 2); (2, 4) ] (tiles c.Compile.ast);
+  Alcotest.(check bool) "tiled AST matches the interpreter" true
+    (semantics_match k c.Compile.ast)
 
 (* ------------------------------------------------------------------ *)
 (* broken-tiler fault injection                                         *)
@@ -250,7 +274,8 @@ let () =
       ( "identity",
         [ Alcotest.test_case "no annotation" `Quick test_no_annotation_reproduces_untiled;
           Alcotest.test_case "size-1 identity" `Quick test_tile_size_one_is_identity;
-          Alcotest.test_case "sizes round-trip" `Quick test_sizes_roundtrip
+          Alcotest.test_case "ordinals skip scalar rows" `Quick
+            test_ordinals_skip_scalar_rows
         ] );
       ( "fault-injection",
         [ Alcotest.test_case "off-by-one detectable" `Quick

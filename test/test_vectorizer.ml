@@ -114,14 +114,10 @@ let test_tree_shape () =
   Alcotest.(check bool) "leaf has payload" true
     (List.exists
        (fun (n : Scheduling.Influence.node) ->
-         List.mem_assoc (Treegen.vector_annotation_key "Y") n.payload)
+         List.exists
+           (function Scheduling.Schedule.Vector v -> v.stmt = "Y" | _ -> false)
+           n.payload)
        leaves)
-
-let test_annotation_roundtrip () =
-  Alcotest.(check (option (pair string int))) "parse" (Some ("jY", 4))
-    (Treegen.parse_vector_annotation "jY:4");
-  Alcotest.(check (option (pair string int))) "garbage" None
-    (Treegen.parse_vector_annotation "nonsense")
 
 let schedule ~influence k =
   Polyhedra.Solver_memo.scoped (fun () -> Scheduling.Scheduler.schedule ~influence k)
@@ -138,8 +134,10 @@ let test_influenced_schedule_fig2 () =
   Alcotest.(check string) "dim1 Y" "kY" (e 1 "Y");
   Alcotest.(check string) "dim2 Y" "jY" (e 2 "Y");
   Alcotest.(check string) "dim1 X" "kX" (e 1 "X");
-  Alcotest.(check (option string)) "vec Y" (Some "jY:4")
-    (Scheduling.Schedule.annotation sched (Treegen.vector_annotation_key "Y"));
+  Alcotest.(check bool) "vec Y" true
+    (List.mem
+       (Scheduling.Schedule.Vector { stmt = "Y"; iter = "jY"; width = 4 })
+       sched.Scheduling.Schedule.annotations);
   Alcotest.(check bool) "not abandoned" false stats.influence_abandoned
 
 let test_influenced_all_classics_legal () =
@@ -265,7 +263,6 @@ let () =
         ] );
       ( "treegen",
         [ Alcotest.test_case "tree shape" `Quick test_tree_shape;
-          Alcotest.test_case "annotation roundtrip" `Quick test_annotation_roundtrip;
           Alcotest.test_case "influenced fig2" `Quick test_influenced_schedule_fig2;
           Alcotest.test_case "influenced classics legal" `Quick test_influenced_all_classics_legal
         ] );
