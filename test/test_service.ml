@@ -254,6 +254,159 @@ let test_cache_eviction () =
    | _ -> assert false);
   Alcotest.(check int) "evictions counted" 2 (counter "service.cache_evictions")
 
+let file_size path = (Unix.stat path).Unix.st_size
+
+(* the running count keeps stores below the cap off the directory: one
+   scan (the open's) however many stores follow *)
+let test_cache_no_scan_below_cap () =
+  reset ();
+  let c = Service.Cache.open_ (fresh_dir ()) in
+  let keys = List.init 300 (fun i -> key (Printf.sprintf "below%d" i)) in
+  List.iter (fun k -> Service.Cache.store c k (payload "v")) keys;
+  Alcotest.(check int) "only the open scanned" 1 (counter "service.cache_scans");
+  let s = Service.Cache.stats c in
+  Alcotest.(check int) "every entry on disk" 300 s.Service.Cache.entries;
+  Alcotest.(check int)
+    "stats bytes are the files' sizes"
+    (List.fold_left (fun acc k -> acc + file_size (Service.Cache.entry_path c k)) 0 keys)
+    s.Service.Cache.bytes
+
+(* a rewrite replaces its entry's bytes instead of adding to them *)
+let test_cache_rewrite_counted_once () =
+  reset ();
+  let dir = fresh_dir () in
+  let probe = Service.Cache.open_ dir in
+  let k = key "rewrite" in
+  Service.Cache.store probe k (payload "v");
+  let entry_bytes = file_size (Service.Cache.entry_path probe k) in
+  let c = Service.Cache.open_ ~max_bytes:(3 * entry_bytes / 2) dir in
+  for _ = 1 to 20 do
+    Service.Cache.store c k (payload "v")
+  done;
+  Alcotest.(check int) "nothing evicted" 0 (counter "service.cache_evictions");
+  Alcotest.(check int) "no rescan" 2 (counter "service.cache_scans");
+  Alcotest.(check bool)
+    "the entry survives" true
+    (Service.Cache.find c k = Some (payload "v"))
+
+(* a full cache stays under its cap after every store, keeps what it
+   just stored, and rescans once per eighth of the cap stored: with a
+   16-entry cap, once per three stores at most (plus the two opens) *)
+let test_cache_full_amortizes () =
+  reset ();
+  let dir = fresh_dir () in
+  let probe = Service.Cache.open_ dir in
+  Service.Cache.store probe (key "full0") (payload "v");
+  let entry_bytes = file_size (Service.Cache.entry_path probe (key "full0")) in
+  let cap = 16 * entry_bytes in
+  let c = Service.Cache.open_ ~max_bytes:cap dir in
+  for i = 1 to 200 do
+    let k = key (Printf.sprintf "full%d" i) in
+    Service.Cache.store c k (payload "v");
+    let s = Service.Cache.stats c in
+    if s.Service.Cache.bytes > cap then
+      Alcotest.failf "store %d left %d bytes over a %d-byte cap" i s.Service.Cache.bytes cap;
+    if not (Sys.file_exists (Service.Cache.entry_path c k)) then
+      Alcotest.failf "store %d evicted its own entry" i
+  done;
+  let scans = counter "service.cache_scans" in
+  Alcotest.(check bool)
+    (Printf.sprintf "far fewer scans than stores (%d)" scans)
+    true (scans <= 2 + (200 / 3) + 1);
+  Alcotest.(check int)
+    "every eviction accounted for"
+    (201 - (Service.Cache.stats c).Service.Cache.entries)
+    (counter "service.cache_evictions")
+
+(* another handle's writes are invisible to the running count until this
+   handle's next rescan, which then sees the directory's true total *)
+let test_cache_other_handle () =
+  reset ();
+  let dir = fresh_dir () in
+  let probe = Service.Cache.open_ dir in
+  Service.Cache.store probe (key "other0") (payload "v");
+  let entry_bytes = file_size (Service.Cache.entry_path probe (key "other0")) in
+  let cap = 8 * entry_bytes in
+  let a = Service.Cache.open_ ~max_bytes:cap dir in
+  let b = Service.Cache.open_ ~max_bytes:max_int dir in
+  for i = 1 to 20 do
+    Service.Cache.store b (key (Printf.sprintf "otherB%d" i)) (payload "v")
+  done;
+  Alcotest.(check bool)
+    "B filled past A's cap" true
+    ((Service.Cache.stats a).Service.Cache.bytes > cap);
+  (* A's count is still the one entry it saw at open: stores stay cheap
+     until that count itself passes the cap *)
+  let i = ref 0 in
+  while (Service.Cache.stats a).Service.Cache.bytes > cap && !i < 16 do
+    incr i;
+    Service.Cache.store a (key (Printf.sprintf "otherA%d" !i)) (payload "v")
+  done;
+  Alcotest.(check bool)
+    "A's over-cap store brought the directory under the cap" true
+    ((Service.Cache.stats a).Service.Cache.bytes <= cap);
+  Alcotest.(check bool)
+    "A's latest entry survives" true
+    (Service.Cache.find a (key (Printf.sprintf "otherA%d" !i)) = Some (payload "v"))
+
+(* Every damaged copy of an entry either reads back as the identical
+   payload or is dropped as corrupt; find never raises, each drop counts
+   once, and a later store works. *)
+let test_cache_damaged_files () =
+  reset ();
+  let c = Service.Cache.open_ (fresh_dir ()) in
+  let k = key "damage" in
+  let p =
+    Obs.Json.Assoc
+      [ ("op", Obs.Json.String "fig2"); ("rows", Obs.Json.Int 12);
+        ("time_us", Obs.Json.Float 11.890625); ("legal", Obs.Json.Bool true);
+        ("source", Obs.Json.String "for (i = 0; i < 8; i++)\n  a[i] = \"x\";");
+        ("dims", Obs.Json.List [ Obs.Json.Int 0; Obs.Json.Int 31; Obs.Json.Null ])
+      ]
+  in
+  Service.Cache.store c k p;
+  let path = Service.Cache.entry_path c k in
+  let ic = open_in_bin path in
+  let good = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  let drops = ref 0 and tries = ref 0 in
+  let try_damaged what contents =
+    incr tries;
+    let oc = open_out_bin path in
+    output_string oc contents;
+    close_out oc;
+    let before = counter "service.cache_corrupt" in
+    (match Service.Cache.find c k with
+     | exception e -> Alcotest.failf "%s: find raised %s" what (Printexc.to_string e)
+     | Some got when Obs.Json.equal got p -> ()
+     | Some got -> Alcotest.failf "%s: find returned %s" what (Obs.Json.to_string got)
+     | None ->
+       incr drops;
+       if Sys.file_exists path then Alcotest.failf "%s: corrupt file kept" what);
+    Alcotest.(check int)
+      (what ^ ": corrupt count")
+      (if Sys.file_exists path then before else before + 1)
+      (counter "service.cache_corrupt")
+  in
+  let n = String.length good in
+  for len = 0 to n - 1 do
+    try_damaged (Printf.sprintf "truncated to %d" len) (String.sub good 0 len)
+  done;
+  List.iter
+    (fun mask ->
+      for i = 0 to n - 1 do
+        let b = Bytes.of_string good in
+        Bytes.set b i (Char.chr (Char.code good.[i] lxor mask));
+        try_damaged (Printf.sprintf "byte %d xor %#x" i mask) (Bytes.to_string b)
+      done)
+    [ 0x01; 0x20; 0x80 ];
+  Alcotest.(check bool) "most damage is caught" true (!drops > !tries / 2);
+  Alcotest.(check int) "each drop counted" !drops (counter "service.cache_corrupt");
+  Service.Cache.store c k p;
+  Alcotest.(check bool)
+    "a later store works" true
+    (Option.map (Obs.Json.equal p) (Service.Cache.find c k) = Some true)
+
 (* ------------------------------------------------------------------ *)
 (* Batch                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -671,7 +824,14 @@ let () =
         [ Alcotest.test_case "roundtrip" `Quick test_cache_roundtrip;
           Alcotest.test_case "corruption" `Quick test_cache_corrupt;
           Alcotest.test_case "format bump" `Quick test_cache_format_bump;
-          Alcotest.test_case "eviction" `Quick test_cache_eviction
+          Alcotest.test_case "eviction" `Quick test_cache_eviction;
+          Alcotest.test_case "stores below the cap do not scan" `Quick
+            test_cache_no_scan_below_cap;
+          Alcotest.test_case "a rewrite is counted once" `Quick
+            test_cache_rewrite_counted_once;
+          Alcotest.test_case "full cache amortizes" `Quick test_cache_full_amortizes;
+          Alcotest.test_case "another handle's writes" `Quick test_cache_other_handle;
+          Alcotest.test_case "damaged files" `Quick test_cache_damaged_files
         ] );
       ( "batch",
         [ Alcotest.test_case "cache roundtrip" `Quick test_batch_cache_roundtrip;
