@@ -85,9 +85,14 @@ let network_of_name name =
       String.lowercase_ascii n.Ops.Networks.name = String.lowercase_ascii name)
     Ops.Networks.all
 
+(* Each classic is built once, so repeated lookups of one name return the
+   physically same kernel (serve reuses its cache key only then), as the
+   networks' lazily built operators already do. *)
+let classics = List.map (fun (name, mk) -> (name, Lazy.from_fun mk)) Ops.Classics.all
+
 let find_op name =
-  match List.assoc_opt name Ops.Classics.all with
-  | Some mk -> Some (mk ())
+  match List.assoc_opt name classics with
+  | Some k -> Some (Lazy.force k)
   | None -> (
     (* network/op syntax *)
     match String.index_opt name '/' with

@@ -11,10 +11,18 @@ type t =
 (* printing                                                             *)
 (* ------------------------------------------------------------------ *)
 
+let hex_digit d = "0123456789abcdef".[d]
+
+(* Characters that print as themselves are copied a run at a time; only a
+   quote, a backslash or a control character is written on its own. *)
 let escape_string buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
+  let start = ref 0 in
+  for i = 0 to String.length s - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+      Buffer.add_substring buf s !start (i - !start);
+      start := i + 1;
       match c with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
@@ -23,18 +31,25 @@ let escape_string buf s =
       | '\t' -> Buffer.add_string buf "\\t"
       | '\b' -> Buffer.add_string buf "\\b"
       | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+      | c ->
+        Buffer.add_string buf "\\u00";
+        Buffer.add_char buf (hex_digit (Char.code c lsr 4));
+        Buffer.add_char buf (hex_digit (Char.code c land 0xF))
+    end
+  done;
+  Buffer.add_substring buf s !start (String.length s - !start);
   Buffer.add_char buf '"'
 
+(* The C primitive behind [Printf]'s [%f]/[%g] on finite floats: same
+   text, without interpreting a format string per call. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 let float_to_string f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+  if Float.is_integer f && Float.abs f < 1e15 then format_float "%.1f" f
   else
     (* shortest representation that round-trips *)
-    let s = Printf.sprintf "%.15g" f in
-    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+    let s = format_float "%.15g" f in
+    if float_of_string s = f then s else format_float "%.17g" f
 
 let rec write buf = function
   | Null -> Buffer.add_string buf "null"
@@ -76,30 +91,35 @@ let pp fmt v = Format.pp_print_string fmt (to_string v)
 
 exception Parse_error of int * string
 
+(* The parser reads [src] in place: no per-character option or substring,
+   only the values it returns allocate. *)
 type parser_state = { src : string; mutable pos : int }
 
 let fail st msg = raise (Parse_error (st.pos, msg))
 
-let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
+let at_end st = st.pos >= String.length st.src
+
+(* the current character; callers check [at_end] first *)
+let cur st = String.unsafe_get st.src st.pos
+
+let next_is st c = st.pos < String.length st.src && cur st = c
 
 let advance st = st.pos <- st.pos + 1
 
-let rec skip_ws st =
-  match peek st with
-  | Some (' ' | '\t' | '\n' | '\r') ->
-    advance st;
-    skip_ws st
-  | _ -> ()
+let skip_ws st =
+  let n = String.length st.src in
+  while
+    st.pos < n && match cur st with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
+  do
+    advance st
+  done
 
-let expect st c =
-  match peek st with
-  | Some x when x = c -> advance st
-  | _ -> fail st (Printf.sprintf "expected '%c'" c)
+let expect st c = if next_is st c then advance st else fail st (Printf.sprintf "expected '%c'" c)
 
 let expect_word st w =
   let n = String.length w in
-  if st.pos + n <= String.length st.src && String.sub st.src st.pos n = w then
-    st.pos <- st.pos + n
+  let rec same i = i = n || (String.unsafe_get st.src (st.pos + i) = w.[i] && same (i + 1)) in
+  if st.pos + n <= String.length st.src && same 0 then st.pos <- st.pos + n
   else fail st (Printf.sprintf "expected %s" w)
 
 (* Encode a Unicode code point as UTF-8 into [buf]. *)
@@ -124,62 +144,92 @@ let add_utf8 buf cp =
 let parse_hex4 st =
   let v = ref 0 in
   for _ = 1 to 4 do
-    (match peek st with
-     | Some c ->
-       let d =
-         match c with
-         | '0' .. '9' -> Char.code c - Char.code '0'
-         | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-         | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-         | _ -> fail st "bad \\u escape"
-       in
-       v := (!v * 16) + d
-     | None -> fail st "bad \\u escape");
+    if at_end st then fail st "bad \\u escape";
+    let d =
+      match cur st with
+      | '0' .. '9' as c -> Char.code c - Char.code '0'
+      | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+      | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+      | _ -> fail st "bad \\u escape"
+    in
+    v := (!v * 16) + d;
     advance st
   done;
   !v
 
+let is_high_surrogate cp = cp >= 0xD800 && cp <= 0xDBFF
+let is_low_surrogate cp = cp >= 0xDC00 && cp <= 0xDFFF
+
+(* The code point of the escape after a [\u] at [st.pos]: a high surrogate
+   must be followed by a [\u] low surrogate, and a low surrogate may not
+   stand alone.  A bad pair is reported at the offending escape's
+   backslash. *)
+let parse_code_point st =
+  let at = st.pos - 2 in
+  let cp = parse_hex4 st in
+  if is_low_surrogate cp then raise (Parse_error (at, "unpaired surrogate"))
+  else if is_high_surrogate cp then begin
+    expect st '\\';
+    expect st 'u';
+    let lo = parse_hex4 st in
+    if not (is_low_surrogate lo) then raise (Parse_error (st.pos - 6, "unpaired surrogate"));
+    0x10000 + ((cp - 0xD800) lsl 10) + (lo - 0xDC00)
+  end
+  else cp
+
+(* the end of the run of characters at or after [i] that stand for
+   themselves: the first quote or backslash, or the end of input *)
+let plain_run_end src i =
+  let n = String.length src and i = ref i in
+  while
+    !i < n && match String.unsafe_get src !i with '"' | '\\' -> false | _ -> true
+  do
+    incr i
+  done;
+  !i
+
 let parse_string st =
   expect st '"';
-  let buf = Buffer.create 16 in
-  let rec go () =
-    match peek st with
-    | None -> fail st "unterminated string"
-    | Some '"' -> advance st
-    | Some '\\' -> (
-      advance st;
-      match peek st with
-      | Some '"' -> advance st; Buffer.add_char buf '"'; go ()
-      | Some '\\' -> advance st; Buffer.add_char buf '\\'; go ()
-      | Some '/' -> advance st; Buffer.add_char buf '/'; go ()
-      | Some 'n' -> advance st; Buffer.add_char buf '\n'; go ()
-      | Some 'r' -> advance st; Buffer.add_char buf '\r'; go ()
-      | Some 't' -> advance st; Buffer.add_char buf '\t'; go ()
-      | Some 'b' -> advance st; Buffer.add_char buf '\b'; go ()
-      | Some 'f' -> advance st; Buffer.add_char buf '\012'; go ()
-      | Some 'u' ->
-        advance st;
-        let cp = parse_hex4 st in
-        (* surrogate pair *)
-        let cp =
-          if cp >= 0xD800 && cp <= 0xDBFF then begin
-            expect st '\\';
-            expect st 'u';
-            let lo = parse_hex4 st in
-            0x10000 + ((cp - 0xD800) lsl 10) + (lo - 0xDC00)
-          end
-          else cp
-        in
-        add_utf8 buf cp;
-        go ()
-      | _ -> fail st "bad escape")
-    | Some c ->
-      advance st;
-      Buffer.add_char buf c;
-      go ()
-  in
-  go ();
-  Buffer.contents buf
+  let start = st.pos in
+  let stop = plain_run_end st.src start in
+  if stop < String.length st.src && st.src.[stop] = '"' then begin
+    (* no escape: the string is its source text *)
+    st.pos <- stop + 1;
+    String.sub st.src start (stop - start)
+  end
+  else begin
+    let buf = Buffer.create (stop - start + 16) in
+    let rec go () =
+      if at_end st then fail st "unterminated string"
+      else
+        match cur st with
+        | '"' -> advance st
+        | '\\' ->
+          advance st;
+          if at_end st then fail st "bad escape";
+          (match cur st with
+           | '"' -> advance st; Buffer.add_char buf '"'
+           | '\\' -> advance st; Buffer.add_char buf '\\'
+           | '/' -> advance st; Buffer.add_char buf '/'
+           | 'n' -> advance st; Buffer.add_char buf '\n'
+           | 'r' -> advance st; Buffer.add_char buf '\r'
+           | 't' -> advance st; Buffer.add_char buf '\t'
+           | 'b' -> advance st; Buffer.add_char buf '\b'
+           | 'f' -> advance st; Buffer.add_char buf '\012'
+           | 'u' ->
+             advance st;
+             add_utf8 buf (parse_code_point st)
+           | _ -> fail st "bad escape");
+          go ()
+        | _ ->
+          let stop = plain_run_end st.src st.pos in
+          Buffer.add_substring buf st.src st.pos (stop - st.pos);
+          st.pos <- stop;
+          go ()
+    in
+    go ();
+    Buffer.contents buf
+  end
 
 (* RFC 8259 number grammar, and nothing more:
      number = [ "-" ] ( "0" / digit1-9 *DIGIT ) [ "." 1*DIGIT ]
@@ -187,34 +237,29 @@ let parse_string st =
    No leading "+", no leading zeros, no bare "1." or "5e". *)
 let parse_number st =
   let start = st.pos in
+  let is_digit () = (not (at_end st)) && match cur st with '0' .. '9' -> true | _ -> false in
   let digits1 () =
-    match peek st with
-    | Some '0' .. '9' ->
-      advance st;
-      let rec go () =
-        match peek st with Some '0' .. '9' -> advance st; go () | _ -> ()
-      in
-      go ()
-    | _ -> fail st "bad number"
+    if not (is_digit ()) then fail st "bad number";
+    while is_digit () do
+      advance st
+    done
   in
-  if peek st = Some '-' then advance st;
-  (match peek st with
-   | Some '0' -> advance st
-   | Some '1' .. '9' -> digits1 ()
-   | _ -> fail st "bad number");
+  if next_is st '-' then advance st;
+  if next_is st '0' then advance st
+  else if is_digit () then digits1 ()
+  else fail st "bad number";
   let is_float = ref false in
-  if peek st = Some '.' then begin
+  if next_is st '.' then begin
     is_float := true;
     advance st;
     digits1 ()
   end;
-  (match peek st with
-   | Some ('e' | 'E') ->
-     is_float := true;
-     advance st;
-     (match peek st with Some ('-' | '+') -> advance st | _ -> ());
-     digits1 ()
-   | _ -> ());
+  if next_is st 'e' || next_is st 'E' then begin
+    is_float := true;
+    advance st;
+    if next_is st '-' || next_is st '+' then advance st;
+    digits1 ()
+  end;
   let s = String.sub st.src start (st.pos - start) in
   if !is_float then
     match float_of_string_opt s with
@@ -231,16 +276,16 @@ let parse_number st =
 
 let rec parse_value st =
   skip_ws st;
-  match peek st with
-  | None -> fail st "unexpected end of input"
-  | Some 'n' -> expect_word st "null"; Null
-  | Some 't' -> expect_word st "true"; Bool true
-  | Some 'f' -> expect_word st "false"; Bool false
-  | Some '"' -> String (parse_string st)
-  | Some '[' ->
+  if at_end st then fail st "unexpected end of input";
+  match cur st with
+  | 'n' -> expect_word st "null"; Null
+  | 't' -> expect_word st "true"; Bool true
+  | 'f' -> expect_word st "false"; Bool false
+  | '"' -> String (parse_string st)
+  | '[' ->
     advance st;
     skip_ws st;
-    if peek st = Some ']' then begin
+    if next_is st ']' then begin
       advance st;
       List []
     end
@@ -248,21 +293,21 @@ let rec parse_value st =
       let items = ref [ parse_value st ] in
       let rec go () =
         skip_ws st;
-        match peek st with
-        | Some ',' ->
+        if next_is st ',' then begin
           advance st;
           items := parse_value st :: !items;
           go ()
-        | Some ']' -> advance st
-        | _ -> fail st "expected ',' or ']'"
+        end
+        else if next_is st ']' then advance st
+        else fail st "expected ',' or ']'"
       in
       go ();
       List (List.rev !items)
     end
-  | Some '{' ->
+  | '{' ->
     advance st;
     skip_ws st;
-    if peek st = Some '}' then begin
+    if next_is st '}' then begin
       advance st;
       Assoc []
     end
@@ -278,19 +323,19 @@ let rec parse_value st =
       let items = ref [ field () ] in
       let rec go () =
         skip_ws st;
-        match peek st with
-        | Some ',' ->
+        if next_is st ',' then begin
           advance st;
           items := field () :: !items;
           go ()
-        | Some '}' -> advance st
-        | _ -> fail st "expected ',' or '}'"
+        end
+        else if next_is st '}' then advance st
+        else fail st "expected ',' or '}'"
       in
       go ();
       Assoc (List.rev !items)
     end
-  | Some ('-' | '0' .. '9') -> parse_number st
-  | Some c -> fail st (Printf.sprintf "unexpected character '%c'" c)
+  | '-' | '0' .. '9' -> parse_number st
+  | c -> fail st (Printf.sprintf "unexpected character '%c'" c)
 
 let of_string s =
   let st = { src = s; pos = 0 } in

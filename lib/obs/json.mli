@@ -28,8 +28,10 @@ val of_string : string -> (t, string) result
     everything else as [Float].  Numbers follow the RFC 8259 grammar
     exactly — a leading [+], leading zeros, a trailing [.] or a bare
     exponent are rejected.  Integer literals beyond native [int]
-    precision fall back to [Float].  The error string carries a
-    character offset. *)
+    precision fall back to [Float].  A [\u] escape of a UTF-16 surrogate
+    must be a high one directly followed by a [\u] low one (decoded to
+    one 4-byte UTF-8 character); a lone or mispaired surrogate is an
+    error.  The error string carries a character offset. *)
 
 val equal : t -> t -> bool
 (** Structural equality; [Assoc] fields compare in order, floats by

@@ -37,11 +37,22 @@ let dir t = t.dir
 
 let entry_path t key = Filename.concat t.dir (Key.digest key ^ ".json")
 
+(* One exact-size buffer, filled by [read] on the raw descriptor: no
+   channel buffer and no seeks.  A file that shrinks between the [fstat]
+   and the reads comes back short, and so fails its check. *)
 let read_all path =
-  let ic = open_in_bin path in
+  let fd = Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 in
   Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      let size = (Unix.fstat fd).Unix.st_size in
+      let b = Bytes.create size in
+      let rec fill off =
+        if off = size then off
+        else match Unix.read fd b off (size - off) with 0 -> off | k -> fill (off + k)
+      in
+      let got = fill 0 in
+      if got = size then Bytes.unsafe_to_string b else Bytes.sub_string b 0 got)
 
 let remove path = try Sys.remove path with Sys_error _ -> ()
 
@@ -133,7 +144,7 @@ let find t key =
   Obs.Span.with_ "service.cache_find" @@ fun () ->
   let path = entry_path t key in
   match read_all path with
-  | exception Sys_error _ ->
+  | exception Unix.Unix_error _ ->
     Obs.Counters.incr c_misses;
     None
   | contents ->

@@ -46,7 +46,10 @@ val dir : t -> string
 
 val find : t -> Key.t -> Obs.Json.t option
 (** The stored payload, or [None] (missing, corrupt, or format/digest
-    mismatch — never raises on bad cache state). *)
+    mismatch — never raises on bad cache state).  The entry is read
+    through [Unix] into one buffer of the size [fstat] reports (no
+    channel buffer, no seeks), then its check, its envelope and its
+    digest are verified before a hit refreshes its mtime. *)
 
 val store : t -> Key.t -> Obs.Json.t -> unit
 (** Atomically writes the entry, then enforces the size cap: amortized

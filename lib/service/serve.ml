@@ -22,7 +22,17 @@ let h_compile =
   Obs.Histogram.create "serve.compile_seconds"
     ~doc:"serve compile-request latency, cache hits included (seconds)"
 
+let c_key_hits =
+  Obs.Counters.create "service.serve_key_hits"
+    ~doc:"serve compile requests whose cache key was reused from an earlier request"
+
 let default_max_request_bytes = 1 lsl 20
+
+(* A named request's cache key, kept with the kernel and machine it was
+   made from.  It is reused only while [find_op] and the machine lookup
+   still return those physical values, so a key is never served for a
+   kernel it was not digested from. *)
+type memo_entry = { m_kernel : Ir.Kernel.t; m_machine : Gpusim.Machine.t; m_key : Key.t }
 
 type handler = {
   find_op : string -> Ir.Kernel.t option;
@@ -32,6 +42,9 @@ type handler = {
   max_request_bytes : int;
   started : float;
   next_id : int Atomic.t;
+  keys : (string * string * string, memo_entry) Hashtbl.t;
+      (* (op, version, machine name); guarded by [keys_lock] *)
+  keys_lock : Mutex.t;
 }
 
 let make_handler ?(kernel_of_json = None) ?cache
@@ -52,7 +65,30 @@ let make_handler ?(kernel_of_json = None) ?cache
     ~doc:"seconds since the serve handler was created" (fun () ->
       Unix.gettimeofday () -. started);
   { find_op; kernel_of_json; cache; default_machine; max_request_bytes; started;
-    next_id = Atomic.make 0 }
+    next_id = Atomic.make 0; keys = Hashtbl.create 64; keys_lock = Mutex.create () }
+
+let serve_flags op = [ ("entry", "serve"); ("op", op) ]
+
+(* [Key.make] prints the whole kernel, which costs more than the rest of a
+   cache hit; a named operator asked for again reuses its key.  Inline
+   kernels are decoded afresh per request and never share one. *)
+let named_key h ~op ~version ~machine kernel =
+  let slot = (op, version, machine.Gpusim.Machine.name) in
+  let reuse =
+    Mutex.protect h.keys_lock (fun () ->
+        match Hashtbl.find_opt h.keys slot with
+        | Some e when e.m_kernel == kernel && e.m_machine == machine -> Some e.m_key
+        | Some _ | None -> None)
+  in
+  match reuse with
+  | Some key ->
+    Obs.Counters.incr c_key_hits;
+    key
+  | None ->
+    let key = Key.make ~kernel ~machine ~version ~flags:(serve_flags op) () in
+    Mutex.protect h.keys_lock (fun () ->
+        Hashtbl.replace h.keys slot { m_kernel = kernel; m_machine = machine; m_key = key });
+    key
 
 module P = Harness.Pipeline
 
@@ -198,18 +234,19 @@ let handle_compile h ~id req =
       Error (Printf.sprintf "unknown strategy %S (fastpath-then-ilp|ilp-only)" s)
     | Some _ -> Error "strategy must be a string"
   in
+  (* the operator's name, its kernel, and whether it was found by name *)
   let kernel =
     match (J.member "op" req, J.member "kernel" req) with
     | Some (J.String name), None -> (
       match h.find_op name with
-      | Some k -> Ok (name, k)
+      | Some k -> Ok (name, k, true)
       | None -> Error (Printf.sprintf "unknown operator %S" name))
     | None, Some kj -> (
       match h.kernel_of_json with
       | None -> Error "inline kernels not supported by this endpoint"
       | Some of_json -> (
         match of_json kj with
-        | Ok k -> Ok (k.Ir.Kernel.name, k)
+        | Ok k -> Ok (k.Ir.Kernel.name, k, false)
         | Error e -> Error (Printf.sprintf "kernel: %s" e)))
     | Some _, None -> Error "op must be a string"
     | Some _, Some _ -> Error "give either op or kernel, not both"
@@ -218,7 +255,7 @@ let handle_compile h ~id req =
   match (version, machine, strategy, kernel) with
   | Error e, _, _, _ | _, Error e, _, _ | _, _, Error e, _ | _, _, _, Error e ->
     error ~id e
-  | Ok name, Ok machine, Ok (), Ok (op, kernel) -> (
+  | Ok name, Ok machine, Ok (), Ok (op, kernel, named) -> (
     let version, target = Option.get (P.resolve name ~machine) in
     let t0 = Unix.gettimeofday () in
     (* what the pipeline records inside this request is captured for the
@@ -226,9 +263,8 @@ let handle_compile h ~id req =
     let reply, capture =
       Obs.scoped (fun () ->
           let key =
-            Key.make ~kernel ~machine ~version:name
-              ~flags:[ ("entry", "serve"); ("op", op) ]
-              ()
+            if named then named_key h ~op ~version:name ~machine kernel
+            else Key.make ~kernel ~machine ~version:name ~flags:(serve_flags op) ()
           in
           match Option.bind h.cache (fun c -> Cache.find c key) with
           | Some (J.Assoc fields) -> Ok (true, Key.digest key, fields)

@@ -54,6 +54,23 @@
     (kernel, requested machine, requested version name, entry=serve) and repeated
     requests are answered from disk with ["cached": true].
 
+    The hit path.  A cache hit parses the request, finds the operator,
+    takes its key, reads and checks the entry ({!Cache.find}) and prints
+    the reply; nothing is scheduled or simulated.  Making a {!Key} prints
+    the whole kernel, so the handler keeps a memo from (op name, version
+    name, machine name) to the kernel, machine and key it last made.  A
+    request reuses the memo's key only when [find_op] returned the
+    {e physically} same kernel ([==]) and the machine lookup the
+    physically same profile; otherwise it makes the key afresh and
+    replaces the entry.  A reused key is the one {!Key.make} would give,
+    so replies, digests and cache files are the same with or without the
+    memo.  Inline kernels are decoded per request and never use the memo.
+    The memo holds at most one entry per resolvable (op, version,
+    machine), sits behind a mutex (a handler may be shared between
+    domains), and counts each reuse in [service.serve_key_hits].  A
+    [find_op] that builds a fresh kernel per call is correct but never
+    reuses a key.
+
     Latency lands in two histograms: [serve.request_seconds] (every
     request, any verb, errors included) and [serve.compile_seconds]
     (compile requests only, cache hits included).  {!make_handler}

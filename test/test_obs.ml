@@ -166,10 +166,25 @@ let test_json_unicode_escapes () =
   parses_to "\"\\u20ac\"" "\xe2\x82\xac" (* €, 3-byte UTF-8 *);
   (* surrogate pair: U+1F600, 4-byte UTF-8 *)
   parses_to "\"\\ud83d\\ude00\"" "\xf0\x9f\x98\x80";
-  (* a high surrogate must be followed by a low one *)
-  match Obs.Json.of_string "\"\\ud83d\"" with
-  | Ok _ -> Alcotest.fail "accepted unpaired high surrogate"
-  | Error _ -> ()
+  (* the first and last supplementary code points *)
+  parses_to "\"\\ud800\\udc00\"" "\xf0\x90\x80\x80";
+  parses_to "\"\\udbff\\udfff\"" "\xf4\x8f\xbf\xbf";
+  (* a high surrogate must be followed by a low one, and a low one may not
+     stand alone *)
+  List.iter
+    (fun s ->
+      match Obs.Json.of_string s with
+      | Ok j -> Alcotest.failf "accepted broken surrogate %S as %s" s (Obs.Json.to_string j)
+      | Error _ -> ())
+    [ "\"\\ud83d\""; "\"\\ud83dx\""; "\"\\ud83d\\u0041\""; "\"\\udc00\"";
+      "\"\\udfff\\ude00\""; "\"\\ud83d\\ud83d\""; "\"\\ud800\\udbff\"";
+      "\"\\ud800\\ue000\"" ];
+  Alcotest.(check (result string string))
+    "a bad pair is reported at its second escape" (Error "unpaired surrogate at 7")
+    (Result.map Obs.Json.to_string (Obs.Json.of_string "\"\\ud83d\\ud83d\""));
+  Alcotest.(check (result string string))
+    "a lone low surrogate is reported at its escape" (Error "unpaired surrogate at 2")
+    (Result.map Obs.Json.to_string (Obs.Json.of_string "\"a\\udc00\""))
 
 (* Printer->parser fuzz round trip over arbitrary nested values.  Floats
    are kept finite (non-finite serializes as null by design) and keys
@@ -204,6 +219,163 @@ let prop_json_roundtrip =
       match Obs.Json.of_string (Obs.Json.to_string v) with
       | Ok v' -> Obs.Json.equal v v'
       | Error _ -> false)
+
+(* The printer must stay byte-identical to this oracle: the escaper
+   that wrote one character at a time and the float path through
+   [Printf]. *)
+let rec oracle_to_string v =
+  let escape s =
+    let buf = Buffer.create 16 in
+    Buffer.add_char buf '"';
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | '\b' -> Buffer.add_string buf "\\b"
+        | '\012' -> Buffer.add_string buf "\\f"
+        | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.add_char buf '"';
+    Buffer.contents buf
+  in
+  let float f =
+    if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+    else
+      let s = Printf.sprintf "%.15g" f in
+      if float_of_string s = f then s else Printf.sprintf "%.17g" f
+  in
+  match v with
+  | Obs.Json.Null -> "null"
+  | Obs.Json.Bool b -> string_of_bool b
+  | Obs.Json.Int i -> string_of_int i
+  | Obs.Json.Float f -> if Float.is_finite f then float f else "null"
+  | Obs.Json.String s -> escape s
+  | Obs.Json.List l -> "[" ^ String.concat "," (List.map oracle_to_string l) ^ "]"
+  | Obs.Json.Assoc l ->
+    "{"
+    ^ String.concat ","
+        (List.map (fun (k, v) -> escape k ^ ":" ^ oracle_to_string v) l)
+    ^ "}"
+
+let test_json_printer_oracle () =
+  let all_bytes = String.init 256 Char.chr in
+  let cases =
+    [ all_bytes; String.concat "" [ all_bytes; all_bytes ]; "\"\\\n\r\t\b\012\001\031";
+      "plain"; ""; "x\""; "\"x"; "a\\b\\c"; String.make 300 '\000' ]
+    @ List.init 256 (fun c -> String.make 1 (Char.chr c))
+    @ List.init 256 (fun c -> "ab" ^ String.make 1 (Char.chr c) ^ "cd")
+  in
+  List.iter
+    (fun s ->
+      let v = Obs.Json.Assoc [ (s, Obs.Json.List [ Obs.Json.String s ]) ] in
+      Alcotest.(check string) (Printf.sprintf "%S prints as before" s) (oracle_to_string v)
+        (Obs.Json.to_string v))
+    cases;
+  List.iter
+    (fun f ->
+      let v = Obs.Json.Float f in
+      Alcotest.(check string) (Printf.sprintf "%h prints as before" f) (oracle_to_string v)
+        (Obs.Json.to_string v))
+    [ 0.; -0.; 1.; -1.; 0.1; 1e15; -1e15; 1e15 -. 1.; 1e-320; 5e-324; Float.max_float;
+      -.Float.max_float; Float.min_float; 270.61150634638528; 1. /. 3.; 2. ** 53.;
+      Float.nan; Float.infinity; Float.neg_infinity ]
+
+let finite_float_gen =
+  let open QCheck2.Gen in
+  oneof
+    [ map (fun f -> if Float.is_finite f then f else 0.5) float;
+      map
+        (fun b -> let f = Int64.float_of_bits b in if Float.is_finite f then f else 0.25)
+        ui64;
+      map
+        (fun (m, e) -> Float.ldexp (float_of_int m) e)
+        (pair (int_range (-1000) 1000) (int_range (-60) 60))
+    ]
+
+let prop_json_float_oracle =
+  QCheck2.Test.make ~name:"floats print as through Printf" ~count:2000
+    ~print:(Printf.sprintf "%h") finite_float_gen (fun f ->
+      Obs.Json.to_string (Obs.Json.Float f) = oracle_to_string (Obs.Json.Float f))
+
+(* a serve reply and the cache entry it was stored as, from a real compile *)
+let real_documents =
+  lazy
+    (let dir = Filename.temp_file "akg_obs_test" ".cache" in
+     Sys.remove dir;
+     let cache = Service.Cache.open_ dir in
+     let find_op n = Option.map (fun mk -> mk ()) (List.assoc_opt n Ops.Classics.all) in
+     let h = Service.Serve.make_handler ~cache ~find_op () in
+     let reply = Service.Serve.handle_line h {|{"op":"transpose_add","id":"doc"}|} in
+     let entries =
+       Array.to_list (Sys.readdir dir)
+       |> List.map (fun f ->
+              let path = Filename.concat dir f in
+              let ic = open_in_bin path in
+              let s = really_input_string ic (in_channel_length ic) in
+              close_in ic;
+              Sys.remove path;
+              s)
+     in
+     Sys.rmdir dir;
+     reply :: entries)
+
+let never_raises s =
+  match Obs.Json.of_string s with
+  | Ok _ | Error _ -> ()
+  | exception e -> Alcotest.failf "of_string %S raised %s" s (Printexc.to_string e)
+
+let test_json_damaged_documents () =
+  let docs = Lazy.force real_documents in
+  Alcotest.(check int) "a reply and its cache entry" 2 (List.length docs);
+  List.iter
+    (fun doc ->
+      (match Obs.Json.of_string doc with
+       | Ok (Obs.Json.Assoc _) -> ()
+       | _ -> Alcotest.failf "real document does not parse: %s" doc);
+      let n = String.length doc in
+      for i = 0 to n do
+        never_raises (String.sub doc 0 i)
+      done;
+      for i = 0 to n - 1 do
+        let flip c =
+          let b = Bytes.of_string doc in
+          Bytes.set b i c;
+          never_raises (Bytes.unsafe_to_string b)
+        in
+        for bit = 0 to 7 do
+          flip (Char.chr (Char.code doc.[i] lxor (1 lsl bit)))
+        done;
+        String.iter flip "\"\\{}[],:-+.0eEu \000\255"
+      done)
+    docs
+
+(* A string whose escape follows a long plain run parses as the same
+   text spelled entirely in escapes, which the escape loop alone reads. *)
+let prop_json_plain_runs =
+  let open QCheck2.Gen in
+  let plain_char = map (fun c -> if c = '"' || c = '\\' then 'q' else c) printable in
+  let plain = string_size ~gen:plain_char (int_bound 3000) in
+  let escape =
+    oneofl
+      [ ("\\n", "\n"); ("\\\"", "\""); ("\\\\", "\\"); ("\\/", "/");
+        ("\\u00e9", "\xc3\xa9"); ("\\ud83d\\ude00", "\xf0\x9f\x98\x80") ]
+  in
+  let spelled s =
+    String.concat "" (List.map (fun c -> Printf.sprintf "\\u%04x" (Char.code c)) (List.of_seq (String.to_seq s)))
+  in
+  QCheck2.Test.make ~name:"plain runs parse as escapes" ~count:200
+    ~print:(fun (a, (e, _), b) -> Printf.sprintf "%S %S %S" a e b)
+    (triple plain escape plain)
+    (fun (a, (esc, decoded), b) ->
+      let expected = Ok (Obs.Json.String (a ^ decoded ^ b)) in
+      let parse s = Obs.Json.of_string ("\"" ^ s ^ "\"") in
+      parse (a ^ esc ^ b) = expected && parse (spelled a ^ esc ^ spelled b) = expected)
 
 (* ------------------------------------------------------------------ *)
 (* Trace                                                                *)
@@ -535,7 +707,10 @@ let () =
         :: Alcotest.test_case "parse errors" `Quick test_json_parse_errors
         :: Alcotest.test_case "number grammar" `Quick test_json_number_grammar
         :: Alcotest.test_case "unicode escapes" `Quick test_json_unicode_escapes
-        :: List.map QCheck_alcotest.to_alcotest [ prop_json_roundtrip ] );
+        :: Alcotest.test_case "printer matches the old printer" `Quick test_json_printer_oracle
+        :: Alcotest.test_case "damaged documents" `Quick test_json_damaged_documents
+        :: List.map QCheck_alcotest.to_alcotest
+             [ prop_json_roundtrip; prop_json_float_oracle; prop_json_plain_runs ] );
       ( "trace",
         [ Alcotest.test_case "disabled by default" `Quick test_trace_disabled_by_default;
           Alcotest.test_case "emission order" `Quick test_trace_emission_order;

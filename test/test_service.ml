@@ -725,6 +725,93 @@ let test_serve_backend_axis () =
   let bad = Service.Serve.handle_line h {|{"op":"fig2","version":"warp"}|} in
   has {|(isl|novec|infl|tiled|cpu)|} bad
 
+(* The handler's key memo: a named request reuses its key only while
+   [find_op] returns the physically same kernel and the machine is the
+   same.  A reused key is exactly [Key.make]'s; a different kernel under
+   the same name, or another machine, gets its own key and misses;
+   [service.serve_key_hits] counts only the reuses. *)
+let test_serve_key_memo () =
+  reset ();
+  let cache = Service.Cache.open_ (fresh_dir ()) in
+  let small = classic "transpose_add" and other = classic "reduce_2d" in
+  let current = ref small in
+  let h =
+    Service.Serve.make_handler ~cache
+      ~find_op:(fun n -> if n = "op" then Some !current else None)
+      ()
+  in
+  let reply line = fields (Service.Serve.handle_line h line) in
+  let digest ?(machine = Gpusim.Machine.v100) kernel =
+    Service.Key.digest
+      (Service.Key.make ~kernel ~machine ~version:"infl"
+         ~flags:[ ("entry", "serve"); ("op", "op") ]
+         ())
+  in
+  let hits () = counter "service.serve_key_hits" in
+  let check_reply what ~cached ~digest:d ~key_hits j =
+    Alcotest.(check (option string)) (what ^ ": digest") (Some d) (str_field j "digest");
+    Alcotest.(check bool) (what ^ ": cached") true (J.member "cached" j = Some (J.Bool cached));
+    Alcotest.(check int) (what ^ ": key hits") key_hits (hits ())
+  in
+  let request = {|{"op":"op"}|} in
+  check_reply "first" ~cached:false ~digest:(digest small) ~key_hits:0 (reply request);
+  check_reply "same kernel" ~cached:true ~digest:(digest small) ~key_hits:1 (reply request);
+  current := other;
+  check_reply "other kernel, same name" ~cached:false ~digest:(digest other) ~key_hits:1
+    (reply request);
+  Alcotest.(check bool) "the two kernels' keys differ" false (digest small = digest other);
+  (* an equal but freshly built kernel is not a reuse, yet keys the same *)
+  current := classic "reduce_2d";
+  check_reply "equal fresh kernel" ~cached:true ~digest:(digest other) ~key_hits:1
+    (reply request);
+  check_reply "its repeat" ~cached:true ~digest:(digest other) ~key_hits:2 (reply request);
+  let a100 = Gpusim.Machine.a100 in
+  let on_a100 = {|{"op":"op","machine":"a100"}|} in
+  check_reply "another machine" ~cached:false ~digest:(digest ~machine:a100 !current)
+    ~key_hits:2 (reply on_a100);
+  check_reply "another machine, again" ~cached:true
+    ~digest:(digest ~machine:a100 !current) ~key_hits:3 (reply on_a100);
+  check_reply "back on the default" ~cached:true ~digest:(digest other) ~key_hits:4
+    (reply request);
+  (* a default machine that shares the stock V100's name is still another
+     machine: the memo slot is the same, the key is not *)
+  let tuned = { Gpusim.Machine.v100 with Gpusim.Machine.clock_hz = 1e9 } in
+  let h = Service.Serve.make_handler ~default_machine:tuned ~find_op:(fun _ -> Some other) () in
+  let reply line = fields (Service.Serve.handle_line h line) in
+  Alcotest.(check (option string)) "tuned default" (Some (digest ~machine:tuned other))
+    (str_field (reply request) "digest");
+  Alcotest.(check (option string)) "stock v100 under the same name" (Some (digest other))
+    (str_field (reply {|{"op":"op","machine":"v100"}|}) "digest");
+  Alcotest.(check int) "neither is a reuse" 4 (hits ())
+
+(* Inline kernels are decoded per request and never reuse a key. *)
+let test_serve_inline_not_memoized () =
+  reset ();
+  let h =
+    let kernel_of_json j = Result.bind (Fuzz.Case.of_json j) Fuzz.Case.to_kernel in
+    Service.Serve.make_handler ~kernel_of_json:(Some kernel_of_json) ~find_op:find_classic ()
+  in
+  let line =
+    J.to_string
+      (J.Assoc
+         [ ( "kernel",
+             Fuzz.Case.to_json
+               { Fuzz.Case.name = "k";
+                 tensors = [ ("A", [ 4 ]) ];
+                 stmts =
+                   [ { Fuzz.Case.sname = "S"; iters = [ ("i", 4) ];
+                       write =
+                         { Fuzz.Case.tensor = "A";
+                           index = [ { Fuzz.Case.coef = 1; iter = Some "i"; offset = 0 } ]
+                         };
+                       rhs = Fuzz.Case.Const 1.0 } ] } ) ])
+  in
+  let a = fields (Service.Serve.handle_line h line) in
+  let b = fields (Service.Serve.handle_line h line) in
+  Alcotest.(check (option string)) "same inline kernel, same digest" (str_field a "digest")
+    (str_field b "digest");
+  Alcotest.(check int) "no key reuse" 0 (counter "service.serve_key_hits")
+
 (* A handler that takes inline kernels, and the request for the kernel
    whose one statement S writes [write] = [rhs] for i < [extent]. *)
 let inline_handler () =
@@ -846,6 +933,9 @@ let () =
           Alcotest.test_case "verbs and ids" `Quick test_serve_verbs_and_ids;
           Alcotest.test_case "strategy field" `Quick test_serve_strategy_field;
           Alcotest.test_case "backend axis" `Quick test_serve_backend_axis;
+          Alcotest.test_case "key memo" `Quick test_serve_key_memo;
+          Alcotest.test_case "inline kernels not memoized" `Quick
+            test_serve_inline_not_memoized;
           Alcotest.test_case "bad extent" `Quick test_serve_bad_extent;
           Alcotest.test_case "huge kernels" `Quick test_serve_huge_kernels;
           Alcotest.test_case "loop answers blank lines" `Quick
