@@ -241,7 +241,7 @@ let codegen_cmd =
     with_op
       (fun k ->
         let version, machine = resolve ?machine version in
-        let p = P.run ~machine version k in
+        let p = P.run ~machine version (P.operator k) in
         match p.P.backend with
         | P.Emitted source -> print_string source
         | P.Simulated _ -> print_string (Codegen.Cuda.emit p.P.compiled))
@@ -260,7 +260,7 @@ let simulate_cmd =
     with_op
       (fun k ->
         let version, _ = resolve version in
-        let p = P.run version k in
+        let p = P.run version (P.operator k) in
         Format.printf "%a@." Codegen.Mapping.pp p.P.compiled.Codegen.Compile.mapping;
         match p.P.backend with
         | P.Simulated report -> Format.printf "%a@." Gpusim.Sim.pp report
@@ -419,10 +419,11 @@ let check_cmd =
     with_obs o @@ fun () ->
     with_op
       (fun k ->
+        let op = P.operator k in
         List.iter
           (fun version ->
             Format.printf "%-6s %s@." (P.name version)
-              (match P.interpret k (P.run version k).P.compiled with
+              (match P.interpret k (P.run version op).P.compiled with
                | Ok () -> "MATCH"
                | Error diff -> Printf.sprintf "MISMATCH (max diff %g)" diff))
           P.versions;
@@ -521,10 +522,11 @@ let serve_cmd =
           line on stdout; malformed requests get structured error replies"
        ~man:
          [ `S Manpage.s_examples;
-           `P "printf '{\"op\":\"fig2\"}\\n' | akg_repro serve";
+           (* cmdliner's markup escapes a backslash with a backslash *)
+           `P "printf '{\"op\":\"fig2\"}\\\\n' | akg_repro serve";
            `P
              "printf '{\"op\":\"bert/bert_ew_000\",\"version\":\"isl\",\
-              \"machine\":\"a100\"}\\n' | akg_repro serve --cache"
+              \"machine\":\"a100\"}\\\\n' | akg_repro serve --cache"
          ])
     Term.(const run $ cache_arg $ obs_term)
 

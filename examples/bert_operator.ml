@@ -21,7 +21,7 @@ let () =
 
   (* The generated code for the influenced version: one fused kernel, the
      column loop rewritten as a float4 strip and mapped on threadIdx.x. *)
-  let p = Harness.Pipeline.run Harness.Pipeline.Infl kernel in
+  let p = Harness.Pipeline.run Harness.Pipeline.Infl (Harness.Pipeline.operator kernel) in
   Format.printf "@.influenced kernel:@.%s" (Codegen.Cuda.emit p.Harness.Pipeline.compiled);
 
   (* And what the tvm comparator does instead: four separate kernels. *)

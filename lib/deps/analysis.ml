@@ -105,6 +105,14 @@ let dependences (k : Kernel.t) =
   done;
   List.rev !deps
 
+(* Only [analyse] makes an [analysis], so an installed entry is the one
+   [dependences] would compute for that physical kernel. *)
+type analysis = { kernel : Kernel.t; deps : Dependence.t list }
+
+let analyse kernel = { kernel; deps = dependences kernel }
+let deps a = a.deps
+let install a = Memo.add a.kernel a.deps
+
 let pp_all fmt deps =
   Format.fprintf fmt "@[<v>";
   List.iter (fun d -> Format.fprintf fmt "%a@," Dependence.pp d) deps;

@@ -12,4 +12,22 @@ val dependences : Ir.Kernel.t -> Dependence.t list
     Inside a {!Polyhedra.Solver_memo} scope the result is remembered per
     kernel (compared physically) and a repeat counts [deps.memo_hits]. *)
 
+(** {1 One analysis shared between scopes} *)
+
+type analysis
+(** A kernel's dependences, as {!dependences} computed them for that
+    physical kernel.  Only {!analyse} makes one. *)
+
+val analyse : Ir.Kernel.t -> analysis
+(** [analyse k] runs {!dependences} on [k] (inside a scope, it is
+    remembered there as usual). *)
+
+val deps : analysis -> Dependence.t list
+
+val install : analysis -> unit
+(** Puts the analysis into the current {!Polyhedra.Solver_memo} scope
+    under its kernel, so a later {!dependences} on that physical kernel in
+    the scope is a memo hit; outside a scope it does nothing.  The answer
+    is exact: it is what {!dependences} computed for the same kernel. *)
+
 val pp_all : Format.formatter -> Dependence.t list -> unit

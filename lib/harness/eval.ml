@@ -235,7 +235,7 @@ let evaluate_cpu_op ?(machine = Gpusim.Machine.scalar_1core) ?runner ?(reps = 3)
     ?(check = true) ?(seed = 42) ~name kernel =
   Obs.Span.with_ "harness.cpu_op" @@ fun () ->
   let machine = Pipeline.cpu_machine machine in
-  let p = Pipeline.run ~machine Pipeline.Infl kernel in
+  let p = Pipeline.run ~machine Pipeline.Infl (Pipeline.operator kernel) in
   let source =
     match p.Pipeline.backend with
     | Pipeline.Emitted source -> source

@@ -107,13 +107,62 @@ type output = {
   deps : Deps.Dependence.t list;
 }
 
-let run ?(machine = Gpusim.Machine.v100) version kernel =
+(* What the versions of one kernel share, each part filled on first use:
+   its dependence analysis and the vectorizer client's schedule (novec and
+   infl differ only in the backend's vector pass).  A run that raises
+   fills nothing.  Two domains racing on one operator may both compute a
+   part; the answers are equal and either may be kept. *)
+type operator = {
+  kernel : Ir.Kernel.t;
+  mutable analysis : Deps.Analysis.analysis option;
+  mutable vectorized : (Scheduling.Schedule.t * Scheduling.Scheduler.stats) option;
+}
+
+let operator kernel = { kernel; analysis = None; vectorized = None }
+let kernel op = op.kernel
+
+let c_reuses =
+  Obs.Counters.create "pipeline.schedule_reuses"
+    ~doc:"versions that took their operator's retained vectorizer schedule"
+
+(* [stats] is mutable: the operator keeps its own copy and hands out copies *)
+let copy (stats : Scheduling.Scheduler.stats) = { stats with ilp_solves = stats.ilp_solves }
+
+(* Inside [run]'s scope: the operator's analysis, installed there, or run
+   there and kept. *)
+let analysis op =
+  match op.analysis with
+  | Some a ->
+    Deps.Analysis.install a;
+    a
+  | None ->
+    let a = Deps.Analysis.analyse op.kernel in
+    op.analysis <- Some a;
+    a
+
+let scheduled version op =
+  let fresh () = schedule ?influence:(tree version op.kernel) op.kernel in
+  match ((spec version).client, op.vectorized) with
+  | Vectorizer, Some (sched, stats) ->
+    Obs.Counters.incr c_reuses;
+    Obs.Trace.emitf "pipeline.schedule_reuse" (fun () ->
+        [ ("op", Obs.Json.String op.kernel.Ir.Kernel.name);
+          ("version", Obs.Json.String (name version))
+        ]);
+    (sched, copy stats)
+  | Vectorizer, None ->
+    let sched, stats = fresh () in
+    op.vectorized <- Some (sched, copy stats);
+    (sched, stats)
+  | (No_influence | Tiling), _ -> fresh ()
+
+let run ?(machine = Gpusim.Machine.v100) version op =
   Polyhedra.Solver_memo.scoped @@ fun () ->
-  let influence = tree version kernel in
-  let sched, stats = schedule ?influence kernel in
-  let compiled = lower version sched kernel in
+  let deps = Deps.Analysis.deps (analysis op) in
+  let sched, stats = scheduled version op in
+  let compiled = lower version sched op.kernel in
   let backend =
     if Gpusim.Machine.is_cpu machine then Emitted (emit_c ~machine compiled)
     else Simulated (simulate ~machine compiled)
   in
-  { sched; stats; compiled; backend; deps = Deps.Analysis.dependences kernel }
+  { sched; stats; compiled; backend; deps }

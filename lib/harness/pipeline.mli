@@ -130,13 +130,41 @@ type output = {
   deps : Deps.Dependence.t list;  (** the kernel's dependences, as the run analysed them *)
 }
 
+type operator
+(** One kernel and the work its versions share, each part computed on
+    first use by {!run} and kept for the next:
+    - its dependence analysis ({!Deps.Analysis.analyse}), installed into
+      every scope {!run} opens for it, so the kernel is analysed once
+      however many versions and machines are asked for;
+    - the {!Vectorizer} client's schedule and its statistics: novec and
+      infl (and so [cpu]) are the same influenced schedule and differ
+      only in the backend's vector pass.  A version that takes it counts
+      [pipeline.schedule_reuses] and emits a [pipeline.schedule_reuse]
+      trace event (op, version); its run has no scheduler spans.
+
+    The isl and tiled schedules are not kept: each serves one version, so
+    a caller asks for it once per machine, and keeping them would hold
+    memory for no reuse.  A run that raises
+    ({!Scheduling.Scheduler.Failure_no_schedule}) keeps no schedule, so a
+    transient failure is never replayed.  The kept statistics are a copy,
+    and every run returns its own copy.  An operator may be shared between
+    domains: a race on a part computes it twice, equally. *)
+
+val operator : Ir.Kernel.t -> operator
+(** A fresh operator: nothing computed yet. *)
+
+val kernel : operator -> Ir.Kernel.t
+
 val run :
   ?machine:Gpusim.Machine.t ->
   version ->
-  Ir.Kernel.t ->
+  operator ->
   output
 (** {!tree}, {!schedule}, {!lower} and the machine's backend in one
     call: {!simulate} when [machine] (default V100) is a GPU profile,
     {!emit_c} when it is a CPU profile.  The stages run in one
-    {!Polyhedra.Solver_memo.scoped} scope, closed when [run] returns, so
-    they share one dependence analysis, which the output carries. *)
+    {!Polyhedra.Solver_memo.scoped} scope, closed when [run] returns,
+    with the operator's dependence analysis installed (or run and kept),
+    which the output carries.  A vectorizer-client version takes the
+    operator's schedule when an earlier run kept one.  The output is the
+    same whether the operator is fresh or reused. *)

@@ -71,6 +71,11 @@ module Make (T : TABLE) = struct
         let v = solve () in
         H.replace tbl w v;
         v)
+
+  let add key value =
+    match Domain.DLS.get scope_key with
+    | None -> ()
+    | Some scope -> H.replace (table scope) { h = Hashtbl.hash (T.hash key); key } value
 end
 
 let hash_constrs h cs = List.fold_left (fun h c -> (h * 65599) + Constr.hash c) h cs

@@ -26,6 +26,13 @@
     restored to the enclosing one on exit (by return or exception) and
     dropped with its scope.  Outside any scope every leaf solves, exactly
     as if this module did not exist.  There is no size cap and no switch.
+    One answer may enter a scope from outside: [Harness.Pipeline.run]
+    installs an operator's dependence analysis
+    ([Deps.Analysis.install]) into each scope it opens, so the analysis
+    runs once per operator rather than once per version.  It is exact
+    because only running the analysis on a kernel makes an installable
+    value, and it is installed under that physical kernel: the entry is
+    exactly what [Deps.Analysis.dependences] would compute there.
 
     {b Checkers stay outside.}  [Harness.Eval.evaluate_op],
     [Harness.Pipeline.run] and [Fuzz.Check.run] (around each of its
@@ -75,6 +82,11 @@ module Make (T : TABLE) : sig
   (** [find k solve] is [solve ()] outside a scope.  Inside one it is the
       value stored for [k] in the current scope, or else [solve ()], then
       stored.  A [solve] that raises stores nothing. *)
+
+  val add : T.key -> T.value -> unit
+  (** [add k v] stores [v] for [k] in the current scope, as if a [find]
+      there had computed it; outside a scope it does nothing.  The caller
+      vouches that [v] is what [find k] would compute. *)
 end
 
 val hash_constrs : int -> Constr.t list -> int

@@ -28,11 +28,18 @@ let c_key_hits =
 
 let default_max_request_bytes = 1 lsl 20
 
-(* A named request's cache key, kept with the kernel and machine it was
-   made from.  It is reused only while [find_op] and the machine lookup
-   still return those physical values, so a key is never served for a
-   kernel it was not digested from. *)
-type memo_entry = { m_kernel : Ir.Kernel.t; m_machine : Gpusim.Machine.t; m_key : Key.t }
+module P = Harness.Pipeline
+
+(* A named operator: the kernel [find_op] returned, the pipeline's shared
+   work on it, and its cache keys by (version name, machine name), each
+   kept with the machine it was made for.  The entry serves only while
+   [find_op] returns that physical kernel, so neither a key nor a schedule
+   is ever served for a kernel it was not made from. *)
+type op_entry = {
+  kernel : Ir.Kernel.t;
+  operator : P.operator;
+  keys : (string * string, Gpusim.Machine.t * Key.t) Hashtbl.t;
+}
 
 type handler = {
   find_op : string -> Ir.Kernel.t option;
@@ -42,9 +49,8 @@ type handler = {
   max_request_bytes : int;
   started : float;
   next_id : int Atomic.t;
-  keys : (string * string * string, memo_entry) Hashtbl.t;
-      (* (op, version, machine name); guarded by [keys_lock] *)
-  keys_lock : Mutex.t;
+  ops : (string, op_entry) Hashtbl.t;  (* by op name; guarded by [ops_lock] *)
+  ops_lock : Mutex.t;
 }
 
 let make_handler ?(kernel_of_json = None) ?cache
@@ -65,37 +71,44 @@ let make_handler ?(kernel_of_json = None) ?cache
     ~doc:"seconds since the serve handler was created" (fun () ->
       Unix.gettimeofday () -. started);
   { find_op; kernel_of_json; cache; default_machine; max_request_bytes; started;
-    next_id = Atomic.make 0; keys = Hashtbl.create 64; keys_lock = Mutex.create () }
+    next_id = Atomic.make 0; ops = Hashtbl.create 256; ops_lock = Mutex.create () }
 
 let serve_flags op = [ ("entry", "serve"); ("op", op) ]
 
-(* [Key.make] prints the whole kernel, which costs more than the rest of a
-   cache hit; a named operator asked for again reuses its key.  Inline
-   kernels are decoded afresh per request and never share one. *)
-let named_key h ~op ~version ~machine kernel =
-  let slot = (op, version, machine.Gpusim.Machine.name) in
-  let reuse =
-    Mutex.protect h.keys_lock (fun () ->
-        match Hashtbl.find_opt h.keys slot with
-        | Some e when e.m_kernel == kernel && e.m_machine == machine -> Some e.m_key
-        | Some _ | None -> None)
+(* A named request's operator and key.  [Key.make] prints the whole
+   kernel, which costs more than the rest of a cache hit, so a named
+   operator asked for again reuses its key; a miss reuses the operator's
+   analysis and vectorizer schedule.  Inline kernels are decoded afresh
+   per request and share neither. *)
+let named_op h ~op ~version ~machine kernel =
+  let slot = (version, machine.Gpusim.Machine.name) in
+  let e, reuse =
+    Mutex.protect h.ops_lock (fun () ->
+        match Hashtbl.find_opt h.ops op with
+        | Some e when e.kernel == kernel ->
+          ( e,
+            match Hashtbl.find_opt e.keys slot with
+            | Some (m, key) when m == machine -> Some key
+            | Some _ | None -> None )
+        | Some _ | None ->
+          let e = { kernel; operator = P.operator kernel; keys = Hashtbl.create 8 } in
+          Hashtbl.replace h.ops op e;
+          (e, None))
   in
   match reuse with
   | Some key ->
     Obs.Counters.incr c_key_hits;
-    key
+    (e.operator, key)
   | None ->
     let key = Key.make ~kernel ~machine ~version ~flags:(serve_flags op) () in
-    Mutex.protect h.keys_lock (fun () ->
-        Hashtbl.replace h.keys slot { m_kernel = kernel; m_machine = machine; m_key = key });
-    key
-
-module P = Harness.Pipeline
+    Mutex.protect h.ops_lock (fun () -> Hashtbl.replace e.keys slot (machine, key));
+    (e.operator, key)
 
 (* [name] and [machine] are the request's, as its reply reports them;
    the pipeline runs [version] on [target] ({!P.resolve}). *)
-let compile_report ~name ~machine ~version ~target ~op kernel =
-  let p = P.run ~machine:target version kernel in
+let compile_report ~name ~machine ~version ~target ~op operator =
+  let kernel = P.kernel operator in
+  let p = P.run ~machine:target version operator in
   let stats = p.P.stats in
   (* [P.run] has returned, so its solver-memo scope is closed: the
      legality check solves afresh against the run's dependences and checks
@@ -262,16 +275,20 @@ let handle_compile h ~id req =
        reply's span breakdown, then folded back into the shared state *)
     let reply, capture =
       Obs.scoped (fun () ->
-          let key =
-            if named then named_key h ~op ~version:name ~machine kernel
-            else Key.make ~kernel ~machine ~version:name ~flags:(serve_flags op) ()
+          let operator, key =
+            if named then named_op h ~op ~version:name ~machine kernel
+            else
+              ( P.operator kernel,
+                Key.make ~kernel ~machine ~version:name ~flags:(serve_flags op) () )
           in
           match Option.bind h.cache (fun c -> Cache.find c key) with
           | Some (J.Assoc fields) -> Ok (true, Key.digest key, fields)
           | Some _ | None -> (
-            match compile_report ~name ~machine ~version ~target ~op kernel with
+            match compile_report ~name ~machine ~version ~target ~op operator with
             | exception Scheduling.Scheduler.Failure_no_schedule msg ->
               Error (Printf.sprintf "no schedule: %s" msg)
+            | exception (Failure msg | Invalid_argument msg) ->
+              Error (Printf.sprintf "compile: %s" msg)
             | fields ->
               Option.iter (fun c -> Cache.store c key (J.Assoc fields)) h.cache;
               Ok (false, Key.digest key, fields)))

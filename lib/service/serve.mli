@@ -56,20 +56,38 @@
 
     The hit path.  A cache hit parses the request, finds the operator,
     takes its key, reads and checks the entry ({!Cache.find}) and prints
-    the reply; nothing is scheduled or simulated.  Making a {!Key} prints
-    the whole kernel, so the handler keeps a memo from (op name, version
-    name, machine name) to the kernel, machine and key it last made.  A
-    request reuses the memo's key only when [find_op] returned the
-    {e physically} same kernel ([==]) and the machine lookup the
-    physically same profile; otherwise it makes the key afresh and
-    replaces the entry.  A reused key is the one {!Key.make} would give,
-    so replies, digests and cache files are the same with or without the
-    memo.  Inline kernels are decoded per request and never use the memo.
-    The memo holds at most one entry per resolvable (op, version,
-    machine), sits behind a mutex (a handler may be shared between
-    domains), and counts each reuse in [service.serve_key_hits].  A
-    [find_op] that builds a fresh kernel per call is correct but never
-    reuses a key.
+    the reply; nothing is scheduled or simulated.
+
+    One entry per named operator.  The handler keeps, per op name, the
+    kernel [find_op] returned, a {!Harness.Pipeline.operator} for it and
+    its cache keys by (version name, machine name), each with the machine
+    it was made for.  Making a {!Key} prints the whole kernel, so a
+    request reuses the entry's key when one is there (counted in
+    [service.serve_key_hits]); a miss compiles with the entry's operator,
+    so the operator's versions share one dependence analysis, and novec,
+    infl and cpu one vectorizer schedule (counted in
+    [pipeline.schedule_reuses]).  A reused miss's ["spans"] therefore
+    show no scheduler spans.  The entry serves only while [find_op]
+    returns the {e physically} same kernel ([==]), and a key only for the
+    physically same machine profile; otherwise the handler makes them
+    afresh and replaces the entry (a new kernel gets a new operator).  A
+    reused key is the one {!Key.make} would give and a reused operator's
+    output is a fresh one's, so replies, digests and cache files are the
+    same with or without the table.  Inline kernels are decoded per
+    request and get a fresh operator and key every time.  The table holds
+    at most one entry per name [find_op] resolves (the CLI's registry:
+    223 zoo operators and 15 classics; the dependences and vectorizer
+    schedules of the 217 Table I operators take about 0.6 MiB), sits
+    behind a mutex (a handler may be shared between domains) and is
+    dropped with the handler.  A [find_op] that builds a fresh kernel per
+    call is correct but never shares anything.
+
+    Serve's legality check runs on every miss, after the pipeline's scope
+    has closed, against the run's dependences: it shares no solver memo
+    with the compile it checks.  A compile that raises
+    {!Scheduling.Scheduler.Failure_no_schedule}, [Failure] or
+    [Invalid_argument] is a structured error reply, and the operator keeps
+    nothing from it.
 
     Latency lands in two histograms: [serve.request_seconds] (every
     request, any verb, errors included) and [serve.compile_seconds]

@@ -17,7 +17,7 @@ module P = Harness.Pipeline
 (* Any version reaches C through the one pipeline: a CPU profile picks
    the C backend.  Returns the lowering and its emitted source. *)
 let run ?(version = P.Infl) ~machine k =
-  let p = P.run ~machine version k in
+  let p = P.run ~machine version (P.operator k) in
   match p.P.backend with
   | P.Emitted source -> (p.P.compiled, source)
   | P.Simulated _ ->

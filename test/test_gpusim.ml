@@ -375,7 +375,7 @@ let test_sublattice_schedules () =
       let k = fuzz_kernel index in
       List.iter
         (fun version ->
-          match (P.run version k).P.backend with
+          match (P.run version (P.operator k)).P.backend with
           | P.Simulated r ->
             let t = r.Gpusim.Sim.time_s in
             if not (Float.is_finite t && t > 0.0) then

@@ -90,7 +90,7 @@ let test_small_classics () =
         (fun v ->
           let client = (P.spec v).P.client in
           if not (Hashtbl.mem pipeline_rows client) then
-            Hashtbl.add pipeline_rows client (P.run v kernel).P.sched;
+            Hashtbl.add pipeline_rows client (P.run v (P.operator kernel)).P.sched;
           match List.assoc_opt v !fuzz_rows with
           | None -> Alcotest.failf "%s %s: the fuzzer never scheduled it" op (P.name v)
           | Some s ->
@@ -213,7 +213,7 @@ let test_solver_memo_invisible () =
         (fun v ((expected, us), (in_scope, us')) ->
           let what = name ^ " " ^ P.name v in
           let analyses0 = analyses () in
-          let p = P.run v kernel in
+          let p = P.run v (P.operator kernel) in
           Alcotest.(check int) (what ^ ": Pipeline.run analyses once") (analyses0 + 1)
             (analyses ());
           compiled (what ^ " (Pipeline.run)") expected
@@ -228,6 +228,53 @@ let test_solver_memo_invisible () =
         P.versions (List.combine fresh shared))
     kernels;
   Alcotest.(check bool) "the memo answered some calls" true (total () > total0)
+
+(* One operator for every version, and for each version on a GPU and a
+   CPU profile, gives exactly what a fresh operator per run gives: the
+   same schedule, statistics, AST, dependences and simulated time or C.
+   The reused operator analyses its kernel once and builds one vectorizer
+   tree.  The classics and the first 50 cases of fuzz seed 42. *)
+let test_operator_reuse () =
+  let machines = [ Gpusim.Machine.v100; Gpusim.Machine.avx2_8core ] in
+  let observed (p : P.output) =
+    ( Scheduling.Schedule.to_string p.P.sched,
+      p.P.stats,
+      Codegen.Ast.to_string p.P.compiled.Codegen.Compile.ast,
+      List.length p.P.deps,
+      match p.P.backend with
+      | P.Simulated r -> Printf.sprintf "%h us" (Gpusim.Sim.time_us r)
+      | P.Emitted source -> source )
+  in
+  let trees () = Obs.Counters.find "vectorizer.trees_built" in
+  let kernels =
+    List.map (fun (name, mk) -> (name, mk ())) Ops.Classics.all
+    @ List.init 50 (fun index ->
+          match Fuzz.Case.to_kernel (Fuzz.Generate.generate ~seed:42 ~index ()) with
+          | Error m -> Alcotest.failf "fuzz case %d: %s" index m
+          | Ok k -> (Printf.sprintf "fuzz 42/%d" index, k))
+  in
+  List.iter
+    (fun (name, kernel) ->
+      let op = P.operator kernel in
+      let analyses0 = analyses () and trees0 = trees () in
+      List.iter
+        (fun machine ->
+          List.iter
+            (fun v ->
+              let reused = P.run ~machine v op in
+              let fresh = P.run ~machine v (P.operator kernel) in
+              if observed reused <> observed fresh then
+                Alcotest.failf "%s %s on %s: a reused operator differs from a fresh one" name
+                  (P.name v) machine.Gpusim.Machine.name)
+            P.versions)
+        machines;
+      (* the fresh operators analysed once per run, and built novec's and
+         infl's trees on each machine *)
+      let runs = List.length machines * List.length P.versions in
+      Alcotest.(check int) (name ^ ": analyses") (analyses0 + 1 + runs) (analyses ());
+      Alcotest.(check int) (name ^ ": vectorizer trees") (trees0 + 1 + (2 * List.length machines))
+        (trees ()))
+    kernels
 
 (* The --stats table's branch-and-bound nodes cover all three schedules
    of an operator (isl 1 node, infl 2, tiled 4); sched(ms) is the
@@ -318,6 +365,7 @@ let () =
           Alcotest.test_case "shared analysis" `Slow test_shared_analysis;
           Alcotest.test_case "shared memo" `Slow test_shared_memo;
           Alcotest.test_case "solver memo changes nothing" `Slow test_solver_memo_invisible;
+          Alcotest.test_case "a reused operator changes nothing" `Slow test_operator_reuse;
           Alcotest.test_case "stats sum three schedules" `Quick test_stats_sum_three_schedules;
           Alcotest.test_case "sim_s covers every simulation" `Quick
             test_sim_s_covers_all_simulations;

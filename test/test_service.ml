@@ -784,7 +784,8 @@ let test_serve_key_memo () =
     (str_field (reply {|{"op":"op","machine":"v100"}|}) "digest");
   Alcotest.(check int) "neither is a reuse" 4 (hits ())
 
-(* Inline kernels are decoded per request and never reuse a key. *)
+(* Inline kernels are decoded per request and never reuse a key or an
+   operator. *)
 let test_serve_inline_not_memoized () =
   reset ();
   let h =
@@ -810,7 +811,146 @@ let test_serve_inline_not_memoized () =
   let b = fields (Service.Serve.handle_line h line) in
   Alcotest.(check (option string)) "same inline kernel, same digest" (str_field a "digest")
     (str_field b "digest");
-  Alcotest.(check int) "no key reuse" 0 (counter "service.serve_key_hits")
+  Alcotest.(check int) "no key reuse" 0 (counter "service.serve_key_hits");
+  Alcotest.(check int) "no operator shared" 0 (counter "pipeline.schedule_reuses");
+  Alcotest.(check int) "each request analyses its kernel" 2 (counter "deps.analyses")
+
+(* ------------------------------------------------------------------ *)
+(* Serve: one operator per name                                         *)
+(* ------------------------------------------------------------------ *)
+
+let versions = [ "isl"; "novec"; "infl"; "tiled"; "cpu" ]
+
+(* a reply without the fields that differ between equal answers *)
+let answer reply =
+  match J.of_string reply with
+  | Ok (J.Assoc kvs) ->
+    J.to_string
+      (J.Assoc (List.filter (fun (k, _) -> not (List.mem k [ "id"; "elapsed_us"; "spans" ])) kvs))
+  | _ -> Alcotest.failf "not a JSON object: %s" reply
+
+let version_request ?(op = "op") v =
+  J.to_string (J.Assoc [ ("op", J.String op); ("version", J.String v) ])
+
+(* The deltas of the counters that show what a miss shared. *)
+let shared_work deltas =
+  List.map
+    (fun c -> (c, Option.value ~default:0 (List.assoc_opt c deltas)))
+    [ "deps.analyses"; "vectorizer.trees_built"; "pipeline.schedule_reuses" ]
+
+(* The five versions of one classic through one handler, in two orders:
+   each reply is the one a cold handler gives for that request alone; the
+   handler analysed the kernel once and built one vectorizer tree, whose
+   schedule infl and cpu took from novec's run (or novec and infl from
+   cpu's).  layernorm_chain's infl schedule needs dimension ILPs. *)
+let test_serve_operator_reuse () =
+  reset ();
+  let kernel = classic "layernorm_chain" in
+  let find_op n = if n = "op" then Some kernel else None in
+  let cold v =
+    answer (Service.Serve.handle_line (Service.Serve.make_handler ~find_op ()) (version_request v))
+  in
+  let expected = List.map (fun v -> (v, cold v)) versions in
+  (match J.member "ilp_solves" (fields (List.assoc "infl" expected)) with
+   | Some (J.Int n) when n > 0 -> ()
+   | _ -> Alcotest.fail "layernorm_chain's infl schedule solves no ILP");
+  List.iter
+    (fun (label, order) ->
+      let h = Service.Serve.make_handler ~find_op () in
+      let replies, deltas =
+        counter_deltas (fun () ->
+            List.map (fun v -> (v, Service.Serve.handle_line h (version_request v))) order)
+      in
+      List.iter
+        (fun (v, reply) ->
+          Alcotest.(check string) (label ^ " " ^ v ^ " = cold") (List.assoc v expected)
+            (answer reply))
+        replies;
+      Alcotest.(check (list (pair string int)))
+        (label ^ ": shared work")
+        [ ("deps.analyses", 1); ("vectorizer.trees_built", 1); ("pipeline.schedule_reuses", 2) ]
+        (shared_work deltas))
+    [ ("in order", versions); ("reversed", List.rev versions) ]
+
+(* A kernel [find_op] builds afresh under the same name is a new operator:
+   nothing is shared with the previous one. *)
+let test_serve_new_kernel_no_reuse () =
+  reset ();
+  let find_op n = if n = "op" then Some (classic "transpose_add") else None in
+  let h = Service.Serve.make_handler ~find_op () in
+  let _, deltas =
+    counter_deltas (fun () ->
+        List.iter (fun v -> has {|"status":"ok"|} (Service.Serve.handle_line h (version_request v))) versions)
+  in
+  Alcotest.(check (list (pair string int)))
+    "one operator per kernel"
+    [ ("deps.analyses", 5); ("vectorizer.trees_built", 3); ("pipeline.schedule_reuses", 0) ]
+    (shared_work deltas)
+
+(* A statement whose domain 5 <= i <= 3 is empty: the vectorizer client
+   raises on it.  No zoo or fuzz kernel fails to schedule, so this is the
+   failing run the operator must not keep: every vectorizer-client request
+   runs the client again and fails the same way, and the handler keeps
+   answering. *)
+let empty_domain_kernel () =
+  let s =
+    Ir.Stmt.make ~name:"S" ~iters:[ "i" ]
+      ~domain:(Ir.Build.rect_from [ ("i", 5, 3) ])
+      ~write:(Ir.Build.access "B" [ "i" ])
+      ~rhs:(Ir.Expr.Load (Ir.Build.access "A" [ "i" ]))
+  in
+  Ir.Kernel.make ~name:"empty"
+    ~tensors:[ Ir.Build.tensor "A" [ 8 ]; Ir.Build.tensor "B" [ 8 ] ]
+    ~stmts:[ s ] ()
+
+let test_serve_failure_not_retained () =
+  reset ();
+  let kernel = empty_domain_kernel () in
+  let find_op n = if n = "op" then Some kernel else None in
+  let h = Service.Serve.make_handler ~find_op () in
+  let cold v = answer (Service.Serve.handle_line (Service.Serve.make_handler ~find_op ()) (version_request v)) in
+  let reuses0 = counter "pipeline.schedule_reuses" in
+  let replies, capture =
+    Obs.scoped (fun () ->
+        List.map
+          (fun v -> Service.Serve.handle_line h (version_request v))
+          [ "novec"; "infl"; "novec" ])
+  in
+  Obs.merge capture;
+  let treegens =
+    List.fold_left
+      (fun n (path, calls, _) ->
+        if Filename.basename path = "vectorizer.treegen" then n + calls else n)
+      0 (Obs.spans capture)
+  in
+  List.iter2
+    (fun v reply ->
+      has {|"status":"error"|} reply;
+      Alcotest.(check string) (v ^ ": the cold reply") (cold v) (answer reply))
+    [ "novec"; "infl"; "novec" ] replies;
+  Alcotest.(check int) "no failed schedule reused" reuses0 (counter "pipeline.schedule_reuses");
+  Alcotest.(check int) "every request ran the client" 3 treegens;
+  has {|"status":"ok"|} (Service.Serve.handle_line h (version_request "isl"))
+
+module P = Harness.Pipeline
+
+(* The operator keeps its own copy of the shared schedule's statistics:
+   mutating one run's [stats] changes no later run. *)
+let test_stats_copied () =
+  let kernel = classic "layernorm_chain" in
+  let cold v = (P.run v (P.operator kernel)).P.stats in
+  let op = P.operator kernel in
+  let scribble (s : Scheduling.Scheduler.stats) =
+    s.ilp_solves <- -1;
+    s.fastpath_hits <- -1;
+    s.influence_abandoned <- not s.influence_abandoned
+  in
+  List.iter
+    (fun v ->
+      let p = P.run v op in
+      if p.P.stats <> cold v then Alcotest.failf "%s: stats differ from a fresh run's" (P.name v);
+      scribble p.P.stats)
+    [ P.Novec; P.Infl; P.Novec; P.Infl ]
 
 (* A handler that takes inline kernels, and the request for the kernel
    whose one statement S writes [write] = [rhs] for i < [extent]. *)
@@ -825,6 +965,57 @@ let inline_request ~tensors ~extent ~write ~rhs =
 
 let at_i tensor =
   { Fuzz.Case.tensor; index = [ { Fuzz.Case.coef = 1; iter = Some "i"; offset = 0 } ] }
+
+(* Damaged request lines: every prefix, and every byte xor 0x01, 0x20 and
+   0x80, of a named request, an inline-kernel request and a metrics
+   request, all through one handler.  Each gets exactly one single-line
+   JSON reply whose status is ok or error, never an exception; afterwards
+   the handler still answers the named request as a cold one does. *)
+let test_serve_damaged_requests () =
+  reset ();
+  let kernel_of_json j = Result.bind (Fuzz.Case.of_json j) Fuzz.Case.to_kernel in
+  let kernel = classic "transpose_add" in
+  let find_op n = if n = "transpose_add" then Some kernel else None in
+  let handler () = Service.Serve.make_handler ~kernel_of_json:(Some kernel_of_json) ~find_op () in
+  let h = handler () in
+  let named = {|{"op":"transpose_add","version":"novec","id":"n"}|} in
+  let inline =
+    inline_request ~tensors:[ ("A", [ 4 ]); ("B", [ 4 ]) ] ~extent:4 ~write:(at_i "B")
+      ~rhs:(Fuzz.Case.Load (at_i "A"))
+  in
+  let metrics = {|{"verb":"metrics","id":"m"}|} in
+  let statuses = Hashtbl.create 2 and sent = ref 0 in
+  let one line =
+    incr sent;
+    match Service.Serve.handle_line h line with
+    | exception e -> Alcotest.failf "%S raised %s" line (Printexc.to_string e)
+    | reply -> (
+      if String.contains reply '\n' then Alcotest.failf "%S: a multi-line reply" line;
+      match J.member "status" (fields reply) with
+      | Some (J.String (("ok" | "error") as st)) -> Hashtbl.replace statuses st ()
+      | _ -> Alcotest.failf "%S: reply without a status: %s" line reply)
+  in
+  List.iter
+    (fun good ->
+      let n = String.length good in
+      for len = 0 to n do
+        one (String.sub good 0 len)
+      done;
+      List.iter
+        (fun mask ->
+          for i = 0 to n - 1 do
+            let b = Bytes.of_string good in
+            Bytes.set b i (Char.chr (Char.code good.[i] lxor mask));
+            one (Bytes.to_string b)
+          done)
+        [ 0x01; 0x20; 0x80 ])
+    [ named; inline; metrics ];
+  Alcotest.(check bool) "both outcomes seen" true
+    (Hashtbl.mem statuses "ok" && Hashtbl.mem statuses "error");
+  Alcotest.(check int) "every line answered" !sent (counter "service.serve_requests");
+  Alcotest.(check string) "still answers like a cold handler"
+    (answer (Service.Serve.handle_line (handler ()) named))
+    (answer (Service.Serve.handle_line h named))
 
 (* An inline kernel with a non-positive iterator extent is a structured
    error, and the loop keeps answering. *)
@@ -936,7 +1127,13 @@ let () =
           Alcotest.test_case "key memo" `Quick test_serve_key_memo;
           Alcotest.test_case "inline kernels not memoized" `Quick
             test_serve_inline_not_memoized;
+          Alcotest.test_case "operator reuse is exact" `Quick test_serve_operator_reuse;
+          Alcotest.test_case "a new kernel is a new operator" `Quick
+            test_serve_new_kernel_no_reuse;
+          Alcotest.test_case "a failed run is not kept" `Quick test_serve_failure_not_retained;
+          Alcotest.test_case "kept stats are copies" `Quick test_stats_copied;
           Alcotest.test_case "bad extent" `Quick test_serve_bad_extent;
+          Alcotest.test_case "damaged requests" `Quick test_serve_damaged_requests;
           Alcotest.test_case "huge kernels" `Quick test_serve_huge_kernels;
           Alcotest.test_case "loop answers blank lines" `Quick
             test_serve_loop_blank_lines

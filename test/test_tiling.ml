@@ -248,7 +248,7 @@ let test_stencilzoo_contract () =
   let wins =
     List.filter
       (fun (op, k) ->
-        let isl = P.run P.Isl k and tiled = P.run P.Tiled k in
+        let isl = P.run P.Isl (P.operator k) and tiled = P.run P.Tiled (P.operator k) in
         (match Scheduling.Legality.check tiled.P.sched k tiled.P.deps with
          | Ok () -> ()
          | Error e -> Alcotest.failf "%s: tiled schedule is illegal: %s" op e);
