@@ -1,5 +1,6 @@
 (* Command-line driver: inspect, schedule, compile, simulate and validate
-   fused operators through the full pipeline.
+   fused operators through the full pipeline, and print the paper's tables
+   and figures.
 
    dune exec bin/akg_repro.exe -- <command> ... *)
 
@@ -499,6 +500,41 @@ let network_cmd =
          "Evaluate network suites (Table II rows); --jobs shards, --cache persists")
     Term.(const run $ name_arg $ all_arg $ jobs_arg $ cache_arg $ obs_term)
 
+let paper_cmd =
+  let names = List.map fst Paper.targets in
+  let targets_arg =
+    let doc =
+      Printf.sprintf "Targets to print, in the order given: %s; $(b,all) (the default) \
+                      runs every one of them in that order."
+        (String.concat ", " (List.map (Printf.sprintf "$(b,%s)") names))
+    in
+    Arg.(value & pos_all string [] & info [] ~docv:"TARGET" ~doc)
+  in
+  let run requested o =
+    let requested =
+      match requested with
+      | _ :: _ when not (List.mem "all" requested) -> requested
+      | _ -> names
+    in
+    (* checked before anything runs *)
+    match List.filter (fun t -> not (List.mem t names)) requested with
+    | _ :: _ as unknown ->
+      Format.eprintf "unknown target %s (available: %s)@." (String.concat ", " unknown)
+        (String.concat ", " ("all" :: names));
+      2
+    | [] ->
+      with_obs o @@ fun () ->
+      List.iter (fun t -> (List.assoc t Paper.targets) ()) requested;
+      0
+  in
+  Cmd.v
+    (Cmd.info "paper"
+       ~doc:
+         "Print the paper's evaluation artifacts besides Table II ($(b,network --all)): \
+          Table I, Fig. 2, Fig. 3 and the design ablations; an unknown target exits 2 \
+          before anything runs")
+    Term.(const run $ targets_arg $ obs_term)
+
 (* ------------------------------------------------------------------ *)
 (* the compile service over stdin/stdout                                *)
 (* ------------------------------------------------------------------ *)
@@ -509,7 +545,7 @@ let serve_cmd =
     let kernel_of_json j = Result.bind (Fuzz.Case.of_json j) Fuzz.Case.to_kernel in
     let h =
       Service.Serve.make_handler ?cache:(open_cache cache)
-        ~kernel_of_json:(Some kernel_of_json) ~find_op ()
+        ~kernel_of_json ~find_op ()
     in
     Service.Serve.serve h stdin stdout;
     0
@@ -839,5 +875,5 @@ let () =
     (Cmd.eval'
        (Cmd.group info
           [ list_cmd; show_cmd; schedule_cmd; codegen_cmd; simulate_cmd; cpu_run_cmd;
-            eval_cmd; check_cmd; network_cmd; serve_cmd;
+            eval_cmd; check_cmd; network_cmd; paper_cmd; serve_cmd;
             fuzz_cmd; report_cmd; diff_cmd; metrics_cmd ]))

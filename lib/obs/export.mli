@@ -1,6 +1,6 @@
 (** Machine-readable exports of the always-on observability state
-    (counters and spans) — the serialization path shared by the CLI's
-    [--stats-json] flag and the bench driver's [BENCH_*.json] files. *)
+    (counters and spans) — the serialization path behind the CLI's
+    [--stats-json] flag. *)
 
 val schema_name : string
 (** ["akg-repro-stats"]. *)
@@ -30,9 +30,8 @@ val write_stats : string -> unit
 (** Writes {!stats_json} to a file. *)
 
 val write_run : stats:bool -> ?trace:string -> ?stats_json:string -> unit -> bool
-(** The end of a run's observability, shared by the CLI and the bench
-    driver: writes the trace to [trace] ({!Trace.write_file}) and
-    {!stats_json} to [stats_json], then with [~stats] prints
-    the counter table, the pass-timing report and the nonempty
-    histograms to stdout.  A file that cannot be written is reported on
+(** The end of a CLI run's observability: writes the trace to [trace]
+    ({!Trace.write_file}) and {!stats_json} to [stats_json], then with
+    [~stats] prints the counter table, the pass-timing report and the
+    nonempty histograms to stdout.  A file that cannot be written is reported on
     stderr; the result is [false] when any was not written. *)

@@ -73,8 +73,8 @@ val select : int list -> t -> t
     any integer list is a valid selection; [select [] t] is {!empty}
     (schedule exactly like the baseline).  Sibling order encodes
     priority, so reordering changes which wish the scheduler tries — and
-    backtracks from — first; the bench's branch-budget ablation cuts the
-    tree this way. *)
+    backtracks from — first; [akg_repro paper ablation-scenarios] cuts
+    the tree this way. *)
 
 val depth : t -> int
 (** Length of the deepest root-to-leaf path. *)

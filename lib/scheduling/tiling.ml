@@ -124,12 +124,12 @@ let c_rejects =
   Obs.Counters.create "tiling.bands_rejected"
     ~doc:"kernels with no tilable band (backward dependences or too shallow)"
 
-let influence_for ?(model = default_model) ?max_tile_size (kernel : Kernel.t) =
+let influence_for ?max_tile_size (kernel : Kernel.t) =
   Obs.Span.with_ "tiling.treegen" @@ fun () ->
   let model =
     match max_tile_size with
-    | Some m -> { model with max_tile_size = max 2 m }
-    | None -> model
+    | Some m -> { default_model with max_tile_size = max 2 m }
+    | None -> default_model
   in
   Obs.Counters.incr c_trees;
   let k = band_depth kernel (Deps.Analysis.dependences kernel) in

@@ -1,5 +1,5 @@
 (** Sharded, cache-aware suite evaluation: the one Table II suite
-    runner, behind [akg_repro network] and [bench/main.exe table2].
+    runner, behind [akg_repro network] (Table II is [network --all]).
 
     {!Harness.Eval.evaluate_op} over a suite that (a) consults a
     {!Cache} before compiling each operator and stores fresh results

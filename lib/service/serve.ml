@@ -53,7 +53,7 @@ type handler = {
   ops_lock : Mutex.t;
 }
 
-let make_handler ?(kernel_of_json = None) ?cache
+let make_handler ?kernel_of_json ?cache
     ?(default_machine = Gpusim.Machine.v100)
     ?(max_request_bytes = default_max_request_bytes) ~find_op () =
   (* gauges rebind to this handler's cache and epoch; last handler wins *)

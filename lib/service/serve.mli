@@ -108,7 +108,7 @@ val default_max_request_bytes : int
     structured error without being parsed. *)
 
 val make_handler :
-  ?kernel_of_json:(Obs.Json.t -> (Ir.Kernel.t, string) result) option ->
+  ?kernel_of_json:(Obs.Json.t -> (Ir.Kernel.t, string) result) ->
   ?cache:Cache.t ->
   ?default_machine:Gpusim.Machine.t ->
   ?max_request_bytes:int ->

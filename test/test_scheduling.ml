@@ -115,7 +115,7 @@ let test_objectives_three () =
   Alcotest.(check int) "three objectives" 3 (List.length objs);
   Alcotest.(check bool) "none constant" false (List.exists Linexpr.is_const objs)
 
-(* Influence.select reorders and subsets the root branches; the bench
+(* Influence.select reorders and subsets the root branches; the paper
    ablations cut the vectorizer's tree with it. *)
 let test_influence_select () =
   let tree = Vectorizer.Treegen.influence_for (Ops.Classics.fig2 ()) in

@@ -11,6 +11,14 @@ let classic name =
 
 let find_classic name = Option.map (fun mk -> mk ()) (List.assoc_opt name Ops.Classics.all)
 
+(* cache directories are flat *)
+let remove_dir d =
+  if Sys.file_exists d then begin
+    Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d);
+    Sys.rmdir d
+  end
+
+(* a cache directory of its own, removed when the test process exits *)
 let fresh_dir =
   let n = ref 0 in
   fun () ->
@@ -20,8 +28,8 @@ let fresh_dir =
         (Filename.get_temp_dir_name ())
         (Printf.sprintf "akg_service_test_%d_%d" (Unix.getpid ()) !n)
     in
-    if Sys.file_exists d then
-      Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d);
+    remove_dir d;
+    at_exit (fun () -> try remove_dir d with Sys_error _ -> ());
     d
 
 let counter = Obs.Counters.find
@@ -790,7 +798,7 @@ let test_serve_inline_not_memoized () =
   reset ();
   let h =
     let kernel_of_json j = Result.bind (Fuzz.Case.of_json j) Fuzz.Case.to_kernel in
-    Service.Serve.make_handler ~kernel_of_json:(Some kernel_of_json) ~find_op:find_classic ()
+    Service.Serve.make_handler ~kernel_of_json ~find_op:find_classic ()
   in
   let line =
     J.to_string
@@ -956,7 +964,7 @@ let test_stats_copied () =
    whose one statement S writes [write] = [rhs] for i < [extent]. *)
 let inline_handler () =
   let kernel_of_json j = Result.bind (Fuzz.Case.of_json j) Fuzz.Case.to_kernel in
-  Service.Serve.make_handler ~kernel_of_json:(Some kernel_of_json) ~find_op:find_classic ()
+  Service.Serve.make_handler ~kernel_of_json ~find_op:find_classic ()
 
 let inline_request ~tensors ~extent ~write ~rhs =
   let stmts = [ { Fuzz.Case.sname = "S"; iters = [ ("i", extent) ]; write; rhs } ] in
@@ -976,7 +984,7 @@ let test_serve_damaged_requests () =
   let kernel_of_json j = Result.bind (Fuzz.Case.of_json j) Fuzz.Case.to_kernel in
   let kernel = classic "transpose_add" in
   let find_op n = if n = "transpose_add" then Some kernel else None in
-  let handler () = Service.Serve.make_handler ~kernel_of_json:(Some kernel_of_json) ~find_op () in
+  let handler () = Service.Serve.make_handler ~kernel_of_json ~find_op () in
   let h = handler () in
   let named = {|{"op":"transpose_add","version":"novec","id":"n"}|} in
   let inline =
@@ -1084,6 +1092,53 @@ let test_serve_loop_blank_lines () =
   Sys.remove in_file;
   Sys.remove out_file
 
+(* Every zoo operator, StencilZoo included, under its serve name and three
+   versions through one handler with a cache: every reply is ok, a second
+   pass over the same lines is all cache hits with the first pass's
+   answers, and the request histogram counts both passes. *)
+let test_serve_zoo () =
+  reset ();
+  let cache = Service.Cache.open_ (fresh_dir ()) in
+  let ops =
+    List.concat_map
+      (fun (n : Ops.Networks.t) ->
+        List.map
+          (fun (op, k) -> (String.lowercase_ascii n.Ops.Networks.name ^ "/" ^ op, k))
+          (Lazy.force n.Ops.Networks.ops))
+      Ops.Networks.all
+  in
+  let h = Service.Serve.make_handler ~cache ~find_op:(fun n -> List.assoc_opt n ops) () in
+  let lines =
+    List.concat_map
+      (fun (op, _) -> List.map (version_request ~op) [ "isl"; "novec"; "infl" ])
+      ops
+  in
+  let pass () = List.map (fun line -> fields (Service.Serve.handle_line h line)) lines in
+  let first = pass () in
+  let second = pass () in
+  let answer = function
+    | J.Assoc kvs ->
+      J.to_string
+        (J.Assoc
+           (List.filter
+              (fun (k, _) -> not (List.mem k [ "id"; "cached"; "elapsed_us"; "spans" ]))
+              kvs))
+    | j -> J.to_string j
+  in
+  List.iteri
+    (fun i (line, (a, b)) ->
+      Alcotest.(check (option string)) (line ^ " is ok") (Some "ok") (str_field a "status");
+      if J.member "cached" b <> Some (J.Bool true) then
+        Alcotest.failf "%s: the second pass missed" line;
+      if answer a <> answer b then
+        Alcotest.failf "request %d (%s): the hit differs from the miss" i line)
+    (List.combine lines (List.combine first second));
+  match Obs.Histogram.find "serve.request_seconds" with
+  | Some hist ->
+    Alcotest.(check int) "both passes timed" (2 * List.length lines)
+      hist.Obs.Histogram.count
+  | None -> Alcotest.fail "serve.request_seconds not registered"
+
 let () =
   Alcotest.run "service"
     [ ( "key",
@@ -1136,6 +1191,7 @@ let () =
           Alcotest.test_case "damaged requests" `Quick test_serve_damaged_requests;
           Alcotest.test_case "huge kernels" `Quick test_serve_huge_kernels;
           Alcotest.test_case "loop answers blank lines" `Quick
-            test_serve_loop_blank_lines
+            test_serve_loop_blank_lines;
+          Alcotest.test_case "every zoo op, missed then hit" `Quick test_serve_zoo
         ] )
     ]
