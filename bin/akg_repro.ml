@@ -389,15 +389,12 @@ let cpu_run_cmd =
       $ seed_arg $ no_check_arg $ all_arg $ jobs_arg $ obs_term)
 
 let eval_cmd =
-  let run name jobs cache o =
+  let run name cache o =
     with_obs o @@ fun () ->
     with_op
       (fun k ->
         let r =
-          match
-            Service.Batch.evaluate_suite ?cache:(open_cache cache) ~jobs:(resolve_jobs jobs)
-              [ (name, k) ]
-          with
+          match Service.Batch.evaluate_suite ?cache:(open_cache cache) [ (name, k) ] with
           | [ r ] -> r
           | _ -> assert false
         in
@@ -413,7 +410,7 @@ let eval_cmd =
       name
   in
   Cmd.v (Cmd.info "eval" ~doc:"Compare the five compiler versions on one operator")
-    Term.(const run $ op_arg $ jobs_arg $ cache_arg $ obs_term)
+    Term.(const run $ op_arg $ cache_arg $ obs_term)
 
 let check_cmd =
   let run name o =

@@ -44,16 +44,19 @@ let evaluate_op ?(machine = Gpusim.Machine.v100) ~name kernel =
   Obs.Trace.emitf "harness.op_start" (fun () -> [ ("op", Obs.Json.String name) ]);
   let r, capture =
     Obs.scoped @@ fun () ->
-    (* Every stage shares the scope's tables.  Three schedules: novec and
-       infl share the vectorizer-tree one. *)
-    let schedule version =
-      Pipeline.schedule ?influence:(Pipeline.tree version kernel) kernel
+    (* The four versions run in this scope on one operator, which decides
+       what they share. *)
+    let op = Pipeline.operator kernel in
+    let isl, novec, infl, tiling =
+      match List.map (fun v -> Pipeline.run ~machine v op) Pipeline.versions with
+      | [ isl; novec; infl; tiling ] -> (isl, novec, infl, tiling)
+      | _ -> assert false
     in
-    let isl_sched, isl_stats = schedule Pipeline.Isl in
-    let infl_sched, infl_stats = schedule Pipeline.Infl in
-    let tiled_sched, tiled_stats = schedule Pipeline.Tiled in
-    let lower version sched = Pipeline.lower version sched kernel in
-    let time c = Gpusim.Sim.time_us (Pipeline.simulate ~machine c) in
+    let time_of (p : Pipeline.output) =
+      match p.backend with
+      | Simulated report -> Gpusim.Sim.time_us report
+      | Emitted _ -> invalid_arg "Eval.evaluate_op: a CPU profile has no simulated time"
+    in
     let version label us =
       Obs.Trace.emitf "harness.version" (fun () ->
           [ ("op", Obs.Json.String name);
@@ -62,27 +65,24 @@ let evaluate_op ?(machine = Gpusim.Machine.v100) ~name kernel =
           ]);
       us
     in
-    let isl_c = lower Pipeline.Isl isl_sched in
-    let novec_c = lower Pipeline.Novec infl_sched in
-    let infl_c = lower Pipeline.Infl infl_sched in
-    let tiled_c = lower Pipeline.Tiled tiled_sched in
+    let isl_stats = isl.stats and infl_stats = infl.stats and tiled_stats = tiling.stats in
+    let vec = Codegen.Ast.has_vector_loop infl.compiled.ast in
+    let influenced =
+      (not infl_stats.influence_abandoned) && ((not (rows_equal isl.sched infl.sched)) || vec)
+    in
     let tiled =
-      (not tiled_stats.Scheduling.Scheduler.influence_abandoned)
-      && Codegen.Tiling.applied tiled_c.Codegen.Compile.ast
+      (not tiled_stats.influence_abandoned) && Codegen.Tiling.applied tiling.compiled.ast
     in
     let tvm_us =
       version "tvm"
-        (List.fold_left (fun acc c -> acc +. time c) 0.0 (Baselines.Tvm.compile kernel))
+        (List.fold_left
+           (fun acc c -> acc +. Gpusim.Sim.time_us (Pipeline.simulate ~machine c))
+           0.0 (Baselines.Tvm.compile kernel))
     in
-    let vec = Codegen.Ast.has_vector_loop infl_c.Codegen.Compile.ast in
-    let influenced =
-      (not infl_stats.Scheduling.Scheduler.influence_abandoned)
-      && ((not (rows_equal isl_sched infl_sched)) || vec)
-    in
-    let isl_us = version "isl" (time isl_c) in
-    let novec_us = version "novec" (time novec_c) in
-    let infl_us = version "infl" (time infl_c) in
-    let tiled_us = version "tiled" (time tiled_c) in
+    let isl_us = version "isl" (time_of isl) in
+    let novec_us = version "novec" (time_of novec) in
+    let infl_us = version "infl" (time_of infl) in
+    let tiled_us = version "tiled" (time_of tiling) in
     (* stage seconds: every captured span of these names *)
     let spans = Obs.Span.report () in
     let seconds names =

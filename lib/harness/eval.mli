@@ -1,5 +1,6 @@
 (** Five-version evaluation of fused operators (the measurement harness
-    behind Table II), composed from the {!Pipeline} stages.
+    behind Table II): the four {!Pipeline.versions} through {!Pipeline.run}
+    on one {!Pipeline.operator}, beside the TVM comparator.
 
     For each operator, compiles and simulates:
     - {b isl}: the baseline scheduler, no influence;
@@ -81,14 +82,16 @@ val evaluate_op :
   Ir.Kernel.t ->
   op_result
 (** The five versions of one operator, inside one
-    {!Polyhedra.Solver_memo.scoped} scope: one dependence analysis, the
-    Farkas expansions and ILPs its isl, infl and tiled schedules share,
-    and the walks its four lowerings and the TVM comparator's kernels
-    share.  The scope is opened and dropped inside the call, so
+    {!Polyhedra.Solver_memo.scoped} scope: {!Pipeline.run} of each of
+    {!Pipeline.versions} on one {!Pipeline.operator}, then the TVM
+    comparator.  The scope shares the Farkas expansions and ILPs of the
+    isl, infl and tiled schedules, and the walks of the four lowerings
+    and the TVM comparator's kernels.  It is opened and dropped inside the call, so
     operators evaluate independently on separate domains.  The stages
     run in one {!Obs.scoped} capture, merged back before the call
     returns; the [op_obs] stage times are read from its spans and the
-    result's [obs] is [Some]. *)
+    result's [obs] is [Some].  [machine] (default V100) must be a GPU
+    profile; on a CPU profile the call raises [Invalid_argument]. *)
 
 type cpu_run = {
   cpu_op : string;

@@ -145,10 +145,6 @@ let scheduled version op =
   match ((spec version).client, op.vectorized) with
   | Vectorizer, Some (sched, stats) ->
     Obs.Counters.incr c_reuses;
-    Obs.Trace.emitf "pipeline.schedule_reuse" (fun () ->
-        [ ("op", Obs.Json.String op.kernel.Ir.Kernel.name);
-          ("version", Obs.Json.String (name version))
-        ]);
     (sched, copy stats)
   | Vectorizer, None ->
     let sched, stats = fresh () in
@@ -157,7 +153,7 @@ let scheduled version op =
   | (No_influence | Tiling), _ -> fresh ()
 
 let run ?(machine = Gpusim.Machine.v100) version op =
-  Polyhedra.Solver_memo.scoped @@ fun () ->
+  Polyhedra.Solver_memo.shared @@ fun () ->
   let deps = Deps.Analysis.deps (analysis op) in
   let sched, stats = scheduled version op in
   let compiled = lower version sched op.kernel in

@@ -2,10 +2,12 @@
 
     Each stage is its own function — {!tree} → {!schedule} → {!lower} →
     {!simulate} or {!emit_c} (then {!execute}) — and {!run} composes them
-    for one version.  Table II evaluation, the compile service, the
-    fuzzer and the CLI all call these stages, so one
-    (operator, version, machine) gives one schedule, one AST and one time
-    or C source whichever way it is asked for.
+    for one version of an {!operator}, which decides what the versions
+    share.  Table II evaluation, the compile service and the CLI compile
+    through {!run}; the fuzzer calls the stages to perturb a schedule
+    between them.  So one (operator, version, machine) gives one
+    schedule, one AST and one time or C source whichever way it is asked
+    for.
 
     A version is a schedule and its lowering; the machine profile picks
     the backend.  Any version is simulated on a GPU profile and emitted
@@ -139,8 +141,7 @@ type operator
     - the {!Vectorizer} client's schedule and its statistics: novec and
       infl (and so [cpu]) are the same influenced schedule and differ
       only in the backend's vector pass.  A version that takes it counts
-      [pipeline.schedule_reuses] and emits a [pipeline.schedule_reuse]
-      trace event (op, version); its run has no scheduler spans.
+      [pipeline.schedule_reuses]; its run has no scheduler spans.
 
     The isl and tiled schedules are not kept: each serves one version, so
     a caller asks for it once per machine, and keeping them would hold
@@ -162,9 +163,10 @@ val run :
   output
 (** {!tree}, {!schedule}, {!lower} and the machine's backend in one
     call: {!simulate} when [machine] (default V100) is a GPU profile,
-    {!emit_c} when it is a CPU profile.  The stages run in one
-    {!Polyhedra.Solver_memo.scoped} scope, closed when [run] returns,
-    with the operator's dependence analysis installed (or run and kept),
-    which the output carries.  A vectorizer-client version takes the
-    operator's schedule when an earlier run kept one.  The output is the
-    same whether the operator is fresh or reused. *)
+    {!emit_c} when it is a CPU profile.  The stages run in the caller's
+    {!Polyhedra.Solver_memo} scope, or in a fresh one when none is open
+    ({!Polyhedra.Solver_memo.shared}), with the operator's dependence
+    analysis installed (or run and kept), which the output carries.  A
+    vectorizer-client version takes the operator's schedule when an
+    earlier run kept one.  The output is the same whether the operator is
+    fresh or reused, in whatever scope it runs. *)

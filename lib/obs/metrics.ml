@@ -1,6 +1,6 @@
 (* Prometheus-style text exposition of the whole Obs state: every
-   registered counter and histogram plus callback gauges (queue depth,
-   cache size, uptime) registered by the subsystems that own them.
+   registered counter and histogram plus callback gauges (cache size,
+   uptime) registered by the subsystems that own them.
 
    Names are sanitized to the Prometheus grammar ([a-zA-Z0-9_:]) and
    prefixed "akg_": the counter "service.cache_hits" exports as

@@ -16,6 +16,8 @@ let within scope f =
 
 let scoped f = within (fresh ()) f
 
+let shared f = match Domain.DLS.get scope_key with Some _ -> f () | None -> scoped f
+
 let next_slot = Atomic.make 0
 
 module type TABLE = sig

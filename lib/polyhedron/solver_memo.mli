@@ -28,16 +28,18 @@
     as if this module did not exist.  There is no size cap and no switch.
     One answer may enter a scope from outside: [Harness.Pipeline.run]
     installs an operator's dependence analysis
-    ([Deps.Analysis.install]) into each scope it opens, so the analysis
+    ([Deps.Analysis.install]) into the scope it runs in, so the analysis
     runs once per operator rather than once per version.  It is exact
     because only running the analysis on a kernel makes an installable
     value, and it is installed under that physical kernel: the entry is
     exactly what [Deps.Analysis.dependences] would compute there.
 
-    {b Checkers stay outside.}  [Harness.Eval.evaluate_op],
-    [Harness.Pipeline.run] and [Fuzz.Check.run] (around each of its
-    versions' compiles) open a scope, and so do other callers around their
-    compile work.  An independent check — serve's legality check, which
+    {b Checkers stay outside.}  [Harness.Eval.evaluate_op] and
+    [Fuzz.Check.run] (around each of its versions' compiles) open a
+    scope, and so do other callers around their compile work.
+    [Harness.Pipeline.run] joins the caller's scope ({!shared}): serve,
+    the CLI and [Eval.evaluate_cpu_op] call it outside any, so each run
+    gets its own.  An independent check — serve's legality check, which
     runs after [Pipeline.run] returns; the fuzzer's checks; the tests'
     cold ILP oracles; perfbench's zoo replay, which runs after
     [evaluate_op] returns and schedules through [Eval.timed_schedule], one
@@ -53,6 +55,10 @@ val scoped : (unit -> 'a) -> 'a
 (** [scoped f] runs [f] with a fresh, empty table for every leaf on the
     calling domain and restores the enclosing scope (or none) when [f]
     returns or raises. *)
+
+val shared : (unit -> 'a) -> 'a
+(** [shared f] runs [f] in the calling domain's current scope, or in a
+    fresh one ([scoped f]) when none is open. *)
 
 type scope
 

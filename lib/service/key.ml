@@ -3,8 +3,10 @@
    of the size cap) instead of being misread.  3: serve lowers infl and cpu
    with the version table's vec_min_parallel, so older serve replies are
    stale.  4: the scheduler's fast-path/ILP choice left every flag list
-   (both choices give the same schedule), so every preimage changed. *)
-let format_version = 4
+   (both choices give the same schedule), so every preimage changed.
+   5: serve keys no longer carry the operator's name, and serve payloads
+   no longer store it (the reply echoes the request's). *)
+let format_version = 5
 
 type t = { digest : string; format : int; label : string }
 

@@ -11,22 +11,6 @@ let c_tasks =
   Obs.Counters.create "service.pool_tasks"
     ~doc:"tasks executed through Service.Pool (any job count)"
 
-(* Scrape-time gauges: how many tasks of the active map are still
-   unclaimed, and how many workers are executing one right now.  Both
-   are plain atomics updated around the claim/run steps, so another
-   thread serving a metrics scrape reads a consistent point-in-time
-   value without touching the pool. *)
-let queued = Atomic.make 0
-let busy = Atomic.make 0
-
-let () =
-  Obs.Metrics.register_gauge "service.pool_queue_depth"
-    ~doc:"unclaimed tasks in the active Service.Pool map" (fun () ->
-      float_of_int (Atomic.get queued));
-  Obs.Metrics.register_gauge "service.pool_busy"
-    ~doc:"worker domains currently executing a pool task" (fun () ->
-      float_of_int (Atomic.get busy))
-
 let default_jobs () = Domain.recommended_domain_count ()
 
 (* Worker domains must not spawn nested pools: a task that calls back into
@@ -71,17 +55,12 @@ let map ~jobs f xs =
     let slots : 'b slot option array = Array.make n None in
     let next = Atomic.make 0 in
     let req = Obs.Trace.request () in
-    ignore (Atomic.fetch_and_add queued n);
     let worker () =
       Domain.DLS.set in_worker true;
       let rec loop () =
         let i = Atomic.fetch_and_add next 1 in
         if i < n then begin
-          ignore (Atomic.fetch_and_add queued (-1));
-          ignore (Atomic.fetch_and_add busy 1);
-          Fun.protect
-            ~finally:(fun () -> ignore (Atomic.fetch_and_add busy (-1)))
-            (fun () -> slots.(i) <- Some (run_task req f input.(i)));
+          slots.(i) <- Some (run_task req f input.(i));
           loop ()
         end
       in

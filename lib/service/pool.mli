@@ -15,10 +15,7 @@
 
     The coordinator's request id (see {!Obs.Trace.with_request}) is
     re-installed on workers, so trace events a task emits carry the
-    request that dispatched it.  Two scrape-time gauges are registered
-    with {!Obs.Metrics}: [service.pool_queue_depth] (unclaimed tasks of
-    the active map) and [service.pool_busy] (workers executing a
-    task).
+    request that dispatched it.
 
     Tasks must be independent: they may not assume shared mutable state
     beyond the Obs layer (the compilation pipeline is pure per kernel).

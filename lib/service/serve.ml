@@ -73,7 +73,9 @@ let make_handler ?kernel_of_json ?cache
   { find_op; kernel_of_json; cache; default_machine; max_request_bytes; started;
     next_id = Atomic.make 0; ops = Hashtbl.create 256; ops_lock = Mutex.create () }
 
-let serve_flags op = [ ("entry", "serve"); ("op", op) ]
+(* The kernel text in the key names the kernel, so every spelling of an
+   operator's name shares one entry. *)
+let serve_flags = [ ("entry", "serve") ]
 
 (* A named request's operator and key.  [Key.make] prints the whole
    kernel, which costs more than the rest of a cache hit, so a named
@@ -100,13 +102,13 @@ let named_op h ~op ~version ~machine kernel =
     Obs.Counters.incr c_key_hits;
     (e.operator, key)
   | None ->
-    let key = Key.make ~kernel ~machine ~version ~flags:(serve_flags op) () in
+    let key = Key.make ~kernel ~machine ~version ~flags:serve_flags () in
     Mutex.protect h.ops_lock (fun () -> Hashtbl.replace e.keys slot (machine, key));
     (e.operator, key)
 
 (* [name] and [machine] are the request's, as its reply reports them;
    the pipeline runs [version] on [target] ({!P.resolve}). *)
-let compile_report ~name ~machine ~version ~target ~op operator =
+let compile_report ~name ~machine ~version ~target operator =
   let kernel = P.kernel operator in
   let p = P.run ~machine:target version operator in
   let stats = p.P.stats in
@@ -119,8 +121,7 @@ let compile_report ~name ~machine ~version ~target ~op operator =
     | Error _ -> false
   in
   let base =
-    [ ("op", J.String op);
-      ("version", J.String name);
+    [ ("version", J.String name);
       ("machine", J.String machine.Gpusim.Machine.name);
       ("rows", J.Int (List.length p.P.sched.Scheduling.Schedule.rows));
       ("loop_dims", J.Int stats.Scheduling.Scheduler.loop_dims);
@@ -170,13 +171,14 @@ let timing_fields ~elapsed_s spans =
           spans))
   ]
 
-let ok ~id ~cached ~digest ~timing fields =
+let ok ~id ~cached ~digest ~op ~timing fields =
   J.to_string
     (J.Assoc
        (("status", J.String "ok")
        :: ("id", J.String id)
        :: ("cached", J.Bool cached)
        :: ("digest", J.String digest)
+       :: ("op", J.String op)
        :: (fields @ timing)))
 
 let request_id h req =
@@ -279,12 +281,12 @@ let handle_compile h ~id req =
             if named then named_op h ~op ~version:name ~machine kernel
             else
               ( P.operator kernel,
-                Key.make ~kernel ~machine ~version:name ~flags:(serve_flags op) () )
+                Key.make ~kernel ~machine ~version:name ~flags:serve_flags () )
           in
           match Option.bind h.cache (fun c -> Cache.find c key) with
           | Some (J.Assoc fields) -> Ok (true, Key.digest key, fields)
           | Some _ | None -> (
-            match compile_report ~name ~machine ~version ~target ~op operator with
+            match compile_report ~name ~machine ~version ~target operator with
             | exception Scheduling.Scheduler.Failure_no_schedule msg ->
               Error (Printf.sprintf "no schedule: %s" msg)
             | exception (Failure msg | Invalid_argument msg) ->
@@ -300,7 +302,7 @@ let handle_compile h ~id req =
     match reply with
     | Error e -> error ~id e
     | Ok (cached, digest, fields) ->
-      ok ~id ~cached ~digest ~timing:(timing_fields ~elapsed_s spans) fields)
+      ok ~id ~cached ~digest ~op ~timing:(timing_fields ~elapsed_s spans) fields)
 
 (* One request per line: {"op": NAME | "kernel": CASE, "verb"?, "id"?,
    "version"?, "machine"?, "strategy"?}.  Every outcome — including

@@ -52,7 +52,12 @@
 
     With a {!Cache}, compile replies are stored keyed by
     (kernel, requested machine, requested version name, entry=serve) and repeated
-    requests are answered from disk with ["cached": true].
+    requests are answered from disk with ["cached": true].  The key does
+    not carry the requested op name (the kernel's text names the kernel)
+    and the stored payload does not hold it: the reply puts the request's
+    own ["op"] first among its fields.  So every spelling [find_op]
+    resolves to one kernel (["lstm/lstm_ew_000"], ["LSTM/lstm_ew_000"])
+    shares one entry, and so does every name of an equal kernel.
 
     The hit path.  A cache hit parses the request, finds the operator,
     takes its key, reads and checks the entry ({!Cache.find}) and prints

@@ -329,6 +329,47 @@ let test_sim_s_covers_all_simulations () =
     true
     (simulated > 0.0 && (Option.get r.E.obs).E.sim_s = simulated)
 
+(* Table II compiles through [Pipeline.run] on one operator: three
+   schedules and one vectorizer tree per [evaluate_op], infl taking
+   novec's schedule, and the row the stages gave when [evaluate_op]
+   composed them itself (times pinned as hex floats). *)
+let test_table2_takes_operator_schedule () =
+  let counters =
+    [ "pipeline.schedule_reuses"; "scheduler.schedules"; "vectorizer.trees_built" ]
+  in
+  let read () = List.map Obs.Counters.find counters in
+  let zoo name = List.assoc name (Lazy.force Ops.Networks.stencilzoo.Ops.Networks.ops) in
+  List.iter
+    (fun (name, kernel, expected, flags) ->
+      let before = read () in
+      let r = E.evaluate_op ~name kernel in
+      Alcotest.(check (list int))
+        (name ^ ": reuses, schedules, trees")
+        (List.map2 ( + ) [ 1; 3; 1 ] before)
+        (read ());
+      List.iter2
+        (fun (label, us) expected ->
+          if not (Float.equal us expected) then
+            Alcotest.failf "%s %s: %h us, pinned %h us" name label us expected)
+        [ ("isl", r.E.isl_us); ("tvm", r.E.tvm_us); ("novec", r.E.novec_us);
+          ("infl", r.E.infl_us); ("tiled", r.E.tiled_us) ]
+        expected;
+      Alcotest.(check (triple bool bool bool))
+        (name ^ ": influenced, vec, tiled")
+        flags
+        (r.E.influenced, r.E.vec, r.E.tiled))
+    [ ( "fig2",
+        Ops.Classics.fig2 (),
+        [ 0x1.3de55796174cfp+4; 0x1.6617cb39fde4fp+4; 0x1.fd6b6f5add295p+9;
+          0x1.0e9c8bae0f057p+8; 0x1.3de55796174cfp+4 ],
+        (true, true, false) );
+      ( "zoo_layernorm_004",
+        zoo "zoo_layernorm_004",
+        [ 0x1.2533ba1ac9ad1p+9; 0x1.aea2c629c1cbdp+7; 0x1.2533ba1ac9ad1p+9;
+          0x1.2533ba1ac9ad1p+9; 0x1.2533ba1ac9ad1p+9 ],
+        (false, false, false) )
+    ]
+
 let test_version_table () =
   List.iter
     (fun v ->
@@ -369,6 +410,8 @@ let () =
           Alcotest.test_case "stats sum three schedules" `Quick test_stats_sum_three_schedules;
           Alcotest.test_case "sim_s covers every simulation" `Quick
             test_sim_s_covers_all_simulations;
+          Alcotest.test_case "Table II takes the operator's schedule" `Quick
+            test_table2_takes_operator_schedule;
           Alcotest.test_case "zoo: eval = serve" `Slow test_zoo_times
         ] )
     ]

@@ -67,7 +67,7 @@ let test_key_stability () =
    Key.format_version bump moves it too; update the literal then. *)
 let test_eval_key_pinned () =
   Alcotest.(check string)
-    "fig2 on v100" "f580dc4235014aeedac098ec417af463"
+    "fig2 on v100" "88b8e172c0c3bb0cdb8b92fad69345b3"
     (Service.Key.digest
        (Service.Batch.eval_key ~machine:Gpusim.Machine.v100 ~name:"fig2" (classic "fig2")))
 
@@ -700,7 +700,7 @@ let test_serve_backend_axis () =
   let digest ~machine version =
     Service.Key.digest
       (Service.Key.make ~kernel ~machine ~version
-         ~flags:[ ("entry", "serve"); ("op", "fig2") ]
+         ~flags:[ ("entry", "serve") ]
          ())
   in
   let cpu = reply {|{"op":"fig2","version":"cpu"}|} in
@@ -752,7 +752,7 @@ let test_serve_key_memo () =
   let digest ?(machine = Gpusim.Machine.v100) kernel =
     Service.Key.digest
       (Service.Key.make ~kernel ~machine ~version:"infl"
-         ~flags:[ ("entry", "serve"); ("op", "op") ]
+         ~flags:[ ("entry", "serve") ]
          ())
   in
   let hits () = counter "service.serve_key_hits" in
@@ -1018,12 +1018,56 @@ let test_serve_damaged_requests () =
           done)
         [ 0x01; 0x20; 0x80 ])
     [ named; inline; metrics ];
+  (* deep nesting: 1 MiB of [, and nesting in each request field; huge
+     integers in each scalar field *)
+  let nested = String.make 500_000 '[' ^ String.make 500_000 ']' in
+  let digits = String.make 400 '9' in
+  let fields = [ "id"; "op"; "version"; "machine"; "strategy"; "verb"; "kernel" ] in
+  one (String.make Service.Serve.default_max_request_bytes '[');
+  List.iter
+    (fun value ->
+      List.iter
+        (fun field ->
+          if field = "op" then one (Printf.sprintf {|{"op":%s}|} value)
+          else one (Printf.sprintf {|{"op":"transpose_add","%s":%s}|} field value))
+        fields)
+    [ nested; digits ];
   Alcotest.(check bool) "both outcomes seen" true
     (Hashtbl.mem statuses "ok" && Hashtbl.mem statuses "error");
   Alcotest.(check int) "every line answered" !sent (counter "service.serve_requests");
   Alcotest.(check string) "still answers like a cold handler"
     (answer (Service.Serve.handle_line (handler ()) named))
     (answer (Service.Serve.handle_line h named))
+
+(* The key names the kernel, not the spelling of its name: a second
+   spelling that [find_op] resolves to the same kernel is a cache hit with
+   the first's answer, echoes its own op, and stores nothing new. *)
+let test_serve_two_spellings () =
+  reset ();
+  let dir = fresh_dir () in
+  let cache = Service.Cache.open_ dir in
+  let kernel = Lazy.force Ops.Networks.lstm.Ops.Networks.ops |> List.assoc "lstm_ew_000" in
+  let find_op n =
+    if String.lowercase_ascii n = "lstm/lstm_ew_000" then Some kernel else None
+  in
+  let h = Service.Serve.make_handler ~cache ~find_op () in
+  let reply op = fields (Service.Serve.handle_line h (version_request ~op "isl")) in
+  let first = reply "lstm/lstm_ew_000" and second = reply "LSTM/lstm_ew_000" in
+  Alcotest.(check bool) "first misses" true (J.member "cached" first = Some (J.Bool false));
+  Alcotest.(check bool) "second hits" true (J.member "cached" second = Some (J.Bool true));
+  Alcotest.(check (option string)) "second echoes its op" (Some "LSTM/lstm_ew_000")
+    (str_field second "op");
+  let rest = function
+    | J.Assoc kvs ->
+      J.to_string
+        (J.Assoc
+           (List.filter
+              (fun (k, _) -> not (List.mem k [ "id"; "cached"; "op"; "elapsed_us"; "spans" ]))
+              kvs))
+    | j -> J.to_string j
+  in
+  Alcotest.(check string) "same answer" (rest first) (rest second);
+  Alcotest.(check int) "one cache file" 1 (Array.length (Sys.readdir dir))
 
 (* An inline kernel with a non-positive iterator extent is a structured
    error, and the loop keeps answering. *)
@@ -1189,6 +1233,7 @@ let () =
           Alcotest.test_case "kept stats are copies" `Quick test_stats_copied;
           Alcotest.test_case "bad extent" `Quick test_serve_bad_extent;
           Alcotest.test_case "damaged requests" `Quick test_serve_damaged_requests;
+          Alcotest.test_case "two spellings, one entry" `Quick test_serve_two_spellings;
           Alcotest.test_case "huge kernels" `Quick test_serve_huge_kernels;
           Alcotest.test_case "loop answers blank lines" `Quick
             test_serve_loop_blank_lines;
