@@ -86,9 +86,9 @@ let network_of_name name =
       String.lowercase_ascii n.Ops.Networks.name = String.lowercase_ascii name)
     Ops.Networks.all
 
-(* Each classic is built once, so repeated lookups of one name return the
-   physically same kernel (serve reuses its cache key only then), as the
-   networks' lazily built operators already do. *)
+(* Each classic is built once, as the networks' operators are, so a
+   repeated lookup neither rebuilds the kernel nor recomputes its digest;
+   serve's identity is the kernel's name and digest, not the value. *)
 let classics = List.map (fun (name, mk) -> (name, Lazy.from_fun mk)) Ops.Classics.all
 
 let find_op name =

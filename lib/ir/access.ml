@@ -34,11 +34,6 @@ let linear_offset tensor a =
     (Linexpr.zero, 0) a.index
   |> fst
 
-let equal a b =
-  a.tensor = b.tensor
-  && List.length a.index = List.length b.index
-  && List.for_all2 Linexpr.equal a.index b.index
-
 let pp fmt a =
   Format.fprintf fmt "%s[%s]" a.tensor
     (String.concat "][" (List.map Linexpr.to_string a.index))

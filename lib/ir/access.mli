@@ -25,6 +25,5 @@ val linear_offset : Tensor.t -> t -> Linexpr.t
 (** The affine row-major element offset of the access into the tensor.
     @raise Invalid_argument on rank mismatch. *)
 
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -89,4 +89,3 @@ let rec pp fmt = function
   | Binop (op, a, b) -> Format.fprintf fmt "(%a %s %a)" pp a (binop_symbol op) pp b
   | Unop (op, a) -> Format.fprintf fmt "%s(%a)" (unop_name op) pp a
 
-let to_string e = Format.asprintf "%a" pp e

@@ -39,5 +39,8 @@ val eval_unop : unop -> float -> float
 val eval : (Access.t -> float) -> t -> float
 (** Evaluates with the given load semantics. *)
 
+val binop_symbol : binop -> string
+val unop_name : unop -> string
+(** The operators' names as {!pp} prints them. *)
+
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

@@ -5,6 +5,7 @@ type t = {
   name : string;
   tensors : Tensor.t list;
   stmts : Stmt.t list;
+  mutable digest_memo : string option;
 }
 
 let check_unique what names =
@@ -53,7 +54,7 @@ let make ~name ~tensors ~stmts () =
                    a.tensor s.name))
         (Stmt.accesses s))
     stmts;
-  { name; tensors; stmts }
+  { name; tensors; stmts; digest_memo = None }
 
 let tensor k tn = List.find (fun (t : Tensor.t) -> t.name = tn) k.tensors
 let stmt k sn = List.find (fun (s : Stmt.t) -> s.name = sn) k.stmts
@@ -117,6 +118,48 @@ let pp fmt k =
   List.iter (fun s -> Format.fprintf fmt "  %a@," Stmt.pp s) k.stmts;
   Format.fprintf fmt "@]"
 
-let to_string k = Format.asprintf "%a" pp k
+(* Everything but the name, in stored order.  Strings and lists carry
+   their length, rationals are exact and float constants are their bits,
+   so kernels render alike only when equal in every field but the name.
+   Domains racing on a first digest store the same string. *)
+let digest k =
+  match k.digest_memo with
+  | Some d -> d
+  | None ->
+    let b = Buffer.create 1024 in
+    let tag = Buffer.add_char b in
+    let int n = Buffer.add_string b (string_of_int n); tag ';' in
+    let str s = int (String.length s); Buffer.add_string b s in
+    let list f l = int (List.length l); List.iter f l in
+    let q x = str (Q.to_string x) in
+    let linexpr e =
+      Linexpr.fold_terms (fun x c () -> tag 't'; str x; q c) e ();
+      tag 'c'; q (Linexpr.constant e)
+    in
+    let access (a : Access.t) = str a.tensor; list linexpr a.index in
+    let rec expr = function
+      | Expr.Const c -> tag 'k'; str (Int64.to_string (Int64.bits_of_float c))
+      | Load a -> tag 'l'; access a
+      | Binop (op, x, y) -> tag 'b'; str (Expr.binop_symbol op); expr x; expr y
+      | Unop (op, x) -> tag 'u'; str (Expr.unop_name op); expr x
+    in
+    let tensor (t : Tensor.t) =
+      str t.name;
+      list int (Array.to_list t.dims);
+      tag (match t.dtype with F16 -> 'h' | F32 -> 'f')
+    in
+    let constr (c : Constr.t) = tag (match c.kind with Eq -> 'E' | Ge -> 'G'); linexpr c.expr in
+    let stmt (s : Stmt.t) =
+      str s.name;
+      list str s.iters;
+      list constr (Polyhedron.constraints s.domain);
+      access s.write;
+      expr s.rhs
+    in
+    list tensor k.tensors;
+    list stmt k.stmts;
+    let d = Digest.to_hex (Digest.string (Buffer.contents b)) in
+    k.digest_memo <- Some d;
+    d
 
 let instantiate k = k

@@ -6,13 +6,16 @@
     lexicographic order of its iteration vector — the shape MindSpore's
     graph-kernel fusion hands to AKG. *)
 
-type t = {
+type t = private {
   name : string;
   tensors : Tensor.t list;
   stmts : Stmt.t list;
+  mutable digest_memo : string option;  (** {!digest}, once computed *)
 }
 (** Every extent is concrete: the paper's fused operators all have static
-    shapes, so the scheduler reasons about no symbolic parameter. *)
+    shapes, so the scheduler reasons about no symbolic parameter.  Only
+    {!make} builds one.  Compare kernels by name and {!digest}, not with
+    [=], which also sees whether the digest has been computed yet. *)
 
 val make : name:string -> tensors:Tensor.t list -> stmts:Stmt.t list -> unit -> t
 (** Structural checks: unique tensor names, unique statement names, unique
@@ -45,5 +48,11 @@ val read_tensors : t -> string list
 val inputs : t -> Tensor.t list
 (** Tensors read but never written: the operator's inputs. *)
 
+val digest : t -> string
+(** The kernel's identity: a hex MD5 of an injective rendering of all but
+    its name — tensors and statements in order, domain constraints in
+    stored order (row order decides the simplex's vertex), float
+    constants by their bits.  One name and one digest compile alike.
+    Computed on first use and kept in the kernel. *)
+
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

@@ -5,8 +5,10 @@
    stale.  4: the scheduler's fast-path/ILP choice left every flag list
    (both choices give the same schedule), so every preimage changed.
    5: serve keys no longer carry the operator's name, and serve payloads
-   no longer store it (the reply echoes the request's). *)
-let format_version = 5
+   no longer store it (the reply echoes the request's).  6: the kernel
+   enters as its name and {!Ir.Kernel.digest}, not its printed text
+   (which showed float constants with [%g]), and the machine marshalled. *)
+let format_version = 6
 
 type t = { digest : string; format : int; label : string }
 
@@ -14,28 +16,17 @@ let digest t = t.digest
 let format t = t.format
 let label t = t.label
 
-(* The preimage is a fully textual, versioned rendering of everything the
-   compile result depends on.  Ir.Kernel.pp prints the complete kernel
-   (tensors, statements, accesses), and machine floats
-   are rendered in hex so equal profiles digest equally and nearly-equal
-   ones never collide. *)
-let machine_fields (m : Gpusim.Machine.t) =
-  Printf.sprintf "%s;%d;%d;%h;%d;%d;%h;%h;%h;%h;%h;%d;%d;%h;%h;%s" m.Gpusim.Machine.name
-    m.warp_size m.sector_bytes m.clock_hz m.sm_count m.max_resident_warps
-    m.dram_bandwidth m.mem_latency_cycles m.memory_parallelism m.flops_peak
-    m.launch_overhead_s m.shared_mem_per_sm m.l2_bytes m.shared_bandwidth m.l2_bandwidth
-    (Gpusim.Machine.isa_name m.isa)
-
+(* The preimage is exact: the kernel digest covers all but the name, which
+   comes last, and the machine is marshalled whole, a field added later
+   included; a change in how OCaml marshals can only cause misses. *)
 let make ?(format_version = format_version) ?(flags = []) ~kernel ~machine ~version () =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b (Printf.sprintf "akg-repro-cache/%d\n" format_version);
-  Buffer.add_string b ("version=" ^ version ^ "\n");
-  List.iter
-    (fun (k, v) -> Buffer.add_string b (Printf.sprintf "flag:%s=%s\n" k v))
-    (List.sort compare flags);
-  Buffer.add_string b ("machine=" ^ machine_fields machine ^ "\n");
-  Buffer.add_string b "kernel:\n";
-  Buffer.add_string b (Ir.Kernel.to_string kernel);
+  let b = Buffer.create 512 in
+  let add = List.iter (Buffer.add_string b) in
+  add [ "akg-repro-cache/"; string_of_int format_version; "\nversion="; version; "\n" ];
+  List.iter (fun (k, v) -> add [ "flag:"; k; "="; v; "\n" ]) (List.sort compare flags);
+  add
+    [ "machine="; Marshal.to_string (machine : Gpusim.Machine.t) [ Marshal.No_sharing ];
+      "\nkernel="; Ir.Kernel.digest kernel; "\nname="; kernel.Ir.Kernel.name ];
   { digest = Digest.to_hex (Digest.string (Buffer.contents b));
     format = format_version;
     label = kernel.Ir.Kernel.name ^ "/" ^ version

@@ -1,13 +1,14 @@
 (** Content-addressed cache keys.
 
     A key is a stable digest of everything a compile+simulate result
-    depends on: the full kernel IR text, the machine profile, the
-    compiler version ([isl]/[novec]/[infl], or a coarser entry tag such
-    as ["eval"] for whole four-version results), free-form flags
-    (vectorizer/tiling switches, entry kind), and the cache format
-    version.  Equal inputs digest equally across processes and runs;
-    any change — including a {!format_version} bump — changes the digest,
-    so stale on-disk entries turn into plain misses. *)
+    depends on: the kernel's name and {!Ir.Kernel.digest}, the machine
+    profile (every field), the compiler version ([isl]/[novec]/[infl],
+    or a coarser entry tag such as ["eval"] for whole four-version
+    results), free-form flags (vectorizer/tiling switches, entry kind),
+    and the cache format version.  Equal inputs digest equally across
+    processes and runs; any change — including a {!format_version} bump
+    — changes the digest, so stale on-disk entries turn into plain
+    misses. *)
 
 type t
 

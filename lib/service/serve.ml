@@ -22,24 +22,9 @@ let h_compile =
   Obs.Histogram.create "serve.compile_seconds"
     ~doc:"serve compile-request latency, cache hits included (seconds)"
 
-let c_key_hits =
-  Obs.Counters.create "service.serve_key_hits"
-    ~doc:"serve compile requests whose cache key was reused from an earlier request"
-
 let default_max_request_bytes = 1 lsl 20
 
 module P = Harness.Pipeline
-
-(* A named operator: the kernel [find_op] returned, the pipeline's shared
-   work on it, and its cache keys by (version name, machine name), each
-   kept with the machine it was made for.  The entry serves only while
-   [find_op] returns that physical kernel, so neither a key nor a schedule
-   is ever served for a kernel it was not made from. *)
-type op_entry = {
-  kernel : Ir.Kernel.t;
-  operator : P.operator;
-  keys : (string * string, Gpusim.Machine.t * Key.t) Hashtbl.t;
-}
 
 type handler = {
   find_op : string -> Ir.Kernel.t option;
@@ -49,7 +34,8 @@ type handler = {
   max_request_bytes : int;
   started : float;
   next_id : int Atomic.t;
-  ops : (string, op_entry) Hashtbl.t;  (* by op name; guarded by [ops_lock] *)
+  ops : (string * string, P.operator) Hashtbl.t;
+      (* by kernel name and digest; guarded by [ops_lock] *)
   ops_lock : Mutex.t;
 }
 
@@ -73,38 +59,22 @@ let make_handler ?kernel_of_json ?cache
   { find_op; kernel_of_json; cache; default_machine; max_request_bytes; started;
     next_id = Atomic.make 0; ops = Hashtbl.create 256; ops_lock = Mutex.create () }
 
-(* The kernel text in the key names the kernel, so every spelling of an
-   operator's name shares one entry. *)
+(* The key names the kernel, so every spelling of an operator's name
+   shares one entry. *)
 let serve_flags = [ ("entry", "serve") ]
 
-(* A named request's operator and key.  [Key.make] prints the whole
-   kernel, which costs more than the rest of a cache hit, so a named
-   operator asked for again reuses its key; a miss reuses the operator's
-   analysis and vectorizer schedule.  Inline kernels are decoded afresh
-   per request and share neither. *)
-let named_op h ~op ~version ~machine kernel =
-  let slot = (version, machine.Gpusim.Machine.name) in
-  let e, reuse =
-    Mutex.protect h.ops_lock (fun () ->
-        match Hashtbl.find_opt h.ops op with
-        | Some e when e.kernel == kernel ->
-          ( e,
-            match Hashtbl.find_opt e.keys slot with
-            | Some (m, key) when m == machine -> Some key
-            | Some _ | None -> None )
-        | Some _ | None ->
-          let e = { kernel; operator = P.operator kernel; keys = Hashtbl.create 8 } in
-          Hashtbl.replace h.ops op e;
-          (e, None))
-  in
-  match reuse with
-  | Some key ->
-    Obs.Counters.incr c_key_hits;
-    (e.operator, key)
-  | None ->
-    let key = Key.make ~kernel ~machine ~version ~flags:serve_flags () in
-    Mutex.protect h.ops_lock (fun () -> Hashtbl.replace e.keys slot (machine, key));
-    (e.operator, key)
+(* The operator every miss on a named kernel with this name and digest
+   compiles with, whatever the spelling; inline kernels get a fresh one,
+   so the table holds at most what [find_op] can return. *)
+let named_operator h kernel =
+  let id = (kernel.Ir.Kernel.name, Ir.Kernel.digest kernel) in
+  Mutex.protect h.ops_lock (fun () ->
+      match Hashtbl.find_opt h.ops id with
+      | Some operator -> operator
+      | None ->
+        let operator = P.operator kernel in
+        Hashtbl.replace h.ops id operator;
+        operator)
 
 (* [name] and [machine] are the request's, as its reply reports them;
    the pipeline runs [version] on [target] ({!P.resolve}). *)
@@ -277,15 +247,11 @@ let handle_compile h ~id req =
        reply's span breakdown, then folded back into the shared state *)
     let reply, capture =
       Obs.scoped (fun () ->
-          let operator, key =
-            if named then named_op h ~op ~version:name ~machine kernel
-            else
-              ( P.operator kernel,
-                Key.make ~kernel ~machine ~version:name ~flags:serve_flags () )
-          in
+          let key = Key.make ~kernel ~machine ~version:name ~flags:serve_flags () in
           match Option.bind h.cache (fun c -> Cache.find c key) with
           | Some (J.Assoc fields) -> Ok (true, Key.digest key, fields)
           | Some _ | None -> (
+            let operator = if named then named_operator h kernel else P.operator kernel in
             match compile_report ~name ~machine ~version ~target operator with
             | exception Scheduling.Scheduler.Failure_no_schedule msg ->
               Error (Printf.sprintf "no schedule: %s" msg)

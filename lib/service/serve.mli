@@ -51,41 +51,36 @@
     serving.
 
     With a {!Cache}, compile replies are stored keyed by
-    (kernel, requested machine, requested version name, entry=serve) and repeated
-    requests are answered from disk with ["cached": true].  The key does
-    not carry the requested op name (the kernel's text names the kernel)
-    and the stored payload does not hold it: the reply puts the request's
-    own ["op"] first among its fields.  So every spelling [find_op]
-    resolves to one kernel (["lstm/lstm_ew_000"], ["LSTM/lstm_ew_000"])
-    shares one entry, and so does every name of an equal kernel.
+    (kernel, requested machine, requested version name, entry=serve) and
+    repeated requests are answered from disk with ["cached": true].  The
+    kernel enters the key as its name and {!Ir.Kernel.digest}, which is
+    exact (float constants by their bits), so kernels that differ in any
+    field never share an entry.  The key does not carry the requested op
+    name and the stored payload does not hold it: the reply puts the
+    request's own ["op"] first among its fields.  So every spelling
+    [find_op] resolves to one kernel (["lstm/lstm_ew_000"],
+    ["LSTM/lstm_ew_000"]) shares one entry.
 
     The hit path.  A cache hit parses the request, finds the operator,
-    takes its key, reads and checks the entry ({!Cache.find}) and prints
-    the reply; nothing is scheduled or simulated.
+    makes its key ({!Key.make}: the kernel's digest is computed once and
+    kept in the kernel), reads and checks the entry ({!Cache.find}) and
+    prints the reply; nothing is scheduled or simulated.
 
-    One entry per named operator.  The handler keeps, per op name, the
-    kernel [find_op] returned, a {!Harness.Pipeline.operator} for it and
-    its cache keys by (version name, machine name), each with the machine
-    it was made for.  Making a {!Key} prints the whole kernel, so a
-    request reuses the entry's key when one is there (counted in
-    [service.serve_key_hits]); a miss compiles with the entry's operator,
-    so the operator's versions share one dependence analysis, and novec,
-    infl and cpu one vectorizer schedule (counted in
-    [pipeline.schedule_reuses]).  A reused miss's ["spans"] therefore
-    show no scheduler spans.  The entry serves only while [find_op]
-    returns the {e physically} same kernel ([==]), and a key only for the
-    physically same machine profile; otherwise the handler makes them
-    afresh and replaces the entry (a new kernel gets a new operator).  A
-    reused key is the one {!Key.make} would give and a reused operator's
-    output is a fresh one's, so replies, digests and cache files are the
-    same with or without the table.  Inline kernels are decoded per
-    request and get a fresh operator and key every time.  The table holds
-    at most one entry per name [find_op] resolves (the CLI's registry:
-    223 zoo operators and 15 classics; the dependences and vectorizer
-    schedules of the 217 Table I operators take about 0.6 MiB), sits
-    behind a mutex (a handler may be shared between domains) and is
-    dropped with the handler.  A [find_op] that builds a fresh kernel per
-    call is correct but never shares anything.
+    One operator per kernel.  A miss on a named request compiles with the
+    handler's {!Harness.Pipeline.operator} for the kernel's (name,
+    digest), made on the first miss, so every spelling and every equal
+    kernel [find_op] returns shares one: the versions share one
+    dependence analysis, and novec, infl and cpu one vectorizer schedule
+    (counted in [pipeline.schedule_reuses]).  A reused miss's ["spans"]
+    therefore show no scheduler spans.  An operator's output is a fresh
+    one's, so replies, digests and cache files are the same with or
+    without the table.  Inline kernels are decoded per request and get a
+    fresh operator every time, so the table holds at most one operator
+    per kernel [find_op] can return (the CLI's registry: 223 zoo
+    operators and 15 classics; the dependences and vectorizer schedules
+    of the 217 Table I operators take about 0.6 MiB).  It sits behind a
+    mutex (a handler may be shared between domains) and is dropped with
+    the handler.
 
     Serve's legality check runs on every miss, after the pipeline's scope
     has closed, against the run's dependences: it shares no solver memo

@@ -303,10 +303,9 @@ let renamed (c : Compile.compiled) =
     }
   in
   let kernel =
-    { Ir.Kernel.name = k.Ir.Kernel.name ^ "_renamed";
-      tensors = List.map (fun (t : Ir.Tensor.t) -> { t with name = tensor t.name }) k.tensors;
-      stmts = List.map stmt' k.stmts
-    }
+    Ir.Kernel.make ~name:(k.Ir.Kernel.name ^ "_renamed")
+      ~tensors:(List.map (fun (t : Ir.Tensor.t) -> { t with name = tensor t.name }) k.tensors)
+      ~stmts:(List.map stmt' k.stmts) ()
   in
   let exec (e : Ast.exec) =
     { Ast.stmt = stmt e.Ast.stmt;
@@ -353,15 +352,14 @@ let test_key_distinguishes () =
     if key v100 c = key m c' then Alcotest.failf "%s: same key" what
   in
   differs "extent" (lower (Ops.Classics.transpose_add ~n:64 ~m:128 ())) v100;
+  let with_tensors f = Ir.Kernel.make ~name:k.Ir.Kernel.name ~tensors:(f k.tensors) ~stmts:k.stmts () in
   differs "dtype"
     { c with
       kernel =
-        { k with
-          tensors = List.map (fun (t : Ir.Tensor.t) -> { t with dtype = Ir.Tensor.F16 }) k.tensors
-        }
+        with_tensors (List.map (fun (t : Ir.Tensor.t) -> { t with dtype = Ir.Tensor.F16 }))
     }
     v100;
-  differs "tensor order" { c with kernel = { k with tensors = List.rev k.Ir.Kernel.tensors } } v100;
+  differs "tensor order" { c with kernel = with_tensors List.rev } v100;
   differs "machine" c Gpusim.Machine.a100
 
 (* ------------------------------------------------------------------ *)

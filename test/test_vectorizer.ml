@@ -168,7 +168,7 @@ let random_fuzz_kernel_gen =
 
 let print_kernel_opt = function
   | None -> "<unconvertible case>"
-  | Some k -> Kernel.to_string k
+  | Some k -> Format.asprintf "%a" Kernel.pp k
 
 let prop_scenario_order_invariant =
   (* Algorithm 2 ranks dimensions per statement from accesses and tensor
