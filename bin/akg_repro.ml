@@ -589,39 +589,10 @@ let fuzz_cmd =
   in
   let out_arg =
     let doc =
-      "Directory for replay files of shrunk failing cases (created on first failure)."
+      "Directory for replay files of shrunk failing cases (created, with its missing \
+       parents, on first failure)."
     in
     Arg.(value & opt string "fuzz-failures" & info [ "out" ] ~docv:"DIR" ~doc)
-  in
-  let max_stmts_arg =
-    let doc = "Fusion depth: longest generated statement chain." in
-    Arg.(value & opt int Fuzz.Generate.default_config.Fuzz.Generate.max_stmts
-         & info [ "max-stmts" ] ~docv:"S" ~doc)
-  in
-  let max_rank_arg =
-    let doc = "Maximum dimensionality of generated iteration spaces (1-3)." in
-    Arg.(value & opt int Fuzz.Generate.default_config.Fuzz.Generate.max_rank
-         & info [ "max-rank" ] ~docv:"R" ~doc)
-  in
-  let max_extent_arg =
-    let doc = "Largest generated loop extent." in
-    Arg.(value & opt int Fuzz.Generate.default_config.Fuzz.Generate.max_extent
-         & info [ "max-extent" ] ~docv:"E" ~doc)
-  in
-  let skew_arg =
-    let doc =
-      "Access-pattern skew in [0,1]: probability that a generated access deviates from \
-       the identity pattern (transpose, broadcast, shift, stride-2)."
-    in
-    Arg.(value & opt float Fuzz.Generate.default_config.Fuzz.Generate.skew
-         & info [ "skew" ] ~docv:"P" ~doc)
-  in
-  let max_tile_size_arg =
-    let doc =
-      "Cap the per-dimension tile sizes the tiled version's influence tree proposes \
-       (also applied on $(b,--replay))."
-    in
-    Arg.(value & opt (some int) None & info [ "max-tile-size" ] ~docv:"T" ~doc)
   in
   let cpu_exec_arg =
     let doc =
@@ -632,8 +603,7 @@ let fuzz_cmd =
     in
     Arg.(value & flag & info [ "cpu-exec" ] ~doc)
   in
-  let run seed count replay out max_stmts max_rank max_extent skew max_tile_size
-      cpu_exec jobs o =
+  let run seed count replay out cpu_exec jobs o =
     with_obs o @@ fun () ->
     let cpu_exec =
       if not cpu_exec then None
@@ -646,7 +616,7 @@ let fuzz_cmd =
     in
     match replay with
     | Some file -> (
-      match Fuzz.replay ?max_tile_size ?cpu_exec file with
+      match Fuzz.replay ?cpu_exec file with
       | Error e ->
         Format.eprintf "fuzz: %s@." e;
         2
@@ -658,9 +628,6 @@ let fuzz_cmd =
           Fuzz.Case.pp case;
         1)
     | None ->
-      let config =
-        { Fuzz.Generate.max_stmts; max_rank; max_extent; skew }
-      in
       let progress (r : Fuzz.failure_report) =
         Format.printf "case %d: %a@.  shrunk in %d steps to %a%s@." r.Fuzz.index
           Fuzz.Check.pp_failure r.Fuzz.failure r.Fuzz.shrink_steps Fuzz.Case.pp
@@ -668,7 +635,7 @@ let fuzz_cmd =
           (match r.Fuzz.file with Some f -> "\n  replay file: " ^ f | None -> "")
       in
       let report =
-        Fuzz.run ~config ~out_dir:out ?max_tile_size ?cpu_exec ~progress
+        Fuzz.run ~out_dir:out ?cpu_exec ~progress
           ~jobs:(resolve_jobs jobs) ~seed ~count ()
       in
       let nfail = List.length report.Fuzz.failures in
@@ -684,9 +651,8 @@ let fuzz_cmd =
           AST well-formedness and C emission (executed against the host toolchain \
           with $(b,--cpu-exec)); failures are shrunk to minimal replayable cases")
     Term.(
-      const run $ seed_arg $ count_arg $ replay_arg $ out_arg $ max_stmts_arg
-      $ max_rank_arg $ max_extent_arg $ skew_arg $ max_tile_size_arg $ cpu_exec_arg
-      $ jobs_arg $ obs_term)
+      const run $ seed_arg $ count_arg $ replay_arg $ out_arg $ cpu_exec_arg $ jobs_arg
+      $ obs_term)
 
 (* ------------------------------------------------------------------ *)
 (* trace analytics: report / diff                                       *)

@@ -18,7 +18,7 @@ let pass name kernel_name f =
       ]);
   r
 
-let lower ?(vectorize = true) ?vec_min_parallel ?tile_fault schedule kernel =
+let lower ?(vectorize = true) ?vec_min_parallel schedule kernel =
   Obs.Span.with_ "codegen.lower" @@ fun () ->
   Obs.Counters.incr c_lowerings;
   let name = kernel.Ir.Kernel.name in
@@ -37,8 +37,7 @@ let lower ?(vectorize = true) ?vec_min_parallel ?tile_fault schedule kernel =
     match Tiling.sizes_of_schedule schedule with
     | None -> ast
     | Some sizes ->
-      pass "tiling" name (fun () ->
-          Tiling.apply ?fault:tile_fault ~sizes schedule kernel deps ast)
+      pass "tiling" name (fun () -> Tiling.apply ~sizes schedule kernel deps ast)
   in
   let mapping, ast =
     pass "mapping" name (fun () ->

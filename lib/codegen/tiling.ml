@@ -41,8 +41,6 @@ let rec collect_chain (l : Ast.loop) =
 
 let tile_var d = Printf.sprintf "t%dT" d
 
-type fault = Off_by_one
-
 let c_applied =
   Obs.Counters.create "tiling.chains_tiled" ~doc:"loop chains rewritten into tile/point loops"
 
@@ -50,11 +48,7 @@ let c_refused =
   Obs.Counters.create "tiling.chains_refused"
     ~doc:"tile-annotated chains refused by the permutability re-check"
 
-let apply ?fault ~sizes sched kernel deps ast =
-  (* [fault] is deliberate fault injection for the fuzzer's broken-tiler
-     canary: Off_by_one drops the last point of every tile, a semantic
-     change the differential interpreter check must catch. *)
-  let point_slack = match fault with Some Off_by_one -> 2 | None -> 1 in
+let apply ~sizes sched kernel deps ast =
   let rec go t =
     match t with
     | Ast.Stmts l -> Ast.Stmts (List.map go l)
@@ -91,7 +85,7 @@ let apply ?fault ~sizes sched kernel deps ast =
                       Ast.lower = [ Linexpr.var tv ];
                       upper =
                         c.Ast.upper
-                        @ [ Linexpr.add_term Q.one tv (Linexpr.const_int (s - point_slack)) ];
+                        @ [ Linexpr.add_term Q.one tv (Linexpr.const_int (s - 1)) ];
                       trip_hint = Some s;
                       body = acc
                     }

@@ -21,15 +21,9 @@ val band_permutable :
     statements (non-negative difference on every dimension for every
     dependence among them, in the context of equal outer dimensions). *)
 
-type fault = Off_by_one
-(** Deliberate fault injection for the fuzzer's broken-tiler canary:
-    [Off_by_one] shrinks every point loop by one iteration, dropping the
-    last point of each tile — a semantic break the differential
-    interpreter check must detect and shrink.  Never set outside tests. *)
-
 val apply :
-  ?fault:fault -> sizes:(int -> int option) -> Scheduling.Schedule.t ->
-  Ir.Kernel.t -> Deps.Dependence.t list -> Ast.t -> Ast.t
+  sizes:(int -> int option) -> Scheduling.Schedule.t -> Ir.Kernel.t ->
+  Deps.Dependence.t list -> Ast.t -> Ast.t
 (** Tiles every maximal chain of directly-nested plain loops forming a
     permutable band (checked against the kernel's dependences).  [sizes
     dim] gives the tile size for a schedule dimension ([None] or sizes

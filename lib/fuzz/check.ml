@@ -28,6 +28,10 @@ type failure = { version : P.version; stage : stage; message : string }
 let pp_failure ppf f =
   Format.fprintf ppf "[%s/%s] %s" (P.name f.version) (stage_name f.stage) f.message
 
+type mutation =
+  | Reschedule of (P.version -> Scheduling.Schedule.t -> Scheduling.Schedule.t)
+  | Relower of (P.version -> Codegen.Compile.compiled -> Codegen.Compile.compiled)
+
 (* ------------------------------------------------------------------ *)
 (* structural well-formedness of the emitted AST                        *)
 (* ------------------------------------------------------------------ *)
@@ -102,16 +106,20 @@ let mismatch ~what version = function
         message = Printf.sprintf "%s (max abs diff %g)" what diff
       }
 
-(* A version's tree, schedule, perturbation and lowering run inside the
-   case's solver-memo [scope]; every check runs outside it. *)
-let check_version ?(perturb = fun _ s -> s) ?max_tile_size ?tile_fault ~scope k deps version =
+(* A version's tree, schedule and lowering run inside the case's
+   solver-memo [scope]; [mutate] and every check run outside it. *)
+let check_version ?mutate ~scope k deps version =
   let compile f = Polyhedra.Solver_memo.within scope f in
+  let reschedule, relower =
+    match mutate with
+    | Some (Reschedule f) -> (f version, Fun.id)
+    | Some (Relower f) -> (Fun.id, f version)
+    | None -> (Fun.id, Fun.id)
+  in
   let* sched =
     guard version Schedule (fun () ->
-        compile (fun () ->
-            let influence = P.tree ?max_tile_size version k in
-            let s, _ = P.schedule ?influence k in
-            Ok (perturb version s)))
+        let s, _ = compile (fun () -> P.schedule ?influence:(P.tree version k) k) in
+        Ok (reschedule s))
   in
   let* () =
     guard version Legality (fun () ->
@@ -121,14 +129,11 @@ let check_version ?(perturb = fun _ s -> s) ?max_tile_size ?tile_fault ~scope k 
   in
   let* c, refused =
     guard version Lower (fun () ->
-        (* [tile_fault] only reaches the version that tiles, so a broken
-           tiler shows up as a tiled-version failure, not an isl one.  The
-           fuzzer's kernels are tiny, so the vector pass runs on every
+        (* The fuzzer's kernels are tiny, so the vector pass runs on every
            parallel loop (threshold 0) instead of the table's 2048. *)
-        let tile_fault = if version = P.Tiled then tile_fault else None in
         let refused0 = Obs.Counters.find "tiling.chains_refused" in
-        let c = compile (fun () -> P.lower ~vec_min_parallel:0 ?tile_fault version sched k) in
-        Ok (c, Obs.Counters.find "tiling.chains_refused" - refused0))
+        let c = compile (fun () -> P.lower ~vec_min_parallel:0 version sched k) in
+        Ok (relower c, Obs.Counters.find "tiling.chains_refused" - refused0))
   in
   let* () =
     match well_formed c with
@@ -196,7 +201,7 @@ let check_c ?cpu_exec k c =
    that they share one analysis and their solver work (novec and infl
    schedule the same vectorizer tree) while no memo answer is the
    evidence for a check. *)
-let run ?perturb ?max_tile_size ?tile_fault ?cpu_exec k =
+let run ?mutate ?cpu_exec k =
   let scope = Polyhedra.Solver_memo.fresh () in
   let* deps =
     guard P.Isl Schedule (fun () ->
@@ -206,13 +211,13 @@ let run ?perturb ?max_tile_size ?tile_fault ?cpu_exec k =
     List.fold_left
       (fun acc v ->
         let* lowered = acc in
-        let* c = check_version ?perturb ?max_tile_size ?tile_fault ~scope k deps v in
+        let* c = check_version ?mutate ~scope k deps v in
         Ok ((v, c) :: lowered))
       (Ok []) P.versions
   in
   check_c ?cpu_exec k (List.assoc P.Infl lowered)
 
-let run_case ?perturb ?max_tile_size ?tile_fault ?cpu_exec case =
+let run_case ?mutate ?cpu_exec case =
   match Case.to_kernel case with
   | Error m -> Error { version = P.Isl; stage = Convert; message = m }
-  | Ok k -> run ?perturb ?max_tile_size ?tile_fault ?cpu_exec k
+  | Ok k -> run ?mutate ?cpu_exec k

@@ -42,29 +42,31 @@ val well_formed : Codegen.Compile.compiled -> (unit, string) result
     1024-thread budget, and the dimension of a strip left unmapped is not
     block- or thread-mapped elsewhere. *)
 
+(** A deliberate defect, for the tests that prove the oracle can say no.
+    Each rewrite is given the version it is applied to:
+    - [Reschedule f] rewrites each computed schedule before validation
+      and lowering (the broken-scheduler canary);
+    - [Relower f] rewrites each lowering before the checks (the
+      broken-tiler canary rewrites only the {b tiled} version's). *)
+type mutation =
+  | Reschedule of (Harness.Pipeline.version -> Scheduling.Schedule.t -> Scheduling.Schedule.t)
+  | Relower of
+      (Harness.Pipeline.version -> Codegen.Compile.compiled -> Codegen.Compile.compiled)
+
 val run :
-  ?perturb:(Harness.Pipeline.version -> Scheduling.Schedule.t -> Scheduling.Schedule.t) ->
-  ?max_tile_size:int ->
-  ?tile_fault:Codegen.Tiling.fault ->
+  ?mutate:mutation ->
   ?cpu_exec:Codegen_cpu.Runner.t ->
   Ir.Kernel.t ->
   (unit, failure) result
 (** Pushes the kernel through all four versions and the C checks.  The
-    versions compile (tree, schedule, [perturb], lower) in one
-    {!Polyhedra.Solver_memo.scoped} scope; the checks run after it.
-    [perturb] rewrites each computed schedule before validation and
-    lowering (the hook tests use to inject a deliberately-broken
-    scheduler).
-    [max_tile_size] caps the tile shapes the tiled version's influence
-    tree proposes; [tile_fault] injects {!Codegen.Tiling.fault} into the
-    tiled version only — the broken-tiler canary.  [cpu_exec] upgrades
-    the C check from emit-only (on the AVX2 profile) to an executed-C
-    differential on that runner's native profile. *)
+    versions compile (tree, schedule, lower) in one
+    {!Polyhedra.Solver_memo.scoped} scope; [mutate] and the checks run
+    after each compile step, outside it.  [cpu_exec] upgrades the C check
+    from emit-only (on the AVX2 profile) to an executed-C differential on
+    that runner's native profile. *)
 
 val run_case :
-  ?perturb:(Harness.Pipeline.version -> Scheduling.Schedule.t -> Scheduling.Schedule.t) ->
-  ?max_tile_size:int ->
-  ?tile_fault:Codegen.Tiling.fault ->
+  ?mutate:mutation ->
   ?cpu_exec:Codegen_cpu.Runner.t ->
   Case.t ->
   (unit, failure) result

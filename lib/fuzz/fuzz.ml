@@ -98,18 +98,14 @@ let load_case file =
             | Ok case -> Ok (case, f))))
       | _ -> Error (Printf.sprintf "%s: not an %s document" file schema_name)))
 
-let replay ?perturb ?max_tile_size ?tile_fault ?cpu_exec file =
+let replay ?cpu_exec file =
   match load_case file with
   | Error e -> Error e
-  | Ok (case, _) ->
-    Ok (case, Check.run_case ?perturb ?max_tile_size ?tile_fault ?cpu_exec case)
+  | Ok (case, _) -> Ok (case, Check.run_case ?cpu_exec case)
 
 (* ------------------------------------------------------------------ *)
 (* the fuzz loop                                                        *)
 (* ------------------------------------------------------------------ *)
-
-let ensure_dir dir =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
 
 let case_stats case =
   let stmts = List.length case.Case.stmts in
@@ -118,8 +114,7 @@ let case_stats case =
   in
   (stmts, rank)
 
-let run ?config ?out_dir ?perturb ?max_tile_size ?tile_fault ?cpu_exec
-    ?(progress = fun _ -> ()) ?(jobs = 1) ~seed ~count () =
+let run ?out_dir ?mutate ?cpu_exec ?(progress = fun _ -> ()) ?(jobs = 1) ~seed ~count () =
   (* Phase 1 — generate + differentially check, sharded across the pool.
      A case is a pure function of (seed, index) and the interpreter inputs
      are derived from a fixed seed, so the set of failing indices is
@@ -127,13 +122,13 @@ let run ?config ?out_dir ?perturb ?max_tile_size ?tile_fault ?cpu_exec
      trace events identical too. *)
   let check_one index =
     Obs.Counters.incr c_cases;
-    let case = Generate.generate ?config ~seed ~index () in
+    let case = Generate.generate ~seed ~index () in
     Obs.Trace.emitf "fuzz.case" (fun () ->
         let stmts, rank = case_stats case in
         [ ("seed", J.Int seed); ("index", J.Int index); ("stmts", J.Int stmts);
           ("rank", J.Int rank)
         ]);
-    (index, case, Check.run_case ?perturb ?max_tile_size ?tile_fault ?cpu_exec case)
+    (index, case, Check.run_case ?mutate ?cpu_exec case)
   in
   let checked = Service.Pool.map ~jobs check_one (List.init count Fun.id) in
   (* Phase 2 — shrink failures sequentially, in index order: shrinking is
@@ -149,9 +144,7 @@ let run ?config ?out_dir ?perturb ?max_tile_size ?tile_fault ?cpu_exec
           (* shrink towards the same (version, stage) failure so the
              minimized kernel reproduces the original defect, not a new one *)
           let still_fails c =
-            match
-              Check.run_case ?perturb ?max_tile_size ?tile_fault ?cpu_exec c
-            with
+            match Check.run_case ?mutate ?cpu_exec c with
             | Error f ->
               f.Check.version = failure.Check.version
               && f.Check.stage = failure.Check.stage
@@ -162,7 +155,7 @@ let run ?config ?out_dir ?perturb ?max_tile_size ?tile_fault ?cpu_exec
           let file =
             Option.map
               (fun dir ->
-                ensure_dir dir;
+                Service.Cache.mkdir_p dir;
                 let f =
                   Filename.concat dir (Printf.sprintf "fuzz_%d_%d.json" seed index)
                 in

@@ -36,11 +36,8 @@ type report = {
 }
 
 val run :
-  ?config:Generate.config ->
   ?out_dir:string ->
-  ?perturb:(Harness.Pipeline.version -> Scheduling.Schedule.t -> Scheduling.Schedule.t) ->
-  ?max_tile_size:int ->
-  ?tile_fault:Codegen.Tiling.fault ->
+  ?mutate:Check.mutation ->
   ?cpu_exec:Codegen_cpu.Runner.t ->
   ?progress:(failure_report -> unit) ->
   ?jobs:int ->
@@ -51,16 +48,14 @@ val run :
 (** Generates and differentially checks [count] cases.  Failures are
     shrunk (preserving the failing version and stage) and, when
     [out_dir] is given, written there as replay files named
-    [fuzz_<seed>_<index>.json] (the directory is created on first
-    failure).  [perturb] rewrites every computed schedule before
-    validation — the hook used to prove the fuzzer catches a broken
-    scheduler.  [max_tile_size] caps the tiled version's tile shapes;
-    [tile_fault] injects a deliberate backend tiling bug into the tiled
-    version only — the hook used to prove the fuzzer catches a broken
-    tiler.  [cpu_exec] upgrades the emit-only C check of the infl
-    lowering to a compile+execute differential on that runner (the CLI's
-    [--cpu-exec]).
-    [progress] is called after each failure is minimized.
+    [fuzz_<seed>_<index>.json] (the directory and its missing parents
+    are created on first failure).  [mutate] plants a defect in every
+    check, shrink probes included ({!Check.mutation}): the hook that
+    proves the fuzzer catches a broken scheduler or tiler.  [cpu_exec]
+    upgrades the emit-only C check of the infl lowering to a
+    compile+execute differential on that runner (the CLI's
+    [--cpu-exec]).  [progress] is called after each failure is
+    minimized.
 
     [jobs > 1] shards the generate+check phase across a
     {!Service.Pool}.  Cases are a pure function of [(seed, index)], so
@@ -79,9 +74,6 @@ val load_case : string -> (Case.t * Check.failure, string) result
     were folded into infl) loads as an {b infl} failure. *)
 
 val replay :
-  ?perturb:(Harness.Pipeline.version -> Scheduling.Schedule.t -> Scheduling.Schedule.t) ->
-  ?max_tile_size:int ->
-  ?tile_fault:Codegen.Tiling.fault ->
   ?cpu_exec:Codegen_cpu.Runner.t ->
   string ->
   (Case.t * (unit, Check.failure) result, string) result

@@ -1,19 +1,13 @@
-type config = {
-  max_stmts : int;
-  max_rank : int;
-  max_extent : int;
-  skew : float;
-}
-
-let default_config = { max_stmts = 4; max_rank = 3; max_extent = 8; skew = 0.5 }
+(* The generator's shape: up to 4 statements of rank up to 3, accesses
+   deviating from the identity pattern with probability [skew]. *)
+let max_stmts = 4
+let max_rank = 3
+let skew = 0.5
 
 (* Extents mix multiples of 4 (float4-friendly), even non-multiples
    (float2) and odd values (vectorization must refuse), so generated
    kernels probe every width decision of the vectorizer. *)
-let extent_pool cfg =
-  match List.filter (fun e -> e <= cfg.max_extent) [ 2; 3; 4; 5; 6; 8; 12; 16 ] with
-  | [] -> [ max 2 cfg.max_extent ]
-  | pool -> pool
+let extent_pool = [ 2; 3; 4; 5; 6; 8 ]
 
 let const_pool = [ 0.0; -0.0; 1.0; 0.5; -2.0; 3.0 ]
 
@@ -25,7 +19,7 @@ let const_pool = [ 0.0; -0.0; 1.0; 0.5; -2.0; 3.0 ]
    subscript that provably stays inside [0, dim).  The skewed variants
    are the paper's hostile patterns: broadcast (coef 0), transposed
    iterators, stencil shifts, stride-2 subsampling. *)
-let read_existing rng ~skew ~iters (tname, dims) =
+let read_existing rng ~iters (tname, dims) =
   let index =
     List.mapi
       (fun d dim ->
@@ -71,7 +65,7 @@ let read_existing rng ~skew ~iters (tname, dims) =
 
 (* A read of a brand-new input tensor: choose the access pattern first,
    then derive dimensions that exactly cover it — always in bounds. *)
-let read_fresh_input rng ~skew ~iters ~name =
+let read_fresh_input rng ~iters ~name =
   let rank = List.length iters in
   let q = if Rng.chance rng 0.3 then 1 + Rng.int rng rank else rank in
   let chosen =
@@ -120,12 +114,11 @@ let build_rhs rng loads =
 (* kernel chains                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let generate ?(config = default_config) ~seed ~index () =
+let generate ~seed ~index () =
   let rng = Rng.make ~seed ~index in
-  let rank = 1 + Rng.int rng (max 1 (min 3 config.max_rank)) in
-  let pool = extent_pool config in
-  let extents = List.init rank (fun _ -> Rng.pick rng pool) in
-  let nstmts = 1 + Rng.int rng (max 1 config.max_stmts) in
+  let rank = 1 + Rng.int rng max_rank in
+  let extents = List.init rank (fun _ -> Rng.pick rng extent_pool) in
+  let nstmts = 1 + Rng.int rng max_stmts in
   let input_id = ref 0 in
   let fresh_input () =
     let n = Printf.sprintf "in%d" !input_id in
@@ -177,9 +170,9 @@ let generate ?(config = default_config) ~seed ~index () =
                 let src =
                   if Rng.chance rng 0.6 then List.hd existing else Rng.pick rng existing
                 in
-                read_existing rng ~skew:config.skew ~iters src
+                read_existing rng ~iters src
               else begin
-                let a, t = read_fresh_input rng ~skew:config.skew ~iters ~name:(fresh_input ()) in
+                let a, t = read_fresh_input rng ~iters ~name:(fresh_input ()) in
                 declare t;
                 a
               end)

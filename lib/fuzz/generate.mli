@@ -4,23 +4,13 @@
     stencil/shifted reads, transposed and broadcast accesses, strided
     (skewed) subscripts — over randomly-shaped tensors, in the image of
     the paper's Table I operators: the kinds of fused kernels MindSpore's
-    graph-kernel fusion hands to AKG.  Generation is a pure function of
-    [(config, seed, index)]; every produced case converts to a valid,
+    graph-kernel fusion hands to AKG.  The shape is fixed: 1 to 4
+    statements, rank 1 to 3, extents drawn from [{2, 3, 4, 5, 6, 8}], and
+    each access deviates from the identity pattern (transpose, broadcast,
+    shift, stride-2) with probability 0.5.  Generation is a pure function
+    of [(seed, index)]; every produced case converts to a valid,
     bounds-checked {!Ir.Kernel.t}. *)
 
-type config = {
-  max_stmts : int;  (** fusion depth: longest statement chain (>= 1) *)
-  max_rank : int;  (** dimensionality of the iteration space (1..3) *)
-  max_extent : int;  (** largest loop extent drawn (>= 2) *)
-  skew : float;
-      (** probability in [0,1] that an access deviates from the identity
-          pattern (transpose, broadcast, shift, stride-2) — 0 generates
-          only perfectly-coalesced chains, 1 maximally hostile ones *)
-}
-
-val default_config : config
-(** 4 statements, rank up to 3, extents up to 8, skew 0.5. *)
-
-val generate : ?config:config -> seed:int -> index:int -> unit -> Case.t
+val generate : seed:int -> index:int -> unit -> Case.t
 (** Case [index] of the run seeded with [seed] — deterministic, and
     independent of every other index. *)

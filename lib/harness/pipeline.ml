@@ -36,18 +36,18 @@ let resolve s ~machine =
 (* stages                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let tree ?max_tile_size version kernel =
+let tree version kernel =
   match (spec version).client with
   | No_influence -> None
   | Vectorizer -> Some (Vectorizer.Treegen.influence_for kernel)
-  | Tiling -> Some (Scheduling.Tiling.influence_for ?max_tile_size kernel)
+  | Tiling -> Some (Scheduling.Tiling.influence_for kernel)
 
 let schedule ?influence kernel = Scheduling.Scheduler.schedule ?influence kernel
 
-let lower ?vec_min_parallel ?tile_fault version sched kernel =
+let lower ?vec_min_parallel version sched kernel =
   let pass = (spec version).vector_pass in
   let vec_min_parallel = if vec_min_parallel = None then pass else vec_min_parallel in
-  Codegen.Compile.lower ~vectorize:(pass <> None) ?vec_min_parallel ?tile_fault sched kernel
+  Codegen.Compile.lower ~vectorize:(pass <> None) ?vec_min_parallel sched kernel
 
 let simulate ?machine compiled = Gpusim.Sim.run ?machine compiled
 

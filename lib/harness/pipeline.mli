@@ -4,8 +4,10 @@
     {!simulate} or {!emit_c} (then {!execute}) — and {!run} composes them
     for one version of an {!operator}, which decides what the versions
     share.  Table II evaluation, the compile service and the CLI compile
-    through {!run}; the fuzzer calls the stages to perturb a schedule
-    between them.  So one (operator, version, machine) gives one
+    through {!run}.  The fuzzer ([Fuzz.Check]) calls the stages one by
+    one, so that it can check each stage's result, and, in its tests,
+    rewrite a schedule or a lowering between them.  The stages take no
+    fuzzer-only argument, so one (operator, version, machine) gives one
     schedule, one AST and one time or C source whichever way it is asked
     for.
 
@@ -59,10 +61,10 @@ val resolve : string -> machine:Gpusim.Machine.t -> (version * Gpusim.Machine.t)
 
 (** {1 Stages} *)
 
-val tree : ?max_tile_size:int -> version -> Ir.Kernel.t -> Scheduling.Influence.t option
+val tree : version -> Ir.Kernel.t -> Scheduling.Influence.t option
 (** Stage 1: the version's influence tree ([None] for {b isl}) at the
-    paper's weights and branch order.  [max_tile_size] caps the tiling
-    client's tile shapes. *)
+    paper's weights and branch order, and the tiling client's
+    {!Scheduling.Tiling.default_model} tile shapes. *)
 
 val schedule :
   ?influence:Scheduling.Influence.t ->
@@ -76,7 +78,6 @@ val schedule :
 
 val lower :
   ?vec_min_parallel:int ->
-  ?tile_fault:Codegen.Tiling.fault ->
   version ->
   Scheduling.Schedule.t ->
   Ir.Kernel.t ->
@@ -84,9 +85,9 @@ val lower :
 (** Stage 3: {!Codegen.Compile.lower} with the version's settings.
     [vec_min_parallel] overrides the table's threshold (the fuzzer and the
     Fig. 2 walkthrough pass 0 to exercise the vector pass on tiny
-    kernels) on a version that runs the vector pass; [tile_fault] is
-    passed through.  Tile sizes come only from the schedule's
-    {!Scheduling.Schedule.Tile_sizes} annotation. *)
+    kernels) on a version that runs the vector pass.  Tile sizes come
+    only from the schedule's {!Scheduling.Schedule.Tile_sizes}
+    annotation. *)
 
 val simulate : ?machine:Gpusim.Machine.t -> Codegen.Compile.compiled -> Gpusim.Sim.report
 (** Stage 4 on a GPU profile: the performance model, V100 by default.

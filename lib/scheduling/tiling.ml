@@ -124,16 +124,11 @@ let c_rejects =
   Obs.Counters.create "tiling.bands_rejected"
     ~doc:"kernels with no tilable band (backward dependences or too shallow)"
 
-let influence_for ?max_tile_size (kernel : Kernel.t) =
+let influence_for (kernel : Kernel.t) =
   Obs.Span.with_ "tiling.treegen" @@ fun () ->
-  let model =
-    match max_tile_size with
-    | Some m -> { default_model with max_tile_size = max 2 m }
-    | None -> default_model
-  in
   Obs.Counters.incr c_trees;
   let k = band_depth kernel (Deps.Analysis.dependences kernel) in
-  let sizes = if k >= 2 then choose_sizes model kernel k else [] in
+  let sizes = if k >= 2 then choose_sizes default_model kernel k else [] in
   let tree =
     if sizes = [] then Influence.empty
     else begin

@@ -40,12 +40,10 @@ val choose_sizes : model -> Ir.Kernel.t -> int -> (int * int) list
     per-tile footprint fits [model.shared_mem_bytes].  Dimensions too
     small to tile are omitted. *)
 
-val influence_for : ?max_tile_size:int -> Ir.Kernel.t -> Influence.t
+val influence_for : Ir.Kernel.t -> Influence.t
 (** Builds the tiling influence tree: one branch pinning identity rows
     for the full band (with the tile shape as leaf payload), plus a
     2-dimensional fallback branch for deeper bands.  Returns
     {!Influence.empty} when the kernel has no tilable band of depth >= 2
     or every dimension is too small to tile — scheduling with an empty
-    tree is exactly the baseline.  Sizes come from {!default_model};
-    [max_tile_size] overrides its per-dimension cap (the fuzzer's
-    [--max-tile-size] toggle). *)
+    tree is exactly the baseline.  Sizes come from {!default_model}. *)

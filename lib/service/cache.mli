@@ -38,9 +38,13 @@ type t
 val default_max_bytes : int
 (** 256 MiB. *)
 
+val mkdir_p : string -> unit
+(** Creates the directory and its missing parents; an existing one is
+    left as it is. *)
+
 val open_ : ?max_bytes:int -> string -> t
-(** Creates the directory (and parents) when missing, and scans it once
-    to set the handle's running byte count (it evicts nothing). *)
+(** Creates the directory ({!mkdir_p}), and scans it once to set the
+    handle's running byte count (it evicts nothing). *)
 
 val dir : t -> string
 

@@ -34,6 +34,19 @@ let test_generator_valid () =
       | Error e -> Alcotest.failf "case %d leaves bounds: %s" index e)
   done
 
+(* The MD5 of seed 42's first 200 cases, one [Case.to_json] line each:
+   any change to the generator's shape or to its order of random draws
+   moves it. *)
+let test_corpus_pinned () =
+  let b = Buffer.create 65536 in
+  for index = 0 to 199 do
+    Buffer.add_string b
+      (Obs.Json.to_string (Case.to_json (Generate.generate ~seed:42 ~index ())));
+    Buffer.add_char b '\n'
+  done;
+  Alcotest.(check string) "seed 42, cases 0-199" "6a3627f8414a3da07b1de13eda7a2e9e"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 let test_json_roundtrip () =
   for index = 0 to 19 do
     let case = Generate.generate ~seed:3 ~index () in
@@ -166,26 +179,47 @@ let negate_last_loop (sched : Scheduling.Schedule.t) =
           sched.Scheduling.Schedule.rows
     }
 
+let rec remove_tree path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> remove_tree (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
 let test_broken_scheduler_caught () =
   (* the acceptance canary: a deliberately broken scheduler must be caught
-     and every counterexample shrunk to at most 3 statements *)
-  let perturb _version sched = negate_last_loop sched in
-  let report = run ~seed:42 ~count:30 ~perturb () in
-  Alcotest.(check bool) "at least one case caught" true (report.failures <> []);
-  List.iter
-    (fun (fr : failure_report) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "case %d shrunk to <= 3 statements" fr.index)
-        true
-        (List.length fr.shrunk.Case.stmts <= 3))
-    report.failures
+     and every counterexample shrunk to at most 3 statements, its replay
+     file written under output directories that do not exist yet *)
+  let tmp = Filename.temp_dir "akg_fuzz_out" "" in
+  let out_dir = Filename.concat (Filename.concat tmp "missing") "deeper" in
+  Fun.protect
+    ~finally:(fun () -> remove_tree tmp)
+    (fun () ->
+      let mutate = Check.Reschedule (fun _ sched -> negate_last_loop sched) in
+      let report = run ~out_dir ~seed:42 ~count:30 ~mutate () in
+      Alcotest.(check bool) "at least one case caught" true (report.failures <> []);
+      List.iter
+        (fun (fr : failure_report) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "case %d shrunk to <= 3 statements" fr.index)
+            true
+            (List.length fr.shrunk.Case.stmts <= 3);
+          Alcotest.(check bool)
+            (Printf.sprintf "case %d replay file written" fr.index)
+            true
+            (match fr.file with Some f -> Sys.file_exists f | None -> false))
+        report.failures)
 
 let test_broken_tiler_caught () =
-  (* the tiling acceptance canary: an off-by-one in the backend tiling
-     pass must surface as a tiled-version failure — and only as a
-     tiled-version failure, never misattributed to isl/novec/infl whose
-     lowering does not run the faulty pass *)
-  let report = run ~seed:42 ~count:30 ~tile_fault:Codegen.Tiling.Off_by_one () in
+  (* the tiling acceptance canary: an off-by-one in the tiled version's
+     point loops must surface as a tiled-version failure — and only as a
+     tiled-version failure, never misattributed to isl/novec/infl, whose
+     lowerings it leaves alone *)
+  let off_by_one v (c : Codegen.Compile.compiled) =
+    if v <> Harness.Pipeline.Tiled then c
+    else { c with Codegen.Compile.ast = Tile_mutant.off_by_one c.Codegen.Compile.ast }
+  in
+  let report = run ~seed:42 ~count:30 ~mutate:(Check.Relower off_by_one) () in
   Alcotest.(check bool) "at least one case caught" true (report.failures <> []);
   List.iter
     (fun (fr : failure_report) ->
@@ -223,16 +257,19 @@ let test_refused_tile_chain_caught () =
                annotations = [ Scheduling.Schedule.Tile_sizes [ (0, 4); (1, 4) ] ] }
   in
   Alcotest.(check bool) "unperturbed, the case passes" true (Check.run k = Ok ());
-  match Check.run ~perturb k with
+  match Check.run ~mutate:(Check.Reschedule perturb) k with
   | Error { Check.version = Harness.Pipeline.Tiled; stage = Check.Structure; _ } -> ()
   | Error f -> Alcotest.failf "wrong failure: %a" Check.pp_failure f
   | Ok () -> Alcotest.fail "a refused tile chain passed"
 
-let test_max_tile_size_sweep () =
-  (* the --max-tile-size toggle must not break the clean sweep: capping
-     the proposed tile shapes only changes which schedules get tiled *)
-  let report = run ~seed:5 ~count:12 ~max_tile_size:2 () in
-  Alcotest.(check int) "no failures with capped tiles" 0 (List.length report.failures)
+let test_default_sweep_tiles () =
+  (* the tiling client tiles at most half an extent and the generator's
+     extents are at most 8, so the sweep's tiles are at most 4 wide; the
+     tiled version must still see tiled chains *)
+  Obs.reset_all ();
+  let report = run ~seed:42 ~count:25 () in
+  Alcotest.(check int) "no failures" 0 (List.length report.failures);
+  Alcotest.(check int) "chains tiled" 10 (Obs.Counters.find "tiling.chains_tiled")
 
 let test_vecexec_under_tile_loop () =
   (* a tile loop steps by its size but is no vector strip: a VecExec under
@@ -277,6 +314,7 @@ let () =
     [ ( "generate",
         [ Alcotest.test_case "deterministic" `Quick test_generator_deterministic;
           Alcotest.test_case "valid kernels" `Quick test_generator_valid;
+          Alcotest.test_case "corpus pinned" `Quick test_corpus_pinned;
           Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip
         ] );
       ("shrink", [ Alcotest.test_case "reaches minimum" `Quick test_shrink_reaches_minimum ]);
@@ -288,7 +326,7 @@ let () =
           Alcotest.test_case "broken scheduler caught" `Slow test_broken_scheduler_caught;
           Alcotest.test_case "broken tiler caught" `Slow test_broken_tiler_caught;
           Alcotest.test_case "refused tile chain caught" `Quick test_refused_tile_chain_caught;
-          Alcotest.test_case "max tile size sweep" `Slow test_max_tile_size_sweep;
+          Alcotest.test_case "the default sweep tiles" `Slow test_default_sweep_tiles;
           Alcotest.test_case "vecexec under a tile loop" `Quick test_vecexec_under_tile_loop
         ] );
       ( "interp",

@@ -81,7 +81,7 @@ let test_small_classics () =
         fuzz_rows := (v, s) :: !fuzz_rows;
         s
       in
-      (match Fuzz.Check.run ~perturb kernel with
+      (match Fuzz.Check.run ~mutate:(Fuzz.Check.Reschedule perturb) kernel with
        | Ok () -> ()
        | Error f -> Alcotest.failf "%s: %a" op Fuzz.Check.pp_failure f);
       (* versions with the same influence client share one schedule *)

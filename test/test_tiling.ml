@@ -171,16 +171,15 @@ let test_ordinals_skip_scalar_rows () =
     (semantics_match k c.Compile.ast)
 
 (* ------------------------------------------------------------------ *)
-(* broken-tiler fault injection                                         *)
+(* a broken tiler                                                       *)
 (* ------------------------------------------------------------------ *)
 
 let test_off_by_one_fault_is_detectable () =
   let k = Ops.Classics.stencil2d ~n:16 ~m:32 () in
   let tree = Scheduling.Tiling.influence_for k in
   let sched = schedule ~influence:tree k in
-  let broken =
-    Compile.lower ~vectorize:false ~tile_fault:Tiling.Off_by_one sched k
-  in
+  let c = Compile.lower ~vectorize:false sched k in
+  let broken = { c with Compile.ast = Tile_mutant.off_by_one c.Compile.ast } in
   Alcotest.(check bool) "fault still produces a tiled AST" true
     (Tiling.applied broken.Compile.ast);
   Alcotest.(check bool) "off-by-one fault breaks semantics" false
