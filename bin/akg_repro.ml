@@ -324,6 +324,11 @@ let cpu_run_cmd =
   in
   let run name machine emit_only show_source reps seed no_check all jobs o =
     with_obs o @@ fun () ->
+    if Option.is_some name = all then begin
+      Format.eprintf "cpu-run: give an operator name or --all, not both@.";
+      2
+    end
+    else
     let runner =
       if emit_only then None
       else
@@ -340,7 +345,8 @@ let cpu_run_cmd =
       (Gpusim.Machine.isa_name machine.Gpusim.Machine.isa)
       (Gpusim.Machine.simd_width machine) machine.Gpusim.Machine.sm_count
       (if runner = None then " — emit-only" else "");
-    if all then begin
+    match name with
+    | None ->
       let runs =
         Service.Pool.map ~jobs:(resolve_jobs jobs)
           (fun (name, mk) ->
@@ -357,25 +363,19 @@ let cpu_run_cmd =
         (List.length (List.filter (fun r -> r.Harness.Eval.executed) runs))
         (List.length mismatches);
       if mismatches = [] then 0 else 1
-    end
-    else
-      match name with
+    | Some name -> (
+      match find_op name with
       | None ->
-        Format.eprintf "cpu-run: give an operator name or --all@.";
+        Format.eprintf "unknown operator %s (try the list command)@." name;
         2
-      | Some name -> (
-        match find_op name with
-        | None ->
-          Format.eprintf "unknown operator %s (try the list command)@." name;
-          2
-        | Some k ->
-          let r, src =
-            Harness.Eval.evaluate_cpu_op ~machine ?runner ~reps ~check:(not no_check)
-              ~seed ~name k
-          in
-          if show_source then print_string src;
-          Format.printf "%a@." pp_run r;
-          if r.Harness.Eval.checked = Some false then 1 else 0)
+      | Some k ->
+        let r, src =
+          Harness.Eval.evaluate_cpu_op ~machine ?runner ~reps ~check:(not no_check)
+            ~seed ~name k
+        in
+        if show_source then print_string src;
+        Format.printf "%a@." pp_run r;
+        if r.Harness.Eval.checked = Some false then 1 else 0)
   in
   Cmd.v
     (Cmd.info "cpu-run"
@@ -468,12 +468,12 @@ let network_cmd =
     in
     let networks =
       match (name, all) with
-      | _, true -> Ok Ops.Networks.all
+      | None, true -> Ok Ops.Networks.all
       | Some name, false -> (
         match network_of_name name with
         | Some n -> Ok [ n ]
         | None -> Error (Printf.sprintf "unknown network %s" name))
-      | None, false -> Error "give a network name or --all"
+      | Some _, true | None, false -> Error "give a network name or --all, not both"
     in
     match networks with
     | Error e ->

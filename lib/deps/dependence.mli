@@ -3,7 +3,7 @@
     A dependence [d] relates source iterations [s] of statement [d.source]
     to target iterations [t] of [d.target] through the polyhedron [d.rel],
     whose variables are the source statement's iterators plus the target
-    statement's iterators (renamed with {!target_suffix} when source and
+    statement's iterators (renamed with {!rename_target} when source and
     target are the same statement).  Following the paper's Section IV-A1,
     each relation is convex: lexicographic precedence is split into one
     relation per depth. *)
@@ -27,11 +27,8 @@ type t = {
           comes from statement ordering alone *)
 }
 
-val target_suffix : string
-(** Suffix used to rename target iterators in self-dependences. *)
-
 val rename_target : string -> string
+(** The name of a target iterator in a self-dependence's [rel]. *)
 
-val kind_to_string : kind -> string
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

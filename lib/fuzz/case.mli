@@ -40,9 +40,6 @@ val loads : expr -> access list
 val accesses : stmt -> access list
 (** Write first, then the loads. *)
 
-val used_tensors : t -> string list
-(** Tensors referenced by at least one access, in declaration order. *)
-
 val prune_tensors : t -> t
 (** Drops tensor declarations no remaining statement references. *)
 

@@ -25,8 +25,6 @@ let int t n =
   if n <= 0 then invalid_arg "Rng.int: bound must be positive";
   Int64.to_int (Int64.rem (Int64.logand (next t) Int64.max_int) (Int64.of_int n))
 
-let bool t = int t 2 = 1
-
 let chance t p = float_of_int (int t 1_000_000) < p *. 1_000_000.0
 
 let pick t = function

@@ -17,8 +17,6 @@ val int : t -> int -> int
 (** [int t n] draws uniformly from [0 .. n-1].
     @raise Invalid_argument when [n <= 0]. *)
 
-val bool : t -> bool
-
 val chance : t -> float -> bool
 (** [chance t p] is true with probability [p]. *)
 

@@ -76,7 +76,9 @@ let candidates (c : Case.t) =
     (fun c' -> not (Case.equal c' c))
     (drop_stmts @ simplify_rhs @ drop_dims @ shrink_extents @ tighten)
 
-let minimize ?(max_steps = 1000) ~still_fails c =
+let max_steps = 1000
+
+let minimize ~still_fails c =
   let valid c' = match Case.to_kernel c' with Ok _ -> true | Error _ -> false in
   let steps = ref 0 in
   let rec go c =

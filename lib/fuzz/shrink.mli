@@ -13,9 +13,8 @@ val candidates : Case.t -> Case.t list
 (** All one-step reductions of a case, most aggressive first (exposed
     for tests). *)
 
-val minimize :
-  ?max_steps:int -> still_fails:(Case.t -> bool) -> Case.t -> Case.t * int
+val minimize : still_fails:(Case.t -> bool) -> Case.t -> Case.t * int
 (** [minimize ~still_fails c] returns the minimized case and the number
     of accepted shrink steps.  [still_fails] must be true of [c] itself
-    for the result to be meaningful; [max_steps] (default 1000) bounds
-    the number of {e accepted} reductions. *)
+    for the result to be meaningful; the step budget bounds the number of
+    {e accepted} reductions at 1000. *)

@@ -7,7 +7,9 @@
     and arithmetic operations.  Long serial loops are sampled and counts
     scaled.  That the scaled counts equal an unsampled walk is assumed,
     not proven: only the flops are checked against an exhaustive walk
-    (ROADMAP item 2).
+    ([test_gpusim]'s "exhaustive flops"); extending that check to requests
+    and sectors, against a walk with every sampling argument at
+    [max_int], is an open ROADMAP item.
 
     {b Lane shapes.}  A warp's lane shape is its lanes' thread coordinates
     relative to lane 0's, plus its base mask.  Once per (access, lane

@@ -14,8 +14,6 @@ val geomean_line : Format.formatter -> (string * Eval.op_result list) list -> un
     over the rows that are Table I networks, beside the paper's 1.7x, then
     over every row (StencilZoo included). *)
 
-val stats_header : Format.formatter -> unit
-
 val stats_row : Format.formatter -> Eval.op_result -> unit
 (** One operator's row; a row without [obs] (read from the compile
     cache) reads [cached]. *)

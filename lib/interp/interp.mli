@@ -6,9 +6,6 @@
 
 type memory = (string, float array) Hashtbl.t
 
-val alloc : Ir.Kernel.t -> memory
-(** Zero-initialized buffers for every tensor. *)
-
 val randomize : ?seed:int -> Ir.Kernel.t -> memory
 (** Deterministic pseudo-random contents (inputs and outputs alike).
     Every seventh slot draws from an edge-case pool — signed zeros and

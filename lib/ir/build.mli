@@ -27,7 +27,7 @@ val idx : string -> Linexpr.t
 
 val idx_plus : string -> int -> Linexpr.t
 
-val tensor : ?dtype:Tensor.dtype -> string -> int list -> Tensor.t
+val tensor : string -> int list -> Tensor.t
 
 val kernel : string -> tensors:Tensor.t list -> stmts:Stmt.t list -> Kernel.t
 (** {!Kernel.make} plus a bounds check; @raise Invalid_argument when an

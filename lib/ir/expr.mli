@@ -33,9 +33,6 @@ val map_accesses : (Access.t -> Access.t) -> t -> t
 val op_count : t -> int
 (** Number of arithmetic operations (unops and binops). *)
 
-val eval_binop : binop -> float -> float -> float
-val eval_unop : unop -> float -> float
-
 val eval : (Access.t -> float) -> t -> float
 (** Evaluates with the given load semantics. *)
 

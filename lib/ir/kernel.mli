@@ -43,7 +43,6 @@ val validate_bounds : t -> (unit, string) result
     point of the statement domain (by exact LP on each index). *)
 
 val written_tensors : t -> string list
-val read_tensors : t -> string list
 
 val inputs : t -> Tensor.t list
 (** Tensors read but never written: the operator's inputs. *)

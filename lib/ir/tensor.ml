@@ -4,7 +4,7 @@ type t = { name : string; dims : int array; dtype : dtype }
 
 let dtype_bytes = function F16 -> 2 | F32 -> 4
 
-let make ?(dtype = F32) name dims =
+let make name dims =
   if String.length name = 0 then invalid_arg "Tensor.make: empty name";
   if dims = [] then invalid_arg "Tensor.make: scalar tensors need rank >= 1";
   List.iter (fun d -> if d <= 0 then invalid_arg "Tensor.make: non-positive dim") dims;
@@ -12,8 +12,8 @@ let make ?(dtype = F32) name dims =
     if bytes > max_int / d then invalid_arg ("Tensor.make: " ^ name ^ "'s size overflows int");
     bytes * d
   in
-  ignore (List.fold_left grow (dtype_bytes dtype) dims);
-  { name; dims = Array.of_list dims; dtype }
+  ignore (List.fold_left grow (dtype_bytes F32) dims);
+  { name; dims = Array.of_list dims; dtype = F32 }
 
 let rank t = Array.length t.dims
 let elems t = Array.fold_left ( * ) 1 t.dims

@@ -7,8 +7,9 @@ type dtype = F16 | F32
 
 type t = { name : string; dims : int array; dtype : dtype }
 
-val make : ?dtype:dtype -> string -> int list -> t
-(** @raise Invalid_argument on empty name, non-positive dimension or a
+val make : string -> int list -> t
+(** An [F32] tensor.
+    @raise Invalid_argument on empty name, non-positive dimension or a
     byte size ({!bytes}) that overflows [int]. *)
 
 val rank : t -> int

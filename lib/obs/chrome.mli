@@ -10,10 +10,8 @@
     [tid].  Version-1 traces have no timestamps; their sequence numbers
     stand in for [ts]. *)
 
-val of_events : Tracefile.event list -> Json.t
-(** A [Json.List] of trace-event objects, in emission order. *)
-
 val of_tracefile : Tracefile.t -> Json.t
+(** A [Json.List] of trace-event objects, in emission order. *)
 
 val write_file : string -> Tracefile.t -> unit
 (** Writes the event array, one event per line. *)

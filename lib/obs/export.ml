@@ -5,19 +5,11 @@ let schema_name = "akg-repro-stats"
    spans still finds them under the same keys. *)
 let version = 2
 
-let counters_json ?base () =
-  let current = Counters.snapshot () in
-  let entries =
-    match base with
-    | None -> List.filter (fun (_, v) -> v <> 0) current
-    | Some before ->
-      List.filter_map
-        (fun (name, v) ->
-          let v0 = Option.value ~default:0 (List.assoc_opt name before) in
-          if v - v0 <> 0 then Some (name, v - v0) else None)
-        current
-  in
-  Json.Assoc (List.map (fun (n, v) -> (n, Json.Int v)) entries)
+let counters_json () =
+  Json.Assoc
+    (List.filter_map
+       (fun (n, v) -> if v <> 0 then Some (n, Json.Int v) else None)
+       (Counters.snapshot ()))
 
 let spans_json () =
   Json.Assoc

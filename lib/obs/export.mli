@@ -10,24 +10,12 @@ val version : int
     ["histograms"] section; the envelope is additive, so version-1
     documents remain readable by key. *)
 
-val counters_json : ?base:(string * int) list -> unit -> Json.t
-(** Nonzero counters as a flat object.  With [~base] (an earlier
-    {!Counters.snapshot}), nonzero {e deltas} against it instead —
-    how a measured region moved the counters. *)
-
-val spans_json : unit -> Json.t
-(** The span report as [{path: {"calls": n, "total_ms": t}}]. *)
-
-val histograms_json : unit -> Json.t
-(** Nonempty histograms as [{name: {count, sum, min, max, mean, p50,
-    p90, p99, p999}}] (see {!Histogram.summary_json}). *)
-
 val stats_json : unit -> Json.t
 (** [{"schema": "akg-repro-stats", "version": 2, "counters": ...,
-    "spans": ..., "histograms": ...}]. *)
-
-val write_stats : string -> unit
-(** Writes {!stats_json} to a file. *)
+    "spans": ..., "histograms": ...}]: the nonzero counters as a flat
+    object, the span report as [{path: {"calls": n, "total_ms": t}}] and
+    the nonempty histograms as [{name: {count, sum, min, max, mean, p50,
+    p90, p99, p999}}] (see {!Histogram.summary_json}). *)
 
 val write_run : stats:bool -> ?trace:string -> ?stats_json:string -> unit -> bool
 (** The end of a CLI run's observability: writes the trace to [trace]

@@ -18,8 +18,8 @@
     writes each histogram's own cell, and worker domains run inside an
     {!Obs.scoped} capture, which shards recording into a domain-local
     table; the coordinator folds it back with {!Obs.merge} after the
-    join.  Inside a capture, {!snapshot_of} and {!find} read the shared
-    cell plus the capture's delta. *)
+    join.  Inside a capture, {!find} and [count] read the shared cell
+    plus the capture's delta. *)
 
 type t
 (** A registered histogram handle. *)
@@ -51,8 +51,6 @@ type snapshot = {
   buckets : (int * int) list;
 }
 
-val snapshot_of : t -> snapshot
-
 val snapshot : unit -> snapshot list
 (** Every registered histogram, sorted by name (including empty ones). *)
 
@@ -75,15 +73,8 @@ val quantile : snapshot -> float -> float
     [(gamma - 1) / (gamma + 1)] with [gamma = 2^(1/8)], about 4.3%.
     [0.] when empty. *)
 
-val bucket_of : float -> int
-(** The bucket index a value lands in (exposed for the accuracy tests
-    and the Prometheus exposition). *)
-
 val bucket_upper : int -> float
 (** Upper bound [gamma^i] of bucket [i]. *)
-
-val bucket_value : int -> float
-(** The representative (midpoint) estimate for bucket [i]. *)
 
 val reset_all : unit -> unit
 (** Empties every registered histogram (registration survives). *)

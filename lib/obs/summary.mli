@@ -6,8 +6,8 @@
     the per-run [scheduler.done] statistics and the [vectorizer.scenario]
     outcomes.  Two fingerprints of the same revision compare {!equal};
     {!diff} lists exactly which decisions changed.  Fingerprints
-    round-trip through JSON ({!to_json} / {!of_json}) so goldens can be
-    committed under [test/golden/] and gated in CI. *)
+    round-trip through JSON ({!write_file}, then {!load} or {!of_json}) so
+    goldens can be committed under [test/golden/] and gated in CI. *)
 
 val schema_name : string
 (** ["akg-repro-fingerprint"]. *)
@@ -28,14 +28,13 @@ type t = {
 val of_trace : Tracefile.t -> t
 (** Normalizes first, so raw and normalized traces fingerprint alike. *)
 
-val to_json : t -> Json.t
 val of_json : Json.t -> (t, string) result
 
 val load : string -> (t, string) result
 (** Reads a fingerprint JSON file (as written by {!write_file}). *)
 
 val write_file : string -> t -> unit
-(** Writes {!to_json}, one section per line. *)
+(** Writes the fingerprint as JSON, one section per line. *)
 
 type change = {
   section : string;  (** [kinds], [ops], [schedules] or [scenarios] *)

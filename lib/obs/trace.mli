@@ -69,15 +69,12 @@ val events : unit -> event list
 
 val length : unit -> int
 
-val event_to_json : event -> Json.t
-(** [{"seq": ..., "ts_us": ..., "kind": ..., <fields>}]; an event field
-    named [seq], [ts_us] or [kind] would be shadowed by the envelope, so
-    emitters avoid those. *)
-
 val to_json : unit -> Json.t
 (** The whole trace: [{"schema": "akg-repro-trace", "version": 2,
-    "events": [...]}].  The envelope is derived from the same constants
-    as {!write_file}'s. *)
+    "events": [...]}], each event as [{"seq": ..., "ts_us": ..., "kind":
+    ..., <fields>}]; an event field named [seq], [ts_us] or [kind] would
+    be shadowed by the envelope, so emitters avoid those.  The envelope is
+    derived from the same constants as {!write_file}'s. *)
 
 val write_file : string -> unit
 (** Writes {!to_json} to a file, one event per line for greppability. *)

@@ -32,8 +32,6 @@ val timing_field : string -> bool
 (** True for the field names normalization removes: [dur_us], [time_us],
     [ts_us], and any name ending in [_ms]. *)
 
-val normalize_event : event -> event
-
 val normalize : t -> t
 (** Strips all timing fields (recursively, including nested objects) and
     timestamps. *)

@@ -33,9 +33,6 @@ val permute_outer_bad : ?a:int -> ?b:int -> ?c:int -> unit -> Ir.Kernel.t
     hostile incoming loop order (innermost loop strides every access): the
     ResNet-style case where influenced scheduling wins big. *)
 
-val permute_scale_fused : ?a:int -> ?b:int -> ?c:int -> unit -> Ir.Kernel.t
-(** The same permutation fused with an element-wise scale. *)
-
 val softmax : ?n:int -> ?m:int -> unit -> Ir.Kernel.t
 (** Row softmax as a four-statement fused operator (two reductions, two
     element-wise phases): a multi-phase scheduling stress test. *)

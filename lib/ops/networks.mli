@@ -17,11 +17,6 @@ type t = {
 
 val bert : t
 val lstm : t
-val mobilenetv2 : t
-val resnet50 : t
-val resnet101 : t
-val resnext50 : t
-val vgg16 : t
 
 val stencilzoo : t
 (** Tiling-sensitive zoo (not part of Table I): stencils and contractions

@@ -15,7 +15,6 @@ val identity : int -> mat
 val dims : mat -> int * int
 (** [(rows, cols)]; a 0-row matrix reports 0 columns. *)
 
-val transpose : mat -> mat
 val mat_mul : mat -> mat -> mat
 val mat_vec : mat -> vec -> vec
 val dot : vec -> vec -> Q.t

@@ -51,9 +51,6 @@ val max : t -> t -> t
 val floor : t -> Bigint.t
 val ceil : t -> Bigint.t
 
-val to_bigint : t -> Bigint.t
-(** @raise Failure if not an integer. *)
-
 val to_int : t -> int
 (** @raise Failure if not an integer or does not fit. *)
 

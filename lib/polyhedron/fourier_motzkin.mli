@@ -6,12 +6,11 @@
     {!eliminate_all} answer a repeated input (the same lists, in the same
     order) from the scope's table, a raised {!Contradiction} included. *)
 
-val eliminate : string -> Constr.t list -> Constr.t list
-(** [eliminate x cs] is a system over the remaining variables whose solution
-    set is the projection of [cs] along [x] (over the rationals).
-    Equalities involving [x] are used as substitutions when possible. *)
-
 val eliminate_all : string list -> Constr.t list -> Constr.t list
+(** [eliminate_all xs cs] is a system over the remaining variables whose
+    solution set is the projection of [cs] along [xs] (over the
+    rationals), eliminating one variable at a time in order.  Equalities
+    involving a variable are used as substitutions when possible. *)
 
 val simplify : Constr.t list -> Constr.t list
 (** Removes trivially-true and syntactically duplicate constraints (after

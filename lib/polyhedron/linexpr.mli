@@ -12,11 +12,9 @@ val const : Q.t -> t
 val const_int : int -> t
 val var : ?coef:Q.t -> string -> t
 
-val of_terms : (Q.t * string) list -> Q.t -> t
-(** [of_terms [(c1, x1); ...] c0] builds [c1*x1 + ... + c0]; repeated
-    variables are summed. *)
-
 val of_int_terms : (int * string) list -> int -> t
+(** [of_int_terms [(c1, x1); ...] c0] builds [c1*x1 + ... + c0];
+    repeated variables are summed. *)
 
 val coef : t -> string -> Q.t
 (** Zero when the variable is absent. *)

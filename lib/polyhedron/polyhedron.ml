@@ -4,8 +4,6 @@ open Polybase
    avoids re-running simplification on known-empty sets. *)
 type t = Set of Constr.t list | Bottom
 
-let universe = Set []
-
 let of_constraints cs =
   match Fourier_motzkin.simplify cs with
   | cs -> Set cs

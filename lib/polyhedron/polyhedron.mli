@@ -7,7 +7,6 @@ open Polybase
 
 type t
 
-val universe : t
 val of_constraints : Constr.t list -> t
 val constraints : t -> Constr.t list
 val add_constraint : t -> Constr.t -> t

@@ -19,9 +19,12 @@ let init_dep_state kernel (dep : Dependence.t) =
     retired = false
   }
 
-(* Relation variables are source iterators and target iterators (possibly
-   renamed): {!Ir.Kernel.make} admits no other variable in a domain or an
-   access.  [delta = phi_T(t) - phi_S(s)]. *)
+(* The schedule difference [delta = phi_T(t) - phi_S(s)] at a dimension, as
+   a coefficient template over the relation's variables (the multiplier of
+   each one, in unknown schedule coefficients, and the constant part) for
+   {!Farkas.nonneg_on}.  Relation variables are source iterators and target
+   iterators (possibly renamed): {!Ir.Kernel.make} admits no other variable
+   in a domain or an access. *)
 let delta_template ~dim ds =
   let dep = ds.dep in
   let src = dep.source and tgt = dep.target in

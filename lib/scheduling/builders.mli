@@ -27,13 +27,6 @@ type dep_state = {
 
 val init_dep_state : Ir.Kernel.t -> Dependence.t -> dep_state
 
-val delta_template :
-  dim:int -> dep_state -> (string -> Linexpr.t) * Linexpr.t
-(** The schedule-difference [phi_T(t) - phi_S(s)] at a dimension, as a
-    coefficient template over the relation's variables: a function giving
-    the (unknown-coefficient) multiplier of each relation variable, and the
-    constant part.  Feeds {!Farkas.nonneg_on}. *)
-
 val delta_concrete :
   dep_state -> src_expr:Linexpr.t -> tgt_expr:Linexpr.t -> Linexpr.t
 (** The schedule difference for already-fixed schedule rows, as an affine

@@ -3,11 +3,6 @@ open Polyhedra
 
 type strategy = [ `Fastpath_then_ilp | `Ilp_only ]
 
-let strategy_of_name = function
-  | "fastpath-then-ilp" -> Some `Fastpath_then_ilp
-  | "ilp-only" -> Some `Ilp_only
-  | _ -> None
-
 type config = { max_ilp_nodes : int; strategy : strategy }
 
 let default_config = { max_ilp_nodes = 200_000; strategy = `Fastpath_then_ilp }

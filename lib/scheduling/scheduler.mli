@@ -30,13 +30,9 @@ type strategy = [ `Fastpath_then_ilp | `Ilp_only ]
     schedule — whenever the candidate is rejected.  Both strategies
     produce bit-identical schedules (accepted candidates are the ILP's
     unique lexicographic optimum); the fast path only changes how much
-    work finding them takes. *)
-
-val strategy_of_name : string -> strategy option
-(** Parses the stable names ["fastpath-then-ilp"] and ["ilp-only"], for
-    serve's validation of a request's ["strategy"] field.  No entry point
-    selects a strategy: both give the same schedule, so [`Ilp_only] is
-    reachable only through {!config}, as the fast path's reference. *)
+    work finding them takes.  No entry point selects a strategy, so
+    [`Ilp_only] is reachable only through {!config}, as the fast path's
+    reference. *)
 
 type config = {
   max_ilp_nodes : int;  (** branch-and-bound budget per solve *)

@@ -35,16 +35,14 @@
 
 type t
 
-val default_max_bytes : int
-(** 256 MiB. *)
-
 val mkdir_p : string -> unit
 (** Creates the directory and its missing parents; an existing one is
     left as it is. *)
 
 val open_ : ?max_bytes:int -> string -> t
 (** Creates the directory ({!mkdir_p}), and scans it once to set the
-    handle's running byte count (it evicts nothing). *)
+    handle's running byte count (it evicts nothing).  [max_bytes] is the
+    size cap, 256 MiB by default. *)
 
 val dir : t -> string
 

@@ -30,8 +30,6 @@ type handler = {
   find_op : string -> Ir.Kernel.t option;
   kernel_of_json : (J.t -> (Ir.Kernel.t, string) result) option;
   cache : Cache.t option;
-  default_machine : Gpusim.Machine.t;
-  max_request_bytes : int;
   started : float;
   next_id : int Atomic.t;
   ops : (string * string, P.operator) Hashtbl.t;
@@ -39,9 +37,7 @@ type handler = {
   ops_lock : Mutex.t;
 }
 
-let make_handler ?kernel_of_json ?cache
-    ?(default_machine = Gpusim.Machine.v100)
-    ?(max_request_bytes = default_max_request_bytes) ~find_op () =
+let make_handler ?kernel_of_json ?cache ~find_op () =
   (* gauges rebind to this handler's cache and epoch; last handler wins *)
   Option.iter
     (fun c ->
@@ -56,8 +52,8 @@ let make_handler ?kernel_of_json ?cache
   Obs.Metrics.register_gauge "service.serve_uptime_seconds"
     ~doc:"seconds since the serve handler was created" (fun () ->
       Unix.gettimeofday () -. started);
-  { find_op; kernel_of_json; cache; default_machine; max_request_bytes; started;
-    next_id = Atomic.make 0; ops = Hashtbl.create 256; ops_lock = Mutex.create () }
+  { find_op; kernel_of_json; cache; started; next_id = Atomic.make 0;
+    ops = Hashtbl.create 256; ops_lock = Mutex.create () }
 
 (* The key names the kernel, so every spelling of an operator's name
    shares one entry. *)
@@ -179,7 +175,7 @@ let health_reply h ~id =
           ("uptime_s", J.Float (Unix.gettimeofday () -. h.started));
           ("requests", J.Int (Obs.Counters.value c_requests));
           ("errors", J.Int (Obs.Counters.value c_errors));
-          ("default_machine", J.String h.default_machine.Gpusim.Machine.name)
+          ("default_machine", J.String Gpusim.Machine.v100.name)
         ]
        @ cache_fields))
 
@@ -202,22 +198,12 @@ let handle_compile h ~id req =
   in
   let machine =
     match J.member "machine" req with
-    | None -> Ok h.default_machine
+    | None -> Ok Gpusim.Machine.v100
     | Some (J.String s) -> (
       match Gpusim.Machine.of_name s with
       | Some m -> Ok m
       | None -> Error (Gpusim.Machine.unknown_message s))
     | Some _ -> Error "machine must be a string"
-  in
-  (* Both strategies give the same schedule, so a known name is accepted
-     and answered like the default; only its validity is checked. *)
-  let strategy =
-    match J.member "strategy" req with
-    | None -> Ok ()
-    | Some (J.String s) when Scheduling.Scheduler.strategy_of_name s <> None -> Ok ()
-    | Some (J.String s) ->
-      Error (Printf.sprintf "unknown strategy %S (fastpath-then-ilp|ilp-only)" s)
-    | Some _ -> Error "strategy must be a string"
   in
   (* the operator's name, its kernel, and whether it was found by name *)
   let kernel =
@@ -237,10 +223,9 @@ let handle_compile h ~id req =
     | Some _, Some _ -> Error "give either op or kernel, not both"
     | None, None -> Error "request needs an op name or an inline kernel"
   in
-  match (version, machine, strategy, kernel) with
-  | Error e, _, _, _ | _, Error e, _, _ | _, _, Error e, _ | _, _, _, Error e ->
-    error ~id e
-  | Ok name, Ok machine, Ok (), Ok (op, kernel, named) -> (
+  match (version, machine, kernel) with
+  | Error e, _, _ | _, Error e, _ | _, _, Error e -> error ~id e
+  | Ok name, Ok machine, Ok (op, kernel, named) -> (
     let version, target = Option.get (P.resolve name ~machine) in
     let t0 = Unix.gettimeofday () in
     (* what the pipeline records inside this request is captured for the
@@ -271,20 +256,20 @@ let handle_compile h ~id req =
       ok ~id ~cached ~digest ~op ~timing:(timing_fields ~elapsed_s spans) fields)
 
 (* One request per line: {"op": NAME | "kernel": CASE, "verb"?, "id"?,
-   "version"?, "machine"?, "strategy"?}.  Every outcome — including
-   blank, oversized and unparseable input — is a single-line JSON reply
-   carrying the request id; the serve loop never crashes on a bad
-   request. *)
+   "version"?, "machine"?}; other fields are ignored.  Every outcome —
+   including blank, oversized and unparseable input — is a single-line
+   JSON reply carrying the request id; the serve loop never crashes on a
+   bad request. *)
 let handle_line h line =
   Obs.Counters.incr c_requests;
   let t0 = Unix.gettimeofday () in
   Fun.protect
     ~finally:(fun () -> Obs.Histogram.observe h_request (Unix.gettimeofday () -. t0))
     (fun () ->
-      if String.length line > h.max_request_bytes then
+      if String.length line > default_max_request_bytes then
         error ~id:(request_id h None)
           (Printf.sprintf "request too large (%d bytes > %d)" (String.length line)
-             h.max_request_bytes)
+             default_max_request_bytes)
       else if String.trim line = "" then
         error ~id:(request_id h None) "empty request"
       else

@@ -13,16 +13,14 @@
     - [compile] (the default): schedule and lower one kernel, then
       simulate it on a GPU profile or emit C on a CPU profile.
       ["version"] is one of {!Harness.Pipeline.names} and defaults to
-      ["infl"]; ["machine"] defaults to the handler's default (V100).
+      ["infl"]; ["machine"] defaults to V100.
       A C reply carries ["cpu_machine"], ["isa"], the emitted ["source"]
       and its ["source_bytes"] instead of a simulated ["time_us"]; serve
       never invokes the host toolchain.  ["cpu"] is infl emitted as C
       ({!Harness.Pipeline.resolve}): for the requested machine when it
       is a CPU profile, for the portable scalar profile otherwise; the
-      reply still names the requested version and machine.  An optional ["strategy"] (["fastpath-then-ilp"]
-      or ["ilp-only"]) is accepted for compatibility and answered like
-      a request without it, since both strategies give the same
-      schedule; any other value is a structured error.
+      reply still names the requested version and machine.  Any other
+      field is ignored.
     - [metrics]: returns the full Prometheus-style exposition of every
       registered counter, gauge and histogram
       (see {!Obs.Metrics.exposition}) as the ["metrics"] string field.
@@ -110,8 +108,6 @@ val default_max_request_bytes : int
 val make_handler :
   ?kernel_of_json:(Obs.Json.t -> (Ir.Kernel.t, string) result) ->
   ?cache:Cache.t ->
-  ?default_machine:Gpusim.Machine.t ->
-  ?max_request_bytes:int ->
   find_op:(string -> Ir.Kernel.t option) ->
   unit ->
   handler

@@ -648,24 +648,31 @@ let test_serve_requests () =
 
 let test_serve_guards () =
   reset ();
-  let h = Service.Serve.make_handler ~max_request_bytes:64 ~find_op:find_classic () in
+  let h = Service.Serve.make_handler ~find_op:find_classic () in
   let reply line = Service.Serve.handle_line h line in
   let r_blank = reply "" in
   has {|"status":"error"|} r_blank;
   has {|empty request|} r_blank;
   let r_ws = reply "   " in
   has {|empty request|} r_ws;
-  let r_big = reply (String.make 100 'x') in
+  let limit = Service.Serve.default_max_request_bytes in
+  let r_big = reply (String.make (limit + 1) 'x') in
   has {|"status":"error"|} r_big;
   has {|request too large|} r_big;
+  (* a line of exactly the limit is parsed, and fails as JSON *)
+  let r_limit = reply (String.make limit 'x') in
+  has {|parse|} r_limit;
+  Alcotest.(check bool) "a line at the limit is not too large" false
+    (let re = Str.regexp_string "request too large" in
+     try ignore (Str.search_forward re r_limit 0); true with Not_found -> false);
   let r_verb = reply {|{"verb":"frobnicate"}|} in
   has {|"status":"error"|} r_verb;
   has {|unknown verb|} r_verb;
   let r_verb_ty = reply {|{"verb":42}|} in
   has {|verb must be a string|} r_verb_ty;
-  Alcotest.(check int) "all guarded requests counted" 5
+  Alcotest.(check int) "all guarded requests counted" 6
     (counter "service.serve_requests");
-  Alcotest.(check int) "every guard is a structured error" 5
+  Alcotest.(check int) "every guard is a structured error" 6
     (counter "service.serve_errors")
 
 let test_serve_verbs_and_ids () =
@@ -707,18 +714,29 @@ let test_serve_verbs_and_ids () =
   let sc = Option.get (Obs.Histogram.find "serve.compile_seconds") in
   Alcotest.(check int) "compile histogram counts compiles only" 1 sc.Obs.Histogram.count
 
-(* Both strategies give the same schedule, so a known "strategy" is
-   answered exactly like a request without one and shares its cache
-   entry; anything else is still a structured error. *)
-let test_serve_strategy_field () =
+module J = Obs.Json
+
+(* A field serve does not read, such as the old "strategy", is ignored:
+   the request is answered exactly like one without it and shares its
+   cache entry. *)
+let test_serve_unknown_fields () =
   reset ();
   let uncached = Service.Serve.make_handler ~find_op:find_classic () in
-  let plain = Service.Serve.handle_line uncached {|{"op":"fig2","id":"s"}|} in
-  let ilp =
-    Service.Serve.handle_line uncached {|{"op":"fig2","strategy":"ilp-only","id":"s"}|}
+  let answer line =
+    match J.of_string (Service.Serve.handle_line uncached line) with
+    | Ok (J.Assoc kvs) ->
+      J.to_string
+        (J.Assoc (List.filter (fun (k, _) -> not (List.mem k [ "id"; "elapsed_us"; "spans" ])) kvs))
+    | _ -> Alcotest.failf "unparseable reply to %s" line
   in
-  has {|"status":"ok"|} ilp;
-  Alcotest.(check string) "ilp-only answered like the default" (scrub plain) (scrub ilp);
+  let plain = answer {|{"op":"fig2"}|} in
+  has {|"status":"ok"|} plain;
+  List.iter
+    (fun line -> Alcotest.(check string) line plain (answer line))
+    [ {|{"op":"fig2","strategy":"ilp-only"}|};
+      {|{"op":"fig2","strategy":"bogus"}|};
+      {|{"op":"fig2","foo":1}|}
+    ];
   let cache = Service.Cache.open_ (fresh_dir ()) in
   let reply = Service.Serve.handle_line (Service.Serve.make_handler ~cache ~find_op:find_classic ()) in
   let first = reply {|{"op":"fig2","id":"s"}|} in
@@ -728,15 +746,7 @@ let test_serve_strategy_field () =
   Alcotest.(check string) "one cache entry for both"
     (Str.global_replace (Str.regexp_string {|"cached":false|}) {|"cached":true|}
        (scrub first))
-    (scrub second);
-  let bogus = reply {|{"op":"fig2","strategy":"bogus"}|} in
-  has {|"status":"error"|} bogus;
-  has {|unknown strategy|} bogus;
-  let not_string = reply {|{"op":"fig2","strategy":1}|} in
-  has {|"status":"error"|} not_string;
-  has {|strategy must be a string|} not_string
-
-module J = Obs.Json
+    (scrub second)
 
 let fields reply =
   match J.of_string reply with
@@ -795,8 +805,8 @@ let test_serve_backend_axis () =
 (* Serve keys: every request's key is [Key.make]'s for the kernel
    [find_op] returns and the requested machine.  Another kernel under the
    same name, or another machine, gets its own key and misses; an equal
-   fresh kernel keys the same; a default machine sharing the stock V100's
-   name is still another machine. *)
+   fresh kernel keys the same; a machine sharing the stock V100's name is
+   still another machine. *)
 let test_serve_keys () =
   reset ();
   let cache = Service.Cache.open_ (fresh_dir ()) in
@@ -837,12 +847,8 @@ let test_serve_keys () =
   let tuned = { Gpusim.Machine.v100 with Gpusim.Machine.clock_hz = 1e9 } in
   Alcotest.(check bool) "a tuned v100 keys apart" false
     (digest ~machine:tuned other = digest other);
-  let h = Service.Serve.make_handler ~default_machine:tuned ~find_op:(fun _ -> Some other) () in
-  let reply line = fields (Service.Serve.handle_line h line) in
-  Alcotest.(check (option string)) "tuned default" (Some (digest ~machine:tuned other))
-    (str_field (reply request) "digest");
-  Alcotest.(check (option string)) "stock v100 under the same name" (Some (digest other))
-    (str_field (reply {|{"op":"op","machine":"v100"}|}) "digest")
+  check_reply "the default by name" ~cached:true ~digest:(digest other)
+    (reply {|{"op":"op","machine":"v100"}|})
 
 (* Inline kernels are decoded per request and never share an operator. *)
 let test_serve_inline_not_memoized () =
@@ -1078,7 +1084,7 @@ let test_serve_damaged_requests () =
      integers in each scalar field *)
   let nested = String.make 500_000 '[' ^ String.make 500_000 ']' in
   let digits = String.make 400 '9' in
-  let fields = [ "id"; "op"; "version"; "machine"; "strategy"; "verb"; "kernel" ] in
+  let fields = [ "id"; "op"; "version"; "machine"; "verb"; "kernel" ] in
   one (String.make Service.Serve.default_max_request_bytes '[');
   List.iter
     (fun value ->
@@ -1330,7 +1336,7 @@ let () =
         [ Alcotest.test_case "scripted requests" `Quick test_serve_requests;
           Alcotest.test_case "input guards" `Quick test_serve_guards;
           Alcotest.test_case "verbs and ids" `Quick test_serve_verbs_and_ids;
-          Alcotest.test_case "strategy field" `Quick test_serve_strategy_field;
+          Alcotest.test_case "unknown fields are ignored" `Quick test_serve_unknown_fields;
           Alcotest.test_case "backend axis" `Quick test_serve_backend_axis;
           Alcotest.test_case "serve keys" `Quick test_serve_keys;
           Alcotest.test_case "inline kernels not memoized" `Quick
