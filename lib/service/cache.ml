@@ -1,7 +1,8 @@
 let schema_name = "akg-repro-cache-entry"
 
 let c_hits =
-  Obs.Counters.create "service.cache_hits" ~doc:"compile results answered from disk"
+  Obs.Counters.create "service.cache_hits"
+    ~doc:"compile results answered from the cache (serve's memory hits included)"
 
 let c_misses =
   Obs.Counters.create "service.cache_misses" ~doc:"cache lookups that missed"
@@ -216,7 +217,10 @@ let store t key payload =
   in
   (* atomic publish: a concurrent reader sees the old entry or the new
      one, never a torn write *)
-  Unix.rename tmp path;
+  (try Unix.rename tmp path
+   with e ->
+     remove tmp;
+     raise e);
   Obs.Counters.incr c_stores;
   let delta = String.length contents - replaced in
   if Atomic.fetch_and_add t.bytes delta + delta > t.max_bytes then scan ~published:path t

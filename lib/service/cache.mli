@@ -28,6 +28,15 @@
     Each scan counts [service.cache_scans] and emits one
     [service.cache_scan] trace event (entries, bytes, evicted).
 
+    Serve's memory tier.  A serve handler ([Serve]) keeps each named
+    operator's replies in memory once this cache has stored or returned
+    them, and answers repeats from there without calling {!find}.  Such a
+    memory hit counts [service.cache_hits] (and
+    [service.cache_memory_hits]), but it reads no file: it does not
+    refresh the entry's mtime, so an entry a handler only hits in memory
+    ages toward eviction, and it cannot see damage done to the file after
+    the file was read or written.
+
     Counters: [service.cache_hits], [service.cache_misses],
     [service.cache_stores], [service.cache_corrupt],
     [service.cache_evictions], [service.cache_scans].  Spans:
@@ -56,8 +65,9 @@ val find : t -> Key.t -> Obs.Json.t option
 val store : t -> Key.t -> Obs.Json.t -> unit
 (** Atomically writes the entry, then enforces the size cap: amortized
     O(1), with a directory rescan only when the running count passes the
-    cap.
-    @raise Sys_error when the cache directory itself is unwritable. *)
+    cap.  A failed write leaves no temporary file behind.
+    @raise Sys_error or [Unix.Unix_error] when the cache directory
+    itself is unwritable or gone. *)
 
 val entry_path : t -> Key.t -> string
 (** Where an entry lives on disk (for tests and debugging). *)

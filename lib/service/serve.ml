@@ -14,6 +14,17 @@ let c_health_requests =
   Obs.Counters.create "service.serve_health_requests"
     ~doc:"serve health-check requests"
 
+(* the cache's own counter, by name: a memory hit is a cache hit too *)
+let c_cache_hits = Obs.Counters.create "service.cache_hits"
+
+let c_memory_hits =
+  Obs.Counters.create "service.cache_memory_hits"
+    ~doc:"serve cache hits answered from the handler's memory, reading no file"
+
+let c_store_failures =
+  Obs.Counters.create "service.cache_store_failures"
+    ~doc:"serve replies whose cache store failed (answered uncached, not remembered)"
+
 let h_request =
   Obs.Histogram.create "serve.request_seconds"
     ~doc:"serve request latency, all verbs (seconds)"
@@ -26,13 +37,21 @@ let default_max_request_bytes = 1 lsl 20
 
 module P = Harness.Pipeline
 
+(* A named kernel's operator, and the ok replies the cache held for it:
+   by version name and machine name, the key digest and the reply's
+   payload fields printed as JSON object members. *)
+type named = {
+  operator : P.operator;
+  replies : (string * string, string * string) Hashtbl.t;
+}
+
 type handler = {
   find_op : string -> Ir.Kernel.t option;
   kernel_of_json : (J.t -> (Ir.Kernel.t, string) result) option;
   cache : Cache.t option;
   started : float;
   next_id : int Atomic.t;
-  ops : (string * string, P.operator) Hashtbl.t;
+  ops : (string * string, named) Hashtbl.t;
       (* by kernel name and digest; guarded by [ops_lock] *)
   ops_lock : Mutex.t;
 }
@@ -59,18 +78,34 @@ let make_handler ?kernel_of_json ?cache ~find_op () =
    shares one entry. *)
 let serve_flags = [ ("entry", "serve") ]
 
-(* The operator every miss on a named kernel with this name and digest
-   compiles with, whatever the spelling; inline kernels get a fresh one,
-   so the table holds at most what [find_op] can return. *)
+(* The entry of a named kernel with this name and digest, whatever the
+   spelling: every miss on it compiles with its operator, and its replies
+   answer repeats.  Inline kernels get a fresh operator and no entry, so
+   the table holds at most what [find_op] can return.  Call with
+   [ops_lock] held. *)
+let named_entry h kernel =
+  let id = (kernel.Ir.Kernel.name, Ir.Kernel.digest kernel) in
+  match Hashtbl.find_opt h.ops id with
+  | Some e -> e
+  | None ->
+    let e = { operator = P.operator kernel; replies = Hashtbl.create 8 } in
+    Hashtbl.replace h.ops id e;
+    e
+
 let named_operator h kernel =
+  Mutex.protect h.ops_lock (fun () -> (named_entry h kernel).operator)
+
+let remembered h kernel ~version ~machine =
   let id = (kernel.Ir.Kernel.name, Ir.Kernel.digest kernel) in
   Mutex.protect h.ops_lock (fun () ->
-      match Hashtbl.find_opt h.ops id with
-      | Some operator -> operator
-      | None ->
-        let operator = P.operator kernel in
-        Hashtbl.replace h.ops id operator;
-        operator)
+      Option.bind (Hashtbl.find_opt h.ops id) (fun e ->
+          Hashtbl.find_opt e.replies (version, machine.Gpusim.Machine.name)))
+
+let remember h kernel ~version ~machine reply =
+  Mutex.protect h.ops_lock (fun () ->
+      Hashtbl.replace (named_entry h kernel).replies
+        (version, machine.Gpusim.Machine.name)
+        reply)
 
 (* [name] and [machine] are the request's, as its reply reports them;
    the pipeline runs [version] on [target] ({!P.resolve}). *)
@@ -137,15 +172,23 @@ let timing_fields ~elapsed_s spans =
           spans))
   ]
 
-let ok ~id ~cached ~digest ~op ~timing fields =
-  J.to_string
-    (J.Assoc
-       (("status", J.String "ok")
-       :: ("id", J.String id)
-       :: ("cached", J.Bool cached)
-       :: ("digest", J.String digest)
-       :: ("op", J.String op)
-       :: (fields @ timing)))
+(* The members of a JSON object as [J.to_string] prints them, without
+   the braces ("" for no members). *)
+let members fields =
+  let s = J.to_string (J.Assoc fields) in
+  String.sub s 1 (String.length s - 2)
+
+(* [payload] is the payload fields' [members]: the reply prints as one
+   object of the head, the payload fields and the timing fields, byte for
+   byte, an empty payload included. *)
+let ok ~id ~cached ~digest ~op ~timing payload =
+  let head =
+    members
+      [ ("status", J.String "ok"); ("id", J.String id); ("cached", J.Bool cached);
+        ("digest", J.String digest); ("op", J.String op)
+      ]
+  in
+  "{" ^ String.concat "," (List.filter (( <> ) "") [ head; payload; members timing ]) ^ "}"
 
 let request_id h req =
   match Option.bind req (J.member "id") with
@@ -226,34 +269,60 @@ let handle_compile h ~id req =
   match (version, machine, kernel) with
   | Error e, _, _ | _, Error e, _ | _, _, Error e -> error ~id e
   | Ok name, Ok machine, Ok (op, kernel, named) -> (
-    let version, target = Option.get (P.resolve name ~machine) in
     let t0 = Unix.gettimeofday () in
-    (* what the pipeline records inside this request is captured for the
-       reply's span breakdown, then folded back into the shared state *)
-    let reply, capture =
-      Obs.scoped (fun () ->
-          let key = Key.make ~kernel ~machine ~version:name ~flags:serve_flags () in
-          match Option.bind h.cache (fun c -> Cache.find c key) with
-          | Some (J.Assoc fields) -> Ok (true, Key.digest key, fields)
-          | Some _ | None -> (
-            let operator = if named then named_operator h kernel else P.operator kernel in
-            match compile_report ~name ~machine ~version ~target operator with
-            | exception Scheduling.Scheduler.Failure_no_schedule msg ->
-              Error (Printf.sprintf "no schedule: %s" msg)
-            | exception (Failure msg | Invalid_argument msg) ->
-              Error (Printf.sprintf "compile: %s" msg)
-            | fields ->
-              Option.iter (fun c -> Cache.store c key (J.Assoc fields)) h.cache;
-              Ok (false, Key.digest key, fields)))
+    (* only once the disk holds the reply: its own store succeeded, or
+       [Cache.find] validated it *)
+    let keep digest payload =
+      if named then remember h kernel ~version:name ~machine (digest, payload)
     in
-    Obs.merge capture;
-    let spans = Obs.spans capture in
+    let reply, spans =
+      match if named then remembered h kernel ~version:name ~machine else None with
+      | Some (digest, payload) ->
+        Obs.Counters.incr c_cache_hits;
+        Obs.Counters.incr c_memory_hits;
+        (Ok (true, digest, payload), [])
+      | None ->
+        let version, target = Option.get (P.resolve name ~machine) in
+        (* what the pipeline records inside this request is captured for
+           the reply's span breakdown, then folded back into the shared
+           state *)
+        let reply, capture =
+          Obs.scoped (fun () ->
+              let key = Key.make ~kernel ~machine ~version:name ~flags:serve_flags () in
+              let digest = Key.digest key in
+              match Option.bind h.cache (fun c -> Cache.find c key) with
+              | Some (J.Assoc fields) ->
+                let payload = members fields in
+                keep digest payload;
+                Ok (true, digest, payload)
+              | Some _ | None -> (
+                let operator = if named then named_operator h kernel else P.operator kernel in
+                match compile_report ~name ~machine ~version ~target operator with
+                | exception Scheduling.Scheduler.Failure_no_schedule msg ->
+                  Error (Printf.sprintf "no schedule: %s" msg)
+                | exception (Failure msg | Invalid_argument msg) ->
+                  Error (Printf.sprintf "compile: %s" msg)
+                | fields ->
+                  let payload = members fields in
+                  (match h.cache with
+                   | None -> ()
+                   | Some c -> (
+                     match Cache.store c key (J.Assoc fields) with
+                     | () -> keep digest payload
+                     | exception (Sys_error _ | Unix.Unix_error _) ->
+                       (* the reply stands; only its entry is lost *)
+                       Obs.Counters.incr c_store_failures));
+                  Ok (false, digest, payload)))
+        in
+        Obs.merge capture;
+        (reply, Obs.spans capture)
+    in
     let elapsed_s = Unix.gettimeofday () -. t0 in
     Obs.Histogram.observe h_compile elapsed_s;
     match reply with
     | Error e -> error ~id e
-    | Ok (cached, digest, fields) ->
-      ok ~id ~cached ~digest ~op ~timing:(timing_fields ~elapsed_s spans) fields)
+    | Ok (cached, digest, payload) ->
+      ok ~id ~cached ~digest ~op ~timing:(timing_fields ~elapsed_s spans) payload)
 
 (* One request per line: {"op": NAME | "kernel": CASE, "verb"?, "id"?,
    "version"?, "machine"?}; other fields are ignored.  Every outcome —

@@ -50,7 +50,7 @@
 
     With a {!Cache}, compile replies are stored keyed by
     (kernel, requested machine, requested version name, entry=serve) and
-    repeated requests are answered from disk with ["cached": true].  The
+    repeated requests are answered from the cache with ["cached": true].  The
     kernel enters the key as its name and {!Ir.Kernel.digest}, which is
     exact (float constants by their bits), so kernels that differ in any
     field never share an entry.  The key does not carry the requested op
@@ -59,15 +59,31 @@
     [find_op] resolves to one kernel (["lstm/lstm_ew_000"],
     ["LSTM/lstm_ew_000"]) shares one entry.
 
-    The hit path.  A cache hit parses the request, finds the operator,
+    The hit path.  A cache hit on a named operator is answered from
+    memory when the handler has seen its reply before: the handler keeps
+    each named operator's ok replies as text, by (version name, machine
+    name), beside the operator (see below).  Such a memory hit parses the
+    request, finds the operator and puts the request's
+    [status/id/cached/digest/op] head in front of the kept text and its
+    timing fields after it ([spans] is empty); it makes no key, reads no
+    file and counts [service.cache_hits] and [service.cache_memory_hits].
+    A reply is kept only once the disk holds it: after its own
+    {!Cache.store} succeeded or after {!Cache.find} validated it, so
+    without a cache nothing is kept and every request compiles.  A memory
+    hit does not refresh the entry's mtime, and it cannot see damage done
+    to the entry file after the file was read or written.  Any other hit
     makes its key ({!Key.make}: the kernel's digest is computed once and
     kept in the kernel), reads and checks the entry ({!Cache.find}) and
-    prints the reply; nothing is scheduled or simulated.
+    prints the reply; nothing is scheduled or simulated.  Inline kernels
+    always take that disk path.  A miss whose store fails (the cache
+    directory removed or unwritable) is still an ok reply with
+    ["cached": false]; it counts [service.cache_store_failures] and is not
+    kept.
 
     One operator per kernel.  A miss on a named request compiles with the
     handler's {!Harness.Pipeline.operator} for the kernel's (name,
-    digest), made on the first miss, so every spelling and every equal
-    kernel [find_op] returns shares one: the versions share one
+    digest), made on its first miss or disk hit, so every spelling and
+    every equal kernel [find_op] returns shares one: the versions share one
     dependence analysis, and novec, infl and cpu one vectorizer schedule
     (counted in [pipeline.schedule_reuses]).  A reused miss's ["spans"]
     therefore show no scheduler spans.  An operator's output is a fresh
@@ -76,9 +92,10 @@
     fresh operator every time, so the table holds at most one operator
     per kernel [find_op] can return (the CLI's registry: 223 zoo
     operators and 15 classics; the dependences and vectorizer schedules
-    of the 217 Table I operators take about 0.6 MiB).  It sits behind a
-    mutex (a handler may be shared between domains) and is dropped with
-    the handler.
+    of the 217 Table I operators take about 0.6 MiB), and each with at
+    most one kept reply per (version, machine), so the table needs no
+    size bound.  It sits behind a mutex (a handler may be shared between
+    domains) and is dropped with the handler.
 
     Serve's legality check runs on every miss, after the pipeline's scope
     has closed, against the run's dependences: it shares no solver memo

@@ -362,6 +362,39 @@ let test_key_distinguishes () =
   differs "tensor order" { c with kernel = with_tensors List.rev } v100;
   differs "machine" c Gpusim.Machine.a100
 
+(* Half-precision tensors, in the simulator only: each classic's isl
+   lowering simulated on V100 with every tensor turned F16.  Each lane
+   moves half the bytes from the same instructions, so useful bytes halve
+   exactly and requests stay.  Sectors never grow (a lane's smaller range
+   can still need a sector of its own), and they halve exactly on the
+   four classics in [halved].  The CUDA and C emitters do not read
+   [dtype], so they print the same code for either precision; only
+   [Memsim]'s element size sees it. *)
+let test_f16_traffic () =
+  let halved = [ "fused_mul_sub_mul_tensoradd"; "broadcast_bias_relu"; "permute_scale_fused";
+                 "downsample_2x" ] in
+  let isl = List.map (fun (name, _) -> name ^ " isl") Ops.Classics.all in
+  let classics = List.filter (fun (label, _) -> List.mem label isl) (Lazy.force golden_lowerings) in
+  Alcotest.(check int) "every classic" (List.length Ops.Classics.all) (List.length classics);
+  List.iter
+    (fun (label, (c : Compile.compiled)) ->
+      let k = c.Compile.kernel in
+      let f16 =
+        Ir.Kernel.make ~name:k.Ir.Kernel.name ~stmts:k.stmts
+          ~tensors:(List.map (fun (t : Ir.Tensor.t) -> { t with dtype = Ir.Tensor.F16 }) k.tensors)
+          ()
+      in
+      let m32 = (P.simulate c).Gpusim.Sim.mem
+      and m16 = (P.simulate { c with kernel = f16 }).Gpusim.Sim.mem in
+      let open Gpusim.Memsim in
+      Alcotest.(check (float 0.0)) (label ^ ": useful bytes halve") (m32.useful_bytes /. 2.0)
+        m16.useful_bytes;
+      Alcotest.(check (float 0.0)) (label ^ ": same requests") m32.requests m16.requests;
+      if m16.sectors > m32.sectors then Alcotest.failf "%s: F16 touches more sectors" label;
+      if List.mem (List.hd (String.split_on_char ' ' label)) halved then
+        Alcotest.(check (float 0.0)) (label ^ ": sectors halve") (m32.sectors /. 2.0) m16.sectors)
+    classics
+
 (* ------------------------------------------------------------------ *)
 (* Sublattice schedules and an independent flops count                  *)
 (* ------------------------------------------------------------------ *)
@@ -509,6 +542,7 @@ let () =
           Alcotest.test_case "golden through one memo" `Quick test_memo_golden;
           Alcotest.test_case "key ignores names" `Quick test_key_renaming;
           Alcotest.test_case "key distinguishes" `Quick test_key_distinguishes;
+          Alcotest.test_case "f16 traffic" `Quick test_f16_traffic;
           Alcotest.test_case "sublattice schedules" `Quick test_sublattice_schedules;
           Alcotest.test_case "exhaustive flops" `Quick test_exhaustive_flops;
           Alcotest.test_case "lane table bounds" `Quick test_lane_table_bounds;

@@ -1249,6 +1249,15 @@ let test_serve_loop_blank_lines () =
   Sys.remove in_file;
   Sys.remove out_file
 
+(* the zoo under its serve names *)
+let zoo_ops () =
+  List.concat_map
+    (fun (n : Ops.Networks.t) ->
+      List.map
+        (fun (op, k) -> (String.lowercase_ascii n.Ops.Networks.name ^ "/" ^ op, k))
+        (Lazy.force n.Ops.Networks.ops))
+    Ops.Networks.all
+
 (* Every zoo operator, StencilZoo included, under its serve name and three
    versions through one handler with a cache: every reply is ok, a second
    pass over the same lines is all cache hits with the first pass's
@@ -1256,14 +1265,7 @@ let test_serve_loop_blank_lines () =
 let test_serve_zoo () =
   reset ();
   let cache = Service.Cache.open_ (fresh_dir ()) in
-  let ops =
-    List.concat_map
-      (fun (n : Ops.Networks.t) ->
-        List.map
-          (fun (op, k) -> (String.lowercase_ascii n.Ops.Networks.name ^ "/" ^ op, k))
-          (Lazy.force n.Ops.Networks.ops))
-      Ops.Networks.all
-  in
+  let ops = zoo_ops () in
   let h = Service.Serve.make_handler ~cache ~find_op:(fun n -> List.assoc_opt n ops) () in
   let lines =
     List.concat_map
@@ -1295,6 +1297,136 @@ let test_serve_zoo () =
     Alcotest.(check int) "both passes timed" (2 * List.length lines)
       hist.Obs.Histogram.count
   | None -> Alcotest.fail "serve.request_seconds not registered"
+
+(* ------------------------------------------------------------------ *)
+(* Serve: the memory tier                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* a reply without the fields that differ between a miss, a disk hit and
+   a memory hit of one request *)
+let hit_answer reply =
+  match J.of_string reply with
+  | Ok (J.Assoc kvs) ->
+    J.to_string
+      (J.Assoc
+         (List.filter
+            (fun (k, _) -> not (List.mem k [ "id"; "cached"; "elapsed_us"; "spans" ]))
+            kvs))
+  | _ -> Alcotest.failf "not a JSON object: %s" reply
+
+let cached reply = J.member "cached" (fields reply)
+
+(* Every zoo op under all five versions: handler A misses each one, a
+   fresh handler B on the same directory hits each from disk, and A then
+   hits each from memory; the three replies agree apart from id, cached
+   and timing.  With every entry file deleted, A still answers each
+   repeat from memory, and each one counts as a memory hit. *)
+let test_serve_memory_exact () =
+  reset ();
+  let dir = fresh_dir () in
+  let ops = zoo_ops () in
+  let find_op n = List.assoc_opt n ops in
+  let handler () = Service.Serve.make_handler ~cache:(Service.Cache.open_ dir) ~find_op () in
+  let a = handler () in
+  let lines =
+    List.concat_map (fun (op, _) -> List.map (version_request ~op) versions) ops
+  in
+  let n = List.length lines in
+  let pass h = List.map (Service.Serve.handle_line h) lines in
+  let memory_hits () = counter "service.cache_memory_hits" in
+  let misses = pass a in
+  Alcotest.(check int) "misses are not memory hits" 0 (memory_hits ());
+  let disk = pass (handler ()) in
+  Alcotest.(check int) "a fresh handler hits from disk" 0 (memory_hits ());
+  let memory = pass a in
+  Alcotest.(check int) "the first handler hits from memory" n (memory_hits ());
+  Alcotest.(check int) "memory hits are cache hits" (2 * n) (counter "service.cache_hits");
+  List.iteri
+    (fun i (line, (miss, (d, m))) ->
+      if cached miss <> Some (J.Bool false) then Alcotest.failf "%s: the first pass hit" line;
+      if cached d <> Some (J.Bool true) || cached m <> Some (J.Bool true) then
+        Alcotest.failf "%s: a repeat missed" line;
+      let expected = hit_answer miss in
+      if hit_answer d <> expected then
+        Alcotest.failf "request %d (%s): the disk hit differs from the miss" i line;
+      if hit_answer m <> expected then
+        Alcotest.failf "request %d (%s): the memory hit differs from the miss" i line)
+    (List.combine lines (List.combine misses (List.combine disk memory)));
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  let again = pass a in
+  List.iter2
+    (fun line reply ->
+      if cached reply <> Some (J.Bool true) then
+        Alcotest.failf "%s: no memory hit without its file" line)
+    lines again;
+  Alcotest.(check int) "every repeat counted" (2 * n) (memory_hits ());
+  Alcotest.(check int) "no file read" 0 (Array.length (Sys.readdir dir))
+
+(* Without a cache nothing is remembered: a repeated request compiles
+   again and says so. *)
+let test_serve_uncached_repeats () =
+  reset ();
+  let h = Service.Serve.make_handler ~find_op:find_classic () in
+  List.iter
+    (fun _ ->
+      let r = Service.Serve.handle_line h {|{"op":"fig2","version":"isl"}|} in
+      has {|"status":"ok"|} r;
+      has {|"cached":false|} r)
+    [ 1; 2; 3 ];
+  Alcotest.(check int) "no memory hits" 0 (counter "service.cache_memory_hits");
+  Alcotest.(check int) "no cache hits" 0 (counter "service.cache_hits")
+
+(* Inline kernels keep the disk path: a repeat is a disk hit, never a
+   memory hit. *)
+let test_serve_inline_disk_only () =
+  reset ();
+  let kernel_of_json j = Result.bind (Fuzz.Case.of_json j) Fuzz.Case.to_kernel in
+  let h =
+    Service.Serve.make_handler ~cache:(Service.Cache.open_ (fresh_dir ())) ~kernel_of_json
+      ~find_op:find_classic ()
+  in
+  let line =
+    inline_request ~tensors:[ ("A", [ 4 ]); ("B", [ 4 ]) ] ~extent:4 ~write:(at_i "B")
+      ~rhs:(Fuzz.Case.Load (at_i "A"))
+  in
+  let replies = List.map (fun _ -> Service.Serve.handle_line h line) [ 1; 2; 3 ] in
+  Alcotest.(check (list (option bool))) "miss, then disk hits"
+    [ Some false; Some true; Some true ]
+    (List.map
+       (fun r -> match cached r with Some (J.Bool b) -> Some b | _ -> None)
+       replies);
+  Alcotest.(check int) "disk hits" 2 (counter "service.cache_hits");
+  Alcotest.(check int) "no memory hits" 0 (counter "service.cache_memory_hits")
+
+(* A store that fails (here: the cache directory removed between two
+   misses) leaves the reply standing: ok and uncached, counted, and not
+   remembered, so its repeat compiles again.  Replies the disk held
+   before are still answered from memory. *)
+let test_serve_store_failure () =
+  reset ();
+  let dir = fresh_dir () in
+  let h = Service.Serve.make_handler ~cache:(Service.Cache.open_ dir) ~find_op:find_classic () in
+  let reply line =
+    match Service.Serve.handle_line h line with
+    | exception e -> Alcotest.failf "%s raised %s" line (Printexc.to_string e)
+    | r -> r
+  in
+  let kept = {|{"op":"fig2","id":"a"}|} and lost = {|{"op":"transpose_add","id":"b"}|} in
+  has {|"cached":false|} (reply kept);
+  remove_dir dir;
+  let cold = Service.Serve.handle_line (Service.Serve.make_handler ~find_op:find_classic ()) lost in
+  List.iter
+    (fun _ ->
+      let r = reply lost in
+      has {|"status":"ok"|} r;
+      has {|"cached":false|} r;
+      Alcotest.(check string) "the cold reply" (answer cold) (answer r))
+    [ 1; 2 ];
+  Alcotest.(check int) "failed stores counted" 2 (counter "service.cache_store_failures");
+  has {|"cached":true|} (reply kept);
+  Alcotest.(check int) "only the stored reply is a memory hit" 1
+    (counter "service.cache_memory_hits");
+  Alcotest.(check bool) "no directory made" false (Sys.file_exists dir)
 
 let () =
   Alcotest.run "service"
@@ -1353,6 +1485,13 @@ let () =
           Alcotest.test_case "huge kernels" `Quick test_serve_huge_kernels;
           Alcotest.test_case "loop answers blank lines" `Quick
             test_serve_loop_blank_lines;
-          Alcotest.test_case "every zoo op, missed then hit" `Quick test_serve_zoo
+          Alcotest.test_case "every zoo op, missed then hit" `Quick test_serve_zoo;
+          Alcotest.test_case "memory hits equal misses and disk hits" `Quick
+            test_serve_memory_exact;
+          Alcotest.test_case "no memory without a cache" `Quick test_serve_uncached_repeats;
+          Alcotest.test_case "inline kernels keep the disk path" `Quick
+            test_serve_inline_disk_only;
+          Alcotest.test_case "a failed store is answered uncached" `Quick
+            test_serve_store_failure
         ] )
     ]
