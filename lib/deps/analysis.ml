@@ -105,11 +105,20 @@ let dependences (k : Kernel.t) =
   done;
   List.rev !deps
 
-(* Only [analyse] makes an [analysis], so an installed entry is the one
-   [dependences] would compute for that physical kernel. *)
+(* Only [analyse] and [share] make an [analysis], so an installed entry is
+   the one [dependences] would compute for that physical kernel: the
+   dependences name tensors, statements and iterators, never the kernel,
+   and a kernel's digest covers everything but its name. *)
 type analysis = { kernel : Kernel.t; deps : Dependence.t list }
 
 let analyse kernel = { kernel; deps = dependences kernel }
+
+let share a kernel =
+  if a.kernel == kernel then a
+  else if Kernel.digest a.kernel <> Kernel.digest kernel then
+    invalid_arg "Analysis.share: the kernels' digests differ"
+  else { kernel; deps = a.deps }
+
 let deps a = a.deps
 let install a = Memo.add a.kernel a.deps
 

@@ -16,11 +16,19 @@ val dependences : Ir.Kernel.t -> Dependence.t list
 
 type analysis
 (** A kernel's dependences, as {!dependences} computed them for that
-    physical kernel.  Only {!analyse} makes one. *)
+    physical kernel.  Only {!analyse} and {!share} make one. *)
 
 val analyse : Ir.Kernel.t -> analysis
 (** [analyse k] runs {!dependences} on [k] (inside a scope, it is
     remembered there as usual). *)
+
+val share : analysis -> Ir.Kernel.t -> analysis
+(** [share a k]: [a]'s dependences as the analysis of [k], a kernel with
+    the same {!Ir.Kernel.digest}.  Dependences name tensors, statements
+    and iterators but never the kernel, and the digest covers all of the
+    kernel but its name, so they are what {!dependences} computes for
+    [k].  Nothing is analysed.
+    @raise Invalid_argument when the digests differ. *)
 
 val deps : analysis -> Dependence.t list
 

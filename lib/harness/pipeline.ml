@@ -107,23 +107,48 @@ type output = {
   deps : Deps.Dependence.t list;
 }
 
-(* What the versions of one kernel share, each part filled on first use:
-   its dependence analysis and the vectorizer client's schedule (novec and
-   infl differ only in the backend's vector pass).  A run that raises
-   fills nothing.  Two domains racing on one operator may both compute a
-   part; the answers are equal and either may be kept. *)
-type operator = {
-  kernel : Ir.Kernel.t;
+(* The work the versions of one digest share, each part filled on first
+   use by a run that computed it: the dependence analysis, a schedule per
+   client, a lowering per version and a simulation per version and
+   machine.  The parts carry the names of the kernel that computed them;
+   [run] hands them out under its own operator's kernel.  Two domains
+   racing on a part may both compute it; the answers are equal and either
+   may be kept.  The slots are written whole, and the report lists swapped
+   through [Atomic], so no table is mutated. *)
+type work = {
   mutable analysis : Deps.Analysis.analysis option;
-  mutable vectorized : (Scheduling.Schedule.t * Scheduling.Scheduler.stats) option;
+  schedules : (Scheduling.Schedule.t * Scheduling.Scheduler.stats) option array;
+      (* by [client_slot] *)
+  lowerings : Codegen.Compile.compiled option array;  (* by [version_slot] *)
+  reports : (Gpusim.Machine.t * Gpusim.Sim.report) list Atomic.t array;
+      (* by [version_slot] *)
 }
 
-let operator kernel = { kernel; analysis = None; vectorized = None }
+type operator = { kernel : Ir.Kernel.t; work : work }
+
+let client_slot = function No_influence -> 0 | Vectorizer -> 1 | Tiling -> 2
+let version_slot = function Isl -> 0 | Novec -> 1 | Infl -> 2 | Tiled -> 3
+
+let operator kernel =
+  { kernel;
+    work =
+      { analysis = None;
+        schedules = Array.make 3 None;
+        lowerings = Array.make 4 None;
+        reports = Array.init 4 (fun _ -> Atomic.make [])
+      }
+  }
+
 let kernel op = op.kernel
+
+let share op kernel =
+  if Ir.Kernel.digest op.kernel <> Ir.Kernel.digest kernel then
+    invalid_arg "Pipeline.share: the kernels' digests differ";
+  { kernel; work = op.work }
 
 let c_reuses =
   Obs.Counters.create "pipeline.schedule_reuses"
-    ~doc:"versions that took their operator's retained vectorizer schedule"
+    ~doc:"versions that took their operator's retained schedule"
 
 (* [stats] is mutable: the operator keeps its own copy and hands out copies *)
 let copy (stats : Scheduling.Scheduler.stats) = { stats with ilp_solves = stats.ilp_solves }
@@ -131,34 +156,60 @@ let copy (stats : Scheduling.Scheduler.stats) = { stats with ilp_solves = stats.
 (* Inside [run]'s scope: the operator's analysis, installed there, or run
    there and kept. *)
 let analysis op =
-  match op.analysis with
+  match op.work.analysis with
   | Some a ->
+    let a = Deps.Analysis.share a op.kernel in
     Deps.Analysis.install a;
     a
   | None ->
     let a = Deps.Analysis.analyse op.kernel in
-    op.analysis <- Some a;
+    op.work.analysis <- Some a;
     a
 
 let scheduled version op =
-  let fresh () = schedule ?influence:(tree version op.kernel) op.kernel in
-  match ((spec version).client, op.vectorized) with
-  | Vectorizer, Some (sched, stats) ->
+  let slot = client_slot (spec version).client in
+  match op.work.schedules.(slot) with
+  | Some (sched, stats) ->
     Obs.Counters.incr c_reuses;
-    (sched, copy stats)
-  | Vectorizer, None ->
-    let sched, stats = fresh () in
-    op.vectorized <- Some (sched, copy stats);
+    ({ sched with Scheduling.Schedule.kernel_name = op.kernel.Ir.Kernel.name }, copy stats)
+  | None ->
+    let sched, stats = schedule ?influence:(tree version op.kernel) op.kernel in
+    op.work.schedules.(slot) <- Some (sched, copy stats);
     (sched, stats)
-  | (No_influence | Tiling), _ -> fresh ()
+
+let lowered version op sched =
+  let slot = version_slot version in
+  match op.work.lowerings.(slot) with
+  | Some compiled -> { compiled with Codegen.Compile.kernel = op.kernel; schedule = sched }
+  | None ->
+    let compiled = lower version sched op.kernel in
+    op.work.lowerings.(slot) <- Some compiled;
+    compiled
+
+(* A report names no kernel.  Machines compare by value, so a tuned
+   profile under a stock profile's name is simulated apart. *)
+let simulated version op ~machine compiled =
+  let reports = op.work.reports.(version_slot version) in
+  let find kept = List.find_opt (fun (m, _) -> m == machine || m = machine) kept in
+  match find (Atomic.get reports) with
+  | Some (_, report) -> report
+  | None ->
+    let report = simulate ~machine compiled in
+    let rec keep () =
+      let kept = Atomic.get reports in
+      if find kept = None && not (Atomic.compare_and_set reports kept ((machine, report) :: kept))
+      then keep ()
+    in
+    keep ();
+    report
 
 let run ?(machine = Gpusim.Machine.v100) version op =
   Polyhedra.Solver_memo.shared @@ fun () ->
   let deps = Deps.Analysis.deps (analysis op) in
   let sched, stats = scheduled version op in
-  let compiled = lower version sched op.kernel in
+  let compiled = lowered version op sched in
   let backend =
     if Gpusim.Machine.is_cpu machine then Emitted (emit_c ~machine compiled)
-    else Simulated (simulate ~machine compiled)
+    else Simulated (simulated version op ~machine compiled)
   in
   { sched; stats; compiled; backend; deps }

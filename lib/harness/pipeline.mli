@@ -139,21 +139,39 @@ type operator
     - its dependence analysis ({!Deps.Analysis.analyse}), installed into
       every scope {!run} opens for it, so the kernel is analysed once
       however many versions and machines are asked for;
-    - the {!Vectorizer} client's schedule and its statistics: novec and
-      infl (and so [cpu]) are the same influenced schedule and differ
-      only in the backend's vector pass.  A version that takes it counts
-      [pipeline.schedule_reuses]; its run has no scheduler spans.
+    - one schedule per {!client}, with its statistics: novec and infl (and
+      so [cpu]) take the {!Vectorizer} client's, and differ only in the
+      backend's vector pass, and every machine takes the same one.  A
+      version that takes a kept schedule counts
+      [pipeline.schedule_reuses]; its run has no scheduler spans;
+    - one lowering ({!Codegen.Compile.compiled}) per version, which every
+      machine takes: [cpu] takes infl's;
+    - one simulation report per version and GPU machine profile, the
+      profiles compared by value.
 
-    The isl and tiled schedules are not kept: each serves one version, so
-    a caller asks for it once per machine, and keeping them would hold
-    memory for no reuse.  A run that raises
-    ({!Scheduling.Scheduler.Failure_no_schedule}) keeps no schedule, so a
-    transient failure is never replayed.  The kept statistics are a copy,
-    and every run returns its own copy.  An operator may be shared between
-    domains: a race on a part computes it twice, equally. *)
+    C is not kept: it is emitted on every CPU run, from the kept lowering,
+    as emission is the one stage that prints the kernel's name.
+
+    {!share} gives an operator over another kernel of the same
+    {!Ir.Kernel.digest} that shares all of this work, so each distinct
+    kernel is compiled once however many names it has.
+
+    A run that raises ({!Scheduling.Scheduler.Failure_no_schedule}) keeps
+    no part it did not finish, so a transient failure is never replayed.
+    The kept statistics are a copy, and every run returns its own copy.
+    An operator may be shared between domains: a race on a part computes
+    it twice, equally. *)
 
 val operator : Ir.Kernel.t -> operator
 (** A fresh operator: nothing computed yet. *)
+
+val share : operator -> Ir.Kernel.t -> operator
+(** [share op k]: an operator over [k] that shares [op]'s work, kept and
+    to come, with [op] and with every operator shared from it.  [k] must
+    have [op]'s digest; its name may differ.  A run of the shared operator
+    reads as a run of a fresh [operator k]: the schedule's [kernel_name],
+    the lowering's [kernel] and the emitted C are [k]'s.
+    @raise Invalid_argument when the digests differ. *)
 
 val kernel : operator -> Ir.Kernel.t
 
@@ -167,7 +185,7 @@ val run :
     {!emit_c} when it is a CPU profile.  The stages run in the caller's
     {!Polyhedra.Solver_memo} scope, or in a fresh one when none is open
     ({!Polyhedra.Solver_memo.shared}), with the operator's dependence
-    analysis installed (or run and kept), which the output carries.  A
-    vectorizer-client version takes the operator's schedule when an
-    earlier run kept one.  The output is the same whether the operator is
-    fresh or reused, in whatever scope it runs. *)
+    analysis installed (or run and kept), which the output carries.  Each
+    stage takes the operator's kept part when an earlier run kept one.
+    The output is the same whether the operator is fresh, reused or
+    shared, in whatever scope it runs. *)

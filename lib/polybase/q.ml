@@ -205,9 +205,12 @@ let to_float = function
     let fn, kn = keep n and fd, kd = keep d in
     ldexp (fn /. fd) (kn - kd)
 
-let to_string x =
-  if is_integer x then Bigint.to_string (num x)
-  else Bigint.to_string (num x) ^ "/" ^ Bigint.to_string (den x)
+(* native components print as [Bigint.to_string] prints them *)
+let to_string = function
+  | S (n, 1) -> string_of_int n
+  | S (n, d) -> string_of_int n ^ "/" ^ string_of_int d
+  | B (n, d) when Bigint.equal d Bigint.one -> Bigint.to_string n
+  | B (n, d) -> Bigint.to_string n ^ "/" ^ Bigint.to_string d
 
 let pp fmt x = Format.pp_print_string fmt (to_string x)
 

@@ -49,8 +49,9 @@ let evaluate_suite ?(machine = Gpusim.Machine.v100) ?(progress = fun _ -> ()) ?c
    | Some c ->
      List.iter2
        (fun (name, kernel) r ->
-         Cache.store c (eval_key ~machine ~name kernel)
-           (Harness.Eval.result_to_json r))
+         (* a failed store loses the entry, not the row *)
+         ignore
+           (Cache.try_store c (eval_key ~machine ~name kernel) (Harness.Eval.result_to_json r)))
        misses computed);
   let remaining = ref computed in
   List.map

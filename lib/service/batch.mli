@@ -11,7 +11,10 @@
 
     Cached operators skip compilation entirely (zero scheduler ILP
     solves on a warm run); their [op_result] is decoded from the stored
-    payload, including the original run's wall-clock observations. *)
+    payload, including the original run's wall-clock observations.  A
+    store that fails (the cache directory removed or unwritable) loses
+    only its entry: the row is still returned, and the failure counts
+    [service.cache_store_failures]. *)
 
 val evaluate_suite :
   ?machine:Gpusim.Machine.t ->

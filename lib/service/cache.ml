@@ -9,6 +9,10 @@ let c_misses =
 
 let c_stores = Obs.Counters.create "service.cache_stores" ~doc:"cache entries written"
 
+let c_store_failures =
+  Obs.Counters.create "service.cache_store_failures"
+    ~doc:"cache stores that failed (the result answered uncached, not remembered)"
+
 let c_corrupt =
   Obs.Counters.create "service.cache_corrupt"
     ~doc:"unreadable/mismatched cache entries dropped (recomputed, not fatal)"
@@ -224,3 +228,10 @@ let store t key payload =
   Obs.Counters.incr c_stores;
   let delta = String.length contents - replaced in
   if Atomic.fetch_and_add t.bytes delta + delta > t.max_bytes then scan ~published:path t
+
+let try_store t key payload =
+  match store t key payload with
+  | () -> true
+  | exception (Sys_error _ | Unix.Unix_error _) ->
+    Obs.Counters.incr c_store_failures;
+    false

@@ -69,6 +69,11 @@ val store : t -> Key.t -> Obs.Json.t -> unit
     @raise Sys_error or [Unix.Unix_error] when the cache directory
     itself is unwritable or gone. *)
 
+val try_store : t -> Key.t -> Obs.Json.t -> bool
+(** {!store}, but a failure to write the entry returns [false] and counts
+    [service.cache_store_failures] instead of raising: the caller's result
+    stands, only its entry is lost. *)
+
 val entry_path : t -> Key.t -> string
 (** Where an entry lives on disk (for tests and debugging). *)
 

@@ -21,10 +21,6 @@ let c_memory_hits =
   Obs.Counters.create "service.cache_memory_hits"
     ~doc:"serve cache hits answered from the handler's memory, reading no file"
 
-let c_store_failures =
-  Obs.Counters.create "service.cache_store_failures"
-    ~doc:"serve replies whose cache store failed (answered uncached, not remembered)"
-
 let h_request =
   Obs.Histogram.create "serve.request_seconds"
     ~doc:"serve request latency, all verbs (seconds)"
@@ -37,9 +33,10 @@ let default_max_request_bytes = 1 lsl 20
 
 module P = Harness.Pipeline
 
-(* A named kernel's operator, and the ok replies the cache held for it:
-   by version name and machine name, the key digest and the reply's
-   payload fields printed as JSON object members. *)
+(* A named kernel's operator, shared with every named kernel of its
+   digest, and the ok replies the cache held for it: by version name and
+   machine name, the key digest and the reply's payload fields printed as
+   JSON object members. *)
 type named = {
   operator : P.operator;
   replies : (string * string, string * string) Hashtbl.t;
@@ -53,6 +50,8 @@ type handler = {
   next_id : int Atomic.t;
   ops : (string * string, named) Hashtbl.t;
       (* by kernel name and digest; guarded by [ops_lock] *)
+  work : (string, P.operator) Hashtbl.t;
+      (* the first named kernel's operator, by digest; guarded by [ops_lock] *)
   ops_lock : Mutex.t;
 }
 
@@ -72,23 +71,33 @@ let make_handler ?kernel_of_json ?cache ~find_op () =
     ~doc:"seconds since the serve handler was created" (fun () ->
       Unix.gettimeofday () -. started);
   { find_op; kernel_of_json; cache; started; next_id = Atomic.make 0;
-    ops = Hashtbl.create 256; ops_lock = Mutex.create () }
+    ops = Hashtbl.create 256; work = Hashtbl.create 128; ops_lock = Mutex.create () }
 
 (* The key names the kernel, so every spelling of an operator's name
    shares one entry. *)
 let serve_flags = [ ("entry", "serve") ]
 
 (* The entry of a named kernel with this name and digest, whatever the
-   spelling: every miss on it compiles with its operator, and its replies
-   answer repeats.  Inline kernels get a fresh operator and no entry, so
-   the table holds at most what [find_op] can return.  Call with
-   [ops_lock] held. *)
+   spelling: every miss on it compiles with its operator, which shares
+   its work with every named kernel of the digest, and its replies answer
+   repeats.  Inline kernels get a fresh operator and no entry, so both
+   tables hold at most what [find_op] can return.  Call with [ops_lock]
+   held. *)
 let named_entry h kernel =
-  let id = (kernel.Ir.Kernel.name, Ir.Kernel.digest kernel) in
+  let digest = Ir.Kernel.digest kernel in
+  let id = (kernel.Ir.Kernel.name, digest) in
   match Hashtbl.find_opt h.ops id with
   | Some e -> e
   | None ->
-    let e = { operator = P.operator kernel; replies = Hashtbl.create 8 } in
+    let operator =
+      match Hashtbl.find_opt h.work digest with
+      | Some op -> P.share op kernel
+      | None ->
+        let op = P.operator kernel in
+        Hashtbl.replace h.work digest op;
+        op
+    in
+    let e = { operator; replies = Hashtbl.create 8 } in
     Hashtbl.replace h.ops id e;
     e
 
@@ -304,14 +313,10 @@ let handle_compile h ~id req =
                   Error (Printf.sprintf "compile: %s" msg)
                 | fields ->
                   let payload = members fields in
+                  (* a failed store loses the entry, not the reply *)
                   (match h.cache with
-                   | None -> ()
-                   | Some c -> (
-                     match Cache.store c key (J.Assoc fields) with
-                     | () -> keep digest payload
-                     | exception (Sys_error _ | Unix.Unix_error _) ->
-                       (* the reply stands; only its entry is lost *)
-                       Obs.Counters.incr c_store_failures));
+                   | Some c when Cache.try_store c key (J.Assoc fields) -> keep digest payload
+                   | Some _ | None -> ());
                   Ok (false, digest, payload)))
         in
         Obs.merge capture;

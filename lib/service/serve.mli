@@ -80,22 +80,30 @@
     ["cached": false]; it counts [service.cache_store_failures] and is not
     kept.
 
-    One operator per kernel.  A miss on a named request compiles with the
-    handler's {!Harness.Pipeline.operator} for the kernel's (name,
-    digest), made on its first miss or disk hit, so every spelling and
-    every equal kernel [find_op] returns shares one: the versions share one
-    dependence analysis, and novec, infl and cpu one vectorizer schedule
-    (counted in [pipeline.schedule_reuses]).  A reused miss's ["spans"]
-    therefore show no scheduler spans.  An operator's output is a fresh
-    one's, so replies, digests and cache files are the same with or
-    without the table.  Inline kernels are decoded per request and get a
-    fresh operator every time, so the table holds at most one operator
-    per kernel [find_op] can return (the CLI's registry: 223 zoo
-    operators and 15 classics; the dependences and vectorizer schedules
-    of the 217 Table I operators take about 0.6 MiB), and each with at
-    most one kept reply per (version, machine), so the table needs no
-    size bound.  It sits behind a mutex (a handler may be shared between
-    domains) and is dropped with the handler.
+    One compile per distinct kernel.  A miss on a named request compiles
+    with the handler's {!Harness.Pipeline.operator} for the kernel's
+    (name, digest), made on its first miss or disk hit.  The handler keeps
+    one operator per {!Ir.Kernel.digest} of the named kernels it has seen,
+    and every (name, digest) entry's operator is {!Harness.Pipeline.share}d
+    from it.  So every spelling, every equal kernel [find_op] returns and
+    every other named kernel of the same digest shares one dependence
+    analysis, one schedule per client, one lowering per version and one
+    simulation per version and machine: novec, infl and cpu take one
+    vectorizer schedule (counted in [pipeline.schedule_reuses]), and cpu
+    takes infl's lowering.  A miss that takes a kept schedule has no
+    scheduler spans in its ["spans"].  A shared operator's output is a
+    fresh one's over the request's own kernel, so replies, digests and
+    cache files are the same with or without the tables.  A reply built
+    from another name's work is still ["cached":false]: no cache entry
+    held it, and it is checked for legality and stored under its own key
+    like any other miss.  Inline kernels are decoded per request and get
+    a fresh operator every time; they never enter either table, so the
+    tables hold at most one operator per kernel [find_op] can return (the
+    CLI's registry: 223 zoo operators and 15 classics, whose 217 Table I
+    operators have 80 digests), each entry with at most one kept reply
+    per (version, machine), and need no size bound.  They sit behind a
+    mutex (a handler may be shared between domains) and are dropped with
+    the handler.
 
     Serve's legality check runs on every miss, after the pipeline's scope
     has closed, against the run's dependences: it shares no solver memo

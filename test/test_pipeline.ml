@@ -276,6 +276,77 @@ let test_operator_reuse () =
         (trees ()))
     kernels
 
+(* A kernel's name reaches no decision: the kernel renamed through
+   [Kernel.make] compiles, through a fresh operator, to what the original
+   compiles to on V100, A100 and avx2-8core: rows, statistics, AST,
+   mapping, report and dependences, and C once the name is substituted.
+   An operator shared from the original's gives the fresh operator's
+   output exactly.  This is what lets kernels of one digest share their
+   work.  The zoo, the classics and the first 50 cases of fuzz seed 42. *)
+let test_name_reaches_no_decision () =
+  let machines = [ Gpusim.Machine.v100; Gpusim.Machine.a100; Gpusim.Machine.avx2_8core ] in
+  let suffix = "_renamed" in
+  (* everything but the kernel's name *)
+  let observed (p : P.output) =
+    ( p.P.sched.Scheduling.Schedule.stmt_names,
+      Scheduling.Schedule.to_string { p.P.sched with Scheduling.Schedule.kernel_name = "" },
+      p.P.stats,
+      Codegen.Ast.to_string p.P.compiled.Codegen.Compile.ast,
+      p.P.compiled.Codegen.Compile.mapping,
+      List.map Deps.Dependence.to_string p.P.deps,
+      match p.P.backend with
+      | P.Simulated r -> `Report r
+      | P.Emitted source -> `C (Str.global_replace (Str.regexp_string suffix) "" source) )
+  in
+  let named (k : Ir.Kernel.t) (p : P.output) =
+    p.P.sched.Scheduling.Schedule.kernel_name = k.Ir.Kernel.name
+    && p.P.compiled.Codegen.Compile.kernel == k
+    && p.P.compiled.Codegen.Compile.schedule == p.P.sched
+  in
+  let kernels =
+    List.concat_map
+      (fun (n : Ops.Networks.t) -> Lazy.force n.Ops.Networks.ops)
+      Ops.Networks.all
+    @ List.map (fun (name, mk) -> (name, mk ())) Ops.Classics.all
+    @ List.init 50 (fun index ->
+          match Fuzz.Case.to_kernel (Fuzz.Generate.generate ~seed:42 ~index ()) with
+          | Error m -> Alcotest.failf "fuzz case %d: %s" index m
+          | Ok k -> (Printf.sprintf "fuzz 42/%d" index, k))
+  in
+  List.iter
+    (fun (name, (kernel : Ir.Kernel.t)) ->
+      let renamed =
+        Ir.Kernel.make ~name:(kernel.Ir.Kernel.name ^ suffix) ~tensors:kernel.Ir.Kernel.tensors
+          ~stmts:kernel.Ir.Kernel.stmts ()
+      in
+      let op = P.operator kernel in
+      let fresh = P.operator renamed and shared = P.share op renamed in
+      List.iter
+        (fun machine ->
+          List.iter
+            (fun v ->
+              let what = Printf.sprintf "%s %s on %s" name (P.name v) machine.Gpusim.Machine.name in
+              let original = P.run ~machine v op in
+              (match original.P.backend with
+               | P.Emitted source
+                 when Str.global_replace (Str.regexp_string suffix) "" source <> source ->
+                 Alcotest.failf "%s: the C already holds %s" what suffix
+               | _ -> ());
+              let f = P.run ~machine v fresh and s = P.run ~machine v shared in
+              if not (named kernel original && named renamed f && named renamed s) then
+                Alcotest.failf "%s: an output carries another kernel" what;
+              if compare (observed f) (observed original) <> 0 then
+                Alcotest.failf "%s: the renamed kernel compiles differently" what;
+              if compare (observed s) (observed f) <> 0 then
+                Alcotest.failf "%s: a shared operator differs from a fresh one" what;
+              match (f.P.backend, s.P.backend) with
+              | P.Emitted a, P.Emitted b when a <> b ->
+                Alcotest.failf "%s: a shared operator emits other C" what
+              | _ -> ())
+            P.versions)
+        machines)
+    kernels
+
 (* The --stats table's branch-and-bound nodes cover all three schedules
    of an operator (isl 1 node, infl 2, tiled 4); sched(ms) is the
    operator's scheduling time (7 ms). *)
@@ -407,6 +478,8 @@ let () =
           Alcotest.test_case "shared memo" `Slow test_shared_memo;
           Alcotest.test_case "solver memo changes nothing" `Slow test_solver_memo_invisible;
           Alcotest.test_case "a reused operator changes nothing" `Slow test_operator_reuse;
+          Alcotest.test_case "a kernel's name reaches no decision" `Slow
+            test_name_reaches_no_decision;
           Alcotest.test_case "stats sum three schedules" `Quick test_stats_sum_three_schedules;
           Alcotest.test_case "sim_s covers every simulation" `Quick
             test_sim_s_covers_all_simulations;

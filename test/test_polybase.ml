@@ -276,6 +276,19 @@ let mkq n d = Q.make (bi n) (bi d)
    invariant) and by decimal rendering (which does not). *)
 let same_q a b = Q.equal a b && String.equal (Q.to_string a) (Q.to_string b)
 
+(* The native rendering prints what the Bigint one prints, on both sides
+   of the small bound. *)
+let prop_q_to_string =
+  QCheck2.Test.make ~name:"to_string matches the bigint rendering" ~count:2000
+    QCheck2.Gen.(pair interesting_int (nonzero interesting_int))
+    (fun (n, d) ->
+      let x = mkq n d in
+      let reference =
+        if Q.is_integer x then Bigint.to_string (Q.num x)
+        else Bigint.to_string (Q.num x) ^ "/" ^ Bigint.to_string (Q.den x)
+      in
+      String.equal (Q.to_string x) reference)
+
 let prop_q_fastpath_field_ops =
   QCheck2.Test.make ~name:"fast path matches bigint reference (+ - * /)"
     ~count:2000 rat_pair_gen
@@ -369,7 +382,8 @@ let () =
           prop_q_floor_bound;
           prop_q_fastpath_field_ops;
           prop_q_fastpath_compare;
-          prop_q_fastpath_floor_ceil
+          prop_q_fastpath_floor_ceil;
+          prop_q_to_string
         ];
       ( "linalg",
         [ Alcotest.test_case "rref/rank" `Quick test_linalg_rref_rank;

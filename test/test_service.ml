@@ -130,6 +130,25 @@ let test_eval_key_pinned () =
     (Service.Key.digest
        (Service.Batch.eval_key ~machine:Gpusim.Machine.v100 ~name:"fig2" (classic "fig2")))
 
+(* Every kernel's digest, pinned as the MD5 of their concatenation: the
+   zoo, the classics and fuzz seed 42's cases 0-199.  Rendering a
+   rational natively must print what Bigint prints. *)
+let test_digests_pinned () =
+  let kernels =
+    List.concat_map
+      (fun (n : Ops.Networks.t) -> List.map snd (Lazy.force n.Ops.Networks.ops))
+      Ops.Networks.all
+    @ List.map (fun (_, mk) -> mk ()) Ops.Classics.all
+    @ List.init 200 (fun index ->
+          match Fuzz.Case.to_kernel (Fuzz.Generate.generate ~seed:42 ~index ()) with
+          | Ok k -> k
+          | Error m -> Alcotest.failf "fuzz case %d: %s" index m)
+  in
+  Alcotest.(check int) "kernels" 438 (List.length kernels);
+  Alcotest.(check string)
+    "the digests" "707cebe9f42c9e476e497d3707b37f15"
+    (Digest.to_hex (Digest.string (String.concat "" (List.map Ir.Kernel.digest kernels))))
+
 (* ------------------------------------------------------------------ *)
 (* Pool                                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -569,6 +588,26 @@ let test_batch_corrupt_entry_recomputes () =
   Alcotest.(check bool)
     "corrupt entry was recomputed and re-stored" true
     (Service.Cache.find cache k <> None)
+
+(* A cache directory removed before the stores loses the entries, not
+   the rows: every row comes back as an uncached run computes it, and
+   each failed store is counted. *)
+let test_batch_store_failure () =
+  reset ();
+  let uncached = render (Service.Batch.evaluate_suite (suite ())) in
+  let dir = fresh_dir () in
+  let cache = Service.Cache.open_ dir in
+  remove_dir dir;
+  let rows =
+    match Service.Batch.evaluate_suite ~cache (suite ()) with
+    | exception e -> Alcotest.failf "evaluate_suite raised %s" (Printexc.to_string e)
+    | rows -> render rows
+  in
+  Alcotest.(check string) "every row" uncached rows;
+  Alcotest.(check int) "failed stores counted" (List.length suite_ops)
+    (counter "service.cache_store_failures");
+  Alcotest.(check int) "nothing stored" 0 (counter "service.cache_stores");
+  Alcotest.(check bool) "no directory made" false (Sys.file_exists dir)
 
 (* [f]'s result with the counter deltas it made, sorted by name: read
    inside a capture, which is dropped unmerged *)
@@ -1428,13 +1467,81 @@ let test_serve_store_failure () =
     (counter "service.cache_memory_hits");
   Alcotest.(check bool) "no directory made" false (Sys.file_exists dir)
 
+(* ------------------------------------------------------------------ *)
+(* Serve: one compile per distinct kernel                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Every zoo operator and classic under the five versions on V100 and
+   A100, through one handler with a cache: each reply is the one a fresh
+   handler gives for that request alone, and the handler analysed each
+   distinct kernel once, however many names it has.  Only a request whose
+   kernel name and digest an earlier request had (the classic stencil2d
+   is a zoo kernel) is a cache hit.  An operator is shared only between
+   kernels of one digest. *)
+let test_serve_equal_kernels_share () =
+  reset ();
+  let ops = zoo_ops () @ List.map (fun (n, mk) -> (n, mk ())) Ops.Classics.all in
+  let find_op n = List.assoc_opt n ops in
+  let requests =
+    List.concat_map
+      (fun (op, k) ->
+        List.concat_map
+          (fun v ->
+            List.map
+              (fun m ->
+                ( (k.Ir.Kernel.name, Ir.Kernel.digest k, v, m),
+                  J.to_string
+                    (J.Assoc
+                       [ ("op", J.String op); ("version", J.String v); ("machine", J.String m) ])
+                ))
+              [ "v100"; "a100" ])
+          versions)
+      ops
+  in
+  let uncached reply =
+    match J.of_string reply with
+    | Ok (J.Assoc kvs) -> answer (J.to_string (J.Assoc (List.remove_assoc "cached" kvs)))
+    | _ -> Alcotest.failf "not a JSON object: %s" reply
+  in
+  let alone =
+    List.map
+      (fun (_, line) ->
+        uncached (Service.Serve.handle_line (Service.Serve.make_handler ~find_op ()) line))
+      requests
+  in
+  let h = Service.Serve.make_handler ~cache:(Service.Cache.open_ (fresh_dir ())) ~find_op () in
+  let shared, deltas =
+    counter_deltas (fun () ->
+        List.map (fun (_, line) -> Service.Serve.handle_line h line) requests)
+  in
+  let seen = Hashtbl.create 2048 in
+  List.iter2
+    (fun (key, line) (a, reply) ->
+      Alcotest.(check string) (line ^ " = alone") a (uncached reply);
+      if cached reply <> Some (J.Bool (Hashtbl.mem seen key)) then
+        Alcotest.failf "%s: cached is not %b" line (Hashtbl.mem seen key);
+      Hashtbl.replace seen key ())
+    requests (List.combine alone shared);
+  let digests = List.sort_uniq String.compare (List.map (fun (_, k) -> Ir.Kernel.digest k) ops) in
+  Alcotest.(check bool) "names share digests" true (List.length digests < List.length ops);
+  let n = List.length digests and delta c = Option.value ~default:0 (List.assoc_opt c deltas) in
+  Alcotest.(check (list (pair string int)))
+    "one analysis, three schedules and four lowerings per digest"
+    [ ("deps.analyses", n); ("scheduler.schedules", 3 * n); ("codegen.lowerings", 4 * n) ]
+    (List.map (fun c -> (c, delta c)) [ "deps.analyses"; "scheduler.schedules"; "codegen.lowerings" ]);
+  let op = P.operator (classic "fig2") in
+  match P.share op (classic "transpose_add") with
+  | _ -> Alcotest.fail "an operator shared across digests"
+  | exception Invalid_argument _ -> ()
+
 let () =
   Alcotest.run "service"
     [ ( "key",
         [ Alcotest.test_case "stability" `Quick test_key_stability;
           Alcotest.test_case "eval key pinned" `Quick test_eval_key_pinned;
           Alcotest.test_case "kernel digest" `Quick test_kernel_digest;
-          Alcotest.test_case "digest partition" `Quick test_digest_partition
+          Alcotest.test_case "digest partition" `Quick test_digest_partition;
+          Alcotest.test_case "digests pinned" `Quick test_digests_pinned
         ] );
       ( "pool",
         [ Alcotest.test_case "order and counters" `Quick test_pool_order_and_counters;
@@ -1462,6 +1569,7 @@ let () =
           Alcotest.test_case "hits carry no obs" `Quick test_batch_hits_carry_no_obs;
           Alcotest.test_case "old payload decodes" `Quick test_batch_old_payload_decodes;
           Alcotest.test_case "corrupt entry" `Quick test_batch_corrupt_entry_recomputes;
+          Alcotest.test_case "a failed store keeps the row" `Quick test_batch_store_failure;
           Alcotest.test_case "jobs determinism" `Quick test_suite_determinism_across_jobs
         ] );
       ( "serve",
@@ -1492,6 +1600,8 @@ let () =
           Alcotest.test_case "inline kernels keep the disk path" `Quick
             test_serve_inline_disk_only;
           Alcotest.test_case "a failed store is answered uncached" `Quick
-            test_serve_store_failure
+            test_serve_store_failure;
+          Alcotest.test_case "equal kernels share one compile" `Quick
+            test_serve_equal_kernels_share
         ] )
     ]
