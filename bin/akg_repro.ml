@@ -662,27 +662,12 @@ let fuzz_cmd =
    folded fingerprint; both diff the same way.  The trace (when that is
    what was given) is kept for the timing side. *)
 let load_for_diff path =
-  let read () =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  match read () with
-  | exception Sys_error e -> Error e
-  | contents -> (
-    match Obs.Json.of_string contents with
-    | Error e -> Error (Printf.sprintf "%s: %s" path e)
-    | Ok j -> (
-      match Obs.Json.member "schema" j with
-      | Some (Obs.Json.String s) when s = Obs.Summary.schema_name -> (
-        match Obs.Summary.of_json j with
-        | Ok fp -> Ok (fp, None)
-        | Error e -> Error (Printf.sprintf "%s: %s" path e))
-      | _ -> (
-        match Obs.Tracefile.of_json j with
-        | Ok tf -> Ok (Obs.Summary.of_trace tf, Some tf)
-        | Error e -> Error (Printf.sprintf "%s: %s" path e))))
+  Result.bind (Obs.Json.of_file path) @@ fun j ->
+  Result.map_error (Printf.sprintf "%s: %s" path)
+    (match Obs.Json.member "schema" j with
+     | Some (Obs.Json.String s) when s = Obs.Summary.schema_name ->
+       Result.map (fun fp -> (fp, None)) (Obs.Summary.of_json j)
+     | _ -> Result.map (fun tf -> (Obs.Summary.of_trace tf, Some tf)) (Obs.Tracefile.of_json j))
 
 let trace_pos_arg ~p ~docv ~doc =
   Arg.(required & pos p (some string) None & info [] ~docv ~doc)

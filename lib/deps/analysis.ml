@@ -30,14 +30,16 @@ let c_memo_hits =
   Obs.Counters.create "deps.memo_hits"
     ~doc:"dependence analyses answered from the solver memo"
 
-(* The stages of one operator pass one kernel value around, so a kernel is
-   compared physically; its name only spreads the hash. *)
+(* Dependences never name the kernel, so every kernel of one digest has
+   the same ones.  The stages of one operator pass one kernel value
+   around: the physical test answers them without a digest.  The hash
+   reads the tensors, which the digest covers. *)
 module Memo = Solver_memo.Make (struct
   type key = Kernel.t
   type value = Dependence.t list
 
-  let hash (k : Kernel.t) = Hashtbl.hash k.Kernel.name
-  let equal = ( == )
+  let hash (k : Kernel.t) = Hashtbl.hash k.Kernel.tensors
+  let equal a b = a == b || String.equal (Kernel.digest a) (Kernel.digest b)
   let hits = c_memo_hits
 end)
 
@@ -105,20 +107,11 @@ let dependences (k : Kernel.t) =
   done;
   List.rev !deps
 
-(* Only [analyse] and [share] make an [analysis], so an installed entry is
-   the one [dependences] would compute for that physical kernel: the
-   dependences name tensors, statements and iterators, never the kernel,
-   and a kernel's digest covers everything but its name. *)
+(* Only [analyse] makes an [analysis], so an installed entry is the one
+   [dependences] would compute for every kernel of its digest. *)
 type analysis = { kernel : Kernel.t; deps : Dependence.t list }
 
 let analyse kernel = { kernel; deps = dependences kernel }
-
-let share a kernel =
-  if a.kernel == kernel then a
-  else if Kernel.digest a.kernel <> Kernel.digest kernel then
-    invalid_arg "Analysis.share: the kernels' digests differ"
-  else { kernel; deps = a.deps }
-
 let deps a = a.deps
 let install a = Memo.add a.kernel a.deps
 

@@ -10,32 +10,27 @@ val dependences : Ir.Kernel.t -> Dependence.t list
     statements, lexicographic iteration order within one statement.  Every
     result constrains legality; read-read pairs are not dependences.
     Inside a {!Polyhedra.Solver_memo} scope the result is remembered per
-    kernel (compared physically) and a repeat counts [deps.memo_hits]. *)
+    kernel, and a repeat on that kernel or on any kernel of its
+    {!Ir.Kernel.digest} (dependences never name the kernel) counts
+    [deps.memo_hits]. *)
 
 (** {1 One analysis shared between scopes} *)
 
 type analysis
-(** A kernel's dependences, as {!dependences} computed them for that
-    physical kernel.  Only {!analyse} and {!share} make one. *)
+(** A kernel's dependences, as {!dependences} computed them.  Only
+    {!analyse} makes one. *)
 
 val analyse : Ir.Kernel.t -> analysis
 (** [analyse k] runs {!dependences} on [k] (inside a scope, it is
     remembered there as usual). *)
 
-val share : analysis -> Ir.Kernel.t -> analysis
-(** [share a k]: [a]'s dependences as the analysis of [k], a kernel with
-    the same {!Ir.Kernel.digest}.  Dependences name tensors, statements
-    and iterators but never the kernel, and the digest covers all of the
-    kernel but its name, so they are what {!dependences} computes for
-    [k].  Nothing is analysed.
-    @raise Invalid_argument when the digests differ. *)
-
 val deps : analysis -> Dependence.t list
 
 val install : analysis -> unit
 (** Puts the analysis into the current {!Polyhedra.Solver_memo} scope
-    under its kernel, so a later {!dependences} on that physical kernel in
-    the scope is a memo hit; outside a scope it does nothing.  The answer
-    is exact: it is what {!dependences} computed for the same kernel. *)
+    under its kernel, so a later {!dependences} in the scope on any kernel
+    of its digest is a memo hit; outside a scope it does nothing.  The
+    answer is exact: it is what {!dependences} computes for every such
+    kernel. *)
 
 val pp_all : Format.formatter -> Dependence.t list -> unit

@@ -54,49 +54,38 @@ let save_case ~file ~seed ~index ~failure:(f : Check.failure) case =
       output_char oc '\n')
 
 let load_case file =
-  let read () =
-    let ic = open_in_bin file in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  match read () with
-  | exception Sys_error e -> Error e
-  | contents -> (
-    match J.of_string contents with
-    | Error e -> Error (Printf.sprintf "%s: %s" file e)
-    | Ok j -> (
-      match J.member "schema" j with
-      | Some (J.String s) when s = schema_name -> (
-        let failure =
-          match J.member "failure" j with
-          | Some fj -> (
-            let str k =
-              match J.member k fj with Some (J.String s) -> Some s | _ -> None
-            in
-            match (str "compiler", str "stage", str "message") with
-            | Some v, Some s, Some m -> (
-              (* a "cpu" record resolves to infl; the machine plays no part *)
-              match
-                ( Harness.Pipeline.resolve v ~machine:Gpusim.Machine.v100,
-                  Check.stage_of_name s )
-              with
-              | Some (version, _), Some stage ->
-                Ok { Check.version; stage; message = m }
-              | _ -> Error "unknown compiler version or stage in failure record")
-            | _ -> Error "incomplete failure record")
-          | None -> Error "replay file lacks a failure record"
+  Result.bind (J.of_file file) @@ fun j ->
+  match J.member "schema" j with
+  | Some (J.String s) when s = schema_name -> (
+    let failure =
+      match J.member "failure" j with
+      | Some fj -> (
+        let str k =
+          match J.member k fj with Some (J.String s) -> Some s | _ -> None
         in
-        match failure with
+        match (str "compiler", str "stage", str "message") with
+        | Some v, Some s, Some m -> (
+          (* a "cpu" record resolves to infl; the machine plays no part *)
+          match
+            ( Harness.Pipeline.resolve v ~machine:Gpusim.Machine.v100,
+              Check.stage_of_name s )
+          with
+          | Some (version, _), Some stage ->
+            Ok { Check.version; stage; message = m }
+          | _ -> Error "unknown compiler version or stage in failure record")
+        | _ -> Error "incomplete failure record")
+      | None -> Error "replay file lacks a failure record"
+    in
+    match failure with
+    | Error e -> Error (Printf.sprintf "%s: %s" file e)
+    | Ok f -> (
+      match J.member "case" j with
+      | None -> Error (Printf.sprintf "%s: replay file lacks a case" file)
+      | Some cj -> (
+        match Case.of_json cj with
         | Error e -> Error (Printf.sprintf "%s: %s" file e)
-        | Ok f -> (
-          match J.member "case" j with
-          | None -> Error (Printf.sprintf "%s: replay file lacks a case" file)
-          | Some cj -> (
-            match Case.of_json cj with
-            | Error e -> Error (Printf.sprintf "%s: %s" file e)
-            | Ok case -> Ok (case, f))))
-      | _ -> Error (Printf.sprintf "%s: not an %s document" file schema_name)))
+        | Ok case -> Ok (case, f))))
+  | _ -> Error (Printf.sprintf "%s: not an %s document" file schema_name)
 
 let replay ?cpu_exec file =
   match load_case file with

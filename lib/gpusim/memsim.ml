@@ -124,8 +124,10 @@ type saccess = {
 
 (* Lane masks are bitmasks, carried down the walk with their lane counts.
    A serial loop whose bounds read a thread-mapped slot owns its per-lane
-   bound arrays: a node is never its own ancestor, so the walker reuses
-   them for every warp and every loop entry without allocating. *)
+   bound arrays, the program's [los.(bounds)] and [his.(bounds)]: a node
+   is never its own ancestor, so the walker reuses them for every warp and
+   every loop entry without allocating.  They stay out of the tree, so a
+   walk leaves the tree, and so its [key], as it was. *)
 type sprog =
   | SSeq of sprog array
   | SIf of {
@@ -143,8 +145,7 @@ type sprog =
       has_guards : bool;
       uniform : bool;  (** no bound reads a thread-mapped slot *)
       body : sprog;
-      los : int array;  (** per-lane bounds of a serial loop that is not [uniform] *)
-      his : int array;
+      bounds : int;  (** its per-lane bounds' index when not [uniform], else -1 *)
     }
   | SExec of {
       accesses : saccess array;
@@ -179,12 +180,12 @@ let rec thread_vars acc = function
     thread_vars acc l.Ast.body
   | Ast.Exec _ | Ast.VecExec _ -> acc
 
-let build_program ~lanes (c : Compile.compiled) =
+let build_program (c : Compile.compiled) =
   let kernel = c.Compile.kernel in
   let shadowing = rebinds [] c.Compile.ast in
   let tvars = thread_vars [] c.Compile.ast in
   let lane v = List.mem v tvars in
-  let naccesses = ref 0 in
+  let naccesses = ref 0 and nbounds = ref 0 in
   let mapping = c.Compile.mapping in
   (* tensor layout: sequential, 256-byte aligned *)
   let bases = Hashtbl.create 8 and tensor_base = ref [] in
@@ -276,7 +277,8 @@ let build_program ~lanes (c : Compile.compiled) =
         | Ast.Seq_mark | Ast.Parallel -> Serial
       in
       let uniform = Array.for_all lane_uniform lower && Array.for_all lane_uniform upper in
-      let per_lane = if uniform then 0 else lanes in
+      let bounds = if uniform then -1 else !nbounds in
+      if not uniform then incr nbounds;
       SFor
         { slot;
           lower;
@@ -287,8 +289,7 @@ let build_program ~lanes (c : Compile.compiled) =
           has_guards = contains_if l.Ast.body;
           uniform;
           body = go (slot :: bound) l.Ast.body;
-          los = Array.make per_lane 0;
-          his = Array.make per_lane 0
+          bounds
         }
   in
   let prog = go [] c.Compile.ast in
@@ -296,7 +297,8 @@ let build_program ~lanes (c : Compile.compiled) =
   let lane_slots = Array.make nslots false in
   Hashtbl.iter (fun v s -> if lane v then lane_slots.(s) <- true) slots;
   let tensor_bytes = Array.of_list (List.map Tensor.bytes kernel.Kernel.tensors) in
-  (prog, nslots, lane_slots, tensor_bytes, Array.of_list (List.rev !tensor_base), !naccesses)
+  ( prog, nslots, lane_slots, tensor_bytes, Array.of_list (List.rev !tensor_base), !naccesses,
+    !nbounds )
 
 (* ------------------------------------------------------------------ *)
 (* warp walker                                                          *)
@@ -505,96 +507,26 @@ type program = {
   tensor_base : int array;
   naccesses : int;
   mapping : Mapping.t;
+  los : int array array;  (** by [SFor]'s [bounds], one entry per lane *)
+  his : int array array;
 }
 
 let build machine (c : Compile.compiled) =
   let lanes = machine.Machine.warp_size in
   if lanes > Sys.int_size then invalid_arg "Memsim.build: a warp wider than an int";
-  let prog, nslots, lane_slots, tensor_bytes, tensor_base, naccesses =
-    build_program ~lanes c
+  let prog, nslots, lane_slots, tensor_bytes, tensor_base, naccesses, nbounds =
+    build_program c
   in
+  let scratch () = Array.init nbounds (fun _ -> Array.make lanes 0) in
   { machine; prog; nslots; lane_slots; tensor_bytes; tensor_base; naccesses;
-    mapping = c.Compile.mapping }
+    mapping = c.Compile.mapping; los = scratch (); his = scratch () }
 
-(* An exact serialization of everything [walk] reads: a fixed grammar
-   with every array length-prefixed, so distinct programs give
-   distinct strings.  The scratch [los]/[his] arrays are left out: the
-   walker writes them before it reads them.  So are an access's [aid] and
-   [lane_shaped], the lane-uniform split of every expression, guard list
-   and loop, the program's [lane_slots], [tensor_base] and [naccesses]:
-   the tree and its expressions, which are in the key, decide them. *)
+(* What [walk] reads, marshalled.  The tree, whatever fields it gains,
+   decides [lane_slots], [tensor_base] and [naccesses]; the scratch
+   [los]/[his] are written before they are read. *)
 let key p =
-  let b = Buffer.create 1024 in
-  let int n =
-    Buffer.add_string b (string_of_int n);
-    Buffer.add_char b ' '
-  in
-  let tag c = Buffer.add_char b c in
-  let bool x = tag (if x then 't' else 'f') in
-  let array f a =
-    int (Array.length a);
-    Array.iter f a
-  in
-  let cexpr ce =
-    int ce.const;
-    int ce.div;
-    array int ce.slots;
-    array int ce.coefs
-  in
-  let access a =
-    bool a.is_write;
-    int a.tid;
-    int a.base;
-    int a.elem;
-    cexpr a.offset
-  in
-  let guard g =
-    tag (match g.gkind with Constr.Ge -> 'g' | Constr.Eq -> 'e');
-    cexpr g.gexpr
-  in
-  let rec prog = function
-    | SSeq l ->
-      tag 'q';
-      array prog l
-    | SIf g ->
-      tag 'i';
-      array guard g.uniform;
-      array guard g.lane;
-      prog g.body
-    | SFor f ->
-      tag 'f';
-      int f.slot;
-      array cexpr f.lower;
-      array cexpr f.upper;
-      int f.step;
-      (match f.role with
-       | Serial -> tag 'S'
-       | BlockAxis a -> tag 'B'; int a
-       | ThreadAxis a -> tag 'T'; int a
-       | SplitAxis (bl, t, e) -> tag 'P'; int bl; int t; int e);
-      bool f.strip;
-      bool f.has_guards;
-      prog f.body
-    | SExec e ->
-      tag 'x';
-      array access e.accesses;
-      int e.ops;
-      int e.vec;
-      array cexpr e.lattice
-  in
-  let dims l =
-    int (List.length l);
-    List.iter (fun (d, e) -> int d; int e) l
-  in
-  (* every field of the machine, a field added later included; marshalled
-     data carries its own length *)
-  Buffer.add_string b (Marshal.to_string p.machine [ Marshal.No_sharing ]);
-  dims p.mapping.Mapping.block_dims;
-  dims p.mapping.Mapping.thread_dims;
-  int p.nslots;
-  array int p.tensor_bytes;
-  prog p.prog;
-  Buffer.contents b
+  Marshal.to_string (p.machine, p.prog, p.nslots, p.tensor_bytes, p.mapping)
+    [ Marshal.No_sharing ]
 
 (* What every visit of one warp id shares: its lanes' thread coordinates
    ([coords.(axis).(lane)]), its base lane mask and lane count, and its
@@ -602,7 +534,10 @@ let key p =
 type warp_setup = { coords : int array array; base_bits : int; base_count : int; shape : int }
 
 let walk ?(block_samples = 8) ?(warp_samples = 4) ?(loop_sample_cap = 32) p =
-  let { machine; prog; nslots; lane_slots; tensor_bytes; tensor_base; naccesses; mapping } = p in
+  let { machine; prog; nslots; lane_slots; tensor_bytes; tensor_base; naccesses; mapping; los; his }
+      =
+    p
+  in
   let warp = machine.Machine.warp_size in
   let blocks = max 1 (Mapping.grid_blocks mapping) in
   let tpb = max 1 (Mapping.block_threads mapping) in
@@ -937,6 +872,8 @@ let walk ?(block_samples = 8) ?(warp_samples = 4) ?(loop_sample_cap = 32) p =
              lane-uniform bounds every lane's range is lane 0's, so each
              sample point keeps the incoming mask. *)
           let glo = ref max_int and ghi = ref min_int in
+          let los = if f.uniform then [||] else los.(f.bounds)
+          and his = if f.uniform then [||] else his.(f.bounds) in
           for l = 0 to (if f.uniform then 0 else warp - 1) do
             if bits land (1 lsl l) <> 0 || f.uniform then begin
               let envl = envs.(l) in
@@ -952,8 +889,8 @@ let walk ?(block_samples = 8) ?(warp_samples = 4) ?(loop_sample_cap = 32) p =
                 if b < !hi then hi := b
               done;
               if not f.uniform then begin
-                f.los.(l) <- !lo;
-                f.his.(l) <- !hi
+                los.(l) <- !lo;
+                his.(l) <- !hi
               end;
               if !lo < !glo then glo := !lo;
               if !hi > !ghi then ghi := !hi
@@ -975,7 +912,7 @@ let walk ?(block_samples = 8) ?(warp_samples = 4) ?(loop_sample_cap = 32) p =
               else begin
                 let bits' = ref 0 and count' = ref 0 in
                 for l = 0 to warp - 1 do
-                  if bits land (1 lsl l) <> 0 && v >= f.los.(l) && v <= f.his.(l) then begin
+                  if bits land (1 lsl l) <> 0 && v >= los.(l) && v <= his.(l) then begin
                     bits' := !bits' lor (1 lsl l);
                     incr count'
                   end

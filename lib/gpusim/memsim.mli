@@ -113,18 +113,15 @@ val build : Machine.t -> Codegen.Compile.compiled -> program
     an [int] has bits ([Sys.int_size]). *)
 
 val key : program -> string
-(** An exact serialization (no digest) of everything {!walk} reads: the
-    program (every loop's slot, bounds, step, role and kind; guards;
-    accesses; statement op counts and vector widths), the slot count,
-    the tensor sizes, the mapping's block and thread dims and every
-    field of the machine.  The per-lane scratch arrays the walker writes
-    before it reads are left out, and so are the accesses' numbering,
-    their lane-shape flags, the lane-uniform classification of
-    expressions and the tensors' base addresses, which the program's tree
-    and the tensor sizes decide.  Equal keys
-    therefore mean equal {!walk} results under equal sampling arguments,
-    and the same kernel under other names has the same key.  A changed extent, element type,
-    tensor declaration order or machine changes it. *)
+(** Everything {!walk} reads, marshalled without sharing: the machine
+    (every field), the program tree, the slot count, the tensor sizes and
+    the mapping.  A field added to any of them later is keyed too.  The
+    rest of the program is a function of these, and the per-lane scratch
+    arrays the walker writes lie outside the tree, so a walk leaves the
+    key as it was.  Equal keys therefore mean equal {!walk} results under
+    equal sampling arguments, and the same kernel under other names has
+    the same key.  A changed extent, element type, tensor declaration
+    order or machine changes it. *)
 
 (** The per-pattern sector table of one access under one lane shape and
     request length. *)

@@ -23,7 +23,7 @@ let c_requests =
 let c_sectors =
   Obs.Counters.create "gpusim.mem_sectors" ~doc:"simulated 32-byte DRAM sectors (rounded)"
 
-(* Keyed by the walker's name-free input, serialized only inside a scope. *)
+(* Keyed by the walker's name-free input, marshalled only inside a scope. *)
 module Memo = Polyhedra.Solver_memo.Make (struct
   type key = string Lazy.t
   type value = Memsim.result

@@ -25,8 +25,8 @@ type report = {
 val run : ?machine:Machine.t -> Codegen.Compile.compiled -> report
 (** The time model on [machine] (default V100).  The walk's
     {!Memsim.result} is a {!Polyhedra.Solver_memo} table keyed by
-    {!Memsim.key} (the walker's own input, so kernel, tensor, statement
-    and iterator names do not split entries); the report is always
+    {!Memsim.key} (the walker's own input, marshalled, so kernel, tensor,
+    statement and iterator names do not split entries); the report is always
     computed from the result, so a hit returns a report bit-identical to
     a fresh run's.  The lowerings of one operator repeat kernels (novec
     is often isl's, tiled is isl's when no band tiles, the TVM

@@ -110,10 +110,10 @@ type output = {
 (* The work the versions of one digest share, each part filled on first
    use by a run that computed it: the dependence analysis, a schedule per
    client, a lowering per version and a simulation per version and
-   machine.  The parts carry the names of the kernel that computed them;
-   [run] hands them out under its own operator's kernel.  Two domains
-   racing on a part may both compute it; the answers are equal and either
-   may be kept.  The slots are written whole, and the report lists swapped
+   machine.  The schedules and lowerings carry the name of the kernel
+   that computed them; [run] hands them out under its own operator's
+   kernel.  Two domains racing on a part may both compute it; the answers
+   are equal and either may be kept.  The slots are written whole, and the report lists swapped
    through [Atomic], so no table is mutated. *)
 type work = {
   mutable analysis : Deps.Analysis.analysis option;
@@ -158,7 +158,6 @@ let copy (stats : Scheduling.Scheduler.stats) = { stats with ilp_solves = stats.
 let analysis op =
   match op.work.analysis with
   | Some a ->
-    let a = Deps.Analysis.share a op.kernel in
     Deps.Analysis.install a;
     a
   | None ->

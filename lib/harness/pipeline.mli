@@ -136,9 +136,10 @@ type output = {
 type operator
 (** One kernel and the work its versions share, each part computed on
     first use by {!run} and kept for the next:
-    - its dependence analysis ({!Deps.Analysis.analyse}), installed into
-      every scope {!run} opens for it, so the kernel is analysed once
-      however many versions and machines are asked for;
+    - its dependence analysis ({!Deps.Analysis.analyse}), installed as
+      it is into every scope {!run} opens for it (dependences never name
+      the kernel), so the kernel is analysed once however many versions,
+      machines and names are asked for;
     - one schedule per {!client}, with its statistics: novec and infl (and
       so [cpu]) take the {!Vectorizer} client's, and differ only in the
       backend's vector pass, and every machine takes the same one.  A

@@ -346,6 +346,11 @@ let of_string s =
     else Ok v
   | exception Parse_error (pos, msg) -> Error (Printf.sprintf "%s at %d" msg pos)
 
+let of_file path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error e -> Error e
+  | contents -> Result.map_error (Printf.sprintf "%s: %s" path) (of_string contents)
+
 (* ------------------------------------------------------------------ *)
 
 let rec equal a b =

@@ -33,6 +33,11 @@ val of_string : string -> (t, string) result
     one 4-byte UTF-8 character); a lone or mispaired surrogate is an
     error.  The error string carries a character offset. *)
 
+val of_file : string -> (t, string) result
+(** The file's contents through {!of_string}.  A file that cannot be read
+    is [Error] with the [Sys_error] text; a parse error is
+    [Error "PATH: msg"]. *)
+
 val equal : t -> t -> bool
 (** Structural equality; [Assoc] fields compare in order, floats by
     [Float.equal] (so [NaN] equals itself and [0.] differs from [-0.]). *)

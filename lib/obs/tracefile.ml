@@ -72,20 +72,8 @@ let of_json j =
   | _ -> Error "trace is not a JSON object"
 
 let load path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error e -> Error e
-  | contents -> (
-    match Json.of_string contents with
-    | Error e -> Error (Printf.sprintf "%s: %s" path e)
-    | Ok j -> (
-      match of_json j with
-      | Error e -> Error (Printf.sprintf "%s: %s" path e)
-      | Ok t -> Ok t))
+  Result.bind (Json.of_file path) (fun j ->
+      Result.map_error (Printf.sprintf "%s: %s" path) (of_json j))
 
 let of_live () =
   { version = Trace.version;

@@ -31,8 +31,9 @@
     ([Deps.Analysis.install]) into the scope it runs in, so the analysis
     runs once per operator rather than once per version.  It is exact
     because only running the analysis on a kernel makes an installable
-    value, and it is installed under that physical kernel: the entry is
-    exactly what [Deps.Analysis.dependences] would compute there.
+    value, and the table answers only kernels of that kernel's digest,
+    whose dependences are the same: the entry is exactly what
+    [Deps.Analysis.dependences] would compute there.
 
     {b Checkers stay outside.}  [Harness.Eval.evaluate_op] and
     [Fuzz.Check.run] (around each of its versions' compiles) open a

@@ -4,33 +4,27 @@
    zero scheduler ILP solves for cached operators.  Lookups and stores happen on the coordinating
    domain; only the compilation of misses is sharded across the pool. *)
 
-let eval_key ~machine ~name kernel =
-  let flags =
-    [ ("op", name);
-      (* the column set is part of the key, so adding a version (tiled, PR 9)
-         retires every pre-tiling entry instead of relying on decode failure *)
-      ("columns", "isl,tvm,novec,infl,tiled")
-    ]
-  in
-  Key.make ~kernel ~machine ~version:"eval" ~flags ()
+(* Table II runs on the V100.  The key names the kernel and covers its
+   digest, so every spelling of an operator shares one entry; the payload
+   format, the columns included, is [Key.format_version]'s. *)
+let machine = Gpusim.Machine.v100
+let eval_key kernel = Key.make ~kernel ~machine ~version:"eval" ()
 
 type source = Hit of Harness.Eval.op_result | Miss
 
-let evaluate_suite ?(machine = Gpusim.Machine.v100) ?(progress = fun _ -> ()) ?cache
-    ?(jobs = 1) ops =
+let evaluate_suite ?(progress = fun _ -> ()) ?cache ?(jobs = 1) ops =
   let sources =
     List.map
       (fun (name, kernel) ->
         match cache with
         | None -> ((name, kernel), Miss)
         | Some c -> (
-          match Cache.find c (eval_key ~machine ~name kernel) with
+          match Cache.find c (eval_key kernel) with
           | None -> ((name, kernel), Miss)
           | Some payload -> (
             match Harness.Eval.result_of_json payload with
             | Ok r ->
-              (* belt and braces: key collisions across identically-shaped
-                 kernels must still report under the requested name *)
+              (* the entry may hold another spelling's row *)
               ((name, kernel), Hit { r with Harness.Eval.op_name = name })
             | Error _ -> ((name, kernel), Miss))))
       ops
@@ -48,10 +42,9 @@ let evaluate_suite ?(machine = Gpusim.Machine.v100) ?(progress = fun _ -> ()) ?c
    | None -> ()
    | Some c ->
      List.iter2
-       (fun (name, kernel) r ->
+       (fun (_, kernel) r ->
          (* a failed store loses the entry, not the row *)
-         ignore
-           (Cache.try_store c (eval_key ~machine ~name kernel) (Harness.Eval.result_to_json r)))
+         ignore (Cache.try_store c (eval_key kernel) (Harness.Eval.result_to_json r)))
        misses computed);
   let remaining = ref computed in
   List.map

@@ -11,13 +11,12 @@
 
     Cached operators skip compilation entirely (zero scheduler ILP
     solves on a warm run); their [op_result] is decoded from the stored
-    payload, including the original run's wall-clock observations.  A
+    payload, without the original run's observations ([obs = None]).  A
     store that fails (the cache directory removed or unwritable) loses
     only its entry: the row is still returned, and the failure counts
     [service.cache_store_failures]. *)
 
 val evaluate_suite :
-  ?machine:Gpusim.Machine.t ->
   ?progress:(string -> unit) ->
   ?cache:Cache.t ->
   ?jobs:int ->
@@ -27,10 +26,8 @@ val evaluate_suite :
     compilation is dispatched (under [jobs > 1] the work completes out of
     order, so per-completion callbacks would interleave). *)
 
-val eval_key :
-  machine:Gpusim.Machine.t ->
-  name:string ->
-  Ir.Kernel.t ->
-  Key.t
-(** The cache key of one operator's four-version evaluation (exposed for
-    tests and cache tooling). *)
+val eval_key : Ir.Kernel.t -> Key.t
+(** The cache key of one operator's four-version evaluation on the V100
+    (exposed for tests and cache tooling).  It names the kernel, not the
+    suite's spelling of the operator, so every spelling shares one entry,
+    and a hit reports under the requested name. *)

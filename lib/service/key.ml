@@ -1,6 +1,7 @@
-(* Bump whenever the cached payload format or the digest preimage changes:
-   a bump changes every digest, so stale entries simply miss (and age out
-   of the size cap) instead of being misread.  3: serve lowers infl and cpu
+(* Bump whenever a cached payload format (the eval entry's columns
+   included) or the digest preimage changes: a bump changes every digest,
+   so stale entries simply miss (and age out of the size cap) instead of
+   being misread.  3: serve lowers infl and cpu
    with the version table's vec_min_parallel, so older serve replies are
    stale.  4: the scheduler's fast-path/ILP choice left every flag list
    (both choices give the same schedule), so every preimage changed.

@@ -4,8 +4,8 @@
     depends on: the kernel's name and {!Ir.Kernel.digest}, the machine
     profile (every field), the compiler version ([isl]/[novec]/[infl],
     or a coarser entry tag such as ["eval"] for whole four-version
-    results), free-form flags (vectorizer/tiling switches, entry kind),
-    and the cache format version.  Equal inputs digest equally across
+    results), free-form flags (the entry kind), and the cache format
+    version.  Equal inputs digest equally across
     processes and runs; any change — including a {!format_version} bump
     — changes the digest, so stale on-disk entries turn into plain
     misses. *)
@@ -13,7 +13,10 @@
 type t
 
 val format_version : int
-(** Current cache-format version; part of every digest preimage. *)
+(** Current cache-format version; part of every digest preimage.  It is
+    bumped whenever a stored payload's format changes, the set of
+    columns in an ["eval"] entry included, so no key needs to restate
+    the format. *)
 
 val make :
   ?format_version:int ->

@@ -33,13 +33,13 @@ let default_max_request_bytes = 1 lsl 20
 
 module P = Harness.Pipeline
 
-(* A named kernel's operator, shared with every named kernel of its
-   digest, and the ok replies the cache held for it: by version name and
-   machine name, the key digest and the reply's payload fields printed as
-   JSON object members. *)
-type named = {
+(* The named kernels of one digest: the first one's operator, whose work
+   every other one shares, and the ok replies the cache held for them: by
+   kernel name, version name and machine name, the key digest and the
+   reply's payload fields printed as JSON object members. *)
+type entry = {
   operator : P.operator;
-  replies : (string * string, string * string) Hashtbl.t;
+  replies : (string * string * string, string * string) Hashtbl.t;
 }
 
 type handler = {
@@ -48,10 +48,7 @@ type handler = {
   cache : Cache.t option;
   started : float;
   next_id : int Atomic.t;
-  ops : (string * string, named) Hashtbl.t;
-      (* by kernel name and digest; guarded by [ops_lock] *)
-  work : (string, P.operator) Hashtbl.t;
-      (* the first named kernel's operator, by digest; guarded by [ops_lock] *)
+  ops : (string, entry) Hashtbl.t;  (* by digest; guarded by [ops_lock] *)
   ops_lock : Mutex.t;
 }
 
@@ -71,50 +68,39 @@ let make_handler ?kernel_of_json ?cache ~find_op () =
     ~doc:"seconds since the serve handler was created" (fun () ->
       Unix.gettimeofday () -. started);
   { find_op; kernel_of_json; cache; started; next_id = Atomic.make 0;
-    ops = Hashtbl.create 256; work = Hashtbl.create 128; ops_lock = Mutex.create () }
+    ops = Hashtbl.create 128; ops_lock = Mutex.create () }
 
 (* The key names the kernel, so every spelling of an operator's name
    shares one entry. *)
 let serve_flags = [ ("entry", "serve") ]
 
-(* The entry of a named kernel with this name and digest, whatever the
-   spelling: every miss on it compiles with its operator, which shares
-   its work with every named kernel of the digest, and its replies answer
-   repeats.  Inline kernels get a fresh operator and no entry, so both
-   tables hold at most what [find_op] can return.  Call with [ops_lock]
-   held. *)
-let named_entry h kernel =
+(* The entry of a named kernel's digest: every miss on a named kernel
+   compiles with its operator, and its replies answer repeats.  Inline
+   kernels get a fresh operator and no entry, so the table holds at most
+   what [find_op] can return.  Call with [ops_lock] held. *)
+let entry h kernel =
   let digest = Ir.Kernel.digest kernel in
-  let id = (kernel.Ir.Kernel.name, digest) in
-  match Hashtbl.find_opt h.ops id with
+  match Hashtbl.find_opt h.ops digest with
   | Some e -> e
   | None ->
-    let operator =
-      match Hashtbl.find_opt h.work digest with
-      | Some op -> P.share op kernel
-      | None ->
-        let op = P.operator kernel in
-        Hashtbl.replace h.work digest op;
-        op
-    in
-    let e = { operator; replies = Hashtbl.create 8 } in
-    Hashtbl.replace h.ops id e;
+    let e = { operator = P.operator kernel; replies = Hashtbl.create 8 } in
+    Hashtbl.replace h.ops digest e;
     e
 
+let reply_id kernel ~version ~machine =
+  (kernel.Ir.Kernel.name, version, machine.Gpusim.Machine.name)
+
 let named_operator h kernel =
-  Mutex.protect h.ops_lock (fun () -> (named_entry h kernel).operator)
+  Mutex.protect h.ops_lock (fun () -> P.share (entry h kernel).operator kernel)
 
 let remembered h kernel ~version ~machine =
-  let id = (kernel.Ir.Kernel.name, Ir.Kernel.digest kernel) in
   Mutex.protect h.ops_lock (fun () ->
-      Option.bind (Hashtbl.find_opt h.ops id) (fun e ->
-          Hashtbl.find_opt e.replies (version, machine.Gpusim.Machine.name)))
+      Option.bind (Hashtbl.find_opt h.ops (Ir.Kernel.digest kernel)) (fun e ->
+          Hashtbl.find_opt e.replies (reply_id kernel ~version ~machine)))
 
 let remember h kernel ~version ~machine reply =
   Mutex.protect h.ops_lock (fun () ->
-      Hashtbl.replace (named_entry h kernel).replies
-        (version, machine.Gpusim.Machine.name)
-        reply)
+      Hashtbl.replace (entry h kernel).replies (reply_id kernel ~version ~machine) reply)
 
 (* [name] and [machine] are the request's, as its reply reports them;
    the pipeline runs [version] on [target] ({!P.resolve}). *)

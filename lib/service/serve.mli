@@ -61,8 +61,9 @@
 
     The hit path.  A cache hit on a named operator is answered from
     memory when the handler has seen its reply before: the handler keeps
-    each named operator's ok replies as text, by (version name, machine
-    name), beside the operator (see below).  Such a memory hit parses the
+    the ok replies of the named kernels of one digest as text, by (kernel
+    name, version name, machine name), beside their operator (see
+    below).  Such a memory hit parses the
     request, finds the operator and puts the request's
     [status/id/cached/digest/op] head in front of the kept text and its
     timing fields after it ([spans] is empty); it makes no key, reads no
@@ -80,30 +81,30 @@
     ["cached": false]; it counts [service.cache_store_failures] and is not
     kept.
 
-    One compile per distinct kernel.  A miss on a named request compiles
-    with the handler's {!Harness.Pipeline.operator} for the kernel's
-    (name, digest), made on its first miss or disk hit.  The handler keeps
-    one operator per {!Ir.Kernel.digest} of the named kernels it has seen,
-    and every (name, digest) entry's operator is {!Harness.Pipeline.share}d
-    from it.  So every spelling, every equal kernel [find_op] returns and
-    every other named kernel of the same digest shares one dependence
-    analysis, one schedule per client, one lowering per version and one
-    simulation per version and machine: novec, infl and cpu take one
-    vectorizer schedule (counted in [pipeline.schedule_reuses]), and cpu
-    takes infl's lowering.  A miss that takes a kept schedule has no
-    scheduler spans in its ["spans"].  A shared operator's output is a
-    fresh one's over the request's own kernel, so replies, digests and
-    cache files are the same with or without the tables.  A reply built
-    from another name's work is still ["cached":false]: no cache entry
-    held it, and it is checked for legality and stored under its own key
-    like any other miss.  Inline kernels are decoded per request and get
-    a fresh operator every time; they never enter either table, so the
-    tables hold at most one operator per kernel [find_op] can return (the
-    CLI's registry: 223 zoo operators and 15 classics, whose 217 Table I
-    operators have 80 digests), each entry with at most one kept reply
-    per (version, machine), and need no size bound.  They sit behind a
-    mutex (a handler may be shared between domains) and are dropped with
-    the handler.
+    One compile per distinct kernel.  The handler keeps one table, by
+    {!Ir.Kernel.digest}: each entry holds the
+    {!Harness.Pipeline.operator} of the first named kernel of that digest,
+    made on its first miss or disk hit, and the kept replies.  A miss on a
+    named request compiles with that operator {!Harness.Pipeline.share}d
+    over the request's own kernel.  So every spelling, every equal kernel
+    [find_op] returns and every other named kernel of the same digest
+    shares one dependence analysis, one schedule per client, one lowering
+    per version and one simulation per version and machine: novec, infl
+    and cpu take one vectorizer schedule (counted in
+    [pipeline.schedule_reuses]), and cpu takes infl's lowering.  A miss
+    that takes a kept schedule has no scheduler spans in its ["spans"].  A
+    shared operator's output is a fresh one's over the request's own
+    kernel, so replies, digests and cache files are the same with or
+    without the table.  A reply built from another name's work is still
+    ["cached":false]: no cache entry held it, and it is checked for
+    legality and stored under its own key like any other miss.  Inline
+    kernels are decoded per request and get a fresh operator every time;
+    they never enter the table, so it holds at most one entry per digest
+    of the kernels [find_op] can return (the CLI's registry: 223 zoo
+    operators and 15 classics, whose 217 Table I operators have 80
+    digests), each with at most one kept reply per (kernel name, version,
+    machine), and needs no size bound.  It sits behind a mutex (a handler
+    may be shared between domains) and is dropped with the handler.
 
     Serve's legality check runs on every miss, after the pipeline's scope
     has closed, against the run's dependences: it shares no solver memo

@@ -362,6 +362,41 @@ let test_key_distinguishes () =
   differs "tensor order" { c with kernel = with_tensors List.rev } v100;
   differs "machine" c Gpusim.Machine.a100
 
+(* The walker writes per-lane bounds for a serial loop whose bounds read a
+   thread-mapped variable; they live outside what the key marshals, so
+   walking a program leaves its key as it was. *)
+let test_walk_keeps_key () =
+  let k = triangular_rowsum () in
+  let c = P.lower P.Isl (sched P.Isl k) k in
+  let rec thread_vars acc = function
+    | Ast.Stmts l -> List.fold_left thread_vars acc l
+    | Ast.If (_, b) -> thread_vars acc b
+    | Ast.For l ->
+      let acc =
+        match l.Ast.mark with
+        | Ast.Thread _ | Ast.BlockThread _ -> l.Ast.var :: acc
+        | Ast.Block _ | Ast.Seq_mark | Ast.Parallel -> acc
+      in
+      thread_vars acc l.Ast.body
+    | Ast.Exec _ | Ast.VecExec _ -> acc
+  in
+  let tvars = thread_vars [] c.Compile.ast in
+  let rec lane_bounded = function
+    | Ast.Stmts l -> List.exists lane_bounded l
+    | Ast.If (_, b) -> lane_bounded b
+    | Ast.For l ->
+      let serial = match l.Ast.mark with Ast.Seq_mark | Ast.Parallel -> true | _ -> false in
+      let reads e = List.exists (fun v -> List.mem v tvars) (Polyhedra.Linexpr.vars e) in
+      (serial && List.exists reads (l.Ast.lower @ l.Ast.upper)) || lane_bounded l.Ast.body
+    | Ast.Exec _ | Ast.VecExec _ -> false
+  in
+  Alcotest.(check bool) "a serial loop with per-lane bounds" true (lane_bounded c.Compile.ast);
+  let p = Gpusim.Memsim.build Gpusim.Machine.v100 c in
+  let before = Gpusim.Memsim.key p in
+  let first = Gpusim.Memsim.walk p in
+  Alcotest.(check string) "key after a walk" before (Gpusim.Memsim.key p);
+  Alcotest.(check bool) "a second walk agrees" true (first = Gpusim.Memsim.walk p)
+
 (* Half-precision tensors, in the simulator only: each classic's isl
    lowering simulated on V100 with every tensor turned F16.  Each lane
    moves half the bytes from the same instructions, so useful bytes halve
@@ -542,6 +577,7 @@ let () =
           Alcotest.test_case "golden through one memo" `Quick test_memo_golden;
           Alcotest.test_case "key ignores names" `Quick test_key_renaming;
           Alcotest.test_case "key distinguishes" `Quick test_key_distinguishes;
+          Alcotest.test_case "walk keeps the key" `Quick test_walk_keeps_key;
           Alcotest.test_case "f16 traffic" `Quick test_f16_traffic;
           Alcotest.test_case "sublattice schedules" `Quick test_sublattice_schedules;
           Alcotest.test_case "exhaustive flops" `Quick test_exhaustive_flops;

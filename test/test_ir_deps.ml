@@ -162,6 +162,32 @@ let test_single_stmt_kernels () =
       Alcotest.(check int) "carried by j" 1 d.depth)
     ds
 
+(* Inside one scope, the analysis answers every kernel of one digest: a
+   renamed copy is a memo hit with equal dependences, and a copy with one
+   tensor extent changed is analysed afresh. *)
+let test_memo_by_digest () =
+  let count = Obs.Counters.find in
+  let copy ?(name = fig2.Kernel.name) ?(tensors = fig2.Kernel.tensors) () =
+    Kernel.make ~name ~tensors ~stmts:fig2.Kernel.stmts ()
+  in
+  let widened =
+    List.mapi
+      (fun i (t : Tensor.t) ->
+        if i > 0 then t
+        else { t with Tensor.dims = Array.mapi (fun d n -> if d = 0 then n + 1 else n) t.dims })
+      fig2.Kernel.tensors
+  in
+  let text ds = Format.asprintf "%a" Deps.Analysis.pp_all ds in
+  Polyhedra.Solver_memo.scoped @@ fun () ->
+  let analyses = count "deps.analyses" and hits = count "deps.memo_hits" in
+  let ds = Deps.Analysis.dependences fig2 in
+  let renamed = Deps.Analysis.dependences (copy ~name:"fig2_renamed" ()) in
+  Alcotest.(check int) "renamed: no analysis" (analyses + 1) (count "deps.analyses");
+  Alcotest.(check int) "renamed: a memo hit" (hits + 1) (count "deps.memo_hits");
+  Alcotest.(check string) "renamed: equal dependences" (text ds) (text renamed);
+  ignore (Deps.Analysis.dependences (copy ~tensors:widened ()));
+  Alcotest.(check int) "one extent changed: analysed" (analyses + 2) (count "deps.analyses")
+
 let () =
   Alcotest.run "ir-deps"
     [ ( "ir",
@@ -177,6 +203,7 @@ let () =
           Alcotest.test_case "Y self deps" `Quick test_y_self_deps;
           Alcotest.test_case "no spurious deps" `Quick test_no_spurious_deps;
           Alcotest.test_case "elementwise chain" `Quick test_elementwise_chain_deps;
-          Alcotest.test_case "single stmt kernels" `Quick test_single_stmt_kernels
+          Alcotest.test_case "single stmt kernels" `Quick test_single_stmt_kernels;
+          Alcotest.test_case "memo by digest" `Quick test_memo_by_digest
         ] )
     ]

@@ -121,14 +121,14 @@ let test_digest_partition () =
   Alcotest.(check int) "name-free classes" 86 (classes Ir.Kernel.digest zoo)
 
 (* The on-disk name of fig2's Table II entry: a change to eval_key's
-   preimage (its flags, the kernel digest, the machine encoding) orphans
+   preimage (the kernel digest and name, the machine encoding) orphans
    every existing .akg-cache entry and shows up here first.  A deliberate
    Key.format_version bump moves it too; update the literal then. *)
 let test_eval_key_pinned () =
   Alcotest.(check string)
-    "fig2 on v100" "2033e1feecfbc0985ed23670a4cea251"
+    "fig2 on v100" "6f2208f77f99b0686e1495ef98a783de"
     (Service.Key.digest
-       (Service.Batch.eval_key ~machine:Gpusim.Machine.v100 ~name:"fig2" (classic "fig2")))
+       (Service.Batch.eval_key (classic "fig2")))
 
 (* Every kernel's digest, pinned as the MD5 of their concatenation: the
    zoo, the classics and fuzz seed 42's cases 0-199.  Rendering a
@@ -576,9 +576,7 @@ let test_batch_corrupt_entry_recomputes () =
   let cache = Service.Cache.open_ (fresh_dir ()) in
   let cold = render (Service.Batch.evaluate_suite ~cache (suite ())) in
   let name = List.hd suite_ops in
-  let k =
-    Service.Batch.eval_key ~machine:Gpusim.Machine.v100 ~name (classic name)
-  in
+  let k = Service.Batch.eval_key (classic name) in
   let oc = open_out (Service.Cache.entry_path cache k) in
   output_string oc "garbage";
   close_out oc;
@@ -975,7 +973,7 @@ let test_serve_operator_reuse () =
         (shared_work deltas))
     [ ("in order", versions); ("reversed", List.rev versions) ]
 
-(* Operators are shared by kernel name and digest: a kernel [find_op]
+(* Operators are shared by digest: a kernel [find_op]
    returns under the same name but with other contents (here another
    extent per request) is a new operator, and nothing is shared with the
    previous one. *)
