@@ -44,8 +44,16 @@ let () =
   let seq, t_seq = timed (fun () -> evaluate ~jobs:1 ()) in
   Printf.printf "  sequential            %7.2f s\n%!" t_seq;
 
+  (* the most domains one suite's map runs on, the caller included *)
+  let workers =
+    List.fold_left
+      (fun w (net : Ops.Networks.t) ->
+        max w
+          (Service.Pool.workers ~jobs:jobs_par (List.length (Lazy.force net.Ops.Networks.ops))))
+      1 networks
+  in
   let par, t_par = timed (fun () -> evaluate ~jobs:jobs_par ()) in
-  Printf.printf "  --jobs %-3d            %7.2f s\n%!" jobs_par t_par;
+  Printf.printf "  --jobs %-3d (%d workers) %6.2f s\n%!" jobs_par workers t_par;
   assert (render seq = render par);
 
   let cache = Service.Cache.open_ cache_dir in
@@ -72,6 +80,7 @@ let () =
         ("networks", J.Int (List.length networks));
         ("ops", J.Int ops);
         ("jobs", J.Int jobs_par);
+        ("workers", J.Int workers);
         ("seq_s", J.Float t_seq);
         ("par_s", J.Float t_par);
         ("cold_cache_s", J.Float t_cold);
@@ -82,9 +91,6 @@ let () =
         ("warm_ilp_solves", J.Int warm_solves)
       ]
   in
-  let oc = open_out out_file in
-  output_string oc (J.to_string doc);
-  output_char oc '\n';
-  close_out oc;
+  J.to_file out_file doc;
   Printf.printf "  par speedup %.2fx, warm speedup %.2fx -> %s\n%!" (t_seq /. t_par)
     (t_cold /. t_warm) out_file

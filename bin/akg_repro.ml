@@ -54,9 +54,10 @@ let with_obs o f =
 
 let jobs_arg =
   let doc =
-    "Worker domains for the compilation pool.  $(b,1) (the default) stays on the \
-     current domain; $(b,0) means one per recommended core.  Results, counters and \
-     traces are bit-identical for every value."
+    "Worker domains for the compilation pool, the calling domain among them, and \
+     never more than the host's cores.  $(b,1) (the default) stays on the current \
+     domain; $(b,0) means one per recommended core.  Results, counters and traces \
+     are bit-identical for every value."
   in
   Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 

@@ -46,12 +46,7 @@ let save_case ~file ~seed ~index ~failure:(f : Check.failure) case =
         ("case", Case.to_json case)
       ]
   in
-  let oc = open_out file in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (J.to_string doc);
-      output_char oc '\n')
+  J.to_file file doc
 
 let load_case file =
   Result.bind (J.of_file file) @@ fun j ->

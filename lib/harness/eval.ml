@@ -146,10 +146,9 @@ let result_to_json (r : op_result) =
 
 (* Every accessor is strict: a payload missing any field is rejected so a
    half-written or schema-drifted cache entry recomputes instead of
-   producing a plausible-looking wrong row.  Other fields are ignored, so
-   payloads that also carry an earlier format's per-run observations
-   still decode.  A decoded row has no [obs]: those belong to the run
-   that computed it. *)
+   producing a plausible-looking wrong row.  Other fields are ignored.
+   A decoded row has no [obs]: those belong to the run that computed
+   it. *)
 let result_of_json j =
   let ( let* ) = Result.bind in
   let str k o = match J.member k o with Some (J.String s) -> Ok s | _ -> Error ("missing string " ^ k) in

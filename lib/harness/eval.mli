@@ -145,8 +145,9 @@ val result_to_json : op_result -> Obs.Json.t
 
 val result_of_json : Obs.Json.t -> (op_result, string) result
 (** Strict inverse of {!result_to_json}, with [obs = None]: any missing
-    or mistyped field is an [Error], so stale cache payloads recompute
-    instead of decoding into garbage.  Other fields are ignored. *)
+    or mistyped field is an [Error], so a payload of another shape
+    recomputes instead of decoding into garbage.  Other fields are
+    ignored. *)
 
 type aggregate = {
   total : int;

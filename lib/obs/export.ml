@@ -37,13 +37,7 @@ let stats_json () =
       ("histograms", histograms_json ())
     ]
 
-let write_stats path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Json.to_string (stats_json ()));
-      output_char oc '\n')
+let write_stats path = Json.to_file path (stats_json ())
 
 let write_run ~stats ?trace ?stats_json () =
   let written what file write =

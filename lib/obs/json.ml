@@ -351,6 +351,11 @@ let of_file path =
   | exception Sys_error e -> Error e
   | contents -> Result.map_error (Printf.sprintf "%s: %s" path) (of_string contents)
 
+let to_file path j =
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (to_string j);
+      output_char oc '\n')
+
 (* ------------------------------------------------------------------ *)
 
 let rec equal a b =

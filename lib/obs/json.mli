@@ -38,6 +38,10 @@ val of_file : string -> (t, string) result
     is [Error] with the [Sys_error] text; a parse error is
     [Error "PATH: msg"]. *)
 
+val to_file : string -> t -> unit
+(** Writes {!to_string} and a newline to the file, replacing it.  A file
+    that cannot be written raises [Sys_error]. *)
+
 val equal : t -> t -> bool
 (** Structural equality; [Assoc] fields compare in order, floats by
     [Float.equal] (so [NaN] equals itself and [0.] differs from [-0.]). *)

@@ -20,9 +20,10 @@
     All four record through one domain-local {e capture}: outside every
     capture they write the shared state, and inside {!scoped} they write
     the capture instead, which {!merge} later folds back.  That is the
-    [Service.Pool] contract: each task runs in a capture on its worker
-    domain, and the coordinator merges the captures in task order, so
-    [--jobs N] reports exactly what [--jobs 1] does.
+    [Service.Pool] contract: each task runs in a capture on whichever
+    domain claims it, the caller's among them, and the caller merges the
+    captures in task order, so [--jobs N] reports exactly what
+    [--jobs 1] does.
 
     On top of the emitting side sits the analytics side: {!Tracefile}
     reads a written trace back and normalizes away wall-clock noise,

@@ -1,6 +1,8 @@
-(* current path, innermost first — per domain, so worker nesting cannot
-   corrupt the coordinator's open spans *)
-let stack_key : string list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
+(* current path, innermost first — per domain, so a helper domain cannot
+   corrupt its parent's open spans; a spawned domain starts with a copy of
+   its parent's *)
+let stack_key : string list ref Domain.DLS.key =
+  Domain.DLS.new_key ~split_from_parent:(fun r -> ref !r) (fun () -> ref [])
 
 let now () = Unix.gettimeofday ()
 

@@ -11,10 +11,12 @@
     {b Domain safety.}  The span stack is domain-local, and a span records
     into the innermost {!Obs.scoped} capture open when it closes (the
     shared report outside every capture).  A capture keeps the enclosing
-    stack, so a path does not depend on whether it was captured; worker
-    domains start with an empty stack.  The coordinator folds a worker's
-    capture back with {!Obs.merge} after the join, so [--stats] timing
-    reports keep working under [--jobs]. *)
+    stack, so a path does not depend on whether it was captured, and a
+    domain spawned inside a span (a [Service.Pool] helper) starts with a
+    copy of its parent's stack, so a path does not depend on the domain
+    either.  The pool's caller folds each task's capture back with
+    {!Obs.merge} after the join, so [--stats] timing reports keep working
+    under [--jobs]. *)
 
 val with_ : string -> (unit -> 'a) -> 'a
 (** Runs the thunk inside a span; exception-safe (the span is closed and

@@ -32,20 +32,16 @@ let clear () =
   epoch := Unix.gettimeofday ()
 
 (* Current request id, domain-local.  Set by the serve front end around
-   each request (and re-installed inside pool workers by the dispatching
-   coordinator), so every event a request causes — on any domain —
-   carries the same "req" field and a trace can be sliced per request. *)
-let request_key : string option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-
-let request () = Domain.DLS.get request_key
+   each request and copied into every domain spawned under it (a pool's
+   helpers), so every event a request causes — on any domain — carries
+   the same "req" field and a trace can be sliced per request. *)
+let request_key : string option Domain.DLS.key =
+  Domain.DLS.new_key ~split_from_parent:Fun.id (fun () -> None)
 
 let with_request id f =
   let saved = Domain.DLS.get request_key in
   Domain.DLS.set request_key (Some id);
   Fun.protect ~finally:(fun () -> Domain.DLS.set request_key saved) f
-
-let with_request_opt req f =
-  match req with None -> f () | Some id -> with_request id f
 
 (* Inside a capture, events are buffered in it (sequence numbers are
    reassigned when it merges) instead of touching the shared event list.

@@ -45,20 +45,13 @@ val emit : string -> (string * Json.t) list -> unit
     When a request id is installed ({!with_request}), a ["req"] field
     carrying it is prepended to the event's fields. *)
 
-val request : unit -> string option
-(** The current domain's request id, if one is installed. *)
-
 val with_request : string -> (unit -> 'a) -> 'a
 (** [with_request id f] runs [f] with [id] as the current request id:
-    every event emitted inside — including events a worker domain emits
-    for a task dispatched from inside [f], which [Service.Pool]
-    re-installs via {!with_request_opt} — carries [("req", id)].  The
-    serve front end wraps each request in this, which is what lets a
-    recorded trace be sliced per request. *)
-
-val with_request_opt : string option -> (unit -> 'a) -> 'a
-(** [with_request_opt (request ()) f] — how a dispatching coordinator
-    propagates its request context onto a worker domain. *)
+    every event emitted inside — including events of a domain spawned
+    inside [f], such as a [Service.Pool] helper, which starts with its
+    parent's request id — carries [("req", id)].  The serve front end
+    wraps each request in this, which is what lets a recorded trace be
+    sliced per request. *)
 
 val emitf : string -> (unit -> (string * Json.t) list) -> unit
 (** Like {!emit} but the fields are only computed when tracing is on —

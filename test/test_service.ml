@@ -176,27 +176,77 @@ let test_pool_exception () =
            (fun x -> if x = 7 then failwith "boom" else x)
            (List.init 12 Fun.id)))
 
-(* BENCH_PR5 regression: spawning worker domains on a single-core host
-   (or for --jobs 1, or a single task) costs more than it saves — those
-   shapes must take the sequential path. *)
-let test_pool_parallelizable () =
-  Alcotest.(check bool) "one core stays sequential" false
-    (Service.Pool.parallelizable ~cores:1 ~jobs:8 64);
-  Alcotest.(check bool) "jobs 1 stays sequential" false
-    (Service.Pool.parallelizable ~cores:4 ~jobs:1 64);
-  Alcotest.(check bool) "jobs 0 stays sequential" false
-    (Service.Pool.parallelizable ~cores:4 ~jobs:0 64);
-  Alcotest.(check bool) "single task stays sequential" false
-    (Service.Pool.parallelizable ~cores:4 ~jobs:4 1);
-  Alcotest.(check bool) "empty input stays sequential" false
-    (Service.Pool.parallelizable ~cores:4 ~jobs:4 0);
-  Alcotest.(check bool) "multi-core multi-job fans out" true
-    (Service.Pool.parallelizable ~cores:4 ~jobs:4 8);
-  (* whatever this host looks like, the pool must agree with its own
-     predicate — and still produce input-ordered results *)
+(* BENCH_PR5 regression: extra domains on a single-core host (or for
+   --jobs 1, or a single task) cost more than they save — those shapes run
+   on the caller alone — and a map never starts more domains than cores. *)
+let test_pool_workers () =
+  let workers = Service.Pool.workers in
+  Alcotest.(check int) "one core stays on the caller" 1 (workers ~cores:1 ~jobs:8 64);
+  Alcotest.(check int) "jobs 1 stays on the caller" 1 (workers ~cores:4 ~jobs:1 64);
+  Alcotest.(check int) "jobs 0 stays on the caller" 1 (workers ~cores:4 ~jobs:0 64);
+  Alcotest.(check int) "single task stays on the caller" 1 (workers ~cores:4 ~jobs:4 1);
+  Alcotest.(check int) "empty input stays on the caller" 1 (workers ~cores:4 ~jobs:4 0);
+  Alcotest.(check int) "multi-core multi-job fans out" 4 (workers ~cores:4 ~jobs:4 8);
+  Alcotest.(check int) "no more domains than cores" 2 (workers ~cores:2 ~jobs:4 8);
   let xs = List.init 8 Fun.id in
-  Alcotest.(check (list int)) "sequential path is order-preserving" xs
+  Alcotest.(check (list int)) "one worker is order-preserving" xs
     (Service.Pool.map ~jobs:1 Fun.id xs)
+
+(* the calling domain claims tasks like any helper, and the helpers are
+   capped by the core count *)
+let test_pool_caller_works () =
+  let ids =
+    Service.Pool.map ~jobs:16
+      (fun _ ->
+        Unix.sleepf 0.002;
+        (Domain.self () :> int))
+      (List.init 32 Fun.id)
+  in
+  let distinct = List.sort_uniq compare ids in
+  Alcotest.(check bool) "the caller ran tasks" true
+    (List.mem (Domain.self () :> int) distinct);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d domains, at most the cores" (List.length distinct))
+    true
+    (List.length distinct <= Domain.recommended_domain_count ())
+
+(* every task runs whichever task raises, at every job count, and the
+   lowest-index exception is the one raised *)
+let test_pool_exceptions_alike () =
+  List.iter
+    (fun jobs ->
+      let ran = Atomic.make 0 in
+      let raised =
+        match
+          Service.Pool.map ~jobs
+            (fun x ->
+              Atomic.incr ran;
+              if x = 3 || x = 8 then failwith (Printf.sprintf "task %d" x))
+            (List.init 12 Fun.id)
+        with
+        | _ -> "nothing"
+        | exception Failure m -> m
+      in
+      let name what = Printf.sprintf "%s at --jobs %d" what jobs in
+      Alcotest.(check int) (name "every task ran") 12 (Atomic.get ran);
+      Alcotest.(check string) (name "the lowest-index exception") "task 3" raised)
+    [ 1; 2; 4 ]
+
+(* a task's span paths are the caller's, whichever domain runs it *)
+let test_pool_span_paths_alike () =
+  let paths jobs =
+    reset ();
+    Obs.Span.with_ "outer" (fun () ->
+        ignore
+          (Service.Pool.map ~jobs
+             (fun x -> Obs.Span.with_ "task" (fun () -> Unix.sleepf 0.001; x))
+             (List.init 8 Fun.id)));
+    List.map (fun (path, calls, _) -> (path, calls)) (Obs.Span.report ())
+  in
+  let seq = paths 1 in
+  Alcotest.(check (list (pair string int)))
+    "sequential paths" [ ("outer", 1); ("outer/task", 8) ] seq;
+  Alcotest.(check (list (pair string int))) "--jobs 2 paths" seq (paths 2)
 
 (* histograms captured per worker and merged in task-index order must be
    bit-identical to a sequential run — count, fixed-point sum, min, max
@@ -1544,7 +1594,10 @@ let () =
       ( "pool",
         [ Alcotest.test_case "order and counters" `Quick test_pool_order_and_counters;
           Alcotest.test_case "exceptions" `Quick test_pool_exception;
-          Alcotest.test_case "parallelizable guard" `Quick test_pool_parallelizable;
+          Alcotest.test_case "worker count" `Quick test_pool_workers;
+          Alcotest.test_case "the caller works" `Quick test_pool_caller_works;
+          Alcotest.test_case "exceptions alike" `Quick test_pool_exceptions_alike;
+          Alcotest.test_case "span paths alike" `Quick test_pool_span_paths_alike;
           Alcotest.test_case "histogram determinism" `Quick
             test_pool_histogram_determinism;
           Alcotest.test_case "request propagation" `Quick test_pool_request_propagation
