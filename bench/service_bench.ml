@@ -24,6 +24,13 @@ let evaluate ?cache ~jobs () =
        Service.Batch.evaluate_suite ?cache ~jobs (Lazy.force n.Ops.Networks.ops)))
     networks
 
+let rec remove_tree path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> remove_tree (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
 let timed f =
   let t0 = Unix.gettimeofday () in
   let r = f () in
@@ -36,6 +43,8 @@ let () =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "akg_service_bench_%d" (Unix.getpid ()))
   in
+  (* at_exit also runs when an assert below fails *)
+  at_exit (fun () -> try remove_tree cache_dir with Sys_error _ -> ());
   let ops = List.fold_left (fun n (net : Ops.Networks.t) ->
       n + List.length (Lazy.force net.Ops.Networks.ops)) 0 networks in
   Printf.printf "service bench: %d ops across %d networks, %d cores\n%!" ops

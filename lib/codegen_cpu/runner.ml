@@ -43,7 +43,6 @@ let toolchain t = t.tc
 let cache_dir t = t.dir
 
 type built = {
-  digest : string;
   source_path : string;
   so_path : string;
   flags : string list;
@@ -216,7 +215,7 @@ let build_source t ~(machine : Gpusim.Machine.t) source =
     let so_path = Filename.concat t.dir ("k" ^ digest ^ ".so") in
     if Sys.file_exists so_path then begin
       Obs.Counters.incr c_cache_hits;
-      Ok { digest; source_path; so_path; flags; compile_s = 0.0; cache_hit = true }
+      Ok { source_path; so_path; flags; compile_s = 0.0; cache_hit = true }
     end
     else begin
       Obs.Counters.incr c_compiles;
@@ -227,7 +226,7 @@ let build_source t ~(machine : Gpusim.Machine.t) source =
             compile_file t.tc ~flags ~src:source_path ~out:so_path ~what:"kernel")
       in
       match r with
-      | Ok () -> Ok { digest; source_path; so_path; flags; compile_s; cache_hit = false }
+      | Ok () -> Ok { source_path; so_path; flags; compile_s; cache_hit = false }
       | Error e -> Error e
     end
     with Sys_error msg | Unix.Unix_error (_, msg, _) ->

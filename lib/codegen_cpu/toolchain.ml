@@ -12,7 +12,6 @@ type t = {
 let cc t = t.cc
 let version t = t.version
 let digest t = t.digest
-let describe t = Printf.sprintf "%s (%s)" t.cc (if t.version = "" then "unknown version" else t.version)
 
 (* run a command with stdout+stderr captured, never raising *)
 let run_capture argv =
@@ -25,15 +24,10 @@ let run_capture argv =
     Unix.close null;
     Unix.close w_out;
     let ic = Unix.in_channel_of_descr r_out in
-    let b = Buffer.create 256 in
-    (try
-       while true do
-         Buffer.add_channel b ic 1
-       done
-     with End_of_file -> ());
+    let out = In_channel.input_all ic in
     close_in ic;
     let _, status = Unix.waitpid [] pid in
-    Some (status, Buffer.contents b)
+    Some (status, out)
   with Unix.Unix_error _ | Sys_error _ -> None
 
 let is_executable path =
@@ -94,44 +88,36 @@ let detect () =
     cache := Some (env, tc);
     tc
 
-let available () = detect () <> None
-
-(* Probe-compiles a snippet with the given flags and, with [~run], runs
-   the result; memoized per (compiler, flags, snippet, run).  Pool worker
-   domains probe too (through [Runner.build_source]), so the memo is
-   guarded by a mutex, held across the probe so each key runs once. *)
-let probe_memo : (string, bool) Hashtbl.t = Hashtbl.create 8
+(* One compile-and-run of a snippet with the given flags answers both
+   toolchain questions: did it compile, and did the result run.  Memoized
+   as (compiled, ran) per (compiler, flags, snippet).  Pool worker domains
+   probe too (through [Runner.build_source]), so the memo is guarded by a
+   mutex, held across the probe so each key runs once. *)
+let probe_memo : (string, bool * bool) Hashtbl.t = Hashtbl.create 8
 let probe_lock = Mutex.create ()
 
-let probe t ~flags ~run snippet =
-  let key =
-    String.concat "|"
-      [ (if run then "run" else "cc"); t.digest; String.concat " " flags; Digest.string snippet ]
-  in
+let with_temp suffix f =
+  let path = Filename.temp_file "akg_probe" suffix in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
+
+let probe t ~flags snippet =
+  let key = String.concat "|" [ t.digest; String.concat " " flags; Digest.string snippet ] in
   Mutex.protect probe_lock @@ fun () ->
   match Hashtbl.find_opt probe_memo key with
-  | Some b -> b
+  | Some r -> r
   | None ->
-    let b =
+    let ok argv = match run_capture argv with Some (Unix.WEXITED 0, _) -> true | _ -> false in
+    let r =
       try
-        let src = Filename.temp_file "akg_probe" ".c" in
-        let out = Filename.temp_file "akg_probe" (if run then ".exe" else ".so") in
+        with_temp ".c" @@ fun src ->
+        with_temp ".exe" @@ fun exe ->
         Out_channel.with_open_text src (fun oc -> output_string oc snippet);
-        let ok argv =
-          match run_capture argv with Some (Unix.WEXITED 0, _) -> true | _ -> false
-        in
-        let b =
-          ok (Array.of_list ((t.cc :: flags) @ [ src; "-o"; out ]))
-          && ((not run) || ok [| out |])
-        in
-        List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ src; out ];
-        b
-      with Sys_error _ -> false
+        let compiled = ok (Array.of_list ((t.cc :: flags) @ [ src; "-o"; exe ])) in
+        (compiled, compiled && ok [| exe |])
+      with Sys_error _ -> (false, false)
     in
-    Hashtbl.add probe_memo key b;
-    b
-
-let base_flags = [ "-O2"; "-fPIC"; "-shared" ]
+    Hashtbl.add probe_memo key r;
+    r
 
 let isa_flags (isa : Gpusim.Machine.isa) =
   match isa with
@@ -140,34 +126,6 @@ let isa_flags (isa : Gpusim.Machine.isa) =
   | Gpusim.Machine.Neon | Gpusim.Machine.Scalar_c | Gpusim.Machine.Ptx -> []
 
 let isa_snippet (isa : Gpusim.Machine.isa) =
-  match isa with
-  | Gpusim.Machine.Avx2 | Gpusim.Machine.Avx512 ->
-    "#include <immintrin.h>\n\
-     __m256d f(__m256d a) { return _mm256_add_pd(a, a); }\n"
-  | Gpusim.Machine.Neon ->
-    "#include <arm_neon.h>\n\
-     float64x2_t f(float64x2_t a) { return vaddq_f64(a, a); }\n"
-  | Gpusim.Machine.Scalar_c | Gpusim.Machine.Ptx -> "int f(int a) { return a + a; }\n"
-
-let supports_isa t (isa : Gpusim.Machine.isa) =
-  probe t ~flags:(base_flags @ isa_flags isa) ~run:false (isa_snippet isa)
-
-let supports_openmp t =
-  probe t ~flags:(base_flags @ [ "-fopenmp" ]) ~run:false
-    "int f(int n) {\n\
-    \  int s = 0;\n\
-     #pragma omp parallel for\n\
-    \  for (int i = 0; i < n; ++i) s += 0;\n\
-    \  return s;\n\
-     }\n"
-
-(* flags for compiling an emitted kernel for [machine] to a shared object *)
-let kernel_flags t (machine : Gpusim.Machine.t) =
-  base_flags @ isa_flags machine.Gpusim.Machine.isa
-  @ (if machine.Gpusim.Machine.sm_count > 1 && supports_openmp t then [ "-fopenmp" ] else [])
-  @ [ "-lm" ]
-
-let isa_run_snippet (isa : Gpusim.Machine.isa) =
   match isa with
   | Gpusim.Machine.Avx2 | Gpusim.Machine.Avx512 ->
     "#include <immintrin.h>\n\
@@ -191,7 +149,26 @@ let isa_run_snippet (isa : Gpusim.Machine.isa) =
      }\n"
   | Gpusim.Machine.Scalar_c | Gpusim.Machine.Ptx -> "int main(void) { return 0; }\n"
 
-(* compile-and-run probe: catches ISAs the compiler accepts but the host
-   CPU cannot execute (e.g. -mavx512f on an AVX2-only machine) *)
-let executes_isa t (isa : Gpusim.Machine.isa) =
-  probe t ~flags:([ "-O2" ] @ isa_flags isa) ~run:true (isa_run_snippet isa)
+let isa_probe t isa = probe t ~flags:("-O2" :: isa_flags isa) (isa_snippet isa)
+
+let supports_isa t isa = fst (isa_probe t isa)
+
+(* catches ISAs the compiler accepts but the host CPU cannot execute
+   (e.g. -mavx512f on an AVX2-only machine) *)
+let executes_isa t isa = snd (isa_probe t isa)
+
+let supports_openmp t =
+  fst
+    (probe t ~flags:[ "-O2"; "-fopenmp" ]
+       "int main(void) {\n\
+       \  int s = 0;\n\
+        #pragma omp parallel for\n\
+       \  for (int i = 0; i < 2; ++i) s += 0;\n\
+       \  return s;\n\
+        }\n")
+
+(* flags for compiling an emitted kernel for [machine] to a shared object *)
+let kernel_flags t (machine : Gpusim.Machine.t) =
+  [ "-O2"; "-fPIC"; "-shared" ] @ isa_flags machine.Gpusim.Machine.isa
+  @ (if machine.Gpusim.Machine.sm_count > 1 && supports_openmp t then [ "-fopenmp" ] else [])
+  @ [ "-lm" ]

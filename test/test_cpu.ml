@@ -335,6 +335,26 @@ let test_concurrent_probes () =
         Alcotest.(check (list bool)) "same answers as one domain" sequential (Domain.join d))
       domains
 
+(* One compile-and-run of an ISA's snippet answers both questions:
+   supports_isa reads whether it compiled, executes_isa whether it ran. *)
+let test_one_probe_per_isa () =
+  match Toolchain.detect () with
+  | None -> Printf.printf "  [skipped: no host C compiler]\n%!"
+  | Some tc ->
+    let isas = Machine.[ Avx2; Avx512; Neon; Scalar_c ] in
+    Hashtbl.reset Toolchain.probe_memo;
+    List.iter
+      (fun isa ->
+        let executes = Toolchain.executes_isa tc isa in
+        let supports = Toolchain.supports_isa tc isa in
+        Alcotest.(check bool)
+          (Machine.isa_name isa ^ ": executes implies supports")
+          true
+          ((not executes) || supports))
+      isas;
+    Alcotest.(check int) "one memo entry per ISA" (List.length isas)
+      (Hashtbl.length Toolchain.probe_memo)
+
 let () =
   Alcotest.run "cpu"
     [ ( "machine",
@@ -361,6 +381,7 @@ let () =
           Alcotest.test_case "corruption recovery" `Quick test_corruption_recovery;
           Alcotest.test_case "interpreter check span" `Quick test_check_span;
           Alcotest.test_case "no-compiler degradation" `Quick test_no_compiler_degrades;
-          Alcotest.test_case "concurrent toolchain probes" `Quick test_concurrent_probes
+          Alcotest.test_case "concurrent toolchain probes" `Quick test_concurrent_probes;
+          Alcotest.test_case "one probe per ISA" `Quick test_one_probe_per_isa
         ] )
     ]
